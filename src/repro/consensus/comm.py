@@ -60,11 +60,28 @@ class CommitteeComm:
         return value
 
     def sends(self, kind: str, value: object, width: int) -> list[Send]:
-        return [
-            Send(link, SubVote(self.step, kind,
-                               self.outgoing_value(kind, value, link), width))
-            for link in self.view
-        ]
+        """This step's vote to every view member.
+
+        Links that get the same value share one :class:`SubVote`
+        object, so an honest fan-out is a single constant-message run
+        for the engine to charge and store; an equivocator's links keep
+        their own values (``1`` and ``True`` stay apart: the key holds
+        the type).  An unhashable value gets an object per link.
+        """
+        step = self.step
+        votes: dict[tuple[type, object], SubVote] = {}
+        out = []
+        for link in self.view:
+            sent = self.outgoing_value(kind, value, link)
+            key = (type(sent), sent)
+            try:
+                vote = votes[key]
+            except KeyError:
+                vote = votes[key] = SubVote(step, kind, sent, width)
+            except TypeError:
+                vote = SubVote(step, kind, sent, width)
+            out.append(Send(link, vote))
+        return out
 
     def collect(self, inbox: Sequence[Envelope], kind: str) -> dict[int, object]:
         """First well-formed vote per view member for the current step."""

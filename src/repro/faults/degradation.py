@@ -12,14 +12,16 @@ ways when the channel model is violated, and the difference matters:
     only liveness is the *graceful* failure mode: the monitors run in
     order with the watchdog last, so a stall verdict certifies that
     unique-names/namespace/crash-budget/ledger invariants passed each
-    round up to the stall.
+    round up to the stall.  The protocol's own
+    :class:`~repro.core.crash_renaming.RenamingFailure` -- a node ran
+    out of phases without a name -- is this outcome too.
 ``SAFETY_VIOLATED``
     A safety monitor fired — the algorithm produced wrong answers
     (duplicate names, out-of-range names, …) under this fault class.
 ``CRASHED``
     The execution raised outside the monitor/watchdog vocabulary
-    (protocol assertion, renaming failure, malformed plan): the
-    implementation itself fell over rather than degrading.
+    (protocol assertion, malformed plan): the implementation itself
+    fell over rather than degrading.
 
 :func:`degradation_frontier` runs one or more scenarios across an
 escalating fault ladder (:func:`default_ladder`) and tabulates the
@@ -35,6 +37,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from repro.core.crash_renaming import RenamingFailure
 from repro.falsify.monitors import (
     InvariantViolation,
     default_monitors,
@@ -131,7 +134,8 @@ def classify_outcome(execute: Callable[[], object]) -> tuple[str, dict]:
     """Run ``execute`` and fold its fate into an outcome + detail dict.
 
     The classification rules (see the module docstring): a liveness
-    invariant or :class:`NonTerminationError` is a stall; any other
+    invariant, :class:`NonTerminationError` or the protocol's own
+    :class:`RenamingFailure` is a stall; any other
     :class:`InvariantViolation` is a safety violation; any other
     exception is a crash; otherwise the run terminated safely.
     """
@@ -151,6 +155,13 @@ def classify_outcome(execute: Callable[[], object]) -> tuple[str, dict]:
             "invariant": "max-rounds",
             "round": hang.round_no,
             "nodes": list(hang.pending)[:16],
+        }
+    except RenamingFailure as failure:
+        # A node finished every phase still holding a wide interval:
+        # nobody got a wrong name, somebody got none.
+        return SAFE_STALLED, {
+            "error": type(failure).__name__,
+            "message": str(failure)[:200],
         }
     except Exception as error:  # the implementation fell over
         return CRASHED, {

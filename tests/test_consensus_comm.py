@@ -58,6 +58,47 @@ class TestSends:
         assert [send.to for send in sends] == [1, 2, 3]
         assert all(send.message.value == 9 for send in sends)
 
+    def test_honest_fan_out_carries_one_vote_object(self):
+        """One object per fan-out: the engine charges it as one run."""
+        comm = CommitteeComm(view=range(6), b_max=1)
+        comm.step = 3
+        sends = comm.sends("x", (17, 2), width=4)
+        assert [send.to for send in sends] == list(range(6))
+        assert all(send.message is sends[0].message for send in sends)
+        assert sends[0].message == SubVote(3, "x", (17, 2), 4)
+
+    def test_override_shares_one_object_per_distinct_value(self):
+        class Parity(CommitteeComm):
+            def outgoing_value(self, kind, value, receiver):
+                # Equal tuples built afresh per link: shared by value.
+                return (value, receiver % 2)
+
+        comm = Parity(view=range(5), b_max=1)
+        comm.step = 1
+        sends = comm.sends("x", 9, width=4)
+        assert [send.message.value for send in sends] == [
+            (9, 0), (9, 1), (9, 0), (9, 1), (9, 0)]
+        assert sends[0].message is sends[2].message is sends[4].message
+        assert sends[1].message is sends[3].message
+        assert sends[0].message is not sends[1].message
+
+    def test_equal_values_of_different_types_stay_apart(self):
+        class BoolToOdd(CommitteeComm):
+            def outgoing_value(self, kind, value, receiver):
+                return True if receiver % 2 else 1
+
+        comm = BoolToOdd(view=range(4), b_max=1)
+        sent = [send.message.value for send in comm.sends("x", 1, width=1)]
+        assert [type(value) for value in sent] == [int, bool, int, bool]
+
+    def test_unhashable_value_still_sends(self):
+        comm = CommitteeComm(view=range(3), b_max=0)
+        comm.step = 2
+        sends = comm.sends("x", [1, 2], width=4)
+        assert [send.to for send in sends] == [0, 1, 2]
+        assert all(send.message.value == [1, 2] for send in sends)
+        assert all(send.message.step == 2 for send in sends)
+
     def test_subvote_bit_cost(self):
         cost = CostModel(n=8, namespace=64)
         vote = SubVote(step=1, kind="x", value=1, width=10)

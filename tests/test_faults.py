@@ -15,6 +15,7 @@ from random import Random
 import pytest
 
 from repro.adversary.crash import ScheduledCrash
+from repro.core.crash_renaming import RenamingFailure
 from repro.falsify.monitors import InvariantViolation, RoundBudget
 from repro.faults import (
     CORRUPT,
@@ -648,6 +649,15 @@ class TestClassifyOutcome:
         outcome, detail = classify_outcome(boom)
         assert outcome == CRASHED and detail["error"] == "ValueError"
 
+    def test_renaming_failure_is_a_stall(self):
+        def no_name():
+            raise RenamingFailure("node 59 finished with interval [1,8]")
+
+        outcome, detail = classify_outcome(no_name)
+        assert outcome == SAFE_STALLED
+        assert detail["error"] == "RenamingFailure"
+        assert "node 59" in detail["message"]
+
 
 class TestFaultTap:
     def test_counts_issued_verdicts(self):
@@ -689,6 +699,19 @@ class TestFrontier:
         assert control["outcome"] == SAFE_TERMINATED
         assert lossy["outcome"] == SAFETY_VIOLATED
         assert "unique-names" in lossy["detail"]
+
+    def test_crash_renaming_under_corruption_is_classified(self):
+        """Regression (F15 `corrupt-10%`): a bit-flipped ``p`` used to
+        overflow ``election_probability`` and the row read CRASHED."""
+        (row,) = degradation_frontier(
+            ["crash"], 16, 0, 1,
+            ladder=[rung for rung in default_ladder(16)
+                    if rung.label == "corrupt-10%"])
+        assert row["outcome"] == SAFE_STALLED
+        assert row["corrupted"] > 0
+        detail = json.loads(row["detail"])
+        assert detail["error"] == "RenamingFailure"
+        assert detail["message"].startswith("node ")
 
     def test_fault_scenario_control_rung_is_fault_free(self):
         # The explicit NoFaults control overrides gossip-faults'

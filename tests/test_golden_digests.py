@@ -1,0 +1,161 @@
+"""Golden digests: counted results are a function of (inputs, seed) only.
+
+One sha256 per (driver, n, seed, variant) over everything the
+reproduction counts -- rounds, the metrics summary, both per-round
+ledgers, sends by message type, and every surviving node's new name.
+A refactor of ``core/``, ``consensus/`` or ``sim/`` changes
+``code_version``; it must not change any digest below.  The table was
+recorded on the commit *before* the near-linear protocol layer
+(``_committee_action`` as one grouping pass, one ``SubVote`` per
+fan-out value) and is the gate that change had to pass.
+
+A digest that moves means two different programs are being compared.
+Only a deliberate accounting change may re-record the table:
+
+    PYTHONPATH=src python -m tests.test_golden_digests
+
+CI runs this file under two ``PYTHONHASHSEED`` values.
+"""
+
+import hashlib
+import json
+from random import Random
+
+import pytest
+
+from repro.adversary import byzantine as byzantine_strategies
+from repro.adversary.crash import CommitteeHunter, ScheduledCrash
+from repro.analysis.experiments import (
+    byzantine_config_for,
+    default_namespace,
+    sample_uids,
+)
+from repro.core.byzantine_renaming import run_byzantine_renaming
+from repro.core.crash_renaming import CrashRenamingConfig, run_crash_renaming
+from repro.faults import build_fault_model
+
+
+def digest(result) -> str:
+    metrics = result.metrics
+    canonical = json.dumps([
+        result.rounds,
+        metrics.summary(),
+        list(metrics.messages_per_round),
+        list(metrics.bits_per_round),
+        sorted(metrics.sends_by_type.items()),
+        sorted(result.outputs_by_uid().items()),
+    ], sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def crash_case(n, seed, *, config=None, adversary=None, faults=None):
+    namespace = default_namespace(n)
+    uids = sample_uids(n, namespace, Random(seed))
+    fault_model = (build_fault_model(faults, n, seed)
+                   if faults is not None else None)
+    return run_crash_renaming(
+        uids, namespace=namespace, adversary=adversary, config=config,
+        seed=seed + 2, fault_model=fault_model,
+    )
+
+
+def hunter_case(n, seed):
+    return crash_case(
+        n, seed,
+        config=CrashRenamingConfig(election_constant=2.0),
+        adversary=CommitteeHunter(n // 8, Random(seed + 1)),
+    )
+
+
+def byzantine_case(n, f, seed, factory):
+    namespace = default_namespace(n)
+    uids = sample_uids(n, namespace, Random(seed))
+    corrupt = byzantine_strategies.corrupt_set(uids, f, Random(seed + 1))
+    return run_byzantine_renaming(
+        uids, namespace=namespace,
+        byzantine={uid: factory for uid in corrupt},
+        config=byzantine_config_for(n, f),
+        shared_seed=seed + 3, seed=seed + 4,
+    )
+
+
+WITHHOLDER = byzantine_strategies.make_withholder(0.5, salt=0)
+EQUIVOCATOR = byzantine_strategies.make_equivocator()
+
+#: case id -> thunk producing an ExecutionResult.
+CASES = {
+    # Paper constants: election constant 256, committee = everyone.
+    "crash-paper-n8": lambda: crash_case(8, 0),
+    "crash-paper-n33": lambda: crash_case(33, 1),
+    "crash-paper-n96": lambda: crash_case(96, 1),
+    # Sparse committee under the adaptive hunter: re-election, rising p.
+    **{
+        f"crash-hunter-n{n}-s{seed}":
+            lambda n=n, seed=seed: hunter_case(n, seed)
+        for n in (64, 128) for seed in (0, 1, 2)
+    },
+    "crash-early-stopping-n33": lambda: crash_case(
+        33, 2, config=CrashRenamingConfig(early_stopping=True)),
+    # Node 3 dies in a response round with 5 of its 16 answers out.
+    "crash-midsend-n16": lambda: crash_case(
+        16, 3, adversary=ScheduledCrash({6: [3]}, deliver_prefix={3: 5})),
+    "crash-duplicate20-n16": lambda: crash_case(
+        16, 4, faults=[{"kind": "duplicate", "p": 0.20}]),
+    **{
+        f"byz-{name}-n{n}":
+            lambda n=n, factory=factory: byzantine_case(n, 2, 0, factory)
+        for name, factory in (("withholder", WITHHOLDER),
+                              ("equivocator", EQUIVOCATOR))
+        for n in (24, 48)
+    },
+}
+
+#: case id -> digest recorded on the parent commit.
+GOLDEN = {
+    "crash-paper-n8":
+        "ff925fd6a6f9d75f9ecfc3d3a86196ea7c54db7d1d76b1f44558716e9d9085a7",
+    "crash-paper-n33":
+        "b62f927100625ebf159a59f8a1b8ee7a8c92ac84534840c93d6805c567aa3b9c",
+    "crash-paper-n96":
+        "ac139c10574df7d09937425628011ca97ad9d29853fa751d28abf475eb2fc697",
+    "crash-hunter-n64-s0":
+        "396569780fd1c096acf9583b06e9e2ee948e8d2346d6cb1cac68b465079f3ec6",
+    "crash-hunter-n64-s1":
+        "093e198e7c6c4783bfef7427e7fe0b2203a1573762b837cd5f0dc49f5dbca573",
+    "crash-hunter-n64-s2":
+        "32f578da11121973a65145a4f43e6127ff6c285febeb86ad4e6e5379e8f978da",
+    "crash-hunter-n128-s0":
+        "1f2a5f427f0f0f9e9c2dafcdba5ec6e4becfab83759d91bb9b4ddfe3d7395f24",
+    "crash-hunter-n128-s1":
+        "8a9d70de6e6f8cfdd66700ccf3fd9c46257019bbf33fd4bff77dc5e000ada4db",
+    "crash-hunter-n128-s2":
+        "a7539a0984f1ffd2d54bf7153788cd38e41aa92a462333ae656b293245c4300c",
+    "crash-early-stopping-n33":
+        "4d01f268728ed84573ff90344545043295c76235e072573d4c1a317f63334df2",
+    "crash-midsend-n16":
+        "ab29d36ea8c973c6b0405b0875c3699416b8c1ea490ca1c2fd182f9f162a0c8e",
+    "crash-duplicate20-n16":
+        "989dfbd4488910fd723b6efc2041997a63ce697ec26df67879f2b0a801197324",
+    "byz-withholder-n24":
+        "2244dca22f299071b5e4aa3e9763fff774b1a11013131ce5b79c708db2d10215",
+    "byz-withholder-n48":
+        "c85aa0dfa28303f5b99e02fb87203f42ba2623c48b03e53a2a18eed0e4f24896",
+    "byz-equivocator-n24":
+        "c52164989fc31fb079b48ff048485b19d5a447d83dd89566dd118241aae49731",
+    "byz-equivocator-n48":
+        "7799ca35c6d9d987c52007af4cd5d4f617b4ea455969b5a501487a1efe4acfa8",
+}
+
+
+def test_every_case_has_a_recorded_digest():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_counted_results_match_the_recorded_digest(case):
+    assert digest(CASES[case]()) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    for case, run in CASES.items():
+        print(f'    "{case}":\n        "{digest(run())}",')

@@ -153,6 +153,11 @@ class TestNodeActionFigure3:
         config = CrashRenamingConfig(election_constant=256)
         assert config.election_probability(p=0, n=16) == 1.0
 
+    def test_election_probability_saturates_for_a_huge_p(self):
+        """A bit-flipped p (corrupting channel) must not overflow."""
+        config = CrashRenamingConfig(election_constant=2.0)
+        assert config.election_probability(p=10**4, n=1 << 20) == 1.0
+
     def test_election_probability_zero_for_single_node(self):
         config = CrashRenamingConfig()
         assert config.election_probability(p=0, n=1) == 0.0
