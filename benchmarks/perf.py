@@ -26,14 +26,13 @@ Results are written to ``BENCH_perf.json`` mapping each benchmark name
 phases}`` — the repo's perf trajectory.  ``msgs_per_s`` is rounded
 half-even (banker's rounding), not floor-truncated.  ``phases`` is a
 self-describing :mod:`repro.obs` phase-profile report (plan / charge /
-deliver / advance wall times) measured on one *extra* instrumented
-execution; the timed repetitions always run with observability
-detached, so the headline numbers measure the uninstrumented fast
-path.  Because the instrumented execution runs the per-envelope object
-path, it is skipped above ``PHASES_MAX_N`` nodes (large-n rows omit
-``phases``, exactly like older revisions of this harness).  The
-harness touches only the long-stable public simulator API, so it runs
-unmodified against older revisions for before/after comparisons.
+deliver / advance wall times) measured at every n on one *extra*
+execution with a profiler attached.  The timed repetitions run with
+observability detached, but through the same round body
+(``SyncNetwork.step`` is the only one), so the breakdown describes the
+code the headline numbers time.  The harness touches only the
+long-stable public simulator API, so it runs unmodified against older
+revisions for before/after comparisons.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ from repro.sim.runner import ExecutionResult, run_network
 #: n values of the full matrix and of the --quick CI smoke run.
 FULL_SIZES = (128, 256, 512, 10_000)
 QUICK_SIZES = (32, 64)
-
-#: Largest n for which the extra instrumented (object-path) execution
-#: that produces the ``phases`` breakdown is affordable.
-PHASES_MAX_N = 2048
 
 #: From this n on a single timing repetition is used regardless of
 #: ``--repeat``: one crash-workload execution at n = 10k already runs
@@ -157,15 +152,11 @@ def run_perf(
             fn = lambda n=n, workload=workload, **kw: runners[workload](n, **kw)
             name = f"{workload}_n{n}"
             stats = time_execution(fn, 1 if n >= SINGLE_REPEAT_MIN_N else repeat)
-            if n <= PHASES_MAX_N:
-                # One extra instrumented execution for the phase
-                # breakdown; the timed repetitions above ran with
-                # observability detached so wall_s/msgs_per_s measure
-                # the fast path.  Instrumentation forces the
-                # per-envelope object path, so large-n rows skip it.
-                recorder = EventRecorder(capacity=4, profile=True)
-                fn(observer=recorder)
-                stats["phases"] = recorder.profiler.report()
+            # One extra execution for the phase breakdown; the timed
+            # repetitions above ran with observability detached.
+            recorder = EventRecorder(capacity=4, profile=True)
+            fn(observer=recorder)
+            stats["phases"] = recorder.profiler.report()
             results[name] = stats
             if progress is not None:
                 progress(name, stats)

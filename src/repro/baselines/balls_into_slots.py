@@ -147,7 +147,6 @@ def run_balls_into_slots(
     monitors: Sequence[object] = (),
     observer: Optional[object] = None,
     fault_model: Optional[FaultModel] = None,
-    columnar: Optional[bool] = None,
 ) -> ExecutionResult:
     """Run the balls-into-slots baseline for nodes with ids ``uids``.
 
@@ -168,5 +167,4 @@ def run_balls_into_slots(
     return run_network(
         processes, cost, crash_adversary=adversary, seed=seed, trace=trace,
         monitors=monitors, observer=observer, fault_model=fault_model,
-        columnar=columnar,
     )

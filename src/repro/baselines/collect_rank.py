@@ -81,7 +81,6 @@ def run_collect_rank(
     monitors: Sequence[object] = (),
     observer: Optional[object] = None,
     fault_model: Optional[FaultModel] = None,
-    columnar: Optional[bool] = None,
 ) -> ExecutionResult:
     """Run the gossip baseline for nodes with identities ``uids``."""
     uids = list(uids)
@@ -94,5 +93,4 @@ def run_collect_rank(
     return run_network(
         processes, cost, crash_adversary=adversary, seed=seed, trace=trace,
         monitors=monitors, observer=observer, fault_model=fault_model,
-        columnar=columnar,
     )

@@ -102,7 +102,6 @@ def run_obg_halving(
     monitors: Sequence[object] = (),
     observer: Optional[object] = None,
     fault_model: Optional[FaultModel] = None,
-    columnar: Optional[bool] = None,
 ) -> ExecutionResult:
     """Run the all-to-all halving baseline for nodes with ids ``uids``."""
     uids = list(uids)
@@ -115,5 +114,4 @@ def run_obg_halving(
     return run_network(
         processes, cost, crash_adversary=adversary, seed=seed, trace=trace,
         monitors=monitors, observer=observer, fault_model=fault_model,
-        columnar=columnar,
     )

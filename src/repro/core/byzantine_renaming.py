@@ -462,7 +462,6 @@ def run_byzantine_renaming(
     monitors: Sequence[object] = (),
     observer: Optional[object] = None,
     fault_model: Optional[FaultModel] = None,
-    columnar: Optional[bool] = None,
 ) -> ExecutionResult:
     """Run the Byzantine-resilient algorithm.
 
@@ -505,5 +504,5 @@ def run_byzantine_renaming(
         trace=trace,
         max_rounds=max_rounds,
         monitors=monitors,
-        observer=observer, fault_model=fault_model, columnar=columnar,
+        observer=observer, fault_model=fault_model,
     )

@@ -323,7 +323,6 @@ def run_crash_renaming(
     monitors: Sequence[object] = (),
     observer: Optional[object] = None,
     fault_model: Optional[FaultModel] = None,
-    columnar: Optional[bool] = None,
 ) -> ExecutionResult:
     """Run the crash-resilient algorithm for nodes with identities ``uids``.
 
@@ -347,5 +346,5 @@ def run_crash_renaming(
         seed=seed,
         trace=trace,
         monitors=monitors,
-        observer=observer, fault_model=fault_model, columnar=columnar,
+        observer=observer, fault_model=fault_model,
     )

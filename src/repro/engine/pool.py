@@ -31,6 +31,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from repro.backoff import jittered_backoff
 from repro.engine.store import RunStore, code_version, run_hash
 from repro.engine.sweeps import RunRequest, execute_request
 
@@ -144,22 +145,18 @@ def retry_jitter_delay(base: float, request: RunRequest,
                        attempt: int = 1) -> float:
     """Seeded-jitter backoff before retrying ``request``.
 
-    Reuses the serving layer's deterministic scheme
-    (:func:`repro.serve.resilience.retry_delay`): exponential in the
-    attempt with a multiplicative jitter drawn from
-    ``hash((seed, n, f, attempt))`` — an integer tuple, so the stream
-    is identical across processes and ``PYTHONHASHSEED`` values.  The
-    jitter is the point: a fixed sleep marches every retrying worker
-    back in lockstep onto whatever resource contention broke the first
-    attempt, while a seeded spread decorrelates them *reproducibly*.
+    The same deterministic scheme the serving layer uses
+    (:func:`repro.backoff.jittered_backoff`): doubling per attempt with
+    a multiplicative jitter in ``[1, 1.5)`` keyed on ``(seed, n, f,
+    attempt)``.  The jitter is the point: a fixed sleep marches every
+    retrying worker back in lockstep onto whatever resource contention
+    broke the first attempt, while a seeded spread decorrelates them
+    *reproducibly*.
     """
     if base <= 0:
         return 0.0
-    from repro.serve.resilience import ResiliencePolicy, retry_delay
-
-    policy = ResiliencePolicy(backoff_base=base, backoff_factor=2.0,
-                              backoff_jitter=0.5)
-    return retry_delay(policy, request.seed, request.n, request.f, attempt)
+    return jittered_backoff(base, 2.0, 0.5, request.seed, request.n,
+                            request.f, attempt)
 
 
 def _chunk(tasks: list, size: int) -> list[list]:

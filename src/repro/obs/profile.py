@@ -2,16 +2,27 @@
 
 A :class:`PhaseProfiler` accumulates ``(calls, total seconds)`` per
 named phase.  The network fills it with the four phases of
-:meth:`repro.sim.network.SyncNetwork.step` — ``plan`` (proposal
-collection + crash-plan application), ``charge`` (bit accounting),
-``deliver`` (envelope fan-out), ``advance`` (driving the node
-programs and monitors) — and the sweep engine adds ``driver:<name>``
-entries from :func:`repro.engine.sweeps.execute_request` timings.
+:meth:`repro.sim.network.SyncNetwork.step`, all four charged once per
+round in every configuration (observer or not, fault model or not):
+
+``plan``
+    proposal collection, crash-plan application, the fault model's plan
+``charge``
+    ledger charging and filling the round's columns (they interleave)
+``deliver``
+    ``ColumnarRound.attach``: one lazy inbox per alive recipient
+``advance``
+    driving the node programs — including the lazy materialization of
+    any inbox a program reads — and the monitors
+
+The sweep engine adds ``driver:<name>`` entries from
+:func:`repro.engine.sweeps.execute_request` timings.
 
 Profiling is opt-in: attach a profiler via an observer
 (``EventRecorder(profile=True)``) or pass one directly where accepted.
-With no profiler attached the engine takes its uninstrumented fast
-path, so the default costs nothing.
+The timers are guarded hooks inside the engine's one round body, so a
+profiled run executes the same code as a detached one and the report
+describes the path that was timed.
 
 :func:`PhaseProfiler.report` returns a self-describing dict (schema
 tag, unit, per-phase calls/wall/mean) that ``benchmarks/perf.py``

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from random import Random
 from typing import Mapping, Optional, Sequence, Union
 
+from repro.backoff import jittered_backoff
 from repro.core.crash_renaming import RenamingFailure
 from repro.sim.network import NonTerminationError
 
@@ -159,19 +159,13 @@ def retry_delay(
     """Backoff before retry ``attempt`` (1-based) of a failed batch.
 
     Exponential in the attempt number with a seeded multiplicative
-    jitter in ``[1, 1 + backoff_jitter)``.  The jitter stream derives
-    from ``hash((seed, shard, origin, attempt))`` — integer tuples hash
-    identically across processes and ``PYTHONHASHSEED`` values, the
-    same idiom the sharding layer uses for per-shard seeds — so two
+    jitter in ``[1, 1 + backoff_jitter)`` keyed on ``(seed, shard,
+    origin, attempt)`` (:func:`repro.backoff.jittered_backoff`), so two
     executions of the same stream schedule byte-identical retries.
     """
-    if attempt < 1:
-        raise ValueError(f"attempt must be >= 1, got {attempt}")
-    base = policy.backoff_base * policy.backoff_factor ** (attempt - 1)
-    if policy.backoff_jitter == 0:
-        return base
-    rng = Random(hash((seed, shard, origin, attempt)) & 0x7FFFFFFF)
-    return base * (1.0 + policy.backoff_jitter * rng.random())
+    return jittered_backoff(
+        policy.backoff_base, policy.backoff_factor, policy.backoff_jitter,
+        seed, shard, origin, attempt)
 
 
 class CircuitBreaker:

@@ -1,14 +1,13 @@
-"""Columnar round representation for the deliver phase.
+"""Columnar round representation — how every round is delivered.
 
-``BENCH_perf.json`` put ``deliver`` at ~90% of wall time: the object
-path constructs one :class:`~repro.sim.messages.Envelope` per delivered
-message, so an all-to-all round costs ``n**2`` constructor calls even
-when every program ignores its inbox.  The paper's subquadratic-bits
+Constructing one :class:`~repro.sim.messages.Envelope` per delivered
+message makes an all-to-all round cost ``n**2`` constructor calls even
+when every program ignores its inbox, and the paper's subquadratic-bits
 claim (PODC 2025) only separates from quadratic baselines at
-n = 10k-100k, a scale the object-per-message representation cannot
-reach.
-
-This module stores a round's delivery as *columns* instead of objects:
+n = 10k-100k, a scale an object-per-message representation cannot
+reach.  So :meth:`repro.sim.network.SyncNetwork.step` stores a round's
+delivery as *columns* instead of objects, in every configuration
+(observer, profiler and fault model included):
 
 - **Broadcast column** — a whole-network fan-out is one row ``(seq,
   sender, message, uid, claim)``; its per-recipient expansion stays
@@ -18,7 +17,9 @@ This module stores a round's delivery as *columns* instead of objects:
   sender's targeted sends is one row; the per-envelope columns hold
   only the recipient id and the run index (``array`` of C ints, or
   numpy views over them when numpy is importable and the batch is
-  large).
+  large).  Link faults are expressed in the same rows: a dropped send
+  fills none, a corrupted one a row carrying the bit-flipped message,
+  a duplicated one a row whose recipient list repeats the link.
 
 Inboxes are materialized per recipient, and only when a program
 actually reads its inbox at the ``program.send()`` boundary: a
@@ -27,22 +28,21 @@ envelopes whose backing list is built on first access by merging the
 broadcast column with the recipient's targeted rows in global send
 order (``seq``).  A program that never touches its inbox — the perf
 benchmark's broadcast storm, any listen-free round — costs zero
-envelope constructions; a program that reads pays exactly the object
-path's per-envelope cost, but only for itself and only once (the
-materialized list is cached, so repeated iteration yields the *same*
-instances, mirroring the engine's one-envelope-per-delivery contract).
+envelope constructions; a program that reads pays one constructor call
+per envelope, but only for itself and only once (the materialized list
+is cached, so repeated iteration yields the *same* instances — the
+engine's one-envelope-per-delivery contract).
 
 Charging is not done here: the network charges every resolved send
 through :meth:`repro.sim.metrics.Metrics.record_sends` while it fills
 the columns, so the identity-keyed bit cache is reused across the whole
-batch and every counted quantity is byte-identical to the object path
-(see ``tests/test_fastpath_ab.py`` and
+batch.  Every counted quantity is held to the naive per-envelope oracle
+``ReferenceNetwork`` (``tests/test_fastpath_ab.py``,
 ``tests/test_columnar_property.py``).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Sequence
 from typing import Optional
@@ -58,24 +58,14 @@ except Exception:  # pragma: no cover - environment without numpy
 NUMPY_GROUP_THRESHOLD = 4096
 
 
-def columnar_default() -> bool:
-    """Whether new networks take the columnar deliver path by default.
-
-    ``REPRO_COLUMNAR=0`` in the environment falls back to the object
-    path (``_step_fast``) — an escape hatch for A/B comparisons and
-    bisection, not a supported configuration.
-    """
-    return os.environ.get("REPRO_COLUMNAR", "1") != "0"
-
-
 class ColumnarRound:
     """One round's delivery as parallel arrays.
 
     Rows are appended by the network in *delivery order* (senders in
     ``delivered.items()`` order, runs in send order); ``seq`` is a
     per-round op counter that totally orders broadcast rows against
-    targeted runs, so a merged inbox reproduces the object path's
-    append order exactly.
+    targeted runs, so a merged inbox lists envelopes in global send
+    order.
     """
 
     __slots__ = (
@@ -121,8 +111,11 @@ class ColumnarRound:
         self.b_claim.append(claim)
 
     def add_run(self, sender: int, message: Message, uid: Optional[int],
-                claim: Optional[int], sends, start: int, stop: int) -> None:
-        """One constant-``(message, claim)`` run of targeted sends."""
+                claim: Optional[int], recipients: Sequence[int]) -> None:
+        """One constant-``(message, claim)`` run to ``recipients``.
+
+        A link named twice receives two envelopes (a duplicated send).
+        """
         run_index = len(self.r_message)
         self.r_seq.append(self._seq)
         self._seq += 1
@@ -130,20 +123,26 @@ class ColumnarRound:
         self.r_message.append(message)
         self.r_uid.append(uid)
         self.r_claim.append(claim)
-        t_to = self.t_to
-        for k in range(start, stop):
-            t_to.append(sends[k].to)
-        self.t_run.extend([run_index] * (stop - start))
+        self.t_to.extend(recipients)
+        self.t_run.extend([run_index] * len(recipients))
 
     def attach(self, alive: Sequence[int]) -> dict[int, "LazyInbox"]:
         """Freeze the alive set and hand out one lazy inbox per recipient.
 
         Messages addressed to links outside ``alive`` vanish (they were
-        still charged), exactly like the object path's missing-inbox
-        check.
+        still charged).
         """
         self._wanted = frozenset(alive)
         return {index: LazyInbox(self, index) for index in alive}
+
+    def attached_envelopes(self) -> int:
+        """How many envelopes the attached recipients would read.
+
+        Counted from the columns; no inbox is materialized.
+        """
+        wanted = self._wanted
+        return (len(self.b_seq) * len(wanted)
+                + sum(1 for to in self.t_to if to in wanted))
 
     # ------------------------------------------------------------------
     # Materialization (lazy, per recipient)
@@ -185,7 +184,7 @@ class ColumnarRound:
         return buckets
 
     def inbox_for(self, recipient: int) -> list[Envelope]:
-        """The recipient's envelopes in object-path append order."""
+        """The recipient's envelopes in global send order."""
         round_no = self.round_no
         out: list[Envelope] = []
         append = out.append
@@ -224,11 +223,11 @@ class ColumnarRound:
 class LazyInbox(Sequence):
     """A recipient's inbox, materialized on first read and then cached.
 
-    Behaves exactly like the envelope list the object path would have
-    built (same order, same fields, fresh instances per recipient);
-    caching preserves the identity contract — iterating twice yields
-    the *same* envelope objects, never new copies.  Receivers must
-    treat it as read-only, like any inbox.
+    Behaves exactly like a per-recipient envelope list (send order,
+    fresh instances per recipient); caching preserves the identity
+    contract — iterating twice yields the *same* envelope objects,
+    never new copies.  Receivers must treat it as read-only, like any
+    inbox.
     """
 
     __slots__ = ("_column", "_recipient", "_cache")

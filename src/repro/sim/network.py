@@ -11,7 +11,9 @@ it collects the sends every alive process yielded, lets the crash
 adversary pick victims and decide which of their in-flight messages are
 still delivered (the mid-send crash), stamps envelopes with the true
 sender (authentication), charges the metrics ledgers, and feeds every
-surviving process its inbox.
+surviving process its inbox.  There is one round body,
+:meth:`SyncNetwork.step`, whatever is attached: observers, profilers
+and fault models are guarded hooks inside it, not alternative bodies.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.faults.base import (
     validate_plan,
 )
 from repro.crypto.shared_randomness import SharedRandomness
-from repro.sim.columnar import ColumnarRound, columnar_default
+from repro.sim.columnar import ColumnarRound
 from repro.sim.messages import Broadcast, CostModel, Envelope, Send
 from repro.sim.metrics import Metrics
 from repro.sim.node import Context, Process, Program
@@ -106,33 +108,22 @@ class SyncNetwork:
         signals a falsified invariant by raising.  The default ``()``
         costs nothing.
     observer:
-        Optional :class:`repro.obs.events.Observer`.  When enabled (or
-        when it carries a :class:`~repro.obs.profile.PhaseProfiler`),
-        rounds execute through an instrumented step that emits
-        structured events (round begin/end, crash-plan application,
-        delivery fan-out, monitor fire) and charges wall time to the
-        four step phases.  The default ``None`` keeps the
-        uninstrumented fast path: every counted quantity is identical
-        either way (see ``tests/test_obs_ab.py``).
+        Optional :class:`repro.obs.events.Observer`.  When enabled,
+        :meth:`step` emits structured events (round begin/end,
+        crash-plan application, delivery fan-out, link faults, monitor
+        fire); when it carries a
+        :class:`~repro.obs.profile.PhaseProfiler`, :meth:`step` charges
+        wall time to its four phases.  Both are guarded hooks in the
+        one round body, so every counted quantity is identical with or
+        without them (see ``tests/test_obs_ab.py``).
     fault_model:
         Optional :class:`repro.faults.base.FaultModel` consulted every
         round *after* the crash plan is applied: it sees each sender's
         resolved sends and may drop, duplicate, corrupt, or hold
         (partition) individual envelopes.  Every resolved send is still
         charged to the ledgers exactly once, so faults change delivery
-        only, never counted quantities.  The default ``None`` keeps the
-        fault-free step bodies byte-for-byte untouched.
-    columnar:
-        Selects the columnar deliver core (:mod:`repro.sim.columnar`)
-        for rounds that need no per-envelope hooks — i.e. whenever
-        neither an enabled observer nor a fault model is attached.
-        ``None`` (the default) resolves via
-        :func:`~repro.sim.columnar.columnar_default` (on unless
-        ``REPRO_COLUMNAR=0``); ``False`` forces the per-``Envelope``
-        object path (``_step_fast``), kept for A/B oracles and
-        bisection.  Every counted quantity, ledger, and output is
-        byte-identical either way (``tests/test_fastpath_ab.py``,
-        ``tests/test_columnar_property.py``).
+        only, never counted quantities.  Senders the plan does not name
+        are charged and delivered exactly as without a fault model.
     """
 
     def __init__(
@@ -149,7 +140,6 @@ class SyncNetwork:
         monitors: Sequence[object] = (),
         observer: Optional[object] = None,
         fault_model: Optional[FaultModel] = None,
-        columnar: Optional[bool] = None,
     ):
         if not processes:
             raise ValueError("need at least one process")
@@ -164,14 +154,9 @@ class SyncNetwork:
         self.observer = observer
         self.profiler = (getattr(observer, "profiler", None)
                          if observer is not None else None)
-        # One boolean decides per round which step body runs; the
-        # uninstrumented body is the exact pre-observability code.
-        self._instrumented = bool(
-            self.profiler is not None
-            or (observer is not None and getattr(observer, "enabled", False))
-        )
-        self._columnar = (columnar_default() if columnar is None
-                          else bool(columnar))
+        # Guards every obs.emit(); `enabled` is fixed per observer class.
+        self._emitting = (observer is not None
+                          and getattr(observer, "enabled", False))
         self.fault_model = fault_model
         self.fault_stats = FaultStats() if fault_model is not None else None
         # Envelopes a `hold` verdict deferred, keyed by release round.
@@ -258,10 +243,6 @@ class SyncNetwork:
     # ------------------------------------------------------------------
     # Round execution
 
-    def _alive_unfinished(self) -> list[int]:
-        """Alive, unfinished node indices in ascending order (a copy)."""
-        return list(self._alive_order)
-
     def _correct_pending(self) -> list[int]:
         """Correct (non-Byzantine) alive, unfinished indices (a copy)."""
         return list(self._correct_order)
@@ -304,7 +285,7 @@ class SyncNetwork:
             kept_by_victim[victim] = [sends[i] for i in indices]
         delivered = dict(proposed)
         obs = self.observer
-        emit = obs is not None and getattr(obs, "enabled", False)
+        emit = self._emitting
         for victim, kept in kept_by_victim.items():
             delivered[victim] = kept
             self.crashed.add(victim)
@@ -324,59 +305,76 @@ class SyncNetwork:
         return delivered
 
     def step(self) -> None:
-        """Execute one synchronous round.
+        """Execute one synchronous round — the only round body.
 
-        Dispatch mirrors the hook requirements, cheapest body last: a
-        fault model needs per-envelope verdicts (``_step_faulted``), an
-        enabled observer needs per-phase timers and events
-        (``_step_observed``), and everything else takes the columnar
-        deliver core (``_step_columnar``) — or the per-``Envelope``
-        object path when columnar is disabled.
+        Four phases, each charged to an attached profiler every round:
+
+        ``plan``
+            Collect the proposed sends, apply the crash adversary's
+            plan, then ask the fault model (if any) for per-send
+            verdicts on what survived.  Both plans are validated before
+            any delivery state changes.
+        ``charge``
+            Charge every resolved send to the ledgers exactly once and
+            fill the round's :class:`~repro.sim.columnar.ColumnarRound`
+            (the two interleave): a whole-network broadcast is one
+            charge and one row, targeted sends one per maximal
+            constant-``(message, claim)`` run, so the ledgers'
+            identity-keyed bit cache is reused across the batch.
+        ``deliver``
+            ``attach`` freezes the alive set and hands out one lazy
+            inbox per recipient; messages addressed to crashed or
+            terminated links vanish (they were still charged).
+        ``advance``
+            Drive the programs — an inbox is materialized only if its
+            program reads it, so listen-free rounds cost O(senders),
+            not O(messages) — then the monitors.
         """
-        if self.fault_model is not None:
-            self._step_faulted()
-        elif self._instrumented:
-            self._step_observed()
-        elif self._columnar:
-            self._step_columnar()
-        else:
-            self._step_fast()
-
-    def _step_columnar(self) -> None:
-        """The columnar hot path: delivery as parallel-array appends.
-
-        Charging is identical to :meth:`_step_fast` — same sender
-        order, same constant-``(message, claim)`` run batching through
-        ``Metrics.record_sends`` (whose identity-keyed bit cache is
-        thereby reused across the whole batch) — but instead of
-        constructing one :class:`Envelope` per delivered message, each
-        whole-network broadcast becomes one column row and each
-        targeted run a row plus per-envelope recipient ids.  Inboxes
-        are :class:`~repro.sim.columnar.LazyInbox` views materialized
-        only when a program reads them at the ``program.send()``
-        boundary, so listen-free rounds cost O(senders), not
-        O(messages).
-        """
+        obs = self.observer
+        emit = self._emitting
+        prof = self.profiler
         self.round_no += 1
         round_no = self.round_no
         metrics = self.metrics
         contexts = self.contexts
         processes = self.processes
+        if emit:
+            obs.emit("round.begin", round_no=round_no,
+                     alive=len(self._alive_order))
+
+        t0 = perf_counter()
         metrics.begin_round()
         for index in self._alive_order:
             contexts[index].current_round = round_no
-
         pending = self._pending
         proposed = {index: pending.get(index, []) for index in self._alive_order}
         delivered = self._apply_crash_plan(proposed)
+        plan = {}
+        if self.fault_model is not None:
+            # Verdicts name (sender, send index) in the post-crash
+            # sends — the kept_send_indices convention.
+            plan = self.fault_model.plan_round(
+                round_no, delivered, frozenset(self._alive_set))
+            if plan:
+                validate_plan(plan, round_no, delivered)
+        t1 = perf_counter()
 
         column = ColumnarRound(round_no)
         add_broadcast = column.add_broadcast
         add_run = column.add_run
+        record_sends = metrics.record_sends
         resolve = self.authenticator.resolve
         n = self.n
+        if self._held:
+            # Healing partition traffic has been in flight the longest:
+            # it enters the column ahead of the round's own sends.
+            self._release_held(column)
         for sender, sends in delivered.items():
             if not sends:
+                continue
+            verdicts = plan.get(sender)
+            if verdicts:
+                self._fill_faulted(column, sender, sends, verdicts)
                 continue
             process = processes[sender]
             byz = process.byzantine
@@ -385,7 +383,7 @@ class SyncNetwork:
                 # Whole-network fan-out: one charge, one column row —
                 # no per-link Send objects, no per-recipient envelopes.
                 message = sends.message
-                metrics.record_sends(sender, message, sends.n, byzantine=byz)
+                record_sends(sender, message, n, byzantine=byz)
                 perceived_uid, recorded_claim = resolve(
                     sender_true_uid, sends.claim
                 )
@@ -397,113 +395,27 @@ class SyncNetwork:
                 send = sends[i]
                 message = send.message
                 claim = send.claim
+                recipients = [send.to]
                 j = i + 1
                 while j < total:
                     nxt = sends[j]
                     if nxt.message is not message or nxt.claim != claim:
                         break
+                    recipients.append(nxt.to)
                     j += 1
-                metrics.record_sends(sender, message, j - i, byzantine=byz)
+                record_sends(sender, message, j - i, byzantine=byz)
                 perceived_uid, recorded_claim = resolve(sender_true_uid, claim)
                 add_run(sender, message, perceived_uid, recorded_claim,
-                        sends, i, j)
+                        recipients)
                 i = j
+        t2 = perf_counter()
 
-        # Messages addressed to crashed or terminated links vanish (they
-        # were still charged): attach() freezes the alive set exactly
-        # like the object path's inbox dict.
         inboxes = column.attach(self._alive_order)
-
-        for index in tuple(self._alive_order):
-            program = self._programs.get(index)
-            if program is None:
-                continue
-            try:
-                next_sends = program.send(inboxes[index])
-                self._pending[index] = self._validated(index, next_sends)
-            except StopIteration as stop:
-                self._finish(index, stop.value)
-                self._pending.pop(index, None)
-            except Exception:
-                if not self.processes[index].byzantine:
-                    raise
-                self.trace.record(self.round_no, "byzantine-fault", index)
-                self._finish(index, None)
-                self._pending.pop(index, None)
-
-        for monitor in self.monitors:
-            monitor.on_round(self)
-
-    def _step_fast(self) -> None:
-        """The uninstrumented hot path — byte-identical accounting to
-        :meth:`_step_observed`, with zero observability overhead."""
-        self.round_no += 1
-        round_no = self.round_no
-        metrics = self.metrics
-        contexts = self.contexts
-        processes = self.processes
-        metrics.begin_round()
-        for index in self._alive_order:
-            contexts[index].current_round = round_no
-
-        pending = self._pending
-        proposed = {index: pending.get(index, []) for index in self._alive_order}
-        delivered = self._apply_crash_plan(proposed)
-
-        # Inboxes exist only for alive recipients; messages addressed to
-        # crashed or terminated links vanish (they were still charged).
-        inboxes: dict[int, list[Envelope]] = {
-            index: [] for index in self._alive_order
-        }
-        alive_inboxes = list(inboxes.items())
-        inbox_of = inboxes.get
-        resolve = self.authenticator.resolve
-        for sender, sends in delivered.items():
-            if not sends:
-                continue
-            process = processes[sender]
-            byz = process.byzantine
-            sender_true_uid = process.uid
-            if type(sends) is Broadcast and sends.n == self.n:
-                # Whole-network fan-out of one message: charge it in a
-                # single step and wrap it once per alive recipient,
-                # without materializing any per-link Send objects.
-                message = sends.message
-                metrics.record_sends(sender, message, sends.n, byzantine=byz)
-                perceived_uid, recorded_claim = resolve(
-                    sender_true_uid, sends.claim
-                )
-                for to, inbox in alive_inboxes:
-                    inbox.append(Envelope(
-                        sender, to, round_no, message,
-                        perceived_uid, recorded_claim,
-                    ))
-                continue
-            total = len(sends)
-            i = 0
-            # Charge and wrap sends in runs sharing one message object
-            # (a broadcast is one such run): one bit-size computation
-            # and one ledger update per run instead of per send.
-            while i < total:
-                send = sends[i]
-                message = send.message
-                claim = send.claim
-                j = i + 1
-                while j < total:
-                    nxt = sends[j]
-                    if nxt.message is not message or nxt.claim != claim:
-                        break
-                    j += 1
-                metrics.record_sends(sender, message, j - i, byzantine=byz)
-                perceived_uid, recorded_claim = resolve(sender_true_uid, claim)
-                while i < j:
-                    inbox = inbox_of(sends[i].to)
-                    if inbox is not None:
-                        inbox.append(Envelope(
-                            sender, sends[i].to, round_no, message,
-                            perceived_uid, recorded_claim,
-                        ))
-                    i += 1
+        if emit:
+            obs.emit("deliver.fanout", round_no=round_no,
+                     senders=len(column.b_seq) + len(column.r_seq),
+                     envelopes=column.attached_envelopes())
+        t3 = perf_counter()
 
         for index in tuple(self._alive_order):
             program = self._programs.get(index)
@@ -522,125 +434,6 @@ class SyncNetwork:
                 # desynchronised view made honest-code reuse blow up).
                 # That is the adversary's problem, not the network's:
                 # the node simply falls silent.
-                self.trace.record(self.round_no, "byzantine-fault", index)
-                self._finish(index, None)
-                self._pending.pop(index, None)
-
-        for monitor in self.monitors:
-            monitor.on_round(self)
-
-    def _step_observed(self) -> None:
-        """One round with events and phase timers attached.
-
-        Mirrors :meth:`_step_fast` exactly — same charging order, same
-        envelope construction, same program driving — but separates the
-        work into the four profiled phases (``plan``, ``charge``,
-        ``deliver``, ``advance``).  Charging and delivery interleave on
-        the fast path; here charging runs first and records each
-        constant-``(message, claim)`` run, and delivery replays the
-        recorded runs.  ``Authenticator.resolve`` is pure, so the split
-        changes no observable result; the A/B suite holds both bodies
-        to identical summaries, ledgers, and outputs.
-        """
-        obs = self.observer
-        emit = obs is not None and getattr(obs, "enabled", False)
-        prof = self.profiler
-        self.round_no += 1
-        round_no = self.round_no
-        metrics = self.metrics
-        contexts = self.contexts
-        processes = self.processes
-        if emit:
-            obs.emit("round.begin", round_no=round_no,
-                     alive=len(self._alive_order))
-
-        t0 = perf_counter()
-        metrics.begin_round()
-        for index in self._alive_order:
-            contexts[index].current_round = round_no
-        pending = self._pending
-        proposed = {index: pending.get(index, []) for index in self._alive_order}
-        delivered = self._apply_crash_plan(proposed)
-        t1 = perf_counter()
-
-        # Charge phase: bit accounting only.  Each entry of `runs` is
-        # one maximal constant-(message, claim) run of a sender's list;
-        # `targets is None` marks the whole-network broadcast fast path.
-        runs: list[tuple] = []
-        for sender, sends in delivered.items():
-            if not sends:
-                continue
-            process = processes[sender]
-            byz = process.byzantine
-            if type(sends) is Broadcast and sends.n == self.n:
-                metrics.record_sends(sender, sends.message, sends.n,
-                                     byzantine=byz)
-                runs.append((sender, process.uid, sends.message,
-                             sends.claim, None))
-                continue
-            total = len(sends)
-            i = 0
-            while i < total:
-                send = sends[i]
-                message = send.message
-                claim = send.claim
-                j = i + 1
-                while j < total:
-                    nxt = sends[j]
-                    if nxt.message is not message or nxt.claim != claim:
-                        break
-                    j += 1
-                metrics.record_sends(sender, message, j - i, byzantine=byz)
-                runs.append((sender, process.uid, message, claim,
-                             [sends[k].to for k in range(i, j)]))
-                i = j
-        t2 = perf_counter()
-
-        # Deliver phase: wrap the recorded runs into envelopes.
-        inboxes: dict[int, list[Envelope]] = {
-            index: [] for index in self._alive_order
-        }
-        alive_inboxes = list(inboxes.items())
-        inbox_of = inboxes.get
-        resolve = self.authenticator.resolve
-        envelopes = 0
-        for sender, sender_true_uid, message, claim, targets in runs:
-            perceived_uid, recorded_claim = resolve(sender_true_uid, claim)
-            if targets is None:
-                for to, inbox in alive_inboxes:
-                    inbox.append(Envelope(
-                        sender, to, round_no, message,
-                        perceived_uid, recorded_claim,
-                    ))
-                envelopes += len(alive_inboxes)
-                continue
-            for to in targets:
-                inbox = inbox_of(to)
-                if inbox is not None:
-                    inbox.append(Envelope(
-                        sender, to, round_no, message,
-                        perceived_uid, recorded_claim,
-                    ))
-                    envelopes += 1
-        if emit:
-            obs.emit("deliver.fanout", round_no=round_no,
-                     senders=len(runs), envelopes=envelopes)
-        t3 = perf_counter()
-
-        # Advance phase: drive the programs, then the monitors.
-        for index in tuple(self._alive_order):
-            program = self._programs.get(index)
-            if program is None:
-                continue
-            try:
-                next_sends = program.send(inboxes[index])
-                self._pending[index] = self._validated(index, next_sends)
-            except StopIteration as stop:
-                self._finish(index, stop.value)
-                self._pending.pop(index, None)
-            except Exception:
-                if not self.processes[index].byzantine:
-                    raise
                 self.trace.record(self.round_no, "byzantine-fault", index)
                 self._finish(index, None)
                 self._pending.pop(index, None)
@@ -666,210 +459,91 @@ class SyncNetwork:
                      bits=metrics.bits_per_round[-1],
                      alive=len(self._alive_order))
 
-    def _step_faulted(self) -> None:
-        """One round with a link-level fault model between the crash
-        plan and delivery.
+    def _fault_event(self, kind: str, sender: int, to: int, **data) -> None:
+        if self._emitting:
+            self.observer.emit(kind, round_no=self.round_no, node=sender,
+                               to=to, **data)
 
-        Charging mirrors :meth:`_step_fast` exactly: *every* resolved
-        send is charged once whatever its verdict — a dropped message
-        was transmitted and lost, a duplicate was transmitted once, a
-        corrupted message charges its original, a held message is
-        charged at transmission time — so the per-round ledgers are
-        identical to the fault-free execution of the same sends
-        (``Metrics.record_sends`` batching is ledger-identical to
-        per-send charging, see ``tests/test_metrics_ledgers.py``).
-        Only delivery changes.  Observer events ``fault.drop``,
-        ``fault.dup``, ``fault.corrupt``, ``fault.hold`` and
-        ``fault.release`` are emitted when an enabled observer is
-        attached; without one the verdicts are applied silently.
+    def _release_held(self, column: ColumnarRound) -> None:
+        """Fill ``column`` with the held mail due this round.
+
+        A receiver that crashed or terminated while the mail was in
+        flight never sees it, but the books must not lose it: ``held ==
+        released + released_to_dead + in_flight()`` at every instant.
         """
-        obs = self.observer
-        emit = obs is not None and getattr(obs, "enabled", False)
-        prof = self.profiler
-        self.round_no += 1
-        round_no = self.round_no
-        metrics = self.metrics
-        contexts = self.contexts
-        processes = self.processes
-        if emit:
-            obs.emit("round.begin", round_no=round_no,
-                     alive=len(self._alive_order))
-
-        t0 = perf_counter()
-        metrics.begin_round()
-        for index in self._alive_order:
-            contexts[index].current_round = round_no
-        pending = self._pending
-        proposed = {index: pending.get(index, []) for index in self._alive_order}
-        delivered = self._apply_crash_plan(proposed)
-
-        # The fault model plans against the post-crash resolved sends,
-        # addressed by (sender, send index) — the kept_send_indices
-        # convention.  The whole plan is validated before any delivery
-        # state changes (atomic rejection, like the crash plan).
-        plan = self.fault_model.plan_round(
-            round_no, delivered, frozenset(self._alive_set))
-        if plan:
-            validate_plan(plan, round_no, delivered)
-        t1 = perf_counter()
-
         stats = self.fault_stats
-        inboxes: dict[int, list[Envelope]] = {
-            index: [] for index in self._alive_order
-        }
-        alive_inboxes = list(inboxes.items())
-        inbox_of = inboxes.get
-        resolve = self.authenticator.resolve
-
-        # Partition traffic healing this round re-enters inboxes ahead
-        # of the round's own sends (it has been in flight the longest).
-        for envelope in self._held.pop(round_no, ()):
-            inbox = inbox_of(envelope.to)
-            if inbox is None:
-                # Receiver crashed or terminated while the mail was in
-                # flight: the envelope vanishes, but the books must not
-                # — ``held == released + released_to_dead + in_flight()``
-                # holds at every instant.
+        alive = self._alive_set
+        for envelope in self._held.pop(self.round_no, ()):
+            sender, to = envelope.sender, envelope.to
+            if to not in alive:
                 stats.released_to_dead += 1
-                if emit:
-                    obs.emit("fault.release", round_no=round_no,
-                             node=envelope.sender, to=envelope.to,
-                             dead=True)
+                self._fault_event("fault.release", sender, to, dead=True)
                 continue
-            inbox.append(envelope)
+            column.add_run(sender, envelope.message, envelope.sender_uid,
+                           envelope.claimed_sender, (to,))
             stats.released += 1
-            if emit:
-                obs.emit("fault.release", round_no=round_no,
-                         node=envelope.sender, to=envelope.to)
+            self._fault_event("fault.release", sender, to)
 
-        for sender, sends in delivered.items():
-            if not sends:
-                continue
-            process = processes[sender]
-            byz = process.byzantine
-            sender_true_uid = process.uid
-            verdicts = plan.get(sender)
-            if (verdicts is None and type(sends) is Broadcast
-                    and sends.n == self.n):
-                # Untouched whole-network fan-out: same fast path as
-                # _step_fast, no per-link Send materialization.
-                message = sends.message
-                metrics.record_sends(sender, message, sends.n, byzantine=byz)
-                perceived_uid, recorded_claim = resolve(
-                    sender_true_uid, sends.claim
-                )
-                for to, inbox in alive_inboxes:
-                    inbox.append(Envelope(
-                        sender, to, round_no, message,
-                        perceived_uid, recorded_claim,
-                    ))
-                continue
-            get_verdict = None if verdicts is None else verdicts.get
-            for index in range(len(sends)):
-                send = sends[index]
-                message = send.message
-                metrics.record_sends(sender, message, 1, byzantine=byz)
-                verdict = None if get_verdict is None else get_verdict(index)
-                if verdict is None:
-                    inbox = inbox_of(send.to)
-                    if inbox is not None:
-                        perceived_uid, recorded_claim = resolve(
-                            sender_true_uid, send.claim)
-                        inbox.append(Envelope(
-                            sender, send.to, round_no, message,
-                            perceived_uid, recorded_claim,
-                        ))
-                    continue
+    def _fill_faulted(self, column: ColumnarRound, sender: int, sends,
+                      verdicts) -> None:
+        """Charge and fill one sender's sends under link-fault verdicts.
+
+        *Every* resolved send is charged once whatever its verdict — a
+        dropped message was transmitted and lost, a duplicate was
+        transmitted once, a corrupted message charges its original, a
+        held message is charged at transmission time — so the ledgers
+        equal the fault-free execution of the same sends (per-send and
+        batched charging agree, ``tests/test_metrics_ledgers.py``).
+        Only delivery changes: drop fills no row, corrupt a row with
+        the bit-flipped copy, duplicate a row naming the link ``1 +
+        copies`` times (each a fresh :class:`Envelope` when read), hold
+        stashes the envelope for its release round.
+        """
+        stats = self.fault_stats
+        process = self.processes[sender]
+        byz = process.byzantine
+        sender_true_uid = process.uid
+        record_sends = self.metrics.record_sends
+        resolve = self.authenticator.resolve
+        get_verdict = verdicts.get
+        for index in range(len(sends)):
+            send = sends[index]
+            message = send.message
+            to = send.to
+            record_sends(sender, message, 1, byzantine=byz)
+            perceived_uid, recorded_claim = resolve(sender_true_uid, send.claim)
+            recipients = (to,)
+            verdict = get_verdict(index)
+            if verdict is not None:
                 kind = verdict.kind
                 if kind == DROP:
                     stats.dropped += 1
-                    if emit:
-                        obs.emit("fault.drop", round_no=round_no,
-                                 node=sender, to=send.to)
+                    self._fault_event("fault.drop", sender, to)
                     continue
                 if kind == HOLD:
                     stats.held += 1
                     release = verdict.release_round
-                    perceived_uid, recorded_claim = resolve(
-                        sender_true_uid, send.claim)
                     self._held.setdefault(release, []).append(Envelope(
-                        sender, send.to, release, message,
+                        sender, to, release, message,
                         perceived_uid, recorded_claim,
                     ))
-                    if emit:
-                        obs.emit("fault.hold", round_no=round_no,
-                                 node=sender, to=send.to, release=release)
+                    self._fault_event("fault.hold", sender, to,
+                                      release=release)
                     continue
                 if kind == CORRUPT:
                     stats.corrupted += 1
-                    if emit:
-                        obs.emit("fault.corrupt", round_no=round_no,
-                                 node=sender, to=send.to, salt=verdict.salt)
-                    inbox = inbox_of(send.to)
-                    if inbox is not None:
-                        perceived_uid, recorded_claim = resolve(
-                            sender_true_uid, send.claim)
-                        inbox.append(Envelope(
-                            sender, send.to, round_no,
-                            corrupt_message(message, verdict.salt),
-                            perceived_uid, recorded_claim,
-                        ))
-                    continue
-                # DUPLICATE: 1 + copies envelopes, each a fresh instance
-                # (the engine never hands one Envelope to a node twice).
-                stats.duplicated += verdict.copies
-                if emit:
-                    obs.emit("fault.dup", round_no=round_no,
-                             node=sender, to=send.to, copies=verdict.copies)
-                inbox = inbox_of(send.to)
-                if inbox is not None:
-                    perceived_uid, recorded_claim = resolve(
-                        sender_true_uid, send.claim)
-                    for _ in range(1 + verdict.copies):
-                        inbox.append(Envelope(
-                            sender, send.to, round_no, message,
-                            perceived_uid, recorded_claim,
-                        ))
-        t2 = perf_counter()
+                    self._fault_event("fault.corrupt", sender, to,
+                                      salt=verdict.salt)
+                    message = corrupt_message(message, verdict.salt)
+                else:  # DUPLICATE
+                    stats.duplicated += verdict.copies
+                    self._fault_event("fault.dup", sender, to,
+                                      copies=verdict.copies)
+                    recipients = (to,) * (1 + verdict.copies)
+            column.add_run(sender, message, perceived_uid, recorded_claim,
+                           recipients)
 
-        for index in tuple(self._alive_order):
-            program = self._programs.get(index)
-            if program is None:
-                continue
-            try:
-                next_sends = program.send(inboxes[index])
-                self._pending[index] = self._validated(index, next_sends)
-            except StopIteration as stop:
-                self._finish(index, stop.value)
-                self._pending.pop(index, None)
-            except Exception:
-                if not self.processes[index].byzantine:
-                    raise
-                self.trace.record(self.round_no, "byzantine-fault", index)
-                self._finish(index, None)
-                self._pending.pop(index, None)
-        for monitor in self.monitors:
-            try:
-                monitor.on_round(self)
-            except Exception as error:
-                if emit:
-                    obs.emit("monitor.fire", round_no=round_no,
-                             monitor=type(monitor).__name__,
-                             error=type(error).__name__)
-                raise
-        t3 = perf_counter()
-
-        if prof is not None:
-            prof.add("plan", t1 - t0)
-            prof.add("deliver", t2 - t1)
-            prof.add("advance", t3 - t2)
-        if emit:
-            obs.emit("round.end", round_no=round_no,
-                     messages=metrics.messages_per_round[-1],
-                     bits=metrics.bits_per_round[-1],
-                     alive=len(self._alive_order))
-
-    def _expire_held(self, emit: bool, obs: object) -> None:
+    def _expire_held(self) -> None:
         """Terminal accounting for mail still held when the run ends.
 
         An envelope whose release round lies beyond the last executed
@@ -880,22 +554,17 @@ class SyncNetwork:
         run and the ledger identity ``held == released +
         released_to_dead + in_flight()`` is auditable end to end.
         """
-        if not self._held:
-            return
-        stats = self.fault_stats
         for release_round in sorted(self._held):
             for envelope in self._held[release_round]:
-                stats.expired += 1
-                if emit:
-                    obs.emit("fault.expire", round_no=self.round_no,
-                             node=envelope.sender, to=envelope.to,
-                             release=release_round)
+                self.fault_stats.expired += 1
+                self._fault_event("fault.expire", envelope.sender,
+                                  envelope.to, release=release_round)
         self._held.clear()
 
     def run(self) -> None:
         """Run rounds until every correct, non-crashed node terminates."""
         obs = self.observer
-        emit = obs is not None and getattr(obs, "enabled", False)
+        emit = self._emitting
         if emit:
             obs.emit("run.begin", n=self.n,
                      namespace=self.cost.namespace,
@@ -919,7 +588,7 @@ class SyncNetwork:
             self.step()
         for index in sorted(set(self._programs) - set(self.finished)):
             self._programs[index].close()
-        self._expire_held(emit, obs)
+        self._expire_held()
         for monitor in self.monitors:
             monitor.on_finish(self)
         if emit:

@@ -60,7 +60,6 @@ def run_network(
     monitors: Sequence[object] = (),
     observer: Optional[object] = None,
     fault_model: Optional[FaultModel] = None,
-    columnar: Optional[bool] = None,
 ) -> ExecutionResult:
     """Build a :class:`SyncNetwork`, run it to completion, package results."""
     network = SyncNetwork(
@@ -75,7 +74,6 @@ def run_network(
         monitors=monitors,
         observer=observer,
         fault_model=fault_model,
-        columnar=columnar,
     )
     network.run()
     byzantine = {

@@ -1,14 +1,15 @@
-"""Property test: the columnar deliver core is observationally silent.
+"""Property test: the columnar round engine is observationally silent.
 
 Random per-node send scripts (broadcasts, shared-instance targeted
 runs, per-target fresh messages, quiet rounds) are executed under
 randomly drawn crash adversaries and link-fault specs
-(drop / duplicate / corrupt / hold), once per engine path.  Every
-counted observable — ``Metrics.summary()``, the per-round ledgers,
-node outputs, crash sets, and ``FaultStats`` — must be identical
-between ``columnar=True`` and ``columnar=False``, and the held-mail
-ledger identity ``held == released + released_to_dead + in_flight()``
-must hold at the end of every run.
+(drop / duplicate / corrupt / hold), once on ``SyncNetwork`` and once
+on the naive per-envelope oracle ``ReferenceNetwork``.  Every counted
+observable — ``Metrics.summary()``, the per-round ledgers, node outputs
+(each node returns a digest of every inbox it read, so inbox contents
+and order are covered), crash sets, and ``FaultStats`` — must be
+identical, and the held-mail ledger identity ``held == released +
+released_to_dead + in_flight()`` must hold at the end of every run.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,11 @@ from repro.faults import NoFaults, build_fault_model
 from repro.sim.messages import CostModel, Message, Send, broadcast
 from repro.sim.node import Process
 from repro.sim.runner import run_network
+from tests.test_fastpath_ab import (
+    ReferenceNetwork,
+    engine_observables,
+    reference_observables,
+)
 
 
 @dataclass(frozen=True)
@@ -78,20 +84,23 @@ def _fault_entries(rounds):
     channel = st.fixed_dictionaries(
         {"kind": st.sampled_from(["omission", "duplicate", "corrupt"]),
          "p": probability, "seed": seed})
-    # ``end`` may exceed the run length: held mail then expires at the
-    # run-end drain instead of being released.
-    partition = st.fixed_dictionaries(
-        {"kind": st.just("partition"),
-         "start": st.integers(1, rounds),
-         "end": st.integers(rounds + 1, rounds + 3)})
+    # Heals after 1-3 rounds: inside the run (held mail is released
+    # ahead of the heal round's own sends, or to a receiver that died
+    # meanwhile) or past its end (held mail expires at the run-end drain).
+    partition = st.builds(
+        lambda start, length: {"kind": "partition", "start": start,
+                               "end": start + length},
+        st.integers(1, rounds), st.integers(1, 3))
     return st.lists(st.one_of(channel, partition), max_size=2)
 
 
 @st.composite
 def scenarios(draw):
     n = draw(st.integers(2, 6))
-    rounds = draw(st.integers(1, 4))
-    scripts = [[draw(_round_ops(n)) for _ in range(rounds)]
+    rounds = draw(st.integers(1, 5))
+    # Scripts differ in length, so nodes terminate at different rounds
+    # and mail can be released to a receiver that is already gone.
+    scripts = [draw(st.lists(_round_ops(n), min_size=1, max_size=rounds))
                for _ in range(n)]
     crash_seed = draw(st.none() | st.integers(0, 999))
     fault_spec = draw(_fault_entries(rounds))
@@ -99,35 +108,33 @@ def scenarios(draw):
     return n, scripts, crash_seed, fault_spec, seed
 
 
-def _execute(n, scripts, crash_seed, fault_spec, seed, columnar,
-             fault_model=None):
+def _execute(n, scripts, crash_seed, fault_spec, seed, fault_model=None,
+             reference=False):
+    """One scenario's observables, from the engine or from the oracle."""
     processes = [ScriptedNode(index + 1, scripts[index])
                  for index in range(n)]
     adversary = (RandomCrash(budget=n // 2, rate=0.3, rng=Random(crash_seed))
                  if crash_seed is not None else None)
     if fault_model is None:
         fault_model = build_fault_model(fault_spec, n, seed=seed)
-    return run_network(
-        processes, CostModel(n=n, namespace=4 * n),
-        crash_adversary=adversary, seed=seed,
-        fault_model=fault_model, columnar=columnar)
+    cost = CostModel(n=n, namespace=4 * n)
+    if reference:
+        network = ReferenceNetwork(processes, cost, crash_adversary=adversary,
+                                   seed=seed, fault_model=fault_model)
+        network.run()
+        observed = reference_observables(network)
+        stats = network.fault_stats
+    else:
+        result = run_network(processes, cost, crash_adversary=adversary,
+                             seed=seed, fault_model=fault_model)
+        observed = engine_observables(result)
+        stats = result.fault_stats
+    _assert_ledger_identity(stats)
+    observed["fault_stats"] = stats.as_dict() if stats is not None else None
+    return observed
 
 
-def _observables(result):
-    metrics = result.metrics
-    stats = result.fault_stats
-    return {
-        "summary": metrics.summary(),
-        "messages_per_round": list(metrics.messages_per_round),
-        "bits_per_round": list(metrics.bits_per_round),
-        "outputs": dict(result.results),
-        "crashed": set(result.crashed),
-        "fault_stats": stats.as_dict() if stats is not None else None,
-    }
-
-
-def _assert_ledger_identity(result):
-    stats = result.fault_stats
+def _assert_ledger_identity(stats):
     if stats is None:
         return
     assert stats.held == (stats.released + stats.released_to_dead
@@ -137,27 +144,22 @@ def _assert_ledger_identity(result):
 
 
 class TestColumnarProperty:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(scenarios())
     def test_columnar_and_object_paths_agree(self, scenario):
-        results = {}
-        for columnar in (False, True):
-            result = _execute(*scenario, columnar=columnar)
-            _assert_ledger_identity(result)
-            results[columnar] = _observables(result)
-        assert results[True] == results[False]
+        # "Object path" is the oracle: one Envelope per delivered
+        # message, verdicts applied send by send.
+        assert _execute(*scenario) == _execute(*scenario, reference=True)
 
     @settings(max_examples=15, deadline=None)
     @given(scenarios())
     def test_faulted_path_with_nofaults_matches_columnar(self, scenario):
-        # Cross-path check: the faulted deliver loop with a no-op
-        # channel must count exactly like the columnar fast path.
+        # An attached fault model that never issues a verdict must
+        # count exactly like no fault model at all.
         n, scripts, crash_seed, _spec, seed = scenario
-        clean = _observables(_execute(
-            n, scripts, crash_seed, [], seed, columnar=True))
-        faulted = _observables(_execute(
-            n, scripts, crash_seed, [], seed, columnar=True,
-            fault_model=NoFaults()))
+        clean = _execute(n, scripts, crash_seed, [], seed)
+        faulted = _execute(n, scripts, crash_seed, [], seed,
+                           fault_model=NoFaults())
         assert faulted["fault_stats"] is not None
         faulted["fault_stats"] = None
         assert faulted == clean

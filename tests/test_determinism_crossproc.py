@@ -64,11 +64,10 @@ report("byzantine", run_byzantine_renaming(
 """
 
 
-#: Runs all five entry points on the *columnar* deliver core (no fault
-#: model, ``columnar=True``) and prints one sha256 digest over the
-#: canonical-JSON observables.  The columnar path groups targeted sends
-#: into buckets keyed by recipient index (plain ints), so the digest
-#: must not move with the process hash seed.
+#: Runs all five entry points with no fault model attached and prints
+#: one sha256 digest over the canonical-JSON observables.  The columnar
+#: round groups targeted sends into buckets keyed by recipient index
+#: (plain ints), so the digest must not move with the process hash seed.
 COLUMNAR_SCRIPT = """
 import hashlib
 import json
@@ -85,11 +84,11 @@ UIDS = [3, 11, 5, 8, 2, 13, 7, 1]
 rows = []
 for name, result in [
     ("crash", run_crash_renaming(
-        UIDS, seed=1, columnar=True, adversary=ScheduledCrash({2: [1]}))),
-    ("obg", run_obg_halving(UIDS, seed=1, columnar=True)),
-    ("balls", run_balls_into_slots(UIDS, seed=1, columnar=True)),
-    ("gossip", run_collect_rank(UIDS, seed=1, columnar=True)),
-    ("byzantine", run_byzantine_renaming(UIDS, seed=1, columnar=True)),
+        UIDS, seed=1, adversary=ScheduledCrash({2: [1]}))),
+    ("obg", run_obg_halving(UIDS, seed=1)),
+    ("balls", run_balls_into_slots(UIDS, seed=1)),
+    ("gossip", run_collect_rank(UIDS, seed=1)),
+    ("byzantine", run_byzantine_renaming(UIDS, seed=1)),
 ]:
     rows.append({
         "name": name,

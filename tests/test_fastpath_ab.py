@@ -1,19 +1,22 @@
-"""A/B proof that the fast-path engine changes no counted result.
+"""A/B proof that the round engine changes no counted result.
 
-``ReferenceNetwork`` is a deliberately naive executor: it re-derives the
-alive sets by scanning all ``n`` nodes every round, charges every send
-individually with a fresh ``bit_size`` computation, allocates inboxes
-for every link, and matches kept crash-plan sends by equality — the
-exact accounting of the engine before the hot-path overhaul.  The A/B
-tests run identical protocols (same processes, seeds, and adversary
-configurations) through both executors and require byte-identical
-``Metrics.summary()`` dicts, per-round ledgers, and node outputs.
+``ReferenceNetwork`` is a deliberately naive executor and the single
+oracle for ``SyncNetwork.step``: it re-derives the alive sets by
+scanning all ``n`` nodes every round, charges every send individually
+with a fresh ``bit_size`` computation, allocates inboxes for every
+link, builds one ``Envelope`` per delivered message, matches kept
+crash-plan sends by equality, and applies link-fault verdicts send by
+send.  The A/B tests run identical protocols (same processes, seeds,
+adversary and fault configurations) through both executors and require
+byte-identical ``Metrics.summary()`` dicts, per-round ledgers, node
+outputs and ``FaultStats``.
 
 The duplicate-send regression pins the crash-plan fix: kept sends are
 resolved to *indices* by object identity end to end, so keeping the
 second of two equal sends records index 1 and replays exactly.
 """
 
+import sys
 from random import Random
 
 import pytest
@@ -44,6 +47,14 @@ from repro.crypto.auth import Authenticator
 from repro.crypto.shared_randomness import SharedRandomness
 from repro.falsify.faulty import RacyRankNode
 from repro.falsify.replay import RecordingAdversary, ReplayAdversary
+from repro.faults.base import (
+    CORRUPT,
+    DROP,
+    DUPLICATE,
+    HOLD,
+    FaultStats,
+    corrupt_message,
+)
 from repro.sim.messages import (
     Broadcast,
     CostModel,
@@ -59,10 +70,10 @@ from repro.sim.trace import Trace
 
 
 class ReferenceNetwork:
-    """The pre-optimization engine semantics, kept as an oracle."""
+    """Naive per-envelope round semantics, kept as the oracle."""
 
     def __init__(self, processes, cost, *, crash_adversary=None, seed=0,
-                 shared=None):
+                 shared=None, fault_model=None):
         from repro.adversary.base import NoCrashes
 
         self.processes = list(processes)
@@ -91,6 +102,9 @@ class ReferenceNetwork:
         }
         self.messages_per_round = []
         self.bits_per_round = []
+        self.fault_model = fault_model
+        self.fault_stats = FaultStats() if fault_model is not None else None
+        self._held = {}  # release round -> envelopes a hold deferred
 
     def _alive_unfinished(self):
         return [i for i in range(self.n)
@@ -152,20 +166,58 @@ class ReferenceNetwork:
         proposed = {i: self._pending.get(i, [])
                     for i in self._alive_unfinished()}
         delivered = self._apply_crash_plan(proposed)
+        alive = self._alive_unfinished()
+        plan = {}
+        if self.fault_model is not None:
+            plan = self.fault_model.plan_round(
+                self.round_no, delivered, frozenset(alive))
+        stats = self.fault_stats
 
         inboxes = {i: [] for i in range(self.n)}
+        # Held mail healing this round has been in flight the longest:
+        # it is read before anything sent this round.
+        for envelope in self._held.pop(self.round_no, []):
+            if envelope.to in alive:
+                inboxes[envelope.to].append(envelope)
+                stats.released += 1
+            else:
+                stats.released_to_dead += 1
         for sender, sends in delivered.items():
             byz = self.processes[sender].byzantine
             uid = self.processes[sender].uid
-            for send in sends:
+            verdicts = plan.get(sender, {})
+            for index, send in enumerate(sends):
+                # Charged once at transmission, whatever the link does.
                 self._record(send.message, byz)
                 perceived, claim = self.authenticator.resolve(uid, send.claim)
-                inboxes[send.to].append(Envelope(
-                    sender=sender, to=send.to, round_no=self.round_no,
-                    message=send.message, sender_uid=perceived,
-                    claimed_sender=claim))
+                fields = dict(sender=sender, to=send.to, sender_uid=perceived,
+                              claimed_sender=claim)
+                inbox = inboxes[send.to]
+                verdict = verdicts.get(index)
+                kind = None if verdict is None else verdict.kind
+                if kind == DROP:
+                    stats.dropped += 1
+                elif kind == HOLD:
+                    stats.held += 1
+                    self._held.setdefault(verdict.release_round, []).append(
+                        Envelope(round_no=verdict.release_round,
+                                 message=send.message, **fields))
+                elif kind == CORRUPT:
+                    stats.corrupted += 1
+                    inbox.append(Envelope(
+                        round_no=self.round_no, **fields,
+                        message=corrupt_message(send.message, verdict.salt)))
+                else:
+                    copies = 1
+                    if kind == DUPLICATE:
+                        stats.duplicated += verdict.copies
+                        copies += verdict.copies
+                    inbox.extend(
+                        Envelope(round_no=self.round_no, message=send.message,
+                                 **fields)
+                        for _ in range(copies))
 
-        for index in self._alive_unfinished():
+        for index in alive:
             program = self._programs.get(index)
             if program is None:
                 continue
@@ -182,9 +234,26 @@ class ReferenceNetwork:
             self.step()
         for index in sorted(set(self._programs) - set(self.finished)):
             self._programs[index].close()
+        # Mail still held when the run ends expires, so the books close:
+        # held == released + released_to_dead + expired.
+        for envelopes in self._held.values():
+            self.fault_stats.expired += len(envelopes)
+        self._held.clear()
 
 
-def _result_observables(result):
+def reference_observables(network):
+    """A finished ``ReferenceNetwork``'s counted results, keyed like
+    :func:`engine_observables`."""
+    return {
+        "summary": dict(network.summary),
+        "messages_per_round": list(network.messages_per_round),
+        "bits_per_round": list(network.bits_per_round),
+        "outputs": dict(network.finished),
+        "crashed": set(network.crashed),
+    }
+
+
+def engine_observables(result):
     metrics = result.metrics
     return {
         "summary": metrics.summary(),
@@ -195,12 +264,11 @@ def _result_observables(result):
     }
 
 
-def _observables_fast(processes_fn, cost, adversary_fn, seed, columnar=None,
-                      shared=None):
+def _observables_fast(processes_fn, cost, adversary_fn, seed, shared=None):
     result = run_network(processes_fn(), cost,
                          crash_adversary=adversary_fn(), seed=seed,
-                         columnar=columnar, shared=shared)
-    return _result_observables(result)
+                         shared=shared)
+    return engine_observables(result)
 
 
 def _observables_reference(processes_fn, cost, adversary_fn, seed,
@@ -209,13 +277,7 @@ def _observables_reference(processes_fn, cost, adversary_fn, seed,
                                crash_adversary=adversary_fn(), seed=seed,
                                shared=shared)
     network.run()
-    return {
-        "summary": dict(network.summary),
-        "messages_per_round": list(network.messages_per_round),
-        "bits_per_round": list(network.bits_per_round),
-        "outputs": dict(network.finished),
-        "crashed": set(network.crashed),
-    }
+    return reference_observables(network)
 
 
 def _population(n, seed):
@@ -224,20 +286,13 @@ def _population(n, seed):
 
 
 class TestFastPathAB:
-    """Optimized and reference executors must count identically.
-
-    Both engine fast paths are held to the oracle: the per-envelope
-    object path (``columnar=False``) and the columnar deliver core
-    (``columnar=True``).
-    """
+    """The engine and the reference executor must count identically."""
 
     def _assert_identical(self, processes_fn, cost, adversary_fn, seed):
         reference = _observables_reference(
             processes_fn, cost, adversary_fn, seed)
-        for columnar in (False, True):
-            fast = _observables_fast(
-                processes_fn, cost, adversary_fn, seed, columnar=columnar)
-            assert fast == reference, f"columnar={columnar}"
+        fast = _observables_fast(processes_fn, cost, adversary_fn, seed)
+        assert fast == reference
 
     def test_gossip_broadcast_heavy_no_crashes(self):
         uids, namespace = _population(14, seed=3)
@@ -275,50 +330,63 @@ class TestFastPathAB:
             cost, lambda: MidSendPartitioner(3, rng=Random(8)), seed=6)
 
 
+def _reference_run_network(processes, cost, *, crash_adversary=None, seed=0,
+                           shared=None, **_engine_only):
+    """``run_network`` stand-in that executes on the oracle and returns
+    its observables (the entry points return it unchanged)."""
+    network = ReferenceNetwork(processes, cost,
+                               crash_adversary=crash_adversary, seed=seed,
+                               shared=shared)
+    network.run()
+    return reference_observables(network)
+
+
 class TestColumnarEntryPoints:
-    """All five public ``run_*`` entry points count identically on both
-    engine fast paths (per-envelope object deliver vs columnar)."""
+    """All five public ``run_*`` entry points count identically on the
+    engine and — with ``run_network`` swapped for the oracle in the
+    entry point's own module — on ``ReferenceNetwork``."""
 
-    def _ab(self, run_fn):
-        object_path = _result_observables(run_fn(False))
-        columnar = _result_observables(run_fn(True))
-        assert columnar == object_path
-        return columnar
+    def _ab(self, monkeypatch, entry_point, run):
+        engine = engine_observables(run())
+        monkeypatch.setattr(sys.modules[entry_point.__module__],
+                            "run_network", _reference_run_network)
+        assert run() == engine
+        return engine
 
-    def test_run_crash_renaming_under_random_crashes(self):
+    def test_run_crash_renaming_under_random_crashes(self, monkeypatch):
         uids, namespace = _population(16, seed=21)
-        self._ab(lambda columnar: run_crash_renaming(
+        self._ab(monkeypatch, run_crash_renaming, lambda: run_crash_renaming(
             uids, namespace=namespace,
-            adversary=RandomCrash(5, rate=0.2, rng=Random(3)),
-            seed=13, columnar=columnar))
+            adversary=RandomCrash(5, rate=0.2, rng=Random(3)), seed=13))
 
-    def test_run_byzantine_renaming_with_corruptions(self):
+    def test_run_byzantine_renaming_with_corruptions(self, monkeypatch):
         uids, namespace = _population(10, seed=31)
         corrupt = {uids[2]: silent,
                    uids[7]: make_chaos_monkey(salt=1, volume=3)}
-        observed = self._ab(lambda columnar: run_byzantine_renaming(
-            uids, namespace=namespace, byzantine=corrupt,
-            shared_seed=5, seed=17, columnar=columnar))
+        observed = self._ab(
+            monkeypatch, run_byzantine_renaming,
+            lambda: run_byzantine_renaming(
+                uids, namespace=namespace, byzantine=corrupt,
+                shared_seed=5, seed=17))
         assert observed["summary"]["byzantine_messages"] > 0
 
-    def test_run_collect_rank_under_partitioner(self):
+    def test_run_collect_rank_under_partitioner(self, monkeypatch):
         uids, namespace = _population(12, seed=7)
-        self._ab(lambda columnar: run_collect_rank(
+        self._ab(monkeypatch, run_collect_rank, lambda: run_collect_rank(
             uids, namespace=namespace, assumed_faults=4,
-            adversary=MidSendPartitioner(4, rng=Random(12)),
-            seed=9, columnar=columnar))
+            adversary=MidSendPartitioner(4, rng=Random(12)), seed=9))
 
-    def test_run_obg_halving_under_random_crashes(self):
+    def test_run_obg_halving_under_random_crashes(self, monkeypatch):
         uids, namespace = _population(16, seed=11)
-        self._ab(lambda columnar: run_obg_halving(
+        self._ab(monkeypatch, run_obg_halving, lambda: run_obg_halving(
             uids, namespace=namespace,
-            adversary=RandomCrash(4, rate=0.15, rng=Random(2)),
-            seed=3, columnar=columnar))
+            adversary=RandomCrash(4, rate=0.15, rng=Random(2)), seed=3))
 
-    def test_run_balls_into_slots_clean(self):
+    def test_run_balls_into_slots_clean(self, monkeypatch):
         uids, namespace = _population(14, seed=19)
-        self._ab(lambda columnar: run_balls_into_slots(
-            uids, namespace=namespace, seed=23, columnar=columnar))
+        self._ab(monkeypatch, run_balls_into_slots,
+                 lambda: run_balls_into_slots(
+                     uids, namespace=namespace, seed=23))
 
     def test_byzantine_protocol_matches_reference_oracle(self):
         # The oracle gained shared-randomness support for exactly this
@@ -333,11 +401,10 @@ class TestColumnarEntryPoints:
         reference = _observables_reference(
             processes, cost, lambda: None, seed=9,
             shared=SharedRandomness(7))
-        for columnar in (False, True):
-            fast = _observables_fast(
-                processes, cost, lambda: None, seed=9,
-                columnar=columnar, shared=SharedRandomness(7))
-            assert fast == reference, f"columnar={columnar}"
+        fast = _observables_fast(
+            processes, cost, lambda: None, seed=9,
+            shared=SharedRandomness(7))
+        assert fast == reference
 
 
 class _Tag(Message):

@@ -8,9 +8,11 @@ from repro.engine.pool import run_requests
 from repro.engine.store import RunStore
 from repro.engine.sweeps import RunRequest
 from repro.falsify.campaign import CampaignConfig, run_campaign
+from repro.faults import NoFaults, build_fault_model
 from repro.obs import (
     EVENT_FORMAT,
     NULL_OBSERVER,
+    STEP_PHASES,
     EventRecorder,
     Observer,
     PhaseProfiler,
@@ -21,6 +23,10 @@ from repro.obs import (
     validate_events,
 )
 from repro.__main__ import main
+from repro.sim.columnar import LazyInbox
+from repro.sim.messages import CostModel
+from repro.sim.runner import run_network
+from benchmarks.perf import BroadcastStorm
 
 
 class TestRecorder:
@@ -227,6 +233,55 @@ class TestNetworkEvents:
         fires = recorder.events("monitor.fire")
         assert fires
         assert fires[-1]["data"]["error"] == "InvariantViolation"
+
+
+class _InboxKeeper(BroadcastStorm):
+    """A broadcast storm that keeps, but never reads, its inboxes."""
+
+    def program(self, ctx):
+        self.inboxes = []
+        for sends in super().program(ctx):
+            self.inboxes.append((yield sends))
+        return ctx.index + 1
+
+
+class TestOneRoundBody:
+    """Profiler, observer and fault model are hooks in one round body:
+    attaching them changes neither the profile's shape nor how
+    delivery is represented."""
+
+    FAULT_MODELS = {
+        "nofaults": NoFaults,
+        "partition": lambda: build_fault_model(
+            [{"kind": "partition", "start": 2, "end": 4}], 6),
+    }
+
+    @pytest.mark.parametrize("name", list(FAULT_MODELS))
+    def test_faulted_profile_has_all_four_phases(self, name):
+        recorder = EventRecorder(profile=True)
+        result = run_network(
+            [BroadcastStorm(index + 1, rounds=5) for index in range(6)],
+            CostModel(n=6, namespace=24), observer=recorder,
+            fault_model=self.FAULT_MODELS[name]())
+        if name == "partition":
+            assert result.fault_stats.released > 0
+        phases = recorder.profiler.report()["phases"]
+        assert tuple(phases) == STEP_PHASES
+        assert [row["calls"] for row in phases.values()] == [result.rounds] * 4
+        assert len(recorder.events("deliver.fanout")) == result.rounds
+
+    def test_unread_inboxes_stay_unmaterialized_when_instrumented(self):
+        processes = [_InboxKeeper(index + 1, rounds=3) for index in range(8)]
+        result = run_network(
+            processes, CostModel(n=8, namespace=32),
+            observer=EventRecorder(profile=True), fault_model=NoFaults())
+        assert result.metrics.total_messages == 3 * 8 * 8
+        inboxes = [inbox for process in processes
+                   for inbox in process.inboxes]
+        assert len(inboxes) == 3 * 8
+        for inbox in inboxes:
+            assert type(inbox) is LazyInbox and inbox._cache is None
+        assert len(inboxes[0]) == 8  # still readable on demand
 
 
 class TestTelemetryStore:

@@ -1,16 +1,12 @@
 """A/B proof that observability changes no counted result.
 
-The network dispatches to two step implementations: the original
-uninstrumented body (``_step_fast``, taken when no enabled observer or
-profiler is attached — the default everywhere) and a separate
-instrumented body (``_step_observed``).  These tests hold the two to
-byte-identical ``Metrics.summary()`` dicts, per-round ledgers, node
-outputs, and crash sets across every adversary family, and check that
-the disabled path really is the fast path (same object code as before
-the observability PR, one branch per round).
+Events and phase timers are guarded hooks inside the one round body
+(``SyncNetwork.step``).  These tests hold executions with an enabled
+observer, a profiler-only observer, the null observer and no observer
+to byte-identical ``Metrics.summary()`` dicts, per-round ledgers, node
+outputs, and crash sets across every adversary family.
 """
 
-import time
 from random import Random
 
 import pytest
@@ -27,7 +23,6 @@ from repro.engine.pool import run_requests
 from repro.engine.sweeps import RunRequest
 from repro.obs import NULL_OBSERVER, EventRecorder
 from repro.sim.messages import CostModel
-from repro.sim.network import SyncNetwork
 from repro.sim.runner import run_network
 
 
@@ -60,7 +55,7 @@ ADVERSARIES = [
 
 
 class TestNetworkAB:
-    """Observed and fast executions must count identically."""
+    """Observed and detached executions must count identically."""
 
     @pytest.mark.parametrize("adversary_fn",
                              [fn for _name, fn in ADVERSARIES],
@@ -91,21 +86,6 @@ class TestNetworkAB:
         observed = _observables(processes, cost, adversary_fn, 5,
                                 EventRecorder(profile=True))
         assert observed == detached
-
-    def test_dispatch_selects_fast_path_when_detached(self):
-        uids, namespace = _population(4, seed=1)
-        cost = CostModel(n=4, namespace=namespace)
-
-        def network(observer):
-            return SyncNetwork([CrashRenamingNode(uid) for uid in uids],
-                               cost, observer=observer)
-
-        assert not network(None)._instrumented
-        assert not network(NULL_OBSERVER)._instrumented
-        assert network(EventRecorder())._instrumented
-        # A profiler alone (enabled or not) forces the observed body:
-        # phase timing needs the split step.
-        assert network(EventRecorder(profile=True))._instrumented
 
     def test_profiler_only_observer_still_counts_identically(self):
         class ProfilerOnly(EventRecorder):
@@ -143,40 +123,3 @@ class TestEngineAB:
         plain = run_requests(requests)
         observed = run_requests(requests, observer=NULL_OBSERVER)
         assert plain[0].row == observed[0].row
-
-
-class TestThroughput:
-    def test_detached_throughput_matches_pre_obs_path(self):
-        """`repro perf --quick`-style timing: with observers off the
-        engine must match the NULL_OBSERVER baseline (both take
-        ``_step_fast``; the only delta is one attribute read at
-        construction).  Interleaved best-of trials damp scheduler
-        drift; the band is 10% two-sided because single-digit-ms runs
-        on a shared core still see tail noise — the byte-identical
-        result comparisons above are the exact zero-cost guard, this
-        only catches gross systematic overhead."""
-        from benchmarks.perf import run_broadcast_heavy
-
-        def timed(observer):
-            start = time.perf_counter()
-            run_broadcast_heavy(48, rounds=4, observer=observer)
-            return time.perf_counter() - start
-
-        timed(None), timed(NULL_OBSERVER)  # warm caches before timing
-        detached = null = float("inf")
-        # Genuinely interleaved, alternating which arm goes first, so
-        # scheduler drift and allocator warm-up hit best-of the same
-        # way in both directions.
-        for trial in range(8):
-            arms = [(True, None), (False, NULL_OBSERVER)]
-            for is_detached, observer in arms if trial % 2 else arms[::-1]:
-                elapsed = timed(observer)
-                if is_detached:
-                    detached = min(detached, elapsed)
-                else:
-                    null = min(null, elapsed)
-        ratio = detached / null
-        assert 1 / 1.10 < ratio < 1.10, (
-            f"detached {detached:.4f}s vs null-observer {null:.4f}s "
-            f"(ratio {ratio:.3f})"
-        )
