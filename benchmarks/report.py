@@ -6,17 +6,15 @@ Usage::
     python benchmarks/report.py --quick       # smaller sweeps
     python benchmarks/report.py --jobs 8      # parallel across 8 workers
     python benchmarks/report.py --store .repro/runs.sqlite   # resumable
-    python benchmarks/report.py --store duckdb://runs.duckdb # analytics
 
 Every protocol execution goes through :mod:`repro.engine`: all sections'
 runs are gathered into one request list, deduplicated, executed in
 parallel, and (with ``--store``, on by default) cached in the run store
 — an interrupted report resumes from where it stopped, and a re-run
 after an algorithm change recomputes only what the new code version
-invalidates.  ``--store`` accepts a path (SQLite, the default) or a
-``scheme://path`` URL selecting another backend; see
-``python -m repro runs export`` for the columnar analytics path over a
-filled store.
+invalidates.  ``--store`` accepts a path or a ``sqlite://path`` URL;
+see ``python -m repro runs export`` for the columnar analytics path
+over a filled store.
 
 The printed output is markdown; paste it into EXPERIMENTS.md after a
 substantive change to the algorithms or the cost model.
@@ -48,7 +46,7 @@ def main() -> None:
                         default=max(1, (os.cpu_count() or 1) - 1),
                         help="engine worker processes")
     parser.add_argument("--store", default=None,
-                        help="run-store path or scheme://path URL (default "
+                        help="run-store path or sqlite://path URL (default "
                              "$REPRO_STORE or .repro/runs.sqlite)")
     parser.add_argument("--no-store", action="store_true",
                         help="recompute everything, touch no store")

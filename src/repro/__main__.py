@@ -7,7 +7,7 @@ Examples::
     python -m repro table1 --n 32 --f 4
     python -m repro lowerbound --n 48
     python -m repro sweep --driver crash --n 16,32,64 --seeds 0-4 --jobs 4
-    python -m repro sweep --driver crash --store duckdb://.repro/runs.duckdb
+    python -m repro sweep --driver crash --store sqlite://.repro/runs.sqlite
     python -m repro runs --export md
     python -m repro runs export --parquet --out .repro/export
     python -m repro perf --quick
@@ -151,17 +151,24 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     return 0
 
 
+def _store_url(args) -> str:
+    """``--store`` or ``$REPRO_STORE`` or the default, as an absolute
+    ``sqlite://`` URL; a bad location is one line, no traceback."""
+    from repro.engine.store import default_store_path, resolve_store_url
+
+    try:
+        return resolve_store_url(
+            args.store if args.store else default_store_path())
+    except ValueError as error:
+        raise SystemExit(f"python -m repro: {error}") from None
+
+
 def _open_store(args):
-    from repro.engine.store import RunStore, default_store_path
+    from repro.engine.store import RunStore
 
     if getattr(args, "no_store", False):
         return None
-    try:
-        return RunStore(args.store if args.store else default_store_path())
-    except (ValueError, RuntimeError) as error:
-        # Bad scheme, missing path, or an uninstalled optional backend:
-        # one line, no traceback.
-        raise SystemExit(f"python -m repro: {error}") from None
+    return RunStore(_store_url(args))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -599,17 +606,6 @@ def cmd_runs_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _store_url(args) -> str:
-    from repro.engine.backends import resolve_store_url
-    from repro.engine.store import default_store_path
-
-    try:
-        return resolve_store_url(
-            args.store if args.store else default_store_path())
-    except (ValueError, RuntimeError) as error:
-        raise SystemExit(f"python -m repro: {error}") from None
-
-
 def cmd_fabric(args: argparse.Namespace) -> int:
     handler = {
         "enqueue": _fabric_enqueue,
@@ -679,22 +675,16 @@ def _fabric_work(args: argparse.Namespace) -> int:
     """Run worker processes until the campaign drains (or SIGTERM)."""
     from repro.engine.fabric import run_workers
 
-    try:
-        summaries = run_workers(_fabric_config(args), args.workers)
-    except RuntimeError as error:
-        raise SystemExit(f"python -m repro fabric work: {error}")
-    return _print_worker_summaries(summaries)
+    return _print_worker_summaries(
+        run_workers(_fabric_config(args), args.workers))
 
 
 def _fabric_resume(args: argparse.Namespace) -> int:
     """Reclaim leases from dead workers, then drain what remains."""
     from repro.engine.fabric import resume_campaign
 
-    try:
-        summaries = resume_campaign(_fabric_config(args), args.workers)
-    except RuntimeError as error:
-        raise SystemExit(f"python -m repro fabric resume: {error}")
-    return _print_worker_summaries(summaries)
+    return _print_worker_summaries(
+        resume_campaign(_fabric_config(args), args.workers))
 
 
 def _campaign_rows(status: dict) -> list[dict]:
@@ -830,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="extra driver keyword (JSON value); repeatable")
     sweep.add_argument("--store", default=None,
-                       help="run-store path or scheme://path URL "
+                       help="run-store path or sqlite://path URL "
                             "(default $REPRO_STORE or "
                             ".repro/runs.sqlite)")
     sweep.add_argument("--no-store", action="store_true",
@@ -876,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="extra scenario keyword (JSON value); "
                               "repeatable")
     falsify.add_argument("--store", default=None,
-                         help="run-store path or scheme://path URL "
+                         help="run-store path or sqlite://path URL "
                             "(default $REPRO_STORE or "
                               ".repro/runs.sqlite)")
     falsify.add_argument("--no-store", action="store_true",
@@ -1011,7 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.add_argument("--format", choices=["plain", "md", "json"],
                             default="plain")
     obs_report.add_argument("--store", default=None,
-                            help="run-store path or scheme://path URL "
+                            help="run-store path or sqlite://path URL "
                             "(default $REPRO_STORE or "
                                  ".repro/runs.sqlite)")
     obs_report.set_defaults(func=cmd_obs)
@@ -1027,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--campaign", default="default",
                        help="campaign name (default: 'default')")
         p.add_argument("--store", default=None,
-                       help="run-store path or scheme://path URL (default "
+                       help="run-store path or sqlite://path URL (default "
                             "$REPRO_STORE or .repro/runs.sqlite)")
         p.add_argument("--events", default=None, metavar="DIR",
                        help=events_help)
@@ -1092,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
     fabric_status.add_argument("--campaign", default=None,
                                help="restrict to one campaign")
     fabric_status.add_argument("--store", default=None,
-                               help="run-store path or scheme://path URL "
+                               help="run-store path or sqlite://path URL "
                                     "(default $REPRO_STORE or "
                                     ".repro/runs.sqlite)")
     fabric_status.add_argument("--format", choices=["plain", "md", "json"],
@@ -1111,7 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--campaign", default=None,
                         help="restrict to one campaign")
     report.add_argument("--store", default=None,
-                        help="run-store path or scheme://path URL (default "
+                        help="run-store path or sqlite://path URL (default "
                              "$REPRO_STORE or .repro/runs.sqlite)")
     report.add_argument("--format", choices=["plain", "md", "json"],
                         default="plain")
@@ -1129,7 +1119,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs.add_argument("--ledgers", action="store_true",
                       help="include per-round ledgers in --export json")
     runs.add_argument("--store", default=None,
-                      help="run-store path or scheme://path URL (default "
+                      help="run-store path or sqlite://path URL (default "
                            "$REPRO_STORE or .repro/runs.sqlite)")
     runs.set_defaults(func=cmd_runs, runs_command=None)
 
@@ -1152,7 +1142,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs_export.add_argument("--status", choices=["ok", "failed"],
                              default=None)
     runs_export.add_argument("--store", default=None,
-                             help="run-store path or scheme://path URL "
+                             help="run-store path or sqlite://path URL "
                                   "(default $REPRO_STORE or "
                                   ".repro/runs.sqlite)")
     runs_export.set_defaults(func=cmd_runs_export)

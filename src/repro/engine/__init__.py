@@ -2,15 +2,14 @@
 
 Three layers, each usable on its own:
 
-``repro.engine.store`` / ``repro.engine.backends``
+``repro.engine.store``
     A content-addressed store (canonical hash of ``(driver, n, f,
     seed, params, code_version)``) persisting the summary row plus the
-    per-round message/bit ledgers, behind a pluggable backend
-    interface: stdlib SQLite (WAL, per-thread pooled connections) by
-    default, DuckDB via ``duckdb://`` URLs for analytics.  Re-running
-    a sweep whose runs are already stored performs zero executions,
-    and ``repro.engine.export`` dumps runs/ledgers/telemetry as
-    columnar Parquet/JSONL files for SQL-native frontier queries.
+    per-round message/bit ledgers in one stdlib-SQLite file (WAL, one
+    connection per thread).  Re-running a sweep whose runs are already
+    stored performs zero executions, and ``repro.engine.export`` dumps
+    runs/ledgers/telemetry as columnar Parquet/JSONL files for
+    SQL-native frontier queries (DuckDB reads the Parquet directly).
 
 ``repro.engine.sweeps``
     Declarative :class:`SweepSpec` / :class:`RunRequest` descriptions of
@@ -38,14 +37,6 @@ The CLI front ends are ``python -m repro sweep`` and
 protocol execution through this engine.
 """
 
-from repro.engine.backends import (
-    QueuedTask,
-    StoreBackend,
-    available_backend_schemes,
-    open_backend,
-    parse_store_url,
-    resolve_store_url,
-)
 from repro.engine.export import export_store
 from repro.engine.fabric import (
     FabricConfig,
@@ -56,12 +47,14 @@ from repro.engine.fabric import (
     run_workers,
 )
 from repro.engine.pool import RunResult, execute_leased, run_requests
-from repro.engine.queue import TaskQueue
+from repro.engine.queue import QueuedTask, TaskQueue
 from repro.engine.store import (
     RunStore,
     StoredRun,
     code_version,
     default_store_path,
+    parse_store_url,
+    resolve_store_url,
     run_hash,
 )
 from repro.engine.sweeps import (
@@ -83,11 +76,9 @@ __all__ = [
     "RunRequest",
     "RunResult",
     "RunStore",
-    "StoreBackend",
     "StoredRun",
     "SweepSpec",
     "TaskQueue",
-    "available_backend_schemes",
     "campaign_status",
     "code_version",
     "default_store_path",
@@ -97,7 +88,6 @@ __all__ = [
     "execute_leased",
     "execute_request",
     "export_store",
-    "open_backend",
     "parse_store_url",
     "register_driver",
     "resolve_store_url",

@@ -171,7 +171,7 @@ def export_store(
     driver: Optional[str] = None,
     status: Optional[str] = None,
 ) -> dict[str, list[Path]]:
-    """Dump ``store`` (an open RunStore/backend) under ``out_dir``.
+    """Dump ``store`` (an open RunStore) under ``out_dir``.
 
     Returns ``{table: [written paths]}`` with one file per requested
     format (``runs.jsonl``, ``runs.parquet``, ...).  ``driver`` /

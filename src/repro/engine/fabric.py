@@ -44,16 +44,16 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional, Sequence
 
-from repro.engine.backends import resolve_store_url
-from repro.engine.backends.base import (
+from repro.engine.pool import RunResult, execute_leased
+from repro.engine.queue import (
     SETTLE_LOST,
     SETTLE_OK,
     TASK_LEASED,
     QueuedTask,
+    TaskQueue,
+    task_request,
 )
-from repro.engine.pool import RunResult, execute_leased
-from repro.engine.queue import TaskQueue, task_request
-from repro.engine.store import RunStore, code_version
+from repro.engine.store import RunStore, code_version, resolve_store_url
 from repro.engine.sweeps import RunRequest
 from repro.obs.events import EventRecorder
 
@@ -77,7 +77,7 @@ class FabricConfig:
     """One campaign's worker knobs — a plain value, picklable for
     spawned worker processes.
 
-    ``store`` is resolved to an absolute ``scheme://path`` URL at
+    ``store`` is resolved to an absolute ``sqlite://path`` URL at
     construction so every worker opens the same file whatever its CWD.
     ``lease_ttl`` must comfortably exceed ``heartbeat_interval``
     (default: a third of the TTL) — a worker that misses two beats is
@@ -412,19 +412,6 @@ def spawn_workers(config: FabricConfig, count: int,
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if count > 1:
-        from repro.engine.backends import open_backend
-
-        backend = open_backend(config.store)
-        try:
-            concurrent = backend.supports_concurrent_instances
-        finally:
-            backend.close()
-        if not concurrent:
-            raise RuntimeError(
-                f"store {config.store} does not support concurrent "
-                "worker processes (single-process engine); run with "
-                "one worker or use a sqlite:// store")
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else methods[0])

@@ -1,8 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import _parse_params, build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -75,3 +82,21 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "SAFETY_VIOLATED" in out and "first_unsafe_rung" in out
+
+
+class TestStoreLocation:
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--driver", "crash", "--n", "8", "--seeds", "0",
+         "--store", "duckdb://x.duckdb"],
+        ["fabric", "status", "--store", "postgres://x"],
+    ], ids=["sweep-duckdb", "fabric-status-postgres"])
+    def test_unknown_scheme_is_one_line_no_traceback(self, command, tmp_path):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *command], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode != 0
+        assert done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("python -m repro: unknown run-store scheme ")
+        assert list(tmp_path.iterdir()) == []

@@ -35,14 +35,15 @@ from repro.engine import (
     run_requests,
     run_workers,
 )
-from repro.engine.backends.base import (
+from repro.engine.fabric import heartbeat_jitter, spawn_workers
+from repro.engine.pool import retry_jitter_delay
+from repro.engine.queue import (
     SETTLE_LOST,
     TASK_LEASED,
     TASK_SETTLED,
+    QueuedTask,
+    task_request,
 )
-from repro.engine.fabric import heartbeat_jitter, spawn_workers
-from repro.engine.pool import retry_jitter_delay
-from repro.engine.queue import task_request
 from repro.engine.sweeps import DRIVERS, SweepSpec, register_driver
 from repro.obs import validate_events, validate_fabric_events
 
@@ -134,8 +135,6 @@ class TestFabricConfig:
             FabricConfig(store=store_url, max_task_attempts=0)
 
     def test_jitters_are_hashseed_stable_pure_functions(self, store_url):
-        from repro.engine.backends.base import QueuedTask
-
         task = QueuedTask(campaign="c", task_hash="h", seq=3, spec={},
                           state="leased", lease_owner="w",
                           lease_deadline=1.0, attempts=2,

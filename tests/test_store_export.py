@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.backends import duckdb_available
 from repro.engine.export import export_store, parquet_writer_available
 from repro.engine.pool import run_requests
 from repro.engine.store import RunStore
@@ -190,10 +189,8 @@ class TestParquet:
             export_store(faults_store, tmp_path / "export",
                          formats=("parquet",))
 
-    @pytest.mark.skipif(not duckdb_available(),
-                        reason="duckdb not installed")
     def test_parquet_frontier_round_trip(self, faults_store, tmp_path):
-        import duckdb
+        duckdb = pytest.importorskip("duckdb")
 
         out = tmp_path / "export"
         export_store(faults_store, out, formats=("parquet", "jsonl"))
