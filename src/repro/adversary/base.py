@@ -104,8 +104,8 @@ class CrashAdversary:
 
         ``proposed`` maps each alive link index to that node's proposed
         outgoing sends **as an abstract sequence, not necessarily a
-        list**: a node that broadcasts yields a lazy
-        :class:`~repro.sim.messages.Broadcast`, which materializes its
+        list**: a node that fans one message out yields a lazy
+        :class:`~repro.sim.messages.Multicast`, which materializes its
         ``Send`` objects once, on first access, and then returns the
         *same* instances on every later access.  Adversaries may index,
         slice, and iterate it freely; because the instances are stable,

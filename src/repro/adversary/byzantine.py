@@ -33,7 +33,7 @@ from repro.core.byzantine_renaming import (
     Elect,
     IdAnnounce,
 )
-from repro.sim.messages import Message, Send, broadcast
+from repro.sim.messages import Message, Send, broadcast, multicast
 from repro.sim.node import Context, IdleProcess, Process, Program
 
 
@@ -68,7 +68,7 @@ class CrashSimulatingByzantine(Process):
             if isinstance(envelope.message, Elect)
             and envelope.sender_uid in candidates
         })
-        yield [Send(link, IdAnnounce(self.uid)) for link in view]
+        yield multicast(view, IdAnnounce(self.uid))
         while True:
             yield []
 

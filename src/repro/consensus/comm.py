@@ -9,9 +9,10 @@ threshold logic depends on; :func:`exchange` performs one
 broadcast-to-view round and collects, per view member, the first
 well-formed vote for the current step.
 
-Byzantine strategies hook :meth:`CommitteeComm.outgoing_value` to
-equivocate (send different values to different receivers) without
-having to re-implement the lockstep schedule.
+An honest vote round is one fan-out: one :class:`SubVote` multicast to
+the view.  Byzantine strategies hook :meth:`CommitteeComm.outgoing_value`
+to equivocate (send different values to different receivers) without
+having to re-implement the lockstep schedule; only they pay per link.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.sim.messages import CostModel, Envelope, Message, Send
+from repro.sim.messages import CostModel, Envelope, Message, Send, multicast
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,10 @@ class CommitteeComm:
     """One committee member's view of in-committee communication."""
 
     def __init__(self, view: Iterable[int], b_max: int):
-        self.view = sorted(set(view))
+        self.view = tuple(sorted(set(view)))
         if not self.view:
             raise ValueError("committee view must not be empty")
+        self._members = frozenset(self.view)
         if b_max < 0:
             raise ValueError(f"b_max must be >= 0, got {b_max}")
         self.b_max = b_max
@@ -59,20 +61,23 @@ class CommitteeComm:
         """The value actually sent to ``receiver`` (hook for equivocators)."""
         return value
 
-    def sends(self, kind: str, value: object, width: int) -> list[Send]:
+    def sends(self, kind: str, value: object, width: int) -> Sequence[Send]:
         """This step's vote to every view member.
 
-        Links that get the same value share one :class:`SubVote`
-        object, so an honest fan-out is a single constant-message run
-        for the engine to charge and store; an equivocator's links keep
-        their own values (``1`` and ``True`` stay apart: the key holds
-        the type).  An unhashable value gets an object per link.
+        Without an :meth:`outgoing_value` override: one
+        :class:`SubVote` multicast to the view.  With one, the hook is
+        called per link, in link order; links that get the same value
+        share one ``SubVote`` (``1`` and ``True`` stay apart: the key
+        holds the type), an unhashable value gets an object per link.
         """
         step = self.step
+        hook = self.outgoing_value
+        if getattr(hook, "__func__", None) is CommitteeComm.outgoing_value:
+            return multicast(self.view, SubVote(step, kind, value, width))
         votes: dict[tuple[type, object], SubVote] = {}
         out = []
         for link in self.view:
-            sent = self.outgoing_value(kind, value, link)
+            sent = hook(kind, value, link)
             key = (type(sent), sent)
             try:
                 vote = votes[key]
@@ -86,7 +91,7 @@ class CommitteeComm:
     def collect(self, inbox: Sequence[Envelope], kind: str) -> dict[int, object]:
         """First well-formed vote per view member for the current step."""
         votes: dict[int, object] = {}
-        members = set(self.view)
+        members = self._members
         for envelope in inbox:
             message = envelope.message
             if (

@@ -45,7 +45,7 @@ from repro.core.identity_list import IdentityList
 from repro.faults.base import FaultModel
 from repro.crypto.hashing import FingerprintFamily
 from repro.crypto.shared_randomness import SharedRandomness
-from repro.sim.messages import CostModel, Message, Send, broadcast
+from repro.sim.messages import CostModel, Message, Send, broadcast, multicast
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, run_network
 
@@ -293,7 +293,7 @@ class ByzantineRenamingNode(Process):
 
         # Round 2: original identity aggregation.
         announce = IdAnnounce(self.uid)
-        inbox = yield [Send(link, announce) for link in self._announce_targets(view, ctx)]
+        inbox = yield multicast(self._announce_targets(view, ctx), announce)
 
         if not elected:
             result = yield from self._await_new_id(params, view, first_inbox=None)

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 from repro.adversary.base import CrashAdversary
 from repro.faults.base import FaultModel
 from repro.core.intervals import Interval, root_interval
-from repro.sim.messages import CostModel, Envelope, Message, Send, broadcast
+from repro.sim.messages import CostModel, Message, Send, broadcast, multicast
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, run_network
 
@@ -268,7 +268,7 @@ class CrashRenamingNode(Process):
 
             # Round 2: status reports to every announced committee member.
             my_status = Status(self.uid, self.interval, self.depth, self.p)
-            inbox = yield [Send(link, my_status) for link in committee_links]
+            inbox = yield multicast(committee_links, my_status)
             statuses = [
                 (envelope.sender, envelope.message) for envelope in inbox
                 if isinstance(envelope.message, Status)

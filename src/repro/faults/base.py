@@ -184,7 +184,7 @@ class FaultModel:
         sends — *after* the crash adversary's plan was applied, so a
         verdict always targets a message the network would otherwise
         deliver.  Like crash adversaries, fault models may receive lazy
-        :class:`~repro.sim.messages.Broadcast` sequences; ``len()`` is
+        :class:`~repro.sim.messages.Multicast` sequences; ``len()`` is
         free, and indexing materializes stable ``Send`` instances.
         Implementations must iterate senders and indices in a
         deterministic order (sorted) so seeded decisions replay.

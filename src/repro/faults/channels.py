@@ -56,7 +56,7 @@ class _BudgetedRandomFaults(FaultModel):
         plan: dict[int, dict[int, FaultVerdict]] = {}
         random = self.rng.random
         for sender in sorted(delivered):
-            # len() is free even on a lazy Broadcast; the Send objects
+            # len() is free even on a lazy fan-out; the Send objects
             # themselves are never needed to decide a drop/dup/corrupt.
             count = len(delivered[sender])
             verdicts: dict[int, FaultVerdict] = {}
@@ -149,7 +149,7 @@ class TransientPartition(FaultModel):
         for sender in sorted(delivered):
             sender_left = sender in left
             verdicts: dict[int, FaultVerdict] = {}
-            # Needs each send's target, so a lazy Broadcast materializes
+            # Needs each send's target, so a lazy fan-out materializes
             # here — exactly like a crash adversary inspecting a victim.
             for index, send in enumerate(delivered[sender]):
                 if (send.to in left) != sender_left:

@@ -13,13 +13,14 @@ delivery as *columns* instead of objects, in every configuration
   sender, message, uid, claim)``; its per-recipient expansion stays
   lazy, so a round of ``n`` broadcasts is ``n`` appends, not ``n**2``
   envelopes.
-- **Run columns** — each maximal constant-``(message, claim)`` run of a
-  sender's targeted sends is one row; the per-envelope columns hold
-  only the recipient id and the run index (``array`` of C ints, or
-  numpy views over them when numpy is importable and the batch is
-  large).  Link faults are expressed in the same rows: a dropped send
-  fills none, a corrupted one a row carrying the bit-flipped message,
-  a duplicated one a row whose recipient list repeats the link.
+- **Run columns** — a fan-out to part of the network, or each maximal
+  constant-``(message, claim)`` run of a ``Send`` list, is one row; the
+  per-envelope columns hold only the recipient id and the run index
+  (``array`` of C ints, or numpy views over them when numpy is
+  importable and the batch is large).  Link faults are expressed in
+  the same rows: a dropped send fills none, a corrupted one a row
+  carrying the bit-flipped message, a duplicated one a row whose
+  recipient list repeats the link.
 
 Inboxes are materialized per recipient, and only when a program
 actually reads its inbox at the ``program.send()`` boundary: a
@@ -34,11 +35,11 @@ is cached, so repeated iteration yields the *same* instances — the
 engine's one-envelope-per-delivery contract).
 
 Charging is not done here: the network charges every resolved send
-through :meth:`repro.sim.metrics.Metrics.record_sends` while it fills
-the columns, so the identity-keyed bit cache is reused across the whole
-batch.  Every counted quantity is held to the naive per-envelope oracle
-``ReferenceNetwork`` (``tests/test_fastpath_ab.py``,
-``tests/test_columnar_property.py``).
+while it fills the columns (one ``Metrics.record_sends`` per fan-out,
+one ``Metrics.flush`` per sender's ``Send`` list).  Every counted
+quantity is held to the naive per-envelope oracle ``ReferenceNetwork``
+(``tests/test_fastpath_ab.py``, ``tests/test_columnar_property.py``,
+``tests/test_multicast_property.py``).
 """
 
 from __future__ import annotations
@@ -110,21 +111,27 @@ class ColumnarRound:
         self.b_uid.append(uid)
         self.b_claim.append(claim)
 
-    def add_run(self, sender: int, message: Message, uid: Optional[int],
-                claim: Optional[int], recipients: Sequence[int]) -> None:
-        """One constant-``(message, claim)`` run to ``recipients``.
-
-        A link named twice receives two envelopes (a duplicated send).
-        """
-        run_index = len(self.r_message)
+    def open_run(self, sender: int, message: Message, uid: Optional[int],
+                 claim: Optional[int]) -> None:
+        """One constant-``(message, claim)`` row, no recipient yet."""
         self.r_seq.append(self._seq)
         self._seq += 1
         self.r_sender.append(sender)
         self.r_message.append(message)
         self.r_uid.append(uid)
         self.r_claim.append(claim)
+
+    def add_recipient(self, to: int) -> None:
+        """One more recipient (a repeated link: one more envelope)."""
+        self.t_to.append(to)
+        self.t_run.append(len(self.r_message) - 1)
+
+    def add_run(self, sender: int, message: Message, uid: Optional[int],
+                claim: Optional[int], recipients: Sequence[int]) -> None:
+        """A whole run at once: one message to all of ``recipients``."""
+        self.open_run(sender, message, uid, claim)
         self.t_to.extend(recipients)
-        self.t_run.extend([run_index] * len(recipients))
+        self.t_run.extend([len(self.r_message) - 1] * len(recipients))
 
     def attach(self, alive: Sequence[int]) -> dict[int, "LazyInbox"]:
         """Freeze the alive set and hand out one lazy inbox per recipient.

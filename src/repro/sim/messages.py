@@ -16,18 +16,20 @@ sender link and delivery round.
 Because messages are frozen (immutable) dataclasses, their bit size
 under a fixed :class:`CostModel` never changes after construction.  The
 engine exploits that: :meth:`repro.sim.metrics.Metrics.message_bits`
-memoizes :meth:`Message.bit_size` per message object (with an equality
-fallback), so broadcasting one message over ``n`` links charges its
-size via a single ``payload_bits`` evaluation.  ``payload_bits``
-implementations must therefore be pure functions of the message's
-fields and the cost model — a message whose size depends on mutable
-external state would defeat both the cache and the frozen contract.
+memoizes :meth:`Message.bit_size` per message *object*, so one message
+sent over many links (a :class:`Multicast`: one object from ``yield``
+to the engine's column) charges its size via a single ``payload_bits``
+evaluation.  ``payload_bits`` implementations must therefore be pure
+functions of the message's fields and the cost model — a message whose
+size depends on mutable external state would defeat both the cache and
+the frozen contract.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 #: Number of bits charged for the message-type tag of every message.
@@ -78,27 +80,28 @@ class CostModel:
                 f"namespace N={self.namespace} must be at least n={self.n}"
             )
 
-    @property
+    # Word sizes are cached: ``payload_bits`` reads several per message.
+    @cached_property
     def id_bits(self) -> int:
         """Bits for one original identity from ``[N]``."""
         return bit_length_of_domain(self.namespace)
 
-    @property
+    @cached_property
     def index_bits(self) -> int:
         """Bits for one value from ``[n]`` (new identities, endpoints)."""
         return bit_length_of_domain(self.n)
 
-    @property
+    @cached_property
     def depth_bits(self) -> int:
         """Bits for an interval-tree depth in ``[0, ceil(log2 n)]``."""
         return bit_length_of_domain(bit_length_of_domain(self.n) + 1)
 
-    @property
+    @cached_property
     def counter_bits(self) -> int:
         """Bits for a small counter bounded by ``n`` (e.g. ``p`` values)."""
         return bit_length_of_domain(self.n)
 
-    @property
+    @cached_property
     def digest_bits(self) -> int:
         """Bits for one fingerprint digest, ``O(log N)`` per Fact 3.2."""
         # Digests live in a field of size O(N^6) so that, union-bounded over
@@ -171,29 +174,29 @@ class Envelope:
     claimed_sender: Optional[int] = field(default=None)
 
 
-class Broadcast(Sequence):
-    """A lazily materialized all-links fan-out: one message to ``n`` links.
+class Multicast(Sequence):
+    """A lazily materialized fan-out: one message to each of ``targets``.
 
-    Behaves exactly like the ``[Send(to=0, m), ..., Send(to=n-1, m)]``
-    list it denotes, but the engine recognizes the type and charges the
-    whole fan-out in one step — no per-link ``Send`` objects, no
-    per-link validation, no per-link bit-size computation — which is
-    what makes ``broadcast``-heavy protocols cheap to simulate.
+    Behaves exactly like the ``[Send(t, m, claim) for t in targets]``
+    list it denotes, but the engine recognizes the type and handles the
+    whole fan-out in one step — one bounds check, one charge, one column
+    row, no per-link ``Send`` — which is what makes committee protocols
+    cheap to simulate.  ``targets`` (any iterable) is snapshotted here,
+    so mutating it afterwards cannot change what was sent; a link named
+    twice gets two envelopes.
 
     The ``Send`` list is materialized (and cached) only when someone
     actually indexes or iterates the sequence — in practice, when a
-    crash adversary inspects a victim's in-flight messages.  Caching
-    matters for correctness, not just speed: crash plans resolve kept
-    sends by object identity, so repeated access must yield the *same*
-    ``Send`` instances.
+    crash adversary or fault model inspects a sender's in-flight
+    messages; ``len()`` is free.  Caching matters for correctness, not
+    just speed: crash plans resolve kept sends by object identity, so
+    repeated access must yield the *same* ``Send`` instances.
     """
 
-    __slots__ = ("n", "message", "claim", "_sends")
+    __slots__ = ("targets", "message", "claim", "_sends")
 
-    def __init__(self, n: int, message: Message, claim: Optional[int] = None):
-        if n < 0:
-            raise ValueError(f"link count must be non-negative, got {n}")
-        self.n = n
+    def __init__(self, targets, message: Message, claim: Optional[int] = None):
+        self.targets = targets if type(targets) is range else tuple(targets)
         self.message = message
         self.claim = claim
         self._sends: Optional[list[Send]] = None
@@ -203,12 +206,12 @@ class Broadcast(Sequence):
         if sends is None:
             message, claim = self.message, self.claim
             self._sends = sends = [
-                Send(index, message, claim) for index in range(self.n)
+                Send(index, message, claim) for index in self.targets
             ]
         return sends
 
     def __len__(self) -> int:
-        return self.n
+        return len(self.targets)
 
     def __getitem__(self, index):
         return self._materialize()[index]
@@ -217,18 +220,26 @@ class Broadcast(Sequence):
         return iter(self._materialize())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Broadcast(n={self.n}, message={self.message!r})"
+        return f"{type(self).__name__}({self.targets!r}, {self.message!r})"
+
+
+class Broadcast(Multicast):
+    """The all-links fan-out: a :class:`Multicast` to ``range(n)``."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int, message: Message, claim: Optional[int] = None):
+        if n < 0:
+            raise ValueError(f"link count must be non-negative, got {n}")
+        super().__init__(range(n), message, claim)
+        self.n = n
 
 
 def broadcast(n: int, message: Message) -> Broadcast:
-    """Address ``message`` to all ``n`` links (including the self link).
-
-    Returns a :class:`Broadcast`, a lazy, list-equivalent sequence of
-    ``Send`` objects that the engine fast-paths.
-    """
+    """Address ``message`` to all ``n`` links (including the self link)."""
     return Broadcast(n, message)
 
 
-def multicast(targets, message: Message) -> list[Send]:
+def multicast(targets, message: Message) -> Multicast:
     """Address ``message`` to each link index in ``targets``."""
-    return [Send(to=index, message=message) for index in targets]
+    return Multicast(targets, message)

@@ -6,21 +6,23 @@ correct node or an adversary-controlled (Byzantine) node: the theorems
 bound the cost incurred by the *algorithm*, while Byzantine nodes can
 always spam arbitrarily many messages at no charge to the protocol.
 
-Bit accounting is memoized: messages are frozen dataclasses, so one
-``broadcast`` produces ``n`` envelopes around a single message object,
-and :meth:`Metrics.message_bits` computes its
-:meth:`~repro.sim.messages.Message.bit_size` once instead of ``n``
-times.  The cache is keyed by message identity (with a strong reference
-pinning the object, so a recycled ``id`` can never alias) plus an
-equality fallback for distinct-but-equal messages, and is dropped at
-every :meth:`begin_round` so it stays bounded by one round's working
-set.  Memoization is invisible in the ledgers: every counted quantity
-is identical to charging each send individually.
+Bit accounting is memoized: messages are frozen dataclasses, so a
+fan-out is many sends of a single message object, and
+:meth:`Metrics.message_bits` computes its
+:meth:`~repro.sim.messages.Message.bit_size` once instead of once per
+link.  The cache is keyed by message identity only (with a strong
+reference pinning the object, so a recycled ``id`` can never alias) and
+is dropped at every :meth:`begin_round` so it stays bounded by one
+round's working set.  Every ledger advances in one place,
+:meth:`Metrics.flush`, once per sender per round in the engine.
+Memoization and batching are invisible in the ledgers: every counted
+quantity is identical to charging each send individually.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.sim.messages import CostModel, Message
@@ -44,31 +46,19 @@ class Metrics:
     #: id(message) -> (message, bits); the message reference keeps the
     #: object alive so the id cannot be recycled while the entry exists.
     _bits_by_id: dict = field(default_factory=dict, repr=False, compare=False)
-    #: message -> bits, the equality fallback for hashable messages.
-    _bits_by_value: dict = field(default_factory=dict, repr=False,
-                                 compare=False)
 
     def begin_round(self) -> None:
         self.rounds += 1
         self.messages_per_round.append(0)
         self.bits_per_round.append(0)
-        if self._bits_by_id:
-            self._bits_by_id.clear()
-            self._bits_by_value.clear()
+        self._bits_by_id.clear()
 
     def message_bits(self, message: Message) -> int:
         """The memoized :meth:`~repro.sim.messages.Message.bit_size`."""
         entry = self._bits_by_id.get(id(message))
         if entry is not None and entry[0] is message:
             return entry[1]
-        try:
-            bits = self._bits_by_value[message]
-        except (KeyError, TypeError):
-            bits = message.bit_size(self.cost)
-            try:
-                self._bits_by_value[message] = bits
-            except TypeError:
-                pass  # unhashable message: identity caching only
+        bits = message.bit_size(self.cost)
         self._bits_by_id[id(message)] = (message, bits)
         return bits
 
@@ -79,32 +69,39 @@ class Metrics:
     def record_sends(
         self, sender: int, message: Message, count: int, *, byzantine: bool
     ) -> None:
-        """Charge ``count`` transmissions of one message at once.
+        """Charge ``count`` transmissions of one message at once (a
+        fan-out): the bit size is computed, or fetched from the cache,
+        once, and every ledger ends identical to ``count`` single
+        ``record_send`` calls.
+        """
+        bits = self.message_bits(message)
+        self.flush(sender, count, bits * count, bits,
+                   ((type(message), count),), byzantine=byzantine)
 
-        This is the batched fast path behind a ``broadcast``: the bit
-        size is computed (or fetched from the cache) once and every
-        ledger advances by ``count``, leaving totals, per-round series,
-        and counters identical to ``count`` single ``record_send`` calls.
+    def flush(self, sender: int, messages: int, bits: int, widest: int,
+              by_type: Iterable[tuple[type, int]], *, byzantine: bool) -> None:
+        """Advance every ledger by one sender's sends of this round:
+        ``messages`` of them totalling ``bits``, the largest ``widest``
+        bits, split ``by_type`` into ``(message class, count)`` pairs.
         """
         if not self.messages_per_round:
             raise RuntimeError(
                 "record_send before begin_round: per-round ledgers would "
                 "silently drift from the running totals"
             )
-        bits = self.message_bits(message)
-        total = bits * count
         if byzantine:
-            self.byzantine_messages += count
-            self.byzantine_bits += total
+            self.byzantine_messages += messages
+            self.byzantine_bits += bits
         else:
-            self.correct_messages += count
-            self.correct_bits += total
-        if bits > self.max_message_bits:
-            self.max_message_bits = bits
-        self.messages_per_round[-1] += count
-        self.bits_per_round[-1] += total
-        self.sends_by_node[sender] += count
-        self.sends_by_type[type(message).__name__] += count
+            self.correct_messages += messages
+            self.correct_bits += bits
+        if widest > self.max_message_bits:
+            self.max_message_bits = widest
+        self.messages_per_round[-1] += messages
+        self.bits_per_round[-1] += bits
+        self.sends_by_node[sender] += messages
+        for cls, count in by_type:
+            self.sends_by_type[cls.__name__] += count
 
     @property
     def total_messages(self) -> int:

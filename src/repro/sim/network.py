@@ -40,7 +40,7 @@ from repro.faults.base import (
 )
 from repro.crypto.shared_randomness import SharedRandomness
 from repro.sim.columnar import ColumnarRound
-from repro.sim.messages import Broadcast, CostModel, Envelope, Send
+from repro.sim.messages import Broadcast, CostModel, Envelope, Multicast, Send
 from repro.sim.metrics import Metrics
 from repro.sim.node import Context, Process, Program
 from repro.sim.trace import Trace
@@ -222,17 +222,23 @@ class SyncNetwork:
                 self._correct_order.remove(index)
 
     def _validated(self, index: int, sends):
-        if type(sends) is Broadcast:
-            # Targets are range(sends.n) by construction; one bound
-            # check replaces n per-send checks.
-            if sends.n > self.n:
+        n = self.n
+        if isinstance(sends, Multicast):
+            # One bound check over all the targets replaces one per send.
+            targets = sends.targets
+            if type(sends) is Broadcast:
+                if len(targets) > n:
+                    raise ValueError(
+                        f"node {index} broadcast to {len(targets)} links, "
+                        f"network has {n}"
+                    )
+            elif targets and not (0 <= min(targets) and max(targets) < n):
+                link = next(to for to in targets if not 0 <= to < n)
                 raise ValueError(
-                    f"node {index} broadcast to {sends.n} links, network "
-                    f"has {self.n}"
+                    f"node {index} addressed link {link} outside [0, {n})"
                 )
             return sends
         out = list(sends)
-        n = self.n
         for send in out:
             if not 0 <= send.to < n:
                 raise ValueError(
@@ -317,10 +323,11 @@ class SyncNetwork:
         ``charge``
             Charge every resolved send to the ledgers exactly once and
             fill the round's :class:`~repro.sim.columnar.ColumnarRound`
-            (the two interleave): a whole-network broadcast is one
-            charge and one row, targeted sends one per maximal
-            constant-``(message, claim)`` run, so the ledgers'
-            identity-keyed bit cache is reused across the batch.
+            (the two interleave): a fan-out is one charge and one row
+            (the broadcast column when it targets the whole network),
+            no per-link ``Send``; a ``Send`` list is one row per maximal
+            constant-``(message, claim)`` run, sized through the
+            identity-keyed bit cache, and one ledger flush per sender.
         ``deliver``
             ``attach`` freezes the alive set and hands out one lazy
             inbox per recipient; messages addressed to crashed or
@@ -360,11 +367,12 @@ class SyncNetwork:
         t1 = perf_counter()
 
         column = ColumnarRound(round_no)
-        add_broadcast = column.add_broadcast
-        add_run = column.add_run
+        open_run = column.open_run
+        add_recipient = column.add_recipient
         record_sends = metrics.record_sends
+        message_bits = metrics.message_bits
         resolve = self.authenticator.resolve
-        n = self.n
+        whole = range(self.n)
         if self._held:
             # Healing partition traffic has been in flight the longest:
             # it enters the column ahead of the round's own sends.
@@ -378,36 +386,38 @@ class SyncNetwork:
                 continue
             process = processes[sender]
             byz = process.byzantine
-            sender_true_uid = process.uid
-            if type(sends) is Broadcast and sends.n == n:
-                # Whole-network fan-out: one charge, one column row —
-                # no per-link Send objects, no per-recipient envelopes.
+            true_uid = process.uid
+            if isinstance(sends, Multicast):
+                # A fan-out: one charge, one row, no per-link Send.
                 message = sends.message
-                record_sends(sender, message, n, byzantine=byz)
-                perceived_uid, recorded_claim = resolve(
-                    sender_true_uid, sends.claim
-                )
-                add_broadcast(sender, message, perceived_uid, recorded_claim)
+                targets = sends.targets
+                record_sends(sender, message, len(targets), byzantine=byz)
+                uid, seen_claim = resolve(true_uid, sends.claim)
+                if targets == whole:
+                    column.add_broadcast(sender, message, uid, seen_claim)
+                else:
+                    column.add_run(sender, message, uid, seen_claim, targets)
                 continue
-            total = len(sends)
-            i = 0
-            while i < total:
-                send = sends[i]
-                message = send.message
-                claim = send.claim
-                recipients = [send.to]
-                j = i + 1
-                while j < total:
-                    nxt = sends[j]
-                    if nxt.message is not message or nxt.claim != claim:
-                        break
-                    recipients.append(nxt.to)
-                    j += 1
-                record_sends(sender, message, j - i, byzantine=byz)
-                perceived_uid, recorded_claim = resolve(sender_true_uid, claim)
-                add_run(sender, message, perceived_uid, recorded_claim,
-                        recipients)
-                i = j
+            # A plain Send list: one row per maximal constant-(message,
+            # claim) run, grown send by send; one ledger flush at the end.
+            bits_total = widest = 0
+            by_type: dict[type, int] = {}
+            message = sends  # no run open yet: no send carries this
+            for send in sends:
+                if send.message is not message or send.claim != claim:
+                    message = send.message
+                    claim = send.claim
+                    cls = type(message)
+                    bits = message_bits(message)
+                    if bits > widest:
+                        widest = bits
+                    uid, seen_claim = resolve(true_uid, claim)
+                    open_run(sender, message, uid, seen_claim)
+                add_recipient(send.to)
+                bits_total += bits
+                by_type[cls] = by_type.get(cls, 0) + 1
+            metrics.flush(sender, len(sends), bits_total, widest,
+                          by_type.items(), byzantine=byz)
         t2 = perf_counter()
 
         inboxes = column.attach(self._alive_order)

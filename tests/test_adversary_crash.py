@@ -16,7 +16,7 @@ from repro.adversary.crash import (
     RandomCrash,
     ScheduledCrash,
 )
-from repro.sim.messages import Broadcast, Send
+from repro.sim.messages import Broadcast, Multicast, Send
 from repro.sim.trace import Trace
 from tests.test_network import Ping
 
@@ -183,12 +183,13 @@ class TestBudgetedAdaptiveCrash:
         assert seen == [3, 1]
 
 
-class _BroadcastSlicer(CrashAdversary):
-    """Crashes the first broadcasting node mid-send, keeping every other
-    send of its lazy ``Broadcast`` proposal (a strict subset)."""
+class _FanoutSlicer(CrashAdversary):
+    """Crashes the first node whose proposal is a lazy fan-out of type
+    ``fanout`` mid-send, keeping every other send (a strict subset)."""
 
-    def __init__(self):
+    def __init__(self, fanout=Broadcast):
         super().__init__(budget=1)
+        self.fanout = fanout
         self.captured = None  # (round_no, victim, proposed_seq, kept)
 
     def plan_round(self, round_no, proposed, alive, trace):
@@ -196,7 +197,7 @@ class _BroadcastSlicer(CrashAdversary):
             return {}
         for victim in sorted(alive):
             sends = proposed.get(victim)
-            if isinstance(sends, Broadcast) and len(sends) >= 4:
+            if type(sends) is self.fanout and len(sends) >= 4:
                 kept = [sends[i] for i in range(0, len(sends), 2)]
                 self.captured = (round_no, victim, sends, kept)
                 return {victim: kept}
@@ -219,7 +220,7 @@ class TestBroadcastMidSendCrash:
         from repro.falsify.replay import RecordingAdversary, ReplayAdversary
 
         uids, n, seed = [3, 8, 1, 12, 7, 5, 10, 2], 8, 4
-        slicer = _BroadcastSlicer()
+        slicer = _FanoutSlicer()
         recorder = RecordingAdversary(slicer)
         first = run_crash_renaming(
             uids, namespace=16, adversary=recorder, seed=seed, trace=True,
@@ -253,3 +254,43 @@ class TestBroadcastMidSendCrash:
                 == list(first.metrics.messages_per_round))
         assert (list(second.metrics.bits_per_round)
                 == list(first.metrics.bits_per_round))
+
+
+class TestMulticastMidSendCrash:
+    """The twin of :class:`TestBroadcastMidSendCrash` for a targeted
+    fan-out: a victim whose proposal is a lazy ``Multicast`` (its status
+    report to the committee) crashes keeping a strict subset."""
+
+    def test_multicast_materialization_is_identity_stable(self):
+        fanout = Multicast([4, 1, 4, 0], Ping(0))
+        assert fanout[2] is fanout[2]
+        # Equal sends to the duplicated link resolve by identity.
+        assert kept_send_indices([fanout[2], fanout[3]], fanout) == (2, 3)
+
+    def test_mid_send_crash_of_multicaster_records_and_replays(self):
+        from repro.core.crash_renaming import run_crash_renaming
+        from repro.falsify.replay import RecordingAdversary, ReplayAdversary
+        from tests.test_golden_digests import digest
+
+        uids, seed = [3, 8, 1, 12, 7, 5, 10, 2], 4
+        slicer = _FanoutSlicer(Multicast)
+        recorder = RecordingAdversary(slicer)
+        first = run_crash_renaming(
+            uids, namespace=16, adversary=recorder, seed=seed)
+
+        round_no, victim, sends, kept = slicer.captured
+        assert type(sends) is Multicast
+        assert 0 < len(kept) < len(sends)
+        assert all(k is sends[i] for k, i in zip(kept, range(0, len(sends), 2)))
+        assert recorder.schedule == {
+            round_no: {victim: tuple(range(0, len(sends), 2))}}
+        assert first.crashed == {victim}
+        outputs = first.outputs_by_uid()
+        assert len(set(outputs.values())) == len(outputs) == len(uids) - 1
+
+        second = run_crash_renaming(
+            uids, namespace=16, seed=seed,
+            adversary=ReplayAdversary(recorder.schedule, strict=True))
+        assert second.crashed == first.crashed
+        assert second.metrics.sends_by_node == first.metrics.sends_by_node
+        assert digest(second) == digest(first)

@@ -1,7 +1,7 @@
 """Unit tests for the committee communication layer (vote filtering)."""
 
 from repro.consensus.comm import CommitteeComm, SubVote, exchange
-from repro.sim.messages import CostModel, Envelope
+from repro.sim.messages import CostModel, Envelope, Multicast
 
 
 def envelope(sender, message, round_no=1):
@@ -59,13 +59,32 @@ class TestSends:
         assert all(send.message.value == 9 for send in sends)
 
     def test_honest_fan_out_carries_one_vote_object(self):
-        """One object per fan-out: the engine charges it as one run."""
-        comm = CommitteeComm(view=range(6), b_max=1)
+        """One object per fan-out: the engine charges it in one step and
+        the hook is not called per link."""
+        comm = CommitteeComm(view=[5, 0, 3, 3], b_max=1)
         comm.step = 3
         sends = comm.sends("x", (17, 2), width=4)
-        assert [send.to for send in sends] == list(range(6))
-        assert all(send.message is sends[0].message for send in sends)
-        assert sends[0].message == SubVote(3, "x", (17, 2), 4)
+        assert type(sends) is Multicast
+        assert sends.targets == (0, 3, 5)
+        assert sends.message == SubVote(3, "x", (17, 2), 4)
+        assert [send.to for send in sends] == [0, 3, 5]
+        assert all(send.message is sends.message for send in sends)
+
+    def test_hook_patched_on_the_instance_is_still_called_per_link(self):
+        comm = CommitteeComm(view=range(3), b_max=0)
+        comm.outgoing_value = lambda kind, value, receiver: value + receiver
+        sends = comm.sends("x", 10, width=4)
+        assert [send.message.value for send in sends] == [10, 11, 12]
+
+    def test_override_with_unhashable_values_gets_an_object_per_link(self):
+        class Lists(CommitteeComm):
+            def outgoing_value(self, kind, value, receiver):
+                return [value, receiver % 2]
+
+        sends = Lists(view=range(4), b_max=1).sends("x", 9, width=4)
+        assert [send.message.value for send in sends] == [
+            [9, 0], [9, 1], [9, 0], [9, 1]]
+        assert len({id(send.message) for send in sends}) == 4
 
     def test_override_shares_one_object_per_distinct_value(self):
         class Parity(CommitteeComm):

@@ -8,8 +8,8 @@ link, builds one ``Envelope`` per delivered message, matches kept
 crash-plan sends by equality, and applies link-fault verdicts send by
 send.  The A/B tests run identical protocols (same processes, seeds,
 adversary and fault configurations) through both executors and require
-byte-identical ``Metrics.summary()`` dicts, per-round ledgers, node
-outputs and ``FaultStats``.
+byte-identical ``Metrics.summary()`` dicts, per-round ledgers, per-node
+and per-type send counts, node outputs and ``FaultStats``.
 
 The duplicate-send regression pins the crash-plan fix: kept sends are
 resolved to *indices* by object identity end to end, so keeping the
@@ -73,14 +73,14 @@ class ReferenceNetwork:
     """Naive per-envelope round semantics, kept as the oracle."""
 
     def __init__(self, processes, cost, *, crash_adversary=None, seed=0,
-                 shared=None, fault_model=None):
+                 shared=None, fault_model=None, authenticator=None):
         from repro.adversary.base import NoCrashes
 
         self.processes = list(processes)
         self.n = len(self.processes)
         self.cost = cost
         self.adversary = crash_adversary or NoCrashes()
-        self.authenticator = Authenticator()
+        self.authenticator = authenticator or Authenticator()
         self.trace = Trace(enabled=False)
         self.round_no = 0
         self.crashed = set()
@@ -102,6 +102,8 @@ class ReferenceNetwork:
         }
         self.messages_per_round = []
         self.bits_per_round = []
+        self.sends_by_node = {}
+        self.sends_by_type = {}
         self.fault_model = fault_model
         self.fault_stats = FaultStats() if fault_model is not None else None
         self._held = {}  # release round -> envelopes a hold deferred
@@ -145,7 +147,10 @@ class ReferenceNetwork:
         self.adversary.note_crashes(set(plan))
         return delivered
 
-    def _record(self, message, byzantine):
+    def _record(self, sender, message, byzantine):
+        name = type(message).__name__
+        self.sends_by_node[sender] = self.sends_by_node.get(sender, 0) + 1
+        self.sends_by_type[name] = self.sends_by_type.get(name, 0) + 1
         bits = message.bit_size(self.cost)
         kind = "byzantine" if byzantine else "correct"
         self.summary[f"{kind}_messages"] += 1
@@ -188,7 +193,7 @@ class ReferenceNetwork:
             verdicts = plan.get(sender, {})
             for index, send in enumerate(sends):
                 # Charged once at transmission, whatever the link does.
-                self._record(send.message, byz)
+                self._record(sender, send.message, byz)
                 perceived, claim = self.authenticator.resolve(uid, send.claim)
                 fields = dict(sender=sender, to=send.to, sender_uid=perceived,
                               claimed_sender=claim)
@@ -248,6 +253,8 @@ def reference_observables(network):
         "summary": dict(network.summary),
         "messages_per_round": list(network.messages_per_round),
         "bits_per_round": list(network.bits_per_round),
+        "sends_by_node": dict(network.sends_by_node),
+        "sends_by_type": dict(network.sends_by_type),
         "outputs": dict(network.finished),
         "crashed": set(network.crashed),
     }
@@ -259,6 +266,8 @@ def engine_observables(result):
         "summary": metrics.summary(),
         "messages_per_round": list(metrics.messages_per_round),
         "bits_per_round": list(metrics.bits_per_round),
+        "sends_by_node": dict(metrics.sends_by_node),
+        "sends_by_type": dict(metrics.sends_by_type),
         "outputs": dict(result.results),
         "crashed": set(result.crashed),
     }
@@ -558,12 +567,19 @@ class TestBitSizeCache:
         assert metrics.correct_messages == 50
         assert metrics.correct_bits == 50 * blob.bit_size(metrics.cost)
 
-    def test_equality_fallback_hits_across_instances(self):
+    def test_equal_but_distinct_messages_charge_equal_bits(self):
+        """The cache is by identity only; equal messages need no cache
+        to cost the same."""
         metrics = Metrics(cost=CostModel(n=4, namespace=16))
         metrics.begin_round()
-        metrics.record_send(0, self._CountingBlob(9), byzantine=False)
-        metrics.record_send(0, self._CountingBlob(9), byzantine=False)
-        assert self._CountingBlob.computations == 1
+        first, second = self._CountingBlob(9), self._CountingBlob(9)
+        assert first == second and first is not second
+        metrics.record_send(0, first, byzantine=False)
+        after_first = metrics.correct_bits
+        metrics.record_send(0, second, byzantine=False)
+        assert metrics.correct_bits == 2 * after_first
+        assert metrics.max_message_bits == first.bit_size(metrics.cost)
+        assert metrics.sends_by_type == {"_CountingBlob": 2}
 
     def test_cache_resets_each_round(self):
         metrics = Metrics(cost=CostModel(n=4, namespace=16))

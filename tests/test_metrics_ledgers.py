@@ -8,6 +8,8 @@ must tie out exactly against the scalar totals.
 from dataclasses import dataclass
 from random import Random
 
+import pytest
+
 from repro.analysis.experiments import (
     byzantine_run_summary,
     crash_run_summary,
@@ -18,7 +20,12 @@ from repro.core.byzantine_renaming import run_byzantine_renaming
 from repro.core.crash_renaming import run_crash_renaming
 from repro.adversary import byzantine as byz
 from repro.adversary.crash import RandomCrash
-from repro.sim.messages import CostModel, Message
+from repro.sim.messages import (
+    CostModel,
+    Message,
+    Send,
+    bit_length_of_domain,
+)
 from repro.sim.metrics import Metrics
 from repro.sim.node import IdleProcess
 from repro.sim.runner import ExecutionResult, run_network
@@ -94,6 +101,70 @@ class TestPerRoundLedgers:
         row = byzantine_run_summary(8, 1, seed=2, strategy="silent")
         assert "messages_per_round" not in row
         assert "bits_per_round" not in row
+
+
+@dataclass(frozen=True)
+class _Chirp(Message):
+    def payload_bits(self, cost: CostModel) -> int:
+        return cost.id_bits + cost.depth_bits
+
+
+class TestOneFlushPerSender:
+    def test_three_runs_of_two_types_match_one_by_one_charging(self):
+        """The engine flushes a sender's round once; the ledgers must
+        equal ``record_send`` called send by send."""
+        big, small, chirp = _Blob(30), _Blob(2), _Chirp()
+        script = [Send(1, big), Send(2, big), Send(0, chirp),
+                  Send(2, small), Send(2, small), Send(1, small)]
+
+        class Talker(IdleProcess):
+            def program(self, ctx):
+                yield list(script) if ctx.index == 1 else []
+                return None
+
+        cost = CostModel(n=3, namespace=50)
+        engine = run_network([Talker(uid) for uid in (5, 6, 7)], cost).metrics
+        singles = Metrics(cost=cost)
+        singles.begin_round()
+        for send in script:
+            singles.record_send(1, send.message, byzantine=False)
+        assert engine == singles
+        assert engine.sends_by_type == {"_Blob": 5, "_Chirp": 1}
+        assert engine.sends_by_node == {1: 6}
+        assert engine.max_message_bits == big.bit_size(cost)
+
+    def test_flush_before_begin_round_raises(self):
+        metrics = Metrics(cost=CostModel(n=4, namespace=16))
+        with pytest.raises(RuntimeError, match="begin_round"):
+            metrics.flush(0, 2, 14, 7, [(_Blob, 2)], byzantine=False)
+        with pytest.raises(RuntimeError, match="begin_round"):
+            metrics.record_sends(0, _Blob(3), 2, byzantine=True)
+
+
+class TestCostModelWordSizes:
+    def test_identity_is_the_two_fields_only(self):
+        cost, twin = CostModel(12, 700), CostModel(12, 700)
+        before = (repr(cost), hash(cost))
+        assert cost.id_bits and cost.digest_bits  # now cached on `cost`
+        assert cost == twin and hash(cost) == hash(twin)
+        assert (repr(cost), hash(cost)) == before
+        assert repr(cost) == "CostModel(n=12, namespace=700)"
+        assert cost != CostModel(12, 701)
+
+    @pytest.mark.parametrize("n, namespace", [
+        (1, 1), (2, 2), (96, 5 * 96 * 96), (2**53, 2**53 + 1),
+        (2**53 + 1, 2**64 + 1), (2**63, 2**64),
+    ])
+    def test_word_sizes_are_the_documented_domains(self, n, namespace):
+        cost = CostModel(n, namespace)
+        for _ in range(2):  # first read computes, second reads the cache
+            assert cost.id_bits == bit_length_of_domain(namespace)
+            assert cost.index_bits == bit_length_of_domain(n)
+            assert cost.counter_bits == bit_length_of_domain(n)
+            assert cost.depth_bits == bit_length_of_domain(
+                bit_length_of_domain(n) + 1)
+            assert cost.digest_bits == 6 * bit_length_of_domain(namespace)
+        assert CostModel(2**53 + 1, 2**53 + 1).index_bits == 54
 
 
 class TestOutputsByUidExclusion:

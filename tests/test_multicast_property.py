@@ -1,0 +1,249 @@
+"""The lazy fan-out against the oracle.
+
+A :class:`~repro.sim.messages.Multicast` must be indistinguishable from
+the ``[Send(t, m, claim) for t in targets]`` list it denotes.  Random
+programs mixing ``Multicast``, ``Broadcast`` (whole and partial),
+shared-message ``Send`` lists, materialized fan-outs spliced into
+lists, duplicate targets, empty targets and forged ``claim``s run once
+on ``SyncNetwork`` and once on the naive per-envelope oracle
+``ReferenceNetwork`` (which only ever sees ``list(sends)``), with
+authentication on and off, with and without a crash adversary and a
+link-fault model.  Inboxes (order, sender, perceived uid, recorded
+claim) and every ledger (totals, per-round series, ``sends_by_node``,
+``sends_by_type``, ``max_message_bits``) must be equal.
+
+CI runs this file under two ``PYTHONHASHSEED`` values.
+"""
+
+from dataclasses import dataclass
+from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.adversary.crash import RandomCrash
+from repro.crypto.auth import Authenticator
+from repro.faults import build_fault_model
+from repro.sim.messages import (
+    Broadcast,
+    CostModel,
+    Message,
+    Multicast,
+    Send,
+    broadcast,
+    multicast,
+)
+from repro.sim.node import Process
+from repro.sim.runner import run_network
+from tests.test_columnar_property import _fault_entries
+from tests.test_fastpath_ab import (
+    ReferenceNetwork,
+    _Tag,
+    engine_observables,
+    reference_observables,
+)
+
+
+@dataclass(frozen=True)
+class Narrow(Message):
+    value: int = 0
+    tag: int = 0
+
+    def payload_bits(self, cost):
+        return 3
+
+
+@dataclass(frozen=True)
+class Wide(Message):
+    """Size depends on the value, so ``max_message_bits`` and the bit
+    ledgers tell one fan-out from another."""
+
+    value: int = 0
+    tag: int = 0
+
+    def payload_bits(self, cost):
+        return 20 + self.value + cost.index_bits
+
+
+class FanoutNode(Process):
+    """Plays a per-round script of fan-outs; returns every inbox read."""
+
+    def __init__(self, uid, script, byzantine=False):
+        super().__init__(uid)
+        self.script = script
+        self.byzantine = byzantine
+
+    def _outgoing(self, op, ctx):
+        kind, value, targets, claim = op
+        message = (Wide if value % 2 else Narrow)(value, ctx.index)
+        if kind == "multicast":
+            return Multicast(targets, message, claim)
+        if kind == "generator":
+            return multicast((to for to in targets), message)
+        if kind == "broadcast":
+            return Broadcast(ctx.n, message, claim)
+        if kind == "partial":
+            return Broadcast(len(targets) % (ctx.n + 1), message, claim)
+        if kind == "sends":
+            return [Send(to, message, claim) for to in targets]
+        if kind == "spliced":
+            # A materialized fan-out inside a plain list: the widest
+            # message first, then the fan-out's run, then the same
+            # message under another claim (a run of its own).
+            return [Send(0, Wide(value + 7, ctx.index)),
+                    *Multicast(targets, message, claim),
+                    Send(ctx.n - 1, message, 5 if claim is None else None)]
+        return []
+
+    def program(self, ctx):
+        received = []
+        for op in self.script:
+            inbox = yield self._outgoing(op, ctx)
+            received.append(tuple(
+                (env.sender, env.to, env.round_no, env.sender_uid,
+                 env.claimed_sender, type(env.message).__name__,
+                 env.message.value, env.message.tag)
+                for env in inbox))
+        return tuple(received)
+
+
+def _ops(n):
+    kinds = st.sampled_from(["multicast", "generator", "broadcast", "partial",
+                             "sends", "spliced", "quiet"])
+    # Duplicates and the empty tuple are both likely.
+    targets = st.lists(st.integers(0, n - 1), max_size=2 * n).map(tuple)
+    claim = st.none() | st.integers(1, 99)
+    return st.tuples(kinds, st.integers(0, 5), targets, claim)
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(2, 6))
+    rounds = draw(st.integers(1, 4))
+    scripts = [draw(st.lists(_ops(n), min_size=1, max_size=rounds))
+               for _ in range(n)]
+    byzantine = [draw(st.booleans()) for _ in range(n - 1)] + [False]
+    authenticated = draw(st.booleans())
+    crash_seed = draw(st.none() | st.integers(0, 999))
+    fault_spec = draw(_fault_entries(rounds))
+    seed = draw(st.integers(0, 999))
+    return n, scripts, byzantine, authenticated, crash_seed, fault_spec, seed
+
+
+def _execute(scenario, reference):
+    n, scripts, byzantine, authenticated, crash_seed, fault_spec, seed = scenario
+    processes = [FanoutNode(index + 1, scripts[index], byzantine[index])
+                 for index in range(n)]
+    options = dict(
+        crash_adversary=(RandomCrash(budget=n // 2, rate=0.3,
+                                     rng=Random(crash_seed))
+                         if crash_seed is not None else None),
+        authenticator=Authenticator(enabled=authenticated),
+        fault_model=(build_fault_model(fault_spec, n, seed=seed)
+                     if fault_spec else None),
+        seed=seed,
+    )
+    cost = CostModel(n=n, namespace=4 * n)
+    if reference:
+        network = ReferenceNetwork(processes, cost, **options)
+        network.run()
+        return reference_observables(network)
+    return engine_observables(run_network(processes, cost, **options))
+
+
+class TestFanoutAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(scenarios())
+    def test_engine_and_oracle_agree(self, scenario):
+        assert _execute(scenario, False) == _execute(scenario, True)
+
+    def test_forged_claim_reaches_receivers_only_unauthenticated(self):
+        script = [("multicast", 1, (1, 1, 0), 77)]
+        for authenticated, perceived in ((True, (1, None)), (False, (77, 77))):
+            scenario = (2, [script, [("quiet", 0, (), None)]], [False, False],
+                        authenticated, None, [], 0)
+            observed = _execute(scenario, False)
+            assert observed == _execute(scenario, True)
+            inbox = observed["outputs"][1][0]
+            # The duplicated link got two envelopes, in send order.
+            assert [env[:2] for env in inbox] == [(0, 1), (0, 1)]
+            assert {env[3:5] for env in inbox} == {perceived}
+
+
+class TestMulticastSequence:
+    def test_behaves_like_the_send_list(self):
+        message = _Tag()
+        fanout = multicast([4, 1, 4], message)
+        assert isinstance(fanout, Multicast)
+        assert list(fanout) == [Send(4, message), Send(1, message),
+                                Send(4, message)]
+        assert [send.claim for send in Multicast([2], message, 9)] == [9]
+
+    def test_len_is_free_and_indexing_is_identity_stable(self):
+        fanout = multicast(range(5), _Tag())
+        assert len(fanout) == 5 and fanout._sends is None
+        assert fanout[3] is fanout[3]
+        assert list(fanout)[1] is fanout[1]
+        assert fanout[1:3] == [fanout[1], fanout[2]]
+
+    def test_targets_are_snapshotted_at_construction(self):
+        targets = [0, 2]
+        fanout = multicast(targets, _Tag())
+        targets.append(1)
+        assert [send.to for send in fanout] == [0, 2]
+        drained = multicast((to for to in (3, 3)), _Tag())
+        assert len(drained) == 2 and [s.to for s in drained] == [3, 3]
+
+    def test_empty_fanout_is_falsy_and_sends_nothing(self):
+        assert not multicast([], _Tag())
+        assert list(multicast((), _Tag())) == []
+
+    def test_broadcast_is_the_whole_range_case(self):
+        fanout = broadcast(4, _Tag())
+        assert isinstance(fanout, Multicast) and type(fanout) is Broadcast
+        assert fanout.n == 4 and fanout.targets == range(4)
+        assert Broadcast._materialize is Multicast._materialize
+        assert Broadcast.__getitem__ is Multicast.__getitem__
+        assert Broadcast.__iter__ is Multicast.__iter__
+        assert Broadcast.__len__ is Multicast.__len__
+
+
+class _Addresser(Process):
+    """Yields one fan-out to the given targets, then stops."""
+
+    def __init__(self, uid, targets, byzantine=False):
+        super().__init__(uid)
+        self.targets = targets
+        self.byzantine = byzantine
+
+    def program(self, ctx):
+        yield []
+        yield multicast(self.targets, _Tag())
+        return "done"
+
+
+class TestFanoutValidation:
+    @pytest.mark.parametrize("targets, link", [
+        ((0, 17, 1), 17), ((1, -3, 0), -3), ((12, 0, 40), 12),
+    ])
+    def test_out_of_range_target_names_node_and_link(self, targets, link):
+        processes = [_Addresser(uid + 1, ()) for uid in range(12)]
+        processes[3] = _Addresser(4, targets)
+        with pytest.raises(ValueError) as error:
+            run_network(processes, CostModel(n=12, namespace=64))
+        assert str(error.value) == (
+            f"node 3 addressed link {link} outside [0, 12)")
+
+    def test_first_yield_is_validated_too(self):
+        class Eager(Process):
+            def program(self, ctx):
+                yield multicast([ctx.n], _Tag())
+
+        with pytest.raises(ValueError, match=r"node 0 addressed link 2 "):
+            run_network([Eager(1), Eager(2)], CostModel(n=2, namespace=8))
+
+    def test_byzantine_offender_is_silenced_not_the_run(self):
+        processes = [_Addresser(1, (0, 1)), _Addresser(2, (0, 9), True)]
+        result = run_network(processes, CostModel(n=2, namespace=8))
+        assert result.results == {0: "done", 1: None}
+        assert result.metrics.sends_by_node == {0: 2}
