@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.consensus.binary import DEFAULT_ITERATIONS, binary_consensus
@@ -45,7 +46,7 @@ from repro.core.identity_list import IdentityList
 from repro.faults.base import FaultModel
 from repro.crypto.hashing import FingerprintFamily
 from repro.crypto.shared_randomness import SharedRandomness
-from repro.sim.messages import CostModel, Message, Send, broadcast, multicast
+from repro.sim.messages import CostModel, Message, Scatter, broadcast, multicast
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, run_network
 
@@ -152,7 +153,10 @@ class ByzantineRenamingConfig:
     def default_max_byzantine(self, n: int) -> int:
         return max(0, math.floor((1.0 / 3.0 - self.epsilon0) * n) )
 
+    @lru_cache(maxsize=64)
     def parameters(self, n: int) -> CommitteeParameters:
+        """The common-knowledge parameters for ``n`` nodes.  Derived
+        once per ``(config, n)``: every node of a run asks for them."""
         f_max = (
             self.max_byzantine
             if self.max_byzantine is not None
@@ -406,14 +410,16 @@ class ByzantineRenamingNode(Process):
         self.dirty_intervals = list(dirty)
 
         # Distribution: answer every registered node.
-        sends: list[Send] = []
+        links: list[int] = []
+        answers: list[NewId] = []
         for uid, link in sorted(registry.items()):
             in_dirty = any(d_lo <= uid <= d_hi for d_lo, d_hi in dirty)
             if in_dirty or not identity_list[uid]:
-                sends.append(Send(link, NewId(None)))
+                answers.append(NewId(None))
             else:
-                sends.append(Send(link, NewId(identity_list.rank_of(uid))))
-        inbox = yield sends
+                answers.append(NewId(identity_list.rank_of(uid)))
+            links.append(link)
+        inbox = yield Scatter(links, answers)
         result = yield from self._await_new_id(params, view, first_inbox=inbox)
         return result
 

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 from repro.adversary.base import CrashAdversary
 from repro.faults.base import FaultModel
 from repro.core.intervals import Interval, root_interval
-from repro.sim.messages import CostModel, Message, Send, broadcast, multicast
+from repro.sim.messages import CostModel, Message, Scatter, broadcast, multicast
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, run_network
 
@@ -150,7 +150,7 @@ class CrashRenamingNode(Process):
     # -- committee-side logic -------------------------------------------
 
     def _committee_action(self, statuses: list[tuple[int, Status]],
-                          p_self: int) -> list[Send]:
+                          p_self: int) -> Scatter:
         """Figure 2: halve minimum-depth intervals, answer every reporter.
 
         A reporter ``v`` with interval ``I`` at the minimum depth moves
@@ -163,7 +163,7 @@ class CrashRenamingNode(Process):
         need not be a tree vertex).
         """
         if not statuses:
-            return []
+            return Scatter((), ())
         min_depth = min(status.depth for _, status in statuses)
         # (lo, hi) -> uids reporting exactly that interval, at any depth.
         reporters: dict[tuple[int, int], list[int]] = defaultdict(list)
@@ -196,7 +196,8 @@ class CrashRenamingNode(Process):
             halved[key] = (sorted(reporters[key]), room,
                            Interval(lo, mid), Interval(mid + 1, hi))
 
-        out: list[Send] = []
+        links: list[int] = []
+        replies: list[Response] = []
         for link, status in statuses:
             interval = status.interval
             depth = status.depth
@@ -216,8 +217,9 @@ class CrashRenamingNode(Process):
                 # reports of one uid share a rank and all count.
                 child = bot if bisect_left(ranked, status.uid) < room else top
                 reply = Response(status.uid, child, depth + 1, p_self)
-            out.append(Send(link, reply))
-        return out
+            links.append(link)
+            replies.append(reply)
+        return Scatter(links, replies)
 
     # -- node-side logic -------------------------------------------------
 

@@ -18,6 +18,7 @@ access to the :class:`SharedRandomness` instance.
 from __future__ import annotations
 
 import hashlib
+import math
 from random import Random
 
 
@@ -33,6 +34,9 @@ class SharedRandomness:
 
     def __init__(self, seed: int):
         self.seed = seed
+        # Answers are a pure function of (seed, query): a run pays for
+        # each lottery once, however many nodes read it.
+        self._subsets: dict[tuple[str, int, float], frozenset[int]] = {}
 
     def stream(self, label: str) -> Random:
         """A fresh PRG stream for ``label``, identical on every node."""
@@ -54,7 +58,8 @@ class SharedRandomness:
             raise ValueError(f"empty range [{low}, {high}]")
         return self.stream(label).randint(low, high)
 
-    def bernoulli_subset(self, label: str, universe: int, probability: float) -> set[int]:
+    def bernoulli_subset(self, label: str, universe: int,
+                         probability: float) -> frozenset[int]:
         """The set ``{i in [1, universe] : r_i = 1}`` with ``P[r_i = 1] = p``.
 
         This is the committee lottery of the Byzantine algorithm: every
@@ -64,24 +69,28 @@ class SharedRandomness:
 
         For small probabilities the pool is sampled via geometric skips,
         so the cost is ``O(universe * p)`` rather than ``O(universe)``;
-        this keeps executions with ``N >> n`` cheap.
+        this keeps executions with ``N >> n`` cheap.  The pool is drawn
+        once per query and the same immutable set handed to every node.
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
-        stream = self.stream(label)
-        if probability == 0.0:
-            return set()
-        if probability == 1.0:
-            return set(range(1, universe + 1))
-        chosen: set[int] = set()
-        import math
+        query = (label, universe, probability)
+        if query not in self._subsets:
+            self._subsets[query] = frozenset(self._draw_subset(*query))
+        return self._subsets[query]
 
+    def _draw_subset(self, label: str, universe: int, probability: float):
+        if probability == 0.0:
+            return
+        if probability == 1.0:
+            yield from range(1, universe + 1)
+            return
+        stream = self.stream(label)
         log_q = math.log1p(-probability)
         position = 0
         while True:
             # Geometric(p) gap to the next success, via inverse CDF.
-            gap = 1 + int(math.log(1.0 - stream.random()) / log_q)
-            position += gap
+            position += 1 + int(math.log(1.0 - stream.random()) / log_q)
             if position > universe:
-                return chosen
-            chosen.add(position)
+                return
+            yield position

@@ -10,27 +10,34 @@ directly measurable.
 
 Messages are small frozen dataclasses.  Concrete protocols subclass
 :class:`Message` and implement :meth:`Message.payload_bits`.  The network
-wraps each message in an :class:`Envelope` carrying the (authenticated)
-sender link and delivery round.
+wraps each sent message in one immutable :class:`Envelope` carrying the
+(authenticated) sender link and delivery round; all of its recipients
+read that same envelope.
+
+A node yields a ``Sequence[Send]``: a plain list, or one of the two
+shapes committee protocols are made of, which travel as one object from
+``yield`` to the engine's column -- a :class:`Multicast` (one message to
+many links; :class:`Broadcast` is its whole-network case) or a
+:class:`Scatter` (one message per link), both lazy :class:`Fanout`s.
 
 Because messages are frozen (immutable) dataclasses, their bit size
 under a fixed :class:`CostModel` never changes after construction.  The
 engine exploits that: :meth:`repro.sim.metrics.Metrics.message_bits`
 memoizes :meth:`Message.bit_size` per message *object*, so one message
-sent over many links (a :class:`Multicast`: one object from ``yield``
-to the engine's column) charges its size via a single ``payload_bits``
-evaluation.  ``payload_bits`` implementations must therefore be pure
-functions of the message's fields and the cost model — a message whose
-size depends on mutable external state would defeat both the cache and
-the frozen contract.
+sent over many links charges its size via a single ``payload_bits``
+evaluation (a scatter's one-shot messages are sized directly).
+``payload_bits`` implementations must therefore be pure functions of
+the message's fields and the cost model — a message whose size depends
+on mutable external state would defeat both the cache and the frozen
+contract.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 #: Number of bits charged for the message-type tag of every message.
 HEADER_BITS = 4
@@ -145,9 +152,8 @@ class Send:
             raise ValueError(f"link index must be non-negative, got {self.to}")
 
 
-@dataclass(slots=True)
-class Envelope:
-    """A delivered message.
+class Envelope(NamedTuple):
+    """A delivered row: one sent message as every recipient of it sees it.
 
     ``sender`` is the link index of the true sender, stamped by the
     network.  ``sender_uid`` is the sender's original identity as the
@@ -157,57 +163,45 @@ class Envelope:
     the assumption rules out.  ``claimed_sender`` records the raw claim
     in the unauthenticated case (``None`` otherwise).
 
-    Envelopes are created by the engine — one per delivered message, on
-    the hottest allocation path in the simulator — so the class trades
-    enforced immutability for plain slot assignment, which constructs
-    several times faster than a frozen dataclass.  Receivers must treat
-    envelopes as read-only: the engine never hands the same instance to
-    two nodes, but mutating one would falsify the delivery record that
-    traces and monitors reason about.
+    The engine builds one envelope per *row* of the round's column -- a
+    fan-out of one message is one row -- and every recipient's inbox
+    lists that same instance (a duplicated link lists it ``1 + copies``
+    times), so envelopes are immutable: assignment raises.  There is no
+    ``to`` field; the receiver is the node reading the inbox
+    (``ctx.index``).
     """
 
     sender: int
-    to: int
     round_no: int
     message: Message
-    sender_uid: Optional[int] = field(default=None)
-    claimed_sender: Optional[int] = field(default=None)
+    sender_uid: Optional[int] = None
+    claimed_sender: Optional[int] = None
 
 
-class Multicast(Sequence):
-    """A lazily materialized fan-out: one message to each of ``targets``.
+class Fanout(Sequence):
+    """One sender's lazily materialized ``Send`` list, one per target.
 
-    Behaves exactly like the ``[Send(t, m, claim) for t in targets]``
-    list it denotes, but the engine recognizes the type and handles the
-    whole fan-out in one step — one bounds check, one charge, one column
-    row, no per-link ``Send`` — which is what makes committee protocols
-    cheap to simulate.  ``targets`` (any iterable) is snapshotted here,
-    so mutating it afterwards cannot change what was sent; a link named
-    twice gets two envelopes.
-
-    The ``Send`` list is materialized (and cached) only when someone
-    actually indexes or iterates the sequence — in practice, when a
-    crash adversary or fault model inspects a sender's in-flight
-    messages; ``len()`` is free.  Caching matters for correctness, not
-    just speed: crash plans resolve kept sends by object identity, so
+    The engine recognizes the type and handles the whole fan-out in one
+    step -- one bounds check over ``targets``, one charge, no per-link
+    ``Send`` -- which is what makes committee protocols cheap to
+    simulate.  The ``Send`` list is materialized (and cached) only when
+    someone indexes or iterates the sequence -- in practice, a crash
+    adversary or fault model inspecting a sender's in-flight messages;
+    ``len()`` is free.  Caching matters for correctness, not just
+    speed: crash plans resolve kept sends by object identity, so
     repeated access must yield the *same* ``Send`` instances.
     """
 
-    __slots__ = ("targets", "message", "claim", "_sends")
+    __slots__ = ("targets", "_sends")
 
-    def __init__(self, targets, message: Message, claim: Optional[int] = None):
+    def __init__(self, targets):
         self.targets = targets if type(targets) is range else tuple(targets)
-        self.message = message
-        self.claim = claim
         self._sends: Optional[list[Send]] = None
 
     def _materialize(self) -> list[Send]:
         sends = self._sends
-        if sends is None:
-            message, claim = self.message, self.claim
-            self._sends = sends = [
-                Send(index, message, claim) for index in self.targets
-            ]
+        if sends is None:  # a subclass says what it denotes: _expand()
+            self._sends = sends = self._expand()
         return sends
 
     def __len__(self) -> int:
@@ -219,8 +213,55 @@ class Multicast(Sequence):
     def __iter__(self) -> Iterator[Send]:
         return iter(self._materialize())
 
+
+class Multicast(Fanout):
+    """A fan-out of one message to each of ``targets``.
+
+    Behaves exactly like the ``[Send(t, m, claim) for t in targets]``
+    list it denotes, but travels as one object from ``yield`` to one
+    column row.  ``targets`` (any iterable) is snapshotted here, so
+    mutating it afterwards cannot change what was sent; a link named
+    twice reads the message twice.
+    """
+
+    __slots__ = ("message", "claim")
+
+    def __init__(self, targets, message: Message, claim: Optional[int] = None):
+        super().__init__(targets)
+        self.message = message
+        self.claim = claim
+
+    def _expand(self) -> list[Send]:
+        message, claim = self.message, self.claim
+        return [Send(index, message, claim) for index in self.targets]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.targets!r}, {self.message!r})"
+
+
+class Scatter(Fanout):
+    """A fan-out of one message *per link*: the dual of :class:`Multicast`.
+
+    Behaves exactly like ``[Send(l, m) for l, m in zip(links,
+    messages)]`` -- a committee member answering each reporter with its
+    own reply -- but is bounds-checked, charged and filled into the
+    round's column in one step.  Both iterables are snapshotted and
+    must have equal length; a repeated link gets each of its messages.
+    """
+
+    __slots__ = ("messages",)
+
+    def __init__(self, links, messages):
+        super().__init__(links)
+        self.messages = tuple(messages)
+        if len(self.messages) != len(self.targets):
+            raise ValueError(
+                f"scatter of {len(self.messages)} messages over "
+                f"{len(self.targets)} links"
+            )
+
+    def _expand(self) -> list[Send]:
+        return list(map(Send, self.targets, self.messages))
 
 
 class Broadcast(Multicast):

@@ -18,6 +18,7 @@ and fault models are guarded hooks inside it, not alternative bodies.
 
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 from time import perf_counter
 from typing import Optional, Sequence
@@ -40,7 +41,15 @@ from repro.faults.base import (
 )
 from repro.crypto.shared_randomness import SharedRandomness
 from repro.sim.columnar import ColumnarRound
-from repro.sim.messages import Broadcast, CostModel, Envelope, Multicast, Send
+from repro.sim.messages import (
+    Broadcast,
+    CostModel,
+    Envelope,
+    Fanout,
+    Multicast,
+    Scatter,
+    Send,
+)
 from repro.sim.metrics import Metrics
 from repro.sim.node import Context, Process, Program
 from repro.sim.trace import Trace
@@ -159,8 +168,8 @@ class SyncNetwork:
                           and getattr(observer, "enabled", False))
         self.fault_model = fault_model
         self.fault_stats = FaultStats() if fault_model is not None else None
-        # Envelopes a `hold` verdict deferred, keyed by release round.
-        self._held: dict[int, list[Envelope]] = {}
+        # (to, envelope) pairs a `hold` verdict deferred, by release round.
+        self._held: dict[int, list[tuple[int, Envelope]]] = {}
         self.metrics = Metrics(cost=cost)
         self.trace = Trace(enabled=trace)
         self.round_no = 0
@@ -223,7 +232,7 @@ class SyncNetwork:
 
     def _validated(self, index: int, sends):
         n = self.n
-        if isinstance(sends, Multicast):
+        if isinstance(sends, Fanout):
             # One bound check over all the targets replaces one per send.
             targets = sends.targets
             if type(sends) is Broadcast:
@@ -323,19 +332,23 @@ class SyncNetwork:
         ``charge``
             Charge every resolved send to the ledgers exactly once and
             fill the round's :class:`~repro.sim.columnar.ColumnarRound`
-            (the two interleave): a fan-out is one charge and one row
-            (the broadcast column when it targets the whole network),
-            no per-link ``Send``; a ``Send`` list is one row per maximal
-            constant-``(message, claim)`` run, sized through the
-            identity-keyed bit cache, and one ledger flush per sender.
+            (the two interleave), one immutable envelope per row: a
+            ``Multicast`` is one row (a broadcast row when it targets
+            the whole network), a ``Scatter`` one row per message,
+            sized directly and filled by one ``add_scatter``, neither
+            building a per-link ``Send``; a plain ``Send`` list (the
+            general case: noise, a crash plan's kept subset) is one row
+            per maximal constant-``(message, claim)`` run, sized through
+            the identity-keyed bit cache.  One ledger flush per sender.
         ``deliver``
             ``attach`` freezes the alive set and hands out one lazy
             inbox per recipient; messages addressed to crashed or
             terminated links vanish (they were still charged).
         ``advance``
             Drive the programs — an inbox is materialized only if its
-            program reads it, so listen-free rounds cost O(senders),
-            not O(messages) — then the monitors.
+            program reads it (and then lists the rows' own envelopes),
+            so listen-free rounds cost O(senders), not O(messages) —
+            then the monitors.
         """
         obs = self.observer
         emit = self._emitting
@@ -366,12 +379,13 @@ class SyncNetwork:
                 validate_plan(plan, round_no, delivered)
         t1 = perf_counter()
 
-        column = ColumnarRound(round_no)
+        column = ColumnarRound()
         open_run = column.open_run
         add_recipient = column.add_recipient
         record_sends = metrics.record_sends
         message_bits = metrics.message_bits
         resolve = self.authenticator.resolve
+        cost = self.cost
         whole = range(self.n)
         if self._held:
             # Healing partition traffic has been in flight the longest:
@@ -388,15 +402,29 @@ class SyncNetwork:
             byz = process.byzantine
             true_uid = process.uid
             if isinstance(sends, Multicast):
-                # A fan-out: one charge, one row, no per-link Send.
+                # One message to many links: one charge, one row.
                 message = sends.message
                 targets = sends.targets
                 record_sends(sender, message, len(targets), byzantine=byz)
-                uid, seen_claim = resolve(true_uid, sends.claim)
+                envelope = Envelope(sender, round_no, message,
+                                    *resolve(true_uid, sends.claim))
                 if targets == whole:
-                    column.add_broadcast(sender, message, uid, seen_claim)
+                    column.add_broadcast(envelope)
                 else:
-                    column.add_run(sender, message, uid, seen_claim, targets)
+                    column.add_run(envelope, targets)
+                continue
+            if isinstance(sends, Scatter):
+                # One message per link: a row each, sized directly
+                # (one-shot messages would only bloat the bit cache).
+                messages = sends.messages
+                sizes = [message.bit_size(cost) for message in messages]
+                uid, seen_claim = resolve(true_uid, None)
+                column.add_scatter(
+                    [Envelope(sender, round_no, message, uid, seen_claim)
+                     for message in messages], sends.targets)
+                metrics.flush(sender, len(sizes), sum(sizes), max(sizes),
+                              Counter(map(type, messages)).items(),
+                              byzantine=byz)
                 continue
             # A plain Send list: one row per maximal constant-(message,
             # claim) run, grown send by send; one ledger flush at the end.
@@ -411,8 +439,8 @@ class SyncNetwork:
                     bits = message_bits(message)
                     if bits > widest:
                         widest = bits
-                    uid, seen_claim = resolve(true_uid, claim)
-                    open_run(sender, message, uid, seen_claim)
+                    open_run(Envelope(sender, round_no, message,
+                                      *resolve(true_uid, claim)))
                 add_recipient(send.to)
                 bits_total += bits
                 by_type[cls] = by_type.get(cls, 0) + 1
@@ -423,7 +451,8 @@ class SyncNetwork:
         inboxes = column.attach(self._alive_order)
         if emit:
             obs.emit("deliver.fanout", round_no=round_no,
-                     senders=len(column.b_seq) + len(column.r_seq),
+                     senders=len({row.sender for row in column.env}),
+                     rows=len(column.env),
                      envelopes=column.attached_envelopes())
         t3 = perf_counter()
 
@@ -483,14 +512,13 @@ class SyncNetwork:
         """
         stats = self.fault_stats
         alive = self._alive_set
-        for envelope in self._held.pop(self.round_no, ()):
-            sender, to = envelope.sender, envelope.to
+        for to, envelope in self._held.pop(self.round_no, ()):
+            sender = envelope.sender
             if to not in alive:
                 stats.released_to_dead += 1
                 self._fault_event("fault.release", sender, to, dead=True)
                 continue
-            column.add_run(sender, envelope.message, envelope.sender_uid,
-                           envelope.claimed_sender, (to,))
+            column.add_run(envelope, (to,))
             stats.released += 1
             self._fault_event("fault.release", sender, to)
 
@@ -506,8 +534,8 @@ class SyncNetwork:
         batched charging agree, ``tests/test_metrics_ledgers.py``).
         Only delivery changes: drop fills no row, corrupt a row with
         the bit-flipped copy, duplicate a row naming the link ``1 +
-        copies`` times (each a fresh :class:`Envelope` when read), hold
-        stashes the envelope for its release round.
+        copies`` times (the receiver reads the row's one envelope that
+        often), hold stashes the envelope for its release round.
         """
         stats = self.fault_stats
         process = self.processes[sender]
@@ -533,10 +561,10 @@ class SyncNetwork:
                 if kind == HOLD:
                     stats.held += 1
                     release = verdict.release_round
-                    self._held.setdefault(release, []).append(Envelope(
-                        sender, to, release, message,
+                    self._held.setdefault(release, []).append((to, Envelope(
+                        sender, release, message,
                         perceived_uid, recorded_claim,
-                    ))
+                    )))
                     self._fault_event("fault.hold", sender, to,
                                       release=release)
                     continue
@@ -550,7 +578,8 @@ class SyncNetwork:
                     self._fault_event("fault.dup", sender, to,
                                       copies=verdict.copies)
                     recipients = (to,) * (1 + verdict.copies)
-            column.add_run(sender, message, perceived_uid, recorded_claim,
+            column.add_run(Envelope(sender, self.round_no, message,
+                                    perceived_uid, recorded_claim),
                            recipients)
 
     def _expire_held(self) -> None:
@@ -565,10 +594,10 @@ class SyncNetwork:
         released_to_dead + in_flight()`` is auditable end to end.
         """
         for release_round in sorted(self._held):
-            for envelope in self._held[release_round]:
+            for to, envelope in self._held[release_round]:
                 self.fault_stats.expired += 1
-                self._fault_event("fault.expire", envelope.sender,
-                                  envelope.to, release=release_round)
+                self._fault_event("fault.expire", envelope.sender, to,
+                                  release=release_round)
         self._held.clear()
 
     def run(self) -> None:

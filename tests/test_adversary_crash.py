@@ -16,7 +16,7 @@ from repro.adversary.crash import (
     RandomCrash,
     ScheduledCrash,
 )
-from repro.sim.messages import Broadcast, Multicast, Send
+from repro.sim.messages import Broadcast, Multicast, Scatter, Send
 from repro.sim.trace import Trace
 from tests.test_network import Ping
 
@@ -200,6 +200,7 @@ class _FanoutSlicer(CrashAdversary):
             if type(sends) is self.fanout and len(sends) >= 4:
                 kept = [sends[i] for i in range(0, len(sends), 2)]
                 self.captured = (round_no, victim, sends, kept)
+                self.proposed = dict(proposed)
                 return {victim: kept}
         return {}
 
@@ -256,6 +257,42 @@ class TestBroadcastMidSendCrash:
                 == list(first.metrics.bits_per_round))
 
 
+def _assert_sliced_fanout_records_and_replays(fanout):
+    """Crash renaming's first victim proposing a lazy ``fanout`` is cut
+    mid-send to every other send: resolved by identity, recorded by
+    index, and strictly replayed to the same golden digest."""
+    from repro.core.crash_renaming import run_crash_renaming
+    from repro.falsify.replay import RecordingAdversary, ReplayAdversary
+    from tests.test_golden_digests import digest
+
+    uids, seed = [3, 8, 1, 12, 7, 5, 10, 2], 4
+    slicer = _FanoutSlicer(fanout)
+    recorder = RecordingAdversary(slicer)
+    first = run_crash_renaming(
+        uids, namespace=16, adversary=recorder, seed=seed)
+
+    round_no, victim, sends, kept = slicer.captured
+    assert type(sends) is fanout
+    assert 0 < len(kept) < len(sends)
+    assert all(k is sends[i] for k, i in zip(kept, range(0, len(sends), 2)))
+    assert recorder.schedule == {
+        round_no: {victim: tuple(range(0, len(sends), 2))}}
+    assert first.crashed == {victim}
+    # The named subset is what was charged: a plain list on the run path.
+    assert first.metrics.messages_per_round[round_no - 1] == (
+        sum(len(proposed) for node, proposed in slicer.proposed.items()
+            if node != victim) + len(kept))
+    outputs = first.outputs_by_uid()
+    assert len(set(outputs.values())) == len(outputs) == len(uids) - 1
+
+    second = run_crash_renaming(
+        uids, namespace=16, seed=seed,
+        adversary=ReplayAdversary(recorder.schedule, strict=True))
+    assert second.crashed == first.crashed
+    assert second.metrics.sends_by_node == first.metrics.sends_by_node
+    assert digest(second) == digest(first)
+
+
 class TestMulticastMidSendCrash:
     """The twin of :class:`TestBroadcastMidSendCrash` for a targeted
     fan-out: a victim whose proposal is a lazy ``Multicast`` (its status
@@ -268,29 +305,20 @@ class TestMulticastMidSendCrash:
         assert kept_send_indices([fanout[2], fanout[3]], fanout) == (2, 3)
 
     def test_mid_send_crash_of_multicaster_records_and_replays(self):
-        from repro.core.crash_renaming import run_crash_renaming
-        from repro.falsify.replay import RecordingAdversary, ReplayAdversary
-        from tests.test_golden_digests import digest
+        _assert_sliced_fanout_records_and_replays(Multicast)
 
-        uids, seed = [3, 8, 1, 12, 7, 5, 10, 2], 4
-        slicer = _FanoutSlicer(Multicast)
-        recorder = RecordingAdversary(slicer)
-        first = run_crash_renaming(
-            uids, namespace=16, adversary=recorder, seed=seed)
 
-        round_no, victim, sends, kept = slicer.captured
-        assert type(sends) is Multicast
-        assert 0 < len(kept) < len(sends)
-        assert all(k is sends[i] for k, i in zip(kept, range(0, len(sends), 2)))
-        assert recorder.schedule == {
-            round_no: {victim: tuple(range(0, len(sends), 2))}}
-        assert first.crashed == {victim}
-        outputs = first.outputs_by_uid()
-        assert len(set(outputs.values())) == len(outputs) == len(uids) - 1
+class TestScatterMidSendCrash:
+    """The same for a per-link fan-out: a committee member crashes while
+    answering its reporters (a lazy ``Scatter``, one ``Response`` each)."""
 
-        second = run_crash_renaming(
-            uids, namespace=16, seed=seed,
-            adversary=ReplayAdversary(recorder.schedule, strict=True))
-        assert second.crashed == first.crashed
-        assert second.metrics.sends_by_node == first.metrics.sends_by_node
-        assert digest(second) == digest(first)
+    def test_scatter_materialization_is_identity_stable(self):
+        fanout = Scatter([4, 1, 4], [Ping(7), Ping(8), Ping(7)])
+        assert fanout[2] is fanout[2]
+        assert list(fanout) == [Send(4, Ping(7)), Send(1, Ping(8)),
+                                Send(4, Ping(7))]
+        # Equal sends over the repeated link resolve by identity.
+        assert kept_send_indices([fanout[2], fanout[0]], fanout) == (2, 0)
+
+    def test_mid_send_crash_of_scatterer_records_and_replays(self):
+        _assert_sliced_fanout_records_and_replays(Scatter)

@@ -19,7 +19,7 @@ from repro.sim.messages import Envelope
 
 
 def env(sender, message, sender_uid):
-    return Envelope(sender=sender, to=0, round_no=1, message=message,
+    return Envelope(sender=sender, round_no=1, message=message,
                     sender_uid=sender_uid)
 
 
@@ -132,3 +132,34 @@ class TestParameterObject:
         config = ByzantineRenamingConfig()
         with pytest.raises(Exception):
             config.epsilon0 = 0.1
+
+
+class TestSharedWorkIsDoneOncePerRun:
+    """The committee lottery and the derived parameters are common
+    knowledge: a run pays for each once, not once per node."""
+
+    def test_one_lottery_draw_and_one_derivation_for_n_nodes(self, monkeypatch):
+        from repro.analysis.experiments import byzantine_run_summary
+        from repro.crypto.shared_randomness import SharedRandomness
+
+        draws = []
+        stream = SharedRandomness.stream
+        monkeypatch.setattr(
+            SharedRandomness, "stream",
+            lambda self, label: draws.append(label) or stream(self, label))
+        derivations = []
+        bounds = ByzantineRenamingConfig._concentration_bounds
+        monkeypatch.setattr(
+            ByzantineRenamingConfig, "_concentration_bounds",
+            lambda self, n, *rest: derivations.append(n)
+            or bounds(self, n, *rest))
+        # A config value no other test uses, so the derivation is cold.
+        config = ByzantineRenamingConfig(
+            max_byzantine=2, candidate_probability=0.47, slack_sigmas=2.49)
+
+        summary = byzantine_run_summary(48, 2, seed=1, config=config)
+
+        assert summary["unique"] and summary["strong"]
+        assert not config.parameters(48).full_committee
+        assert draws.count("committee-lottery") == 1
+        assert derivations == [48]

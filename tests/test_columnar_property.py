@@ -1,7 +1,8 @@
 """Property test: the columnar round engine is observationally silent.
 
 Random per-node send scripts (broadcasts, shared-instance targeted
-runs, per-target fresh messages, quiet rounds) are executed under
+runs, per-target fresh messages as a list and as a ``Scatter``, quiet
+rounds) are executed under
 randomly drawn crash adversaries and link-fault specs
 (drop / duplicate / corrupt / hold), once on ``SyncNetwork`` and once
 on the naive per-envelope oracle ``ReferenceNetwork``.  Every counted
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adversary.crash import RandomCrash
 from repro.faults import NoFaults, build_fault_model
-from repro.sim.messages import CostModel, Message, Send, broadcast
+from repro.sim.messages import CostModel, Message, Scatter, Send, broadcast
 from repro.sim.node import Process
 from repro.sim.runner import run_network
 from tests.test_fastpath_ab import (
@@ -58,6 +59,10 @@ class ScriptedNode(Process):
                 # Fresh, pairwise-unequal messages: no batching at all.
                 outgoing = [Send(to, Probe(op[1] + k, ctx.index))
                             for k, to in enumerate(op[2])]
+            elif op[0] == "scatter":
+                # The same traffic as one per-link fan-out.
+                outgoing = Scatter(op[2], [Probe(op[1] + k, ctx.index)
+                                           for k in range(len(op[2]))])
             else:
                 outgoing = []
             inbox = yield outgoing
@@ -74,6 +79,7 @@ def _round_ops(n):
         st.tuples(st.just("broadcast"), value),
         st.tuples(st.just("sends"), value, targets),
         st.tuples(st.just("varied"), value, targets),
+        st.tuples(st.just("scatter"), value, targets),
         st.tuples(st.just("quiet")),
     )
 

@@ -6,8 +6,9 @@ grouping pass and one sweep.  The oracle below is the body it replaced
 reporter -- and lives only here.  On arbitrary status lists (mixed
 depths, singletons at the minimum depth, duplicated statuses, repeated
 uids, overlapping intervals that are vertices of no halving tree, no
-statuses at all) the two must return the same ``Send`` list: same
-order, same links, same ``Response`` fields.
+statuses at all) the two must denote the same ``Send`` list (the
+grouped one as a ``Scatter``): same order, same links, same
+``Response`` fields.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -87,7 +88,7 @@ status_lists = st.lists(st.tuples(st.integers(0, 40), status), max_size=24)
 
 def both(statuses, p_self=2):
     node = CrashRenamingNode(uid=999)
-    return (node._committee_action(statuses, p_self),
+    return (list(node._committee_action(statuses, p_self)),
             naive_committee_action(statuses, p_self))
 
 

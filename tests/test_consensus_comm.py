@@ -5,7 +5,7 @@ from repro.sim.messages import CostModel, Envelope, Multicast
 
 
 def envelope(sender, message, round_no=1):
-    return Envelope(sender=sender, to=0, round_no=round_no, message=message)
+    return Envelope(sender=sender, round_no=round_no, message=message)
 
 
 class TestCollect:

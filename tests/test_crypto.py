@@ -75,6 +75,25 @@ class TestBernoulliSubset:
         with pytest.raises(ValueError):
             SharedRandomness(3).bernoulli_subset("lot", 100, 1.5)
 
+    def test_drawn_once_per_query_and_shared_immutably(self, monkeypatch):
+        labels = []
+        stream = SharedRandomness.stream
+        monkeypatch.setattr(
+            SharedRandomness, "stream",
+            lambda self, label: labels.append(label) or stream(self, label))
+        shared = SharedRandomness(3)
+        first = shared.bernoulli_subset("lot", 10_000, 0.01)
+        assert shared.bernoulli_subset("lot", 10_000, 0.01) is first
+        assert isinstance(first, frozenset)
+        assert labels == ["lot"]
+        # Another label, universe or probability is another query.
+        assert shared.bernoulli_subset("lot", 10_000, 0.02) != first
+        assert shared.bernoulli_subset("lot", 5_000, 0.01) <= first
+        assert shared.bernoulli_subset("pot", 10_000, 0.01) != first
+        assert labels == ["lot", "lot", "lot", "pot"]
+        assert first == SharedRandomness(3).bernoulli_subset(
+            "lot", 10_000, 0.01)
+
     @given(seed=st.integers(0, 1000), p=st.floats(0.001, 0.999))
     @settings(max_examples=25)
     def test_deterministic_under_hypothesis(self, seed, p):

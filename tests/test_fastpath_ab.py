@@ -106,7 +106,7 @@ class ReferenceNetwork:
         self.sends_by_type = {}
         self.fault_model = fault_model
         self.fault_stats = FaultStats() if fault_model is not None else None
-        self._held = {}  # release round -> envelopes a hold deferred
+        self._held = {}  # release round -> (to, envelope) a hold deferred
 
     def _alive_unfinished(self):
         return [i for i in range(self.n)
@@ -181,9 +181,9 @@ class ReferenceNetwork:
         inboxes = {i: [] for i in range(self.n)}
         # Held mail healing this round has been in flight the longest:
         # it is read before anything sent this round.
-        for envelope in self._held.pop(self.round_no, []):
-            if envelope.to in alive:
-                inboxes[envelope.to].append(envelope)
+        for to, envelope in self._held.pop(self.round_no, []):
+            if to in alive:
+                inboxes[to].append(envelope)
                 stats.released += 1
             else:
                 stats.released_to_dead += 1
@@ -195,7 +195,7 @@ class ReferenceNetwork:
                 # Charged once at transmission, whatever the link does.
                 self._record(sender, send.message, byz)
                 perceived, claim = self.authenticator.resolve(uid, send.claim)
-                fields = dict(sender=sender, to=send.to, sender_uid=perceived,
+                fields = dict(sender=sender, sender_uid=perceived,
                               claimed_sender=claim)
                 inbox = inboxes[send.to]
                 verdict = verdicts.get(index)
@@ -205,8 +205,8 @@ class ReferenceNetwork:
                 elif kind == HOLD:
                     stats.held += 1
                     self._held.setdefault(verdict.release_round, []).append(
-                        Envelope(round_no=verdict.release_round,
-                                 message=send.message, **fields))
+                        (send.to, Envelope(round_no=verdict.release_round,
+                                           message=send.message, **fields)))
                 elif kind == CORRUPT:
                     stats.corrupted += 1
                     inbox.append(Envelope(

@@ -1,10 +1,13 @@
-"""The lazy fan-out against the oracle.
+"""The lazy fan-outs against the oracle.
 
 A :class:`~repro.sim.messages.Multicast` must be indistinguishable from
-the ``[Send(t, m, claim) for t in targets]`` list it denotes.  Random
-programs mixing ``Multicast``, ``Broadcast`` (whole and partial),
-shared-message ``Send`` lists, materialized fan-outs spliced into
-lists, duplicate targets, empty targets and forged ``claim``s run once
+the ``[Send(t, m, claim) for t in targets]`` list it denotes, and a
+:class:`~repro.sim.messages.Scatter` from ``[Send(l, m) for l, m in
+zip(links, messages)]``.  Random programs mixing ``Multicast``,
+``Broadcast`` (whole and partial), ``Scatter`` (mixed message types and
+sizes, whole and sliced), shared-message ``Send`` lists, materialized
+fan-outs spliced into lists, duplicate targets, empty targets and
+forged ``claim``s run once
 on ``SyncNetwork`` and once on the naive per-envelope oracle
 ``ReferenceNetwork`` (which only ever sees ``list(sends)``), with
 authentication on and off, with and without a crash adversary and a
@@ -27,8 +30,10 @@ from repro.faults import build_fault_model
 from repro.sim.messages import (
     Broadcast,
     CostModel,
+    Fanout,
     Message,
     Multicast,
+    Scatter,
     Send,
     broadcast,
     multicast,
@@ -86,6 +91,13 @@ class FanoutNode(Process):
             return Broadcast(len(targets) % (ctx.n + 1), message, claim)
         if kind == "sends":
             return [Send(to, message, claim) for to in targets]
+        if kind in ("scatter", "sliced"):
+            # One message per link, types and sizes alternating.
+            fanout = Scatter(targets, [
+                (Narrow if (value + k) % 2 else Wide)(value + k, ctx.index)
+                for k in range(len(targets))])
+            # Sliced: a kept subset is a plain list on the run path.
+            return fanout if kind == "scatter" else fanout[::2]
         if kind == "spliced":
             # A materialized fan-out inside a plain list: the widest
             # message first, then the fan-out's run, then the same
@@ -100,7 +112,7 @@ class FanoutNode(Process):
         for op in self.script:
             inbox = yield self._outgoing(op, ctx)
             received.append(tuple(
-                (env.sender, env.to, env.round_no, env.sender_uid,
+                (env.sender, ctx.index, env.round_no, env.sender_uid,
                  env.claimed_sender, type(env.message).__name__,
                  env.message.value, env.message.tag)
                 for env in inbox))
@@ -109,7 +121,7 @@ class FanoutNode(Process):
 
 def _ops(n):
     kinds = st.sampled_from(["multicast", "generator", "broadcast", "partial",
-                             "sends", "spliced", "quiet"])
+                             "sends", "spliced", "scatter", "sliced", "quiet"])
     # Duplicates and the empty tuple are both likely.
     targets = st.lists(st.integers(0, n - 1), max_size=2 * n).map(tuple)
     claim = st.none() | st.integers(1, 99)
@@ -169,6 +181,48 @@ class TestFanoutAgainstOracle:
             assert [env[:2] for env in inbox] == [(0, 1), (0, 1)]
             assert {env[3:5] for env in inbox} == {perceived}
 
+    def test_scatter_over_a_repeated_link_delivers_each_message_in_order(self):
+        script = [("scatter", 2, (1, 0, 1, 1), None)]
+        scenario = (2, [script, [("multicast", 1, (1,), None)]],
+                    [True, False], True, None, [], 0)
+        observed = _execute(scenario, False)
+        assert observed == _execute(scenario, True)
+        # Node 1 reads the Byzantine sender's scatter (values 2, 4, 5 --
+        # Wide, Wide, Narrow) ahead of its own later multicast.
+        assert [env[5:7] for env in observed["outputs"][1][0]] == [
+            ("Wide", 2), ("Wide", 4), ("Narrow", 5), ("Wide", 1)]
+        assert observed["summary"]["byzantine_messages"] == 4
+        assert observed["sends_by_type"] == {"Wide": 3, "Narrow": 2}
+
+
+class TestScatterSequence:
+    def test_behaves_like_the_send_list(self):
+        first, second = _Tag(), _Tag()
+        fanout = Scatter([4, 1, 4], [first, second, first])
+        assert isinstance(fanout, Fanout) and not isinstance(fanout, Multicast)
+        assert list(fanout) == [Send(4, first), Send(1, second),
+                                Send(4, first)]
+        assert len(Scatter(range(3), [first] * 3)) == 3
+
+    def test_shares_the_lazy_sequence_body_with_multicast(self):
+        for method in ("_materialize", "__len__", "__getitem__", "__iter__"):
+            assert getattr(Scatter, method) is getattr(Multicast, method)
+        fanout = Scatter((to for to in (2, 0)), (m for m in (_Tag(), _Tag())))
+        assert len(fanout) == 2 and fanout._sends is None
+        assert fanout[1] is fanout[1] and list(fanout)[0] is fanout[0]
+
+    def test_links_and_messages_are_snapshotted_and_must_pair_up(self):
+        links, messages = [0, 2], [_Tag(), _Tag()]
+        fanout = Scatter(links, messages)
+        links.append(1)
+        messages.pop()
+        assert [send.to for send in fanout] == [0, 2]
+        with pytest.raises(ValueError, match="2 messages over 3 links"):
+            Scatter(links, [_Tag(), _Tag()])
+
+    def test_empty_scatter_is_falsy_and_sends_nothing(self):
+        assert not Scatter([], []) and list(Scatter((), ())) == []
+
 
 class TestMulticastSequence:
     def test_behaves_like_the_send_list(self):
@@ -211,14 +265,18 @@ class TestMulticastSequence:
 class _Addresser(Process):
     """Yields one fan-out to the given targets, then stops."""
 
-    def __init__(self, uid, targets, byzantine=False):
+    def __init__(self, uid, targets, byzantine=False, scatter=False):
         super().__init__(uid)
         self.targets = targets
         self.byzantine = byzantine
+        self.scatter = scatter
 
     def program(self, ctx):
         yield []
-        yield multicast(self.targets, _Tag())
+        if self.scatter:
+            yield Scatter(self.targets, [_Tag() for _ in self.targets])
+        else:
+            yield multicast(self.targets, _Tag())
         return "done"
 
 
@@ -226,13 +284,20 @@ class TestFanoutValidation:
     @pytest.mark.parametrize("targets, link", [
         ((0, 17, 1), 17), ((1, -3, 0), -3), ((12, 0, 40), 12),
     ])
-    def test_out_of_range_target_names_node_and_link(self, targets, link):
+    def test_out_of_range_target_names_node_and_link(self, targets, link,
+                                                     scatter=False):
         processes = [_Addresser(uid + 1, ()) for uid in range(12)]
-        processes[3] = _Addresser(4, targets)
+        processes[3] = _Addresser(4, targets, scatter=scatter)
         with pytest.raises(ValueError) as error:
             run_network(processes, CostModel(n=12, namespace=64))
         assert str(error.value) == (
             f"node 3 addressed link {link} outside [0, 12)")
+
+    def test_out_of_range_scatter_link_names_node_and_link(self):
+        self.test_out_of_range_target_names_node_and_link(
+            (0, 17, 1), 17, scatter=True)
+        self.test_out_of_range_target_names_node_and_link(
+            (1, -3, 0), -3, scatter=True)
 
     def test_first_yield_is_validated_too(self):
         class Eager(Process):

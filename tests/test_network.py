@@ -61,6 +61,21 @@ class TestDeliverySemantics:
         uids = {env.sender: env.sender_uid for env in processes[0].inboxes[0]}
         assert uids == {0: 11, 1: 22}
 
+    def test_envelopes_are_immutable_rows_shared_by_their_recipients(self):
+        processes = [Chatter(uid=i + 1, rounds=1) for i in range(3)]
+        run_network(processes, cost_for(3))
+        inboxes = [process.inboxes[0] for process in processes]
+        # One envelope per broadcast, the same instance in every inbox.
+        assert all(mine is theirs for inbox in inboxes[1:]
+                   for mine, theirs in zip(inboxes[0], inbox))
+        envelope = inboxes[0][0]
+        assert not hasattr(envelope, "to")
+        for field in ("sender", "round_no", "message", "sender_uid"):
+            with pytest.raises(AttributeError):
+                setattr(envelope, field, 0)
+        with pytest.raises(AttributeError):
+            envelope.to = 2
+
     def test_results_collected(self):
         processes = [Chatter(uid=i + 1) for i in range(4)]
         result = run_network(processes, cost_for(4))

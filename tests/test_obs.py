@@ -200,6 +200,21 @@ class TestNetworkEvents:
                                          "advance"}
         assert report["phases"]["plan"]["calls"] == result.rounds
 
+    def test_deliver_fanout_counts_distinct_senders_and_rows(self):
+        """``senders`` used to be the row count: a committee member
+        answering 8 reporters counted 8 times."""
+        from repro.core.crash_renaming import run_crash_renaming
+
+        recorder = EventRecorder()
+        run_crash_renaming(range(1, 9), observer=recorder)
+        fanouts = [event["data"]
+                   for event in recorder.events("deliver.fanout")]
+        assert fanouts[:3] == [
+            {"senders": 8, "rows": 8, "envelopes": 64},   # announcements
+            {"senders": 8, "rows": 8, "envelopes": 64},   # status reports
+            {"senders": 8, "rows": 64, "envelopes": 64},  # one reply a link
+        ]
+
     def test_crash_apply_events_name_victims(self):
         from repro.falsify.scenarios import make_adversary, run_scenario
 
