@@ -12,11 +12,16 @@ Each run stands up a :class:`repro.serve.service.RenamingService`,
 plays the seeded default load profile against it open-loop (dispatch
 as fast as the event loop accepts; epochs execute concurrently in the
 shard thread pool), and measures sustained requests/sec plus
-p50/p95/p99 latency per request kind.  The latency split tells the
-service's story: lookups are answered in microseconds straight off the
-installed tables, while rename/release latency is dominated by queue
-wait at saturation — an open-loop run measures the service at its
-throughput limit, not at a comfortable operating point.
+p50/p95/p99 latency per request kind.  Every request carries its
+arrival stamp onto its lane's clock, lookups included (``lookup_at``),
+so each count of the report — lookup hits too — is a function of the
+seed.  The ``lookup`` histogram is therefore time-to-*ordered*-answer:
+a stamped read queues on its lane behind the batches that closed
+before it, not a microsecond probe of the installed table (that is the
+synchronous ``service.lookup``, which ``benchmarks/e2e`` times).
+Rename/release latency is dominated by queue wait at saturation — an
+open-loop run measures the service at its throughput limit, not at a
+comfortable operating point.
 
 Results are written to ``BENCH_serve.json`` (``repro.serve/bench@1``):
 one entry per shard count carrying the load report, the service's

@@ -436,6 +436,17 @@ def _obs_report(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Harnesses under ``benchmarks/`` that ``python -m repro <name>`` runs.
+#: Each declares its own flags (and prints its own ``--help``): the rest
+#: of the command line is handed to its ``main`` as it stands.
+BENCH_COMMANDS = {
+    "perf": "time the simulator hot path; write BENCH_perf.json",
+    "serve": "load-benchmark the renaming service; write BENCH_serve.json",
+    "chaos": "serve-level chaos frontier (resilient vs baseline); "
+             "write BENCH_chaos.json",
+}
+
+
 def _import_bench(name: str):
     """Import ``benchmarks.<name>``, which lives next to ``src/``.
 
@@ -460,56 +471,6 @@ def _import_bench(name: str):
             )
         sys.path.insert(0, str(root))
         return importlib.import_module(f"benchmarks.{name}")
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    perf = _import_bench("perf")
-    argv: list[str] = ["--out", args.out]
-    if args.quick:
-        argv.append("--quick")
-    if args.n:
-        argv.extend(["--n", args.n])
-    if args.repeat is not None:
-        argv.extend(["--repeat", str(args.repeat)])
-    if args.workloads:
-        argv.extend(["--workloads", args.workloads])
-    return perf.main(argv)
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    serve = _import_bench("serve")
-    argv: list[str] = ["--out", args.out]
-    if args.quick:
-        argv.append("--quick")
-    if args.shards:
-        argv.extend(["--shards", args.shards])
-    if args.requests is not None:
-        argv.extend(["--requests", str(args.requests)])
-    if args.clients is not None:
-        argv.extend(["--clients", str(args.clients)])
-    if args.seed is not None:
-        argv.extend(["--seed", str(args.seed)])
-    if args.events:
-        argv.extend(["--events", args.events])
-    return serve.main(argv)
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    chaos = _import_bench("chaos")
-    argv: list[str] = ["--out", args.out]
-    if args.quick:
-        argv.append("--quick")
-    if args.requests is not None:
-        argv.extend(["--requests", str(args.requests)])
-    if args.shards is not None:
-        argv.extend(["--shards", str(args.shards)])
-    if args.seed is not None:
-        argv.extend(["--seed", str(args.seed)])
-    if args.resilience:
-        argv.extend(["--resilience", args.resilience])
-    if args.events:
-        argv.extend(["--events", args.events])
-    return chaos.main(argv)
 
 
 def _ledger_json(store, run, include: bool):
@@ -900,65 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="plain")
     faults.set_defaults(func=cmd_faults)
 
-    perf = sub.add_parser(
-        "perf",
-        help="time the simulator hot path; write BENCH_perf.json",
-    )
-    perf.add_argument("--quick", action="store_true",
-                      help="small sizes, one repeat (CI smoke)")
-    perf.add_argument("--n", default=None,
-                      help="comma list of n values overriding the matrix")
-    perf.add_argument("--repeat", type=int, default=None,
-                      help="timing repeats per benchmark, best-of")
-    perf.add_argument("--out", default="BENCH_perf.json",
-                      help="output JSON path (default BENCH_perf.json)")
-    perf.add_argument("--workloads", default=None,
-                      help="comma list of workloads (broadcast,crash); "
-                           "e.g. --workloads broadcast for very large n")
-    perf.set_defaults(func=cmd_perf)
-
-    serve = sub.add_parser(
-        "serve",
-        help="load-benchmark the renaming service; write BENCH_serve.json",
-    )
-    serve.add_argument("--quick", action="store_true",
-                       help="~5k requests, 2 shard counts (CI smoke)")
-    serve.add_argument("--shards", default=None,
-                       help="comma list of shard counts overriding the "
-                            "matrix (default 2,4,8)")
-    serve.add_argument("--requests", type=int, default=None,
-                       help="requests per run (default 120000)")
-    serve.add_argument("--clients", type=int, default=None,
-                       help="client identities (default 256)")
-    serve.add_argument("--seed", type=int, default=None,
-                       help="workload + protocol seed (default 0)")
-    serve.add_argument("--events", default=None, metavar="PATH",
-                       help="also write the serve event stream as JSONL")
-    serve.add_argument("--out", default="BENCH_serve.json",
-                       help="output JSON path (default BENCH_serve.json)")
-    serve.set_defaults(func=cmd_serve)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="serve-level chaos frontier (resilient vs baseline); "
-             "write BENCH_chaos.json",
-    )
-    chaos.add_argument("--quick", action="store_true",
-                       help="4 rungs over a 2k-request trace (CI smoke)")
-    chaos.add_argument("--requests", type=int, default=None,
-                       help="requests per run (default 16000)")
-    chaos.add_argument("--shards", type=int, default=None,
-                       help="shard count (default 4)")
-    chaos.add_argument("--seed", type=int, default=None,
-                       help="workload + protocol seed (default 7)")
-    chaos.add_argument("--resilience", default=None, metavar="JSON",
-                       help="resilience policy override for the "
-                            "resilient arm")
-    chaos.add_argument("--events", default=None, metavar="PATH",
-                       help="also write the serve event stream as JSONL")
-    chaos.add_argument("--out", default="BENCH_chaos.json",
-                       help="output JSON path (default BENCH_chaos.json)")
-    chaos.set_defaults(func=cmd_chaos)
+    for name, text in BENCH_COMMANDS.items():
+        sub.add_parser(name, help=text, add_help=False)
 
     obs = sub.add_parser(
         "obs", help="observability: inspect events, profile, telemetry"
@@ -1151,6 +1055,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in BENCH_COMMANDS:
+        return _import_bench(argv[0]).main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -289,3 +289,32 @@ def validate_events(events: Iterable[dict]) -> list[str]:
         for problem in validate_event(event):
             problems.append(f"event {index}: {problem}")
     return problems
+
+
+def validate_kinds(events: Iterable[dict], prefix: str,
+                   kinds: dict[str, tuple[str, ...]]) -> list[str]:
+    """Check one event family against its kind table.
+
+    Every event whose ``kind`` starts with ``prefix + "."`` must be a
+    known kind of ``kinds`` and carry all of that kind's required
+    ``data`` fields.  Returns human-readable problems; empty means
+    valid.  Other events are ignored (streams may interleave engine or
+    round events).
+    """
+    problems: list[str] = []
+    family = prefix + "."
+    for index, event in enumerate(events):
+        kind = event.get("kind", "")
+        if not kind.startswith(family):
+            continue
+        required = kinds.get(kind)
+        if required is None:
+            problems.append(f"event {index}: unknown {prefix} kind {kind!r}")
+            continue
+        data = event.get("data", {})
+        for field in required:
+            if field not in data:
+                problems.append(
+                    f"event {index}: {kind} missing data field {field!r}"
+                )
+    return problems

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.obs.events import validate_kinds
+
 #: Format tag for the fabric event family (stamped into status output
 #: and checked by CI's fabric-smoke job).
 FABRIC_EVENT_FORMAT = "repro.obs/fabric@1"
@@ -53,26 +55,7 @@ FABRIC_EVENT_KINDS: dict[str, tuple[str, ...]] = {
 
 
 def validate_fabric_events(events: Iterable[dict]) -> list[str]:
-    """Fabric-contract validation on top of the generic event schema.
-
-    Checks every ``fabric.*`` event against :data:`FABRIC_EVENT_KINDS`:
-    known kind, all required ``data`` fields present.  Returns
-    human-readable problems; empty means valid.  Non-fabric events are
-    ignored (streams may interleave engine or round events).
-    """
-    problems: list[str] = []
-    for index, event in enumerate(events):
-        kind = event.get("kind", "")
-        if not kind.startswith("fabric."):
-            continue
-        required = FABRIC_EVENT_KINDS.get(kind)
-        if required is None:
-            problems.append(f"event {index}: unknown fabric kind {kind!r}")
-            continue
-        data = event.get("data", {})
-        for field in required:
-            if field not in data:
-                problems.append(
-                    f"event {index}: {kind} missing data field {field!r}"
-                )
-    return problems
+    """Fabric-contract validation on top of the generic event schema:
+    every ``fabric.*`` event against :data:`FABRIC_EVENT_KINDS` (see
+    :func:`repro.obs.events.validate_kinds`)."""
+    return validate_kinds(events, "fabric", FABRIC_EVENT_KINDS)

@@ -11,17 +11,19 @@ one epoch per batch.  :class:`EpochBatcher` implements the policy:
   (``first_arrival + max_wait``) has passed (``"deadline"`` — the
   late arrival starts the next batch), or
 * when the owner flushes explicitly (``"drain"`` at shutdown,
-  ``"timeout"`` from the service's wall-clock timer in live mode).
+  ``"timeout"`` from a live lane's alarm).
 
 Decisions use only the submitted operations' *arrival stamps* and
-counts — the batcher never reads a clock.  Fed virtual timestamps from
-a generated trace, batch boundaries are a pure function of the trace
-and the policy: byte-identical across runs, event-loop schedules, and
+counts — the batcher never reads a clock.  Its time is its lane's
+clock (:mod:`repro.serve.service`): fed the stamps of a generated
+trace, batch boundaries are a pure function of the trace and the
+policy — byte-identical across runs, event-loop schedules, and
 processes, which is what makes the serial A/B reference in
 ``tests/test_serve_ab.py`` exact and the load benchmark replayable.
-In live mode the *service* supplies wall-clock stamps and an alarm
-(``loop.call_later``) that calls :meth:`EpochBatcher.flush`; the
-policy stays the same, only the clock is real.
+On a live lane the *service* stamps with ``loop.time()`` and its one
+alarm, armed for :attr:`EpochBatcher.deadline`, calls
+:meth:`EpochBatcher.flush`; the policy stays the same, only the clock
+is real.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class BatchPolicy:
     """Coalescing knobs: size trigger and waiting-time trigger.
 
     ``max_wait`` is in the unit of the arrival stamps (virtual seconds
-    for a generated trace, real seconds in live mode); ``None``
+    for a generated trace, real seconds on a live lane); ``None``
     disables the deadline rule, leaving only size and explicit flush.
     """
 
@@ -116,7 +118,7 @@ class EpochBatcher:
 
         Usually empty or one batch; two when ``max_batch == 1`` races a
         passed deadline.  ``arrival`` stamps must be non-decreasing per
-        batcher (trace order / submission order).
+        batcher; the service's front door checks, the batcher does not.
         """
         closed: list[Batch] = []
         deadline = self.deadline
@@ -155,9 +157,9 @@ def plan_batches(
 ) -> list[Batch]:
     """Pure batch plan for one shard's ``(op, arrival)`` stream.
 
-    Exactly the batches a service produces for the same stream in
-    deterministic mode — the serial reference uses this to mirror the
-    concurrent execution batch for batch.
+    Exactly the batches a service produces for the same stamped
+    stream — the serial reference uses this to mirror the concurrent
+    execution batch for batch.
     """
     batcher = EpochBatcher(shard, policy)
     batches: list[Batch] = []

@@ -6,19 +6,20 @@ release mix, the (virtual) arrival rate, and the service shape the
 benchmark should stand up.  :func:`generate_trace` expands a profile
 into a concrete request *trace* — a pure function of the profile (one
 seeded :class:`random.Random`, no wall clock anywhere), so the same
-profile always produces the identical trace, and with deterministic
-batching (virtual arrival stamps) the identical batch boundaries.
-That property is asserted by ``tests/test_serve_ab.py`` and is what
-lets a serial reference loop reproduce the concurrent service's
-counted results bit for bit.
+profile always produces the identical trace, and — every request
+carrying its arrival stamp onto its lane's clock — the identical batch
+boundaries and the identical answer to every lookup.  That property is
+asserted by ``tests/test_serve_ab.py`` and is what lets a serial
+reference loop reproduce the concurrent service's counted results,
+reads included, bit for bit.
 
 :func:`run_load` plays a trace against a started
 :class:`~repro.serve.service.RenamingService`: open-loop dispatch in
-trace order (optionally paced against the wall clock), per-request
-latency measured from submission to future resolution, lookups served
-inline.  :func:`execute_profile` is the one-call harness — build
-service, play trace, collect stats/histograms/phases — used by the
-``serve`` engine driver and ``benchmarks/serve.py``.
+trace order, per-request latency measured from submission to future
+resolution, lookups as stamped reads (``lookup_at``) ordered on the
+lane like everything else.  :func:`execute_profile` is the one-call
+harness — build service, play trace, collect stats/histograms/phases —
+used by the ``serve`` engine driver and ``benchmarks/serve.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass, replace
 from random import Random
 from typing import Mapping, Optional, Sequence
 
-from repro.serve.resilience import ResiliencePolicy, ResilienceSpec
+from repro.serve.resilience import ResilienceSpec
 from repro.serve.service import (
     DeadlineExceeded,
     NotRenamed,
@@ -53,7 +54,7 @@ class LoadProfile:
 
     ``arrival_rate`` and ``max_wait`` are in *virtual* seconds —
     together with the weights they determine the batch shapes; the
-    dispatcher replays arrivals as fast as it can unless paced.
+    dispatcher replays arrivals as fast as it can.
     """
 
     clients: int = 256
@@ -252,26 +253,23 @@ async def run_load(
     service: RenamingService,
     trace: Sequence[Request],
     *,
-    deterministic: bool = True,
-    pace: Optional[float] = None,
     yield_every: int = 256,
 ) -> LoadReport:
     """Play ``trace`` against a started service; measure everything.
 
-    Open loop, in trace order: state-changing requests are submitted
-    without waiting for completion (latency is measured from submission
-    to future resolution by a done-callback), lookups are answered
-    inline.  Latency accounting is *end-to-end*: a retried request's
-    single future resolves only after its final attempt, so its sample
-    spans first submit → final resolution.  Failed requests (degraded /
-    shed / deadline / error) land in the ``failed`` histogram, keeping
-    the per-kind p50/p95/p99 a statement about answered requests.  ``deterministic=True`` stamps requests with their virtual
-    arrivals so batch boundaries are a pure function of the trace;
-    ``False`` exercises the live wall-clock batching path.  ``pace``
-    replays arrivals against the wall clock at that speed multiple
-    (``1.0`` = real time); ``None`` dispatches as fast as possible,
-    yielding to the loop every ``yield_every`` requests so epochs
-    overlap with dispatch.
+    Open loop, in trace order and as fast as possible (yielding to the
+    loop every ``yield_every`` requests so epochs overlap with
+    dispatch): every request is submitted with its arrival stamp and
+    without waiting for completion — state changes through ``submit``,
+    lookups through ``lookup_at`` — so batch boundaries and every
+    count, lookup hits included, are a pure function of the trace.
+    Latency is measured from submission to future resolution by a
+    done-callback and is *end-to-end*: a retried request's single
+    future resolves only after its final attempt, and a lookup's sample
+    is the time to its ordered answer, queueing behind its lane's
+    earlier batches included.  Failed requests (degraded / shed /
+    deadline / error) land in the ``failed`` histogram, keeping the
+    per-kind p50/p95/p99 a statement about answered requests.
     """
     hists = {RENAME: LatencyHistogram(), RELEASE: LatencyHistogram(),
              LOOKUP: LatencyHistogram(), FAILED: LatencyHistogram()}
@@ -281,28 +279,19 @@ async def run_load(
         "degraded": 0, "shed": 0, "deadline_expired": 0, "errors": 0,
         "lookup_hits": 0, "lookup_misses": 0,
     }
+    submitted = {RENAME: "renames", RELEASE: "releases", LOOKUP: "lookups"}
+    answered = {RENAME: "renamed", RELEASE: "released"}
     futures: list[asyncio.Future] = []
     started = time.perf_counter()
     for op in trace:
-        if pace is not None:
-            delay = (started + op.arrival / pace) - time.perf_counter()
-            if delay > 0:
-                await asyncio.sleep(delay)
-        elif yield_every and op.index % yield_every == 0:
+        if yield_every and op.index % yield_every == 0:
             await asyncio.sleep(0)
-        if op.kind == LOOKUP:
-            counts["lookups"] += 1
-            t0 = time.perf_counter()
-            value = service.lookup(op.uid)
-            hists[LOOKUP].record(time.perf_counter() - t0)
-            counts["lookup_hits" if value is not None
-                   else "lookup_misses"] += 1
-            continue
-        counts["renames" if op.kind == RENAME else "releases"] += 1
+        counts[submitted[op.kind]] += 1
         t0 = time.perf_counter()
-        future = service.submit(
-            op.kind, op.uid, op.arrival if deterministic else None,
-        )
+        if op.kind == LOOKUP:
+            future = service.lookup_at(op.uid, op.arrival)
+        else:
+            future = service.submit(op.kind, op.uid, op.arrival)
 
         def _settled(fut: asyncio.Future, kind: str = op.kind,
                      submit_ts: float = t0) -> None:
@@ -312,7 +301,11 @@ async def run_load(
             error = fut.exception()
             if error is None:
                 hists[kind].record(elapsed)
-                counts["renamed" if kind == RENAME else "released"] += 1
+                if kind == LOOKUP:
+                    counts["lookup_hits" if fut.result() is not None
+                           else "lookup_misses"] += 1
+                else:
+                    counts[answered[kind]] += 1
             elif isinstance(error, NotRenamed):
                 # Answered, just with "no name": an epoch covered it.
                 hists[kind].record(elapsed)
@@ -360,8 +353,6 @@ def execute_profile(
     config=None,
     observer=None,
     profile_shards: bool = False,
-    deterministic: bool = True,
-    pace: Optional[float] = None,
 ) -> dict:
     """Stand up a service, play the profile's trace, report everything.
 
@@ -372,7 +363,6 @@ def execute_profile(
     and a global-uniqueness verdict over the final assignment.
     """
     trace = generate_trace(profile)
-    policy = ResiliencePolicy.from_spec(resilience)
 
     async def _run() -> dict:
         service = RenamingService(
@@ -385,21 +375,19 @@ def execute_profile(
             shard_faults=shard_faults,
             shard_fault_windows=shard_fault_windows,
             adversary_factory=adversary_factory,
-            resilience=policy,
+            resilience=resilience,
             observer=observer,
             profile_shards=profile_shards,
         )
         async with service:
-            load = await run_load(
-                service, trace, deterministic=deterministic, pace=pace,
-            )
+            load = await run_load(service, trace)
             assignment = service.assignment()
             globals_ = list(assignment.values())
             histories = service.histories()
             report = {
                 "profile": asdict(profile),
-                "resilience": (None if policy is None
-                               else json.loads(policy.to_json())),
+                "resilience": (None if service.resilience is None
+                               else json.loads(service.resilience.to_json())),
                 "trace_sha256": trace_digest(trace),
                 **load.as_dict(),
                 "service": service.stats(),

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.obs.events import validate_kinds
+
 #: Format tag for the serve event family (stamped into benchmark
 #: output and checked by CI's serve-smoke job).
 SERVE_EVENT_FORMAT = "repro.obs/serve@2"
@@ -69,26 +71,7 @@ SERVE_EVENT_KINDS: dict[str, tuple[str, ...]] = {
 
 
 def validate_serve_events(events: Iterable[dict]) -> list[str]:
-    """Serve-contract validation on top of the generic event schema.
-
-    Checks every ``serve.*`` event against :data:`SERVE_EVENT_KINDS`:
-    known kind, all required ``data`` fields present.  Returns
-    human-readable problems; empty means valid.  Non-serve events are
-    ignored (streams may interleave engine or round events).
-    """
-    problems: list[str] = []
-    for index, event in enumerate(events):
-        kind = event.get("kind", "")
-        if not kind.startswith("serve."):
-            continue
-        required = SERVE_EVENT_KINDS.get(kind)
-        if required is None:
-            problems.append(f"event {index}: unknown serve kind {kind!r}")
-            continue
-        data = event.get("data", {})
-        for field in required:
-            if field not in data:
-                problems.append(
-                    f"event {index}: {kind} missing data field {field!r}"
-                )
-    return problems
+    """Serve-contract validation on top of the generic event schema:
+    every ``serve.*`` event against :data:`SERVE_EVENT_KINDS` (see
+    :func:`repro.obs.events.validate_kinds`)."""
+    return validate_kinds(events, "serve", SERVE_EVENT_KINDS)

@@ -11,7 +11,7 @@ the outage instead of dying inside it:
 * :func:`retry_delay` — seeded jittered exponential backoff.  The
   delay is a pure function of ``(seed, shard, origin batch, attempt)``,
   never of a clock or of Python's salted ``hash`` on strings, so the
-  retry schedule in virtual-time mode is a pure function of the
+  retry schedule of a stamped lane is a pure function of the
   submitted ``(op, arrival)`` stream — the same determinism contract
   the batcher already honours, pinned by the A/B tests.
 * :class:`CircuitBreaker` — per-shard state machine: *closed* →
@@ -21,19 +21,19 @@ the outage instead of dying inside it:
   failure.  While open, the lane defers work to the probe time and
   sheds beyond :attr:`ResiliencePolicy.shed_capacity`.
 * :class:`RetryBacklog` — the lane's deferred work, ordered by
-  ``(due, push order)``.  In virtual-time mode entries are executed
-  when the lane reaches their due stamp (pulled along by later
-  batches, or flushed at drain); in live mode a ``call_later`` alarm
-  wakes the lane.  Either way the *per-lane* execution sequence is the
-  same pure function of the stream.
+  ``(due, push order)``.  Entries get their turn when the lane's clock
+  reaches their due time: pulled along by a later batch, by a tick
+  (a live lane's alarm puts one on the queue when the earliest entry
+  comes due) or flushed at drain.  Either way the *per-lane* execution
+  sequence is the same pure function of the stream.
 * :func:`classify_failure` — the failure taxonomy ``ShardDegraded``
   carries (``"faults"`` / ``"non_termination"`` / ``"rename_failed"``),
   so load generators and the chaos classifier distinguish injected
   faults from protocol bugs without string-matching exception names.
 
 Everything here is clock-free and service-agnostic: the service passes
-``now`` in (virtual stamps in deterministic mode, ``loop.time()`` in
-live mode) and emits the ``repro.obs/serve@2`` events itself.
+its lane's ``now`` in (the stamp of the item in hand, or ``loop.time()``
+on a live lane) and emits the ``repro.obs/serve@2`` events itself.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ class ResiliencePolicy:
 
     ``max_retries`` bounds *re*-executions per request beyond the first
     attempt; ``deadline`` (in the unit of the arrival stamps — virtual
-    seconds in deterministic mode, real seconds live) cancels a request
-    whose next execution would start later than ``arrival + deadline``;
+    seconds on a stamped lane, real seconds on a live one) cancels a
+    request whose next execution would start later than
+    ``arrival + deadline``;
     ``None`` disables deadlines.  Backoff delays and the breaker
     cooldown are in the same time unit.  ``shed_capacity`` bounds how
     many operations a lane defers while its breaker is open — overflow

@@ -11,13 +11,12 @@ executions of the crash-resilient renaming protocol:
   ``max_wait``); each closed batch becomes one protocol epoch.
 * **Concurrency** — epochs run *off the event loop* in a thread pool
   (``run_in_executor``), one at a time per shard, concurrently across
-  shards; the loop stays free to accept requests and answer lookups
-  (which read the shard's current table directly, no queueing).
+  shards; the loop stays free to accept requests and answer lookups.
 * **Degradation** — a shard whose epoch fails (injected link faults,
   renaming failure, non-termination) rolls its membership delta back
   and fails only that batch's requests with :class:`ShardDegraded`;
   every other shard, and the failed shard's next batch, keep serving.
-* **Resilience** (opt-in, ``resilience=``) — failed batch members are
+* **Resilience** (``resilience=``) — failed batch members are
   *retried* with seeded jittered exponential backoff instead of failed
   outright; a per-shard circuit breaker opens after consecutive failed
   epochs, defers work to a half-open probe, and sheds load beyond a
@@ -26,15 +25,36 @@ executions of the crash-resilient renaming protocol:
   is state-free by construction: a failed epoch rolls the directory
   back, so the probe epoch re-runs the protocol from the last good
   assignment — the shard rebuilds from the rolled-back directory
-  rather than degrading forever.
+  rather than degrading forever.  ``resilience=None`` is the same
+  code under a fail-fast policy: no retry, a breaker that never opens.
 
-Two clocks. In *deterministic mode* callers stamp each request with a
-virtual ``arrival`` time (the load generator's trace does); batch
-boundaries then depend only on the submitted stream, never on the
-event loop's schedule — the property the A/B and determinism tests
-pin.  In *live mode* (no ``arrival``), the service stamps requests
-with ``loop.time()`` and arms a ``call_later`` alarm so a lonely
-request still flushes after ``max_wait`` real seconds.
+One lane clock.  A *lane* is one shard's batcher, FIFO queue and worker
+task, and everything that happens on it is an item on that queue,
+taken one at a time: a closed :class:`~repro.serve.batching.Batch`
+(its ops' turn, at the stamp of its last request), a ``_Tick(now,
+force)`` (the turn of the retries deferred to ``now``; at drain,
+``force``: of all of them) and a ``_Read`` (a stamped lookup).  Lane
+time is the requests' stamps.  Stamped by the caller (``arrival=``, as
+the load generator's trace is), batch boundaries, the retry/breaker
+schedule and every read's answer are a pure function of the submitted
+stream, never of the event loop's or the thread pool's schedule.
+Unstamped, the lane is *live*: the same clock read from
+``loop.time()`` (in ``_now`` only) plus at most one alarm, armed for
+the earlier of the open batch's deadline and the earliest deferred
+retry, so a lonely request still flushes after ``max_wait`` real
+seconds.  A lane is one or the other for life and its stamps never run
+backwards; ``submit`` and ``lookup_at`` refuse anything else.
+
+The read rule: ``lookup_at(uid, t)`` is answered in queue order —
+after every batch of the lane that closed at or before ``t`` (and the
+retries those batches pulled along), before any batch that closes
+later.  ``submit`` closes batches synchronously in submission order,
+so "closed by ``t``" is "already queued": no versioned tables, no
+waiting in the caller.  A read moves no clock: a retry due by ``t``
+that no batch has pulled along yet runs after it.  The synchronous
+``lookup(uid)`` never queues; it probes the table installed by now —
+one consistent epoch, possibly trailing batches in flight — so its
+answer follows wall-clock timing and no counted result may use it.
 
 Serve-level events (``repro.obs/serve@2``, see
 :mod:`repro.serve.obs`) are emitted through the ordinary ``observer=``
@@ -44,14 +64,15 @@ hook, always from the event-loop thread.
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.crash_renaming import CrashRenamingConfig
 from repro.faults.spec import FaultSpec
-from repro.obs.events import observing
-from repro.obs.profile import PROFILE_FORMAT, PhaseProfiler
+from repro.obs.events import Observer, observing
+from repro.obs.profile import PhaseProfiler
 from repro.serve.batching import (
     CLOSE_DRAIN,
     CLOSE_TIMEOUT,
@@ -147,63 +168,55 @@ class DeadlineExceeded(ServeError):
         self.deadline = deadline
 
 
-class _ProfileTap:
-    """Observer that only collects phase times, never events.
-
-    ``enabled`` stays False so no event is emitted from protocol
-    threads; the attached profiler still routes the network through its
-    instrumented step.  One tap per shard — epochs of one shard are
-    serialized, so each profiler is touched by one thread at a time.
-    """
-
-    enabled = False
-
-    def __init__(self):
-        self.profiler = PhaseProfiler()
-
-    def emit(self, kind, **data):  # pragma: no cover - never called
-        pass
+#: What ``resilience=None`` runs under: no retry (fail the batch on
+#: error), a breaker that never opens (nothing deferred, nothing shed).
+_FAIL_FAST = ResiliencePolicy(max_retries=0, breaker_threshold=sys.maxsize)
 
 
-#: Lane-queue sentinels (resilient mode): wake to process due retries
-#: (live clock), and force the backlog empty at drain (virtual clock).
-_RETRY_WAKE = object()
-_DRAIN_FLUSH = object()
+class _Tick(NamedTuple):
+    """Lane item: run the deferred entries due by ``now``; ``force``
+    (drain) runs them all, fast-forwarding over backoff and cooldown."""
+
+    now: Optional[float]
+    force: bool = False
+
+
+class _Read(NamedTuple):
+    """Lane item: answer ``uid`` from the table at this queue position."""
+
+    uid: int
+    future: "asyncio.Future"
 
 
 class _Lane:
     """One shard's serving state: batcher, queue, worker, resilience."""
 
     __slots__ = ("shard", "batcher", "queue", "task", "timer", "failures",
-                 "tap", "breaker", "backlog", "retries", "shed",
-                 "deadline_expired", "retry_timer", "vclock", "live")
+                 "breaker", "backlog", "retries", "shed",
+                 "deadline_expired", "vclock", "live", "stamp")
 
     def __init__(self, shard: Shard, policy: BatchPolicy,
-                 tap: Optional[_ProfileTap],
-                 resilience: Optional[ResiliencePolicy]):
+                 resilience: ResiliencePolicy):
         self.shard = shard
         self.batcher = EpochBatcher(shard.index, policy)
         self.queue: Optional[asyncio.Queue] = None
         self.task: Optional[asyncio.Task] = None
+        #: Live lanes only: the one pending alarm (see ``_arm``).
         self.timer: Optional[asyncio.TimerHandle] = None
         self.failures = 0
-        self.tap = tap
-        self.breaker = (
-            CircuitBreaker(resilience.breaker_threshold,
-                           resilience.breaker_cooldown)
-            if resilience is not None else None
-        )
-        self.backlog = RetryBacklog() if resilience is not None else None
+        self.breaker = CircuitBreaker(resilience.breaker_threshold,
+                                      resilience.breaker_cooldown)
+        self.backlog = RetryBacklog()
         self.retries = 0
         self.shed = 0
         self.deadline_expired = 0
-        self.retry_timer: Optional[asyncio.TimerHandle] = None
-        # The lane's monotonic virtual clock: batches advance it to
-        # their last arrival, backlog entries to their due time.
+        # The worker's monotonic clock: batches advance it to their
+        # last arrival, backlog entries to their due time.
         self.vclock = 0.0
-        # Set as soon as any request arrives unstamped: retry due times
-        # are then on the loop clock and need call_later wakes.
-        self.live = False
+        # The front door's side: whether requests come unstamped
+        # (``None`` until the first one), and the last stamp admitted.
+        self.live: Optional[bool] = None
+        self.stamp = float("-inf")
 
     @property
     def index(self) -> int:
@@ -231,9 +244,10 @@ class RenamingService:
     :class:`~repro.serve.resilience.ResiliencePolicy`, a JSON spec, or
     a mapping) enables deadlines / retries / circuit breaking; ``None``
     keeps the fail-the-batch behaviour.  ``profile_shards`` attaches a
-    per-shard phase tap so :meth:`phase_report` breaks each shard's
-    epochs into the protocol's plan/charge/deliver/advance phases
-    (slightly slower: the instrumented network step runs).
+    :class:`~repro.obs.profile.PhaseProfiler` to each shard so
+    :meth:`phase_report` breaks its epochs into the protocol's
+    plan/charge/deliver/advance phases (slightly slower: every round
+    reads the clock four more times).
     """
 
     def __init__(
@@ -271,7 +285,10 @@ class RenamingService:
         self.policy = BatchPolicy(max_batch=max_batch, max_wait=max_wait)
         self.observer = observer
         self.profiler = PhaseProfiler()
+        #: The caller's policy, ``None`` when there is none (the stats
+        #: and report surface); ``_policy`` is what the lanes run under.
         self.resilience = ResiliencePolicy.from_spec(resilience)
+        self._policy = self.resilience or _FAIL_FAST
         faults = dict(shard_faults or {})
         windows = dict(shard_fault_windows or {})
         unknown = [s for s in {*faults, *windows} if not 0 <= s < shards]
@@ -281,7 +298,13 @@ class RenamingService:
             )
         self._lanes = []
         for index in range(shards):
-            tap = _ProfileTap() if profile_shards else None
+            tap = None
+            if profile_shards:
+                # Collects phase times, never events (``enabled`` stays
+                # False).  One per shard: a shard's epochs are
+                # serialized, so one thread at a time touches it.
+                tap = Observer()
+                tap.profiler = PhaseProfiler()
             self._lanes.append(_Lane(
                 Shard(
                     index, shards, namespace=namespace, seed=seed,
@@ -291,8 +314,7 @@ class RenamingService:
                     observer=tap,
                 ),
                 self.policy,
-                tap,
-                self.resilience,
+                self._policy,
             ))
         self.epochs = 0
         self.empty_batches = 0
@@ -334,29 +356,24 @@ class RenamingService:
                    namespace=self.namespace, seed=self.seed)
 
     async def drain(self) -> None:
-        """Flush open batches and wait until every queued epoch ran.
+        """Flush open batches and wait until every queued item ran.
 
-        In resilient mode this also *forces the retry backlog empty*:
-        deferred work is executed immediately at its due stamp (virtual
-        time jumps — no real sleeping), breaker cooldowns are fast-
-        forwarded, and every request resolves one way or the other
-        before drain returns.  Attempts are bounded, so this
-        terminates.
+        This also *forces the retry backlog empty*: behind its flushed
+        batch each lane gets a forced tick, which executes deferred
+        work immediately at its due stamp (virtual time jumps — no
+        real sleeping) and fast-forwards breaker cooldowns, so every
+        request and stamped read resolves one way or the other before
+        drain returns.  Attempts are bounded, so this terminates.
         """
         self._check_running()
-        flushed = 0
+        flushed = sum(self._flush_lane(lane, CLOSE_DRAIN)
+                      for lane in self._lanes)
+        # Queued now, not decided on after the join: between a join's
+        # return and this task's next step an alarm can hand the worker
+        # a retry, and a look at the backlog would find it empty.
         for lane in self._lanes:
-            if self._flush_lane(lane, CLOSE_DRAIN):
-                flushed += 1
+            lane.queue.put_nowait(_Tick(None, force=True))
         await asyncio.gather(*(lane.queue.join() for lane in self._lanes))
-        if self.resilience is not None:
-            while any(lane.backlog for lane in self._lanes):
-                for lane in self._lanes:
-                    if lane.backlog:
-                        lane.queue.put_nowait(_DRAIN_FLUSH)
-                await asyncio.gather(
-                    *(lane.queue.join() for lane in self._lanes)
-                )
         self._emit("serve.drain", flushed=flushed)
 
     async def aclose(self) -> None:
@@ -369,9 +386,6 @@ class RenamingService:
         for lane in self._lanes:
             if lane.timer is not None:
                 lane.timer.cancel()
-            if lane.retry_timer is not None:
-                lane.retry_timer.cancel()
-                lane.retry_timer = None
             lane.task.cancel()
         await asyncio.gather(*(lane.task for lane in self._lanes),
                              return_exceptions=True)
@@ -396,33 +410,22 @@ class RenamingService:
 
         Synchronous (no await): the request joins its shard's open
         batch before control returns, so per-shard request order equals
-        submission order — the determinism contract.  ``arrival`` is a
-        virtual timestamp (deterministic mode); ``None`` stamps the
-        request with the loop clock and arms the live-mode alarm.
+        submission order — the determinism contract.  ``arrival`` is
+        the request's stamp on its lane's clock; ``None`` reads the
+        loop clock (a live lane, see the module docstring).
         """
         self._check_running()
         if kind not in (RENAME, RELEASE):
             raise ValueError(f"cannot batch request kind {kind!r}")
-        if not 1 <= uid <= self.namespace:
-            raise ValueError(
-                f"identity {uid} outside [1, {self.namespace}]"
-            )
-        lane = self._lanes[shard_of(uid, self.shards)]
+        lane = self._lane_of(uid)
+        arrival = self._stamp(lane, arrival)
         future = self._loop.create_future()
-        live = arrival is None
-        if live:
-            arrival = self._loop.time()
-            lane.live = True
         op = ShardOp(self._submitted, kind, uid, handle=future,
                      arrival=arrival)
         self._submitted += 1
         for batch in lane.batcher.offer(op, arrival):
             self._dispatch(lane, batch)
-        if live:
-            self._arm_timer(lane)
-        elif lane.timer is not None and not len(lane.batcher):
-            lane.timer.cancel()
-            lane.timer = None
+        self._arm(lane)
         return future
 
     async def rename(self, uid: int,
@@ -444,15 +447,35 @@ class RenamingService:
     def lookup(self, uid: int) -> Optional[int]:
         """Current global compact id of ``uid``, or ``None`` (miss).
 
-        Served synchronously from the shard's installed table — reads
-        never queue behind epochs and never block the loop.  Reads are
-        *epoch-consistent* but may trail in-flight batches.
+        Served synchronously from the shard's installed table — this
+        read never queues behind epochs and never blocks the loop.  It
+        is *epoch-consistent* but may trail in-flight batches;
+        :meth:`lookup_at` is the read that is ordered on the stream.
         """
+        return self._lane_of(uid).shard.lookup(uid)
+
+    def lookup_at(self, uid: int,
+                  arrival: Optional[float] = None) -> "asyncio.Future":
+        """A read ordered on its lane's clock; returns its future.
+
+        Resolves to what :meth:`lookup` would return once every batch
+        of the lane that closed at or before ``arrival`` has executed,
+        and before any batch that closes later (the read rule in the
+        module docstring).  ``arrival`` is a stamp like ``submit``'s.
+        """
+        self._check_running()
+        lane = self._lane_of(uid)
+        self._stamp(lane, arrival)
+        future = self._loop.create_future()
+        lane.queue.put_nowait(_Read(uid, future))
+        return future
+
+    def _lane_of(self, uid: int) -> _Lane:
         if not 1 <= uid <= self.namespace:
             raise ValueError(
                 f"identity {uid} outside [1, {self.namespace}]"
             )
-        return self._lanes[shard_of(uid, self.shards)].shard.lookup(uid)
+        return self._lanes[shard_of(uid, self.shards)]
 
     def original_of(self, global_id: int) -> Optional[int]:
         """Inverse lookup across shards, or ``None``."""
@@ -465,7 +488,32 @@ class RenamingService:
         except KeyError:
             return None
 
-    # -- batching / timers ---------------------------------------------
+    # -- the lane clock -------------------------------------------------
+
+    def _now(self, lane: _Lane, stamp: Optional[float] = None) -> float:
+        """Lane time: the loop's on a live lane, else the stamp of the
+        item in hand.  The only place a lane reads ``loop.time()``."""
+        return self._loop.time() if lane.live else stamp
+
+    def _stamp(self, lane: _Lane, arrival: Optional[float]) -> float:
+        """Admit one request's stamp onto the lane clock, or refuse it.
+
+        A stamp earlier than the lane's last would become its batch's
+        ``last_arrival`` and run the worker's time backwards; one
+        unstamped request on a stamped lane would have every later
+        stamp compared with ``loop.time()``.
+        """
+        if lane.live is None:
+            lane.live = arrival is None
+        now = self._now(lane, arrival)
+        if lane.live != (arrival is None) or now < lane.stamp:
+            raise ValueError(
+                f"lane {lane.index} cannot take arrival {arrival} after "
+                f"stamp {lane.stamp}: a lane's requests are all stamped or "
+                f"all unstamped, and its stamps never decrease"
+            )
+        lane.stamp = now
+        return now
 
     def _dispatch(self, lane: _Lane, batch: Batch) -> None:
         self._emit("serve.batch.close", shard=lane.index, batch=batch.index,
@@ -473,35 +521,40 @@ class RenamingService:
         lane.queue.put_nowait(batch)
 
     def _flush_lane(self, lane: _Lane, reason: str) -> bool:
-        if lane.timer is not None:
-            lane.timer.cancel()
-            lane.timer = None
         batch = lane.batcher.flush(reason)
         if batch is None:
             return False
         self._dispatch(lane, batch)
         return True
 
-    def _arm_timer(self, lane: _Lane) -> None:
-        """Live mode: a lonely batch flushes after ``max_wait`` seconds."""
-        if self.policy.max_wait is None:
-            return
+    def _arm(self, lane: _Lane) -> None:
+        """Keep a live lane's one alarm at the earlier of the open
+        batch's deadline and the earliest deferred retry.  (A stamped
+        lane needs none: its time moves only when a stamp arrives.)"""
+        due = None
+        if lane.live:
+            due = min((t for t in (lane.batcher.deadline,
+                                   lane.backlog.earliest_due())
+                       if t is not None), default=None)
         if lane.timer is not None:
-            if len(lane.batcher):
+            if lane.timer.when() == due:
                 return
             lane.timer.cancel()
             lane.timer = None
-        if not len(lane.batcher):
-            return
-        lane.timer = self._loop.call_later(
-            self.policy.max_wait, self._timer_fired, lane,
-        )
+        if due is not None:
+            lane.timer = self._loop.call_at(due, self._wake, lane)
 
-    def _timer_fired(self, lane: _Lane) -> None:
+    def _wake(self, lane: _Lane) -> None:
+        """The alarm: close the open batch if its deadline passed, and
+        put a tick on the lane for whatever retries are due."""
+        # The loop may fire a hair early; it is at least the armed time.
+        now = max(self._now(lane), lane.timer.when())
         lane.timer = None
-        if self._closed:
-            return
-        self._flush_lane(lane, CLOSE_TIMEOUT)
+        deadline = lane.batcher.deadline
+        if deadline is not None and deadline <= now:
+            self._flush_lane(lane, CLOSE_TIMEOUT)
+        if lane.backlog:
+            lane.queue.put_nowait(_Tick(now))
 
     # -- epoch execution ------------------------------------------------
 
@@ -509,102 +562,63 @@ class RenamingService:
         while True:
             item = await lane.queue.get()
             try:
-                if item is _RETRY_WAKE:
-                    await self._process_backlog(lane, self._loop.time())
-                    self._arm_retry_timer(lane)
-                elif item is _DRAIN_FLUSH:
-                    await self._process_backlog(lane, None, force=True)
+                if isinstance(item, _Read):
+                    if not item.future.done():
+                        item.future.set_result(lane.shard.lookup(item.uid))
+                elif isinstance(item, _Tick):
+                    await self._process_backlog(lane, item.now, item.force)
                 else:
-                    await self._execute_batch(lane, item)
+                    # A closed batch is work due now that has consumed
+                    # no attempt, behind whatever was deferred to now.
+                    now = self._now(lane, item.last_arrival)
+                    lane.vclock = max(lane.vclock, now)
+                    await self._process_backlog(lane, now)
+                    await self._attempt(lane, item.ops, now,
+                                        origin=item.index, attempt=0)
+                # The backlog may have changed: move the alarm with it.
+                self._arm(lane)
             finally:
                 lane.queue.task_done()
 
-    async def _execute_batch(self, lane: _Lane, batch: Batch) -> None:
-        if self.resilience is None:
-            await self._execute_batch_simple(lane, batch)
-            return
-        now = self._loop.time() if lane.live else batch.last_arrival
-        lane.vclock = max(lane.vclock, now)
-        await self._process_backlog(lane, now)
-        state = self._poll_breaker(lane, now)
-        if state == BREAKER_OPEN:
-            # The shard is quarantined: defer the whole batch to the
-            # probe time (its ops have consumed no attempt yet).
-            self._defer_or_shed(lane, batch.ops, batch.index, 0, now)
-        else:
-            await self._attempt(lane, list(batch.ops), now,
-                                origin=batch.index, attempt=0,
-                                probe=state == BREAKER_HALF_OPEN)
-        self._arm_retry_timer(lane)
-
-    async def _execute_batch_simple(self, lane: _Lane,
-                                    batch: Batch) -> None:
-        """The pre-resilience path (``resilience=None``): one attempt,
-        fail the whole batch on error.  Byte-identical epoch seeds and
-        counted results to PR 6 — the A/B baseline."""
-        epoch = lane.shard.directory.epoch + 1
-        self._emit("serve.epoch.begin", shard=lane.index, epoch=epoch,
-                   ops=len(batch), attempt=0)
-        started = time.perf_counter()
-        try:
-            outcome = await self._loop.run_in_executor(
-                self._executor, lane.shard.execute, batch.ops,
-            )
-        except Exception as error:
-            wall = time.perf_counter() - started
-            kind = classify_failure(error, lane.shard.last_fault_issued)
-            self._record_epoch_failure(lane, epoch, error, kind, 0, wall)
-            failure = ShardDegraded(lane.index, epoch, error, kind)
-            for op in batch.ops:
-                if not op.handle.done():
-                    op.handle.set_exception(failure)
-            return
-        wall = time.perf_counter() - started
-        self._resolve_success(lane, batch.ops, outcome, wall)
-
-    # -- resilient execution (deadlines, retries, breaker) --------------
+    # -- one attempt path (deadlines, retries, breaker) -----------------
 
     async def _process_backlog(self, lane: _Lane, now: Optional[float],
                                force: bool = False) -> None:
-        """Execute deferred entries that are due by ``now``.
+        """Give deferred entries that are due by ``now`` their turn.
 
         ``force`` (drain) ignores ``now`` and fast-forwards the lane's
         virtual clock over backoff delays and breaker cooldowns until
         the backlog is empty — attempts are bounded, so every entry
         either resolves or exhausts its retries.
         """
-        while lane.backlog:
-            entry = lane.backlog.peek()
-            if not force and entry.due > now:
-                break
-            vnow = max(entry.due, lane.vclock)
-            state = self._poll_breaker(lane, vnow)
-            if state == BREAKER_OPEN:
-                if force:
-                    # Fast-forward the cooldown; the entry becomes the
-                    # half-open probe.
-                    vnow = max(vnow, lane.breaker.probe_at)
-                    state = self._poll_breaker(lane, vnow)
-                else:
-                    # Due but quarantined: push to the probe time.
-                    lane.backlog.pop()
-                    self._defer_or_shed(lane, entry.ops, entry.origin,
-                                        entry.attempt, vnow)
-                    continue
-            lane.backlog.pop()
-            lane.vclock = vnow
-            await self._attempt(lane, list(entry.ops), vnow,
+        while lane.backlog and (force or lane.backlog.peek().due <= now):
+            entry = lane.backlog.pop()
+            await self._attempt(lane, entry.ops,
+                                max(entry.due, lane.vclock),
                                 origin=entry.origin, attempt=entry.attempt,
-                                probe=state == BREAKER_HALF_OPEN)
+                                force=force)
 
-    async def _attempt(self, lane: _Lane, ops: list, vnow: float, *,
-                       origin: int, attempt: int, probe: bool) -> None:
-        """One protocol execution over ``ops`` at time ``vnow``.
+    async def _attempt(self, lane: _Lane, ops: Sequence, vnow: float, *,
+                       origin: int, attempt: int,
+                       force: bool = False) -> None:
+        """The turn of ``ops`` at time ``vnow``: one protocol execution.
 
         ``attempt`` counts executions these ops already consumed (the
-        retry salt); ``probe`` marks a half-open breaker's trial epoch.
+        retry salt).  While the breaker is open the shard is
+        quarantined: the ops wait in the backlog for the probe time
+        instead (consuming no attempt), unless ``force`` fast-forwards
+        the cooldown and makes them the half-open probe.
         """
-        policy = self.resilience
+        policy = self._policy
+        state = self._poll_breaker(lane, vnow)
+        if state == BREAKER_OPEN and force:
+            vnow = max(vnow, lane.breaker.probe_at)
+            state = self._poll_breaker(lane, vnow)
+        if state == BREAKER_OPEN:
+            self._defer_or_shed(lane, ops, origin, attempt, vnow)
+            return
+        lane.vclock = max(lane.vclock, vnow)
+        ops = list(ops)
         if policy.deadline is not None:
             ops = self._expire_deadlines(lane, ops, vnow, attempt)
         if not ops:
@@ -620,8 +634,17 @@ class RenamingService:
         except Exception as error:
             wall = time.perf_counter() - started
             kind = classify_failure(error, lane.shard.last_fault_issued)
-            self._record_epoch_failure(lane, epoch, error, kind, attempt,
-                                       wall)
+            lane.failures += 1
+            self.failed_epochs += 1
+            self.profiler.add(f"shard{lane.index}:failed_epoch", wall)
+            # "failure", not "kind": the event envelope reserves
+            # ``kind`` for the event name itself.
+            self._emit("serve.epoch.failed", shard=lane.index, epoch=epoch,
+                       failure=kind, attempt=attempt,
+                       error=f"{type(error).__name__}: {error}"[:200],
+                       wall_s=round(wall, 6))
+            self._emit("serve.shard.degraded", shard=lane.index,
+                       failures=lane.failures, failure=kind)
             if lane.breaker.record_failure(vnow):
                 self._emit("serve.breaker.open", shard=lane.index,
                            failures=lane.breaker.consecutive)
@@ -644,13 +667,13 @@ class RenamingService:
                        delay_s=round(delay, 9))
             return
         wall = time.perf_counter() - started
-        if outcome.ran and lane.breaker.record_success() and probe:
+        if outcome.ran and lane.breaker.record_success():
             self._emit("serve.breaker.close", shard=lane.index)
         self._resolve_success(lane, ops, outcome, wall)
 
     def _expire_deadlines(self, lane: _Lane, ops: list, vnow: float,
                           attempt: int) -> list:
-        deadline = self.resilience.deadline
+        deadline = self._policy.deadline
         expired = [op for op in ops if vnow > op.arrival + deadline]
         if not expired:
             return ops
@@ -668,7 +691,7 @@ class RenamingService:
     def _defer_or_shed(self, lane: _Lane, ops: Sequence, origin: int,
                        attempt: int, now: float) -> None:
         """Queue ops for the breaker's probe time, shedding overflow."""
-        policy = self.resilience
+        policy = self._policy
         room = policy.shed_capacity - lane.backlog.ops_count
         keep = list(ops[:max(0, room)])
         drop = list(ops[len(keep):])
@@ -683,21 +706,6 @@ class RenamingService:
                     op.handle.set_exception(RequestShed(lane.index, depth))
             self._emit("serve.shed", shard=lane.index, ops=len(drop),
                        depth=depth)
-
-    def _record_epoch_failure(self, lane: _Lane, epoch: int,
-                              error: BaseException, kind: str,
-                              attempt: int, wall: float) -> None:
-        lane.failures += 1
-        self.failed_epochs += 1
-        self.profiler.add(f"shard{lane.index}:failed_epoch", wall)
-        # "failure", not "kind": the event envelope reserves ``kind``
-        # for the event name itself.
-        self._emit("serve.epoch.failed", shard=lane.index, epoch=epoch,
-                   failure=kind, attempt=attempt,
-                   error=f"{type(error).__name__}: {error}"[:200],
-                   wall_s=round(wall, 6))
-        self._emit("serve.shard.degraded", shard=lane.index,
-                   failures=lane.failures, failure=kind)
 
     def _resolve_success(self, lane: _Lane, ops: Sequence, outcome,
                          wall: float) -> None:
@@ -735,24 +743,6 @@ class RenamingService:
         if state == BREAKER_HALF_OPEN and before == BREAKER_OPEN:
             self._emit("serve.breaker.half_open", shard=lane.index)
         return state
-
-    def _arm_retry_timer(self, lane: _Lane) -> None:
-        """Live mode: wake the lane when its earliest retry comes due."""
-        if not lane.live or not lane.backlog or self._closed:
-            return
-        due = lane.backlog.earliest_due()
-        if lane.retry_timer is not None:
-            lane.retry_timer.cancel()
-        delay = max(0.0, due - self._loop.time())
-        lane.retry_timer = self._loop.call_later(
-            delay, self._retry_wake, lane,
-        )
-
-    def _retry_wake(self, lane: _Lane) -> None:
-        lane.retry_timer = None
-        if self._closed:
-            return
-        lane.queue.put_nowait(_RETRY_WAKE)
 
     # -- introspection --------------------------------------------------
 
@@ -827,7 +817,7 @@ class RenamingService:
                 "messages": sum(r.messages for r in directory.history),
                 "bits": sum(r.bits for r in directory.history),
             }
-            if lane.breaker is not None:
+            if self.resilience is not None:
                 row["breaker"] = lane.breaker.stats()
                 row["backlog"] = lane.backlog.ops_count
             rows.append(row)
@@ -839,18 +829,15 @@ class RenamingService:
         Always contains the ``shard<k>:epoch`` wall time measured
         around each executor call; with ``profile_shards=True`` also
         the protocol-phase split (``shard<k>:plan`` ...) from each
-        shard's tap.
+        shard's profiler.
         """
-        merged = PhaseProfiler()
-        merged.merge(self.profiler)
-        report = merged.report()
+        report = self.profiler.report()
         for lane in self._lanes:
-            if lane.tap is None:
+            tap = lane.shard.observer
+            if tap is None:
                 continue
-            tap_report = lane.tap.profiler.report()
-            for phase, row in tap_report["phases"].items():
+            for phase, row in tap.profiler.report()["phases"].items():
                 report["phases"][f"shard{lane.index}:{phase}"] = row
-        report["schema"] = PROFILE_FORMAT
         return report
 
     # -- events ---------------------------------------------------------

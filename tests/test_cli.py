@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -82,6 +83,28 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "SAFETY_VIOLATED" in out and "first_unsafe_rung" in out
+
+
+class TestBenchForwarding:
+    """``perf`` / ``serve`` / ``chaos`` declare their flags once, in
+    their harness: ``python -m repro`` hands the command line over."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("perf", ["--n", "10000", "--workloads", "broadcast",
+                  "--repeat", "1", "--out", "BENCH_perf_n10k.json"]),
+        ("serve", ["--quick", "--events", "/tmp/serve-events.jsonl",
+                   "--out", "BENCH_serve.json"]),
+        ("chaos", ["--resilience", '{"max_retries": 2}', "--help"]),
+    ])
+    def test_harness_main_receives_the_argv_verbatim(self, monkeypatch,
+                                                     name, argv):
+        harness = importlib.import_module(f"benchmarks.{name}")
+        received = []
+        monkeypatch.setattr(
+            harness, "main", lambda args: received.append(args) or 7)
+        assert main([name, *argv]) == 7
+        assert received == [argv]
+        assert f"\n    {name} " in build_parser().format_help()
 
 
 class TestStoreLocation:

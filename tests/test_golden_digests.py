@@ -15,8 +15,16 @@ Only a deliberate accounting change may re-record the table:
     PYTHONPATH=src python -m tests.test_golden_digests
 
 CI runs this file under two ``PYTHONHASHSEED`` values.
+
+The serve table (``SERVE_CASES`` / ``SERVE_GOLDEN``) does the same for
+``repro.serve``: one digest per played load over everything the service
+counts.  It was recorded on the commit *before* the lane clock (one
+attempt path, reads ordered on the lane) and had to hold across it
+without re-recording; ``SERVE_LOOKUPS`` was added with the read rule,
+which is what made lookup hits a function of the trace.
 """
 
+import asyncio
 import hashlib
 import json
 from random import Random
@@ -33,6 +41,10 @@ from repro.analysis.experiments import (
 from repro.core.byzantine_renaming import run_byzantine_renaming
 from repro.core.crash_renaming import CrashRenamingConfig, run_crash_renaming
 from repro.faults import build_fault_model
+from repro.obs import EventRecorder
+from repro.serve.loadgen import generate_trace, run_load
+from repro.serve.service import RenamingService
+from tests import test_serve_ab, test_serve_resilience
 
 
 def digest(result) -> str:
@@ -156,6 +168,97 @@ def test_counted_results_match_the_recorded_digest(case):
     assert digest(CASES[case]()) == GOLDEN[case]
 
 
+#: Worker-side resilience events: emitted by one lane in execution
+#: order, so their per-shard sequence is part of the counted result.
+SERVE_EVENT_PREFIXES = ("serve.retry", "serve.breaker.", "serve.shed",
+                        "serve.deadline", "serve.epoch.failed")
+
+LOAD_COUNTERS = ("renamed", "released", "rename_misses", "degraded", "shed",
+                 "deadline_expired", "unresolved")
+
+
+def serve_case(profile, *, faults, windows=None, resilience=None):
+    """Play ``profile``'s trace; returns ``(digest, (hits, misses))``."""
+    recorder = EventRecorder(capacity=None)
+
+    async def scenario():
+        service = RenamingService(
+            shards=profile.shards, namespace=profile.namespace,
+            seed=profile.seed, max_batch=profile.max_batch,
+            max_wait=profile.max_wait, shard_faults=faults,
+            shard_fault_windows=windows, resilience=resilience,
+            observer=recorder,
+        )
+        async with service:
+            load = await run_load(service, generate_trace(profile))
+            return (load, service.boundaries(), service.histories(),
+                    service.assignment(), service.stats())
+
+    load, boundaries, histories, assignment, stats = asyncio.run(scenario())
+    lanes: dict[int, list] = {}
+    for event in recorder.events():
+        if event["kind"].startswith(SERVE_EVENT_PREFIXES):
+            data = dict(event["data"])
+            data.pop("wall_s", None)
+            lanes.setdefault(data["shard"], []).append(
+                [event["kind"], sorted(data.items())])
+    canonical = json.dumps([
+        boundaries,
+        [[(r.rounds, r.messages, r.bits) for r in history]
+         for history in histories],
+        sorted(assignment.items()),
+        sorted((key, value) for key, value in stats.items()
+               if isinstance(value, int)),
+        [getattr(load, name) for name in LOAD_COUNTERS],
+        sorted(lanes.items()),
+    ], sort_keys=True)
+    return (hashlib.sha256(canonical.encode()).hexdigest(),
+            (load.lookup_hits, load.lookup_misses))
+
+
+#: case id -> thunk playing one load against a fresh service.
+SERVE_CASES = {
+    # resilience=None: shard 0 fails every multi-member epoch.
+    "serve-plain-omission": lambda: serve_case(
+        test_serve_ab.PROFILE, faults={0: test_serve_ab.OMISSION}),
+    # Retries and the breaker ride across attempts 1-8 of shard 0.
+    "serve-resilient-window": lambda: serve_case(
+        test_serve_resilience.PROFILE,
+        faults={0: test_serve_resilience.OMISSION_100},
+        windows={0: test_serve_resilience.WINDOW},
+        resilience=test_serve_resilience.RESILIENCE),
+}
+
+#: case id -> digest recorded on the parent commit.
+SERVE_GOLDEN = {
+    "serve-plain-omission":
+        "79d5ba802b613bb23144a7b7bc73645403a7e0b1a1bd044332c86c09b71308d0",
+    "serve-resilient-window":
+        "7c3ebcedfbd7577e259de307264e24ee4ae14ccbef10447ae1e301d884b63532",
+}
+
+#: case id -> (lookup_hits, lookup_misses), recorded with the read rule
+#: (at the parent they followed the executor's speed: 146 / 1198 here).
+SERVE_LOOKUPS = {
+    "serve-plain-omission": (573, 771),
+    "serve-resilient-window": (547, 797),
+}
+
+
+def test_every_serve_case_has_a_recorded_digest():
+    assert sorted(SERVE_GOLDEN) == sorted(SERVE_CASES) == sorted(SERVE_LOOKUPS)
+
+
+@pytest.mark.parametrize("case", sorted(SERVE_CASES))
+def test_serve_counts_match_the_recorded_digest(case):
+    recorded, lookups = SERVE_CASES[case]()
+    assert recorded == SERVE_GOLDEN[case]
+    assert lookups == SERVE_LOOKUPS[case]
+
+
 if __name__ == "__main__":
     for case, run in CASES.items():
         print(f'    "{case}":\n        "{digest(run())}",')
+    for case, run in SERVE_CASES.items():
+        recorded, lookups = run()
+        print(f'    "{case}":\n        "{recorded}",  # lookups {lookups}')

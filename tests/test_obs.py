@@ -21,8 +21,10 @@ from repro.obs import (
     read_jsonl,
     validate_event,
     validate_events,
+    validate_fabric_events,
 )
 from repro.__main__ import main
+from repro.serve.obs import validate_serve_events
 from repro.sim.columnar import LazyInbox
 from repro.sim.messages import CostModel
 from repro.sim.runner import run_network
@@ -119,6 +121,31 @@ class TestSchema:
         event = {"seq": "zero", "ts": 0.0, "kind": "x"}
         assert validate_event(event)
         assert validate_event("not a dict")
+
+
+class TestKindTables:
+    """The per-family validators share one loop; CI jobs and tests
+    compare their problem strings, so the wording is pinned."""
+
+    EVENTS = [
+        {"kind": "serve.start", "data": {"shards": 2}},
+        {"kind": "serve.nope", "data": {}},
+        {"kind": "fabric.task.reap",
+         "data": {"campaign": "c", "task": "t", "owner": "w"}},
+        {"kind": "fabric.nope"},
+        {"kind": "round.begin"},
+        {"kind": "server.start"},      # a family ends at its dot
+    ]
+
+    def test_each_family_reports_only_its_own_problems(self):
+        assert validate_serve_events(self.EVENTS) == [
+            "event 0: serve.start missing data field 'max_batch'",
+            "event 1: unknown serve kind 'serve.nope'",
+        ]
+        assert validate_fabric_events(self.EVENTS) == [
+            "event 2: fabric.task.reap missing data field 'attempt'",
+            "event 3: unknown fabric kind 'fabric.nope'",
+        ]
 
 
 class TestJsonl:

@@ -271,6 +271,80 @@ class TestService:
 
         run(scenario())
 
+    def test_lookup_at_is_ordered_between_its_lanes_batches(self):
+        async def scenario():
+            async with service(shards=1, max_batch=2, max_wait=None) as svc:
+                before = svc.lookup_at(101, 0.0)
+                rename = svc.submit(RENAME, 101, 1.0)
+                svc.submit(RENAME, 102, 1.0)        # fills the batch
+                after = svc.lookup_at(101, 1.0)     # queued behind it
+                svc.submit(RENAME, 103, 2.0)        # stays open ...
+                unflushed = svc.lookup_at(103, 3.0)  # ... past this read
+                await svc.drain()
+                assert await before is None
+                assert await after == await rename
+                assert await unflushed is None
+                assert svc.lookup(103) is not None
+
+        run(scenario())
+
+    def test_lookup_at_validates_like_lookup_and_submit(self):
+        svc = service()
+        with pytest.raises(RuntimeError, match="not started"):
+            svc.lookup_at(5, 0.0)
+
+        async def scenario():
+            async with svc:
+                with pytest.raises(ValueError, match="outside"):
+                    svc.lookup_at(20_000, 0.0)
+            with pytest.raises(RuntimeError, match="closed"):
+                svc.lookup_at(5, 0.0)
+
+        run(scenario())
+
+    def test_stamps_cannot_run_backwards_on_a_lane(self):
+        async def scenario():
+            async with service(shards=1) as svc:
+                svc.submit(RENAME, 5, 2.0)
+                with pytest.raises(
+                        ValueError,
+                        match=r"lane 0 .* arrival 1\.0 after stamp 2\.0:"):
+                    svc.submit(RENAME, 6, 1.0)
+                with pytest.raises(ValueError, match="lane 0 .* 1.5 after"):
+                    svc.lookup_at(5, 1.5)
+                # The refused requests left nothing behind; an equal
+                # stamp is not a step back.
+                assert svc.stats()["requests"] == 1
+                same = svc.lookup_at(5, 2.0)
+                svc.submit(RENAME, 6, 2.0)
+                await svc.drain()
+                assert await same is None           # ahead of the batch
+                assert sorted(svc.assignment()) == [5, 6]
+
+        run(scenario())
+
+    def test_a_lane_is_stamped_or_live_never_both(self):
+        async def scenario():
+            async with service(shards=1, max_wait=0.01) as svc:
+                svc.submit(RENAME, 5, 0.5)
+                with pytest.raises(
+                        ValueError,
+                        match=r"lane 0 .* arrival None after stamp 0\.5:"):
+                    svc.submit(RENAME, 6)
+                with pytest.raises(ValueError, match="lane 0 .* unstamped"):
+                    svc.lookup_at(5)
+                assert svc.stats()["requests"] == 1
+            async with service(shards=1, max_wait=0.01) as svc:
+                live = svc.submit(RENAME, 5)
+                with pytest.raises(ValueError, match="lane 0 .* unstamped"):
+                    svc.submit(RENAME, 6, 0.5)
+                with pytest.raises(ValueError, match="lane 0 .* unstamped"):
+                    svc.lookup_at(5, 0.5)
+                gid = await asyncio.wait_for(live, timeout=5.0)
+                assert await svc.lookup_at(5) == gid
+
+        run(scenario())
+
     def test_requires_running_loop_lifecycle(self):
         svc = service()
         with pytest.raises(RuntimeError, match="not started"):

@@ -5,17 +5,28 @@ reference*: the same trace routed through the same hash, batched by
 the same pure batch plan, executed shard by shard in one thread.
 Thread-pool concurrency and the event loop must not change a single
 counted result — same batch boundaries, same per-epoch protocol
-rounds/messages/bits, same final assignment.
+rounds/messages/bits, same final assignment, and the same answer to
+every lookup of the trace (the read rule: a lookup is answered after
+the batches of its lane that closed by its stamp, before the others).
 """
 
 import asyncio
+import math
+import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.analysis.experiments import EXPERIMENT_ELECTION_CONSTANT
 from repro.core.crash_renaming import CrashRenamingConfig
 from repro.obs import EventRecorder, validate_events
-from repro.serve.batching import BatchPolicy, plan_batches
+from repro.serve.batching import (
+    CLOSE_DEADLINE,
+    CLOSE_FULL,
+    BatchPolicy,
+    plan_batches,
+)
 from repro.serve.driver import serve_run_summary
 from repro.serve.loadgen import (
     LoadProfile,
@@ -45,15 +56,28 @@ def epoch_counts(histories):
             for history in histories]
 
 
-def run_concurrent(profile, shard_faults=None, yield_every=256):
+class RecordingService(RenamingService):
+    """Keeps every stamped read's future, in submission order."""
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.reads = []
+
+    def lookup_at(self, uid, arrival=None):
+        future = super().lookup_at(uid, arrival)
+        self.reads.append(future)
+        return future
+
+
+def run_concurrent(profile, shard_faults=None, yield_every=256, **options):
     """Play the profile against a real service; return counted state."""
 
     async def scenario():
-        service = RenamingService(
+        service = RecordingService(
             shards=profile.shards, namespace=profile.namespace,
             seed=profile.seed, max_batch=profile.max_batch,
             max_wait=profile.max_wait, config=CONFIG,
-            shard_faults=shard_faults,
+            shard_faults=shard_faults, **options,
         )
         async with service:
             load = await run_load(service, generate_trace(profile),
@@ -63,6 +87,7 @@ def run_concurrent(profile, shard_faults=None, yield_every=256):
                 "boundaries": service.boundaries(),
                 "epochs": epoch_counts(service.histories()),
                 "assignment": service.assignment(),
+                "lookups": [read.result() for read in service.reads],
                 "stats": service.stats(),
                 "per_shard": service.per_shard_stats(),
             }
@@ -70,35 +95,60 @@ def run_concurrent(profile, shard_faults=None, yield_every=256):
     return asyncio.run(scenario())
 
 
+def close_times(batches):
+    """When each planned batch closed, on the trace's clock: with the
+    arrival that filled it, with the next batch's first arrival (the
+    one past its deadline), or — at drain — after every request."""
+    times = []
+    for batch, following in zip(batches, batches[1:] + [None]):
+        if batch.reason == CLOSE_FULL:
+            times.append(batch.last_arrival)
+        elif batch.reason == CLOSE_DEADLINE:
+            times.append(following.first_arrival)
+        else:
+            times.append(math.inf)
+    return times
+
+
 def run_serial_reference(profile, shard_faults=None):
     """The same workload, one thread, no event loop, no service."""
     policy = BatchPolicy(max_batch=profile.max_batch,
                          max_wait=profile.max_wait)
     streams = {index: [] for index in range(profile.shards)}
+    reads = {index: deque() for index in range(profile.shards)}
     submitted = 0
     for op in generate_trace(profile):
+        shard = shard_of(op.uid, profile.shards)
         if op.kind == LOOKUP:
+            reads[shard].append(op)
             continue
         # Mirror the service's numbering: submission order over the
         # state-changing requests only (lookups never get an op).
-        shard = shard_of(op.uid, profile.shards)
         streams[shard].append(
             (ShardOp(submitted, op.kind, op.uid), op.arrival)
         )
         submitted += 1
-    boundaries, histories, assignment = [], [], {}
+    boundaries, histories, assignment, answers = [], [], {}, {}
     for index in range(profile.shards):
         shard = Shard(
             index, profile.shards, namespace=profile.namespace,
             seed=profile.seed, config=CONFIG,
             fault_spec=(shard_faults or {}).get(index),
         )
+        pending = reads[index]
         batches = plan_batches(index, streams[index], policy)
-        for batch in batches:
+        for batch, closes in zip(batches, close_times(batches)):
+            # A lookup stamped before this batch closed reads the
+            # table without it.
+            while pending and pending[0].arrival < closes:
+                read = pending.popleft()
+                answers[read.index] = shard.lookup(read.uid)
             try:
                 shard.execute(batch.ops)
             except Exception:
                 pass  # degraded batch: rolled back, keep going
+        for read in pending:
+            answers[read.index] = shard.lookup(read.uid)
         boundaries.append([batch.boundary() for batch in batches])
         histories.append(shard.directory.history)
         assignment.update(shard.global_assignment())
@@ -106,7 +156,16 @@ def run_serial_reference(profile, shard_faults=None):
         "boundaries": boundaries,
         "epochs": epoch_counts(histories),
         "assignment": assignment,
+        "lookups": [answers[index] for index in sorted(answers)],
     }
+
+
+def assert_matches_reference(concurrent, serial):
+    for key in ("boundaries", "epochs", "assignment", "lookups"):
+        assert concurrent[key] == serial[key], key
+    hits = sum(answer is not None for answer in serial["lookups"])
+    assert concurrent["load"].lookup_hits == hits
+    assert concurrent["load"].lookup_misses == len(serial["lookups"]) - hits
 
 
 class TestTraceDeterminism:
@@ -134,19 +193,17 @@ class TestTraceDeterminism:
 
 class TestConcurrentMatchesSerial:
     def test_counted_results_are_identical(self):
-        concurrent = run_concurrent(PROFILE)
         serial = run_serial_reference(PROFILE)
-        assert concurrent["boundaries"] == serial["boundaries"]
-        assert concurrent["epochs"] == serial["epochs"]
-        assert concurrent["assignment"] == serial["assignment"]
+        assert_matches_reference(run_concurrent(PROFILE), serial)
+        # Both sorts of answer occur, or the comparison says little.
+        assert None in serial["lookups"]
+        assert any(answer is not None for answer in serial["lookups"])
 
     def test_identical_under_faults_too(self):
         faults = {1: OMISSION}
-        concurrent = run_concurrent(PROFILE, shard_faults=faults)
-        serial = run_serial_reference(PROFILE, shard_faults=faults)
-        assert concurrent["boundaries"] == serial["boundaries"]
-        assert concurrent["epochs"] == serial["epochs"]
-        assert concurrent["assignment"] == serial["assignment"]
+        assert_matches_reference(
+            run_concurrent(PROFILE, shard_faults=faults),
+            run_serial_reference(PROFILE, shard_faults=faults))
 
     def test_event_loop_schedule_does_not_change_results(self):
         # Different yield cadences interleave dispatch and epoch
@@ -156,6 +213,7 @@ class TestConcurrentMatchesSerial:
         assert coarse["boundaries"] == fine["boundaries"]
         assert coarse["epochs"] == fine["epochs"]
         assert coarse["assignment"] == fine["assignment"]
+        assert coarse["lookups"] == fine["lookups"]
 
     def test_two_service_runs_are_identical(self):
         first = run_concurrent(PROFILE)
@@ -164,6 +222,53 @@ class TestConcurrentMatchesSerial:
         assert first["epochs"] == second["epochs"]
         assert first["assignment"] == second["assignment"]
         assert first["stats"] == second["stats"]
+
+
+class SlowExecutor(ThreadPoolExecutor):
+    """Sleeps before every call it runs: each epoch starts late."""
+
+    def __init__(self, delay):
+        super().__init__(max_workers=4)
+        self.delay = delay
+
+    def submit(self, fn, *args, **kwargs):
+        def late():
+            time.sleep(self.delay)
+            return fn(*args, **kwargs)
+
+        return super().submit(late)
+
+
+#: The resilient case is the row whose lookup hits used to follow the
+#: executor's speed (21 of 543 untouched, 0 with 2 ms before each epoch).
+DELAY_CASES = {
+    "plain": dict(profile=PROFILE.scaled(requests=600),
+                  shard_faults={1: OMISSION}),
+    "resilient-window": dict(
+        profile=LoadProfile(clients=24, requests=600, shards=2,
+                            max_batch=16, seed=7),
+        shard_faults={0: OMISSION}, shard_fault_windows={0: (1, 5)},
+        resilience="{}"),
+}
+
+
+class TestExecutorDelay:
+    @pytest.mark.parametrize("case", sorted(DELAY_CASES))
+    def test_counts_do_not_follow_the_executor(self, case):
+        def counted(delay):
+            with SlowExecutor(delay) as executor:
+                result = run_concurrent(executor=executor,
+                                        **DELAY_CASES[case])
+            load = result.pop("load").as_dict()
+            for key in ("wall_s", "throughput_rps", "latency"):
+                del load[key]
+            return {**result, "load": load}
+
+        prompt = counted(0.0)
+        assert prompt["load"]["lookup_hits"] > 0
+        assert prompt["stats"]["failed_epochs"] > 0
+        for delay in (0.002, 0.020):
+            assert counted(delay) == prompt, delay
 
 
 class TestDegradation:
