@@ -22,16 +22,27 @@ reaches everyone, so two *alive* nodes can only contend inside one
 round, where the min-identity rule orders them consistently; a slot
 whose only claimant crashed is leaked, but at most one slot leaks per
 crash, and crashed nodes need no names, so ``n`` slots always suffice.
+(Links that forge claims can leak more; a ball left without a free slot
+raises :class:`~repro.core.crash_renaming.RenamingFailure`.)
+
+Step 3 reads the same broadcasts at every node that received them, so
+the simulator tabulates a round's claims once per *distinct inbox*
+(:func:`_claims`, through :func:`repro.sim.columnar.derive`); what is
+private to a ball -- its coin, the slots it has seen taken -- stays in
+its program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
+from repro.core.crash_renaming import RenamingFailure
 from repro.faults.base import FaultModel
-from repro.sim.messages import CostModel, Message, broadcast
+from repro.sim.columnar import derive
+from repro.sim.messages import CostModel, Envelope, Message, broadcast
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, run_network
 
@@ -62,6 +73,28 @@ class SlotRelease(Message):
 
     def payload_bits(self, cost: CostModel) -> int:
         return cost.index_bits + cost.id_bits
+
+
+def _claims(envelopes: Sequence[Envelope]
+            ) -> tuple[Mapping[int, int], frozenset[int], bool]:
+    """One round's broadcasts as every node that received them reads
+    them: the smallest identity claiming each claimed slot, every slot
+    named (claimed or re-announced), and whether any claim was fresh.
+    Computed once per distinct inbox (:func:`repro.sim.columnar.derive`).
+    """
+    winners: dict[int, int] = {}
+    named: set[int] = set()
+    for envelope in envelopes:
+        message = envelope.message
+        if isinstance(message, SlotClaim):
+            slot = message.slot
+            best = winners.get(slot)
+            if best is None or message.uid < best:
+                winners[slot] = message.uid
+            named.add(slot)
+        elif isinstance(message, SlotRelease):
+            named.add(message.slot)
+    return MappingProxyType(winners), frozenset(named), bool(winners)
 
 
 class BallsIntoSlotsNode(Process):
@@ -102,9 +135,10 @@ class BallsIntoSlotsNode(Process):
                 free = [slot for slot in range(1, slot_count + 1)
                         if slot not in taken]
                 if not free:
-                    raise RuntimeError(
-                        f"node {self.uid}: no free slots "
-                        f"(leaked more slots than crashes?)"
+                    # Only links that invent claims can leak more slots
+                    # than there are crashes.  Nobody got a wrong name.
+                    raise RenamingFailure(
+                        f"node {self.uid}: no free slots left"
                     )
                 my_claim = free[ctx.rng.randrange(len(free))]
                 outgoing = broadcast(n, SlotClaim(my_claim, self.uid))
@@ -117,22 +151,14 @@ class BallsIntoSlotsNode(Process):
                 outgoing = broadcast(n, SlotRelease(self.my_slot, self.uid))
             inbox = yield outgoing
 
-            contenders: dict[int, list[int]] = {}
-            fresh_claims = False
-            for envelope in inbox:
-                message = envelope.message
-                if isinstance(message, SlotClaim):
-                    fresh_claims = True
-                    contenders.setdefault(message.slot, []).append(message.uid)
-                    taken.add(message.slot)
-                elif isinstance(message, SlotRelease):
-                    taken.add(message.slot)
-
-            if my_claim is not None:
-                rivals = contenders.get(my_claim, [self.uid])
-                if min(rivals) >= self.uid:
-                    self.my_slot = my_claim
-                    self.rounds_to_name = round_index
+            winners, named, fresh_claims = derive(inbox, _claims)
+            # Only the news: `|=` would presize for a disjoint union and
+            # double every node's table on the overlap it mostly is.
+            taken.update(named - taken)
+            if (my_claim is not None
+                    and winners.get(my_claim, self.uid) >= self.uid):
+                self.my_slot = my_claim
+                self.rounds_to_name = round_index
             quiescent = not fresh_claims
 
 

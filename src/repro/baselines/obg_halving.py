@@ -19,19 +19,31 @@ Lemma 2.3: among the nodes that moved into ``bot(I)``, the one with
 the largest identity saw every mover's status (movers are alive, and
 alive broadcasts reach everyone), so the slot-capacity inequality it
 checked bounds the whole group.
+
+Every node applies one rule to the broadcasts it received, and the model
+charges those broadcasts, not the rule: the simulator evaluates it once
+per *distinct inbox* (:func:`_halving_table`, through
+:func:`repro.sim.columnar.derive`) and each node looks its own interval
+up.  A node whose own report is missing from what it received (a lossy
+or corrupting link) cannot rank itself and raises
+:class:`~repro.core.crash_renaming.RenamingFailure`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.faults.base import FaultModel
 from repro.core.crash_renaming import RenamingFailure
-from repro.core.intervals import Interval, root_interval
-from repro.sim.messages import CostModel, Message, broadcast
+from repro.core.intervals import Interval, reports_inside_bot, root_interval
+from repro.sim.columnar import derive
+from repro.sim.messages import CostModel, Envelope, Message, broadcast
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, run_network
 
@@ -47,6 +59,31 @@ class HalvingStatus(Message):
         return cost.id_bits + 2 * cost.index_bits
 
 
+def _halving_table(envelopes: Sequence[Envelope]
+                   ) -> Mapping[tuple[int, int], tuple[tuple[int, ...], int]]:
+    """One phase's broadcasts as every node that received them reads
+    them: ``(lo, hi) -> (sorted uids reporting exactly that interval,
+    reports inside its bot)`` for every reported non-singleton interval.
+
+    The same grouping pass and sweep the paper's committee members use
+    (:func:`~repro.core.intervals.reports_inside_bot`): ``O(n log n)``
+    once per distinct inbox (:func:`repro.sim.columnar.derive`) instead
+    of a rescan of all ``n`` statuses by each of ``n`` nodes.
+    """
+    reporters: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for envelope in envelopes:
+        message = envelope.message
+        if isinstance(message, HalvingStatus):
+            interval = message.interval
+            reporters[(interval.lo, interval.hi)].append(message.uid)
+    inside = reports_inside_bot(
+        reporters, [key for key in reporters if key[0] != key[1]])
+    return MappingProxyType({
+        key: (tuple(sorted(reporters[key])), count)
+        for key, count in inside.items()
+    })
+
+
 class ObgHalvingNode(Process):
     """One participant of the all-to-all halving baseline."""
 
@@ -54,24 +91,24 @@ class ObgHalvingNode(Process):
         super().__init__(uid)
         self.interval: Optional[Interval] = None
 
-    def _halve(self, statuses: list[HalvingStatus]) -> None:
-        """One local halving step using everyone's broadcast status."""
-        if self.interval.is_singleton:
-            return
-        same_ids = sorted(
-            status.uid for status in statuses
-            if status.interval == self.interval
-        )
-        bot = self.interval.bot()
-        below_bot = sum(
-            1 for status in statuses
-            if bot.contains_interval(status.interval)
-        )
-        rank = same_ids.index(self.uid) + 1
+    def _halve(self, table: Mapping[tuple[int, int], tuple]) -> None:
+        """One local halving step of a non-singleton interval, using
+        everyone's broadcast status."""
+        interval = self.interval
+        ranked, below_bot = table.get((interval.lo, interval.hi), ((), 0))
+        rank = bisect_left(ranked, self.uid) + 1
+        if rank > len(ranked) or ranked[rank - 1] != self.uid:
+            # A lossy or corrupting link ate this node's own report:
+            # it cannot rank itself.  Nobody got a wrong name.
+            raise RenamingFailure(
+                f"node {self.uid}: own report missing among the "
+                f"reports of {interval}"
+            )
+        bot = interval.bot()
         if below_bot + rank <= bot.size:
             self.interval = bot
         else:
-            self.interval = self.interval.top()
+            self.interval = interval.top()
 
     def program(self, ctx: Context) -> Program:
         n = ctx.n
@@ -79,12 +116,8 @@ class ObgHalvingNode(Process):
         phases = math.ceil(math.log2(n)) if n > 1 else 0
         for _phase in range(phases):
             inbox = yield broadcast(n, HalvingStatus(self.uid, self.interval))
-            statuses = [
-                envelope.message for envelope in inbox
-                if isinstance(envelope.message, HalvingStatus)
-            ]
-            if statuses:
-                self._halve(statuses)
+            if not self.interval.is_singleton:
+                self._halve(derive(inbox, _halving_table))
         if not self.interval.is_singleton:
             raise RenamingFailure(
                 f"node {self.uid} finished with interval {self.interval}"

@@ -13,13 +13,25 @@ An honest vote round is one fan-out: one :class:`SubVote` multicast to
 the view.  Byzantine strategies hook :meth:`CommitteeComm.outgoing_value`
 to equivocate (send different values to different receivers) without
 having to re-implement the lockstep schedule; only they pay per link.
+
+Reading is replicated too.  Members that were delivered the same rows
+hold the same votes, so :meth:`CommitteeComm.collect` goes through
+:func:`repro.sim.columnar.derive`: the vote table of a step is computed
+once per distinct inbox -- per ``(view, step, kind, members)`` -- and
+the members of that view share one read-only mapping.  What varies
+between members (the step a desynchronised Byzantine member believes in,
+its committee view) is an argument, never hidden state; an equivocator
+or withholder splits the committee into several views, each still
+computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
+from repro.sim.columnar import derive
 from repro.sim.messages import CostModel, Envelope, Message, Send, multicast
 
 
@@ -88,21 +100,33 @@ class CommitteeComm:
             out.append(Send(link, vote))
         return out
 
-    def collect(self, inbox: Sequence[Envelope], kind: str) -> dict[int, object]:
-        """First well-formed vote per view member for the current step."""
-        votes: dict[int, object] = {}
-        members = self._members
-        for envelope in inbox:
-            message = envelope.message
-            if (
-                isinstance(message, SubVote)
-                and message.step == self.step
-                and message.kind == kind
-                and envelope.sender in members
-                and envelope.sender not in votes
-            ):
-                votes[envelope.sender] = message.value
-        return votes
+    def collect(self, inbox: Sequence[Envelope], kind: str
+                ) -> Mapping[int, object]:
+        """First well-formed vote per view member for the current step.
+
+        Lemma 3.8 keeps the committee in lockstep on the same votes, so
+        members that received the same rows share one (read-only)
+        mapping, computed once (:func:`repro.sim.columnar.derive`).
+        """
+        return derive(inbox, _collect, self.step, kind, self._members)
+
+
+def _collect(envelopes: Sequence[Envelope], step: int, kind: str,
+             members: frozenset[int]) -> Mapping[int, object]:
+    """``sender link -> value`` of the first ``kind`` vote of ``step``
+    from each of ``members``; pure in its arguments."""
+    votes: dict[int, object] = {}
+    for envelope in envelopes:
+        message = envelope.message
+        if (
+            isinstance(message, SubVote)
+            and message.step == step
+            and message.kind == kind
+            and envelope.sender in members
+            and envelope.sender not in votes
+        ):
+            votes[envelope.sender] = message.value
+    return MappingProxyType(votes)
 
 
 def exchange(comm: CommitteeComm, kind: str, value: object, width: int):

@@ -23,7 +23,11 @@ committee action (Figure 2) computes them by grouping -- one pass
 buckets the reports by interval, one sweep counts the reports inside
 every ``bot(I)`` -- instead of rescanning all reports per reporter;
 ``tests/test_committee_action_property.py`` holds the rescanning
-version as the oracle.  The only knob is the election constant (paper:
+version as the oracle.  And it computes them once per *distinct inbox*
+rather than once per member (:func:`repro.sim.columnar.derive`): the
+committee is a replicated object, members that received the same
+reports decide the same, and the model charges their messages, not
+their arithmetic.  The only knob is the election constant (paper:
 256), exposed because the paper's proof-friendly constant makes every
 node a committee member at any size this simulator runs
 (``256 log2(n) >= n`` for every ``n <= 2,950``), hiding the very
@@ -34,15 +38,23 @@ record that choice in EXPERIMENTS.md.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.faults.base import FaultModel
-from repro.core.intervals import Interval, root_interval
-from repro.sim.messages import CostModel, Message, Scatter, broadcast, multicast
+from repro.core.intervals import Interval, reports_inside_bot, root_interval
+from repro.sim.columnar import derive
+from repro.sim.messages import (
+    CostModel,
+    Envelope,
+    Message,
+    Scatter,
+    broadcast,
+    multicast,
+)
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, run_network
 
@@ -129,6 +141,106 @@ class CrashRenamingConfig:
         return self.phase_multiplier * math.ceil(math.log2(n)) if n > 1 else 0
 
 
+# -- what a committee reads from its inbox ------------------------------
+#
+# The committee is a replicated object: members that received the same
+# rows hold the same reports and take the same decisions, so each of
+# the functions below is computed once per distinct inbox
+# (:func:`repro.sim.columnar.derive`).  They are pure in their
+# arguments and return read-only values, which is the contract that
+# makes the sharing invisible.
+
+
+def _committee_links(envelopes: Sequence[Envelope]) -> tuple[int, ...]:
+    """Round 1: the links that announced membership, ascending."""
+    return tuple(sorted({
+        envelope.sender for envelope in envelopes
+        if isinstance(envelope.message, CommitteeNotice)
+    }))
+
+
+def _status_reports(envelopes: Sequence[Envelope]
+                    ) -> tuple[tuple[tuple[int, Status], ...], int]:
+    """Round 2: the ``(link, status)`` reports in arrival order, and the
+    largest ``p`` among them (0 for none)."""
+    statuses = tuple(
+        (envelope.sender, envelope.message) for envelope in envelopes
+        if isinstance(envelope.message, Status)
+    )
+    return statuses, max((status.p for _, status in statuses), default=0)
+
+
+def _committee_answers(envelopes: Sequence[Envelope], p_self: int):
+    """Round 3: :func:`_committee_decision` on the inbox's reports."""
+    return _committee_decision(_status_reports(envelopes)[0], p_self)
+
+
+def _committee_decision(
+    statuses: Sequence[tuple[int, Status]], p_self: int
+) -> tuple[tuple[int, ...], tuple[Response, ...]]:
+    """Figure 2: halve minimum-depth intervals, answer every reporter.
+
+    Returns ``(links, replies)``: reporter ``links[k]`` is answered
+    ``replies[k]``, in report order.
+
+    A reporter ``v`` with interval ``I`` at the minimum depth moves
+    to ``bot(I)`` iff ``|{reports inside bot(I)}| + rank(v) <=
+    |bot(I)|``, its rank taken among the reporters of exactly
+    ``I``.  Both quantities are per *interval*, so one grouping pass
+    buckets the reports and a sweep
+    (:func:`~repro.core.intervals.reports_inside_bot`) answers all the
+    "how many reports lie inside ``bot(I)``" questions -- ``O(k log
+    k)`` for ``k`` reports, whatever intervals they carry (a corrupted
+    report need not be a tree vertex).
+    """
+    if not statuses:
+        return (), ()
+    min_depth = min(status.depth for _, status in statuses)
+    # (lo, hi) -> uids reporting exactly that interval, at any depth.
+    reporters: dict[tuple[int, int], list[int]] = defaultdict(list)
+    to_halve: set[tuple[int, int]] = set()
+    for _, status in statuses:
+        interval = status.interval
+        key = (interval.lo, interval.hi)
+        reporters[key].append(status.uid)
+        if status.depth == min_depth and key[0] != key[1]:
+            to_halve.add(key)
+
+    # `halved` maps I to (sorted uids reporting I, free slots in
+    # bot(I), bot(I), top(I)).
+    halved: dict[tuple[int, int], tuple] = {}
+    for key, inside in reports_inside_bot(reporters, to_halve).items():
+        lo, hi = key
+        mid = (lo + hi) // 2
+        halved[key] = (sorted(reporters[key]), mid - lo + 1 - inside,
+                       Interval(lo, mid), Interval(mid + 1, hi))
+
+    links: list[int] = []
+    replies: list[Response] = []
+    for link, status in statuses:
+        interval = status.interval
+        depth = status.depth
+        if depth != min_depth:
+            reply = Response(status.uid, interval, depth, p_self)
+        elif interval.lo == interval.hi:
+            # The reporter already owns a name.  Uneven halving puts
+            # singletons at shallow depths (e.g. [3,3] at depth 1 for
+            # n = 3), so a singleton can sit at the minimum reported
+            # depth; advancing its depth counter (interval unchanged)
+            # keeps the minimum-depth pointer moving, which is what
+            # the progress argument of Lemma 2.2 needs.
+            reply = Response(status.uid, interval, depth + 1, p_self)
+        else:
+            ranked, room, bot, top = halved[(interval.lo, interval.hi)]
+            # 0-based rank: first position of the uid, so duplicated
+            # reports of one uid share a rank and all count.
+            child = bot if bisect_left(ranked, status.uid) < room else top
+            reply = Response(status.uid, child, depth + 1, p_self)
+        links.append(link)
+        replies.append(reply)
+    return tuple(links), tuple(replies)
+
+
 class CrashRenamingNode(Process):
     """One participant of the crash-resilient renaming algorithm."""
 
@@ -149,77 +261,10 @@ class CrashRenamingNode(Process):
 
     # -- committee-side logic -------------------------------------------
 
-    def _committee_action(self, statuses: list[tuple[int, Status]],
+    def _committee_action(self, statuses: Sequence[tuple[int, Status]],
                           p_self: int) -> Scatter:
-        """Figure 2: halve minimum-depth intervals, answer every reporter.
-
-        A reporter ``v`` with interval ``I`` at the minimum depth moves
-        to ``bot(I)`` iff ``|{reports inside bot(I)}| + rank(v) <=
-        |bot(I)|``, its rank taken among the reporters of exactly
-        ``I``.  Both quantities are per *interval*, so one grouping pass
-        buckets the reports and a sweep answers all the "how many
-        reports lie inside ``bot(I)``" questions -- ``O(k log k)`` for
-        ``k`` reports, whatever intervals they carry (a corrupted report
-        need not be a tree vertex).
-        """
-        if not statuses:
-            return Scatter((), ())
-        min_depth = min(status.depth for _, status in statuses)
-        # (lo, hi) -> uids reporting exactly that interval, at any depth.
-        reporters: dict[tuple[int, int], list[int]] = defaultdict(list)
-        to_halve: set[tuple[int, int]] = set()
-        for _, status in statuses:
-            interval = status.interval
-            key = (interval.lo, interval.hi)
-            reporters[key].append(status.uid)
-            if status.depth == min_depth and key[0] != key[1]:
-                to_halve.add(key)
-
-        # Descending-lo sweep: when interval I = [lo, hi] is reached,
-        # `his` holds the sorted upper ends of every report with lower
-        # end >= lo, so the reports inside bot(I) = [lo, mid] are
-        # exactly its prefix of values <= mid.  `halved` maps I to
-        # (sorted uids reporting I, free slots in bot(I), bot(I), top(I)).
-        halved: dict[tuple[int, int], tuple] = {}
-        by_lo = sorted(reporters, reverse=True)
-        his: list[int] = []
-        swept = 0
-        for key in sorted(to_halve, reverse=True):
-            lo, hi = key
-            while swept < len(by_lo) and by_lo[swept][0] >= lo:
-                reported = by_lo[swept]
-                at = bisect_right(his, reported[1])
-                his[at:at] = [reported[1]] * len(reporters[reported])
-                swept += 1
-            mid = (lo + hi) // 2
-            room = mid - lo + 1 - bisect_right(his, mid)
-            halved[key] = (sorted(reporters[key]), room,
-                           Interval(lo, mid), Interval(mid + 1, hi))
-
-        links: list[int] = []
-        replies: list[Response] = []
-        for link, status in statuses:
-            interval = status.interval
-            depth = status.depth
-            if depth != min_depth:
-                reply = Response(status.uid, interval, depth, p_self)
-            elif interval.lo == interval.hi:
-                # The reporter already owns a name.  Uneven halving puts
-                # singletons at shallow depths (e.g. [3,3] at depth 1 for
-                # n = 3), so a singleton can sit at the minimum reported
-                # depth; advancing its depth counter (interval unchanged)
-                # keeps the minimum-depth pointer moving, which is what
-                # the progress argument of Lemma 2.2 needs.
-                reply = Response(status.uid, interval, depth + 1, p_self)
-            else:
-                ranked, room, bot, top = halved[(interval.lo, interval.hi)]
-                # 0-based rank: first position of the uid, so duplicated
-                # reports of one uid share a rank and all count.
-                child = bot if bisect_left(ranked, status.uid) < room else top
-                reply = Response(status.uid, child, depth + 1, p_self)
-            links.append(link)
-            replies.append(reply)
-        return Scatter(links, replies)
+        """Figure 2 (:func:`_committee_decision`) as this member's sends."""
+        return Scatter(*_committee_decision(statuses, p_self))
 
     # -- node-side logic -------------------------------------------------
 
@@ -263,23 +308,17 @@ class CrashRenamingNode(Process):
             # Round 1: committee announcement.
             announcements = broadcast(n, CommitteeNotice()) if self.elected else []
             inbox = yield announcements
-            committee_links = sorted({
-                envelope.sender for envelope in inbox
-                if isinstance(envelope.message, CommitteeNotice)
-            })
+            committee_links = derive(inbox, _committee_links)
 
             # Round 2: status reports to every announced committee member.
             my_status = Status(self.uid, self.interval, self.depth, self.p)
             inbox = yield multicast(committee_links, my_status)
-            statuses = [
-                (envelope.sender, envelope.message) for envelope in inbox
-                if isinstance(envelope.message, Status)
-            ]
-            if self.elected and statuses:
-                self.p = max(self.p, max(s.p for _, s in statuses))
 
             # Round 3: halving decisions out, node action on what came back.
+            decisions = []
             if self.elected:
+                statuses, p_reported = derive(inbox, _status_reports)
+                self.p = max(self.p, p_reported)
                 if (
                     self.config.early_stopping
                     and statuses
@@ -289,9 +328,11 @@ class CrashRenamingNode(Process):
                     # is complete, tell everyone to stop idling.
                     decisions = broadcast(n, Done())
                 else:
-                    decisions = self._committee_action(statuses, self.p)
-            else:
-                decisions = []
+                    # The decision is the view's; the fan-out is this
+                    # member's own, because a crash plan names kept
+                    # sends by the identity of *its* ``Send``s.
+                    decisions = Scatter(
+                        *derive(inbox, _committee_answers, self.p))
             inbox = yield decisions
             if self.interval.is_singleton and any(
                 isinstance(envelope.message, Done) for envelope in inbox

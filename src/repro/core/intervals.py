@@ -11,6 +11,8 @@ Okun-Barak-Gafni baseline walk this tree from the root to a leaf.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterable, Mapping, Sized
 from dataclasses import dataclass
 
 
@@ -84,3 +86,33 @@ def tree_depth_of(interval: Interval, n: int) -> int:
         current = current.bot() if interval.hi <= current.bot().hi else current.top()
         depth += 1
     return depth
+
+
+def reports_inside_bot(
+    reporters: Mapping[tuple[int, int], Sized],
+    to_halve: Iterable[tuple[int, int]],
+) -> dict[tuple[int, int], int]:
+    """For each ``I = (lo, hi)`` of ``to_halve``: how many reports lie
+    inside ``bot(I)``.
+
+    ``reporters`` maps every reported ``(lo, hi)`` to its reports (only
+    their number matters here).  One descending-``lo`` sweep: when
+    ``I`` is reached, ``his`` holds the sorted upper ends of every
+    report with lower end ``>= lo``, so the reports inside ``bot(I) =
+    [lo, mid]`` are exactly its prefix of values ``<= mid`` --
+    ``O(k log k)`` for ``k`` reports, whatever intervals they carry (a
+    corrupted report need not be a tree vertex).
+    """
+    inside: dict[tuple[int, int], int] = {}
+    by_lo = sorted(reporters, reverse=True)
+    his: list[int] = []
+    swept = 0
+    for key in sorted(to_halve, reverse=True):
+        lo, hi = key
+        while swept < len(by_lo) and by_lo[swept][0] >= lo:
+            reported = by_lo[swept]
+            at = bisect_right(his, reported[1])
+            his[at:at] = [reported[1]] * len(reporters[reported])
+            swept += 1
+        inside[key] = bisect_right(his, (lo + hi) // 2)
+    return inside

@@ -335,20 +335,22 @@ class SyncNetwork:
             (the two interleave), one immutable envelope per row: a
             ``Multicast`` is one row (a broadcast row when it targets
             the whole network), a ``Scatter`` one row per message,
-            sized directly and filled by one ``add_scatter``, neither
-            building a per-link ``Send``; a plain ``Send`` list (the
-            general case: noise, a crash plan's kept subset) is one row
-            per maximal constant-``(message, claim)`` run, sized through
-            the identity-keyed bit cache.  One ledger flush per sender.
+            sized directly (a message tuple several senders share,
+            once) and filled by one ``add_scatter``, neither building a
+            per-link ``Send``; a plain ``Send`` list (the general case:
+            noise, a crash plan's kept subset) is one row per maximal
+            constant-``(message, claim)`` run, sized through the
+            identity-keyed bit cache.  One ledger flush per sender.
         ``deliver``
             ``attach`` freezes the alive set and hands out one lazy
             inbox per recipient; messages addressed to crashed or
             terminated links vanish (they were still charged).
         ``advance``
-            Drive the programs — an inbox is materialized only if its
-            program reads it (and then lists the rows' own envelopes),
-            so listen-free rounds cost O(senders), not O(messages) —
-            then the monitors.
+            Drive the programs — an inbox is read only if its program
+            reads it, and recipients of the same rows read one shared
+            view (the rows' own envelopes, listed once), so listen-free
+            rounds cost O(senders), not O(messages) — then the
+            monitors.
         """
         obs = self.observer
         emit = self._emitting
@@ -387,6 +389,10 @@ class SyncNetwork:
         resolve = self.authenticator.resolve
         cost = self.cost
         whole = range(self.n)
+        # id(a scatter's message tuple) -> its (count, bits, widest,
+        # by-type) charge; `delivered` keeps every tuple alive, and so
+        # its id unique, for exactly as long as this dict lives.
+        scatter_sizes: dict[int, tuple] = {}
         if self._held:
             # Healing partition traffic has been in flight the longest:
             # it enters the column ahead of the round's own sends.
@@ -416,15 +422,20 @@ class SyncNetwork:
             if isinstance(sends, Scatter):
                 # One message per link: a row each, sized directly
                 # (one-shot messages would only bloat the bit cache).
+                # Committee members answering from one shared decision
+                # yield the same message tuple: it is sized once.
                 messages = sends.messages
-                sizes = [message.bit_size(cost) for message in messages]
+                sized = scatter_sizes.get(id(messages))
+                if sized is None:
+                    sizes = [message.bit_size(cost) for message in messages]
+                    sized = scatter_sizes[id(messages)] = (
+                        len(sizes), sum(sizes), max(sizes),
+                        tuple(Counter(map(type, messages)).items()))
                 uid, seen_claim = resolve(true_uid, None)
                 column.add_scatter(
                     [Envelope(sender, round_no, message, uid, seen_claim)
                      for message in messages], sends.targets)
-                metrics.flush(sender, len(sizes), sum(sizes), max(sizes),
-                              Counter(map(type, messages)).items(),
-                              byzantine=byz)
+                metrics.flush(sender, *sized, byzantine=byz)
                 continue
             # A plain Send list: one row per maximal constant-(message,
             # claim) run, grown send by send; one ledger flush at the end.

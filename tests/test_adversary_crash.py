@@ -322,3 +322,58 @@ class TestScatterMidSendCrash:
 
     def test_mid_send_crash_of_scatterer_records_and_replays(self):
         _assert_sliced_fanout_records_and_replays(Scatter)
+
+    def test_members_sharing_one_decision_are_cut_one_at_a_time(self):
+        """Every member answers from the one decision of its view (the
+        same links and replies tuples), each through its own ``Scatter``:
+        cutting one member mid-answer charges the named subset to the
+        victim only and leaves every other member's delivery whole."""
+        from repro.core.crash_renaming import run_crash_renaming
+        from repro.falsify.replay import RecordingAdversary, ReplayAdversary
+        from repro.obs import EventRecorder
+        from tests.test_golden_digests import digest
+
+        uids, seed = [3, 8, 1, 12, 7, 5, 10, 2], 4
+        slicer = _FanoutSlicer(Scatter)
+        recorder = RecordingAdversary(slicer)
+        events = EventRecorder()
+        first = run_crash_renaming(uids, namespace=16, adversary=recorder,
+                                   seed=seed, observer=events)
+
+        round_no, victim, sends, kept = slicer.captured
+        others = {node: proposed
+                  for node, proposed in slicer.proposed.items()
+                  if node != victim and type(proposed) is Scatter}
+        assert len(others) == len(uids) - 1  # paper constants: everyone
+        for proposed in others.values():
+            # One decision ...
+            assert proposed.messages is sends.messages
+            assert proposed.targets is sends.targets
+            # ... but a fan-out, and ``Send``s, of the member's own: a
+            # ``Send`` instance names one transmission by one sender.
+            assert proposed is not sends
+            assert all(a is not b for a, b in zip(proposed, sends))
+        assert all(k is sends[i]
+                   for k, i in zip(kept, range(0, len(sends), 2)))
+
+        # Charged: the victim's named subset, everybody else in full.
+        assert first.metrics.messages_per_round[round_no - 1] == (
+            sum(map(len, others.values())) + len(kept))
+        bits = sends.messages[0].bit_size(first.metrics.cost)
+        assert first.metrics.bits_per_round[round_no - 1] == bits * (
+            sum(map(len, others.values())) + len(kept))
+        # Delivered: all of it, except what was addressed to the victim.
+        fanout, = [event["data"] for event in events.events("deliver.fanout")
+                   if event["round"] == round_no]
+        assert fanout["envelopes"] == sum(
+            send.to != victim
+            for proposed in [*others.values(), kept] for send in proposed)
+        survivors = first.outputs_by_uid()
+        assert len(set(survivors.values())) == len(survivors) == len(uids) - 1
+
+        second = run_crash_renaming(
+            uids, namespace=16, seed=seed,
+            adversary=ReplayAdversary(recorder.schedule, strict=True))
+        assert second.crashed == first.crashed == {victim}
+        assert second.metrics.sends_by_node == first.metrics.sends_by_node
+        assert digest(second) == digest(first)

@@ -6,8 +6,17 @@ from random import Random
 import pytest
 
 from repro.adversary.crash import MidSendPartitioner, RandomCrash, ScheduledCrash
+from repro.analysis.experiments import default_namespace, sample_uids
+from repro.baselines.balls_into_slots import run_balls_into_slots
 from repro.baselines.collect_rank import run_collect_rank
 from repro.baselines.obg_halving import run_obg_halving
+from repro.faults.channels import CorruptingChannel
+from repro.faults.degradation import (
+    CRASHED,
+    SAFE_STALLED,
+    SAFE_TERMINATED,
+    classify_outcome,
+)
 
 
 def assert_strong(result, n):
@@ -71,6 +80,42 @@ class TestObgHalvingUnderCrashes:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="distinct"):
             run_obg_halving([2, 2])
+
+
+class TestCorruptInputIsClassified:
+    """A bit-flipping channel may stall an all-to-all baseline -- a node
+    whose own report arrives corrupted cannot rank itself, a ball can
+    find every slot claimed by forged claims -- but somebody getting no
+    name is a classified outcome, never a traceback.  (Fault-free and
+    crash-only counts are pinned by ``tests/test_golden_digests.py``.)"""
+
+    RUNS = {"obg": run_obg_halving, "balls": run_balls_into_slots}
+
+    def _outcome(self, baseline, seed, n=24):
+        namespace = default_namespace(n)
+        uids = sample_uids(n, namespace, Random(seed))
+        return classify_outcome(lambda: self.RUNS[baseline](
+            uids, namespace=namespace, seed=seed,
+            fault_model=CorruptingChannel(0.1, seed=seed)))
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("baseline", sorted(RUNS))
+    def test_corrupting_channel_never_crashes_a_baseline(self, baseline,
+                                                         seed):
+        outcome, detail = self._outcome(baseline, seed)
+        assert outcome != CRASHED, detail
+        assert outcome in (SAFE_STALLED, SAFE_TERMINATED)
+
+    @pytest.mark.parametrize("baseline, seed, message", [
+        ("obg", 0, "node 602: own report missing"),
+        ("balls", 5, "node 2659: no free slots left"),
+    ])
+    def test_the_stall_names_the_node_left_without_a_name(
+            self, baseline, seed, message):
+        outcome, detail = self._outcome(baseline, seed)
+        assert outcome == SAFE_STALLED
+        assert detail["error"] == "RenamingFailure"
+        assert detail["message"].startswith(message)
 
 
 class TestCollectRankFailureFree:

@@ -46,26 +46,27 @@ class ScriptedNode(Process):
         super().__init__(uid)
         self.script = script
 
+    def _outgoing(self, op, ctx):
+        if op[0] == "broadcast":
+            return broadcast(ctx.n, Probe(op[1], ctx.index))
+        if op[0] == "sends":
+            # One shared message instance: a maximal constant run.
+            message = Probe(op[1], ctx.index)
+            return [Send(to, message) for to in op[2]]
+        if op[0] == "varied":
+            # Fresh, pairwise-unequal messages: no batching at all.
+            return [Send(to, Probe(op[1] + k, ctx.index))
+                    for k, to in enumerate(op[2])]
+        if op[0] == "scatter":
+            # The same traffic as one per-link fan-out.
+            return Scatter(op[2], [Probe(op[1] + k, ctx.index)
+                                   for k in range(len(op[2]))])
+        return []
+
     def program(self, ctx):
         received = []
         for op in self.script:
-            if op[0] == "broadcast":
-                outgoing = broadcast(ctx.n, Probe(op[1], ctx.index))
-            elif op[0] == "sends":
-                # One shared message instance: a maximal constant run.
-                message = Probe(op[1], ctx.index)
-                outgoing = [Send(to, message) for to in op[2]]
-            elif op[0] == "varied":
-                # Fresh, pairwise-unequal messages: no batching at all.
-                outgoing = [Send(to, Probe(op[1] + k, ctx.index))
-                            for k, to in enumerate(op[2])]
-            elif op[0] == "scatter":
-                # The same traffic as one per-link fan-out.
-                outgoing = Scatter(op[2], [Probe(op[1] + k, ctx.index)
-                                           for k in range(len(op[2]))])
-            else:
-                outgoing = []
-            inbox = yield outgoing
+            inbox = yield self._outgoing(op, ctx)
             received.append(tuple(
                 (env.sender, env.round_no, env.message.value, env.message.tag)
                 for env in inbox))
@@ -115,10 +116,9 @@ def scenarios(draw):
 
 
 def _execute(n, scripts, crash_seed, fault_spec, seed, fault_model=None,
-             reference=False):
+             reference=False, node=ScriptedNode):
     """One scenario's observables, from the engine or from the oracle."""
-    processes = [ScriptedNode(index + 1, scripts[index])
-                 for index in range(n)]
+    processes = [node(index + 1, scripts[index]) for index in range(n)]
     adversary = (RandomCrash(budget=n // 2, rate=0.3, rng=Random(crash_seed))
                  if crash_seed is not None else None)
     if fault_model is None:

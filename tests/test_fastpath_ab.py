@@ -231,6 +231,13 @@ class ReferenceNetwork:
             except StopIteration as stop:
                 self.finished[index] = stop.value
                 self._pending.pop(index, None)
+            except Exception:
+                if not self.processes[index].byzantine:
+                    raise
+                # A Byzantine strategy that crashed its own program
+                # falls silent, as on the engine.
+                self.finished[index] = None
+                self._pending.pop(index, None)
 
     def run(self):
         self._start()

@@ -9,6 +9,12 @@ recorded on the commit *before* the near-linear protocol layer
 (``_committee_action`` as one grouping pass, one ``SubVote`` per
 fan-out value) and is the gate that change had to pass.
 
+The rows of the two all-to-all baselines (``obg-*``, ``balls-*``:
+fault-free, and under ``RandomCrash`` built exactly as
+``obg_run_summary`` / ``balls_run_summary`` build it) were recorded on
+the commit *before* the baselines read their inboxes per view
+(``repro.sim.columnar.derive``) and held across it without re-recording.
+
 A digest that moves means two different programs are being compared.
 Only a deliberate accounting change may re-record the table:
 
@@ -36,8 +42,11 @@ from repro.adversary.crash import CommitteeHunter, ScheduledCrash
 from repro.analysis.experiments import (
     byzantine_config_for,
     default_namespace,
+    make_crash_adversary,
     sample_uids,
 )
+from repro.baselines.balls_into_slots import run_balls_into_slots
+from repro.baselines.obg_halving import run_obg_halving
 from repro.core.byzantine_renaming import run_byzantine_renaming
 from repro.core.crash_renaming import CrashRenamingConfig, run_crash_renaming
 from repro.faults import build_fault_model
@@ -91,6 +100,20 @@ def byzantine_case(n, f, seed, factory):
     )
 
 
+def baseline_case(run, n, f, seed):
+    """An all-to-all baseline exactly as ``obg_run_summary`` /
+    ``balls_run_summary`` build it."""
+    namespace = default_namespace(n)
+    uids = sample_uids(n, namespace, Random(seed))
+    return run(
+        uids, namespace=namespace,
+        adversary=make_crash_adversary("random", f, Random(seed + 1)),
+        seed=seed + 2,
+    )
+
+
+BASELINES = (("obg", run_obg_halving), ("balls", run_balls_into_slots))
+
 WITHHOLDER = byzantine_strategies.make_withholder(0.5, salt=0)
 EQUIVOCATOR = byzantine_strategies.make_equivocator()
 
@@ -119,6 +142,16 @@ CASES = {
         for name, factory in (("withholder", WITHHOLDER),
                               ("equivocator", EQUIVOCATOR))
         for n in (24, 48)
+    },
+    # The all-to-all baselines: fault-free, then RandomCrash mid-send cuts.
+    **{
+        f"{name}-n33-f0": lambda run=run: baseline_case(run, 33, 0, 1)
+        for name, run in BASELINES
+    },
+    **{
+        f"{name}-random-n64-s{seed}":
+            lambda run=run, seed=seed: baseline_case(run, 64, 64 // 8, seed)
+        for name, run in BASELINES for seed in (0, 1)
     },
 }
 
@@ -156,6 +189,19 @@ GOLDEN = {
         "c52164989fc31fb079b48ff048485b19d5a447d83dd89566dd118241aae49731",
     "byz-equivocator-n48":
         "7799ca35c6d9d987c52007af4cd5d4f617b4ea455969b5a501487a1efe4acfa8",
+    # Recorded at efd39a5, before the baselines read through `derive`.
+    "obg-n33-f0":
+        "fe007af52d1e505e9aca68601b23a8e66a3c1ed1a012569da03fc52645b99359",
+    "balls-n33-f0":
+        "3ed3f62a18c63d6e33531739d7b66a84e5caf68277e780d57ddcd44bd42dae01",
+    "obg-random-n64-s0":
+        "142a4aff9b6aa277a0e292dc16074e3208e1682ce43c48c2703f346e7b573ec0",
+    "obg-random-n64-s1":
+        "515659c7a6f58bc368b70ccf27efb8870bc5cb734d7bc139938c80838e8950fb",
+    "balls-random-n64-s0":
+        "73a14d5fe46cf36ba7677c5b02f844321f97fea950be3729dfc996c3c78e44e2",
+    "balls-random-n64-s1":
+        "bb41763992013b4ba7706db4a3441292833a176d94559f02d2bc2b5a3b6558d8",
 }
 
 

@@ -322,8 +322,13 @@ class TestOneRoundBody:
                    for inbox in process.inboxes]
         assert len(inboxes) == 3 * 8
         for inbox in inboxes:
-            assert type(inbox) is LazyInbox and inbox._cache is None
-        assert len(inboxes[0]) == 8  # still readable on demand
+            assert type(inbox) is LazyInbox and inbox._view is None
+        # len() / truthiness come from the row counts: the view is
+        # resolved, its envelope tuple still is not built.
+        assert len(inboxes[0]) == 8 and inboxes[0]
+        assert inboxes[0]._view.envelopes is None
+        assert len(list(inboxes[0])) == 8  # still readable on demand
+        assert len(inboxes[0]._view.envelopes) == 8
 
 
 class TestTelemetryStore:
