@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.faults.base import FaultModel
+from repro.sim.columnar import messages
 from repro.sim.messages import CostModel, Message, broadcast
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, run_network
@@ -64,9 +65,9 @@ class CollectRankNode(Process):
         self.known = frozenset([self.uid])
         for _round in range(faults + 1):
             inbox = yield broadcast(n, KnowledgeGossip(self.known))
-            for envelope in inbox:
-                if isinstance(envelope.message, KnowledgeGossip):
-                    self.known |= envelope.message.known
+            for message in messages(inbox):
+                if isinstance(message, KnowledgeGossip):
+                    self.known |= message.known
         return sorted(self.known).index(self.uid) + 1
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
+from repro.sim.columnar import messages
 from repro.sim.messages import CostModel, Message, broadcast
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, run_network
@@ -75,9 +76,9 @@ class ApproxAgreementNode(Process):
             report = ValueReport(round(self.value * PRECISION))
             inbox = yield broadcast(ctx.n, report)
             received = [
-                envelope.message.scaled_value / PRECISION
-                for envelope in inbox
-                if isinstance(envelope.message, ValueReport)
+                message.scaled_value / PRECISION
+                for message in messages(inbox)
+                if isinstance(message, ValueReport)
             ]
             if received:
                 self.value = (min(received) + max(received)) / 2

@@ -18,7 +18,8 @@ Reading is replicated too.  Members that were delivered the same rows
 hold the same votes, so :meth:`CommitteeComm.collect` goes through
 :func:`repro.sim.columnar.derive`: the vote table of a step is computed
 once per distinct inbox -- per ``(view, step, kind, members)`` -- and
-the members of that view share one read-only mapping.  What varies
+the members of that view share one read-only mapping; so does
+:meth:`CommitteeComm.tally`, the plurality of such a table.  What varies
 between members (the step a desynchronised Byzantine member believes in,
 its committee view) is an argument, never hidden state; an equivocator
 or withholder splits the committee into several views, each still
@@ -110,6 +111,15 @@ class CommitteeComm:
         """
         return derive(inbox, _collect, self.step, kind, self._members)
 
+    def tally(self, inbox: Sequence[Envelope], kind: str,
+              without: object = None) -> tuple[int, object, int]:
+        """``(votes heard, plurality value, its count)`` of the current
+        step; votes equal to ``without`` (``None``: no such votes) are
+        heard but not counted for a value, and ``(heard, None, 0)`` is
+        what remains of nothing.  Like :meth:`collect`, once per
+        distinct inbox."""
+        return derive(inbox, _tally, self.step, kind, self._members, without)
+
 
 def _collect(envelopes: Sequence[Envelope], step: int, kind: str,
              members: frozenset[int]) -> Mapping[int, object]:
@@ -127,6 +137,19 @@ def _collect(envelopes: Sequence[Envelope], step: int, kind: str,
         ):
             votes[envelope.sender] = message.value
     return MappingProxyType(votes)
+
+
+def _tally(envelopes: Sequence[Envelope], step: int, kind: str,
+           members: frozenset[int], without: object
+           ) -> tuple[int, object, int]:
+    """:func:`plurality` over :func:`_collect`'s votes other than
+    ``without``, and how many votes there were; pure in its arguments."""
+    votes = _collect(envelopes, step, kind, members).values()
+    counted = (votes if without is None
+               else [value for value in votes if value != without])
+    if not counted:
+        return len(votes), None, 0
+    return (len(votes), *plurality(counted))
 
 
 def exchange(comm: CommitteeComm, kind: str, value: object, width: int):

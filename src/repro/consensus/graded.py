@@ -35,7 +35,7 @@ echoes can never reach the grade-1 bar on their own.
 
 from __future__ import annotations
 
-from repro.consensus.comm import CommitteeComm, exchange, plurality
+from repro.consensus.comm import CommitteeComm
 
 #: Sentinel echoed when no value is sufficiently popular.
 BOTTOM = "__bottom__"
@@ -43,19 +43,17 @@ BOTTOM = "__bottom__"
 
 def graded_broadcast(comm: CommitteeComm, value: object, width: int):
     """Generator sub-program; returns ``(grade, output)``."""
-    received = yield from exchange(comm, "gb-input", value, width)
+    comm.step += 1
+    inbox = yield comm.sends("gb-input", value, width)
+    heard, popular, count = comm.tally(inbox, "gb-input")
     echo: object = BOTTOM
-    if received:
-        popular, count = plurality(received.values())
-        if count >= len(received) - comm.b_max and popular != BOTTOM:
-            echo = popular
+    if count and count >= heard - comm.b_max and popular != BOTTOM:
+        echo = popular
 
-    echoes = yield from exchange(comm, "gb-echo", echo, width)
-    substantive = [v for v in echoes.values() if v != BOTTOM]
-    if not substantive:
-        return 0, BOTTOM
-    popular, count = plurality(substantive)
-    if count >= len(echoes) - comm.b_max:
+    comm.step += 1
+    inbox = yield comm.sends("gb-echo", echo, width)
+    heard, popular, count = comm.tally(inbox, "gb-echo", BOTTOM)
+    if count and count >= heard - comm.b_max:
         return 2, popular
     if count >= comm.b_max + 1:
         return 1, popular

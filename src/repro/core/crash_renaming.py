@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 from repro.adversary.base import CrashAdversary
 from repro.faults.base import FaultModel
 from repro.core.intervals import Interval, reports_inside_bot, root_interval
-from repro.sim.columnar import derive
+from repro.sim.columnar import derive, messages
 from repro.sim.messages import (
     CostModel,
     Envelope,
@@ -334,14 +334,23 @@ class CrashRenamingNode(Process):
                     decisions = Scatter(
                         *derive(inbox, _committee_answers, self.p))
             inbox = yield decisions
-            if self.interval.is_singleton and any(
-                isinstance(envelope.message, Done) for envelope in inbox
-            ):
+            # Who answered is never read, so no envelope is asked for.
+            # Members that shared a decision answer with the very same
+            # `Response`: it counts once (`_node_action` takes a min
+            # and a max, idempotent over repeats).
+            responses: list[Response] = []
+            done = False
+            previous = None
+            for message in messages(inbox):
+                if message is previous:
+                    continue
+                previous = message
+                if isinstance(message, Response):
+                    responses.append(message)
+                elif isinstance(message, Done):
+                    done = True
+            if done and self.interval.is_singleton:
                 break
-            responses = [
-                envelope.message for envelope in inbox
-                if isinstance(envelope.message, Response)
-            ]
             self._node_action(responses, ctx)
             self.phase_log.append(
                 (self.interval, self.depth, self.p, self.elected)

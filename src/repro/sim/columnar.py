@@ -1,49 +1,73 @@
 """Columnar round representation — how every round is delivered.
 
-Constructing one :class:`~repro.sim.messages.Envelope` per delivered
-message makes an all-to-all round cost ``n**2`` constructor calls even
-when every program ignores its inbox, and the paper's subquadratic-bits
-claim (PODC 2025) only separates from quadratic baselines at
-n = 10k-100k, a scale an object-per-message representation cannot
-reach.  So :meth:`repro.sim.network.SyncNetwork.step` stores a round's
-delivery as *rows*, in every configuration (observer, profiler and
-fault model included).  A row is one sent message: one immutable
-envelope, built when the row is filled, however many links it goes to.
-``env`` lists the rows in global send order, and two kinds of entry
-point into it:
+The paper's model charges messages and bits, never the local work of
+reading them, and its subquadratic-bits claim (PODC 2025) only
+separates from quadratic baselines at n = 10k-100k.  An object per
+delivered message cannot reach that scale: an all-to-all round would
+cost ``n**2`` constructor calls even when every program ignores its
+inbox.  So :meth:`repro.sim.network.SyncNetwork.step` stores a round's
+delivery in a :class:`ColumnarRound`, in every configuration (observer,
+profiler and fault model included), and a fan-out stays whole from
+``yield`` to the inbox that reads it.
 
-- **Broadcast rows** (``b_seq``: their indices) — a whole-network
-  fan-out is one row and nothing else, so a round of ``n`` broadcasts
-  is ``n`` envelopes, not ``n**2``.
-- **Targeted deliveries** (``t_to`` / ``t_run``: recipient id and row
-  index, ``array`` of C ints, numpy views over them when numpy is
-  importable and the batch is large) — a fan-out to part of the
-  network and each maximal constant-``(message, claim)`` run of a
-  ``Send`` list are one row with many deliveries, each message of a
-  scatter one row with one.  Link faults are expressed the same way: a
-  dropped send fills nothing, a corrupted one a row carrying the
-  bit-flipped message, a duplicated one a row delivered to its link
-  ``1 + copies`` times.
+**Rows.**  A row is one sent message: a ``(header, message)`` pair,
+``header = (sender, perceived uid, claim)``, appended in global send
+order.  A :class:`~repro.sim.messages.Multicast` is one row however
+many links it names, each maximal constant-``(message, claim)`` run of
+a ``Send`` list is one row, a :class:`~repro.sim.messages.Scatter` is
+one row per message, all under the sender's one header.  *An envelope
+exists once somebody reads its row*: it is built on the first read and
+kept on the row, so the same row read through two views -- or twice
+through a duplicated link -- is the same immutable instance, and a row
+nobody reads as an envelope never becomes one.  (Held mail arrives with
+the envelope it was stamped with when it was held; such a row keeps
+it.)
 
-Inboxes are read per *view*, and only when a program actually reads
-its inbox at the ``program.send()`` boundary.  On the first read of a
-round the attached recipients are grouped by the tuple of targeted rows
-they were delivered (broadcast rows are common to all): recipients of
-the same rows share one view, and a view's envelope tuple -- the
-broadcast rows and its targeted rows merged by row index, in global
-send order -- is built once, whoever reads it.  A :class:`LazyInbox` is
-a read-only :class:`~collections.abc.Sequence` over its view; it holds
-*references* to the rows' envelopes, none is constructed at read time,
-and its ``len()`` is answered from the row counts alone, so a listener
-polling an empty inbox builds nothing.
+**Blocks and groups.**  Who reads a row is kept per fan-out, not per
+delivery.  A whole-network fan-out is a *broadcast row* (``b_seq``) and
+nothing else.  Any other delivery is a *block* ``(targets, first,
+stride)`` filed under its target tuple: with stride 0 every target
+reads row ``first`` (a multicast, a closed run, a faulted or released
+single delivery), with stride 1 target ``i`` reads row ``first + i``
+(a scatter); a link named twice reads once per listing.  Blocks
+naming the same targets with the same stride form one *group*; a
+committee answering from a shared decision, or reporters addressing the
+committee tuple ``derive`` handed all of them, name the very same tuple
+object, so a group is found by ``id(targets)`` first and by value only
+on a miss.  An ``id`` names an object only while it is alive, and a
+fill creates temporaries (a closed run's tuple, a released letter's
+``(to,)``) whose ids the allocator would reuse within the same fill:
+the column pins every tuple it has keyed by ``id`` until it dies
+itself.  Link faults are blocks too: a dropped send files nothing, a
+corrupted one a row carrying the bit-flipped message, a duplicated one
+a block naming its link ``1 + copies`` times.
 
-A committee is a replicated object: every member that received the
-same rows takes the same decision from them, and the model charges
-messages and bits, never local computation.  :func:`derive` lets a
-protocol say so: ``derive(inbox, fn, *args)`` is ``fn(envelopes,
-*args)``, computed once per ``(view, fn, args)`` and kept on the
-round's :class:`ColumnarRound` -- it dies with the round; there is no
-module-level cache.  The contract for what goes through it:
+**Views.**  Inboxes are read per *view*, and only when a program reads
+its inbox at the ``program.send()`` boundary.  The first read of a
+round walks each *distinct* target tuple once -- a round in which every
+sender names the same committee costs its size, not senders x size --
+and notes for every attached recipient the blocks it is in.  Recipients
+in the same stride-0 groups, as often, were delivered the same rows in
+the same order and share one view; a scatter's recipient reads rows of
+its own (``first + position`` per block) and so a view of its own.  A
+view's rows, its envelope tuple (broadcast and targeted rows merged in
+global send order) and its message tuple are each computed when first
+asked for, once, whoever asks.  A :class:`LazyInbox` is a read-only
+:class:`~collections.abc.Sequence` over its view whose ``len()`` is
+answered from the block counts alone, so a listener polling an empty
+inbox builds nothing.
+
+**Reading without envelopes.**  A protocol that never looks at
+``sender`` / ``sender_uid`` says so with :func:`messages`:
+``messages(inbox)`` is the inbox's messages in delivery order, one
+tuple per view, and no envelope is built for it.
+
+**Reading once.**  A committee is a replicated object: every member
+that received the same rows takes the same decision from them.
+:func:`derive` lets a protocol say so: ``derive(inbox, fn, *args)`` is
+``fn(envelopes, *args)``, computed once per ``(view, fn, args)`` and
+kept on the round's :class:`ColumnarRound` -- it dies with the round;
+there is no module-level cache.  The contract for what goes through it:
 
 - ``fn`` is a module-level function, pure in ``(envelopes, args)``: no
   ``self``, no ``ctx.rng``, no node state.  ``args`` are hashable.
@@ -56,9 +80,10 @@ module-level cache.  The contract for what goes through it:
   frees a round once its inboxes are dropped.
 
 On any other sequence -- a test's list, the per-envelope oracle's inbox
--- ``derive`` is a plain call, which makes ``ReferenceNetwork`` the
-unshared oracle for everything computed through it.  A program that
-never calls ``derive`` runs exactly as it would without it.
+-- ``derive`` is a plain call and ``messages`` a plain comprehension,
+which makes ``ReferenceNetwork`` the unshared oracle for everything
+read through them.  A program that calls neither reads the
+``Sequence[Envelope]`` it always has.
 
 Charging is not done here: the network charges every resolved send
 while it fills the rows (one ``Metrics.record_sends`` per multicast,
@@ -66,58 +91,82 @@ one ``Metrics.flush`` per scatter or ``Send`` list).  Every counted
 quantity is held to the naive per-envelope oracle ``ReferenceNetwork``
 (``tests/test_fastpath_ab.py``, ``tests/test_columnar_property.py``,
 ``tests/test_multicast_property.py``,
-``tests/test_shared_views_property.py``).
+``tests/test_shared_views_property.py``,
+``tests/test_blocks_property.py``).
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from collections.abc import Sequence
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
-from repro.sim.messages import Envelope
+from repro.sim.messages import Envelope, Message
 
-try:  # optional: vectorized recipient grouping for large batches
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
-
-#: Targeted-envelope count at which grouping switches to numpy.
-NUMPY_GROUP_THRESHOLD = 4096
+#: What every row of one sender shares: (sender, perceived uid, claim).
+Header = tuple[int, Optional[int], Optional[int]]
 
 
 class _View:
-    """One distinct inbox of a round: the targeted rows its readers
-    were delivered, how many attached recipients read it, and its
-    envelope tuple once somebody has.  Plain data -- the column does
-    the work, so a view never points back at it."""
+    """One distinct inbox of a round: the blocks its readers are in --
+    ``(first rows of a group's blocks, offset into each)`` pairs -- how
+    many targeted rows that makes, how many attached recipients read it,
+    and its rows, envelope tuple and message tuple once somebody asked.
+    Plain data -- the column does the work, so a view never points back
+    at it."""
 
-    __slots__ = ("rows", "readers", "envelopes")
+    __slots__ = ("blocks", "size", "readers", "_rows", "envelopes",
+                 "messages")
 
-    def __init__(self, rows: tuple[int, ...], readers: int = 0):
-        self.rows = rows
+    def __init__(self, blocks: tuple[tuple[list[int], int], ...] = (),
+                 readers: int = 0):
+        self.blocks = blocks
+        self.size = sum([len(firsts) for firsts, _ in blocks])
         self.readers = readers
+        self._rows: Optional[tuple[int, ...]] = None
         self.envelopes: Optional[tuple[Envelope, ...]] = None
+        self.messages: Optional[tuple[Message, ...]] = None
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """The targeted rows the view reads, ascending (a link named
+        twice reads its row twice): the canonical name of the view."""
+        rows = self._rows
+        if rows is None:
+            found = [first + offset
+                     for firsts, offset in self.blocks for first in firsts]
+            if len(self.blocks) > 1:
+                found.sort()
+            rows = self._rows = tuple(found)
+        return rows
 
 
 class ColumnarRound:
-    """One round's delivery as rows of shared envelopes.
+    """One round's delivery as rows, broadcast rows and blocks.
 
     Rows are appended by the network in *delivery order* (senders in
     ``delivered.items()`` order, runs in send order), so a row's index
-    in ``env`` totally orders broadcast rows against targeted ones and
-    a merged inbox lists envelopes in global send order.
+    totally orders broadcast rows against targeted ones and a merged
+    inbox lists its rows in global send order.
     """
 
-    __slots__ = ("env", "b_seq", "t_to", "t_run", "_wanted", "_views",
-                 "_common", "_memo", "__weakref__")
+    __slots__ = ("round_no", "hdr", "msg", "env", "b_seq", "_groups",
+                 "_by_id", "_pinned", "_wanted", "_views", "_common",
+                 "_memo", "__weakref__")
 
-    def __init__(self):
-        self.env: list[Envelope] = []
+    def __init__(self, round_no: int = 0):
+        self.round_no = round_no
+        #: Per row: its header, its message, its envelope once read.
+        self.hdr: list[Header] = []
+        self.msg: list[Message] = []
+        self.env: list[Optional[Envelope]] = []
         self.b_seq: list[int] = []
-        self.t_to = array("i")
-        self.t_run = array("i")
+        #: (targets, stride) -> first rows of the group's blocks.
+        self._groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
+        #: (id(targets), stride) -> the same lists; `_pinned` keeps
+        #: every such `targets` alive, and so its id its own.
+        self._by_id: dict[tuple[int, int], list[int]] = {}
+        self._pinned: list[Sequence[int]] = []
         self._wanted: frozenset[int] = frozenset()
         self._views: Optional[dict[int, _View]] = None
         self._common: Optional[_View] = None
@@ -127,34 +176,47 @@ class ColumnarRound:
     # ------------------------------------------------------------------
     # Filling (called by the network while it charges the ledgers)
 
-    def add_broadcast(self, envelope: Envelope) -> None:
-        """One whole-network fan-out: a single row, no expansion."""
-        self.b_seq.append(len(self.env))
+    def _row(self, row: Union[tuple[Header, Message], Envelope]) -> int:
+        """Append one row; returns its index."""
+        if type(row) is Envelope:  # held mail: stamped when it was held
+            header = (row.sender, row.sender_uid, row.claimed_sender)
+            message, envelope = row.message, row
+        else:
+            header, message = row
+            envelope = None
+        self.hdr.append(header)
+        self.msg.append(message)
         self.env.append(envelope)
+        return len(self.env) - 1
 
-    def open_run(self, envelope: Envelope) -> None:
-        """One targeted row, no recipient yet."""
-        self.env.append(envelope)
+    def _file(self, targets: Sequence[int], first: int,
+              stride: int = 0) -> None:
+        """File the block ``(targets, first, stride)`` under its group."""
+        key = (id(targets), stride)
+        firsts = self._by_id.get(key)
+        if firsts is None:
+            self._pinned.append(targets)
+            firsts = self._by_id[key] = self._groups.setdefault(
+                (tuple(targets), stride), [])
+        firsts.append(first)
 
-    def add_recipient(self, to: int) -> None:
-        """One more delivery of the open row (a repeated link reads
-        the row's envelope once more)."""
-        self.t_to.append(to)
-        self.t_run.append(len(self.env) - 1)
+    def add_broadcast(self, row) -> None:
+        """One whole-network fan-out: a single row, no block."""
+        self.b_seq.append(self._row(row))
 
-    def add_run(self, envelope: Envelope, recipients: Sequence[int]) -> None:
-        """A whole run at once: one row read by all of ``recipients``."""
-        self.t_to.extend(recipients)
-        self.t_run.extend([len(self.env)] * len(recipients))
-        self.env.append(envelope)
+    def add_run(self, row, targets: Sequence[int]) -> None:
+        """One row read by every link of ``targets`` (a repeated link
+        reads it once more)."""
+        self._file(targets, self._row(row))
 
-    def add_scatter(self, envelopes: Sequence[Envelope],
+    def add_scatter(self, header: Header, messages: Sequence[Message],
                     links: Sequence[int]) -> None:
-        """One row per link: ``envelopes[k]`` is read by ``links[k]``."""
+        """One row per link: ``messages[k]`` is read by ``links[k]``."""
         first = len(self.env)
-        self.env.extend(envelopes)
-        self.t_to.extend(links)
-        self.t_run.extend(range(first, len(self.env)))
+        self.hdr.extend([header] * len(messages))
+        self.msg.extend(messages)
+        self.env.extend([None] * len(messages))
+        self._file(links, first, 1)
 
     def attach(self, alive: Sequence[int]) -> dict[int, "LazyInbox"]:
         """Freeze the alive set and hand out one lazy inbox per recipient.
@@ -168,51 +230,41 @@ class ColumnarRound:
     def attached_envelopes(self) -> int:
         """How many inbox entries the attached recipients would read.
 
-        Counted from the columns; no inbox is materialized.
+        Counted from the groups; no inbox is materialized.
         """
         wanted = self._wanted
-        return (len(self.b_seq) * len(wanted)
-                + sum(1 for to in self.t_to if to in wanted))
+        return len(self.b_seq) * len(wanted) + sum(
+            len(firsts) * sum([to in wanted for to in targets])
+            for (targets, _), firsts in self._groups.items())
 
     # ------------------------------------------------------------------
     # Reading (lazy, per view)
 
     def _group(self) -> dict[int, _View]:
-        """Attached recipient id -> its view, for every recipient that
-        was delivered a targeted row; the rest share ``_common``.
+        """Attached recipient id -> its view, for every recipient some
+        block names; the rest share ``_common``.
 
         Built once, on the first read of the round; a round nobody
-        reads never pays for grouping.  Uses a stable numpy argsort for
-        large batches, a plain dict-of-lists pass otherwise -- both
-        keep each recipient's rows in fill order, which is what makes
-        the row tuple a canonical key (a duplicated link repeats its
-        row, and so reads a view of its own).
+        reads never pays for grouping.  Each distinct target tuple is
+        walked once, whatever number of blocks it holds.  A recipient's
+        key lists ``(group, offset)`` once per listing of its link, in
+        group order: equal keys are the same rows in the same order.
         """
-        buckets = defaultdict(list)
-        t_to = self.t_to
         wanted = self._wanted
-        if _np is not None and len(t_to) >= NUMPY_GROUP_THRESHOLD:
-            to = _np.frombuffer(t_to, dtype=_np.intc)
-            order = _np.argsort(to, kind="stable")
-            sorted_to = to[order]
-            runs = _np.frombuffer(self.t_run, dtype=_np.intc)[order].tolist()
-            cuts = _np.flatnonzero(sorted_to[1:] != sorted_to[:-1]) + 1
-            cuts = cuts.tolist()
-            for start, end in zip([0, *cuts], [*cuts, len(runs)]):
-                recipient = int(sorted_to[start])
-                if recipient in wanted:
-                    buckets[recipient] = runs[start:end]
-        else:
-            for recipient, run in zip(t_to, self.t_run):
-                if recipient in wanted:
-                    buckets[recipient].append(run)
+        keys: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        groups = list(self._groups.items())
+        for index, ((targets, stride), _) in enumerate(groups):
+            for position, to in enumerate(targets):
+                if to in wanted:
+                    keys[to].append((index, stride * position))
         views: dict[int, _View] = {}
-        by_rows: dict[tuple[int, ...], _View] = {}
-        for recipient, rows in buckets.items():
-            key = tuple(rows)
-            view = by_rows.get(key)
+        by_key: dict[tuple, _View] = {}
+        for recipient, entries in keys.items():
+            key = tuple(entries)
+            view = by_key.get(key)
             if view is None:
-                view = by_rows[key] = _View(key)
+                view = by_key[key] = _View(tuple(
+                    [(groups[index][1], offset) for index, offset in key]))
             view.readers += 1
             views[recipient] = view
         self._common = _View((), len(wanted) - len(views))
@@ -227,17 +279,50 @@ class ColumnarRound:
             views = self._group()
         return views.get(recipient, self._common)
 
+    def _rows_of(self, view: _View) -> Sequence[int]:
+        """The view's rows, broadcast and targeted, in send order."""
+        if not view.blocks:
+            return self.b_seq
+        if not self.b_seq:
+            return view.rows
+        # Two ascending runs: the sort is one linear merge.
+        return sorted([*self.b_seq, *view.rows])
+
+    def _build(self, rows: Sequence[int]) -> None:
+        """Give each of ``rows`` its envelope, unless it has one."""
+        env, hdr, msg, round_no = self.env, self.hdr, self.msg, self.round_no
+        for row in rows:
+            if env[row] is None:
+                sender, uid, claim = hdr[row]
+                env[row] = Envelope(sender, round_no, msg[row], uid, claim)
+
     def read(self, view: _View) -> tuple[Envelope, ...]:
-        """The view's envelopes in global send order: references to the
-        rows' envelopes, none constructed here, built once per view."""
+        """The view's envelopes in global send order, built once per
+        view; each is its row's own, built the first time any view
+        reads the row."""
         envelopes = view.envelopes
         if envelopes is None:
+            if view.blocks:
+                # Every view reads every broadcast row: they are built
+                # once, with the view of those who read nothing else.
+                self.read(self._common)
+                self._build(view.rows)
+            else:
+                self._build(self.b_seq)
             env = self.env
-            targeted = view.rows
-            # Two ascending runs: the sort is one linear merge.
-            rows = sorted([*self.b_seq, *targeted]) if targeted else self.b_seq
-            envelopes = view.envelopes = tuple([env[row] for row in rows])
+            envelopes = view.envelopes = tuple(
+                [env[row] for row in self._rows_of(view)])
         return envelopes
+
+    def messages(self, view: _View) -> tuple[Message, ...]:
+        """The view's messages in global send order, built once per
+        view; no envelope is."""
+        messages = view.messages
+        if messages is None:
+            msg = self.msg
+            messages = view.messages = tuple(
+                [msg[row] for row in self._rows_of(view)])
+        return messages
 
 
 class LazyInbox(Sequence):
@@ -265,8 +350,8 @@ class LazyInbox(Sequence):
         return self._column.read(self._resolve())
 
     def __len__(self) -> int:
-        # From the row counts: an idle listener builds no envelope list.
-        return len(self._column.b_seq) + len(self._resolve().rows)
+        # From the counts: an idle listener builds no envelope list.
+        return len(self._column.b_seq) + self._resolve().size
 
     def __getitem__(self, index):
         return self._materialize()[index]
@@ -303,3 +388,16 @@ def derive(inbox: Sequence[Envelope], fn: Callable, *args):
     except KeyError:
         value = memo[key] = fn(column.read(view), *args)
         return value
+
+
+def messages(inbox: Sequence[Envelope]) -> tuple[Message, ...]:
+    """The inbox's messages in delivery order, for a protocol that
+    never reads ``sender`` / ``sender_uid``.
+
+    On a :class:`LazyInbox` it is one tuple per view and no envelope is
+    built for it; on any other sequence it is ``tuple(e.message for e
+    in inbox)``.
+    """
+    if type(inbox) is not LazyInbox:
+        return tuple([envelope.message for envelope in inbox])
+    return inbox._column.messages(inbox._resolve())

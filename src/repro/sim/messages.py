@@ -9,10 +9,10 @@ its exact bit footprint, which makes the paper's bit-complexity claims
 directly measurable.
 
 Messages are small frozen dataclasses.  Concrete protocols subclass
-:class:`Message` and implement :meth:`Message.payload_bits`.  The network
-wraps each sent message in one immutable :class:`Envelope` carrying the
-(authenticated) sender link and delivery round; all of its recipients
-read that same envelope.
+:class:`Message` and implement :meth:`Message.payload_bits`.  A sent
+message reaches its readers as one immutable :class:`Envelope` carrying
+the (authenticated) sender link and delivery round; all of its
+recipients read that same envelope.
 
 A node yields a ``Sequence[Send]``: a plain list, or one of the two
 shapes committee protocols are made of, which travel as one object from
@@ -164,9 +164,11 @@ class Envelope(NamedTuple):
     in the unauthenticated case (``None`` otherwise).
 
     The engine builds one envelope per *row* of the round's column -- a
-    fan-out of one message is one row -- and every recipient's inbox
-    lists that same instance (a duplicated link lists it ``1 + copies``
-    times), so envelopes are immutable: assignment raises.  There is no
+    fan-out of one message is one row -- the first time the row is
+    read, and every recipient's inbox lists that same instance (a
+    duplicated link lists it ``1 + copies`` times), so envelopes are
+    immutable: assignment raises.  A row read only through
+    :func:`repro.sim.columnar.messages` never gets one.  There is no
     ``to`` field; the receiver is the node reading the inbox
     (``ctx.index``).
     """

@@ -332,13 +332,14 @@ class SyncNetwork:
         ``charge``
             Charge every resolved send to the ledgers exactly once and
             fill the round's :class:`~repro.sim.columnar.ColumnarRound`
-            (the two interleave), one immutable envelope per row: a
-            ``Multicast`` is one row (a broadcast row when it targets
-            the whole network), a ``Scatter`` one row per message,
-            sized directly (a message tuple several senders share,
-            once) and filled by one ``add_scatter``, neither building a
-            per-link ``Send``; a plain ``Send`` list (the general case:
-            noise, a crash plan's kept subset) is one row per maximal
+            (the two interleave), a fan-out at a time and no envelope
+            yet: a ``Multicast`` is one row read by its target tuple (a
+            broadcast row when it targets the whole network), a
+            ``Scatter`` one row per message, sized directly (a message
+            tuple several senders share, once) and filled by one
+            ``add_scatter``, neither building a per-link ``Send``; a
+            plain ``Send`` list (the general case: noise, a crash
+            plan's kept subset) is one row per maximal
             constant-``(message, claim)`` run, sized through the
             identity-keyed bit cache.  One ledger flush per sender.
         ``deliver``
@@ -347,10 +348,10 @@ class SyncNetwork:
             terminated links vanish (they were still charged).
         ``advance``
             Drive the programs — an inbox is read only if its program
-            reads it, and recipients of the same rows read one shared
-            view (the rows' own envelopes, listed once), so listen-free
-            rounds cost O(senders), not O(messages) — then the
-            monitors.
+            reads it, recipients of the same rows read one shared view,
+            and a row becomes an envelope the first time one is asked
+            for, so listen-free rounds cost O(senders), not
+            O(messages) — then the monitors.
         """
         obs = self.observer
         emit = self._emitting
@@ -381,9 +382,8 @@ class SyncNetwork:
                 validate_plan(plan, round_no, delivered)
         t1 = perf_counter()
 
-        column = ColumnarRound()
-        open_run = column.open_run
-        add_recipient = column.add_recipient
+        column = ColumnarRound(round_no)
+        add_run = column.add_run
         record_sends = metrics.record_sends
         message_bits = metrics.message_bits
         resolve = self.authenticator.resolve
@@ -412,12 +412,11 @@ class SyncNetwork:
                 message = sends.message
                 targets = sends.targets
                 record_sends(sender, message, len(targets), byzantine=byz)
-                envelope = Envelope(sender, round_no, message,
-                                    *resolve(true_uid, sends.claim))
+                row = ((sender, *resolve(true_uid, sends.claim)), message)
                 if targets == whole:
-                    column.add_broadcast(envelope)
+                    column.add_broadcast(row)
                 else:
-                    column.add_run(envelope, targets)
+                    add_run(row, targets)
                 continue
             if isinstance(sends, Scatter):
                 # One message per link: a row each, sized directly
@@ -431,30 +430,33 @@ class SyncNetwork:
                     sized = scatter_sizes[id(messages)] = (
                         len(sizes), sum(sizes), max(sizes),
                         tuple(Counter(map(type, messages)).items()))
-                uid, seen_claim = resolve(true_uid, None)
-                column.add_scatter(
-                    [Envelope(sender, round_no, message, uid, seen_claim)
-                     for message in messages], sends.targets)
+                column.add_scatter((sender, *resolve(true_uid, None)),
+                                   messages, sends.targets)
                 metrics.flush(sender, *sized, byzantine=byz)
                 continue
             # A plain Send list: one row per maximal constant-(message,
-            # claim) run, grown send by send; one ledger flush at the end.
+            # claim) run, closed into its target tuple when the next
+            # one opens; one ledger flush at the end.
             bits_total = widest = 0
             by_type: dict[type, int] = {}
             message = sends  # no run open yet: no send carries this
+            run: list[int] = []
             for send in sends:
                 if send.message is not message or send.claim != claim:
+                    if run:
+                        add_run(row, tuple(run))
+                        run = []
                     message = send.message
                     claim = send.claim
                     cls = type(message)
                     bits = message_bits(message)
                     if bits > widest:
                         widest = bits
-                    open_run(Envelope(sender, round_no, message,
-                                      *resolve(true_uid, claim)))
-                add_recipient(send.to)
+                    row = ((sender, *resolve(true_uid, claim)), message)
+                run.append(send.to)
                 bits_total += bits
                 by_type[cls] = by_type.get(cls, 0) + 1
+            add_run(row, tuple(run))
             metrics.flush(sender, len(sends), bits_total, widest,
                           by_type.items(), byzantine=byz)
         t2 = perf_counter()
@@ -462,8 +464,8 @@ class SyncNetwork:
         inboxes = column.attach(self._alive_order)
         if emit:
             obs.emit("deliver.fanout", round_no=round_no,
-                     senders=len({row.sender for row in column.env}),
-                     rows=len(column.env),
+                     senders=len({header[0] for header in column.hdr}),
+                     rows=len(column.hdr),
                      envelopes=column.attached_envelopes())
         t3 = perf_counter()
 
@@ -589,8 +591,7 @@ class SyncNetwork:
                     self._fault_event("fault.dup", sender, to,
                                       copies=verdict.copies)
                     recipients = (to,) * (1 + verdict.copies)
-            column.add_run(Envelope(sender, self.round_no, message,
-                                    perceived_uid, recorded_claim),
+            column.add_run(((sender, perceived_uid, recorded_claim), message),
                            recipients)
 
     def _expire_held(self) -> None:

@@ -89,7 +89,8 @@ class TestCorruptInputIsClassified:
     name is a classified outcome, never a traceback.  (Fault-free and
     crash-only counts are pinned by ``tests/test_golden_digests.py``.)"""
 
-    RUNS = {"obg": run_obg_halving, "balls": run_balls_into_slots}
+    RUNS = {"obg": run_obg_halving, "balls": run_balls_into_slots,
+            "collect": run_collect_rank}
 
     def _outcome(self, baseline, seed, n=24):
         namespace = default_namespace(n)
@@ -105,6 +106,10 @@ class TestCorruptInputIsClassified:
         outcome, detail = self._outcome(baseline, seed)
         assert outcome != CRASHED, detail
         assert outcome in (SAFE_STALLED, SAFE_TERMINATED)
+        if baseline == "collect":
+            # A knowledge set has no integer field for the channel to
+            # flip (`corrupt_message`): the gossip arrives as sent.
+            assert outcome == SAFE_TERMINATED
 
     @pytest.mark.parametrize("baseline, seed, message", [
         ("obg", 0, "node 602: own report missing"),

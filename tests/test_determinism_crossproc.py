@@ -6,6 +6,11 @@ of strings (or objects with default ``__hash__``) leaks process identity
 into results.  Each entry point — including the faulted delivery path —
 must print byte-identical summaries, per-round ledgers, outputs, and
 fault tallies under different hash seeds.
+
+Nor may one depend on what happens to be installed: the package
+declares no dependency, so a module that is there on one box and absent
+on the next (numpy, once the grouping of large rounds) may never be
+imported.
 """
 
 import json
@@ -254,3 +259,20 @@ def test_resilient_serving_hashseed_independent():
     assert row["retries"] > 0
     assert row["breaker_opens"] >= 1
     assert any(entry[0] == "serve.retry" for entry in row["lanes"]["0"])
+
+
+#: Every subsystem that executes or serves runs, imported in a fresh
+#: interpreter.  CI runs this where numpy is absent (``tests``) and
+#: where it is installed (``perf-smoke``): it must stay unimported.
+IMPORTS = """
+import repro, repro.sim.columnar, repro.serve, repro.engine
+import sys
+assert 'numpy' not in sys.modules, sorted(
+    name for name in sys.modules if name.startswith('numpy'))[:5]
+"""
+
+
+def test_the_package_never_imports_numpy():
+    _run(0, IMPORTS)
+    sources = (REPO / "src" / "repro").rglob("*.py")
+    assert not [path for path in sources if "numpy" in path.read_text()]

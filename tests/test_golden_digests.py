@@ -13,7 +13,10 @@ The rows of the two all-to-all baselines (``obg-*``, ``balls-*``:
 fault-free, and under ``RandomCrash`` built exactly as
 ``obg_run_summary`` / ``balls_run_summary`` build it) were recorded on
 the commit *before* the baselines read their inboxes per view
-(``repro.sim.columnar.derive``) and held across it without re-recording.
+(``repro.sim.columnar.derive``) and held across it without re-recording;
+the gossip baseline's (``collect-*``, built as ``gossip_run_summary``
+builds it) on the commit *before* it read its inboxes through
+``repro.sim.columnar.messages``, likewise.
 
 A digest that moves means two different programs are being compared.
 Only a deliberate accounting change may re-record the table:
@@ -46,6 +49,7 @@ from repro.analysis.experiments import (
     sample_uids,
 )
 from repro.baselines.balls_into_slots import run_balls_into_slots
+from repro.baselines.collect_rank import run_collect_rank
 from repro.baselines.obg_halving import run_obg_halving
 from repro.core.byzantine_renaming import run_byzantine_renaming
 from repro.core.crash_renaming import CrashRenamingConfig, run_crash_renaming
@@ -102,7 +106,7 @@ def byzantine_case(n, f, seed, factory):
 
 def baseline_case(run, n, f, seed):
     """An all-to-all baseline exactly as ``obg_run_summary`` /
-    ``balls_run_summary`` build it."""
+    ``balls_run_summary`` / ``gossip_run_summary`` build it."""
     namespace = default_namespace(n)
     uids = sample_uids(n, namespace, Random(seed))
     return run(
@@ -112,7 +116,8 @@ def baseline_case(run, n, f, seed):
     )
 
 
-BASELINES = (("obg", run_obg_halving), ("balls", run_balls_into_slots))
+BASELINES = (("obg", run_obg_halving), ("balls", run_balls_into_slots),
+             ("collect", run_collect_rank))
 
 WITHHOLDER = byzantine_strategies.make_withholder(0.5, salt=0)
 EQUIVOCATOR = byzantine_strategies.make_equivocator()
@@ -202,6 +207,13 @@ GOLDEN = {
         "73a14d5fe46cf36ba7677c5b02f844321f97fea950be3729dfc996c3c78e44e2",
     "balls-random-n64-s1":
         "bb41763992013b4ba7706db4a3441292833a176d94559f02d2bc2b5a3b6558d8",
+    # Recorded at 0d63bc4, before `collect_rank` read through `messages`.
+    "collect-n33-f0":
+        "85c06c37bc74deb8685278cfc88fcc35ad55724e45d7e526a35927ba3f3a1507",
+    "collect-random-n64-s0":
+        "22d42de37e452740de9f6984923b1b87b90af491d4514cea8ba7ef0e9ea0f235",
+    "collect-random-n64-s1":
+        "d1c7e541f701a43f4ffd1a27b8adaf0643cbf61f03058127d1ec5cea2020480a",
 }
 
 

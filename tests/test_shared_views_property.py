@@ -88,7 +88,8 @@ from tests.test_fastpath_ab import (
 # ---------------------------------------------------------------------------
 # (a) the protocols that derive, on both executors
 
-CRASH_PROTOCOLS = ("crash-paper", "crash-sparse", "obg", "balls")
+CRASH_PROTOCOLS = ("crash-paper", "crash-sparse", "crash-early",
+                   "crash-split", "obg", "balls")
 BYZANTINE_PROTOCOLS = ("byz-withholder", "byz-equivocator")
 
 #: Per-node protocol state, whichever protocol the node runs.
@@ -101,14 +102,44 @@ STATE_FIELDS = ("phase_log", "interval", "depth", "p", "elected",
 ROUND_CAP = 700
 
 
+class _SplitCommitteeNode(CrashRenamingNode):
+    """The upper half of the links counts one more silent phase before
+    every round, so the committee holds two opinions of ``p`` and one
+    reporter is answered with two different ``Response`` objects: round
+    3 reads its answers in one pass that skips repeats by identity, and
+    may drop neither."""
+
+    def program(self, ctx):
+        inner = super().program(ctx)
+        sends = next(inner)
+        while True:
+            inbox = yield sends
+            self.p += ctx.index >= ctx.n // 2
+            try:
+                sends = inner.send(inbox)
+            except StopIteration as stop:
+                return stop.value
+
+
+#: protocol -> (node class, config) of the crash-renaming runs.
+CRASH_RENAMING = {
+    "crash-paper": (CrashRenamingNode, CrashRenamingConfig()),
+    "crash-sparse": (CrashRenamingNode,
+                     CrashRenamingConfig(election_constant=2.0)),
+    # `Done` rides the same pass of round 3 as the answers.
+    "crash-early": (CrashRenamingNode,
+                    CrashRenamingConfig(early_stopping=True)),
+    "crash-split": (_SplitCommitteeNode, CrashRenamingConfig()),
+}
+
+
 def _population(protocol, n, seed):
     namespace = default_namespace(n)
     uids = sample_uids(n, namespace, Random(seed))
     shared = None
-    if protocol.startswith("crash"):
-        config = (CrashRenamingConfig() if protocol == "crash-paper"
-                  else CrashRenamingConfig(election_constant=2.0))
-        processes = [CrashRenamingNode(uid, config) for uid in uids]
+    if protocol in CRASH_RENAMING:
+        node, config = CRASH_RENAMING[protocol]
+        processes = [node(uid, config) for uid in uids]
     elif protocol == "obg":
         processes = [ObgHalvingNode(uid) for uid in uids]
     elif protocol == "balls":
@@ -378,23 +409,51 @@ class TestComputedOnce:
 
     def test_votes_are_collected_once_per_distinct_view(self, monkeypatch):
         collected = _counting(monkeypatch, comm, "_collect")
+        tallied = _counting(monkeypatch, comm, "_tally")
         asked = []
-        collect = comm.CommitteeComm.collect
 
-        def counting_collect(self, inbox, kind):
-            asked.append(kind)
-            return collect(self, inbox, kind)
+        def counting(ask):
+            def counted(self, inbox, kind, *args):
+                asked.append(kind)
+                return ask(self, inbox, kind, *args)
+            return counted
 
-        monkeypatch.setattr(comm.CommitteeComm, "collect", counting_collect)
+        for name in ("collect", "tally"):
+            monkeypatch.setattr(comm.CommitteeComm, name,
+                                counting(getattr(comm.CommitteeComm, name)))
         result = golden.CASES["byz-withholder-n48"]()
         assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
         # The envelope tuple *is* the view (kept alive here, so ids are
-        # unique): no (view, step, kind, members) was computed twice.
-        keys = [(id(envelopes), step, kind, members)
-                for envelopes, step, kind, members in collected.calls]
-        assert len(set(keys)) == len(keys)
+        # unique): no (view, step, kind, members[, without]) was
+        # computed twice -- a tally collects once, for itself.
+        tallies = [(id(envelopes), *args)
+                   for envelopes, *args in tallied.calls]
+        assert tallies and len(set(tallies)) == len(tallies)
+        keys = [(id(envelopes), *args)
+                for envelopes, *args in collected.calls]
+        assert len(set(keys)) == len(keys) > len(tallies)
         # ~22 members ask every step; far fewer distinct answers exist.
         assert len(asked) > 5 * len(keys)
+        assert {"gb-input", "gb-echo"} < set(asked)
+
+    @pytest.mark.parametrize("protocol, answers", [
+        ("crash-paper", {1}), ("crash-split", {2})])
+    def test_round_three_counts_each_distinct_answer_once(
+            self, monkeypatch, protocol, answers):
+        heard = []
+        node_action = CrashRenamingNode._node_action
+
+        def counting_node_action(self, responses, ctx):
+            heard.append(len(responses))
+            return node_action(self, responses, ctx)
+
+        monkeypatch.setattr(CrashRenamingNode, "_node_action",
+                            counting_node_action)
+        engine = _play((protocol, 9, 5, None, []), False)
+        # Nine members answer every node: from one shared decision with
+        # the same `Response` nine times over, from two opinions of `p`
+        # with two, and the pass over `messages(inbox)` keeps each once.
+        assert engine["error"] is None and set(heard) == answers
 
     def test_a_shared_reply_tuple_is_sized_once_per_round(self, monkeypatch):
         sized = []
