@@ -171,21 +171,45 @@ def _open_store(args):
     return RunStore(_store_url(args))
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.engine.pool import run_requests
+def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
+    """The five flags that spell one sweep spec (``sweep``, ``fabric
+    enqueue``); :func:`_spec_requests` reads them back."""
+    from repro.engine.sweeps import driver_names
+
+    parser.add_argument("--driver", default="crash", choices=driver_names(),
+                        help="named summary driver from repro.engine.sweeps")
+    parser.add_argument("--n", default="16,32,64",
+                        help="comma/range list of n values, e.g. 16,32,64")
+    parser.add_argument("--seeds", default="0-4",
+                        help="comma/range list of seeds, e.g. 0-4 or 1,3,5")
+    parser.add_argument("--f", default="0",
+                        help="fault budget as an expression in n, "
+                             "e.g. 0, n//8, 'max(1, n//4)'")
+    parser.add_argument("--param", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="extra driver keyword (JSON value); repeatable")
+
+
+def _spec_requests(args: argparse.Namespace, command: str) -> list:
+    """The requests of the spec flags; a bad spec is one error line."""
     from repro.engine.sweeps import SweepSpec
 
     try:
-        spec = SweepSpec.make(
+        return SweepSpec.make(
             args.driver,
             parse_int_list(args.n),
             parse_int_list(args.seeds),
             f=args.f,
             **_parse_params(args.param),
-        )
-        requests = spec.requests()
+        ).requests()
     except (TypeError, ValueError) as error:
-        raise SystemExit(f"python -m repro sweep: error: {error}")
+        raise SystemExit(f"python -m repro {command}: error: {error}")
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.engine.pool import run_requests
+
+    requests = _spec_requests(args, "sweep")
     store = _open_store(args)
     observer = None
     if args.telemetry:
@@ -580,19 +604,8 @@ def cmd_fabric(args: argparse.Namespace) -> int:
 def _fabric_enqueue(args: argparse.Namespace) -> int:
     """Fan a sweep out as leasable tasks in the store's queue."""
     from repro.engine.fabric import enqueue_campaign
-    from repro.engine.sweeps import SweepSpec
 
-    try:
-        spec = SweepSpec.make(
-            args.driver,
-            parse_int_list(args.n),
-            parse_int_list(args.seeds),
-            f=args.f,
-            **_parse_params(args.param),
-        )
-        requests = spec.requests()
-    except (TypeError, ValueError) as error:
-        raise SystemExit(f"python -m repro fabric enqueue: error: {error}")
+    requests = _spec_requests(args, "fabric enqueue")
     url = _store_url(args)
     total, new = enqueue_campaign(url, args.campaign, requests,
                                   events_dir=args.events)
@@ -760,26 +773,11 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a parallel, store-backed sweep over n x seeds",
     )
-    sweep.add_argument(
-        "--driver", default="crash",
-        choices=["crash", "byzantine", "obg", "gossip", "balls",
-                 "reelection", "falsify", "faults", "serve"],
-        help="named summary driver from repro.engine.sweeps",
-    )
-    sweep.add_argument("--n", default="16,32,64",
-                       help="comma/range list of n values, e.g. 16,32,64")
-    sweep.add_argument("--seeds", default="0-4",
-                       help="comma/range list of seeds, e.g. 0-4 or 1,3,5")
-    sweep.add_argument("--f", default="0",
-                       help="fault budget as an expression in n, "
-                            "e.g. 0, n//8, 'max(1, n//4)'")
+    _add_spec_flags(sweep)
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1 = serial, in-process)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-task seconds before a chunk is failed")
-    sweep.add_argument("--param", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="extra driver keyword (JSON value); repeatable")
     sweep.add_argument("--store", default=None,
                        help="run-store path or sqlite://path URL "
                             "(default $REPRO_STORE or "
@@ -929,22 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     fabric_enqueue = fabric_sub.add_parser(
         "enqueue", help="fan a sweep out as leasable queue tasks"
     )
-    fabric_enqueue.add_argument(
-        "--driver", default="crash",
-        choices=["crash", "byzantine", "obg", "gossip", "balls",
-                 "reelection", "falsify", "faults", "serve"],
-        help="named summary driver from repro.engine.sweeps",
-    )
-    fabric_enqueue.add_argument("--n", default="16,32,64",
-                                help="comma/range list of n values")
-    fabric_enqueue.add_argument("--seeds", default="0-4",
-                                help="comma/range list of seeds")
-    fabric_enqueue.add_argument("--f", default="0",
-                                help="fault budget as an expression in n")
-    fabric_enqueue.add_argument("--param", action="append", default=[],
-                                metavar="KEY=VALUE",
-                                help="extra driver keyword (JSON value); "
-                                     "repeatable")
+    _add_spec_flags(fabric_enqueue)
     _fabric_store_args(fabric_enqueue,
                        "directory for the enqueue event record")
     fabric_enqueue.set_defaults(func=cmd_fabric)

@@ -4,17 +4,26 @@ Every driver returns plain dict rows so benchmarks, tests, and the
 bench report printer all consume the same data.  Namespaces default to
 ``5 n^2`` (the regime of Theorem 1.4) and original identities are
 sampled uniformly from the namespace, seeded, so runs replay exactly.
+The crash-model families are a table (:data:`FAMILIES`) run one way
+(:func:`execute`): what populates, attacks and seeds one of them does
+so for all, which is what makes their rows a comparison.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.adversary import byzantine as byzantine_strategies
 from repro.adversary.base import CrashAdversary
-from repro.adversary.crash import CommitteeHunter, RandomCrash
+from repro.adversary.crash import (
+    CommitteeHunter,
+    MidSendPartitioner,
+    RandomCrash,
+)
 from repro.baselines.balls_into_slots import run_balls_into_slots
 from repro.baselines.collect_rank import run_collect_rank
 from repro.baselines.obg_halving import run_obg_halving
@@ -80,46 +89,126 @@ def check_renaming(
 
 
 # ---------------------------------------------------------------------------
-# Crash-side drivers
+# The protocol families of the crash model and the one way to run them
 
 
 def make_crash_adversary(
-    kind: Optional[str], budget: int, rng: Random
+    kind: Optional[str], budget: int, rng: Random, *, rate: float = 0.05
 ) -> Optional[CrashAdversary]:
-    if kind is None or budget == 0:
+    """The crash adversary of ``kind`` with ``budget`` crashes, on ``rng``;
+    ``None`` / ``"none"`` / an empty budget is no adversary.  ``rate``
+    is the per-round crash probability of ``"random"``: 0.05 in sweep
+    rows, ``FALSIFY_CRASH_RATE`` in the falsifier's probes."""
+    if kind in (None, "none") or budget <= 0:
         return None
+    if kind == "random":
+        return RandomCrash(budget, rate=rate, rng=rng)
     if kind == "hunter":
         return CommitteeHunter(budget, rng)
-    if kind == "random":
-        return RandomCrash(budget, rate=0.05, rng=rng)
-    raise ValueError(f"unknown crash adversary kind: {kind!r}")
+    if kind == "partitioner":
+        return MidSendPartitioner(budget, rng)
+    raise ValueError(
+        f"unknown adversary kind {kind!r}; expected one of "
+        f"none, random, hunter, partitioner"
+    )
 
 
-def crash_run_summary(
+@dataclass(frozen=True)
+class Family:
+    """A named protocol family: what Table 1, the sweeps and the
+    falsifier need to run it the same way as every other."""
+
+    name: str
+    #: Entry point ``run(uids, *, namespace, adversary, **keywords)``.
+    run: Callable[..., ExecutionResult]
+    #: The ``algorithm`` column of its rows (Table 1's label).
+    label: str
+    #: Crash-adversary kind of its sweep rows unless a request names one.
+    adversary: Optional[str] = "random"
+    order_preserving: bool = False
+    #: Driver params it takes; handed to ``run`` as keywords, or to
+    #: ``config`` when the entry point takes a config object instead.
+    params: tuple[str, ...] = ()
+    config: Optional[Callable[..., object]] = None
+
+
+def _crash_config(election_constant: float = EXPERIMENT_ELECTION_CONSTANT,
+                  early_stopping: bool = False) -> CrashRenamingConfig:
+    return CrashRenamingConfig(election_constant=election_constant,
+                               early_stopping=early_stopping)
+
+
+#: The families, in Table 1's row order.  Adding one is an entry here
+#: plus its ``run_*``: the driver registry, ``table1_requests``, the
+#: CLI's ``--driver`` choices and the falsifier's scenario read this.
+FAMILIES: dict[str, Family] = {family.name: family for family in (
+    Family("crash", run_crash_renaming, "crash-renaming (this work)",
+           adversary="hunter",
+           params=("election_constant", "early_stopping"),
+           config=_crash_config),
+    Family("obg", run_obg_halving, "all-to-all halving [34]-style"),
+    Family("balls", run_balls_into_slots, "balls-into-slots [3]-style",
+           params=("slots",)),
+    Family("gossip", run_collect_rank, "full-information gossip [20]-style",
+           order_preserving=True, params=("assumed_faults",)),
+)}
+
+
+def population(n: int, seed: int,
+               namespace: Optional[int] = None) -> tuple[list[int], int]:
+    """The identities of a run at ``(n, seed)`` and their namespace:
+    ``n`` distinct draws of ``Random(seed)`` from ``[1, N]``."""
+    namespace = namespace or default_namespace(n)
+    return sample_uids(n, namespace, Random(seed)), namespace
+
+
+def execute(
+    family: Family,
     n: int,
     f: int,
     seed: int,
     *,
-    adversary: Optional[str] = "hunter",
+    adversary: CrashAdversary | str | None = None,
+    params: Optional[Mapping[str, object]] = None,
     namespace: Optional[int] = None,
-    election_constant: float = EXPERIMENT_ELECTION_CONSTANT,
-    include_rounds: bool = False,
-) -> dict:
-    """One crash-algorithm execution, summarized for sweeps."""
-    namespace = namespace or default_namespace(n)
-    rng = Random(seed)
-    uids = sample_uids(n, namespace, rng)
-    config = CrashRenamingConfig(election_constant=election_constant)
-    result = run_crash_renaming(
-        uids,
-        namespace=namespace,
-        adversary=make_crash_adversary(adversary, f, Random(seed + 1)),
-        config=config,
-        seed=seed + 2,
-    )
-    checks = check_renaming(result, n)
+    **network: object,
+) -> ExecutionResult:
+    """Run ``family`` at ``(n, f, seed)``: the one seeding rule.
+
+    Identities come from ``Random(seed)``, an adversary given by kind
+    runs on ``Random(seed + 1)`` with budget ``f``, the network is
+    seeded ``seed + 2``.  ``params`` may hold more than the family
+    takes (a campaign's params reach every scenario); ``network`` is
+    handed to the entry point, and through it to ``run_network``.
+    """
+    uids, namespace = population(n, seed, namespace)
+    if isinstance(adversary, str):
+        adversary = make_crash_adversary(adversary, f, Random(seed + 1))
+    params = params or {}
+    keywords = {key: params[key] for key in family.params if key in params}
+    if family.config is not None:
+        keywords = {"config": family.config(**keywords)}
+    return family.run(uids, namespace=namespace, adversary=adversary,
+                      seed=seed + 2, **keywords, **network)
+
+
+def summary(name: str, n: int, f: int, seed: int, *,
+            namespace: Optional[int] = None, include_rounds: bool = False,
+            **params) -> dict:
+    """One execution of family ``name``, summarized for sweeps.
+
+    ``params`` are the family's own plus ``adversary`` (a kind, or
+    ``None`` for a failure-free run; default the family's).
+    """
+    family = FAMILIES[name]
+    adversary = params.pop("adversary", family.adversary)
+    unknown = sorted(set(params) - set(family.params))
+    if unknown:
+        raise TypeError(f"{name} driver got unexpected params {unknown}")
+    result = execute(family, n, f, seed, adversary=adversary, params=params,
+                     namespace=namespace)
     return attach_ledgers({
-        "algorithm": "crash-renaming (this work)",
+        "algorithm": family.label,
         "n": n,
         "f_budget": f,
         "f_actual": len(result.crashed),
@@ -127,8 +216,14 @@ def crash_run_summary(
         "messages": result.metrics.correct_messages,
         "bits": result.metrics.correct_bits,
         "max_message_bits": result.metrics.max_message_bits,
-        **checks,
+        **check_renaming(result, n, order_preserving=family.order_preserving),
     }, result, include_rounds)
+
+
+crash_run_summary = partial(summary, "crash")
+obg_run_summary = partial(summary, "obg")
+gossip_run_summary = partial(summary, "gossip")
+balls_run_summary = partial(summary, "balls")
 
 
 def sweep_crash(
@@ -163,86 +258,6 @@ def rows_or_raise(results) -> list[dict]:
     return [result.row for result in results]
 
 
-def obg_run_summary(n: int, f: int, seed: int,
-                    namespace: Optional[int] = None,
-                    include_rounds: bool = False) -> dict:
-    namespace = namespace or default_namespace(n)
-    rng = Random(seed)
-    uids = sample_uids(n, namespace, rng)
-    result = run_obg_halving(
-        uids,
-        namespace=namespace,
-        adversary=make_crash_adversary("random", f, Random(seed + 1)),
-        seed=seed + 2,
-    )
-    checks = check_renaming(result, n)
-    return attach_ledgers({
-        "algorithm": "all-to-all halving [34]-style",
-        "n": n,
-        "f_budget": f,
-        "f_actual": len(result.crashed),
-        "rounds": result.rounds,
-        "messages": result.metrics.correct_messages,
-        "bits": result.metrics.correct_bits,
-        "max_message_bits": result.metrics.max_message_bits,
-        **checks,
-    }, result, include_rounds)
-
-
-def gossip_run_summary(n: int, f: int, seed: int,
-                       namespace: Optional[int] = None,
-                       assumed_faults: Optional[int] = None,
-                       include_rounds: bool = False) -> dict:
-    namespace = namespace or default_namespace(n)
-    rng = Random(seed)
-    uids = sample_uids(n, namespace, rng)
-    result = run_collect_rank(
-        uids,
-        namespace=namespace,
-        adversary=make_crash_adversary("random", f, Random(seed + 1)),
-        assumed_faults=assumed_faults,
-        seed=seed + 2,
-    )
-    checks = check_renaming(result, n, order_preserving=True)
-    return attach_ledgers({
-        "algorithm": "full-information gossip [20]-style",
-        "n": n,
-        "f_budget": f,
-        "f_actual": len(result.crashed),
-        "rounds": result.rounds,
-        "messages": result.metrics.correct_messages,
-        "bits": result.metrics.correct_bits,
-        "max_message_bits": result.metrics.max_message_bits,
-        **checks,
-    }, result, include_rounds)
-
-
-def balls_run_summary(n: int, f: int, seed: int,
-                      namespace: Optional[int] = None,
-                      include_rounds: bool = False) -> dict:
-    namespace = namespace or default_namespace(n)
-    rng = Random(seed)
-    uids = sample_uids(n, namespace, rng)
-    result = run_balls_into_slots(
-        uids,
-        namespace=namespace,
-        adversary=make_crash_adversary("random", f, Random(seed + 1)),
-        seed=seed + 2,
-    )
-    checks = check_renaming(result, n)
-    return attach_ledgers({
-        "algorithm": "balls-into-slots [3]-style",
-        "n": n,
-        "f_budget": f,
-        "f_actual": len(result.crashed),
-        "rounds": result.rounds,
-        "messages": result.metrics.correct_messages,
-        "bits": result.metrics.correct_bits,
-        "max_message_bits": result.metrics.max_message_bits,
-        **checks,
-    }, result, include_rounds)
-
-
 def reelection_run_summary(n: int, f: int, seed: int = 5,
                            include_rounds: bool = False) -> dict:
     """Committee re-election ablation (report section F8).
@@ -251,15 +266,7 @@ def reelection_run_summary(n: int, f: int, seed: int = 5,
     budget ``f`` and reports how far the re-election escalation ``p``
     climbed and how many nodes were ever elected (Lemmas 2.4–2.7).
     """
-    namespace = default_namespace(n)
-    uids = sample_uids(n, namespace, Random(seed))
-    result = run_crash_renaming(
-        uids, namespace=namespace,
-        adversary=(CommitteeHunter(f, Random(seed + 1)) if f else None),
-        config=CrashRenamingConfig(
-            election_constant=EXPERIMENT_ELECTION_CONSTANT),
-        seed=seed + 2,
-    )
+    result = execute(FAMILIES["crash"], n, f, seed, adversary="hunter")
     survivors = [p for i, p in enumerate(result.processes)
                  if i not in result.crashed]
     p_values = [p.final_p for p in survivors]
@@ -309,9 +316,7 @@ def byzantine_run_summary(
     include_rounds: bool = False,
 ) -> dict:
     """One Byzantine-algorithm execution, summarized for sweeps."""
-    namespace = namespace or default_namespace(n)
-    rng = Random(seed)
-    uids = sample_uids(n, namespace, rng)
+    uids, namespace = population(n, seed, namespace)
     # Carlo picks the corrupt set statically, before shared randomness.
     corrupt = byzantine_strategies.corrupt_set(uids, f, Random(seed + 1))
     factory = {
@@ -336,8 +341,6 @@ def byzantine_run_summary(
         shared_seed=seed + 3,
         seed=seed + 4,
     )
-    correct_outputs = result.outputs_by_uid()
-    ordered_uids = sorted(correct_outputs)
     splits = max(
         (p.segments_split for p in result.processes
          if getattr(p, "was_committee", False) and not p.byzantine),
@@ -355,12 +358,7 @@ def byzantine_run_summary(
         "bits": result.metrics.correct_bits,
         "max_message_bits": result.metrics.max_message_bits,
         "segments_split": splits,
-        "unique": len(set(correct_outputs.values())) == len(correct_outputs),
-        "strong": all(1 <= v <= n for v in correct_outputs.values()),
-        "order_preserving": all(
-            correct_outputs[a] < correct_outputs[b]
-            for a, b in zip(ordered_uids, ordered_uids[1:])
-        ),
+        **check_renaming(result, n, order_preserving=True),
     }, result, include_rounds)
 
 

@@ -40,11 +40,10 @@ from typing import Mapping, Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.core.crash_renaming import RenamingFailure
-from repro.faults.base import FaultModel
 from repro.sim.columnar import derive
 from repro.sim.messages import CostModel, Envelope, Message, broadcast
 from repro.sim.node import Context, Process, Program
-from repro.sim.runner import ExecutionResult, run_network
+from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
 #: Safety valve: the adversary cannot stall the protocol this long
 #: (the per-round success probability is constant), so exceeding it
@@ -168,29 +167,18 @@ def run_balls_into_slots(
     namespace: Optional[int] = None,
     slots: Optional[int] = None,
     adversary: Optional[CrashAdversary] = None,
-    seed: int = 0,
-    trace: bool = False,
-    monitors: Sequence[object] = (),
-    observer: Optional[object] = None,
-    fault_model: Optional[FaultModel] = None,
+    **network: object,
 ) -> ExecutionResult:
     """Run the balls-into-slots baseline for nodes with ids ``uids``.
 
     ``slots`` is the target namespace ``M`` (default ``n``: strong
-    renaming); pass ``M > n`` for loose renaming.
+    renaming); pass ``M > n`` for loose renaming.  ``network`` is
+    handed to :func:`repro.sim.runner.run_network` as it stands.
     """
-    uids = list(uids)
-    if len(set(uids)) != len(uids):
-        raise ValueError("original identities must be distinct")
+    uids, cost = admit_identities(uids, namespace, floor=slots or 0)
     if slots is not None and slots < len(uids):
         raise ValueError(
             f"target namespace M={slots} smaller than n={len(uids)}"
         )
-    if namespace is None:
-        namespace = max(max(uids), len(uids), slots or 0)
-    cost = CostModel(n=len(uids), namespace=namespace)
     processes = [BallsIntoSlotsNode(uid, slots=slots) for uid in uids]
-    return run_network(
-        processes, cost, crash_adversary=adversary, seed=seed, trace=trace,
-        monitors=monitors, observer=observer, fault_model=fault_model,
-    )
+    return run_network(processes, cost, crash_adversary=adversary, **network)

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
-from repro.faults.base import FaultModel
 from repro.sim.columnar import messages
 from repro.sim.messages import CostModel, Message, broadcast
 from repro.sim.node import Context, Process, Program
-from repro.sim.runner import ExecutionResult, run_network
+from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
 
 @dataclass(frozen=True)
@@ -77,21 +76,10 @@ def run_collect_rank(
     namespace: Optional[int] = None,
     adversary: Optional[CrashAdversary] = None,
     assumed_faults: Optional[int] = None,
-    seed: int = 0,
-    trace: bool = False,
-    monitors: Sequence[object] = (),
-    observer: Optional[object] = None,
-    fault_model: Optional[FaultModel] = None,
+    **network: object,
 ) -> ExecutionResult:
-    """Run the gossip baseline for nodes with identities ``uids``."""
-    uids = list(uids)
-    if len(set(uids)) != len(uids):
-        raise ValueError("original identities must be distinct")
-    if namespace is None:
-        namespace = max(max(uids), len(uids))
-    cost = CostModel(n=len(uids), namespace=namespace)
+    """Run the gossip baseline for nodes with identities ``uids``;
+    ``network`` is handed to :func:`repro.sim.runner.run_network`."""
+    uids, cost = admit_identities(uids, namespace)
     processes = [CollectRankNode(uid, assumed_faults) for uid in uids]
-    return run_network(
-        processes, cost, crash_adversary=adversary, seed=seed, trace=trace,
-        monitors=monitors, observer=observer, fault_model=fault_model,
-    )
+    return run_network(processes, cost, crash_adversary=adversary, **network)

@@ -39,13 +39,12 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
-from repro.faults.base import FaultModel
 from repro.core.crash_renaming import RenamingFailure
 from repro.core.intervals import Interval, reports_inside_bot, root_interval
 from repro.sim.columnar import derive
 from repro.sim.messages import CostModel, Envelope, Message, broadcast
 from repro.sim.node import Context, Process, Program
-from repro.sim.runner import ExecutionResult, run_network
+from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
 
 @dataclass(frozen=True)
@@ -130,21 +129,10 @@ def run_obg_halving(
     *,
     namespace: Optional[int] = None,
     adversary: Optional[CrashAdversary] = None,
-    seed: int = 0,
-    trace: bool = False,
-    monitors: Sequence[object] = (),
-    observer: Optional[object] = None,
-    fault_model: Optional[FaultModel] = None,
+    **network: object,
 ) -> ExecutionResult:
-    """Run the all-to-all halving baseline for nodes with ids ``uids``."""
-    uids = list(uids)
-    if len(set(uids)) != len(uids):
-        raise ValueError("original identities must be distinct")
-    if namespace is None:
-        namespace = max(max(uids), len(uids))
-    cost = CostModel(n=len(uids), namespace=namespace)
+    """Run the all-to-all halving baseline for nodes with ids ``uids``;
+    ``network`` is handed to :func:`repro.sim.runner.run_network`."""
+    uids, cost = admit_identities(uids, namespace)
     processes = [ObgHalvingNode(uid) for uid in uids]
-    return run_network(
-        processes, cost, crash_adversary=adversary, seed=seed, trace=trace,
-        monitors=monitors, observer=observer, fault_model=fault_model,
-    )
+    return run_network(processes, cost, crash_adversary=adversary, **network)

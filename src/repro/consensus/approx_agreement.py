@@ -29,7 +29,7 @@ from repro.adversary.base import CrashAdversary
 from repro.sim.columnar import messages
 from repro.sim.messages import CostModel, Message, broadcast
 from repro.sim.node import Context, Process, Program
-from repro.sim.runner import ExecutionResult, run_network
+from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
 #: Fixed-point denominator: values travel as integers scaled by this,
 #: keeping every message at O(log N + log PRECISION) bits.
@@ -91,23 +91,21 @@ def run_approximate_agreement(
     *,
     value_bound: Optional[float] = None,
     adversary: Optional[CrashAdversary] = None,
-    seed: int = 0,
+    **network: object,
 ) -> ExecutionResult:
     """Run approximate agreement for ``(uid, initial_value)`` pairs.
 
     ``value_bound`` is the publicly known bound on the input range used
     to size the round count; it defaults to the actual input range.
+    ``network`` is handed to :func:`repro.sim.runner.run_network`.
     """
     if not inputs:
         raise ValueError("need at least one participant")
-    uids = [uid for uid, _ in inputs]
-    if len(set(uids)) != len(uids):
-        raise ValueError("original identities must be distinct")
+    _, cost = admit_identities([uid for uid, _ in inputs])
     values = [value for _, value in inputs]
     spread = (max(values) - min(values)) if value_bound is None else value_bound
     rounds = rounds_needed(spread, epsilon)
-    cost = CostModel(n=len(inputs), namespace=max(max(uids), len(inputs)))
     processes = [
         ApproxAgreementNode(uid, value, rounds) for uid, value in inputs
     ]
-    return run_network(processes, cost, crash_adversary=adversary, seed=seed)
+    return run_network(processes, cost, crash_adversary=adversary, **network)

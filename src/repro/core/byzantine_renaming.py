@@ -43,12 +43,11 @@ from repro.consensus.binary import DEFAULT_ITERATIONS, binary_consensus
 from repro.consensus.comm import CommitteeComm, exchange
 from repro.consensus.validator import validator
 from repro.core.identity_list import IdentityList
-from repro.faults.base import FaultModel
 from repro.crypto.hashing import FingerprintFamily
 from repro.crypto.shared_randomness import SharedRandomness
 from repro.sim.messages import CostModel, Message, Scatter, broadcast, multicast
 from repro.sim.node import Context, Process, Program
-from repro.sim.runner import ExecutionResult, run_network
+from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
 
 class ByzantineRenamingError(RuntimeError):
@@ -462,27 +461,18 @@ def run_byzantine_renaming(
     byzantine: Optional[Mapping[int, ByzantineFactory]] = None,
     config: Optional[ByzantineRenamingConfig] = None,
     shared_seed: int = 0,
-    seed: int = 0,
-    trace: bool = False,
     max_rounds: int = 200_000,
-    monitors: Sequence[object] = (),
-    observer: Optional[object] = None,
-    fault_model: Optional[FaultModel] = None,
+    **network: object,
 ) -> ExecutionResult:
     """Run the Byzantine-resilient algorithm.
 
     ``byzantine`` maps corrupted original identities to strategy
     factories (see :mod:`repro.adversary.byzantine`).  Per the static
     adversary model, the corrupt set must be chosen independently of
-    ``shared_seed``.
+    ``shared_seed``.  ``network`` is handed to
+    :func:`repro.sim.runner.run_network` as it stands.
     """
-    uids = list(uids)
-    if len(set(uids)) != len(uids):
-        raise ValueError("original identities must be distinct")
-    if namespace is None:
-        namespace = max(max(uids), len(uids))
-    if any(not 1 <= uid <= namespace for uid in uids):
-        raise ValueError(f"identities must lie in [1, {namespace}]")
+    uids, cost = admit_identities(uids, namespace)
     config = config or ByzantineRenamingConfig()
     byzantine = dict(byzantine or {})
     unknown = set(byzantine) - set(uids)
@@ -501,14 +491,7 @@ def run_byzantine_renaming(
             processes.append(byzantine[uid](uid, config))
         else:
             processes.append(ByzantineRenamingNode(uid, config))
-    cost = CostModel(n=len(uids), namespace=namespace)
     return run_network(
-        processes,
-        cost,
-        shared=SharedRandomness(shared_seed),
-        seed=seed,
-        trace=trace,
-        max_rounds=max_rounds,
-        monitors=monitors,
-        observer=observer, fault_model=fault_model,
+        processes, cost, shared=SharedRandomness(shared_seed),
+        max_rounds=max_rounds, **network,
     )

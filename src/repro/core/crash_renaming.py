@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
-from repro.faults.base import FaultModel
 from repro.core.intervals import Interval, reports_inside_bot, root_interval
 from repro.sim.columnar import derive, messages
 from repro.sim.messages import (
@@ -56,7 +55,7 @@ from repro.sim.messages import (
     multicast,
 )
 from repro.sim.node import Context, Process, Program
-from repro.sim.runner import ExecutionResult, run_network
+from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
 
 class RenamingFailure(RuntimeError):
@@ -370,33 +369,16 @@ def run_crash_renaming(
     namespace: Optional[int] = None,
     adversary: Optional[CrashAdversary] = None,
     config: Optional[CrashRenamingConfig] = None,
-    seed: int = 0,
-    trace: bool = False,
-    monitors: Sequence[object] = (),
-    observer: Optional[object] = None,
-    fault_model: Optional[FaultModel] = None,
+    **network: object,
 ) -> ExecutionResult:
     """Run the crash-resilient algorithm for nodes with identities ``uids``.
 
     ``uids`` must be distinct values in ``[1, namespace]``; the result's
     ``outputs_by_uid()`` maps each surviving node's original identity to
-    its new identity in ``[1, n]``.
+    its new identity in ``[1, n]``.  ``network`` is handed to
+    :func:`repro.sim.runner.run_network` as it stands (``seed``,
+    ``trace``, ``monitors``, ``observer``, ``fault_model``, ...).
     """
-    uids = list(uids)
-    if len(set(uids)) != len(uids):
-        raise ValueError("original identities must be distinct")
-    if namespace is None:
-        namespace = max(max(uids), len(uids))
-    if any(not 1 <= uid <= namespace for uid in uids):
-        raise ValueError(f"identities must lie in [1, {namespace}]")
-    cost = CostModel(n=len(uids), namespace=namespace)
+    uids, cost = admit_identities(uids, namespace)
     processes = [CrashRenamingNode(uid, config) for uid in uids]
-    return run_network(
-        processes,
-        cost,
-        crash_adversary=adversary,
-        seed=seed,
-        trace=trace,
-        monitors=monitors,
-        observer=observer, fault_model=fault_model,
-    )
+    return run_network(processes, cost, crash_adversary=adversary, **network)

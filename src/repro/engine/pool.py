@@ -89,16 +89,21 @@ def _isolated_entry(connection, request: RunRequest) -> None:
         connection.close()
 
 
-def _run_isolated(request: RunRequest,
-                  timeout: Optional[float]) -> RunResult:
-    """Retry one task in a dedicated, killable worker process.
+def _isolated_verdict(request: RunRequest,
+                      timeout: Optional[float]) -> "RunResult | str":
+    """One attempt in a dedicated, killable worker process.
+
+    Returns what the driver made of the request — its row or its
+    traceback, a pure function of ``(inputs, seed, code_version)`` — or,
+    when the attempt ended without the driver's verdict (timed out,
+    child died), the reason as text: the only failures worth a retry.
 
     Isolation is the point: if *this* task is the one that wedged or
-    killed its original chunk's worker, only its own retry worker
-    breaks.  The worker is a :class:`multiprocessing.Process` we own
-    directly — unlike a ``ProcessPoolExecutor``, whose workers are
-    reachable only through the private ``_processes`` attribute — so a
-    hung retry is terminated at ``timeout`` through the public
+    killed its original chunk's worker, only its own worker breaks.
+    The worker is a :class:`multiprocessing.Process` we own directly —
+    unlike a ``ProcessPoolExecutor``, whose workers are reachable only
+    through the private ``_processes`` attribute — so a hung attempt is
+    terminated at ``timeout`` through the public
     ``Process.terminate()``/``kill()`` API and the sweep carries on.
     """
     receiver, sender = multiprocessing.Pipe(duplex=False)
@@ -114,31 +119,32 @@ def _run_isolated(request: RunRequest,
             if worker.is_alive():  # pragma: no cover - SIGTERM ignored
                 worker.kill()
                 worker.join()
-            return RunResult(
-                request=request, status="failed",
-                error=f"timed out: task exceeded {timeout:.1f}s on retry",
-            )
+            return f"timed out: task exceeded {timeout:.1f}s on retry"
         try:
             return receiver.recv()
         except EOFError:
             # The worker died before sending a result (OOM kill, hard
             # crash) — poll() saw the pipe close, not a payload.
             worker.join(5.0)
-            return RunResult(
-                request=request, status="failed",
-                error=f"retry worker died with exit code {worker.exitcode}",
-            )
+            return f"retry worker died with exit code {worker.exitcode}"
     except Exception:
-        return RunResult(
-            request=request, status="failed",
-            error=traceback.format_exc(limit=8),
-        )
+        return traceback.format_exc(limit=8)
     finally:
         receiver.close()
         worker.join(5.0)
         if worker.is_alive():  # pragma: no cover - defensive teardown
             worker.kill()
             worker.join()
+
+
+def _run_isolated(request: RunRequest,
+                  timeout: Optional[float]) -> RunResult:
+    """:func:`_isolated_verdict`, with a lost attempt as a ``failed``
+    result — the last attempt of a task, whatever way it ends."""
+    outcome = _isolated_verdict(request, timeout)
+    if isinstance(outcome, str):
+        return RunResult(request=request, status="failed", error=outcome)
+    return outcome
 
 
 def retry_jitter_delay(base: float, request: RunRequest,
@@ -405,27 +411,24 @@ def execute_leased(
     """Execute one *leased* request for a fabric worker.
 
     The single-task analogue of :func:`run_requests`' execute path,
-    with the same taxonomy: crash isolation in an owned, killable
-    child process (``isolate=True``), one seeded-jitter retry, and a
-    concatenated error trail when both attempts fail.  ``isolate=False``
-    runs in-process — for tests and for workers that are themselves
-    already expendable processes.
+    with the same taxonomy: the driver's verdict — a row, or its
+    traceback — is final after one attempt, as it is in-process; an
+    isolated attempt that ended without one (timed out, child died)
+    gets one seeded-jitter retry and, failing again, a concatenated
+    error trail.  ``isolate=False`` runs in-process — for tests and for
+    workers that are themselves already expendable processes.
     """
-    runner = ((lambda: _run_isolated(request, timeout)) if isolate
-              else (lambda: _run_one(request)))
-    result = runner()
-    result.request = request
-    if result.ok:
-        return result
-    first_error = result.error
+    first = (_isolated_verdict(request, timeout) if isolate
+             else _run_one(request))
+    if isinstance(first, RunResult):
+        first.request = request
+        return first
     delay = retry_jitter_delay(retry_backoff, request)
     if delay > 0:
         time.sleep(delay)
-    result = runner()
+    result = _run_isolated(request, timeout)
     result.request = request
     result.attempts = 2
     if not result.ok:
-        result.error = (
-            f"{result.error}\n--- first attempt ---\n{first_error}"
-        )
+        result.error = f"{result.error}\n--- first attempt ---\n{first}"
     return result

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from importlib import import_module
 from typing import Callable, Iterable, Mapping, Optional
 
 #: Registered drivers: name -> summary function.  Populated lazily from
@@ -32,34 +34,36 @@ def register_driver(name: str, fn: Callable[..., dict]) -> Callable[..., dict]:
     return fn
 
 
+#: Built-in drivers besides the protocol families' (which run through
+#: ``experiments.summary``), by the module that defines their
+#: ``<name>_run_summary``; imported on first resolve.
+OTHER_DRIVERS = {
+    "byzantine": "repro.analysis.experiments",
+    "reelection": "repro.analysis.experiments",
+    "falsify": "repro.falsify.campaign",
+    "faults": "repro.faults.driver",
+    "serve": "repro.serve.driver",
+}
+
+
 def _load_default_drivers() -> None:
     if "crash" in DRIVERS:
         return
-    from repro.analysis import experiments
+    from repro.analysis.experiments import FAMILIES, summary
 
-    DRIVERS.setdefault("crash", experiments.crash_run_summary)
-    DRIVERS.setdefault("byzantine", experiments.byzantine_run_summary)
-    DRIVERS.setdefault("obg", experiments.obg_run_summary)
-    DRIVERS.setdefault("gossip", experiments.gossip_run_summary)
-    DRIVERS.setdefault("balls", experiments.balls_run_summary)
-    DRIVERS.setdefault("reelection", experiments.reelection_run_summary)
-
-    from repro.falsify import campaign
-
-    DRIVERS.setdefault("falsify", campaign.falsify_run_summary)
-
-    from repro.faults import driver as faults_driver
-
-    DRIVERS.setdefault("faults", faults_driver.faults_run_summary)
-
-    from repro.serve import driver as serve_driver
-
-    DRIVERS.setdefault("serve", serve_driver.serve_run_summary)
+    for name in FAMILIES:
+        DRIVERS.setdefault(name, partial(summary, name))
+    for name, module in OTHER_DRIVERS.items():
+        DRIVERS.setdefault(
+            name, getattr(import_module(module), f"{name}_run_summary"))
 
 
 def driver_names() -> list[str]:
-    _load_default_drivers()
-    return sorted(DRIVERS)
+    """Every resolvable driver name; imports no harness (the CLI's
+    ``--driver`` choices are read from here on every start)."""
+    from repro.analysis.experiments import FAMILIES
+
+    return sorted({*FAMILIES, *OTHER_DRIVERS, *DRIVERS})
 
 
 def resolve_driver(name: str) -> Callable[..., dict]:
@@ -193,7 +197,8 @@ class SweepSpec:
 
 
 def table1_requests(n: int, f: int, seed: int = 0) -> list[RunRequest]:
-    """The six measured rows of Table 1 as engine requests.
+    """The measured rows of Table 1 as engine requests: one per
+    protocol family, then the Byzantine algorithm twice.
 
     The Byzantine rows use ``f_byz = min(f, 2)`` corrupted nodes: each
     withholder inflates the divide-and-conquer work by ``log2 N``
@@ -202,11 +207,10 @@ def table1_requests(n: int, f: int, seed: int = 0) -> list[RunRequest]:
     sweeps measure the growth in ``f`` itself.
     """
     f_byz = min(f, 2, max((n - 1) // 3, 0))
+    from repro.analysis.experiments import FAMILIES
+
     return [
-        RunRequest.make("crash", n, f, seed),
-        RunRequest.make("obg", n, f, seed),
-        RunRequest.make("balls", n, f, seed),
-        RunRequest.make("gossip", n, f, seed),
+        *(RunRequest.make(name, n, f, seed) for name in FAMILIES),
         RunRequest.make("byzantine", n, f_byz, seed, strategy="withholder"),
         RunRequest.make("byzantine", n, f_byz, seed, strategy="withholder",
                         full_committee=True),

@@ -19,9 +19,12 @@ paper's committee algorithm defends against with its response round
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
+from repro.adversary.base import CrashAdversary
 from repro.sim.messages import CostModel, Message, broadcast
 from repro.sim.node import Context, Process, Program
+from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
 
 @dataclass(frozen=True)
@@ -46,3 +49,17 @@ class RacyRankNode(Process):
         }
         heard.add(self.uid)
         return sorted(heard).index(self.uid) + 1
+
+
+def run_racy_rank(
+    uids: Sequence[int],
+    *,
+    namespace: Optional[int] = None,
+    adversary: Optional[CrashAdversary] = None,
+    **network: object,
+) -> ExecutionResult:
+    """Run the planted-bug renaming for nodes with identities ``uids``;
+    ``network`` is handed to :func:`repro.sim.runner.run_network`."""
+    uids, cost = admit_identities(uids, namespace)
+    processes = [RacyRankNode(uid) for uid in uids]
+    return run_network(processes, cost, crash_adversary=adversary, **network)

@@ -3,10 +3,10 @@
 A *scenario* is one end-to-end protocol execution parameterized over an
 explicit crash adversary and a monitor suite — the unit the campaign
 runner randomizes, the shrinker re-executes, and a repro artifact pins
-down.  Scenarios deliberately mirror the seeding conventions of the
-sweep drivers in :mod:`repro.analysis.experiments` (identities from
-``Random(seed)``, network seed ``seed + 2``) so a falsified
-configuration is directly comparable to a sweep row.
+down.  A scenario names a protocol family and runs it through
+:func:`repro.analysis.experiments.execute`, the same function the sweep
+drivers run it through, with tracing on — so a falsified configuration
+is a sweep row's execution, seeded by the same rule.
 """
 
 from __future__ import annotations
@@ -16,35 +16,33 @@ from random import Random
 from typing import Callable, Optional
 
 from repro.adversary.base import CrashAdversary
-from repro.adversary.crash import (
-    CommitteeHunter,
-    MidSendPartitioner,
-    RandomCrash,
+from repro.analysis.experiments import (
+    FAMILIES,
+    Family,
+    execute,
+    make_crash_adversary,
 )
-from repro.falsify.faulty import RacyRankNode
+from repro.falsify.faulty import run_racy_rank
 from repro.falsify.monitors import Monitor, default_monitors
 from repro.faults.base import FaultModel
 from repro.faults.spec import build_fault_model
-from repro.sim.messages import CostModel
-from repro.sim.runner import ExecutionResult, run_network
-
-#: ``fn(n, f, seed, adversary, monitors, params, observer=None,``
-#: ``fault_model=None) -> ExecutionResult``
-ScenarioFn = Callable[..., ExecutionResult]
+from repro.sim.runner import ExecutionResult
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named falsification target.
-
-    ``bound`` is the namespace contract its monitor suite enforces
-    (``strong`` | ``tight`` | ``loose``).
+    """A named falsification target: a protocol family, the namespace
+    contract its monitor suite enforces (``bound``: ``strong`` |
+    ``tight`` | ``loose``), and the link faults it runs under when none
+    are given — a spec as a function of ``n`` only, so a shrunk
+    artifact at a smaller ``n`` rebuilds the matching channel.
     """
 
     name: str
-    run: ScenarioFn
+    family: Family
     bound: str = "strong"
     description: str = ""
+    default_faults: Optional[Callable[[int], list[dict]]] = None
 
 
 SCENARIOS: dict[str, Scenario] = {}
@@ -79,20 +77,11 @@ def resolve_scenario(name: str) -> Scenario:
 def make_adversary(
     kind: Optional[str], f: int, seed: int, *, rate: Optional[float] = None
 ) -> Optional[CrashAdversary]:
-    """Build a falsification adversary; ``None``/``"none"``/``f=0`` → none."""
-    if kind is None or kind == "none" or f <= 0:
-        return None
-    rng = Random(seed + 1)
-    if kind == "random":
-        return RandomCrash(f, rate=rate or FALSIFY_CRASH_RATE, rng=rng)
-    if kind == "hunter":
-        return CommitteeHunter(f, rng)
-    if kind == "partitioner":
-        return MidSendPartitioner(f, rng)
-    raise ValueError(
-        f"unknown adversary kind {kind!r}; expected one of "
-        f"none, random, hunter, partitioner"
-    )
+    """A probe's adversary, held by the caller so it can be recorded:
+    the one factory on the seeding rule's ``Random(seed + 1)``, at the
+    probes' crash rate unless ``rate`` is given."""
+    return make_crash_adversary(kind, f, Random(seed + 1),
+                                rate=rate or FALSIFY_CRASH_RATE)
 
 
 def monitors_for(scenario: Scenario, n: int, f: int,
@@ -119,119 +108,35 @@ def run_scenario(
     A link-fault model may be supplied two ways: an explicit
     ``fault_model`` instance, or — the replayable path — a
     :mod:`repro.faults.spec` spec under ``params["faults"]`` (JSON text
-    or a list of entry dicts), which the scenario builds with
-    :func:`build_fault_model` from the execution seed.  The spec form
-    travels through repro artifacts and engine rows, so shrinking and
-    strict replay reconstruct the identical channel.
+    or a list of entry dicts), built with :func:`build_fault_model`
+    from the execution seed; with neither, the scenario's
+    ``default_faults`` apply.  The spec form travels through repro
+    artifacts and engine rows, so shrinking and strict replay
+    reconstruct the identical channel.
     """
     scenario = resolve_scenario(name)
-    return scenario.run(n, f, seed, adversary, monitors, dict(params or {}),
-                        observer=observer, fault_model=fault_model)
+    params = dict(params or {})
+    if fault_model is None:
+        spec = params.get("faults")
+        if spec in (None, "", "[]") and scenario.default_faults is not None:
+            spec = scenario.default_faults(n)
+        fault_model = build_fault_model(spec, n, seed)
+    return execute(
+        scenario.family, n, f, seed, adversary=adversary, params=params,
+        trace=True, monitors=monitors, observer=observer,
+        fault_model=fault_model,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Concrete scenarios
 
-
-def _population(n: int, seed: int) -> tuple[list[int], int]:
-    from repro.analysis.experiments import default_namespace, sample_uids
-
-    namespace = default_namespace(n)
-    return sample_uids(n, namespace, Random(seed)), namespace
-
-
-def _faults_from(params, n, seed, fault_model, default=None):
-    """Resolve a scenario's fault model: explicit instance wins, then
-    ``params["faults"]`` (the replayable spec form), then the scenario's
-    deterministic default spec (a function of ``n`` only, so shrinking
-    ``n`` rebuilds the matching channel)."""
-    if fault_model is not None:
-        return fault_model
-    spec = params.get("faults")
-    if spec in (None, "", "[]") and default is not None:
-        spec = default(n)
-    return build_fault_model(spec, n, seed)
-
-
-def _crash_scenario(n, f, seed, adversary, monitors, params, observer=None,
-                    fault_model=None):
-    from repro.analysis.experiments import EXPERIMENT_ELECTION_CONSTANT
-    from repro.core.crash_renaming import (
-        CrashRenamingConfig,
-        run_crash_renaming,
-    )
-
-    uids, namespace = _population(n, seed)
-    config = CrashRenamingConfig(
-        election_constant=params.get("election_constant",
-                                     EXPERIMENT_ELECTION_CONSTANT),
-        early_stopping=params.get("early_stopping", False),
-    )
-    return run_crash_renaming(
-        uids, namespace=namespace, adversary=adversary, config=config,
-        seed=seed + 2, trace=True, monitors=monitors, observer=observer,
-        fault_model=_faults_from(params, n, seed, fault_model),
-    )
-
-
-def _obg_scenario(n, f, seed, adversary, monitors, params, observer=None,
-                  fault_model=None):
-    from repro.baselines.obg_halving import run_obg_halving
-
-    uids, namespace = _population(n, seed)
-    return run_obg_halving(
-        uids, namespace=namespace, adversary=adversary,
-        seed=seed + 2, trace=True, monitors=monitors, observer=observer,
-        fault_model=_faults_from(params, n, seed, fault_model),
-    )
-
-
-def _balls_scenario(n, f, seed, adversary, monitors, params, observer=None,
-                    fault_model=None):
-    from repro.baselines.balls_into_slots import run_balls_into_slots
-
-    uids, namespace = _population(n, seed)
-    return run_balls_into_slots(
-        uids, namespace=namespace, slots=params.get("slots"),
-        adversary=adversary, seed=seed + 2, trace=True,
-        monitors=monitors, observer=observer,
-        fault_model=_faults_from(params, n, seed, fault_model),
-    )
-
-
-def _gossip_scenario(n, f, seed, adversary, monitors, params, observer=None,
-                     fault_model=None):
-    from repro.baselines.collect_rank import run_collect_rank
-
-    uids, namespace = _population(n, seed)
-    return run_collect_rank(
-        uids, namespace=namespace, adversary=adversary,
-        assumed_faults=params.get("assumed_faults"),
-        seed=seed + 2, trace=True, monitors=monitors, observer=observer,
-        fault_model=_faults_from(params, n, seed, fault_model),
-    )
-
-
-def _planted_duplicate_scenario(n, f, seed, adversary, monitors, params,
-                                observer=None, fault_model=None):
-    uids, namespace = _population(n, seed)
-    cost = CostModel(n=n, namespace=namespace)
-    processes = [RacyRankNode(uid) for uid in uids]
-    return run_network(
-        processes, cost, crash_adversary=adversary,
-        seed=seed + 2, trace=True, monitors=monitors, observer=observer,
-        fault_model=_faults_from(params, n, seed, fault_model),
-    )
-
-
-# Default fault specs of the fault scenarios: deterministic functions of
-# n only, so a shrunk artifact at a smaller n rebuilds the matching
-# channel.  Chosen from the measured degradation frontier (EXPERIMENTS
-# F15): gossip's flooding redundancy absorbs omission, duplication,
-# *and* a healing partition, while committee renaming — which assumes
-# reliable synchronous links — genuinely loses unique-names under
-# omission, and under duplicate delivery once a mid-send crash is
-# composed in (see the `crash-dup` scenario below).
+# Default fault specs of the fault scenarios, chosen from the measured
+# degradation frontier (EXPERIMENTS F15): gossip's flooding redundancy
+# absorbs omission, duplication, *and* a healing partition, while
+# committee renaming — which assumes reliable synchronous links —
+# genuinely loses unique-names under omission, and under duplicate
+# delivery once a mid-send crash is composed in (see `crash-dup`).
 
 
 def _gossip_fault_spec(n: int) -> list[dict]:
@@ -245,65 +150,42 @@ def _dup_spec(n: int) -> list[dict]:
     return [{"kind": "duplicate", "p": 0.2}]
 
 
-def _gossip_faults_scenario(n, f, seed, adversary, monitors, params,
-                            observer=None, fault_model=None):
-    fault_model = _faults_from(params, n, seed, fault_model,
-                               default=_gossip_fault_spec)
-    return _gossip_scenario(n, f, seed, adversary, monitors, params,
-                            observer=observer, fault_model=fault_model)
-
-
-def _gossip_dup_scenario(n, f, seed, adversary, monitors, params,
-                         observer=None, fault_model=None):
-    fault_model = _faults_from(params, n, seed, fault_model,
-                               default=_dup_spec)
-    return _gossip_scenario(n, f, seed, adversary, monitors, params,
-                            observer=observer, fault_model=fault_model)
-
-
-def _crash_dup_scenario(n, f, seed, adversary, monitors, params,
-                        observer=None, fault_model=None):
-    fault_model = _faults_from(params, n, seed, fault_model,
-                               default=_dup_spec)
-    return _crash_scenario(n, f, seed, adversary, monitors, params,
-                           observer=observer, fault_model=fault_model)
-
-
 register_scenario(Scenario(
-    "crash", _crash_scenario,
+    "crash", FAMILIES["crash"],
     description="committee renaming under a crash adversary (Thm 1.2)",
 ))
 register_scenario(Scenario(
-    "obg", _obg_scenario,
+    "obg", FAMILIES["obg"],
     description="all-to-all halving baseline under crashes",
 ))
 register_scenario(Scenario(
-    "balls", _balls_scenario,
+    "balls", FAMILIES["balls"],
     description="balls-into-slots baseline under crashes",
 ))
 register_scenario(Scenario(
-    "gossip", _gossip_scenario,
+    "gossip", FAMILIES["gossip"],
     description="full-information gossip baseline under crashes",
 ))
 register_scenario(Scenario(
-    "planted-duplicate", _planted_duplicate_scenario,
+    "planted-duplicate",
+    Family("planted-duplicate", run_racy_rank, "racy rank (planted bug)"),
     description="fault-injection fixture: racy rank renaming that emits "
                 "duplicate names under a mid-send crash",
 ))
 register_scenario(Scenario(
-    "gossip-faults", _gossip_faults_scenario,
+    "gossip-faults", FAMILIES["gossip"], default_faults=_gossip_fault_spec,
     description="gossip baseline over lossy, healing-partition links "
                 "(budgeted omission + transient partition): safety and "
                 "liveness both survive",
 ))
 register_scenario(Scenario(
-    "gossip-dup", _gossip_dup_scenario,
+    "gossip-dup", FAMILIES["gossip"], default_faults=_dup_spec,
     description="gossip baseline over an at-least-once channel (20% "
                 "duplicate delivery): set-union gossip is idempotent, "
                 "so safety holds",
 ))
 register_scenario(Scenario(
-    "crash-dup", _crash_dup_scenario,
+    "crash-dup", FAMILIES["crash"], default_faults=_dup_spec,
     description="committee renaming over an at-least-once channel (20% "
                 "duplicate delivery): NOT expected to stay clean — "
                 "composed with a mid-send crash adversary, duplicated "

@@ -43,7 +43,11 @@ from repro.falsify.monitors import (
     default_monitors,
     default_watchdog_rounds,
 )
-from repro.falsify.scenarios import make_adversary, resolve_scenario
+from repro.falsify.scenarios import (
+    make_adversary,
+    resolve_scenario,
+    run_scenario,
+)
 from repro.faults.base import FaultModel, FaultVerdict, NoFaults
 from repro.faults.spec import build_fault_model, spec_to_json
 from repro.sim.network import NonTerminationError
@@ -196,8 +200,9 @@ def classify_scenario(
                                 watchdog_rounds=watchdog_rounds)
 
     def execute():
-        return scenario.run(
-            n, f, seed, make_adversary(adversary, f, seed), monitors, {},
+        return run_scenario(
+            scenario_name, n, f, seed,
+            adversary=make_adversary(adversary, f, seed), monitors=monitors,
             fault_model=tap,
         )
 

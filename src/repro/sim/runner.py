@@ -47,6 +47,26 @@ class ExecutionResult:
         }
 
 
+def admit_identities(
+    uids: Sequence[int], namespace: Optional[int] = None, *, floor: int = 0
+) -> tuple[list[int], CostModel]:
+    """The preamble of every ``run_*`` entry point: check the original
+    identities and size the cost model they are charged under.
+
+    Identities must be distinct values in ``[1, namespace]``;
+    ``namespace`` defaults to the largest identity, and to no less than
+    ``n`` or ``floor``.
+    """
+    uids = list(uids)
+    if len(set(uids)) != len(uids):
+        raise ValueError("original identities must be distinct")
+    if namespace is None:
+        namespace = max(max(uids), len(uids), floor)
+    if any(not 1 <= uid <= namespace for uid in uids):
+        raise ValueError(f"identities must lie in [1, {namespace}]")
+    return uids, CostModel(n=len(uids), namespace=namespace)
+
+
 def run_network(
     processes: Sequence[Process],
     cost: CostModel,

@@ -6,10 +6,15 @@ from random import Random
 import pytest
 
 from repro.adversary.crash import MidSendPartitioner, RandomCrash, ScheduledCrash
-from repro.analysis.experiments import default_namespace, sample_uids
+from repro.analysis.experiments import (
+    byzantine_config_for,
+    default_namespace,
+    sample_uids,
+)
 from repro.baselines.balls_into_slots import run_balls_into_slots
 from repro.baselines.collect_rank import run_collect_rank
 from repro.baselines.obg_halving import run_obg_halving
+from repro.core.byzantine_renaming import run_byzantine_renaming
 from repro.faults.channels import CorruptingChannel
 from repro.faults.degradation import (
     CRASHED,
@@ -86,8 +91,9 @@ class TestCorruptInputIsClassified:
     """A bit-flipping channel may stall an all-to-all baseline -- a node
     whose own report arrives corrupted cannot rank itself, a ball can
     find every slot claimed by forged claims -- but somebody getting no
-    name is a classified outcome, never a traceback.  (Fault-free and
-    crash-only counts are pinned by ``tests/test_golden_digests.py``.)"""
+    name is a classified outcome, never a traceback; the same holds for
+    Byzantine renaming.  (Fault-free and crash-only counts are pinned by
+    ``tests/test_golden_digests.py``.)"""
 
     RUNS = {"obg": run_obg_halving, "balls": run_balls_into_slots,
             "collect": run_collect_rank}
@@ -110,6 +116,21 @@ class TestCorruptInputIsClassified:
             # A knowledge set has no integer field for the channel to
             # flip (`corrupt_message`): the gossip arrives as sent.
             assert outcome == SAFE_TERMINATED
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_corrupting_channel_stalls_byzantine_renaming(self, seed):
+        # The last algorithm of ROADMAP 1(d).  Its fault-free run takes
+        # 46 rounds at n=24; with one message in ten corrupted it is
+        # still running at round 200, and the round cap ends it.
+        n = 24
+        namespace = default_namespace(n)
+        uids = sample_uids(n, namespace, Random(seed))
+        outcome, detail = classify_outcome(lambda: run_byzantine_renaming(
+            uids, namespace=namespace, config=byzantine_config_for(n, 1),
+            seed=seed, max_rounds=200,
+            fault_model=CorruptingChannel(0.1, seed=seed)))
+        assert outcome == SAFE_STALLED, detail
+        assert (detail["invariant"], detail["round"]) == ("max-rounds", 200)
 
     @pytest.mark.parametrize("baseline, seed, message", [
         ("obg", 0, "node 602: own report missing"),

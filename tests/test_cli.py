@@ -41,6 +41,44 @@ class TestParser:
         assert _parse_params([f"faults={raw}"]) == {"faults": raw}
 
 
+class TestSpecFlags:
+    """``sweep`` and ``fabric enqueue`` take one sweep spec the same way."""
+
+    COMMANDS = [["sweep"], ["fabric", "enqueue"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_help_lists_the_spec_flags_and_every_driver(self, command, capsys):
+        from repro.engine.sweeps import driver_names
+
+        with pytest.raises(SystemExit) as done:
+            build_parser().parse_args([*command, "--help"])
+        assert done.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag in ("--driver {", "--n N", "--seeds SEEDS", "--f F",
+                     "--param KEY=VALUE"):
+            assert flag in text
+        listed = text.split("--driver {", 1)[1].split("}", 1)[0].split(",")
+        assert sorted(listed) == driver_names()
+        assert "named summary driver from repro.engine.sweeps" in text
+        assert "extra driver keyword (JSON value); repeatable" in text
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_spec_defaults(self, command):
+        args = build_parser().parse_args(command)
+        assert (args.driver, args.n, args.seeds, args.f, args.param) == (
+            "crash", "16,32,64", "0-4", "0", [])
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_bad_spec_is_one_error_line(self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as done:
+            main([*command, "--driver", "crash", "--n", "x"])
+        assert done.value.code == (
+            f"python -m repro {' '.join(command)}: error: "
+            "invalid literal for int() with base 10: 'x'")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCommands:
     def test_crash_success_exit_code(self, capsys):
         assert main(["crash", "--n", "12", "--f", "2", "--seed", "3"]) == 0

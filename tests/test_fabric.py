@@ -30,11 +30,13 @@ from repro.engine import (
     TaskQueue,
     campaign_status,
     enqueue_campaign,
+    execute_leased,
     resume_campaign,
     run_hash,
     run_requests,
     run_workers,
 )
+from repro.engine import pool as engine_pool
 from repro.engine.fabric import heartbeat_jitter, spawn_workers
 from repro.engine.pool import retry_jitter_delay
 from repro.engine.queue import (
@@ -66,6 +68,10 @@ def _gate_driver(n, f, seed, include_rounds=False, gate="", **params):
 
 def _boom_driver(n, f, seed, include_rounds=False, **params):
     raise RuntimeError(f"boom seed={seed}")
+
+
+def _halt_driver(n, f, seed, include_rounds=False, **params):
+    os._exit(37)  # the child dies without a verdict
 
 
 @pytest.fixture
@@ -218,11 +224,55 @@ class TestWorkerDrain:
             failed = store.query(status="failed")
             assert len(failed) == 1
             assert "boom seed=0" in failed[0].error
-            # The in-lease retry ran: both attempts are recorded.
-            assert failed[0].attempts == 2
-            assert "--- first attempt ---" in failed[0].error
             counts = TaskQueue(store).counts("t")["t"]
         assert counts["settled"] == 1 and counts["failed"] == 1
+
+    @needs_fork
+    def test_raising_driver_costs_one_attempt_on_every_path(
+            self, drivers, store_url, monkeypatch):
+        # A traceback is the driver's verdict, a pure function of
+        # (inputs, seed, code_version): no executor runs it twice.
+        monkeypatch.setattr(
+            engine_pool, "retry_jitter_delay",
+            lambda *args, **kwargs: pytest.fail("a verdict was retried"))
+        boom = RunRequest.make("boom", 4, 0, 0)
+        mate = RunRequest.make("crash", 6, 1, 0)
+        outcomes = {
+            "serial": run_requests([boom, mate])[0],
+            "pool": run_requests([boom, mate], jobs=2, chunksize=1)[0],
+            "leased in-process": execute_leased(boom, isolate=False),
+            "leased isolated": execute_leased(boom, timeout=60.0),
+        }
+        enqueue_campaign(store_url, "t", [boom, mate])
+        FabricWorker(quick_config(store_url), name="w0").run()
+        with RunStore(store_url) as store:
+            (outcomes["fabric worker"],) = store.query(status="failed")
+        for path, outcome in outcomes.items():
+            assert (outcome.status, outcome.attempts) == ("failed", 1), path
+            assert outcome.error.count("RuntimeError: boom seed=0") == 1, path
+            assert "first attempt" not in outcome.error, path
+
+    @needs_fork
+    def test_lost_attempt_still_gets_its_one_jittered_retry(
+            self, monkeypatch):
+        delays = []
+
+        def delay(base, request, attempt=1):
+            delays.append(retry_jitter_delay(base, request, attempt))
+            return 0.0
+
+        monkeypatch.setattr(engine_pool, "retry_jitter_delay", delay)
+        register_driver("halt", _halt_driver)
+        try:
+            request = RunRequest.make("halt", 6, 0, 13)
+            result = execute_leased(request, timeout=60.0)
+        finally:
+            DRIVERS.pop("halt", None)
+        assert (result.status, result.attempts) == ("failed", 2)
+        assert result.error.count("exit code 37") == 2
+        assert "--- first attempt ---" in result.error
+        assert delays == [retry_jitter_delay(0.25, request)]
+        assert 0.25 <= delays[0] < 0.375
 
     def test_poisoned_task_recorded_as_failed_run(self, store_url):
         requests = small_requests()[:1]
