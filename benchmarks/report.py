@@ -1,13 +1,13 @@
-"""Regenerate every measured table of EXPERIMENTS.md.
+"""Print every measured table of EXPERIMENTS.md (T1, F1-F13).
 
 Usage::
 
-    python benchmarks/report.py               # full report (several minutes)
-    python benchmarks/report.py --quick       # smaller sweeps
+    python benchmarks/report.py               # all figures (~20 s on one core)
     python benchmarks/report.py --jobs 8      # parallel across 8 workers
     python benchmarks/report.py --store .repro/runs.sqlite   # resumable
 
-Every protocol execution goes through :mod:`repro.engine`: all sections'
+The figures are the entries of :data:`benchmarks.figures.FIGURES`.
+Every protocol execution goes through :mod:`repro.engine`: all figures'
 runs are gathered into one request list, deduplicated, executed in
 parallel, and (with ``--store``, on by default) cached in the run store
 — an interrupted report resumes from where it stopped, and a re-run
@@ -16,32 +16,28 @@ invalidates.  ``--store`` accepts a path or a ``sqlite://path`` URL;
 see ``python -m repro runs export`` for the columnar analytics path
 over a filled store.
 
-The printed output is markdown; paste it into EXPERIMENTS.md after a
-substantive change to the algorithms or the cost model.
+The printed output is markdown and deterministic:
+``benchmarks/results/report.md`` is the committed copy (CI diffs
+against it); refresh it and EXPERIMENTS.md after a substantive change
+to the algorithms or the cost model.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from random import Random
+from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-def section(title: str, rows: list[dict], notes: str = "") -> None:
-    from repro.analysis.tables import markdown_table
-
-    print(f"\n### {title}\n")
-    print(markdown_table(rows))
-    if notes:
-        print(f"\n{notes}")
+from benchmarks.figures import FIGURES, measure  # noqa: E402
+from repro.analysis.tables import markdown_table  # noqa: E402
+from repro.engine.store import RunStore, default_store_path  # noqa: E402
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller sweeps for a fast sanity pass")
     parser.add_argument("--jobs", type=int,
                         default=max(1, (os.cpu_count() or 1) - 1),
                         help="engine worker processes")
@@ -52,209 +48,22 @@ def main() -> None:
                         help="recompute everything, touch no store")
     args = parser.parse_args()
 
-    from repro.analysis.complexity import fit_loglog_slope
-    from repro.analysis.experiments import rows_or_raise
-    from repro.engine.pool import run_requests
-    from repro.engine.store import RunStore, default_store_path
-    from repro.engine.sweeps import RunRequest, table1_requests
-    from repro.lowerbound.anonymous import (
-        SilentRenamingExperiment,
-        minimum_messages_for_success,
-    )
-
-    quick = args.quick
-
-    # Declare every section's protocol runs up front so the engine can
-    # dedup across sections and keep all workers busy throughout.
-    groups: dict[str, list[RunRequest]] = {}
-
-    def crash(n, f, seed=1, **params):
-        return RunRequest.make("crash", n, f, seed, **params)
-
-    def byz(n, f, seed, **params):
-        return RunRequest.make("byzantine", n, f, seed, **params)
-
-    n_t1, f_t1 = (32, 4) if quick else (64, 8)
-    groups["t1"] = table1_requests(n_t1, f_t1, seed=1)
-
-    ns = [32, 64, 128] if quick else [32, 64, 128, 256]
-    groups["f1"] = [
-        request
-        for n in ns
-        for request in (crash(n, 0, adversary=None),
-                        RunRequest.make("obg", n, 0, 1))
-    ]
-
-    n_f2 = 64 if quick else 128
-    f2_budgets = (0, n_f2 // 8, n_f2 // 4, n_f2 // 2, int(0.8 * n_f2))
-    groups["f2"] = [crash(n_f2, f) for f in f2_budgets]
-
-    groups["f3"] = [
-        request
-        for n in ns
-        for request in (crash(n, 0, adversary=None), crash(n, n // 2))
-    ]
-
-    byz_ns = [16, 32, 64] if quick else [32, 64, 128, 256]
-    groups["f4"] = [
-        byz(n, 0, 1, f_assumed=max(2, n // 32), consensus_iterations=8)
-        for n in byz_ns
-    ]
-
-    f5_faults = (0, 1, 2, 3, 4)
-    groups["f5"] = [
-        byz(16, f, 3, strategy="withholder", f_assumed=4,
-            consensus_iterations=8)
-        for f in f5_faults
-    ]
-
-    f7a_namespaces = (1 << 12, 1 << 18, 1 << 24)
-    groups["f7a"] = [crash(32, 4, namespace=namespace)
-                     for namespace in f7a_namespaces]
-
-    f7b_ns = (32, 64) if quick else (32, 64, 128)
-    groups["f7b"] = [
-        request
-        for n in f7b_ns
-        for request in (crash(n, n // 16),
-                        RunRequest.make("gossip", n, n // 16, 1))
-    ]
-
-    f8_budgets = (0, 16, 48, 96, 120)
-    groups["f8"] = [RunRequest.make("reelection", 128, budget, 5)
-                    for budget in f8_budgets]
-
-    f9_faults = (0, 1, 2, 3)
-    groups["f9"] = [
-        byz(16, f, 7, strategy="withholder", f_assumed=4,
-            consensus_iterations=8)
-        for f in f9_faults
-    ]
-
     store = None
     if not args.no_store:
         store = RunStore(args.store if args.store else default_store_path())
-
-    all_requests = [request for group in groups.values()
-                    for request in group]
     try:
-        results = run_requests(all_requests, jobs=args.jobs, store=store)
+        tables = measure(FIGURES.values(), jobs=args.jobs, store=store)
     finally:
         if store is not None:
             store.close()
 
-    rows_by_group: dict[str, list[dict]] = {}
-    cursor = 0
-    for name, group in groups.items():
-        rows_by_group[name] = rows_or_raise(
-            results[cursor:cursor + len(group)]
-        )
-        cursor += len(group)
-
-    # T1 ---------------------------------------------------------------
-    keep = ("algorithm", "rounds", "messages", "bits", "max_message_bits",
-            "unique", "strong")
-    section(
-        f"T1 -- Table 1 measured (n={n_t1}, f={f_t1})",
-        [{k: row.get(k) for k in keep} for row in rows_by_group["t1"]],
-    )
-
-    # F1 ---------------------------------------------------------------
-    f1 = []
-    for index, n in enumerate(ns):
-        ours, obg = rows_by_group["f1"][2 * index:2 * index + 2]
-        f1.append({"n": n, "ours_messages": ours["messages"],
-                   "obg_messages": obg["messages"],
-                   "ratio_obg_over_ours": obg["messages"] / ours["messages"]})
-    slope_ours = fit_loglog_slope(ns, [r["ours_messages"] for r in f1])
-    slope_obg = fit_loglog_slope(ns, [r["obg_messages"] for r in f1])
-    section("F1 -- crash messages vs n (f=0)", f1,
-            f"log-log slopes: ours {slope_ours:.2f}, all-to-all {slope_obg:.2f}.")
-
-    # F2 ---------------------------------------------------------------
-    f2 = [
-        {"f_budget": f, "f_actual": row["f_actual"],
-         "messages": row["messages"], "rounds": row["rounds"]}
-        for f, row in zip(f2_budgets, rows_by_group["f2"])
-    ]
-    section(f"F2 -- crash messages vs f (n={n_f2}, committee hunter)", f2)
-
-    # F3 ---------------------------------------------------------------
-    f3 = []
-    for index, n in enumerate(ns):
-        quiet, hunted = rows_by_group["f3"][2 * index:2 * index + 2]
-        f3.append({"n": n, "bound_9ceil_log2": 9 * math.ceil(math.log2(n)),
-                   "rounds_f0": quiet["rounds"],
-                   "rounds_hunted": hunted["rounds"]})
-    section("F3 -- crash rounds vs n", f3)
-
-    # F4 ---------------------------------------------------------------
-    f4 = [
-        {"n": n, "messages": row["messages"], "bits": row["bits"],
-         "rounds": row["rounds"]}
-        for n, row in zip(byz_ns, rows_by_group["f4"])
-    ]
-    slope_byz = fit_loglog_slope(byz_ns, [r["messages"] for r in f4])
-    section(
-        "F4 -- Byzantine messages vs n (f=0)", f4,
-        f"log-log slope: {slope_byz:.2f} -- far below the quadratic wall; "
-        "at these n the committee's polylog consensus traffic dominates "
-        "the n log n announcement term, so counts are nearly flat in n.",
-    )
-
-    # F5 ---------------------------------------------------------------
-    f5 = [
-        {"f": f, "rounds": row["rounds"], "messages": row["messages"],
-         "splits": row["segments_split"]}
-        for f, row in zip(f5_faults, rows_by_group["f5"])
-    ]
-    section("F5 -- Byzantine rounds vs actual f (n=16, withholders)", f5)
-
-    # F6 ---------------------------------------------------------------
-    # Monte-Carlo over an analytic model, not a protocol execution, so
-    # it stays outside the engine.
-    n_lb = 64
-    experiment = SilentRenamingExperiment(n=n_lb, rng=Random(11))
-    budgets = [0, n_lb // 2, n_lb - 4, n_lb - 2, n_lb - 1, n_lb]
-    f6 = experiment.sweep(budgets, trials=1000 if quick else 4000)
-    section(
-        f"F6 -- lower bound: success vs message budget (n={n_lb})", f6,
-        f"messages needed for success >= 3/4: "
-        f"{minimum_messages_for_success(n_lb, 0.75)} (= n - 1).",
-    )
-
-    # F7 ---------------------------------------------------------------
-    f7a = [
-        {"log2_N": int(math.log2(namespace)),
-         "max_message_bits": row["max_message_bits"]}
-        for namespace, row in zip(f7a_namespaces, rows_by_group["f7a"])
-    ]
-    section("F7a -- max message bits vs log2 N (n=32)", f7a)
-
-    f7b = []
-    for index, n in enumerate(f7b_ns):
-        ours, gossip = rows_by_group["f7b"][2 * index:2 * index + 2]
-        f7b.append({"n": n, "ours_bits": ours["bits"],
-                    "gossip_bits": gossip["bits"],
-                    "ratio": gossip["bits"] / ours["bits"]})
-    section("F7b -- total bits, ours vs gossip family", f7b)
-
-    # F8 ---------------------------------------------------------------
-    f8 = [
-        {"budget": budget, "crashed": row["crashed"], "max_p": row["max_p"],
-         "p_spread": row["p_spread"], "ever_elected": row["ever_elected"],
-         "messages": row["messages"]}
-        for budget, row in zip(f8_budgets, rows_by_group["f8"])
-    ]
-    section("F8 -- committee re-election ablation (n=128)", f8)
-
-    # F9 ---------------------------------------------------------------
-    f9 = [
-        {"f": f, "splits": row["segments_split"],
-         "f_log2N_budget": round(f * math.log2(5 * 16 * 16), 1)}
-        for f, row in zip(f9_faults, rows_by_group["f9"])
-    ]
-    section("F9 -- segment splits vs f (n=16, N=1280)", f9)
+    for figure in FIGURES.values():
+        table = tables[figure.id]
+        print(f"\n### {figure.title}\n")
+        print(markdown_table(table, figure.columns))
+        note = figure.note(table)
+        if note:
+            print(f"\n{note}")
 
 
 if __name__ == "__main__":

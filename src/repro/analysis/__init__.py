@@ -5,7 +5,7 @@
   against the claimed exponents.
 * :mod:`repro.analysis.stats` -- seed-replicated summary statistics.
 * :mod:`repro.analysis.experiments` -- the sweep drivers behind the
-  Table 1 / F1-F9 benchmark suite and EXPERIMENTS.md.
+  figures of EXPERIMENTS.md (T1, F1-F13; ``benchmarks/figures.py``).
 """
 
 from repro.analysis.complexity import (
@@ -20,8 +20,6 @@ from repro.analysis.complexity import (
 from repro.analysis.experiments import (
     byzantine_run_summary,
     crash_run_summary,
-    sweep_byzantine,
-    sweep_crash,
     table1_rows,
 )
 from repro.analysis.stats import replicate, summarize
@@ -38,7 +36,5 @@ __all__ = [
     "obg_message_envelope",
     "replicate",
     "summarize",
-    "sweep_byzantine",
-    "sweep_crash",
     "table1_rows",
 ]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from random import Random
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from repro.adversary import byzantine as byzantine_strategies
 from repro.adversary.base import CrashAdversary
@@ -226,28 +226,6 @@ gossip_run_summary = partial(summary, "gossip")
 balls_run_summary = partial(summary, "balls")
 
 
-def sweep_crash(
-    n_values: Sequence[int],
-    f_of_n: Callable[[int], int],
-    seeds: Sequence[int],
-    **kwargs,
-) -> list[dict]:
-    """Crash sweep over ``n_values x seeds`` — thin engine wrapper.
-
-    For parallel or cached execution, build the requests yourself and
-    call :func:`repro.engine.run_requests` with ``jobs``/``store``.
-    """
-    from repro.engine.pool import run_requests
-    from repro.engine.sweeps import RunRequest
-
-    requests = [
-        RunRequest.make("crash", n, f_of_n(n), seed, **kwargs)
-        for n in n_values
-        for seed in seeds
-    ]
-    return rows_or_raise(run_requests(requests))
-
-
 def rows_or_raise(results) -> list[dict]:
     """Rows of engine results, re-raising the first recorded failure."""
     for result in results:
@@ -279,6 +257,7 @@ def reelection_run_summary(n: int, f: int, seed: int = 5,
         "p_spread": max(p_values) - min(p_values),
         "ever_elected": sum(p.ever_elected for p in result.processes),
         "messages": result.metrics.correct_messages,
+        "unique": check_renaming(result, n)["unique"],
     }, result, include_rounds)
 
 
@@ -360,24 +339,6 @@ def byzantine_run_summary(
         "segments_split": splits,
         **check_renaming(result, n, order_preserving=True),
     }, result, include_rounds)
-
-
-def sweep_byzantine(
-    n_values: Sequence[int],
-    f_of_n: Callable[[int], int],
-    seeds: Sequence[int],
-    **kwargs,
-) -> list[dict]:
-    """Byzantine sweep over ``n_values x seeds`` — thin engine wrapper."""
-    from repro.engine.pool import run_requests
-    from repro.engine.sweeps import RunRequest
-
-    requests = [
-        RunRequest.make("byzantine", n, f_of_n(n), seed, **kwargs)
-        for n in n_values
-        for seed in seeds
-    ]
-    return rows_or_raise(run_requests(requests))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from repro.analysis.experiments import (
     make_crash_adversary,
     obg_run_summary,
     sample_uids,
-    sweep_crash,
     table1_rows,
 )
 from repro.analysis.stats import replicate, summarize
@@ -149,11 +148,6 @@ class TestDrivers:
         row = byzantine_run_summary(10, 1, seed=1, consensus_iterations=8)
         assert row["unique"] and row["strong"] and row["order_preserving"]
         assert row["f_actual"] == 1
-
-    def test_sweep_crash_shape(self):
-        rows = sweep_crash([8, 16], lambda n: n // 4, seeds=[1, 2])
-        assert len(rows) == 4
-        assert {row["n"] for row in rows} == {8, 16}
 
     def test_check_renaming_detects_duplicates(self):
         class Fake:
