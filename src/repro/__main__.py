@@ -396,7 +396,7 @@ def _obs_tail(args: argparse.Namespace) -> int:
 
 def _obs_profile(args: argparse.Namespace) -> int:
     """Profile one scenario execution; print the phase report."""
-    from repro.obs import EventRecorder, profile_scenario
+    from repro.obs import EventRecorder, idle_share, profile_scenario
 
     recorder = EventRecorder(profile=True)
     try:
@@ -412,12 +412,14 @@ def _obs_profile(args: argparse.Namespace) -> int:
         path = recorder.write_jsonl(args.events)
         print(f"wrote {len(recorder)} events to {path}", file=sys.stderr)
     print(json.dumps(report, indent=2))
+    idle = idle_share(recorder.events("round"))
     print(
         f"\n{args.scenario}: n={args.n} f={args.f} seed={args.seed} "
         f"adversary={args.adversary}: {result.rounds} rounds, "
         f"{result.metrics.correct_messages} messages, "
         f"{result.metrics.correct_bits} bits, "
-        f"{len(result.crashed)} crashed",
+        f"{len(result.crashed)} crashed"
+        + ("" if idle is None else f", idle share {idle:.3f}"),
         file=sys.stderr,
     )
     return 0

@@ -33,14 +33,18 @@ from repro.core.byzantine_renaming import (
     Elect,
     IdAnnounce,
 )
-from repro.sim.messages import Message, Send, broadcast, multicast
-from repro.sim.node import Context, IdleProcess, Process, Program
+from repro.sim.messages import UNTIL_MAIL, Message, Send, broadcast, multicast
+from repro.sim.node import Context, Process, Program
 
 
-class SilentByzantine(IdleProcess):
+class SilentByzantine(Process):
     """Sends nothing, ever (indistinguishable from an initial crash)."""
 
     byzantine = True
+
+    def program(self, ctx: Context) -> Program:
+        while True:
+            yield UNTIL_MAIL
 
 
 class CrashSimulatingByzantine(Process):
@@ -100,12 +104,14 @@ class WithholdingByzantine(ByzantineRenamingNode):
         return sorted(rng.sample(links, keep)) if keep else []
 
     def _committee_program(self, *args, **kwargs):
+        # Not UNTIL_MAIL: the committee mails a deserter every round,
+        # so parking would wake and re-park it each time.
         while True:
             yield []
 
     def _await_new_id(self, params, view, first_inbox):
         while True:
-            yield []
+            yield UNTIL_MAIL
 
 
 class EquivocatingComm(CommitteeComm):

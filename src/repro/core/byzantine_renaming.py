@@ -45,7 +45,14 @@ from repro.consensus.validator import validator
 from repro.core.identity_list import IdentityList
 from repro.crypto.hashing import FingerprintFamily
 from repro.crypto.shared_randomness import SharedRandomness
-from repro.sim.messages import CostModel, Message, Scatter, broadcast, multicast
+from repro.sim.messages import (
+    UNTIL_MAIL,
+    CostModel,
+    Message,
+    Scatter,
+    broadcast,
+    multicast,
+)
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
@@ -444,7 +451,7 @@ class ByzantineRenamingNode(Process):
             for value, count in counts.items():
                 if count >= params.b_max + 1:
                     return value
-            inbox = yield []
+            inbox = yield UNTIL_MAIL
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.obs.profile import (
     PROFILE_FORMAT,
     STEP_PHASES,
     PhaseProfiler,
+    idle_share,
     profile_scenario,
 )
 
@@ -50,5 +51,6 @@ __all__ = [
     "PROFILE_FORMAT",
     "STEP_PHASES",
     "PhaseProfiler",
+    "idle_share",
     "profile_scenario",
 ]

@@ -10,10 +10,11 @@ round in every configuration (observer or not, fault model or not):
 ``charge``
     ledger charging and filling the round's columns (they interleave)
 ``deliver``
-    ``ColumnarRound.attach``: one lazy inbox per alive recipient
+    ``ColumnarRound.attach`` (freezing the alive set) and waking the
+    parked nodes the round's rows name
 ``advance``
-    driving the node programs — including the lazy materialization of
-    any inbox a program reads — and the monitors
+    driving the awake node programs — including the lazy
+    materialization of any inbox a program reads — and the monitors
 
 The sweep engine adds ``driver:<name>`` entries from
 :func:`repro.engine.sweeps.execute_request` timings.
@@ -32,7 +33,7 @@ embeds verbatim under the ``"phases"`` key of ``BENCH_perf.json``.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Iterable, Optional
 
 #: Schema tag stamped into every report so downstream consumers can
 #: detect format changes.
@@ -113,6 +114,24 @@ class _Timer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.profiler.add(self.phase, time.perf_counter() - self.started)
+
+
+def idle_share(events: Iterable[dict]) -> Optional[float]:
+    """``1 - sum(resumed) / sum(alive)`` over a network event stream.
+
+    The share of node-rounds in which an alive node was *not* resumed:
+    ``alive`` is what ``round.begin`` counted, ``resumed`` what the
+    same round's ``round.end`` did.  A run in which nobody yields
+    ``UNTIL_MAIL`` reads 0 but for the round a node crashes in; ``None``
+    if the stream holds no round.
+    """
+    alive = resumed = 0
+    for event in events:
+        if event["kind"] == "round.begin":
+            alive += event["data"]["alive"]
+        elif event["kind"] == "round.end":
+            resumed += event["data"]["resumed"]
+    return 1 - resumed / alive if alive else None
 
 
 def profile_scenario(

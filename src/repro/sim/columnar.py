@@ -42,13 +42,15 @@ itself.  Link faults are blocks too: a dropped send files nothing, a
 corrupted one a row carrying the bit-flipped message, a duplicated one
 a block naming its link ``1 + copies`` times.
 
-**Views.**  Inboxes are read per *view*, and only when a program reads
-its inbox at the ``program.send()`` boundary.  The first read of a
-round walks each *distinct* target tuple once -- a round in which every
-sender names the same committee costs its size, not senders x size --
-and notes for every attached recipient the blocks it is in.  Recipients
-in the same stride-0 groups, as often, were delivered the same rows in
-the same order and share one view; a scatter's recipient reads rows of
+**Views.**  An inbox is made for a node the engine resumes (a node
+parked on ``UNTIL_MAIL`` that no row names gets none), read per *view*,
+and only when a program reads its inbox at the ``program.send()``
+boundary.  The first read of a round walks each *distinct* target
+tuple once -- a round in which every sender names the same committee
+costs its size, not senders x size -- and notes for every attached
+recipient the blocks it is in.  Recipients in the same stride-0
+groups, as often, were delivered the same rows in the same order and
+share one view; a scatter's recipient reads rows of
 its own (``first + position`` per block) and so a view of its own.  A
 view's rows, its envelope tuple (broadcast and targeted rows merged in
 global send order) and its message tuple are each computed when first
@@ -98,7 +100,7 @@ quantity is held to the naive per-envelope oracle ``ReferenceNetwork``
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence, Set as AbstractSet
 from typing import Callable, Optional, Union
 
 from repro.sim.messages import Envelope, Message
@@ -218,14 +220,28 @@ class ColumnarRound:
         self.env.extend([None] * len(messages))
         self._file(links, first, 1)
 
-    def attach(self, alive: Sequence[int]) -> dict[int, "LazyInbox"]:
-        """Freeze the alive set and hand out one lazy inbox per recipient.
+    def attach(self, alive: Iterable[int]) -> None:
+        """Freeze the alive set: the links whose :class:`LazyInbox`
+        reads this round.
 
         Messages addressed to links outside ``alive`` vanish (they were
-        still charged).
+        still charged).  An inbox is made where it is handed over, so a
+        recipient nobody resumes costs nothing here.
         """
         self._wanted = frozenset(alive)
-        return {index: LazyInbox(self, index) for index in alive}
+
+    def named(self, links: AbstractSet[int]) -> set[int]:
+        """Those of ``links`` that some row of the round names.
+
+        Any broadcast row names them all; otherwise one pass over the
+        distinct target tuples, whatever number of blocks each holds.
+        """
+        if self.b_seq:
+            return set(links)
+        found: set[int] = set()
+        for targets, _ in self._groups:
+            found.update(links.intersection(targets))
+        return found
 
     def attached_envelopes(self) -> int:
         """How many inbox entries the attached recipients would read.

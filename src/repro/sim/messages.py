@@ -19,6 +19,8 @@ shapes committee protocols are made of, which travel as one object from
 ``yield`` to the engine's column -- a :class:`Multicast` (one message to
 many links; :class:`Broadcast` is its whole-network case) or a
 :class:`Scatter` (one message per link), both lazy :class:`Fanout`s.
+A node with nothing to send and nothing to do until it hears something
+yields :data:`UNTIL_MAIL` in place of ``[]``.
 
 Because messages are frozen (immutable) dataclasses, their bit size
 under a fixed :class:`CostModel` never changes after construction.  The
@@ -276,6 +278,26 @@ class Broadcast(Multicast):
             raise ValueError(f"link count must be non-negative, got {n}")
         super().__init__(range(n), message, claim)
         self.n = n
+
+
+class _UntilMail(tuple):
+    """The type of :data:`UNTIL_MAIL`: an empty tuple with a name."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "UNTIL_MAIL"
+
+
+#: "I send nothing, and an empty inbox would change nothing I do."  An
+#: empty, immutable ``Sequence[Send]``: to an adversary, a fault model
+#: or any executor that does not know it, it is the ``[]`` it stands
+#: for.  :meth:`repro.sim.network.SyncNetwork.step` recognises it (by
+#: identity) and parks the node: it is resumed no later than the first
+#: round in which it has mail, and possibly earlier with an empty inbox
+#: -- which is why it is valid only where an empty inbox is a no-op.  A
+#: node that acts on a timer, whatever it hears, yields ``[]``.
+UNTIL_MAIL: Sequence[Send] = _UntilMail()
 
 
 def broadcast(n: int, message: Message) -> Broadcast:

@@ -11,9 +11,11 @@ it collects the sends every alive process yielded, lets the crash
 adversary pick victims and decide which of their in-flight messages are
 still delivered (the mid-send crash), stamps envelopes with the true
 sender (authentication), charges the metrics ledgers, and feeds every
-surviving process its inbox.  There is one round body,
-:meth:`SyncNetwork.step`, whatever is attached: observers, profilers
-and fault models are guarded hooks inside it, not alternative bodies.
+surviving process its inbox -- except that a process which yielded
+:data:`~repro.sim.messages.UNTIL_MAIL` is left alone until it has mail.
+There is one round body, :meth:`SyncNetwork.step`, whatever is
+attached: observers, profilers and fault models are guarded hooks
+inside it, not alternative bodies.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from repro.faults.base import (
     validate_plan,
 )
 from repro.crypto.shared_randomness import SharedRandomness
-from repro.sim.columnar import ColumnarRound
+from repro.sim.columnar import ColumnarRound, LazyInbox
 from repro.sim.messages import (
+    UNTIL_MAIL,
     Broadcast,
     CostModel,
     Envelope,
@@ -188,17 +191,23 @@ class SyncNetwork:
             for index in range(self.n)
         ]
         self._programs: dict[int, Program] = {}
-        self._pending: dict[int, list[Send]] = {}
+        # What each alive node proposes for the coming round, in index
+        # order (`_start` inserts ascending, a resumption overwrites in
+        # place, `_retire` pops): a copy of it *is* the round's
+        # `proposed`.
+        self._pending: dict[int, Sequence[Send]] = {}
         # Alive-set bookkeeping, maintained incrementally: `_finish` and
         # `_apply_crash_plan` retire indices as nodes terminate or crash,
-        # so `step`/`run` never rescan all n nodes.  The lists stay in
-        # ascending index order (retirement only removes elements), which
-        # preserves the deterministic iteration order of the original
-        # per-round list comprehensions.
-        self._alive_order: list[int] = list(range(self.n))
-        self._alive_set: set[int] = set(self._alive_order)
+        # so `step`/`run` never rescan all n nodes.  An alive node is
+        # either awake -- resumed every round, in ascending index order,
+        # and the only kind that can have something to send -- or
+        # parked on `UNTIL_MAIL`, resumed when a row names it.
+        self._alive_set: set[int] = set(range(self.n))
+        self._alive_frozen: Optional[frozenset[int]] = None
+        self._awake: list[int] = []
+        self._parked: set[int] = set()
         self._correct_order: list[int] = [
-            index for index in self._alive_order
+            index for index in range(self.n)
             if not self.processes[index].byzantine
         ]
 
@@ -214,7 +223,12 @@ class SyncNetwork:
                 self._finish(index, stop.value)
                 continue
             self._programs[index] = program
-            self._pending[index] = self._validated(index, first_sends)
+            if first_sends is UNTIL_MAIL:
+                self._pending[index] = first_sends
+                self._parked.add(index)
+            else:
+                self._pending[index] = self._validated(index, first_sends)
+                self._awake.append(index)
 
     def _finish(self, index: int, value: object) -> None:
         self.finished[index] = value
@@ -223,12 +237,26 @@ class SyncNetwork:
         self.trace.record(self.round_no, "terminate", index, value)
 
     def _retire(self, index: int) -> None:
-        """Drop a crashed or terminated node from the alive bookkeeping."""
+        """Drop a crashed or terminated node from the alive bookkeeping.
+
+        Its pending sends go with it: a victim's last fan-out is not
+        kept until the run ends.  (`_awake` is the caller's: `step`
+        rebuilds it as it resumes, a crash plan drops its victims.)
+        """
         if index in self._alive_set:
             self._alive_set.discard(index)
-            self._alive_order.remove(index)
+            self._alive_frozen = None
+            self._parked.discard(index)
+            self._pending.pop(index, None)
             if not self.processes[index].byzantine:
                 self._correct_order.remove(index)
+
+    def _alive(self) -> frozenset[int]:
+        """The alive set, frozen; rebuilt only after it changed."""
+        alive = self._alive_frozen
+        if alive is None:
+            alive = self._alive_frozen = frozenset(self._alive_set)
+        return alive
 
     def _validated(self, index: int, sends):
         n = self.n
@@ -276,7 +304,7 @@ class SyncNetwork:
         always the proposed instance the recorded index names, even
         when a victim proposed duplicate identical sends.
         """
-        alive = frozenset(self._alive_set)
+        alive = self._alive()
         plan = self.adversary.plan_round(self.round_no, proposed, alive, self.trace)
         victims = set(plan)
         if not victims:
@@ -317,6 +345,9 @@ class SyncNetwork:
                     - len(self.adversary.crashed) - len(victims),
                 )
         self.adversary.note_crashes(victims)
+        # A new list: `step` still charges the victims' kept sends.
+        self._awake = [index for index in self._awake
+                       if index not in victims]
         return delivered
 
     def step(self) -> None:
@@ -325,10 +356,10 @@ class SyncNetwork:
         Four phases, each charged to an attached profiler every round:
 
         ``plan``
-            Collect the proposed sends, apply the crash adversary's
-            plan, then ask the fault model (if any) for per-send
-            verdicts on what survived.  Both plans are validated before
-            any delivery state changes.
+            Copy the pending sends as the round's ``proposed``, apply
+            the crash adversary's plan, then ask the fault model (if
+            any) for per-send verdicts on what survived.  Both plans
+            are validated before any delivery state changes.
         ``charge``
             Charge every resolved send to the ledgers exactly once and
             fill the round's :class:`~repro.sim.columnar.ColumnarRound`
@@ -341,17 +372,29 @@ class SyncNetwork:
             plain ``Send`` list (the general case: noise, a crash
             plan's kept subset) is one row per maximal
             constant-``(message, claim)`` run, sized through the
-            identity-keyed bit cache.  One ledger flush per sender.
+            identity-keyed bit cache.  One ledger flush per sender;
+            only awake nodes are visited (a parked one proposed nothing).
         ``deliver``
-            ``attach`` freezes the alive set and hands out one lazy
-            inbox per recipient; messages addressed to crashed or
-            terminated links vanish (they were still charged).
+            ``attach`` freezes the alive set; messages addressed to
+            crashed or terminated links vanish (they were still
+            charged).  Then the parked nodes some row of the column
+            names are woken -- any broadcast row wakes all, otherwise
+            one pass over the distinct target tuples -- so mail of any
+            origin (Byzantine, duplicated, corrupted, held and released
+            this round) wakes through the one rule.
         ``advance``
-            Drive the programs — an inbox is read only if its program
-            reads it, recipients of the same rows read one shared view,
-            and a row becomes an envelope the first time one is asked
-            for, so listen-free rounds cost O(senders), not
-            O(messages) — then the monitors.
+            Drive the awake programs, in index order, each handed a
+            lazy inbox made on the spot -- an inbox is read only if its
+            program reads it, recipients of the same rows read one
+            shared view, and a row becomes an envelope the first time
+            one is asked for, so listen-free rounds cost O(senders),
+            not O(messages) -- then the monitors.  A program that
+            yields :data:`~repro.sim.messages.UNTIL_MAIL` is parked: it
+            stays alive in every respect (proposed with its empty
+            sends, shown to both adversaries, crashable, counted as a
+            reader, pending at the round cap) but is not resumed until
+            it has mail, so a round costs its talkers and listeners
+            with mail, not n.
         """
         obs = self.observer
         emit = self._emitting
@@ -363,21 +406,19 @@ class SyncNetwork:
         processes = self.processes
         if emit:
             obs.emit("round.begin", round_no=round_no,
-                     alive=len(self._alive_order))
+                     alive=len(self._alive_set))
 
         t0 = perf_counter()
         metrics.begin_round()
-        for index in self._alive_order:
-            contexts[index].current_round = round_no
         pending = self._pending
-        proposed = {index: pending.get(index, []) for index in self._alive_order}
-        delivered = self._apply_crash_plan(proposed)
+        senders = self._awake  # a parked node proposed nothing
+        delivered = self._apply_crash_plan(pending.copy())
         plan = {}
         if self.fault_model is not None:
             # Verdicts name (sender, send index) in the post-crash
             # sends — the kept_send_indices convention.
             plan = self.fault_model.plan_round(
-                round_no, delivered, frozenset(self._alive_set))
+                round_no, delivered, self._alive())
             if plan:
                 validate_plan(plan, round_no, delivered)
         t1 = perf_counter()
@@ -397,7 +438,8 @@ class SyncNetwork:
             # Healing partition traffic has been in flight the longest:
             # it enters the column ahead of the round's own sends.
             self._release_held(column)
-        for sender, sends in delivered.items():
+        for sender in senders:
+            sends = delivered[sender]
             if not sends:
                 continue
             verdicts = plan.get(sender)
@@ -461,7 +503,14 @@ class SyncNetwork:
                           by_type.items(), byzantine=byz)
         t2 = perf_counter()
 
-        inboxes = column.attach(self._alive_order)
+        column.attach(self._alive())
+        awake = self._awake
+        parked = self._parked
+        if parked:
+            woken = column.named(parked)
+            if woken:
+                parked -= woken
+                awake = sorted([*awake, *woken])
         if emit:
             obs.emit("deliver.fanout", round_no=round_no,
                      senders=len({header[0] for header in column.hdr}),
@@ -469,26 +518,34 @@ class SyncNetwork:
                      envelopes=column.attached_envelopes())
         t3 = perf_counter()
 
-        for index in tuple(self._alive_order):
-            program = self._programs.get(index)
-            if program is None:
-                continue
+        programs = self._programs
+        validated = self._validated
+        until_mail = UNTIL_MAIL
+        self._awake = still = []
+        for index in awake:
+            contexts[index].current_round = round_no
             try:
-                next_sends = program.send(inboxes[index])
-                self._pending[index] = self._validated(index, next_sends)
+                sends = programs[index].send(LazyInbox(column, index))
+                if sends is not until_mail:
+                    sends = validated(index, sends)
             except StopIteration as stop:
                 self._finish(index, stop.value)
-                self._pending.pop(index, None)
+                continue
             except Exception:
-                if not self.processes[index].byzantine:
+                if not processes[index].byzantine:
                     raise
                 # A Byzantine strategy crashed its own program (e.g. its
                 # desynchronised view made honest-code reuse blow up).
                 # That is the adversary's problem, not the network's:
                 # the node simply falls silent.
-                self.trace.record(self.round_no, "byzantine-fault", index)
+                self.trace.record(round_no, "byzantine-fault", index)
                 self._finish(index, None)
-                self._pending.pop(index, None)
+                continue
+            pending[index] = sends
+            if sends is until_mail:
+                parked.add(index)
+            else:
+                still.append(index)
         for monitor in self.monitors:
             try:
                 monitor.on_round(self)
@@ -509,7 +566,8 @@ class SyncNetwork:
             obs.emit("round.end", round_no=round_no,
                      messages=metrics.messages_per_round[-1],
                      bits=metrics.bits_per_round[-1],
-                     alive=len(self._alive_order))
+                     alive=len(self._alive_set),
+                     resumed=len(awake), parked=len(parked))
 
     def _fault_event(self, kind: str, sender: int, to: int, **data) -> None:
         if self._emitting:

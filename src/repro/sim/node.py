@@ -14,6 +14,22 @@ Returning from the generator terminates the node with that value as its
 protocol output.  This style keeps the round structure of the paper's
 pseudocode visible in the implementation instead of burying it in an
 explicit state machine.
+
+A node that only waits to hear something -- Theorem 1.3's n - |C|
+non-members waiting for one ``NewId`` -- yields
+:data:`~repro.sim.messages.UNTIL_MAIL` in place of ``[]``::
+
+        while not decided:
+            inbox = yield UNTIL_MAIL        # costs nothing until mail comes
+            ...
+
+The contract: it *is* an empty send sequence (nothing is sent, every
+adversary, fault model and ledger sees ``[]``); the node is resumed no
+later than the first round in which it has mail; it may be resumed
+earlier with an empty inbox (an executor that does not park, such as
+the test oracle, resumes it every round), so it is valid only where an
+empty inbox would change nothing the node does.  A node that counts
+rounds or acts on a timer yields ``[]``.
 """
 
 from __future__ import annotations
@@ -80,7 +96,7 @@ class IdleProcess(Process):
     """A node that sends nothing and never terminates on its own.
 
     Useful as a stand-in for nodes whose behaviour is irrelevant to a
-    unit test, and as the base for silent Byzantine strategies.
+    unit test.  It is resumed every round (``yield []``), mail or not.
     """
 
     def program(self, ctx: Context) -> Program:

@@ -468,7 +468,8 @@ class TestMessages:
         column.add_broadcast(((0, 100, None), Letter(0)))
         column.add_run(((1, 101, None), Letter(1)), (1, 2, 2))
         column.add_scatter((2, 102, None), (Letter(2), Letter(3)), (0, 3))
-        inboxes = column.attach(range(5))
+        column.attach(range(5))
+        inboxes = [LazyInbox(column, link) for link in range(5)]
         read = {link: messages(inboxes[link]) for link in range(5)}
         assert {link: [letter.value for letter in letters]
                 for link, letters in read.items()} == {
@@ -496,7 +497,8 @@ class TestMessages:
         column.add_run(stamped, (1,))
         column.add_run(((1, 101, None), Letter(1)), (1, 2))
         column.add_broadcast(early)
-        inboxes = column.attach(range(3))
+        column.attach(range(3))
+        inboxes = [LazyInbox(column, link) for link in range(3)]
         assert [letter.value for letter in messages(inboxes[1])] == [
             0, 7, 1, 6]
         assert inboxes[1][1] is stamped and inboxes[0][1] is early
@@ -507,7 +509,8 @@ class TestMessages:
     def test_readers_of_one_view_share_the_tuple(self):
         column = ColumnarRound()
         column.add_run(((0, 100, None), Letter(0)), (1, 2))
-        inboxes = column.attach(range(4))
+        column.attach(range(4))
+        inboxes = [LazyInbox(column, link) for link in range(4)]
         assert messages(inboxes[1]) is messages(inboxes[2])
         assert messages(inboxes[0]) is messages(inboxes[3]) == ()
 

@@ -294,7 +294,8 @@ def _column():
     column.add_run(_row(3), (5, 6, 6))          # row 3: link 6 duplicated
     column.add_broadcast(_row(4))               # row 4
     column.add_run(_row(5), (9,))               # row 5: link 9 is gone
-    return column, column.attach(range(8))
+    column.attach(range(8))
+    return column, [LazyInbox(column, link) for link in range(8)]
 
 
 def _count_calls(fn):
@@ -336,7 +337,8 @@ class TestViews:
                    for view in map(column.view_of, range(8)))
         empty = ColumnarRound()
         empty.add_run(_row(1), (1,))
-        quiet = empty.attach(range(3))
+        empty.attach(range(3))
+        quiet = [LazyInbox(empty, link) for link in range(3)]
         assert not quiet[0] and not (quiet[2] or ()) and quiet[1]
         assert empty.view_of(0).envelopes is None
 
