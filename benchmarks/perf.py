@@ -20,6 +20,9 @@ dominate real workloads:
     The same all-to-all traffic under a :class:`RandomCrash` adversary
     that kills about half the nodes over the execution, exercising
     crash-plan application and the incrementally maintained alive sets.
+    A plan names what a victim keeps by position and the kept part is
+    delivered as one fan-out, so the ``plan`` phase is the adversary's
+    own coin per in-flight message plus one pass over what was kept.
 
 Results are written to ``BENCH_perf.json`` mapping each benchmark name
 (``<workload>_n<N>``) to ``{wall_s, rounds, messages, msgs_per_s,
@@ -55,10 +58,11 @@ FULL_SIZES = (128, 256, 512, 10_000)
 QUICK_SIZES = (32, 64)
 
 #: From this n on a single timing repetition is used regardless of
-#: ``--repeat``: one crash-workload execution at n = 10k already runs
-#: for minutes (crash-plan application is O(n) per victim), and the
-#: best-of-k spread the repeats exist to suppress is negligible at
-#: these wall times.
+#: ``--repeat``: an execution at n = 10k moves half a billion messages
+#: and runs for seconds (about ten on the crash workload, nearly all of
+#: it the adversary's coin per in-flight message of ~5,000 victims),
+#: and the best-of-k spread the repeats exist to suppress is negligible
+#: at these wall times.
 SINGLE_REPEAT_MIN_N = 4096
 
 #: All workloads, in matrix order.
@@ -177,8 +181,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--workloads", default=None,
                         help="comma list of workloads to run "
                              f"(default all: {','.join(WORKLOADS)}); e.g. "
-                             "--workloads broadcast for very large n, "
-                             "where crash-plan application dominates")
+                             "--workloads broadcast for the engine "
+                             "alone at very large n")
     parser.add_argument("--out", default="BENCH_perf.json",
                         help="output JSON path (default BENCH_perf.json)")
     args = parser.parse_args(argv)

@@ -5,26 +5,37 @@ the execution history so far to decide which nodes crash immediately --
 *even in the middle of sending a message*.  The network therefore
 consults the adversary once per round, showing her every alive node's
 proposed outgoing messages, and she answers with a :data:`CrashPlan`:
-a mapping from victim link index to the subset of its proposed messages
-that are still delivered before the crash takes effect.
+a mapping from victim link index to the part of its proposed fan-out
+that is still delivered before the crash takes effect, named by
+*position*: the kept indices into the victim's proposed sends, in the
+order they are to be delivered.
 
-An empty delivered-subset models "crashed before sending"; a proper
-subset models the mid-send crash the proofs of Lemmas 2.3/2.5 defend
-against.  The network enforces that the plan only names alive nodes,
-that delivered subsets really are subsets, and that the adversary's
-total budget ``f`` is respected.
+An empty kept part models "crashed before sending"; a proper part
+models the mid-send crash the proofs of Lemmas 2.3/2.5 defend against.
+Positions are all a plan needs -- a strategy reads ``len()`` of a
+proposal, which is free on a lazy fan-out, and never a ``Send`` -- so a
+crash round costs its crashes, not the victims' fan-outs (DESIGN
+decision 15).  A programmable policy may still answer with the kept
+``Send`` objects themselves; :func:`kept_indices` is the one place
+either form becomes validated positions, for the network, the
+falsification recorder and the tests' oracle alike.  The network
+enforces that the plan only names alive nodes, that every kept part
+really is part of what was proposed, and that the adversary's total
+budget ``f`` is respected.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 if TYPE_CHECKING:  # imported for annotations only, to avoid an import cycle
     from repro.sim.messages import Send
     from repro.sim.trace import Trace
 
-#: victim link index -> subset of its proposed sends still delivered.
-CrashPlan = Mapping[int, "Sequence[Send]"]
+#: victim link index -> what of its proposed sends is still delivered:
+#: their indices (any sequence of distinct positions -- a ``range``, a
+#: shuffled list), or, from a policy, the kept ``Send`` objects.
+CrashPlan = Mapping[int, Union["Sequence[int]", "Sequence[Send]"]]
 
 
 class CrashPlanError(ValueError):
@@ -36,17 +47,15 @@ def kept_send_indices(
 ) -> tuple[int, ...]:
     """Positions in ``proposed`` of each send in ``kept``, in ``kept`` order.
 
-    This is the single matching rule used everywhere a kept-send subset
-    is resolved against a proposed send list — by the network when it
-    applies a crash plan and by the falsification recorder when it
-    serializes one.  Each kept send is matched to an unused position by
-    *object identity* first (adversaries normally keep the very objects
-    they were shown), falling back to equality for adversaries that
-    construct fresh-but-equal sends.  Identity-first matching keeps the
-    resolution well-defined when a victim proposes duplicate identical
-    sends: keeping the second of two equal sends resolves to index 1,
-    never to index 0, so a recorded schedule replays the exact instance
-    the network delivered.
+    The matching rule for a plan that names kept sends by *object*
+    (:func:`kept_indices` is its one caller).  Each kept send is matched
+    to an unused position by *object identity* first (a policy normally
+    keeps the very objects it was shown), falling back to equality for
+    one that constructs fresh-but-equal sends.  Identity-first matching
+    keeps the resolution well-defined when a victim proposes duplicate
+    identical sends: keeping the second of two equal sends resolves to
+    index 1, never to index 0, so a recorded schedule replays the exact
+    instance the network delivered.
 
     Raises :class:`CrashPlanError` when a kept send cannot be matched.
     """
@@ -71,6 +80,35 @@ def kept_send_indices(
         used.add(chosen)
         indices.append(chosen)
     return tuple(indices)
+
+
+def kept_indices(
+    kept: "Union[Sequence[int], Sequence[Send]]", proposed: "Sequence[Send]"
+) -> tuple[int, ...]:
+    """One victim's plan value as validated positions in ``proposed``.
+
+    The single resolution rule for a :data:`CrashPlan` value, used
+    wherever one is applied or written down -- the network, the
+    falsification recorder, the tests' ``ReferenceNetwork``.  Indices
+    pass through, checked: each inside ``[0, len(proposed))``, none
+    twice; ``proposed`` itself is not touched, so a lazy fan-out stays
+    lazy.  Anything else is a policy's kept ``Send`` objects and is
+    matched by :func:`kept_send_indices`.
+
+    Raises :class:`CrashPlanError` on a part that was never proposed.
+    """
+    kept = tuple(kept)
+    if not kept:
+        return kept
+    if set(map(type, kept)) != {int}:
+        return kept_send_indices(kept, proposed)
+    if not (0 <= min(kept) and max(kept) < len(proposed)):
+        raise CrashPlanError(
+            f"kept indices {sorted(set(kept) - set(range(len(proposed))))} "
+            f"outside [0, {len(proposed)})")
+    if len(set(kept)) != len(kept):
+        raise CrashPlanError("a kept index is named twice")
+    return kept
 
 
 class CrashAdversary:
@@ -105,14 +143,15 @@ class CrashAdversary:
         ``proposed`` maps each alive link index to that node's proposed
         outgoing sends **as an abstract sequence, not necessarily a
         list**: a node that fans one message out yields a lazy
-        :class:`~repro.sim.messages.Multicast`, which materializes its
-        ``Send`` objects once, on first access, and then returns the
-        *same* instances on every later access.  Adversaries may index,
-        slice, and iterate it freely; because the instances are stable,
-        a kept subset taken from it resolves by object identity in
-        :func:`kept_send_indices`, so mid-send crashes of broadcasting
-        victims record and replay exactly (see
-        ``tests/test_adversary_crash.py::TestBroadcastMidSendCrash``).
+        :class:`~repro.sim.messages.Multicast`.  Its ``len()`` is free,
+        and a plan that answers with kept *indices* never makes it
+        build a ``Send``.  A policy that wants the objects may index,
+        slice and iterate it freely: the ``Send`` instances are
+        materialized once and stable, so a kept subset taken from it
+        resolves by object identity (:func:`kept_send_indices`), and
+        mid-send crashes of broadcasting victims record and replay
+        exactly (``tests/test_adversary_crash.py::
+        TestBroadcastMidSendCrash``).
         """
         raise NotImplementedError
 

@@ -74,7 +74,9 @@ class CrashSimulatingByzantine(Process):
         })
         yield multicast(view, IdAnnounce(self.uid))
         while True:
-            yield []
+            # It reads nothing from here on: with a committee seat it is
+            # mailed (and woken) every round, without one it parks.
+            yield UNTIL_MAIL
 
 
 class WithholdingByzantine(ByzantineRenamingNode):

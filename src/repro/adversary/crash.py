@@ -2,7 +2,9 @@
 
 All strategies honour the adaptive model: they see the full proposed
 send set of the current round (history up to "now") and may deliver an
-arbitrary subset of a victim's in-flight messages.
+arbitrary subset of a victim's in-flight messages.  The built-in ones
+decide from fan-out *sizes* alone and answer with kept indices, so they
+never make a lazy fan-out build its ``Send`` objects.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ class RandomCrash(CrashAdversary):
     """Crashes each alive node independently with a fixed per-round rate.
 
     On crashing a victim, an independent fair coin decides for each
-    in-flight message whether it is still delivered -- an unbiased
-    mid-send crash.
+    in-flight message, in send order, whether it is still delivered --
+    an unbiased mid-send crash.
     """
 
     def __init__(self, budget: int, rate: float, rng: Random):
@@ -33,13 +35,15 @@ class RandomCrash(CrashAdversary):
         self.rng = rng
 
     def plan_round(self, round_no, proposed, alive, trace) -> CrashPlan:
-        plan: dict[int, list[Send]] = {}
+        plan: dict[int, list[int]] = {}
+        random = self.rng.random
         for victim in sorted(alive):
             if len(plan) >= self.remaining_budget:
                 break
-            if self.rng.random() < self.rate:
-                sends = proposed.get(victim, [])
-                plan[victim] = [s for s in sends if self.rng.random() < 0.5]
+            if random() < self.rate:
+                fanout = len(proposed.get(victim, ()))
+                plan[victim] = [index for index in range(fanout)
+                                if random() < 0.5]
         return plan
 
 
@@ -85,12 +89,12 @@ class ScheduledCrash(CrashAdversary):
         self.deliver_prefix = dict(deliver_prefix or {})
 
     def plan_round(self, round_no, proposed, alive, trace) -> CrashPlan:
-        plan: dict[int, list[Send]] = {}
+        plan: dict[int, range] = {}
         for victim in self.schedule.get(round_no, []):
             if victim not in alive:
                 continue
             keep = self.deliver_prefix.get(victim, 0)
-            plan[victim] = list(proposed.get(victim, []))[:keep]
+            plan[victim] = range(len(proposed.get(victim, ())))[:keep]
         return plan
 
 
@@ -117,13 +121,13 @@ class MidSendPartitioner(CrashAdversary):
              if len(proposed.get(victim, [])) >= self.min_fanout),
             key=lambda victim: -len(proposed.get(victim, [])),
         )
-        plan: dict[int, list[Send]] = {}
+        plan: dict[int, list[int]] = {}
         for victim in candidates[: self.per_round]:
             if len(plan) >= self.remaining_budget:
                 break
-            sends = list(proposed.get(victim, []))
-            self.rng.shuffle(sends)
-            plan[victim] = sends[: len(sends) // 2]
+            order = list(range(len(proposed.get(victim, ()))))
+            self.rng.shuffle(order)
+            plan[victim] = order[: len(order) // 2]
         return plan
 
 
@@ -153,16 +157,15 @@ class CommitteeHunter(CrashAdversary):
 
     def plan_round(self, round_no, proposed, alive, trace) -> CrashPlan:
         n = max(len(alive), 1)
-        plan: dict[int, list[Send]] = {}
+        plan: dict[int, list[int]] = {}
         for victim in sorted(alive):
             if len(plan) >= self.remaining_budget:
                 break
-            fanout = len(proposed.get(victim, []))
+            fanout = len(proposed.get(victim, ()))
             if fanout >= self.threshold * n:
-                sends = list(proposed.get(victim, []))
-                self.rng.shuffle(sends)
-                keep = int(len(sends) * self.deliver_fraction)
-                plan[victim] = sends[:keep]
+                order = list(range(fanout))
+                self.rng.shuffle(order)
+                plan[victim] = order[: int(fanout * self.deliver_fraction)]
         return plan
 
 
@@ -170,8 +173,9 @@ class BudgetedAdaptiveCrash(CrashAdversary):
     """A fully programmable adversary for white-box tests.
 
     ``policy`` receives ``(round_no, proposed, alive, trace, remaining)``
-    and returns a :data:`CrashPlan`; the network still validates budget
-    and subset constraints, so a buggy policy fails loudly.
+    and returns a :data:`CrashPlan` -- kept indices, or the kept ``Send``
+    objects themselves; the network still validates budget and subset
+    constraints, so a buggy policy fails loudly.
     """
 
     def __init__(

@@ -25,23 +25,30 @@ crash, and crashed nodes need no names, so ``n`` slots always suffice.
 (Links that forge claims can leak more; a ball left without a free slot
 raises :class:`~repro.core.crash_renaming.RenamingFailure`.)
 
-Step 3 reads the same broadcasts at every node that received them, so
-the simulator tabulates a round's claims once per *distinct inbox*
-(:func:`_claims`, through :func:`repro.sim.columnar.derive`); what is
-private to a ball -- its coin, the slots it has seen taken -- stays in
-its program.
+Step 3 reads the same broadcasts at every node that received them, and
+its two rules -- a minimum per slot, a union of named slots -- are
+tallies, so the simulator tabulates a round's claims once per *round*
+over the broadcasts everybody received (:func:`_claims`, through
+:func:`repro.sim.columnar.tally`) and a ball folds in the few claims
+only its own inbox holds.  The slots seen taken are kept the same way:
+one cumulative ``seen`` set and sorted free tuple per round, shared by
+every ball, plus each ball's private set of the slots only it heard
+named -- ``O(n + n f)`` memory where a set per ball was ``n^2``.  What
+is private to a ball -- its coin, that small set -- stays in its
+program.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.core.crash_renaming import RenamingFailure
-from repro.sim.columnar import derive
-from repro.sim.messages import CostModel, Envelope, Message, broadcast
+from repro.sim.columnar import tally
+from repro.sim.messages import CostModel, Message, broadcast
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
@@ -74,17 +81,20 @@ class SlotRelease(Message):
         return cost.index_bits + cost.id_bits
 
 
-def _claims(envelopes: Sequence[Envelope]
-            ) -> tuple[Mapping[int, int], frozenset[int], bool]:
+def _claims(received: Sequence[Message], seen: frozenset[int],
+            slot_count: int
+            ) -> tuple[Mapping[int, int], frozenset[int], tuple[int, ...], bool]:
     """One round's broadcasts as every node that received them reads
-    them: the smallest identity claiming each claimed slot, every slot
-    named (claimed or re-announced), and whether any claim was fresh.
-    Computed once per distinct inbox (:func:`repro.sim.columnar.derive`).
+    them: the smallest identity claiming each claimed slot, ``seen``
+    grown by every slot named (claimed or re-announced), the slots of
+    ``[1, slot_count]`` still outside it in ascending order, and whether
+    any claim was fresh.  Computed once per round
+    (:func:`repro.sim.columnar.tally`): the balls hand in the ``seen``
+    the previous round handed them all, and share what comes back.
     """
     winners: dict[int, int] = {}
     named: set[int] = set()
-    for envelope in envelopes:
-        message = envelope.message
+    for message in received:
         if isinstance(message, SlotClaim):
             slot = message.slot
             best = winners.get(slot)
@@ -93,7 +103,30 @@ def _claims(envelopes: Sequence[Envelope]
             named.add(slot)
         elif isinstance(message, SlotRelease):
             named.add(message.slot)
-    return MappingProxyType(winners), frozenset(named), bool(winners)
+    seen = seen | named
+    free = tuple([slot for slot in range(1, slot_count + 1)
+                  if slot not in seen])
+    return MappingProxyType(winners), seen, free, bool(winners)
+
+
+def _free_slot(free: Sequence[int], mine: set[int], draw) -> Optional[int]:
+    """The ``draw(count)``-th of the ``count`` slots of ``free`` (sorted)
+    outside ``mine``, or ``None`` when there is none: the pick from
+    ``[slot for slot in free if slot not in mine]`` without the list."""
+    skipped = []
+    for slot in mine:
+        at = bisect_left(free, slot)
+        if at < len(free) and free[at] == slot:
+            skipped.append(at)
+    count = len(free) - len(skipped)
+    if not count:
+        return None
+    at = draw(count)
+    for position in sorted(skipped):
+        if position > at:
+            break
+        at += 1
+    return free[at]
 
 
 class BallsIntoSlotsNode(Process):
@@ -121,7 +154,12 @@ class BallsIntoSlotsNode(Process):
             raise ValueError(
                 f"target namespace M={slot_count} smaller than n={n}"
             )
-        taken: set[int] = set()
+        # The slots seen taken: `seen` (and `free`, its complement) are
+        # the round's, shared by every ball; `mine` holds the slots only
+        # this ball's own rows named.
+        seen: frozenset[int] = frozenset()
+        free: Sequence[int] = range(1, slot_count + 1)
+        mine: set[int] = set()
         quiescent = False
         round_index = 0
         while True:
@@ -131,15 +169,13 @@ class BallsIntoSlotsNode(Process):
 
             my_claim: Optional[int] = None
             if self.my_slot is None:
-                free = [slot for slot in range(1, slot_count + 1)
-                        if slot not in taken]
-                if not free:
+                my_claim = _free_slot(free, mine, ctx.rng.randrange)
+                if my_claim is None:
                     # Only links that invent claims can leak more slots
                     # than there are crashes.  Nobody got a wrong name.
                     raise RenamingFailure(
                         f"node {self.uid}: no free slots left"
                     )
-                my_claim = free[ctx.rng.randrange(len(free))]
                 outgoing = broadcast(n, SlotClaim(my_claim, self.uid))
             elif quiescent:
                 # Last round carried no fresh claims: every alive node is
@@ -150,12 +186,20 @@ class BallsIntoSlotsNode(Process):
                 outgoing = broadcast(n, SlotRelease(self.my_slot, self.uid))
             inbox = yield outgoing
 
-            winners, named, fresh_claims = derive(inbox, _claims)
-            # Only the news: `|=` would presize for a disjoint union and
-            # double every node's table on the overlap it mostly is.
-            taken.update(named - taken)
-            if (my_claim is not None
-                    and winners.get(my_claim, self.uid) >= self.uid):
+            (winners, seen, free, fresh_claims), own = tally(
+                inbox, _claims, seen, slot_count)
+            best = winners.get(my_claim, self.uid)
+            for message in own:
+                if isinstance(message, SlotClaim):
+                    fresh_claims = True
+                    if message.slot == my_claim and message.uid < best:
+                        best = message.uid
+                    mine.add(message.slot)
+                elif isinstance(message, SlotRelease):
+                    mine.add(message.slot)
+            if mine:
+                mine -= seen
+            if my_claim is not None and best >= self.uid:
                 self.my_slot = my_claim
                 self.rounds_to_name = round_index
             quiescent = not fresh_claims

@@ -21,11 +21,14 @@ alive broadcasts reach everyone), so the slot-capacity inequality it
 checked bounds the whole group.
 
 Every node applies one rule to the broadcasts it received, and the model
-charges those broadcasts, not the rule: the simulator evaluates it once
-per *distinct inbox* (:func:`_halving_table`, through
-:func:`repro.sim.columnar.derive`) and each node looks its own interval
-up.  A node whose own report is missing from what it received (a lossy
-or corrupting link) cannot rank itself and raises
+charges those broadcasts, not the rule.  The rule is a tally, so the
+simulator evaluates it once per *round* over the broadcasts everybody
+received (:func:`_halving_table`, through
+:func:`repro.sim.columnar.tally`); each node looks its own interval up
+and counts in, on top, the few reports only its own inbox holds -- what
+a victim of that round's crashes still got out.  A node whose own report
+is missing from what it received (a lossy or corrupting link) cannot
+rank itself and raises
 :class:`~repro.core.crash_renaming.RenamingFailure`.
 """
 
@@ -41,8 +44,8 @@ from typing import Mapping, Optional, Sequence
 from repro.adversary.base import CrashAdversary
 from repro.core.crash_renaming import RenamingFailure
 from repro.core.intervals import Interval, reports_inside_bot, root_interval
-from repro.sim.columnar import derive
-from repro.sim.messages import CostModel, Envelope, Message, broadcast
+from repro.sim.columnar import messages, tally
+from repro.sim.messages import CostModel, Message, broadcast
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
@@ -58,7 +61,7 @@ class HalvingStatus(Message):
         return cost.id_bits + 2 * cost.index_bits
 
 
-def _halving_table(envelopes: Sequence[Envelope]
+def _halving_table(received: Sequence[Message]
                    ) -> Mapping[tuple[int, int], tuple[tuple[int, ...], int]]:
     """One phase's broadcasts as every node that received them reads
     them: ``(lo, hi) -> (sorted uids reporting exactly that interval,
@@ -66,12 +69,12 @@ def _halving_table(envelopes: Sequence[Envelope]
 
     The same grouping pass and sweep the paper's committee members use
     (:func:`~repro.core.intervals.reports_inside_bot`): ``O(n log n)``
-    once per distinct inbox (:func:`repro.sim.columnar.derive`) instead
-    of a rescan of all ``n`` statuses by each of ``n`` nodes.
+    once per round (:func:`repro.sim.columnar.tally`) instead of a
+    rescan of all ``n`` statuses by each of ``n`` nodes.  Both entries
+    are counts over reports, whatever their order.
     """
     reporters: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for envelope in envelopes:
-        message = envelope.message
+    for message in received:
         if isinstance(message, HalvingStatus):
             interval = message.interval
             reporters[(interval.lo, interval.hi)].append(message.uid)
@@ -90,13 +93,31 @@ class ObgHalvingNode(Process):
         super().__init__(uid)
         self.interval: Optional[Interval] = None
 
-    def _halve(self, table: Mapping[tuple[int, int], tuple]) -> None:
+    def _halve(self, inbox) -> None:
         """One local halving step of a non-singleton interval, using
-        everyone's broadcast status."""
+        everyone's broadcast status: the round's table for the reports
+        every node received, the inbox's own extra reports counted in."""
         interval = self.interval
-        ranked, below_bot = table.get((interval.lo, interval.hi), ((), 0))
-        rank = bisect_left(ranked, self.uid) + 1
-        if rank > len(ranked) or ranked[rank - 1] != self.uid:
+        lo, hi = key = interval.lo, interval.hi
+        table, own = tally(inbox, _halving_table)
+        if own and key not in table:
+            # Nobody's broadcast carried this interval whole (a faulted
+            # link split the node's own): tabulate the inbox as it is.
+            table, own = _halving_table(messages(inbox)), ()
+        ranked, below_bot = table.get(key, ((), 0))
+        uid = self.uid
+        rank = bisect_left(ranked, uid) + 1
+        reported = rank <= len(ranked) and ranked[rank - 1] == uid
+        mid = (lo + hi) // 2
+        for message in own:
+            if isinstance(message, HalvingStatus):
+                other = message.interval
+                if other.lo == lo and other.hi == hi:
+                    rank += message.uid < uid
+                    reported = reported or message.uid == uid
+                elif lo <= other.lo and other.hi <= mid:
+                    below_bot += 1
+        if not reported:
             # A lossy or corrupting link ate this node's own report:
             # it cannot rank itself.  Nobody got a wrong name.
             raise RenamingFailure(
@@ -116,7 +137,7 @@ class ObgHalvingNode(Process):
         for _phase in range(phases):
             inbox = yield broadcast(n, HalvingStatus(self.uid, self.interval))
             if not self.interval.is_singleton:
-                self._halve(derive(inbox, _halving_table))
+                self._halve(inbox)
         if not self.interval.is_singleton:
             raise RenamingFailure(
                 f"node {self.uid} finished with interval {self.interval}"

@@ -328,8 +328,9 @@ class CrashRenamingNode(Process):
                     decisions = broadcast(n, Done())
                 else:
                     # The decision is the view's; the fan-out is this
-                    # member's own, because a crash plan names kept
-                    # sends by the identity of *its* ``Send``s.
+                    # member's own: it is what the round's `proposed`
+                    # holds for this sender, and a crash plan names what
+                    # it keeps of it by position.
                     decisions = Scatter(
                         *derive(inbox, _committee_answers, self.p))
             inbox = yield decisions

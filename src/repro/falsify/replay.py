@@ -31,8 +31,7 @@ from typing import Mapping, Sequence
 from repro.adversary.base import (
     CrashAdversary,
     CrashPlan,
-    CrashPlanError,
-    kept_send_indices,
+    kept_indices,
 )
 
 #: round -> victim -> indices of the victim's proposed sends delivered.
@@ -44,13 +43,6 @@ ARTIFACT_FORMAT = 1
 
 class ReplayMismatch(RuntimeError):
     """A strict replay diverged from the recorded schedule."""
-
-
-#: The recorder resolves kept sends to indices with the *same* rule the
-#: network uses to apply a crash plan (identity first, then equality),
-#: so a recorded index always names the instance the network delivered —
-#: including when a victim proposed duplicate identical sends.
-_indices_of = kept_send_indices
 
 
 def schedule_size(schedule: Mapping[int, Mapping[int, Sequence[int]]]) -> int:
@@ -77,7 +69,12 @@ class RecordingAdversary(CrashAdversary):
 
     The wrapper is transparent: it delegates ``plan_round`` to the
     inner adversary and forwards ``note_crashes`` so adaptive inner
-    strategies keep seeing their own remaining budget.
+    strategies keep seeing their own remaining budget.  What it writes
+    down is the plan it is handed, through the rule the network applies
+    it with (:func:`~repro.adversary.base.kept_indices`: indices as
+    they are, a policy's kept ``Send`` objects identity first), so a
+    recorded index always names the instance the network delivered —
+    including when a victim proposed duplicate identical sends.
     """
 
     def __init__(self, inner: CrashAdversary):
@@ -89,7 +86,7 @@ class RecordingAdversary(CrashAdversary):
         plan = self.inner.plan_round(round_no, proposed, alive, trace)
         if plan:
             self.schedule[round_no] = {
-                victim: kept_send_indices(kept, proposed.get(victim, ()))
+                victim: kept_indices(kept, proposed.get(victim, ()))
                 for victim, kept in plan.items()
             }
         return plan
@@ -124,8 +121,8 @@ class ReplayAdversary(CrashAdversary):
         step = self.schedule.get(round_no)
         if not step:
             return {}
-        plan: dict[int, list] = {}
-        for victim, kept_indices in step.items():
+        plan: dict[int, list[int]] = {}
+        for victim, recorded in step.items():
             if victim not in alive:
                 if self.strict:
                     raise ReplayMismatch(
@@ -133,15 +130,15 @@ class ReplayAdversary(CrashAdversary):
                         f"alive in the replayed execution"
                     )
                 continue
-            sends = list(proposed.get(victim, ()))
-            out_of_range = [i for i in kept_indices if i >= len(sends)]
+            fanout = len(proposed.get(victim, ()))
+            out_of_range = [i for i in recorded if i >= fanout]
             if out_of_range and self.strict:
                 raise ReplayMismatch(
                     f"round {round_no}: victim {victim} proposed "
-                    f"{len(sends)} messages, recording kept indices "
+                    f"{fanout} messages, recording kept indices "
                     f"{sorted(out_of_range)}"
                 )
-            plan[victim] = [sends[i] for i in kept_indices if i < len(sends)]
+            plan[victim] = [i for i in recorded if i < fanout]
         return plan
 
 

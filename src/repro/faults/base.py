@@ -7,10 +7,10 @@ delivery inside :class:`repro.sim.network.SyncNetwork`: once per round
 the network shows it every sender's resolved outgoing sends (after
 mid-send crashes removed their share) and it answers with a
 :data:`RoundFaultPlan` — a per-send verdict addressed by ``(sender,
-send index)``, the same index convention
-:func:`repro.adversary.base.kept_send_indices` established for crash
-plans, so a fault decision names one concrete transmitted message even
-when a sender proposes duplicate identical sends.
+send index)``, the position convention of crash plans
+(:func:`repro.adversary.base.kept_indices`), so a fault decision names
+one concrete transmitted message even when a sender proposes duplicate
+identical sends.
 
 Verdicts and their semantics (anything unnamed is delivered normally):
 

@@ -81,11 +81,31 @@ there is no module-level cache.  The contract for what goes through it:
 - a view holds no reference back to its column, so refcounting alone
   frees a round once its inboxes are dropped.
 
+**Counting once.**  ``derive`` shares between the readers of one view,
+and a mid-send crash leaves nearly one view per recipient: every view
+holds the round's broadcast rows plus the few targeted rows of its own
+-- what the <= f victims still got out.  A protocol whose rule is a
+*tally*, commutative over rows, says so with :func:`tally`:
+``tally(inbox, fn, *args)`` is ``(fn(common, *args), own)``, where
+``common`` are the messages of the rows every view of the round reads
+and ``own`` the messages of the inbox's other rows.  ``fn(common,
+*args)`` is computed once per round (kept in the same memo, under the
+view of those who read nothing else) and the caller folds ``own`` on
+top, so an all-to-all round under crashes costs one tabulation plus its
+crashes' rows, not one tabulation per recipient.  The contract is
+``derive``'s, plus one clause:
+
+- what the caller makes of ``(fn(common), own)`` equals what it would
+  make of ``(fn(common + own in any order), ())`` -- nothing may depend
+  on where a row stood in the inbox, nor on who sent it (a tally sees
+  messages, and builds no envelope).
+
 On any other sequence -- a test's list, the per-envelope oracle's inbox
--- ``derive`` is a plain call and ``messages`` a plain comprehension,
-which makes ``ReferenceNetwork`` the unshared oracle for everything
-read through them.  A program that calls neither reads the
-``Sequence[Envelope]`` it always has.
+-- ``derive`` is a plain call, ``messages`` a plain comprehension and
+``tally`` the plain call over all the messages with nothing left to
+fold, which makes ``ReferenceNetwork`` the unshared oracle for
+everything read through them.  A program that calls none of them reads
+the ``Sequence[Envelope]`` it always has.
 
 Charging is not done here: the network charges every resolved send
 while it fills the rows (one ``Metrics.record_sends`` per multicast,
@@ -172,7 +192,8 @@ class ColumnarRound:
         self._wanted: frozenset[int] = frozenset()
         self._views: Optional[dict[int, _View]] = None
         self._common: Optional[_View] = None
-        #: (view, fn, args) -> what `derive` computed for the view.
+        #: (view, fn, args) -> what `derive` computed for the view, or
+        #: `tally` for the common one.
         self._memo: dict = {}
 
     # ------------------------------------------------------------------
@@ -404,6 +425,36 @@ def derive(inbox: Sequence[Envelope], fn: Callable, *args):
     except KeyError:
         value = memo[key] = fn(column.read(view), *args)
         return value
+
+
+def tally(inbox: Sequence[Envelope], fn: Callable, *args
+          ) -> tuple[object, Sequence[Message]]:
+    """``(fn(common, *args), own)`` for a rule commutative over rows.
+
+    On a :class:`LazyInbox`, ``common`` is the messages of the rows
+    every view of the round reads -- ``fn(common, *args)`` is computed
+    once per round and ``(fn, args)``, memoised on the column under the
+    common view -- and ``own`` the messages of the inbox's targeted
+    rows, for the caller to fold on top: O(own) per reader.  On any
+    other sequence it is ``fn`` of all the messages and nothing to
+    fold.  No envelope is built.  See the module docstring for what
+    ``fn`` and the caller must promise.
+    """
+    if type(inbox) is not LazyInbox:
+        return fn(messages(inbox), *args), ()
+    column = inbox._column
+    view = inbox._resolve()
+    common = column._common
+    memo = column._memo
+    key = (common, fn, args)
+    try:
+        counted = memo[key]
+    except KeyError:
+        counted = memo[key] = fn(column.messages(common), *args)
+    if not view.blocks:
+        return counted, ()
+    msg = column.msg
+    return counted, [msg[row] for row in view.rows]
 
 
 def messages(inbox: Sequence[Envelope]) -> tuple[Message, ...]:

@@ -192,8 +192,11 @@ class Fanout(Sequence):
     someone indexes or iterates the sequence -- in practice, a crash
     adversary or fault model inspecting a sender's in-flight messages;
     ``len()`` is free.  Caching matters for correctness, not just
-    speed: crash plans resolve kept sends by object identity, so
-    repeated access must yield the *same* ``Send`` instances.
+    speed: a policy's crash plan may name kept sends by object identity,
+    so repeated access must yield the *same* ``Send`` instances.  A
+    subclass says what it denotes (``_expand``) and what is left of it
+    when a crash cuts it mid-send (``kept``: the same shape over the
+    named positions, no ``Send`` built).
     """
 
     __slots__ = ("targets", "_sends")
@@ -239,6 +242,12 @@ class Multicast(Fanout):
         message, claim = self.message, self.claim
         return [Send(index, message, claim) for index in self.targets]
 
+    def kept(self, indices: Sequence[int]) -> "Multicast":
+        """The fan-out of sends ``indices``, in that order."""
+        targets = self.targets
+        return Multicast([targets[i] for i in indices], self.message,
+                         self.claim)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.targets!r}, {self.message!r})"
 
@@ -266,6 +275,12 @@ class Scatter(Fanout):
 
     def _expand(self) -> list[Send]:
         return list(map(Send, self.targets, self.messages))
+
+    def kept(self, indices: Sequence[int]) -> "Scatter":
+        """The fan-out of sends ``indices``, in that order."""
+        targets, messages = self.targets, self.messages
+        return Scatter([targets[i] for i in indices],
+                       [messages[i] for i in indices])
 
 
 class Broadcast(Multicast):

@@ -29,7 +29,7 @@ from repro.adversary.base import (
     CrashAdversary,
     CrashPlanError,
     NoCrashes,
-    kept_send_indices,
+    kept_indices,
 )
 from repro.crypto.auth import Authenticator
 from repro.faults.base import (
@@ -206,6 +206,10 @@ class SyncNetwork:
         self._alive_frozen: Optional[frozenset[int]] = None
         self._awake: list[int] = []
         self._parked: set[int] = set()
+        # The target tuple last found in bounds: senders resumed one
+        # after the other that name the same tuple *object* share its
+        # check.
+        self._in_bounds: Optional[Sequence[int]] = None
         self._correct_order: list[int] = [
             index for index in range(self.n)
             if not self.processes[index].byzantine
@@ -269,11 +273,17 @@ class SyncNetwork:
                         f"node {index} broadcast to {len(targets)} links, "
                         f"network has {n}"
                     )
-            elif targets and not (0 <= min(targets) and max(targets) < n):
-                link = next(to for to in targets if not 0 <= to < n)
-                raise ValueError(
-                    f"node {index} addressed link {link} outside [0, {n})"
-                )
+            elif targets is not self._in_bounds and targets:
+                # A tuple many senders share by reference (the committee
+                # `derive` hands every reporter) is checked once; a bad
+                # one is never noted, so each of its senders raises.
+                if not (0 <= min(targets) and max(targets) < n):
+                    link = next(to for to in targets if not 0 <= to < n)
+                    raise ValueError(
+                        f"node {index} addressed link {link} outside "
+                        f"[0, {n})"
+                    )
+                self._in_bounds = targets
             return sends
         out = list(sends)
         for send in out:
@@ -290,19 +300,24 @@ class SyncNetwork:
         """Correct (non-Byzantine) alive, unfinished indices (a copy)."""
         return list(self._correct_order)
 
-    def _apply_crash_plan(self, proposed: dict[int, list[Send]]) -> dict[int, list[Send]]:
+    def _apply_crash_plan(self, proposed: dict[int, Sequence[Send]]
+                          ) -> dict[int, Sequence[Send]]:
         """Validate the adversary's plan and return the delivered sends.
 
         The whole plan is validated before any state changes, so a
         rejected plan (:class:`CrashPlanError`) leaves ``self.crashed``
         and ``adversary.crashed`` untouched — no half-applied crashes.
 
-        Kept sends are resolved against the victim's proposed list by
-        *send index* (:func:`~repro.adversary.base.kept_send_indices`,
-        identity first, equality fallback) — the same rule the
-        falsification recorder uses — so the instance delivered is
-        always the proposed instance the recorded index names, even
-        when a victim proposed duplicate identical sends.
+        A victim's kept part is named by *position* in its proposed
+        fan-out (:func:`~repro.adversary.base.kept_indices`, the rule
+        the falsification recorder shares: indices pass through checked,
+        a policy's ``Send`` objects are matched identity first) and is
+        delivered, in the plan's order, *as a fan-out*: a ``Multicast``
+        over the kept targets, a ``Scatter`` over the kept pairs, a list
+        of the kept sends of a list.  No ``Send`` is built for a victim,
+        and the instance delivered is always the proposed instance the
+        recorded index names, even when a victim proposed duplicate
+        identical sends.
         """
         alive = self._alive()
         plan = self.adversary.plan_round(self.round_no, proposed, alive, self.trace)
@@ -318,14 +333,16 @@ class SyncNetwork:
             raise CrashPlanError(
                 f"budget {self.adversary.budget} exceeded by crashing {victims}"
             )
-        kept_by_victim: dict[int, list[Send]] = {}
+        kept_by_victim: dict[int, Sequence[Send]] = {}
         for victim, kept in plan.items():
             sends = proposed.get(victim, [])
             try:
-                indices = kept_send_indices(kept, sends)
+                indices = kept_indices(kept, sends)
             except CrashPlanError as error:
                 raise CrashPlanError(f"victim {victim}: {error}") from None
-            kept_by_victim[victim] = [sends[i] for i in indices]
+            kept_by_victim[victim] = (
+                sends.kept(indices) if isinstance(sends, Fanout)
+                else [sends[i] for i in indices])
         delivered = dict(proposed)
         obs = self.observer
         emit = self._emitting
@@ -416,7 +433,7 @@ class SyncNetwork:
         plan = {}
         if self.fault_model is not None:
             # Verdicts name (sender, send index) in the post-crash
-            # sends — the kept_send_indices convention.
+            # sends — a crash plan's convention.
             plan = self.fault_model.plan_round(
                 round_no, delivered, self._alive())
             if plan:

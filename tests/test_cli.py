@@ -128,7 +128,7 @@ class TestBenchForwarding:
     their harness: ``python -m repro`` hands the command line over."""
 
     @pytest.mark.parametrize("name, argv", [
-        ("perf", ["--n", "10000", "--workloads", "broadcast",
+        ("perf", ["--n", "10000", "--workloads", "broadcast,crash",
                   "--repeat", "1", "--out", "BENCH_perf_n10k.json"]),
         ("serve", ["--quick", "--events", "/tmp/serve-events.jsonl",
                    "--out", "BENCH_serve.json"]),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adversary.base import CrashPlanError
+from repro.adversary.base import CrashPlanError, kept_indices
 from repro.falsify.campaign import (
     artifact_from_row,
     falsify_run_summary,
@@ -14,7 +14,6 @@ from repro.falsify.replay import (
     ReplayMismatch,
     RecordingAdversary,
     ReproArtifact,
-    _indices_of,
     normalize_schedule,
     schedule_from_json,
     schedule_size,
@@ -43,13 +42,18 @@ def planted_monitors(n=PLANTED_N, f=PLANTED_F):
 
 
 class TestIndices:
+    """What the recorder writes down: ``kept_indices`` of the plan."""
+
     def test_positions_with_duplicates_consumed(self):
-        assert _indices_of(["a", "a"], ["a", "b", "a"]) == (0, 2)
-        assert _indices_of(["b"], ["a", "b"]) == (1,)
+        assert kept_indices(["a", "a"], ["a", "b", "a"]) == (0, 2)
+        assert kept_indices(["b"], ["a", "b"]) == (1,)
 
     def test_unproposed_message_rejected(self):
         with pytest.raises(CrashPlanError, match="never proposed"):
-            _indices_of(["c"], ["a", "b"])
+            kept_indices(["c"], ["a", "b"])
+
+    def test_indices_are_recorded_as_they_are(self):
+        assert kept_indices([2, 0], ["a", "b", "a"]) == (2, 0)
 
 
 class TestNormalize:

@@ -4,9 +4,10 @@
 oracle for ``SyncNetwork.step``: it re-derives the alive sets by
 scanning all ``n`` nodes every round, charges every send individually
 with a fresh ``bit_size`` computation, allocates inboxes for every
-link, builds one ``Envelope`` per delivered message, matches kept
-crash-plan sends by equality, and applies link-fault verdicts send by
-send.  The A/B tests run identical protocols (same processes, seeds,
+link, builds one ``Envelope`` per delivered message, resolves a crash
+plan -- kept indices or kept ``Send`` objects -- through the one rule
+the engine uses (``kept_indices``) and delivers the kept sends one by
+one, and applies link-fault verdicts send by send.  The A/B tests run identical protocols (same processes, seeds,
 adversary and fault configurations) through both executors and require
 byte-identical ``Metrics.summary()`` dicts, per-round ledgers, per-node
 and per-type send counts, node outputs and ``FaultStats``.
@@ -21,7 +22,11 @@ from random import Random
 
 import pytest
 
-from repro.adversary.base import CrashPlanError, kept_send_indices
+from repro.adversary.base import (
+    CrashPlanError,
+    kept_indices,
+    kept_send_indices,
+)
 from repro.adversary.crash import (
     BudgetedAdaptiveCrash,
     CommitteeHunter,
@@ -135,11 +140,9 @@ class ReferenceNetwork:
             return proposed
         kept_by_victim = {}
         for victim, kept in plan.items():
-            kept = list(kept)
-            remaining = list(proposed.get(victim, []))
-            for send in kept:  # pre-PR equality matching
-                remaining.remove(send)
-            kept_by_victim[victim] = kept
+            sends = list(proposed.get(victim, []))
+            kept_by_victim[victim] = [
+                sends[i] for i in kept_indices(kept, sends)]
         delivered = dict(proposed)
         for victim, kept in kept_by_victim.items():
             delivered[victim] = kept

@@ -312,3 +312,38 @@ class TestFanoutValidation:
         result = run_network(processes, CostModel(n=2, namespace=8))
         assert result.results == {0: "done", 1: None}
         assert result.metrics.sends_by_node == {0: 2}
+
+    def test_a_shared_tuple_is_checked_once_and_a_bad_one_by_everyone(
+            self, monkeypatch):
+        """Senders resumed one after the other that name one tuple
+        *object* (the committee ``derive`` hands every reporter) share
+        its bounds check; a bad tuple is never noted as checked, so the
+        error is raised at the yield of each sender that names it --
+        here the second, the first being a Byzantine node the engine
+        silences."""
+        import builtins
+
+        scanned = []
+        smallest = builtins.min
+        monkeypatch.setattr(
+            "repro.sim.network.min",
+            lambda targets: scanned.append(targets) or smallest(targets),
+            raising=False)
+        good, other = (0, 5, 11), tuple([0, 5, 11])  # equal, two objects
+        processes = [_Addresser(uid + 1, good) for uid in range(12)]
+        processes[7] = _Addresser(8, other)
+        result = run_network(processes, CostModel(n=12, namespace=64))
+        assert set(result.results.values()) == {"done"}
+        # Nodes 0-6, node 7 with an equal tuple of its own, nodes 8-11.
+        assert [id(targets) for targets in scanned] == [
+            id(good), id(other), id(good)]
+        assert result.metrics.sends_by_node == dict.fromkeys(range(12), 3)
+
+        bad = (0, 17, 1)
+        processes = [_Addresser(uid + 1, ()) for uid in range(12)]
+        processes[2] = _Addresser(3, bad, byzantine=True)
+        processes[5] = _Addresser(6, bad)
+        processes[9] = _Addresser(10, bad)
+        with pytest.raises(ValueError) as error:
+            run_network(processes, CostModel(n=12, namespace=64))
+        assert str(error.value) == "node 5 addressed link 17 outside [0, 12)"

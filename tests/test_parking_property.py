@@ -34,6 +34,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.adversary import byzantine as byzantine_strategies
 from repro.adversary.crash import RandomCrash, ScheduledCrash
 from repro.core.byzantine_renaming import ByzantineRenamingNode
 from repro.faults import build_fault_model
@@ -476,6 +477,30 @@ def test_the_listeners_of_a_byzantine_run_are_not_resumed(monkeypatch):
     assert len(tally) <= (committee + f) * result.rounds + 3 * n
     # Every node, every round, at the parent.
     assert len(tally) < n * result.rounds // 2
+
+
+def test_a_crash_simulator_without_a_seat_is_not_resumed(monkeypatch):
+    """``CrashSimulatingByzantine`` reads nothing after its two opening
+    rounds: holding no committee seat it gets no mail and parks; holding
+    one it is woken by the committee's traffic and parks again, as
+    polling did.  A count: of the two simulators of this run one drew a
+    candidate identity and one did not; at the parent both cost a
+    resumption per round."""
+    tallies = {}
+    program = byzantine_strategies.CrashSimulatingByzantine.program
+    monkeypatch.setattr(
+        byzantine_strategies.CrashSimulatingByzantine, "program",
+        lambda self, ctx: _Counted(
+            program(self, ctx), tallies.setdefault(self.uid, [])))
+    n, f = 64, 2
+    result = golden.byzantine_case(
+        n, f, 0, byzantine_strategies.crash_simulator)
+    outputs = result.outputs_by_uid()
+    assert len(set(outputs.values())) == len(outputs) == n - f
+    # The seatless one: its two opening rounds and the announcements
+    # that reach everybody; the seated one: mailed every round.
+    assert sorted(map(len, tallies.values())) == [3, result.rounds]
+    assert result.rounds == 46
 
 
 def test_a_crashed_senders_last_fanout_is_freed_with_its_crash_round():

@@ -605,10 +605,12 @@ SHIPPED = {
         _envelopes(Status(7, ROOT, 0, 1), Status(9, ROOT, 0, 2))),
     "committee answers": lambda: crash_renaming._committee_answers(
         _envelopes(Status(7, ROOT, 0, 1), Status(9, ROOT, 0, 2)), 2),
+    # The two tallies (`repro.sim.columnar.tally`) read messages.
     "halving table": lambda: obg_halving._halving_table(
-        _envelopes(HalvingStatus(7, ROOT), HalvingStatus(9, ROOT))),
+        [HalvingStatus(7, ROOT), HalvingStatus(9, ROOT)]),
     "claims": lambda: balls_into_slots._claims(
-        _envelopes(SlotClaim(2, 7), SlotClaim(2, 9), SlotRelease(1, 5))),
+        [SlotClaim(2, 7), SlotClaim(2, 9), SlotRelease(1, 5)],
+        frozenset({4}), 5),
     "votes": lambda: comm._collect(
         _envelopes(SubVote(1, "x", (3, 4), 8), SubVote(1, "x", 0, 8)),
         1, "x", frozenset({0, 1})),
@@ -631,11 +633,12 @@ def test_the_shipped_values_are_what_the_protocols_read():
     assert [reply.interval for reply in replies] == [
         Interval(1, 2), Interval(1, 2)]
     assert SHIPPED["halving table"]() == {(1, 4): ((7, 9), 0)}
-    winners, named, fresh = SHIPPED["claims"]()
+    winners, seen, free, fresh = SHIPPED["claims"]()
     # The smallest identity wins a slot, not the first claim received.
     assert balls_into_slots._claims(
-        _envelopes(SlotClaim(2, 9), SlotClaim(2, 7)))[0] == {2: 7}
-    assert (dict(winners), named, fresh) == ({2: 7}, {1, 2}, True)
+        [SlotClaim(2, 9), SlotClaim(2, 7)], frozenset(), 2)[0] == {2: 7}
+    assert (dict(winners), seen, free, fresh) == (
+        {2: 7}, {1, 2, 4}, (3, 5), True)
     assert SHIPPED["votes"]() == {0: (3, 4), 1: 0}
 
 
