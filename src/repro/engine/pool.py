@@ -51,6 +51,9 @@ class RunResult:
     #: Executions this result took: 0 for a store hit, 1 for a direct
     #: success/failure, 2 when the task went through the retry path.
     attempts: int = 1
+    #: The driver's own clock readings (``row["telemetry"]``): beside
+    #: ``elapsed`` in the run's telemetry row, never in the stored row.
+    telemetry: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
@@ -61,12 +64,14 @@ def _run_one(request: RunRequest) -> RunResult:
     """Execute one request, converting any driver exception to ``failed``."""
     start = time.perf_counter()
     try:
-        row, messages_per_round, bits_per_round = execute_request(request)
+        row, messages_per_round, bits_per_round, telemetry = (
+            execute_request(request))
         return RunResult(
             request=request, status="ok", row=row,
             elapsed=time.perf_counter() - start,
             messages_per_round=messages_per_round,
             bits_per_round=bits_per_round,
+            telemetry=telemetry,
         )
     except Exception:
         return RunResult(
@@ -310,6 +315,7 @@ def run_requests(
                     "rounds": (len(result.messages_per_round)
                                if result.messages_per_round is not None
                                else None),
+                    **(result.telemetry or {}),
                 })
         for target in (index, *followers.get(index, ())):
             results[target] = RunResult(
@@ -319,6 +325,7 @@ def run_requests(
                 messages_per_round=result.messages_per_round,
                 bits_per_round=result.bits_per_round,
                 attempts=result.attempts,
+                telemetry=result.telemetry,
             )
             done += 1
 

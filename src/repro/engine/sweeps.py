@@ -223,15 +223,19 @@ LEDGER_KEYS = ("messages_per_round", "bits_per_round")
 
 def execute_request(
     request: RunRequest,
-) -> tuple[dict, Optional[list[int]], Optional[list[int]]]:
+) -> tuple[dict, Optional[list[int]], Optional[list[int]], Optional[dict]]:
     """Run one request in-process.
 
-    Returns ``(row, messages_per_round, bits_per_round)``; the ledger
-    lists are popped off the row so table columns stay scalar.
+    Returns ``(row, messages_per_round, bits_per_round, telemetry)``;
+    the ledger lists are popped off the row so table columns stay
+    scalar, and so is ``row["telemetry"]`` -- where a driver puts what
+    it read off a clock -- so the stored row is a pure function of the
+    request.
     """
     driver = resolve_driver(request.driver)
     row = driver(request.n, request.f, request.seed, include_rounds=True,
                  **request.params_dict())
     messages_per_round = row.pop("messages_per_round", None)
     bits_per_round = row.pop("bits_per_round", None)
-    return row, messages_per_round, bits_per_round
+    telemetry = row.pop("telemetry", None)
+    return row, messages_per_round, bits_per_round, telemetry

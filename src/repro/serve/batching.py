@@ -1,9 +1,10 @@
 """Epoch batching: coalesce pending renames into protocol executions.
 
-One renaming epoch re-runs the protocol over a shard's whole
-membership, so its cost is paid per *epoch*, not per request — the
-service amortizes it by coalescing requests into batches and running
-one epoch per batch.  :class:`EpochBatcher` implements the policy:
+One renaming epoch runs the protocol among the joiners it names, all
+at once: its rounds are paid per *epoch*, not per request, and a
+rename and a release of one identity in one batch cancel — so the
+service coalesces requests into batches and runs one epoch per batch.
+:class:`EpochBatcher` implements the policy:
 
 * a batch closes as soon as it holds ``max_batch`` operations
   (``"full"``), or

@@ -8,7 +8,9 @@ shape (shards, batch policy) and the workload (requests, rate, mix).
 Every knob is a JSON scalar, so rows stay content-addressable in the
 engine's run store and replay bit-exactly: the trace, the batch
 boundaries, and each shard's protocol randomness all derive from
-``seed`` alone.
+``seed`` alone.  What the execution read off a clock (wall time,
+throughput, rename latency) rides in ``row["telemetry"]``, which the
+engine moves to the run's telemetry before the row is stored.
 """
 
 from __future__ import annotations
@@ -90,8 +92,6 @@ def serve_run_summary(
         "f_budget": f,
         "requests": report["requests"],
         "shards": shards,
-        "throughput_rps": report["throughput_rps"],
-        "wall_s": report["wall_s"],
         "renamed": report["renamed"],
         "released": report["released"],
         "rename_misses": report["rename_misses"],
@@ -111,10 +111,14 @@ def serve_run_summary(
         "rounds": service["rounds"],
         "messages": service["messages"],
         "bits": service["bits"],
-        "rename_p50_ms": rename_latency["p50_ms"],
-        "rename_p99_ms": rename_latency["p99_ms"],
         "unique": report["unique"],
         "trace_sha256": report["trace_sha256"],
+        "telemetry": {
+            "throughput_rps": report["throughput_rps"],
+            "wall_s": report["wall_s"],
+            "rename_p50_ms": rename_latency["p50_ms"],
+            "rename_p99_ms": rename_latency["p99_ms"],
+        },
     }
     if include_rounds:
         row["messages_per_round"] = report["epoch_messages"]

@@ -11,8 +11,9 @@ Compact identities stay globally unique through an interleaved
 encoding: shard ``s`` of ``S`` maps its local compact id ``c`` to the
 global id ``(c - 1) * S + s + 1``.  When the shards are balanced the
 global namespace stays dense to within a factor of the imbalance —
-the per-shard namespaces are tight ``[1, members]`` by Theorem 1.2,
-so the global one is ``[1, ~S * max_shard_members]``.
+a shard's directory is long-lived (members keep their names, joiners
+fill the free slots) and keeps its names inside ``[1, 2 * members]``,
+so the global one is ``[1, ~2 * S * max_shard_members]``.
 
 Everything here is deterministic and thread-free: :func:`shard_of` is
 a fixed multiplicative hash (never Python's salted ``hash``), and
@@ -259,6 +260,13 @@ class Shard:
         the directory is left exactly as before the batch, so the
         service can fail these requests and keep serving.
 
+        The epoch's protocol run is among its *participants* (the
+        batch's net joiners, see :class:`OverlayDirectory`), so the
+        fault model is sized to them, and with fewer than two neither
+        it nor an adversary is built: nothing is sent, so nothing can
+        be dropped or crashed mid-send.  The attempt is counted either
+        way — ``fault_window`` is in executed batches.
+
         ``salt`` distinguishes retries: a rolled-back epoch leaves
         ``directory.epoch`` unchanged, so re-executing with ``salt=0``
         would rebuild the identical protocol seed and fault model and
@@ -281,16 +289,19 @@ class Shard:
         self.attempts += 1
         self.last_fault_issued = {}
         tap: Optional[FaultTap] = None
-        if self.fault_spec and self._faults_active(self.attempts):
-            if salt:
-                fault_seed = hash((self.seed, epoch, salt)) & 0x7FFFFFFF
-            else:
-                fault_seed = hash((self.seed, epoch)) & 0x7FFFFFFF
-            tap = FaultTap(build_fault_model(
-                self.fault_spec, len(directory.members), seed=fault_seed,
-            ))
-        adversary = (self.adversary_factory(self.index, epoch)
-                     if self.adversary_factory is not None else None)
+        adversary = None
+        running = len(directory.participants())
+        if running > 1:
+            if self.fault_spec and self._faults_active(self.attempts):
+                if salt:
+                    fault_seed = hash((self.seed, epoch, salt)) & 0x7FFFFFFF
+                else:
+                    fault_seed = hash((self.seed, epoch)) & 0x7FFFFFFF
+                tap = FaultTap(build_fault_model(
+                    self.fault_spec, running, seed=fault_seed,
+                ))
+            if self.adversary_factory is not None:
+                adversary = self.adversary_factory(self.index, epoch)
         try:
             report = directory.run_epoch(
                 adversary, fault_model=tap, observer=self.observer,

@@ -243,15 +243,20 @@ class SyncNetwork:
     def _retire(self, index: int) -> None:
         """Drop a crashed or terminated node from the alive bookkeeping.
 
-        Its pending sends go with it: a victim's last fan-out is not
-        kept until the run ends.  (`_awake` is the caller's: `step`
-        rebuilds it as it resumes, a crash plan drops its victims.)
+        Its pending sends go with it, and a crashed node's suspended
+        program is closed: a victim's last fan-out, its last inbox and
+        that round's column are not kept until the run ends.  (`_awake`
+        is the caller's: `step` rebuilds it as it resumes, a crash plan
+        drops its victims.)
         """
         if index in self._alive_set:
             self._alive_set.discard(index)
             self._alive_frozen = None
             self._parked.discard(index)
             self._pending.pop(index, None)
+            program = self._programs.get(index)
+            if program is not None:
+                program.close()
             if not self.processes[index].byzantine:
                 self._correct_order.remove(index)
 

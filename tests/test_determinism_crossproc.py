@@ -131,7 +131,11 @@ recorder = EventRecorder()
 report = execute_profile(
     PROFILE,
     shard_faults={0: [{"kind": "omission", "p": 1.0}]},
-    shard_fault_windows={0: (1, 7)},
+    # Ten attempts, not six: an attempt with a lone joiner sends nothing
+    # and succeeds under any channel, so three *consecutive* failures --
+    # what trips the breaker -- need a longer outage than when every
+    # epoch re-ran the whole shard.
+    shard_fault_windows={0: (1, 11)},
     resilience=RESILIENCE,
     observer=recorder,
 )

@@ -33,20 +33,41 @@ class TestDirectoryLifecycle:
         first = directory.run_epoch()
         assert sorted(first.assignment.values()) == list(range(1, 21))
 
-        # Epoch 2: an attack plus voluntary churn.
+        # Epoch 2: voluntary churn plus an attack on the joiners' run
+        # (the epoch's protocol execution is among them alone).
+        leavers = sorted(directory.members)[:3]
+        for uid in leavers:
+            directory.leave(uid)
+        joiners = rng.sample(range(1 << 19, 1 << 20), 8)
+        for uid in joiners:
+            directory.join(uid)
         second = directory.run_epoch(
-            adversary=CommitteeHunter(6, Random(2))
+            adversary=CommitteeHunter(3, Random(2))
         )
-        survivors = len(directory.members)
-        assert second.renamed == survivors
+        assert second.members == 25
+        assert second.departed_during_epoch
+        assert set(second.departed_during_epoch) < set(joiners)
+        assert second.renamed == 8 - len(second.departed_during_epoch)
+        assert set(second.assignment) == directory.members
+        stayers = set(first.assignment) - set(leavers)
+        assert all(second.assignment[uid] == first.assignment[uid]
+                   for uid in stayers)
 
-        # Epoch 3: newcomers fill the freed compact space.
-        for uid in rng.sample(range(1 << 19, 1 << 20), 4):
-            if uid not in directory.members:
-                directory.join(uid)
+        # Epoch 3: newcomers fill the freed compact space -- the
+        # leavers' names and the slots the victims never claimed --
+        # lowest first, and nobody else moves.
+        taken = set(second.assignment.values())
+        free = [slot for slot in range(1, 60) if slot not in taken]
+        newcomers = rng.sample(range(1, 1 << 19), 4)
+        for uid in newcomers:
+            directory.join(uid)
         third = directory.run_epoch()
-        values = sorted(third.assignment.values())
-        assert values == list(range(1, len(directory.members) + 1))
+        assert sorted(third.assignment[uid] for uid in newcomers) == free[:4]
+        assert all(third.assignment[uid] == name
+                   for uid, name in second.assignment.items())
+        values = list(third.assignment.values())
+        assert len(set(values)) == len(values) == len(directory.members)
+        assert max(values) <= 2 * third.members
         assert [r.epoch for r in directory.history] == [1, 2, 3]
 
 

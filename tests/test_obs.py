@@ -374,6 +374,20 @@ class TestTelemetryStore:
             assert not hits.events("engine.task.settle")
             assert len(store.telemetry_rows(key="run")) == 2
 
+    def test_driver_clock_readings_land_in_telemetry_not_the_row(
+            self, tmp_path):
+        clocked = {"throughput_rps", "wall_s", "rename_p50_ms",
+                   "rename_p99_ms"}
+        request = RunRequest.make("serve", 12, 0, 0, requests=120, shards=2)
+        with RunStore(tmp_path / "runs.sqlite") as store:
+            [result] = run_requests([request], store=store,
+                                    observer=EventRecorder())
+            assert result.ok and not clocked & set(result.row)
+            [(hash_, _key, value)] = store.telemetry_rows(key="run")
+            assert clocked <= set(value) and value["elapsed_s"] > 0
+            assert not clocked & set(store.get(hash_).row)
+            assert "telemetry" not in store.get(hash_).row
+
     def test_telemetry_rows_filter_by_driver(self, tmp_path):
         with RunStore(tmp_path / "runs.sqlite") as store:
             recorder = EventRecorder()

@@ -75,15 +75,32 @@ class TestEpochs:
 
     def test_churn_shrinks_and_grows_the_namespace(self):
         directory = fresh_directory(n=10)
-        directory.run_epoch()
+        before = dict(directory.run_epoch().assignment)
         departing = sorted(directory.members)[:3]
         for uid in departing:
             directory.leave(uid)
         directory.join(9_999)
         report = directory.run_epoch()
         assert report.members == 8
-        assert sorted(report.assignment.values()) == list(range(1, 9))
-        assert directory.compact_id(9_999) in range(1, 9)
+        # One participant: it alone is renamed, into the lowest name a
+        # leaver returned, and the run among one node has no round.
+        assert (report.renamed, report.rounds, report.messages) == (1, 0, 0)
+        assert directory.compact_id(9_999) == min(before[uid]
+                                                  for uid in departing)
+        stayers = directory.members - {9_999}
+        assert {uid: report.assignment[uid] for uid in stayers} == {
+            uid: before[uid] for uid in stayers}
+        assert max(report.assignment.values()) <= 2 * report.members
+        # Shrink past the slack: once a kept name would sit above twice
+        # the membership, the epoch renames everyone into 1..members.
+        top = max(directory.members, key=directory.compact_id)
+        for uid in sorted(directory.members - {top})[:4]:
+            directory.leave(uid)
+        assert directory.compact_id(top) > 2 * len(directory.members)
+        assert directory.participants() == tuple(sorted(directory.members))
+        compacted = directory.run_epoch()
+        assert (compacted.members, compacted.renamed) == (4, 4)
+        assert sorted(compacted.assignment.values()) == [1, 2, 3, 4]
 
     def test_epochs_replay_from_seed(self):
         a = fresh_directory(seed=9)
@@ -158,18 +175,33 @@ class TestServingSurface:
 
         directory = fresh_directory(n=8, seed=2)
         directory.run_epoch()
+        # Churn for the failing epoch to act on: a returned name (a
+        # free slot) and three joiners -- the run is among those three,
+        # so that is what the channel is sized to.
+        directory.leave(sorted(directory.members)[2])
+        for uid in (9_001, 9_002, 9_003):
+            directory.join(uid)
         epoch = directory.epoch
         members = set(directory.members)
         assignment = directory.assignment
+        participants = directory.participants()
+        assert participants == (9_001, 9_002, 9_003)
         lethal = build_fault_model(
-            [{"kind": "omission", "p": 1.0}], len(members), seed=5,
+            [{"kind": "omission", "p": 1.0}], len(participants), seed=5,
         )
         with pytest.raises(Exception):
             directory.run_epoch(fault_model=lethal)
         assert directory.epoch == epoch
         assert directory.members == members
         assert directory.assignment == assignment
+        assert directory.participants() == participants
         assert len(directory.history) == 1
+        # The same epoch number then runs clean: the slot the leaver
+        # returned was not lost in the rollback.
+        report = directory.run_epoch()
+        assert report.epoch == epoch + 1
+        assert sorted(report.assignment[uid] for uid in participants) == [
+            3, 9, 10]
 
     def test_round_trip_release_then_rejoin(self):
         directory = fresh_directory(n=8)
@@ -201,13 +233,28 @@ class TestChurnUnderFailures:
 
     def test_next_epoch_runs_clean_after_an_attack(self):
         directory = fresh_directory(n=16, seed=5)
-        directory.run_epoch(adversary=CommitteeHunter(8, Random(6)))
-        survivors = len(directory.members)
+        attacked = directory.run_epoch(
+            adversary=CommitteeHunter(8, Random(6)))
+        assert attacked.departed_during_epoch
+        survivors = dict(attacked.assignment)
+        assert set(survivors) == directory.members
+        # Nobody joined or left: an epoch with nobody to rename runs no
+        # protocol and moves no name.
+        quiet = directory.run_epoch()
+        assert (quiet.renamed, quiet.rounds, quiet.messages) == (0, 0, 0)
+        assert dict(quiet.assignment) == survivors
+        # Newcomers rename among themselves into the lowest free names.
+        newcomers = (9_001, 9_002, 9_003)
+        for uid in newcomers:
+            directory.join(uid)
         report = directory.run_epoch()
-        assert report.renamed == survivors
-        assert sorted(report.assignment.values()) == list(
-            range(1, survivors + 1)
-        )
+        assert report.renamed == len(newcomers)
+        assert report.departed_during_epoch == ()
+        free = [slot for slot in range(1, 2 * report.members)
+                if slot not in survivors.values()]
+        assert sorted(report.assignment[uid] for uid in newcomers) == (
+            free[:len(newcomers)])
+        assert {uid: report.assignment[uid] for uid in survivors} == survivors
 
     def test_attacked_epoch_costs_more_per_member(self):
         quiet = fresh_directory(n=24, seed=7)

@@ -537,3 +537,32 @@ def test_a_crashed_senders_last_fanout_is_freed_with_its_crash_round():
         assert 0 not in network._pending
     finally:
         gc.enable()
+
+
+def test_a_crashed_nodes_last_inbox_is_freed_with_its_crash_round():
+    columns = {}
+
+    class Listener(Process):
+        def program(self, ctx):
+            while True:
+                inbox = yield Multicast((0, 1), Note(ctx.current_round))
+                if ctx.index == 0:
+                    columns[ctx.current_round] = weakref.ref(inbox._column)
+
+    network = SyncNetwork(
+        [Listener(1), Listener(2)], CostModel(n=2, namespace=8),
+        crash_adversary=ScheduledCrash({3: [0]}))
+    gc.collect()
+    gc.disable()
+    try:
+        network._start()
+        for _ in range(3):
+            network.step()
+        # Node 0 crashed in round 3, suspended with round 2's inbox in
+        # hand (node 1 has moved on to round 3's).  At the parent its
+        # program -- hence that inbox and its column -- lived until the
+        # run ended; `_retire` now closes it at the crash.
+        assert network.crashed == {0} and sorted(columns) == [1, 2]
+        assert columns[2]() is None
+    finally:
+        gc.enable()

@@ -83,11 +83,15 @@ class TestWindowedRecovery:
 
     def test_baseline_same_trace_drops_batches(self):
         # Same trace, resilience disabled: PR 6 behaviour — the faulted
-        # epochs reject their batches instead of retrying.
+        # epochs reject their batches instead of retrying.  (Only an
+        # epoch with two or more joiners sends anything the channel can
+        # drop, so the window costs fewer batches than when every epoch
+        # re-ran the whole shard; what it costs is still lost for good.)
         report = run_profile(faults={0: OMISSION_10}, windows={0: WINDOW},
                              resilience=None)
         assert report["degraded"] > 0
-        assert goodput(report) < 0.95
+        assert report["service"]["failed_epochs"] > 0
+        assert goodput(report) < 1.0
         assert report["unique"] is True
         assert report["service"]["retries"] == 0
         assert report["unresolved"] == 0
@@ -294,10 +298,8 @@ class TestStatsSurface:
                       fault_window="[1, 5]", resilience="{}")
         first = serve_run_summary(24, 1, 7, **kwargs)
         second = serve_run_summary(24, 1, 7, **kwargs)
-        for key, value in first.items():
-            if key.endswith("_ms") or key in ("wall_s", "throughput_rps"):
-                continue
-            assert second[key] == value, key
+        del first["telemetry"], second["telemetry"]   # the clock's part
+        assert second == first
 
 
 class TestShardDegradedCause:
