@@ -1,10 +1,12 @@
 """The figure registry: every measured artifact of EXPERIMENTS.md, once.
 
 The paper's artifacts are Table 1 and the scaling claims of Theorems
-1.2-1.4.  Each is one entry of :data:`FIGURES`: the engine runs it
-needs (``requests``), the table made of their driver rows (``table``,
-printed through ``columns`` with a ``note`` line) and the shape the
-paper claims for it (``shape``, over that table).
+1.2-1.4; the service that puts the crash algorithm behind a front door
+adds two tables of its own (F16, F17).  Each is one entry of
+:data:`FIGURES`: the engine runs it needs (``requests``), the table
+made of their driver rows (``table``, printed through ``columns`` with
+a ``note`` line) and the shape claimed for it (``shape``, over that
+table).
 ``benchmarks/report.py`` prints every table and
 ``benchmarks/test_figures.py`` asserts every shape, both through
 :func:`measure`; ``benchmarks/results/report.md`` is the committed
@@ -26,9 +28,17 @@ from repro.core.byzantine_renaming import run_byzantine_renaming
 from repro.engine.pool import run_requests
 from repro.engine.store import RunStore
 from repro.engine.sweeps import RunRequest, table1_requests
+from repro.faults.degradation import SAFE_STALLED, SAFE_TERMINATED
 from repro.lowerbound.anonymous import (
     SilentRenamingExperiment,
     minimum_messages_for_success,
+)
+from repro.serve.chaos import (
+    DEFAULT_CHAOS_RESILIENCE,
+    classify_serve_run,
+    default_chaos_ladder,
+    failed,
+    goodput,
 )
 
 Table = list[dict]
@@ -70,6 +80,8 @@ class Figure:
     title: str
     #: The printed columns, where the table has more.
     columns: Optional[tuple[str, ...]] = None
+    #: Decimal places of the printed floats.
+    digits = 2
     points: tuple = ()
 
     @property
@@ -744,11 +756,119 @@ class F13(Figure):
         assert rows[-1]["messages_mean"] < rows[0]["messages_mean"]
 
 
+class F16(Figure):
+    """Renaming as a service: one seeded load at 2, 4 and 8 shards.
+
+    Not a paper figure.  ``repro.serve`` batches rename / release
+    traffic into epochs of a long-lived directory -- each epoch one
+    crash renaming among the batch's joiners -- and shards the
+    namespace over independent directories.  Shape: every shard count
+    answers the same trace with no failed epoch and a globally unique
+    assignment, and more shards make more, smaller epochs that charge
+    fewer protocol messages in total.
+    """
+
+    #: Client identities and the length of the trace they play.
+    clients, trace = 256, 120_000
+    title = f"F16 -- serve: {trace:,} requests vs shards"
+    columns = ("shards", "batches", "epochs", "failed_epochs", "renamed",
+               "members", "rounds", "messages", "bits", "unique")
+    points = (2, 4, 8)
+
+    def runs(self, shards):
+        return {"run": RunRequest.make("serve", self.clients, 0, 0,
+                                       requests=self.trace,
+                                       shards=shards)}
+
+    def note(self, rows):
+        first, last = rows[0], rows[-1]
+        return (f"{first['shards']} -> {last['shards']} shards: "
+                f"{last['epochs'] / first['epochs']:.1f}x the epochs, "
+                f"{first['messages'] / last['messages']:.1f}x fewer "
+                "protocol messages.")
+
+    def shape(self, rows):
+        for row in rows:
+            assert row["requests"] == self.trace
+            assert row["unique"] and row["failed_epochs"] == 0
+            assert failed(row) == row["unresolved"] == 0
+        epochs = [row["epochs"] for row in rows]
+        messages = [row["messages"] for row in rows]
+        assert all(a < b for a, b in zip(epochs, epochs[1:]))
+        assert all(a > b for a, b in zip(messages, messages[1:]))
+
+
+class F17(Figure):
+    """Resilient serving: the chaos ladder, resilient vs baseline.
+
+    Not a paper figure.  Each rung of
+    :func:`repro.serve.chaos.default_chaos_ladder` injects a seeded link
+    fault into shard 0 of a 4-shard service -- most rungs for protocol
+    attempts 1-8 only -- and one trace is played twice: with retries
+    and a circuit breaker (resilient) and without (baseline).  Shape:
+    behind the resilient arm a transient outage is invisible (every
+    request answered, the breaker cycles and is closed again) where the
+    baseline loses requests; no rung costs either arm a duplicate name
+    or an unanswered request; resilience never names fewer.
+    """
+
+    clients, seed = 96, 7
+    load = dict(requests=16_000, shards=4, max_batch=32, max_wait=0.002,
+                arrival_rate=20_000.0, rename_weight=10.0,
+                lookup_weight=80.0, release_weight=10.0, namespace=1 << 16)
+    title = (f"F17 -- serve chaos ladder, resilient vs baseline "
+             f"({load['requests']:,} requests)")
+    digits = 3
+    points = tuple(default_chaos_ladder())
+
+    def runs(self, rung):
+        return {
+            arm: RunRequest.make("serve", self.clients, rung.faulted,
+                                 self.seed, **self.load,
+                                 **rung.params(policy))
+            for arm, policy in (("resilient", DEFAULT_CHAOS_RESILIENCE),
+                                ("baseline", None))
+        }
+
+    def row(self, rung, resilient, baseline):
+        return {
+            "rung": rung.label,
+            "resilient": classify_serve_run(resilient)[0],
+            "goodput": round(goodput(resilient), 3),
+            "failed": failed(resilient),
+            "retries": resilient["retries"],
+            "breaker_opens": resilient["breaker_opens"],
+            "breakers_open": resilient["breakers_open"],
+            "baseline": classify_serve_run(baseline)[0],
+            "baseline_goodput": round(goodput(baseline), 3),
+            "baseline_failed": failed(baseline),
+        }
+
+    def shape(self, rows):
+        by_rung = {row["rung"]: row for row in rows}
+        safe = (SAFE_TERMINATED, SAFE_STALLED)
+        control = by_rung["none"]
+        assert control["resilient"] == control["baseline"] == SAFE_TERMINATED
+        windowed = [rung.label for rung in self.points if rung.window]
+        for row in rows:
+            assert row["resilient"] in safe and row["baseline"] in safe, row
+            assert row["goodput"] >= row["baseline_goodput"], row
+        for label in windowed:
+            row = by_rung[label]
+            assert row["resilient"] == SAFE_TERMINATED, row
+            assert row["goodput"] == 1.0, row
+            assert row["breakers_open"] == 0, row
+        assert by_rung["omission-100%-window"]["breaker_opens"] >= 1
+        assert any(by_rung[label]["baseline"] == SAFE_STALLED
+                   for label in windowed)
+
+
 #: Every figure, in EXPERIMENTS.md's order, by id.
 FIGURES: dict[str, Figure] = {
     figure.id: figure
     for figure in (T1(), F1(), F2(), F3(), F4(), F5(), F6(), F7a(), F7b(),
-                   F8(), F9a(), F9b(), F10(), F11(), F12(), F13())
+                   F8(), F9a(), F9b(), F10(), F11(), F12(), F13(), F16(),
+                   F17())
 }
 
 

@@ -2,9 +2,11 @@
 
 Usage::
 
-    python -m repro perf                # full matrix, best-of-3 timing
-    python -m repro perf --quick        # small n, single repeat (CI smoke)
-    python -m repro perf --out BENCH_perf.json
+    python -m benchmarks.perf           # full matrix, best-of-3 timing
+    python -m benchmarks.perf --quick   # small n, single repeat (CI smoke)
+    python -m benchmarks.perf --out BENCH_perf.json
+
+(from the repo root, with ``src`` on ``PYTHONPATH``).
 
 Every counted experiment in this repo funnels through
 :meth:`repro.sim.network.SyncNetwork.step`, so this harness times the

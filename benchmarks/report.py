@@ -1,8 +1,8 @@
-"""Print every measured table of EXPERIMENTS.md (T1, F1-F13).
+"""Print every measured table of EXPERIMENTS.md (T1, F1-F13, F16, F17).
 
 Usage::
 
-    python benchmarks/report.py               # all figures (~20 s on one core)
+    python benchmarks/report.py               # all figures (~25 s on one core)
     python benchmarks/report.py --jobs 8      # parallel across 8 workers
     python benchmarks/report.py --store .repro/runs.sqlite   # resumable
 
@@ -60,7 +60,7 @@ def main() -> None:
     for figure in FIGURES.values():
         table = tables[figure.id]
         print(f"\n### {figure.title}\n")
-        print(markdown_table(table, figure.columns))
+        print(markdown_table(table, figure.columns, figure.digits))
         note = figure.note(table)
         if note:
             print(f"\n{note}")

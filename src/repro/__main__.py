@@ -10,11 +10,6 @@ Examples::
     python -m repro sweep --driver crash --store sqlite://.repro/runs.sqlite
     python -m repro runs --export md
     python -m repro runs export --parquet --out .repro/export
-    python -m repro perf --quick
-    python -m repro serve --quick
-    python -m repro serve --shards 2,4,8 --events serve_events.jsonl
-    python -m repro chaos --quick
-    python -m repro chaos --resilience '{"max_retries": 2}'
     python -m repro sweep --driver serve --n 64 --seeds 0-2 --f 1
     python -m repro falsify --n 8,12 --seeds 0-3 --jobs 4
     python -m repro falsify --replay .repro/repros/repro-crash-....json
@@ -462,41 +457,6 @@ def _obs_report(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Harnesses under ``benchmarks/`` that ``python -m repro <name>`` runs.
-#: Each declares its own flags (and prints its own ``--help``): the rest
-#: of the command line is handed to its ``main`` as it stands.
-BENCH_COMMANDS = {
-    "perf": "time the simulator hot path; write BENCH_perf.json",
-    "serve": "load-benchmark the renaming service; write BENCH_serve.json",
-    "chaos": "serve-level chaos frontier (resilient vs baseline); "
-             "write BENCH_chaos.json",
-}
-
-
-def _import_bench(name: str):
-    """Import ``benchmarks.<name>``, which lives next to ``src/``.
-
-    ``benchmarks/`` is part of the repo checkout, not the installed
-    package, so when ``repro`` was imported from an installed location
-    or another cwd the repo root is added to ``sys.path`` first.
-    """
-    import importlib
-
-    try:
-        return importlib.import_module(f"benchmarks.{name}")
-    except ImportError:
-        from pathlib import Path
-
-        import repro
-
-        root = Path(repro.__file__).resolve().parents[2]
-        if not (root / "benchmarks" / f"{name}.py").is_file():
-            raise SystemExit(
-                f"python -m repro {name}: cannot locate "
-                f"benchmarks/{name}.py; run from a repo checkout"
-            )
-        sys.path.insert(0, str(root))
-        return importlib.import_module(f"benchmarks.{name}")
 
 
 def _ledger_json(store, run, include: bool):
@@ -861,9 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="plain")
     faults.set_defaults(func=cmd_faults)
 
-    for name, text in BENCH_COMMANDS.items():
-        sub.add_parser(name, help=text, add_help=False)
-
     obs = sub.add_parser(
         "obs", help="observability: inspect events, profile, telemetry"
     )
@@ -1040,9 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in BENCH_COMMANDS:
-        return _import_bench(argv[0]).main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

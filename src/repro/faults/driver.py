@@ -4,13 +4,17 @@ One engine row = one (scenario, adversary, fault spec) execution,
 classified by :func:`repro.faults.degradation.classify_scenario`.
 Because fault specs travel as JSON strings, rows are content-addressed
 by the store like any other driver's — the same spec under the same
-code version is a cache hit — and the ``faults`` CLI subcommand and
-:func:`sweep_faults` are thin wrappers over the same grid.
+code version is a cache hit.  A sweep of it is a
+``SweepSpec(...).requests()`` list through
+:func:`repro.engine.run_requests` (``python -m repro sweep --driver
+faults``); the ``faults`` CLI subcommand does not use this driver, it
+walks the ladder through
+:func:`repro.faults.degradation.degradation_frontier`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from repro.faults.degradation import SAFE_TERMINATED, classify_scenario
 
@@ -43,28 +47,3 @@ def faults_run_summary(
         row["messages_per_round"] = list(result.metrics.messages_per_round)
         row["bits_per_round"] = list(result.metrics.bits_per_round)
     return row
-
-
-def sweep_faults(
-    n_values: Sequence[int],
-    f_of_n: Callable[[int], int],
-    seeds: Sequence[int],
-    **kwargs,
-) -> list[dict]:
-    """Fault sweep over ``n_values x seeds`` — thin engine wrapper.
-
-    ``kwargs`` reach the driver (``scenario=``, ``adversary=``,
-    ``faults=`` as a JSON spec string, ``watchdog_rounds=``).  For
-    parallel or cached execution, build the requests yourself and call
-    :func:`repro.engine.run_requests` with ``jobs``/``store``.
-    """
-    from repro.analysis.experiments import rows_or_raise
-    from repro.engine.pool import run_requests
-    from repro.engine.sweeps import RunRequest
-
-    requests = [
-        RunRequest.make("faults", n, f_of_n(n), seed, **kwargs)
-        for n in n_values
-        for seed in seeds
-    ]
-    return rows_or_raise(run_requests(requests))

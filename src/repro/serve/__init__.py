@@ -12,10 +12,10 @@ long-lived concurrent service:
   independent directories with globally unique interleaved ids;
 * :mod:`repro.serve.resilience` — deadlines, seeded retry backoff, and
   the per-shard circuit breaker;
-* :mod:`repro.serve.chaos` — the serve-level degradation frontier
-  (resilient vs baseline, classified per fault rung);
+* :mod:`repro.serve.chaos` — the serve-level degradation ladder and
+  the classification of a run under it (resilient vs baseline);
 * :mod:`repro.serve.loadgen` — seeded load profiles, trace generation,
-  latency histograms, and the benchmark harness;
+  latency histograms, and the one-call load harness;
 * :mod:`repro.serve.obs` — the ``repro.obs/serve@2`` event contract;
 * :mod:`repro.serve.driver` — the ``serve`` sweep-engine driver.
 """
@@ -27,18 +27,12 @@ from repro.serve.batching import (
     plan_batches,
 )
 from repro.serve.chaos import (
-    CHAOS_FORMAT,
     DEFAULT_CHAOS_RESILIENCE,
     ChaosRung,
     classify_serve_run,
     default_chaos_ladder,
-    format_frontier,
-    run_chaos,
-    run_rung,
 )
 from repro.serve.loadgen import (
-    DEFAULT_PROFILE,
-    QUICK_PROFILE,
     LatencyHistogram,
     LoadProfile,
     LoadReport,
@@ -81,11 +75,9 @@ from repro.serve.sharding import (
 __all__ = [
     "Batch",
     "BatchPolicy",
-    "CHAOS_FORMAT",
     "ChaosRung",
     "CircuitBreaker",
     "DEFAULT_CHAOS_RESILIENCE",
-    "DEFAULT_PROFILE",
     "DeadlineExceeded",
     "EpochBatcher",
     "EpochOutcome",
@@ -93,7 +85,6 @@ __all__ = [
     "LoadProfile",
     "LoadReport",
     "NotRenamed",
-    "QUICK_PROFILE",
     "RenamingService",
     "Request",
     "RequestShed",
@@ -109,15 +100,12 @@ __all__ = [
     "classify_serve_run",
     "default_chaos_ladder",
     "execute_profile",
-    "format_frontier",
     "generate_trace",
     "global_compact",
     "net_delta",
     "plan_batches",
     "retry_delay",
-    "run_chaos",
     "run_load",
-    "run_rung",
     "shard_of",
     "split_compact",
     "trace_digest",

@@ -1,12 +1,13 @@
-"""Chaos harness: the serving layer's degradation frontier.
+"""The serving layer's degradation ladder and its classification.
 
 PR 5 measured how the *protocol* degrades under an escalating ladder
-of link faults; this module measures how the *service* degrades — the
-level users actually see.  Each rung injects a :mod:`repro.faults`
-channel model into one or more shards of a live
-:class:`~repro.serve.service.RenamingService` (usually bounded to a
-transient window of protocol attempts), plays the same seeded load
-trace, and classifies the run with the
+of link faults; this module names how the *service* degrades — the
+level users actually see.  Each rung of :func:`default_chaos_ladder`
+injects a :mod:`repro.faults` channel model into one or more shards
+of a :class:`~repro.serve.service.RenamingService` (usually bounded to
+a transient window of protocol attempts); :meth:`ChaosRung.params`
+says so in the keywords of the ``serve`` engine driver, whose row
+:func:`classify_serve_run` folds into the
 :mod:`repro.faults.degradation` vocabulary:
 
 ``SAFE_TERMINATED``
@@ -19,42 +20,32 @@ trace, and classifies the run with the
 ``SAFETY_VIOLATED``
     The final assignment contains a duplicate global id.
 ``CRASHED``
-    The harness raised, or futures were left unresolved — the
-    serving layer itself fell over rather than degrading.
+    Futures were left unresolved — the serving layer itself fell over
+    rather than degrading.
 
-Each rung runs twice: *resilient* (retries + circuit breaker, see
-:mod:`repro.serve.resilience`) and *baseline* (``resilience=None`` —
-PR 6's fail-the-batch behaviour), so the frontier is an A/B statement
-about what the resilience layer buys.  Everything is virtual-time
-deterministic: same profile, same seed, same rows.
-
-``python -m repro chaos`` (see ``benchmarks/chaos.py``) writes the
-frontier as ``BENCH_chaos.json``.
+Each rung is played twice on the same trace: *resilient* (retries +
+circuit breaker, :data:`DEFAULT_CHAOS_RESILIENCE`) and *baseline*
+(``resilience=None`` — PR 6's fail-the-batch behaviour), so the
+frontier is an A/B statement about what the resilience layer buys.
+Figure ``F17`` of ``benchmarks/figures.py`` is that frontier.
+Everything is virtual-time deterministic: same params, same seed,
+same rows.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.faults.degradation import (
     CRASHED,
     SAFE_STALLED,
     SAFE_TERMINATED,
     SAFETY_VIOLATED,
-    outcome_rank,
-    summarize_frontier,
 )
 from repro.faults.spec import spec_to_json
-from repro.serve.loadgen import LoadProfile, execute_profile
 from repro.serve.resilience import ResiliencePolicy
-
-#: Schema tag stamped into ``BENCH_chaos.json``.
-CHAOS_FORMAT = "repro.serve/chaos@1"
-
-#: The two serve scenarios every rung is classified under.
-SCENARIO_RESILIENT = "serve-resilient"
-SCENARIO_BASELINE = "serve-baseline"
 
 #: Default policy for the resilient arm: enough retries to outlast the
 #: default fault window, a breaker that trips fast (the faulted shard
@@ -81,36 +72,52 @@ DEFAULT_WINDOW = (1, 9)
 class ChaosRung:
     """One rung of the serve-level ladder.
 
-    ``spec`` is a :mod:`repro.faults.spec` entry tuple; ``window``
-    bounds the injection to protocol attempts ``[start, stop)`` of
-    each faulted shard (``None`` = persistent); ``faulted_shards`` is
-    how many shards (indices ``0..k-1``) take the fault.
+    ``spec`` is a :mod:`repro.faults.spec` entry tuple injected into
+    shard 0; ``window`` bounds the injection to that shard's protocol
+    attempts ``[start, stop)`` (``None`` = persistent).
     """
 
     label: str
     spec: tuple
     window: Optional[tuple[int, int]] = None
-    faulted_shards: int = 1
 
     @property
     def spec_json(self) -> str:
         return spec_to_json(list(self.spec))
 
+    @property
+    def faulted(self) -> int:
+        """The ``serve`` driver's ``f``: shards under the fault (none on
+        the control rung)."""
+        return 1 if self.spec else 0
 
-def _rung(label, spec, window=None, faulted_shards=1) -> ChaosRung:
-    return ChaosRung(label, tuple(dict(entry) for entry in spec),
-                     window, faulted_shards)
+    def params(self, resilience: Optional[ResiliencePolicy]) -> dict:
+        """The ``serve`` driver keywords that play this rung, in the
+        resilient arm under ``resilience`` or, for ``None``, the
+        baseline arm."""
+        params = {}
+        if self.spec:
+            params["faults"] = self.spec_json
+            if self.window is not None:
+                params["fault_window"] = json.dumps(list(self.window))
+        if resilience is not None:
+            params["resilience"] = resilience.to_json()
+        return params
 
 
-def default_chaos_ladder(window: tuple[int, int] = DEFAULT_WINDOW,
-                         quick: bool = False) -> list[ChaosRung]:
-    """The serve ladder: control, windowed outages of rising pressure,
-    then persistent faults.  Windowed rungs model a transient incident
-    (the acceptance scenario: requests should ride across it);
-    persistent rungs show the service's behaviour when the outage
-    never ends (retries exhaust, the breaker stays open — degraded but
-    safe).  ``quick`` keeps the rungs CI cares about."""
-    ladder = [
+def _rung(label, spec, window=None) -> ChaosRung:
+    return ChaosRung(label, tuple(dict(entry) for entry in spec), window)
+
+
+def default_chaos_ladder() -> list[ChaosRung]:
+    """The serve ladder: control, outages of rising pressure windowed to
+    :data:`DEFAULT_WINDOW`, then persistent faults.  Windowed rungs
+    model a transient incident (the acceptance scenario: requests
+    should ride across it); persistent rungs show the service's
+    behaviour when the outage never ends (retries exhaust, the breaker
+    stays open — degraded but safe)."""
+    window = DEFAULT_WINDOW
+    return [
         _rung("none", []),
         _rung("omission-10%-window",
               [{"kind": "omission", "p": 0.10}], window),
@@ -127,23 +134,17 @@ def default_chaos_ladder(window: tuple[int, int] = DEFAULT_WINDOW,
         _rung("omission-100%-persistent",
               [{"kind": "omission", "p": 1.0}]),
     ]
-    if quick:
-        keep = {"none", "omission-10%-window", "omission-100%-window",
-                "omission-100%-persistent"}
-        ladder = [rung for rung in ladder if rung.label in keep]
-    return ladder
 
 
 def classify_serve_run(report: dict) -> tuple[str, dict]:
-    """Fold one ``execute_profile`` report into an outcome + detail."""
+    """Fold one ``serve`` driver row (or ``execute_profile`` report)
+    into an outcome + detail."""
     if not report.get("unique", False):
         return SAFETY_VIOLATED, {"invariant": "unique-names"}
     if report.get("unresolved", 0):
         return CRASHED, {"error": "unresolved-futures",
                          "unresolved": report["unresolved"]}
-    failed = (report["degraded"] + report["shed"]
-              + report["deadline_expired"] + report["errors"])
-    if failed:
+    if failed(report):
         return SAFE_STALLED, {
             "degraded": report["degraded"],
             "shed": report["shed"],
@@ -153,125 +154,16 @@ def classify_serve_run(report: dict) -> tuple[str, dict]:
     return SAFE_TERMINATED, {}
 
 
+def failed(report: dict) -> int:
+    """Requests the run answered with an error (degraded / shed /
+    deadline-expired / other)."""
+    return (report["degraded"] + report["shed"]
+            + report["deadline_expired"] + report["errors"])
+
+
 def goodput(report: dict) -> float:
     """Eventual rename goodput: renames that got a name over renames
     that *could* have (a :class:`NotRenamed` miss — released in the
     same batch — is an answered request, not lost goodput)."""
     eligible = report["renames"] - report["rename_misses"]
     return report["renamed"] / max(1, eligible)
-
-
-def run_rung(
-    profile: LoadProfile,
-    rung: ChaosRung,
-    *,
-    resilience: Optional[ResiliencePolicy],
-    observer=None,
-) -> dict:
-    """Execute one (rung, mode) cell; returns a flat frontier row."""
-    scenario = (SCENARIO_BASELINE if resilience is None
-                else SCENARIO_RESILIENT)
-    faulted = range(min(rung.faulted_shards, profile.shards))
-    shard_faults = ({s: list(rung.spec) for s in faulted}
-                    if rung.spec else None)
-    windows = ({s: rung.window for s in faulted}
-               if rung.spec and rung.window is not None else None)
-    try:
-        report = execute_profile(
-            profile,
-            shard_faults=shard_faults,
-            shard_fault_windows=windows,
-            resilience=resilience,
-            observer=observer,
-        )
-    except Exception as error:  # the harness itself fell over
-        return {
-            "scenario": scenario,
-            "rung": rung.label,
-            "faults": rung.spec_json,
-            "window": list(rung.window) if rung.window else None,
-            "outcome": CRASHED,
-            "detail": f"{type(error).__name__}: {error}"[:200],
-            "goodput": 0.0,
-        }
-    outcome, detail = classify_serve_run(report)
-    service = report["service"]
-    shard0 = report["per_shard"][0]
-    return {
-        "scenario": scenario,
-        "rung": rung.label,
-        "faults": rung.spec_json,
-        "window": list(rung.window) if rung.window else None,
-        "outcome": outcome,
-        "outcome_rank": outcome_rank(outcome),
-        "detail": detail or None,
-        "goodput": round(goodput(report), 6),
-        "requests": report["requests"],
-        "renames": report["renames"],
-        "renamed": report["renamed"],
-        "rename_misses": report["rename_misses"],
-        "degraded": report["degraded"],
-        "shed": report["shed"],
-        "deadline_expired": report["deadline_expired"],
-        "errors": report["errors"],
-        "unresolved": report["unresolved"],
-        "unique": report["unique"],
-        "epochs": service["epochs"],
-        "failed_epochs": service["failed_epochs"],
-        "retries": service["retries"],
-        "breaker_opens": service.get("breaker_opens", 0),
-        "breaker_closes": service.get("breaker_closes", 0),
-        "breaker_state": (shard0.get("breaker", {}).get("state")
-                          if "breaker" in shard0 else None),
-        "trace_sha256": report["trace_sha256"],
-    }
-
-
-def run_chaos(
-    profile: LoadProfile,
-    *,
-    ladder: Optional[Sequence[ChaosRung]] = None,
-    resilience: Optional[ResiliencePolicy] = None,
-    observer=None,
-) -> dict:
-    """The full serve-level frontier: every rung, both arms.
-
-    Returns ``{rows, summary, profile, resilience}``; ``rows`` carry
-    one dict per (rung, scenario) in ladder order with the resilient
-    arm first, and ``summary`` is the per-scenario
-    :func:`~repro.faults.degradation.summarize_frontier` digest.
-    """
-    if ladder is None:
-        ladder = default_chaos_ladder()
-    if resilience is None:
-        resilience = DEFAULT_CHAOS_RESILIENCE
-    rows: list[dict] = []
-    for rung in ladder:
-        rows.append(run_rung(profile, rung, resilience=resilience,
-                             observer=observer))
-        rows.append(run_rung(profile, rung, resilience=None,
-                             observer=observer))
-    return {
-        "profile": profile,
-        "resilience": resilience,
-        "rows": rows,
-        "summary": summarize_frontier(rows),
-    }
-
-
-def format_frontier(rows: Sequence[dict]) -> str:
-    """A fixed-width text table of the frontier (CLI output)."""
-    header = (f"{'rung':<26} {'scenario':<16} {'outcome':<16} "
-              f"{'goodput':>8} {'failed':>7} {'retries':>7} "
-              f"{'breaker':>8}")
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        failed = (row.get("degraded", 0) + row.get("shed", 0)
-                  + row.get("deadline_expired", 0) + row.get("errors", 0))
-        lines.append(
-            f"{row['rung']:<26} {row['scenario']:<16} "
-            f"{row['outcome']:<16} {row.get('goodput', 0.0):>8.3f} "
-            f"{failed:>7} {row.get('retries', 0):>7} "
-            f"{row.get('breaker_state') or '-':>8}"
-        )
-    return "\n".join(lines)

@@ -59,6 +59,9 @@ def serve_run_summary(
     constant.  With ``include_rounds`` the ledger columns carry
     *per-epoch* totals (ordered by shard, then epoch) rather than
     per-round ones — an epoch is the service's unit of protocol work.
+    The row carries every count that
+    :func:`~repro.serve.chaos.classify_serve_run` and
+    :func:`~repro.serve.chaos.goodput` read.
     """
     if not 0 <= f <= shards:
         raise ValueError(f"f={f} must be within [0, shards={shards}]")
@@ -92,12 +95,14 @@ def serve_run_summary(
         "f_budget": f,
         "requests": report["requests"],
         "shards": shards,
+        "renames": report["renames"],
         "renamed": report["renamed"],
         "released": report["released"],
         "rename_misses": report["rename_misses"],
         "degraded": report["degraded"],
         "shed": report["shed"],
         "deadline_expired": report["deadline_expired"],
+        "errors": report["errors"],
         "unresolved": report["unresolved"],
         "lookup_hits": report["lookup_hits"],
         "lookup_misses": report["lookup_misses"],
@@ -107,6 +112,7 @@ def serve_run_summary(
         "retries": service["retries"],
         "breaker_opens": service.get("breaker_opens", 0),
         "breaker_closes": service.get("breaker_closes", 0),
+        "breakers_open": service.get("breakers_open", 0),
         "members": service["members"],
         "rounds": service["rounds"],
         "messages": service["messages"],

@@ -18,8 +18,8 @@ reads included, bit for bit.
 trace order, per-request latency measured from submission to future
 resolution, lookups as stamped reads (``lookup_at``) ordered on the
 lane like everything else.  :func:`execute_profile` is the one-call
-harness — build service, play trace, collect stats/histograms/phases —
-used by the ``serve`` engine driver and ``benchmarks/serve.py``.
+harness — build service, play trace, collect stats and histograms —
+behind the ``serve`` engine driver.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class LoadProfile:
 
     ``arrival_rate`` and ``max_wait`` are in *virtual* seconds —
     together with the weights they determine the batch shapes; the
-    dispatcher replays arrivals as fast as it can.
+    dispatcher replays arrivals as fast as it can.  The defaults are a
+    read-heavy 120k-request workload against 4 shards.
     """
 
     clients: int = 256
@@ -90,16 +91,6 @@ class LoadProfile:
     def scaled(self, **overrides) -> "LoadProfile":
         """A copy with fields replaced (``dataclasses.replace``)."""
         return replace(self, **overrides)
-
-
-#: The benchmark's default workload: 120k requests — mostly lookups,
-#: with enough rename/release churn to keep every shard's epoch loop
-#: busy — against 4 shards of ~64 members each.
-DEFAULT_PROFILE = LoadProfile()
-
-#: CI smoke: small and fast, same shape.
-QUICK_PROFILE = LoadProfile(clients=48, requests=4_000, shards=2,
-                            max_batch=32)
 
 
 @dataclass(frozen=True)
@@ -352,15 +343,14 @@ def execute_profile(
     resilience: ResilienceSpec = None,
     config=None,
     observer=None,
-    profile_shards: bool = False,
 ) -> dict:
     """Stand up a service, play the profile's trace, report everything.
 
-    The one-call harness behind ``python -m repro serve`` and the
-    ``serve`` engine driver.  Returns a JSON-able report: the profile,
-    the trace digest, the :class:`LoadReport` fields, service counters,
-    per-shard rows, batch boundaries, the per-shard phase breakdown,
-    and a global-uniqueness verdict over the final assignment.
+    The one-call harness behind the ``serve`` engine driver.  Returns a
+    JSON-able report: the profile, the trace digest, the
+    :class:`LoadReport` fields, service counters, per-shard rows, batch
+    boundaries, and a global-uniqueness verdict over the final
+    assignment.
     """
     trace = generate_trace(profile)
 
@@ -377,7 +367,6 @@ def execute_profile(
             adversary_factory=adversary_factory,
             resilience=resilience,
             observer=observer,
-            profile_shards=profile_shards,
         )
         async with service:
             load = await run_load(service, trace)
@@ -393,7 +382,6 @@ def execute_profile(
                 "service": service.stats(),
                 "per_shard": service.per_shard_stats(),
                 "boundaries": service.boundaries(),
-                "phases": service.phase_report(),
                 "assignment_size": len(assignment),
                 "unique": len(set(globals_)) == len(globals_),
                 "epoch_messages": [

@@ -17,7 +17,8 @@ Events are emitted only from the event-loop thread (batch lifecycle,
 epoch results, degradation), never from inside a shard's protocol
 execution — per-request emission would melt the ring buffer at
 100k+ requests per run, and the protocol's own round events stay
-available by attaching an observer to a single shard.
+available by running a directory epoch with an observer
+(``OverlayDirectory.run_epoch(observer=...)``).
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from typing import Iterable
 
 from repro.obs.events import validate_kinds
 
-#: Format tag for the serve event family (stamped into benchmark
-#: output and checked by CI's serve-smoke job).
+#: Format tag for the serve event family.
 SERVE_EVENT_FORMAT = "repro.obs/serve@2"
 
 #: Required ``data`` fields per serve event kind.

@@ -71,8 +71,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.crash_renaming import CrashRenamingConfig
 from repro.faults.spec import FaultSpec
-from repro.obs.events import Observer, observing
-from repro.obs.profile import PhaseProfiler
+from repro.obs.events import observing
 from repro.serve.batching import (
     CLOSE_DRAIN,
     CLOSE_TIMEOUT,
@@ -243,11 +242,7 @@ class RenamingService:
     crash adversary.  ``resilience`` (a
     :class:`~repro.serve.resilience.ResiliencePolicy`, a JSON spec, or
     a mapping) enables deadlines / retries / circuit breaking; ``None``
-    keeps the fail-the-batch behaviour.  ``profile_shards`` attaches a
-    :class:`~repro.obs.profile.PhaseProfiler` to each shard so
-    :meth:`phase_report` breaks its epochs into the protocol's
-    plan/charge/deliver/advance phases (slightly slower: every round
-    reads the clock four more times).
+    keeps the fail-the-batch behaviour.
     """
 
     def __init__(
@@ -265,7 +260,6 @@ class RenamingService:
         resilience: ResilienceSpec = None,
         observer: Optional[object] = None,
         executor: Optional[ThreadPoolExecutor] = None,
-        profile_shards: bool = False,
     ):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -284,7 +278,6 @@ class RenamingService:
         self.seed = seed
         self.policy = BatchPolicy(max_batch=max_batch, max_wait=max_wait)
         self.observer = observer
-        self.profiler = PhaseProfiler()
         #: The caller's policy, ``None`` when there is none (the stats
         #: and report surface); ``_policy`` is what the lanes run under.
         self.resilience = ResiliencePolicy.from_spec(resilience)
@@ -296,26 +289,19 @@ class RenamingService:
             raise ValueError(
                 f"shard_faults names shards {unknown} outside [0, {shards})"
             )
-        self._lanes = []
-        for index in range(shards):
-            tap = None
-            if profile_shards:
-                # Collects phase times, never events (``enabled`` stays
-                # False).  One per shard: a shard's epochs are
-                # serialized, so one thread at a time touches it.
-                tap = Observer()
-                tap.profiler = PhaseProfiler()
-            self._lanes.append(_Lane(
+        self._lanes = [
+            _Lane(
                 Shard(
                     index, shards, namespace=namespace, seed=seed,
                     config=config, fault_spec=faults.get(index),
                     fault_window=windows.get(index),
                     adversary_factory=adversary_factory,
-                    observer=tap,
                 ),
                 self.policy,
                 self._policy,
-            ))
+            )
+            for index in range(shards)
+        ]
         self.epochs = 0
         self.empty_batches = 0
         self.failed_epochs = 0
@@ -636,7 +622,6 @@ class RenamingService:
             kind = classify_failure(error, lane.shard.last_fault_issued)
             lane.failures += 1
             self.failed_epochs += 1
-            self.profiler.add(f"shard{lane.index}:failed_epoch", wall)
             # "failure", not "kind": the event envelope reserves
             # ``kind`` for the event name itself.
             self._emit("serve.epoch.failed", shard=lane.index, epoch=epoch,
@@ -723,11 +708,9 @@ class RenamingService:
                 future.set_result(value)
         if not outcome.ran:
             self.empty_batches += 1
-            self.profiler.add(f"shard{lane.index}:empty_batch", wall)
             self._emit("serve.epoch.empty", shard=lane.index, ops=len(ops))
             return
         self.epochs += 1
-        self.profiler.add(f"shard{lane.index}:epoch", wall)
         report = outcome.report
         self._emit(
             "serve.epoch.end", shard=lane.index, epoch=report.epoch,
@@ -822,23 +805,6 @@ class RenamingService:
                 row["backlog"] = lane.backlog.ops_count
             rows.append(row)
         return rows
-
-    def phase_report(self) -> dict:
-        """Per-shard phase breakdown (``repro.obs/profile@1``).
-
-        Always contains the ``shard<k>:epoch`` wall time measured
-        around each executor call; with ``profile_shards=True`` also
-        the protocol-phase split (``shard<k>:plan`` ...) from each
-        shard's profiler.
-        """
-        report = self.profiler.report()
-        for lane in self._lanes:
-            tap = lane.shard.observer
-            if tap is None:
-                continue
-            for phase, row in tap.profiler.report()["phases"].items():
-                report["phases"][f"shard{lane.index}:{phase}"] = row
-        return report
 
     # -- events ---------------------------------------------------------
 

@@ -181,10 +181,7 @@ class Shard:
     ``fault_spec`` (a :mod:`repro.faults.spec` spec) rebuilds a fresh
     seeded fault model for every epoch, so injected faults replay
     bit-exactly; ``adversary_factory`` does the same for crash
-    adversaries.  ``observer`` is forwarded into the protocol execution
-    (round-level events); leave it ``None`` when shards run on
-    concurrent threads and the recorder is not thread-safe — the
-    service keeps its own serve-level events on the event loop.
+    adversaries.
 
     ``fault_window`` bounds the injection to a half-open interval of
     *protocol execution attempts* ``[start, stop)``, 1-based — the
@@ -206,7 +203,6 @@ class Shard:
         fault_spec: FaultSpec = None,
         fault_window: Optional[tuple[int, int]] = None,
         adversary_factory: Optional[ShardAdversaryFactory] = None,
-        observer: Optional[object] = None,
     ):
         self.index = index
         self.shards = shards
@@ -214,7 +210,6 @@ class Shard:
         self.fault_spec = normalize_spec(fault_spec)
         self.fault_window = _check_window(fault_window)
         self.adversary_factory = adversary_factory
-        self.observer = observer
         self.directory = OverlayDirectory(
             namespace, config=config, seed=self.seed,
         )
@@ -304,8 +299,7 @@ class Shard:
                 adversary = self.adversary_factory(self.index, epoch)
         try:
             report = directory.run_epoch(
-                adversary, fault_model=tap, observer=self.observer,
-                seed_salt=salt,
+                adversary, fault_model=tap, seed_salt=salt,
             )
         except Exception:
             # run_epoch installs atomically, so only the join/leave

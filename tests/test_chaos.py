@@ -1,7 +1,10 @@
-"""The serve-level chaos frontier: classification, ladder, benchmark."""
+"""The serve-level chaos frontier: classification, ladder, F17's shape."""
 
 import json
 
+import pytest
+
+from benchmarks.figures import F17
 from repro.faults.degradation import (
     CRASHED,
     OUTCOMES,
@@ -12,23 +15,28 @@ from repro.faults.degradation import (
 )
 from repro.serve.chaos import (
     DEFAULT_CHAOS_RESILIENCE,
-    SCENARIO_BASELINE,
-    SCENARIO_RESILIENT,
     ChaosRung,
     classify_serve_run,
     default_chaos_ladder,
-    format_frontier,
+    failed,
     goodput,
-    run_chaos,
-    run_rung,
 )
-from repro.serve.loadgen import LoadProfile
+from repro.serve.driver import serve_run_summary
 
-#: Small enough to keep the whole ladder in CI seconds, rich enough
-#: that the faulted shard sees several epochs inside the window.
-PROFILE = LoadProfile(clients=40, requests=1_200, shards=2, max_batch=16,
-                      max_wait=0.002, arrival_rate=20_000.0,
-                      namespace=5_000, seed=3)
+#: Small enough to keep a rung in CI seconds, rich enough that the
+#: faulted shard sees several epochs inside the window.
+CLIENTS, SEED = 40, 3
+LOAD = dict(requests=1_200, shards=2, max_batch=16, max_wait=0.002,
+            arrival_rate=20_000.0, namespace=5_000)
+
+
+def play(rung, resilience):
+    """One (rung, arm) cell as a ``serve`` driver row, clock readings
+    dropped."""
+    row = serve_run_summary(CLIENTS, rung.faulted, SEED, **LOAD,
+                            **rung.params(resilience))
+    del row["telemetry"]
+    return row
 
 
 def report_stub(**overrides):
@@ -49,6 +57,7 @@ class TestClassifyServeRun:
         outcome, detail = classify_serve_run(report_stub(degraded=3, shed=1))
         assert outcome == SAFE_STALLED
         assert detail["degraded"] == 3 and detail["shed"] == 1
+        assert failed(report_stub(degraded=3, shed=1, errors=2)) == 6
 
     def test_duplicate_names_dominate_everything(self):
         outcome, detail = classify_serve_run(
@@ -82,41 +91,42 @@ class TestLadder:
                       if rung.window is None and rung.spec]
         assert windowed and persistent
 
-    def test_quick_ladder_is_a_subset(self):
-        full = {rung.label for rung in default_chaos_ladder()}
-        quick = default_chaos_ladder(quick=True)
-        assert {rung.label for rung in quick} <= full
-        assert quick[0].label == "none"
-        assert len(quick) < len(full)
-
     def test_rung_spec_json_round_trips(self):
         rung = ChaosRung("x", ({"kind": "omission", "p": 0.5},), (1, 4))
         decoded = json.loads(rung.spec_json)
         assert decoded[0]["kind"] == "omission"
 
+    def test_rung_params_are_the_serve_drivers_keywords(self):
+        control, windowed = default_chaos_ladder()[:2]
+        assert (control.faulted, control.params(None)) == (0, {})
+        assert windowed.faulted == 1
+        params = windowed.params(DEFAULT_CHAOS_RESILIENCE)
+        assert json.loads(params["faults"]) == list(windowed.spec)
+        assert json.loads(params["fault_window"]) == [1, 9]
+        assert params["resilience"] == DEFAULT_CHAOS_RESILIENCE.to_json()
+        assert "resilience" not in windowed.params(None)
+
 
 class TestRunRung:
     def test_control_rung_both_arms(self):
-        control = default_chaos_ladder(quick=True)[0]
+        control = default_chaos_ladder()[0]
+        assert control.faulted == 0
         for resilience in (DEFAULT_CHAOS_RESILIENCE, None):
-            row = run_rung(PROFILE, control, resilience=resilience)
-            assert row["outcome"] == SAFE_TERMINATED
-            assert row["goodput"] == 1.0
+            row = play(control, resilience)
+            assert classify_serve_run(row) == (SAFE_TERMINATED, {})
+            assert goodput(row) == 1.0
             assert row["unique"] is True
 
     def test_windowed_outage_resilient_beats_baseline(self):
         rung = ChaosRung("omission-100%-window",
                          ({"kind": "omission", "p": 1.0},), (1, 9))
-        resilient = run_rung(PROFILE, rung,
-                             resilience=DEFAULT_CHAOS_RESILIENCE)
-        baseline = run_rung(PROFILE, rung, resilience=None)
-        assert resilient["scenario"] == SCENARIO_RESILIENT
-        assert baseline["scenario"] == SCENARIO_BASELINE
-        assert resilient["outcome"] == SAFE_TERMINATED
-        assert resilient["goodput"] >= 0.95
-        assert resilient["breaker_state"] == "closed"
-        assert baseline["outcome"] == SAFE_STALLED
-        assert baseline["goodput"] < resilient["goodput"]
+        resilient = play(rung, DEFAULT_CHAOS_RESILIENCE)
+        baseline = play(rung, None)
+        assert classify_serve_run(resilient)[0] == SAFE_TERMINATED
+        assert goodput(resilient) >= 0.95
+        assert resilient["breakers_open"] == 0
+        assert classify_serve_run(baseline)[0] == SAFE_STALLED
+        assert goodput(baseline) < goodput(resilient)
         assert baseline["retries"] == 0
         # Same seeded trace on both arms.
         assert resilient["trace_sha256"] == baseline["trace_sha256"]
@@ -124,50 +134,38 @@ class TestRunRung:
     def test_rows_are_reproducible(self):
         rung = ChaosRung("omission-50%-window",
                          ({"kind": "omission", "p": 0.5},), (1, 9))
-        rows = [run_rung(PROFILE, rung,
-                         resilience=DEFAULT_CHAOS_RESILIENCE)
-                for _ in range(2)]
+        rows = [play(rung, DEFAULT_CHAOS_RESILIENCE) for _ in range(2)]
         assert rows[0] == rows[1]
 
 
-class TestRunChaos:
-    def test_quick_frontier_rows_and_summary(self):
-        frontier = run_chaos(PROFILE,
-                             ladder=default_chaos_ladder(quick=True))
-        rows = frontier["rows"]
-        assert len(rows) == 2 * len(default_chaos_ladder(quick=True))
-        scenarios = {row["scenario"] for row in rows}
-        assert scenarios == {SCENARIO_RESILIENT, SCENARIO_BASELINE}
-        for row in rows:
-            assert row["outcome"] in OUTCOMES
-            assert row["unique"] is True
-        summary = {entry["scenario"]: entry for entry in frontier["summary"]}
-        assert set(summary) == scenarios
-        table = format_frontier(rows)
-        assert "omission-100%-persistent" in table
-        assert SCENARIO_RESILIENT in table
+class TestFigureShape:
+    """``F17().shape`` rejects a frontier that lost a claim."""
 
+    def sound(self):
+        """The figure and a frontier, by hand, with every claim."""
+        figure = F17()
+        rows = [{"rung": rung.label, "resilient": SAFE_TERMINATED,
+                 "goodput": 1.0, "failed": 0, "retries": 1,
+                 "breaker_opens": 1, "breakers_open": 0,
+                 "baseline": SAFE_STALLED, "baseline_goodput": 0.8,
+                 "baseline_failed": 5}
+                for rung in figure.points]
+        rows[0].update(baseline=SAFE_TERMINATED, baseline_goodput=1.0,
+                       baseline_failed=0)
+        return figure, rows
 
-class TestBenchmarkChecks:
-    def test_check_frontier_flags_regressions(self):
-        from benchmarks.chaos import check_frontier
+    def test_a_sound_frontier_passes(self):
+        figure, rows = self.sound()
+        figure.shape(rows)
 
-        good = [
-            {"rung": "none", "scenario": SCENARIO_RESILIENT,
-             "outcome": SAFE_TERMINATED, "goodput": 1.0, "unique": True,
-             "unresolved": 0, "breaker_state": "closed"},
-            {"rung": "omission-100%-window", "scenario": SCENARIO_RESILIENT,
-             "outcome": SAFE_TERMINATED, "goodput": 1.0, "unique": True,
-             "unresolved": 0, "breaker_state": "closed"},
-        ]
-        assert check_frontier(good) == []
-        bad = [dict(row) for row in good]
-        bad[0]["outcome"] = SAFE_STALLED
-        bad[1]["goodput"] = 0.5
-        bad[1]["breaker_state"] = "open"
-        bad[1]["unique"] = False
-        problems = check_frontier(bad)
-        assert any("control" in p for p in problems)
-        assert any("goodput" in p for p in problems)
-        assert any("breaker" in p for p in problems)
-        assert any("unique" in p for p in problems)
+    @pytest.mark.parametrize("rung, key, value", [
+        ("none", "resilient", SAFE_STALLED),
+        ("omission-10%-window", "breakers_open", 1),
+        ("omission-100%-window", "goodput", 0.9),
+    ], ids=["control-stalled", "breaker-left-open", "resilient-goodput"])
+    def test_a_doctored_frontier_fails(self, rung, key, value):
+        figure, rows = self.sound()
+        (row,) = [row for row in rows if row["rung"] == rung]
+        row[key] = value
+        with pytest.raises(AssertionError):
+            figure.shape(rows)

@@ -1,4 +1,4 @@
-"""Smoke tests for the ``python -m repro perf`` microbenchmark harness."""
+"""Smoke tests for the ``python -m benchmarks.perf`` microbenchmark harness."""
 
 import json
 
@@ -103,8 +103,8 @@ def test_cli_entry_point(tmp_path):
     repo = Path(__file__).resolve().parents[1]
     out = tmp_path / "bench_cli.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "perf", "--n", "8", "--repeat", "1",
-         "--out", str(out)],
+        [sys.executable, "-m", "benchmarks.perf", "--n", "8", "--repeat",
+         "1", "--out", str(out)],
         capture_output=True, text=True, cwd=repo,
         env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
     )

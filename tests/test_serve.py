@@ -381,21 +381,6 @@ class TestService:
                 "serve.epoch.end", "serve.drain",
                 "serve.stop"} <= kinds
 
-    def test_phase_report_with_shard_profiling(self):
-        async def scenario():
-            async with service(profile_shards=True) as svc:
-                for uid in range(500, 520):
-                    svc.submit(RENAME, uid, 0.0)
-                await svc.drain()
-                return svc.phase_report()
-
-        report = run(scenario())
-        phases = report["phases"]
-        assert any(name.endswith(":epoch") for name in phases)
-        # The per-shard taps split epochs into the protocol's phases.
-        assert any(name.endswith(":plan") for name in phases)
-        assert any(name.endswith(":advance") for name in phases)
-
     def test_per_shard_stats_and_assignment_agree(self):
         async def scenario():
             async with service(shards=4) as svc:

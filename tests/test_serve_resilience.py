@@ -17,6 +17,7 @@ from repro.analysis.experiments import EXPERIMENT_ELECTION_CONSTANT
 from repro.core.crash_renaming import CrashRenamingConfig
 from repro.obs import EventRecorder, validate_events
 from repro.serve.batching import BatchPolicy, plan_batches
+from repro.serve.chaos import goodput
 from repro.serve.driver import serve_run_summary
 from repro.serve.loadgen import (
     LoadProfile,
@@ -61,11 +62,6 @@ def run_profile(profile=PROFILE, faults=None, windows=None,
         profile, shard_faults=faults, shard_fault_windows=windows,
         resilience=resilience, observer=observer,
     )
-
-
-def goodput(report):
-    eligible = report["renames"] - report["rename_misses"]
-    return report["renamed"] / max(1, eligible)
 
 
 class TestWindowedRecovery:
@@ -209,7 +205,7 @@ class TestResilienceEvents:
 
     def test_reports_are_reproducible(self):
         # Only wall-clock measurements vary.
-        timing = ("wall_s", "throughput_rps", "latency", "phases")
+        timing = ("wall_s", "throughput_rps", "latency")
         runs = [run_profile(faults={0: OMISSION_10}, windows={0: WINDOW},
                             resilience=RESILIENCE) for _ in range(2)]
         for key, value in runs[0].items():
