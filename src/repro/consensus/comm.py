@@ -9,10 +9,10 @@ threshold logic depends on; :func:`exchange` performs one
 broadcast-to-view round and collects, per view member, the first
 well-formed vote for the current step.
 
-An honest vote round is one fan-out: one :class:`SubVote` multicast to
-the view.  Byzantine strategies hook :meth:`CommitteeComm.outgoing_value`
-to equivocate (send different values to different receivers) without
-having to re-implement the lockstep schedule; only they pay per link.
+An honest vote round is one fan-out per member; members of one view that
+vote alike send one derived :class:`SubVote` to one view tuple.  Byzantine
+strategies hook :meth:`CommitteeComm.outgoing_value` to equivocate (send
+different values to different receivers); only they pay per link.
 
 Reading is replicated too.  Members that were delivered the same rows
 hold the same votes, so :meth:`CommitteeComm.collect` goes through
@@ -61,14 +61,18 @@ class CommitteeComm:
     """One committee member's view of in-committee communication."""
 
     def __init__(self, view: Iterable[int], b_max: int):
-        self.view = tuple(sorted(set(view)))
-        if not self.view:
+        links = tuple(sorted(set(view)))
+        if not links:
             raise ValueError("committee view must not be empty")
-        self._members = frozenset(self.view)
+        # A derived view tuple is kept: one object for all its members.
+        self.view = view if links == view else links
+        self._members = frozenset(links)
         if b_max < 0:
             raise ValueError(f"b_max must be >= 0, got {b_max}")
         self.b_max = b_max
         self.step = 0
+        self._read: Sequence[Envelope] = ()  # the inbox last read
+        self._hooked = type(self).outgoing_value is not CommitteeComm.outgoing_value
 
     def outgoing_value(self, kind: str, value: object, receiver: int) -> object:
         """The value actually sent to ``receiver`` (hook for equivocators)."""
@@ -77,16 +81,21 @@ class CommitteeComm:
     def sends(self, kind: str, value: object, width: int) -> Sequence[Send]:
         """This step's vote to every view member.
 
-        Without an :meth:`outgoing_value` override: one
-        :class:`SubVote` multicast to the view.  With one, the hook is
-        called per link, in link order; links that get the same value
-        share one ``SubVote`` (``1`` and ``True`` stay apart: the key
-        holds the type), an unhashable value gets an object per link.
+        Without an :meth:`outgoing_value` override: one :class:`SubVote`
+        multicast to the view, derived on the inbox last read (one per
+        view and distinct vote).  With one, the hook is called per link,
+        in link order; links that get the same value share one
+        ``SubVote`` (``1`` and ``True`` stay apart: the key holds the
+        type).  An unhashable value is never shared.
         """
         step = self.step
+        if not self._hooked and "outgoing_value" not in self.__dict__:
+            try:
+                vote = derive(self._read, _vote, step, kind, type(value), value, width)
+            except TypeError:  # unhashable: no key to share it under
+                vote = SubVote(step, kind, value, width)
+            return multicast(self.view, vote)
         hook = self.outgoing_value
-        if getattr(hook, "__func__", None) is CommitteeComm.outgoing_value:
-            return multicast(self.view, SubVote(step, kind, value, width))
         votes: dict[tuple[type, object], SubVote] = {}
         out = []
         for link in self.view:
@@ -109,6 +118,7 @@ class CommitteeComm:
         members that received the same rows share one (read-only)
         mapping, computed once (:func:`repro.sim.columnar.derive`).
         """
+        self._read = inbox
         return derive(inbox, _collect, self.step, kind, self._members)
 
     def tally(self, inbox: Sequence[Envelope], kind: str,
@@ -118,7 +128,13 @@ class CommitteeComm:
         heard but not counted for a value, and ``(heard, None, 0)`` is
         what remains of nothing.  Like :meth:`collect`, once per
         distinct inbox."""
+        self._read = inbox
         return derive(inbox, _tally, self.step, kind, self._members, without)
+
+
+def _vote(envelopes, step: int, kind: str, cls: type, value, width: int):
+    """A vote; ``cls``, the value's type, keeps ``1`` and ``True`` apart."""
+    return SubVote(step, kind, value, width)
 
 
 def _collect(envelopes: Sequence[Envelope], step: int, kind: str,

@@ -37,6 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.consensus.binary import DEFAULT_ITERATIONS, binary_consensus
@@ -45,6 +46,7 @@ from repro.consensus.validator import validator
 from repro.core.identity_list import IdentityList
 from repro.crypto.hashing import FingerprintFamily
 from repro.crypto.shared_randomness import SharedRandomness
+from repro.sim.columnar import derive
 from repro.sim.messages import (
     UNTIL_MAIL,
     CostModel,
@@ -267,20 +269,6 @@ class ByzantineRenamingNode(Process):
             )
         return ctx.shared
 
-    def _collect_view(self, inbox, candidates: set[int]) -> dict[int, int]:
-        """``link -> uid`` for authentic candidate announcements."""
-        view: dict[int, int] = {}
-        for envelope in inbox:
-            message = envelope.message
-            if (
-                isinstance(message, Elect)
-                and envelope.sender_uid in candidates
-                and message.uid == envelope.sender_uid
-                and envelope.sender not in view
-            ):
-                view[envelope.sender] = envelope.sender_uid
-        return view
-
     # -- the synchronous program ----------------------------------------------
 
     def program(self, ctx: Context) -> Program:
@@ -291,9 +279,9 @@ class ByzantineRenamingNode(Process):
         )
         elected = self.uid in candidates
 
-        # Round 1: committee election and announcement.
+        # Round 1: committee election and announcement (a view, derived).
         inbox = yield (broadcast(ctx.n, Elect(self.uid)) if elected else [])
-        view = self._collect_view(inbox, candidates)
+        view, links = derive(inbox, _committee_view, candidates)
         if not view:
             raise ByzantineRenamingError(
                 f"node {self.uid}: committee lottery produced an empty view "
@@ -318,7 +306,7 @@ class ByzantineRenamingNode(Process):
                 registry.setdefault(envelope.sender_uid, envelope.sender)
 
         result = yield from self._committee_program(
-            ctx, params, view, identity_list, registry, shared
+            ctx, params, view, links, identity_list, registry, shared
         )
         return result
 
@@ -329,11 +317,12 @@ class ByzantineRenamingNode(Process):
         ctx: Context,
         params: CommitteeParameters,
         view: Mapping[int, int],
+        view_links: tuple[int, ...],
         identity_list: IdentityList,
         registry: Mapping[int, int],
         shared: SharedRandomness,
     ):
-        comm = self._make_comm(sorted(view), params)
+        comm = self._make_comm(view_links, params)
         family = FingerprintFamily(shared)
         iterations = params.consensus_iterations
         tuple_width = ctx.cost.digest_bits + ctx.cost.counter_bits
@@ -452,6 +441,21 @@ class ByzantineRenamingNode(Process):
                 if count >= params.b_max + 1:
                     return value
             inbox = yield UNTIL_MAIL
+
+
+def _committee_view(envelopes, candidates: frozenset[int]):
+    """Read-only ``link -> uid`` of authentic candidates, and its sorted links."""
+    view: dict[int, int] = {}
+    for envelope in envelopes:
+        message = envelope.message
+        if (
+            isinstance(message, Elect)
+            and envelope.sender_uid in candidates
+            and message.uid == envelope.sender_uid
+            and envelope.sender not in view
+        ):
+            view[envelope.sender] = envelope.sender_uid
+    return MappingProxyType(view), tuple(sorted(view))
 
 
 # ---------------------------------------------------------------------------

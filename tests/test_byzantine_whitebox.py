@@ -14,6 +14,7 @@ from repro.core.byzantine_renaming import (
     CommitteeParameters,
     Elect,
     NewId,
+    _committee_view,
 )
 from repro.sim.messages import Envelope
 
@@ -31,33 +32,39 @@ def params(b_max=1, cg=5):
     )
 
 
-class TestCollectView:
-    NODE = ByzantineRenamingNode(uid=1)
+def collected(inbox, candidates):
+    """The view ``_committee_view`` derives, after checking its links
+    are the view's sorted keys."""
+    view, links = _committee_view(inbox, frozenset(candidates))
+    assert links == tuple(sorted(view))
+    return view
 
+
+class TestCollectView:
     def test_accepts_authentic_candidates(self):
         inbox = [env(3, Elect(50), sender_uid=50)]
-        assert self.NODE._collect_view(inbox, {50}) == {3: 50}
+        assert collected(inbox, {50}) == {3: 50}
 
     def test_rejects_non_candidates(self):
         inbox = [env(3, Elect(51), sender_uid=51)]
-        assert self.NODE._collect_view(inbox, {50}) == {}
+        assert collected(inbox, {50}) == {}
 
     def test_rejects_claim_mismatching_authenticated_uid(self):
         # A corrupted node announcing a candidate identity it does not
         # own: the stamped uid (its real one) disagrees with the claim.
         inbox = [env(3, Elect(50), sender_uid=77)]
-        assert self.NODE._collect_view(inbox, {50, 77}) == {}
+        assert collected(inbox, {50, 77}) == {}
 
     def test_first_announcement_per_link_wins(self):
         inbox = [
             env(3, Elect(50), sender_uid=50),
             env(3, Elect(50), sender_uid=50),
         ]
-        assert self.NODE._collect_view(inbox, {50}) == {3: 50}
+        assert collected(inbox, {50}) == {3: 50}
 
     def test_ignores_other_message_types(self):
         inbox = [env(3, NewId(1), sender_uid=50)]
-        assert self.NODE._collect_view(inbox, {50}) == {}
+        assert collected(inbox, {50}) == {}
 
 
 def drive_await(node, parameters, view, batches):

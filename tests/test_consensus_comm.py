@@ -1,6 +1,7 @@
 """Unit tests for the committee communication layer (vote filtering)."""
 
 from repro.consensus.comm import CommitteeComm, SubVote, exchange
+from repro.sim.columnar import ColumnarRound, LazyInbox
 from repro.sim.messages import CostModel, Envelope, Multicast
 
 
@@ -51,6 +52,12 @@ class TestCollect:
 
 
 class TestSends:
+    def test_a_sorted_view_tuple_is_kept_as_given(self):
+        links = (0, 3, 5)
+        assert CommitteeComm(view=links, b_max=0).view is links
+        for given in ([0, 3, 5], (5, 0, 3), (0, 3, 3, 5)):
+            assert CommitteeComm(view=given, b_max=0).view == links
+
     def test_one_send_per_view_member(self):
         comm = CommitteeComm(view=[3, 1, 1, 2], b_max=0)
         comm.step = 1
@@ -117,6 +124,30 @@ class TestSends:
         assert [send.to for send in sends] == [0, 1, 2]
         assert all(send.message.value == [1, 2] for send in sends)
         assert all(send.message.step == 2 for send in sends)
+
+    def test_members_of_one_view_share_one_vote_per_distinct_value(self):
+        column = ColumnarRound()
+        column.add_run(((0, 10, None), SubVote(1, "x", 7, 4)), (0, 1, 2))
+        column.attach(range(3))
+        links = (0, 1, 2)
+        members = [CommitteeComm(view=links, b_max=0) for _ in range(3)]
+        for link, member in enumerate(members):
+            member.step = 1
+            assert member.collect(LazyInbox(column, link), "x") == {0: 7}
+            member.step = 2
+        first, second, third = (member.sends("y", 1, width=1).message
+                                for member in members)
+        assert first is second is third == SubVote(2, "y", 1, 1)
+        flag = members[0].sends("y", True, width=1).message
+        assert flag.value is True and flag is not first
+        lists = [member.sends("y", [1], width=1).message
+                 for member in members[:2]]
+        assert lists[0] == lists[1] and lists[0] is not lists[1]
+
+    def test_the_first_vote_is_built_before_any_read(self):
+        members = [CommitteeComm(view=[0, 1], b_max=0) for _ in range(2)]
+        votes = [member.sends("x", 1, width=1).message for member in members]
+        assert votes[0] == votes[1] and votes[0] is not votes[1]
 
     def test_subvote_bit_cost(self):
         cost = CostModel(n=8, namespace=64)

@@ -73,11 +73,18 @@ report("byzantine", run_byzantine_renaming(
 #: one sha256 digest over the canonical-JSON observables.  The columnar
 #: round groups targeted sends into buckets keyed by recipient index
 #: (plain ints), so the digest must not move with the process hash seed.
+#: The withholder run (the ``byz-withholder-n24`` golden inputs) takes
+#: the committee's split path, 21 splits deep, whose shared reads and
+#: votes are memoised under keys holding ``kind`` strings.
 COLUMNAR_SCRIPT = """
 import hashlib
 import json
+from random import Random
 
+from repro.adversary.byzantine import corrupt_set, make_withholder
 from repro.adversary.crash import ScheduledCrash
+from repro.analysis.experiments import (
+    byzantine_config_for, default_namespace, sample_uids)
 from repro.baselines.balls_into_slots import run_balls_into_slots
 from repro.baselines.collect_rank import run_collect_rank
 from repro.baselines.obg_halving import run_obg_halving
@@ -85,6 +92,9 @@ from repro.core.byzantine_renaming import run_byzantine_renaming
 from repro.core.crash_renaming import run_crash_renaming
 
 UIDS = [3, 11, 5, 8, 2, 13, 7, 1]
+NAMESPACE = default_namespace(24)
+POPULATION = sample_uids(24, NAMESPACE, Random(0))
+WITHHOLDERS = corrupt_set(POPULATION, 2, Random(1))
 
 rows = []
 for name, result in [
@@ -94,6 +104,10 @@ for name, result in [
     ("balls", run_balls_into_slots(UIDS, seed=1)),
     ("gossip", run_collect_rank(UIDS, seed=1)),
     ("byzantine", run_byzantine_renaming(UIDS, seed=1)),
+    ("byz-withholder", run_byzantine_renaming(
+        POPULATION, namespace=NAMESPACE,
+        byzantine=dict.fromkeys(WITHHOLDERS, make_withholder(0.5, salt=0)),
+        config=byzantine_config_for(24, 2), shared_seed=3, seed=4)),
 ]:
     rows.append({
         "name": name,

@@ -18,6 +18,13 @@ the gossip baseline's (``collect-*``, built as ``gossip_run_summary``
 builds it) on the commit *before* it read its inboxes through
 ``repro.sim.columnar.messages``, likewise.
 
+The Byzantine strategies the table first missed (``byz-silent-*``,
+``byz-crash-sim-*``, the chaos monkey's ``byz-chaos-*`` and the
+sampled-committee ``byz-withholder-n64-f3``) were recorded on the commit
+*before* committee members of one view shared their view tuple and
+each round's ``SubVote`` (the view and the vote read through ``derive``)
+and held across it without re-recording.
+
 A digest that moves means two different programs are being compared.
 Only a deliberate accounting change may re-record the table:
 
@@ -121,6 +128,7 @@ BASELINES = (("obg", run_obg_halving), ("balls", run_balls_into_slots),
 
 WITHHOLDER = byzantine_strategies.make_withholder(0.5, salt=0)
 EQUIVOCATOR = byzantine_strategies.make_equivocator()
+CHAOS = byzantine_strategies.make_chaos_monkey()
 
 #: case id -> thunk producing an ExecutionResult.
 CASES = {
@@ -148,6 +156,14 @@ CASES = {
                               ("equivocator", EQUIVOCATOR))
         for n in (24, 48)
     },
+    "byz-silent-n48": lambda: byzantine_case(
+        48, 2, 0, byzantine_strategies.silent),
+    "byz-crash-sim-n48": lambda: byzantine_case(
+        48, 2, 0, byzantine_strategies.crash_simulator),
+    # Forged `SubVote`s with random steps, kinds and values, every round.
+    "byz-chaos-n24": lambda: byzantine_case(24, 2, 0, CHAOS),
+    # A sampled committee (22 of 64 members), 3 withholders, 41 splits.
+    "byz-withholder-n64-f3": lambda: byzantine_case(64, 3, 0, WITHHOLDER),
     # The all-to-all baselines: fault-free, then RandomCrash mid-send cuts.
     **{
         f"{name}-n33-f0": lambda run=run: baseline_case(run, 33, 0, 1)
@@ -194,6 +210,15 @@ GOLDEN = {
         "c52164989fc31fb079b48ff048485b19d5a447d83dd89566dd118241aae49731",
     "byz-equivocator-n48":
         "7799ca35c6d9d987c52007af4cd5d4f617b4ea455969b5a501487a1efe4acfa8",
+    # Recorded at e4d9b06, before a committee shared its view and votes.
+    "byz-silent-n48":
+        "7b3df38331faae111489198ada27f39ebfdbd4e09ba3a31e133246051ad13885",
+    "byz-crash-sim-n48":
+        "2880f4e6735c067c7b529f2a6a3f01462e5d85fa434cb6ab88a796707e53e1be",
+    "byz-chaos-n24":
+        "495f585f0a432e510fdf283670ac3273268a158d1647ce8fe7bab1efac98003c",
+    "byz-withholder-n64-f3":
+        "2e2881d4519e92484bd77eef04b309e22b6d1b4be76b04967096c444a989aebc",
     # Recorded at efd39a5, before the baselines read through `derive`.
     "obg-n33-f0":
         "fe007af52d1e505e9aca68601b23a8e66a3c1ed1a012569da03fc52645b99359",

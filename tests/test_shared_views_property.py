@@ -9,9 +9,11 @@ one is held to here:
 
 - the paper's crash renaming (paper and sparse constants), the two
   all-to-all baselines and Byzantine renaming (withholder,
-  equivocator) run on both executors under mid-send crash adversaries
-  and link faults (drop, duplicate, corrupt, hold/release): ledgers,
-  outputs and every node's protocol state must be equal;
+  equivocator, chaos monkey, crash simulator -- the committee's view
+  and its votes are derived too) run on both executors under mid-send
+  crash adversaries and link faults (drop, duplicate, corrupt,
+  hold/release): ledgers, outputs and every node's protocol state must
+  be equal;
 - random send scripts whose nodes ``derive`` from every inbox, so views
   that differ in one row, one duplicate or one argument are drawn;
 - white-box counts: the sharing really happens (and did not at the
@@ -25,6 +27,7 @@ CI runs this file under two ``PYTHONHASHSEED`` values.
 
 import gc
 import weakref
+from collections import Counter
 from random import Random
 from types import MappingProxyType, SimpleNamespace
 
@@ -47,8 +50,8 @@ from repro.baselines.balls_into_slots import (
 from repro.baselines.obg_halving import HalvingStatus, ObgHalvingNode
 from repro.consensus import comm
 from repro.consensus.comm import SubVote
-from repro.core import crash_renaming
-from repro.core.byzantine_renaming import ByzantineRenamingNode
+from repro.core import byzantine_renaming, crash_renaming
+from repro.core.byzantine_renaming import ByzantineRenamingNode, Elect
 from repro.core.crash_renaming import (
     CommitteeNotice,
     CrashRenamingConfig,
@@ -90,7 +93,15 @@ from tests.test_fastpath_ab import (
 
 CRASH_PROTOCOLS = ("crash-paper", "crash-sparse", "crash-early",
                    "crash-split", "obg", "balls")
-BYZANTINE_PROTOCOLS = ("byz-withholder", "byz-equivocator")
+#: protocol -> the strategy of its one corrupt node.
+BYZANTINE = {
+    "byz-withholder": golden.WITHHOLDER,
+    "byz-equivocator": golden.EQUIVOCATOR,
+    # Forged `SubVote`s: a shared vote must never merge with one.
+    "byz-chaos": golden.CHAOS,
+    "byz-crash-sim": byzantine_strategies.crash_simulator,
+}
+BYZANTINE_PROTOCOLS = tuple(BYZANTINE)
 
 #: Per-node protocol state, whichever protocol the node runs.
 STATE_FIELDS = ("phase_log", "interval", "depth", "p", "elected",
@@ -147,8 +158,7 @@ def _population(protocol, n, seed):
     else:
         config = byzantine_config_for(n, 1)
         corrupt = byzantine_strategies.corrupt_set(uids, 1, Random(seed + 1))
-        factory = (golden.WITHHOLDER if protocol == "byz-withholder"
-                   else golden.EQUIVOCATOR)
+        factory = BYZANTINE[protocol]
         processes = [factory(uid, config) if uid in corrupt
                      else ByzantineRenamingNode(uid, config) for uid in uids]
         shared = SharedRandomness(seed + 3)
@@ -438,6 +448,56 @@ class TestComputedOnce:
         assert len(asked) > 5 * len(keys)
         assert {"gb-input", "gb-echo"} < set(asked)
 
+    def test_the_committee_shares_one_view_tuple(self, monkeypatch):
+        comms = []
+        make_comm = ByzantineRenamingNode._make_comm
+
+        def recording(self, links, params):
+            made = make_comm(self, links, params)
+            if not self.byzantine:
+                comms.append(made)
+            return made
+
+        monkeypatch.setattr(ByzantineRenamingNode, "_make_comm", recording)
+        result = golden.CASES["byz-withholder-n48"]()
+        assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
+        # Checked in bounds and filed by `id` once a round, not 21 times.
+        assert len(comms) == 21
+        assert all(made.view is comms[0].view for made in comms)
+
+    def test_one_vote_is_built_and_sized_per_distinct_vote(self, monkeypatch):
+        built, sized, voted = [], [], set()
+        init, bit_size = SubVote.__init__, SubVote.bit_size
+        sends = comm.CommitteeComm.sends
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.step)
+
+        def counting_bit_size(self, cost):
+            sized.append(self.step)
+            return bit_size(self, cost)
+
+        def recording_sends(self, kind, value, width):
+            voted.add((self.step, kind, type(value), value))
+            return sends(self, kind, value, width)
+
+        monkeypatch.setattr(SubVote, "__init__", counting_init)
+        monkeypatch.setattr(SubVote, "bit_size", counting_bit_size)
+        monkeypatch.setattr(comm.CommitteeComm, "sends", recording_sends)
+        result = golden.CASES["byz-withholder-n48"]()
+        assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
+        # The committee is in lockstep: a step is a round.  Its first
+        # vote follows no read of the comm's, so each member builds its
+        # own; every later one is one object per distinct vote of its
+        # round (1,688 objects for 34,461 fan-outs).
+        distinct = Counter(step for step, *_ in voted)
+        bound = {step: 21 if step == 1 else count
+                 for step, count in distinct.items()}
+        for counted in (Counter(built), Counter(sized)):
+            assert all(counted[step] <= bound[step] for step in counted)
+        assert len(sized) == len(built)
+
     @pytest.mark.parametrize("protocol, answers", [
         ("crash-paper", {1}), ("crash-split", {2})])
     def test_round_three_counts_each_distinct_answer_once(
@@ -614,6 +674,10 @@ SHIPPED = {
     "votes": lambda: comm._collect(
         _envelopes(SubVote(1, "x", (3, 4), 8), SubVote(1, "x", 0, 8)),
         1, "x", frozenset({0, 1})),
+    # Link 2 (uid 102, a candidate) announces somebody else's identity.
+    "committee view": lambda: byzantine_renaming._committee_view(
+        _envelopes(Elect(100), Elect(101), Elect(100), Elect(103)),
+        frozenset({100, 101, 102, 103})),
 }
 
 
@@ -640,6 +704,8 @@ def test_the_shipped_values_are_what_the_protocols_read():
     assert (dict(winners), seen, free, fresh) == (
         {2: 7}, {1, 2, 4}, (3, 5), True)
     assert SHIPPED["votes"]() == {0: (3, 4), 1: 0}
+    view, links = SHIPPED["committee view"]()
+    assert view == {0: 100, 1: 101, 3: 103} and links == (0, 1, 3)
 
 
 def test_an_engine_inbox_is_a_lazy_inbox():
