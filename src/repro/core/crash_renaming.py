@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.core.intervals import Interval, reports_inside_bot, root_interval
-from repro.sim.columnar import derive, messages
+from repro.sim.columnar import derive, distinct
 from repro.sim.messages import (
     CostModel,
     Envelope,
@@ -334,17 +334,13 @@ class CrashRenamingNode(Process):
                     decisions = Scatter(
                         *derive(inbox, _committee_answers, self.p))
             inbox = yield decisions
-            # Who answered is never read, so no envelope is asked for.
-            # Members that shared a decision answer with the very same
-            # `Response`: it counts once (`_node_action` takes a min
-            # and a max, idempotent over repeats).
+            # Who answered is never read, and `_node_action` takes a min
+            # and a max, idempotent over repeats: each answer object is
+            # read once.  Members that shared a decision answer with the
+            # same `Response`, so that is one row per decision, not `k`.
             responses: list[Response] = []
             done = False
-            previous = None
-            for message in messages(inbox):
-                if message is previous:
-                    continue
-                previous = message
+            for message in distinct(inbox):
                 if isinstance(message, Response):
                     responses.append(message)
                 elif isinstance(message, Done):

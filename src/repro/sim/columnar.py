@@ -62,7 +62,12 @@ inbox builds nothing.
 **Reading without envelopes.**  A protocol that never looks at
 ``sender`` / ``sender_uid`` says so with :func:`messages`:
 ``messages(inbox)`` is the inbox's messages in delivery order, one
-tuple per view, and no envelope is built for it.
+tuple per view, and no envelope is built for it.  A rule that also
+ignores repeats (a min, a max, a flag) reads :func:`distinct`: the
+message *objects*, each once, in order of first occurrence; a repeat is
+the same object, never an equal one.  A scatter's block whose message
+tuple an earlier block of its group carried -- another member answering
+from the decision ``derive`` shared -- is not walked at all.
 
 **Reading once.**  A committee is a replicated object: every member
 that received the same rows takes the same decision from them.
@@ -101,11 +106,12 @@ crashes' rows, not one tabulation per recipient.  The contract is
   messages, and builds no envelope).
 
 On any other sequence -- a test's list, the per-envelope oracle's inbox
--- ``derive`` is a plain call, ``messages`` a plain comprehension and
-``tally`` the plain call over all the messages with nothing left to
-fold, which makes ``ReferenceNetwork`` the unshared oracle for
-everything read through them.  A program that calls none of them reads
-the ``Sequence[Envelope]`` it always has.
+-- ``derive`` is a plain call, ``messages`` a plain comprehension
+(``distinct`` its identity dedupe) and ``tally`` the plain call over
+all the messages with nothing left to fold, which makes
+``ReferenceNetwork`` the unshared oracle for everything read through
+them.  A program that calls none of them reads the
+``Sequence[Envelope]`` it always has.
 
 Charging is not done here: the network charges every resolved send
 while it fills the rows (one ``Metrics.record_sends`` per multicast,
@@ -173,8 +179,8 @@ class ColumnarRound:
     """
 
     __slots__ = ("round_no", "hdr", "msg", "env", "b_seq", "_groups",
-                 "_by_id", "_pinned", "_wanted", "_views", "_common",
-                 "_memo", "__weakref__")
+                 "_by_id", "_pinned", "_once", "_wanted", "_views",
+                 "_common", "_memo", "__weakref__")
 
     def __init__(self, round_no: int = 0):
         self.round_no = round_no
@@ -188,7 +194,10 @@ class ColumnarRound:
         #: (id(targets), stride) -> the same lists; `_pinned` keeps
         #: every such `targets` alive, and so its id its own.
         self._by_id: dict[tuple[int, int], list[int]] = {}
-        self._pinned: list[Sequence[int]] = []
+        self._pinned: list[Sequence] = []
+        #: id(a scatter group's list) -> {id(message tuple): its first
+        #: block}, the blocks `distinct` reads; `_pinned` holds the tuples.
+        self._once: dict[int, dict[int, int]] = {}
         self._wanted: frozenset[int] = frozenset()
         self._views: Optional[dict[int, _View]] = None
         self._common: Optional[_View] = None
@@ -213,8 +222,8 @@ class ColumnarRound:
         return len(self.env) - 1
 
     def _file(self, targets: Sequence[int], first: int,
-              stride: int = 0) -> None:
-        """File the block ``(targets, first, stride)`` under its group."""
+              stride: int = 0) -> list[int]:
+        """File the block ``(targets, first, stride)``; returns its group."""
         key = (id(targets), stride)
         firsts = self._by_id.get(key)
         if firsts is None:
@@ -222,6 +231,7 @@ class ColumnarRound:
             firsts = self._by_id[key] = self._groups.setdefault(
                 (tuple(targets), stride), [])
         firsts.append(first)
+        return firsts
 
     def add_broadcast(self, row) -> None:
         """One whole-network fan-out: a single row, no block."""
@@ -239,7 +249,9 @@ class ColumnarRound:
         self.hdr.extend([header] * len(messages))
         self.msg.extend(messages)
         self.env.extend([None] * len(messages))
-        self._file(links, first, 1)
+        once = self._once.setdefault(id(self._file(links, first, 1)), {})
+        once.setdefault(id(messages), first)
+        self._pinned.append(messages)
 
     def attach(self, alive: Iterable[int]) -> None:
         """Freeze the alive set: the links whose :class:`LazyInbox`
@@ -361,6 +373,19 @@ class ColumnarRound:
                 [msg[row] for row in self._rows_of(view)])
         return messages
 
+    def once(self, view: _View) -> list[Message]:
+        """The view's messages in send order, less the scatter blocks
+        that repeat an earlier block's message tuple."""
+        once = self._once
+        rows = [*self.b_seq]
+        for firsts, offset in view.blocks:
+            kept = once.get(id(firsts))
+            rows += [first + offset
+                     for first in (firsts if kept is None else kept.values())]
+        rows.sort()
+        msg = self.msg
+        return [msg[row] for row in rows]
+
 
 class LazyInbox(Sequence):
     """A recipient's inbox: its view, resolved on first read.
@@ -468,3 +493,15 @@ def messages(inbox: Sequence[Envelope]) -> tuple[Message, ...]:
     if type(inbox) is not LazyInbox:
         return tuple([envelope.message for envelope in inbox])
     return inbox._column.messages(inbox._resolve())
+
+
+def distinct(inbox: Sequence[Envelope]) -> tuple[Message, ...]:
+    """The inbox's message objects, each once (by identity, never by
+    equality), in order of first occurrence: for a rule that ignores
+    repeats.  A reporter answered by ``k`` members from one decision
+    reads one row, not ``k``.  See the module docstring."""
+    if type(inbox) is LazyInbox:
+        read = inbox._column.once(inbox._resolve())
+    else:
+        read = messages(inbox)
+    return tuple({id(message): message for message in read}.values())

@@ -182,7 +182,8 @@ class Envelope(NamedTuple):
     claimed_sender: Optional[int] = None
 
 
-class Fanout(Sequence):
+@Sequence.register
+class Fanout:
     """One sender's lazily materialized ``Send`` list, one per target.
 
     The engine recognizes the type and handles the whole fan-out in one
@@ -196,10 +197,16 @@ class Fanout(Sequence):
     so repeated access must yield the *same* ``Send`` instances.  A
     subclass says what it denotes (``_expand``) and what is left of it
     when a crash cuts it mid-send (``kept``: the same shape over the
-    named positions, no ``Send`` built).
+    named positions, no ``Send`` built).  It is a ``Sequence`` by
+    registration, its mixins borrowed: the engine tests every proposal's
+    type, and a plain class skips ``ABCMeta``'s check.
     """
 
     __slots__ = ("targets", "_sends")
+    __contains__ = Sequence.__contains__
+    __reversed__ = Sequence.__reversed__
+    index = Sequence.index
+    count = Sequence.count
 
     def __init__(self, targets):
         self.targets = targets if type(targets) is range else tuple(targets)

@@ -21,8 +21,13 @@ becomes an ``Envelope`` the first time somebody reads it, and
 - (c) ``id`` keys are safe: the column pins what it has keyed;
 - (d) ``messages`` on a plain sequence is the plain comprehension;
 - (e) round 3 of crash renaming, driven by hand: the pass over
-  ``messages(inbox)`` skips a repeat by identity only, and honours
-  ``Done`` only for a node that holds its name.
+  ``distinct(inbox)`` skips a repeat by identity only, and honours
+  ``Done`` only for a node that holds its name;
+- (f) ``distinct`` on random columns -- broadcast rows, runs, scatters
+  sharing message tuples or not, links listed twice, held rows, one
+  message object in several groups -- is the identity dedupe of what
+  the recipient reads, and it reads one row per decision of the paper
+  run.
 
 CI runs this file under two ``PYTHONHASHSEED`` values.
 """
@@ -34,6 +39,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.crash_renaming as crash
 from repro.adversary.crash import (
     CommitteeHunter,
     MidSendPartitioner,
@@ -49,7 +55,7 @@ from repro.core.intervals import Interval
 from repro.crypto.auth import Authenticator
 from repro.faults import build_fault_model
 from repro.faults.base import FaultModel, hold
-from repro.sim.columnar import ColumnarRound, LazyInbox, messages
+from repro.sim.columnar import ColumnarRound, LazyInbox, distinct, messages
 from repro.sim.messages import (
     CostModel,
     Envelope,
@@ -553,8 +559,10 @@ class TestRoundThreeByHand:
         assert equal == answer and equal is not answer
         program.send(_answers(answer, answer, equal, equal, other, answer))
         assert len(heard) == 1
+        # Every repeat, not only a consecutive one; `equal` is another
+        # object, so it is read.
         assert [id(response) for response in heard[0]] == [
-            id(answer), id(equal), id(other), id(answer)]
+            id(answer), id(equal), id(other)]
         assert (node.interval, node.depth, node.p) == (Interval(1, 2), 1, 2)
 
     def test_done_is_not_for_a_node_without_its_name(self):
@@ -574,3 +582,141 @@ class TestRoundThreeByHand:
         with pytest.raises(StopIteration) as stop:
             program.send(_answers(Done()))
         assert stop.value.value == 2 and len(heard) == 1
+
+
+# ---------------------------------------------------------------------------
+# (f) distinct()
+
+
+def _dedupe(read):
+    """The oracle: each object once, where it first occurs."""
+    seen, kept = set(), []
+    for message in read:
+        if id(message) not in seen:
+            seen.add(id(message))
+            kept.append(message)
+    return kept
+
+
+#: One filing of a synthetic column: (kind, pool slot, which tuple,
+#: letter, targets of a run).
+FILINGS = ("broadcast", "run", "held", "shared", "copied", "own")
+
+
+@st.composite
+def filled_columns(draw):
+    n = draw(st.integers(1, 6))
+    link = st.integers(0, n - 1)
+    # A few message objects, drawn again and again: one object lands in
+    # broadcast rows, runs and scatters alike.
+    letters = [Letter(value) for value in range(draw(st.integers(1, 4)))]
+    letter = st.sampled_from(letters)
+    # Two target tuples, links may repeat, each with two message tuples
+    # that several scatters may answer from.
+    pool = [tuple(draw(st.lists(link, min_size=1, max_size=n + 2)))
+            for _ in range(2)]
+    answers = [[tuple(draw(st.lists(letter, min_size=len(targets),
+                                    max_size=len(targets))))
+                for _ in range(2)] for targets in pool]
+    filings = draw(st.lists(st.tuples(
+        st.sampled_from(FILINGS), st.integers(0, 1), st.integers(0, 1),
+        letter, st.lists(link, max_size=n + 1)), max_size=12))
+    attached = draw(st.sets(link, min_size=1))
+    return pool, answers, filings, attached
+
+
+def _fill(pool, answers, filings):
+    column = ColumnarRound(2)
+    for sender, (kind, slot, which, letter, targets) in enumerate(filings):
+        header = (sender, 100 + sender, None)
+        links = pool[slot] if which else list(pool[slot])
+        if kind == "broadcast":
+            column.add_broadcast((header, letter))
+        elif kind == "run":
+            column.add_run((header, letter), tuple(targets))
+        elif kind == "held":  # stamped in the round it was held
+            column.add_run(Envelope(sender, 1, letter, 100 + sender),
+                           tuple(targets))
+        elif kind == "shared":  # one decision, the very same tuple
+            column.add_scatter(header, answers[slot][which], links)
+        elif kind == "copied":  # the same objects, a tuple of its own
+            column.add_scatter(header, tuple(list(answers[slot][which])),
+                               links)
+        else:  # answers nobody else sends
+            column.add_scatter(header, tuple(
+                Letter(10 + at) for at in range(len(links))), links)
+    return column
+
+
+def _ids(read):
+    return [id(message) for message in read]
+
+
+class TestDistinct:
+    @settings(max_examples=400, deadline=None)
+    @given(filled_columns())
+    def test_it_is_the_identity_dedupe_of_what_the_recipient_reads(
+            self, scenario):
+        pool, answers, filings, attached = scenario
+        column = _fill(pool, answers, filings)
+        column.attach(attached)
+        for recipient in sorted(attached):
+            # First, before anything of the view is built.
+            once = distinct(LazyInbox(column, recipient))
+            assert type(once) is tuple
+            inbox = LazyInbox(column, recipient)
+            envelopes = list(inbox)
+            assert _ids(once) == _ids(_dedupe(messages(inbox))) == _ids(
+                _dedupe([envelope.message for envelope in envelopes]))
+            # The oracle's inbox is a plain sequence of the same rows.
+            assert _ids(distinct(envelopes)) == _ids(once)
+            assert distinct(LazyInbox(column, recipient)) == once
+
+    def test_a_decision_is_read_once_however_many_members_send_it(self):
+        links = (0, 1, 1, 2)  # link 1 is listed twice
+        decision = (Letter(1), Letter(2), Letter(3), Letter(4))
+        other = (decision[1], Letter(5), Letter(5), Letter(6))
+        column = ColumnarRound(3)
+        column.add_run(Envelope(9, 2, decision[2], 109), (1,))
+        for member in range(3):
+            column.add_scatter((member, 100 + member, None), decision, links)
+        column.add_scatter((3, 103, None), other, list(links))
+        column.add_scatter((4, 104, None), decision, links)
+        column.add_broadcast(((5, 105, None), decision[1]))
+        column.attach(range(4))
+        inbox = LazyInbox(column, 1)
+        assert len(messages(inbox)) == 1 + 2 * 5 + 1
+        # The held row, then both listings of two distinct tuples, then
+        # the broadcast row: the other three blocks repeat a tuple.
+        assert len(column.once(inbox._resolve())) == 1 + 2 * 2 + 1
+        # Two equal letters that are two objects are both read.
+        assert _ids(distinct(inbox)) == _ids(
+            [decision[2], decision[1], other[1], other[2]])
+        assert _ids(distinct(LazyInbox(column, 0))) == _ids(
+            [decision[0], decision[1]])
+        assert _ids(distinct(LazyInbox(column, 3))) == _ids([decision[1]])
+
+    def test_the_paper_run_reads_one_answer_per_node_and_phase(
+            self, monkeypatch):
+        lengths, rows = [], []
+        read, once = crash.distinct, ColumnarRound.once
+
+        def counting_distinct(inbox):
+            answers = read(inbox)
+            lengths.append(len(answers))
+            return answers
+
+        def counting_once(self, view):
+            walked = once(self, view)
+            rows.append(len(walked))
+            return walked
+
+        monkeypatch.setattr(crash, "distinct", counting_distinct)
+        monkeypatch.setattr(ColumnarRound, "once", counting_once)
+        result = golden.CASES["crash-paper-n96"]()
+        assert golden.digest(result) == golden.GOLDEN["crash-paper-n96"]
+        # 193,536 answers sent, each node reading all 96 of a phase's
+        # at the parent; one decision per phase, read once.
+        assert result.metrics.sends_by_type["Response"] == 193_536
+        assert len(lengths) == 96 * 21
+        assert sum(lengths) == sum(rows) == 2_016

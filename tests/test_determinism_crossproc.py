@@ -75,31 +75,39 @@ report("byzantine", run_byzantine_renaming(
 #: (plain ints), so the digest must not move with the process hash seed.
 #: The withholder run (the ``byz-withholder-n24`` golden inputs) takes
 #: the committee's split path, 21 splits deep, whose shared reads and
-#: votes are memoised under keys holding ``kind`` strings.
+#: votes are memoised under keys holding ``kind`` strings.  The
+#: sparse-committee hunter run re-elects under crashes, and its nodes
+#: read the committee's answers through ``distinct``, whose dedupe is
+#: keyed by ``id()``: neither an address nor a set order may reach it.
 COLUMNAR_SCRIPT = """
 import hashlib
 import json
 from random import Random
 
 from repro.adversary.byzantine import corrupt_set, make_withholder
-from repro.adversary.crash import ScheduledCrash
+from repro.adversary.crash import CommitteeHunter, ScheduledCrash
 from repro.analysis.experiments import (
     byzantine_config_for, default_namespace, sample_uids)
 from repro.baselines.balls_into_slots import run_balls_into_slots
 from repro.baselines.collect_rank import run_collect_rank
 from repro.baselines.obg_halving import run_obg_halving
 from repro.core.byzantine_renaming import run_byzantine_renaming
-from repro.core.crash_renaming import run_crash_renaming
+from repro.core.crash_renaming import CrashRenamingConfig, run_crash_renaming
 
 UIDS = [3, 11, 5, 8, 2, 13, 7, 1]
 NAMESPACE = default_namespace(24)
 POPULATION = sample_uids(24, NAMESPACE, Random(0))
 WITHHOLDERS = corrupt_set(POPULATION, 2, Random(1))
+HUNTED = sample_uids(64, default_namespace(64), Random(0))
 
 rows = []
 for name, result in [
     ("crash", run_crash_renaming(
         UIDS, seed=1, adversary=ScheduledCrash({2: [1]}))),
+    ("crash-hunter", run_crash_renaming(
+        HUNTED, namespace=default_namespace(64),
+        config=CrashRenamingConfig(election_constant=2.0),
+        adversary=CommitteeHunter(8, Random(1)), seed=2)),
     ("obg", run_obg_halving(UIDS, seed=1)),
     ("balls", run_balls_into_slots(UIDS, seed=1)),
     ("gossip", run_collect_rank(UIDS, seed=1)),

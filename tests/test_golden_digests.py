@@ -25,6 +25,14 @@ sampled-committee ``byz-withholder-n64-f3``) were recorded on the commit
 each round's ``SubVote`` (the view and the vote read through ``derive``)
 and held across it without re-recording.
 
+The crash runs whose round-3 inboxes are unusual (``crash-corrupt-*``:
+bit-flipped answers, objects of their own; ``crash-partition-*``: held
+answers released as stamped rows beside a later round's;
+``crash-partitioner-*``: a member's kept half of its answers filed as a
+group of its own) were recorded on the commit *before* round 3 read each
+distinct answer once (``repro.sim.columnar.distinct``) and held across it
+without re-recording.
+
 A digest that moves means two different programs are being compared.
 Only a deliberate accounting change may re-record the table:
 
@@ -48,7 +56,11 @@ from random import Random
 import pytest
 
 from repro.adversary import byzantine as byzantine_strategies
-from repro.adversary.crash import CommitteeHunter, ScheduledCrash
+from repro.adversary.crash import (
+    CommitteeHunter,
+    MidSendPartitioner,
+    ScheduledCrash,
+)
 from repro.analysis.experiments import (
     byzantine_config_for,
     default_namespace,
@@ -149,6 +161,20 @@ CASES = {
         16, 3, adversary=ScheduledCrash({6: [3]}, deliver_prefix={3: 5})),
     "crash-duplicate20-n16": lambda: crash_case(
         16, 4, faults=[{"kind": "duplicate", "p": 0.20}]),
+    # Bit-flipped answers (rounds 3, 6, 15, 21, 36) are objects of their
+    # own.  The rate is one a run survives: from p = 0.01 up, a flipped
+    # interval ends every seed tried in a `RenamingFailure`.
+    "crash-corrupt-n16": lambda: crash_case(
+        16, 39, faults=[{"kind": "corrupt", "p": 0.005}]),
+    # Round 3's answers across the cut are held and come back as rows,
+    # stamped in round 3, beside round 6's own answers.
+    "crash-partition-n16": lambda: crash_case(
+        16, 6, faults=[{"kind": "partition", "start": 3, "end": 6}]),
+    # A member cut mid-answer per round: its kept half is a group of its
+    # own, carrying the same `Response` objects as the whole answers.
+    "crash-partitioner-n64": lambda: crash_case(
+        64, 7, config=CrashRenamingConfig(election_constant=2.0),
+        adversary=MidSendPartitioner(8, Random(8))),
     **{
         f"byz-{name}-n{n}":
             lambda n=n, factory=factory: byzantine_case(n, 2, 0, factory)
@@ -202,6 +228,13 @@ GOLDEN = {
         "ab29d36ea8c973c6b0405b0875c3699416b8c1ea490ca1c2fd182f9f162a0c8e",
     "crash-duplicate20-n16":
         "989dfbd4488910fd723b6efc2041997a63ce697ec26df67879f2b0a801197324",
+    # Recorded at afba20b, before round 3 read through `distinct`.
+    "crash-corrupt-n16":
+        "181b8f17eeba641bbe90c601ed8671467e07460c9fba39c9abd03e232d3e8dff",
+    "crash-partition-n16":
+        "0d6d3e1f2a8dbe4fa4ef334675b3fe7fa4d4c6d181a15a9f5c3a094a9b754bdf",
+    "crash-partitioner-n64":
+        "6a21c744bfcdf73f4056cdd842066f00658d1e5b18d53a6128643926267412c8",
     "byz-withholder-n24":
         "2244dca22f299071b5e4aa3e9763fff774b1a11013131ce5b79c708db2d10215",
     "byz-withholder-n48":

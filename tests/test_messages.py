@@ -1,14 +1,20 @@
 """Tests for the message model and bit-cost accounting."""
 
+from collections.abc import Sequence
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.byzantine_renaming import Elect, IdAnnounce, NewId
-from repro.core.crash_renaming import CommitteeNotice, Response, Status
+from repro.core.crash_renaming import CommitteeNotice, Done, Response, Status
 from repro.core.intervals import Interval
 from repro.sim.messages import (
     HEADER_BITS,
+    Broadcast,
     CostModel,
+    Fanout,
+    Multicast,
+    Scatter,
     Send,
     bit_length_of_domain,
     broadcast,
@@ -139,3 +145,30 @@ class TestSends:
 
     def test_claim_defaults_to_none(self):
         assert Send(to=0, message=CommitteeNotice()).claim is None
+
+
+class TestFanoutIsASequence:
+    """``Fanout`` is registered with ``Sequence``, not derived from it, so
+    the engine's ``isinstance`` checks on it are plain class checks."""
+
+    def test_fanout_is_a_plain_class(self):
+        assert type(Fanout) is type
+        for shape in (Multicast, Broadcast, Scatter):
+            assert type(shape) is type
+
+    @pytest.mark.parametrize("make", [
+        lambda: Broadcast(3, CommitteeNotice()),
+        lambda: Multicast((2, 0, 2), CommitteeNotice()),
+        lambda: Scatter((1, 2, 0), (Done(), CommitteeNotice(), Done())),
+    ], ids=["broadcast", "multicast", "scatter"])
+    def test_every_shape_still_behaves_as_its_send_list(self, make):
+        fanout = make()
+        sends = list(fanout)
+        assert isinstance(fanout, Sequence)
+        assert len(fanout) == len(sends) == 3
+        assert [fanout[at] for at in range(3)] == sends
+        assert fanout[-1] is sends[-1] and fanout[1:] == sends[1:]
+        assert sends[1] in fanout and Send(9, Done()) not in fanout
+        assert list(reversed(fanout)) == sends[::-1]
+        assert fanout.index(sends[1]) == 1
+        assert fanout.count(sends[0]) == sends.count(sends[0])

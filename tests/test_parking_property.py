@@ -503,13 +503,40 @@ def test_a_crash_simulator_without_a_seat_is_not_resumed(monkeypatch):
     assert result.rounds == 46
 
 
+class Tracked(Multicast):
+    """``Multicast`` has slots; a weak reference needs one more."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_a_multicast_subclass_takes_the_multicast_path():
+    """``Fanout`` is a plain class registered as a ``Sequence``: the
+    engine's type checks still see a subclass of ``Multicast`` as one,
+    so its fan-out is bounds-checked and charged whole, filed as one
+    row, and never expanded into ``Send``s (the ``Send``-list path
+    would iterate it)."""
+    sent = []
+
+    class Talker(Process):
+        def program(self, ctx):
+            for round_no in range(3):
+                sends = Tracked((0, 1, 1), Note(round_no))
+                sent.append(sends)
+                inbox = yield sends
+                # Link 1 is named twice by both talkers.
+                assert [note.value for note in messages(inbox)] == (
+                    [round_no] * 2 * (1 + ctx.index))
+            return self.uid
+
+    network = SyncNetwork([Talker(1), Talker(2)], CostModel(n=2, namespace=8))
+    network.run()
+    assert network.metrics.total_messages == 3 * 2 * 3
+    assert len(sent) == 6
+    assert all(sends._sends is None for sends in sent)
+
+
 def test_a_crashed_senders_last_fanout_is_freed_with_its_crash_round():
     fanouts = []
-
-    class Tracked(Multicast):
-        """``Multicast`` has slots; a weak reference needs one more."""
-
-        __slots__ = ("__weakref__",)
 
     def fanout(ctx):
         sends = Tracked((0, 1), Note(ctx.current_round))
