@@ -51,8 +51,8 @@ def crash(n: int, f: int, seed: int = 1, **params) -> RunRequest:
 def withheld(n: int, f: int, seed: int, **params) -> RunRequest:
     """The Byzantine algorithm against ``f`` identity withholders, with
     the small-n settings of F5/F9 (tolerate 4, 8 coin iterations)."""
-    return RunRequest.make("byzantine", n, f, seed, strategy="withholder",
-                           f_assumed=4, consensus_iterations=8, **params)
+    return RunRequest.make("byzantine", n, f, seed, f_assumed=4,
+                           consensus_iterations=8, **params)
 
 
 def slope(table: Table, column: str) -> float:
@@ -455,10 +455,10 @@ class F8(Figure):
     points = (0, 16, 48, 96, 120)
 
     def runs(self, budget):
-        return {"run": RunRequest.make("reelection", self.n, budget, 5)}
+        return {"run": crash(self.n, budget, 5)}
 
     def row(self, budget, run):
-        return {**run, "budget": budget}
+        return {**run, "budget": budget, "crashed": run["f_actual"]}
 
     def shape(self, rows):
         assert all(row["unique"] for row in rows)
@@ -567,7 +567,8 @@ class F10(Figure):
 
     def row(self, use_fingerprints):
         # `use_fingerprints` is a config field no driver takes, so the
-        # pair runs here, on the seeds (21..24) of the committed table.
+        # pair runs here, on the seeds (21..24) of the committed table
+        # and its withholder salt 0 (the family would salt by seed).
         uids, namespace = experiments.population(self.n, 21)
         corrupt = byzantine_strategies.corrupt_set(uids, 1, Random(22))
         config = replace(

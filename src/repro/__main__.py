@@ -89,26 +89,15 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
-def cmd_crash(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import crash_run_summary
+def cmd_family(args: argparse.Namespace) -> int:
+    """``crash`` / ``byzantine``: the family's summary row, with the
+    flags it takes as params."""
+    from repro.analysis.experiments import FAMILIES, summary
 
-    row = crash_run_summary(
-        args.n, args.f, args.seed,
-        adversary=args.adversary if args.f else None,
-    )
-    _print_rows([row])
-    return 0 if row["unique"] and row["strong"] else 1
-
-
-def cmd_byzantine(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import byzantine_run_summary
-
-    row = byzantine_run_summary(
-        args.n, args.f, args.seed,
-        strategy=args.strategy,
-        f_assumed=max(args.f, 1),
-        consensus_iterations=args.consensus_iterations,
-    )
+    params = {key: value for key, value in vars(args).items()
+              if key in FAMILIES[args.command].params}
+    row = summary(args.command, args.n, args.f, args.seed,
+                  adversary=args.adversary, **params)
     _print_rows([row])
     ok = row["unique"] and row["strong"] and row["order_preserving"]
     return 0 if ok else 1
@@ -700,7 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
     crash.add_argument("--adversary", choices=["hunter", "random"],
                        default="hunter")
     crash.add_argument("--seed", type=int, default=1)
-    crash.set_defaults(func=cmd_crash)
+    crash.set_defaults(func=cmd_family)
+
+    from repro.analysis.experiments import BYZANTINE_STRATEGIES
 
     byzantine = sub.add_parser(
         "byzantine", help="run the Byzantine-resilient algorithm"
@@ -708,14 +699,12 @@ def build_parser() -> argparse.ArgumentParser:
     byzantine.add_argument("--n", type=int, default=16)
     byzantine.add_argument("--f", type=int, default=0,
                            help="number of corrupted nodes")
-    byzantine.add_argument(
-        "--strategy",
-        choices=["withholder", "equivocator", "silent", "crash-sim"],
-        default="withholder",
-    )
+    byzantine.add_argument("--strategy", dest="adversary",
+                           choices=list(BYZANTINE_STRATEGIES),
+                           default="withholder")
     byzantine.add_argument("--consensus-iterations", type=int, default=8)
     byzantine.add_argument("--seed", type=int, default=1)
-    byzantine.set_defaults(func=cmd_byzantine)
+    byzantine.set_defaults(func=cmd_family)
 
     table1 = sub.add_parser("table1", help="regenerate Table 1 at one (n, f)")
     table1.add_argument("--n", type=int, default=32)

@@ -4,8 +4,10 @@
   theorem bound, plus log-log slope fitting to compare measured scaling
   against the claimed exponents.
 * :mod:`repro.analysis.stats` -- seed-replicated summary statistics.
-* :mod:`repro.analysis.experiments` -- the sweep drivers behind the
-  figures of EXPERIMENTS.md (T1, F1-F13; ``benchmarks/figures.py``).
+* :mod:`repro.analysis.experiments` -- the protocol families
+  (``FAMILIES``: both of the paper's algorithms, their ablations and
+  the baselines) and ``summary``, the one driver behind the figures of
+  EXPERIMENTS.md (T1, F1-F13; ``benchmarks/figures.py``).
 """
 
 from repro.analysis.complexity import (
@@ -18,16 +20,17 @@ from repro.analysis.complexity import (
     obg_message_envelope,
 )
 from repro.analysis.experiments import (
-    byzantine_run_summary,
+    FAMILIES,
     crash_run_summary,
+    summary,
     table1_rows,
 )
 from repro.analysis.stats import replicate, summarize
 
 __all__ = [
+    "FAMILIES",
     "byzantine_message_envelope",
     "byzantine_round_envelope",
-    "byzantine_run_summary",
     "crash_message_envelope",
     "crash_round_bound",
     "crash_run_summary",
@@ -36,5 +39,6 @@ __all__ = [
     "obg_message_envelope",
     "replicate",
     "summarize",
+    "summary",
     "table1_rows",
 ]

@@ -4,15 +4,17 @@ Every driver returns plain dict rows so benchmarks, tests, and the
 bench report printer all consume the same data.  Namespaces default to
 ``5 n^2`` (the regime of Theorem 1.4) and original identities are
 sampled uniformly from the namespace, seeded, so runs replay exactly.
-The crash-model families are a table (:data:`FAMILIES`) run one way
-(:func:`execute`): what populates, attacks and seeds one of them does
-so for all, which is what makes their rows a comparison.
+The protocol families -- both of the paper's algorithms, their
+ablations and the prior-work baselines -- are a table
+(:data:`FAMILIES`) run one way (:func:`execute`): what populates,
+attacks and seeds one of them does so for all, which is what makes
+their rows a comparison.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from random import Random
 from typing import Callable, Mapping, Optional
@@ -28,6 +30,7 @@ from repro.baselines.balls_into_slots import run_balls_into_slots
 from repro.baselines.collect_rank import run_collect_rank
 from repro.baselines.obg_halving import run_obg_halving
 from repro.core.byzantine_renaming import (
+    ByzantineFactory,
     ByzantineRenamingConfig,
     run_byzantine_renaming,
 )
@@ -58,19 +61,6 @@ def sample_uids(n: int, namespace: int, rng: Random) -> list[int]:
     return sorted(rng.sample(range(1, namespace + 1), n))
 
 
-def attach_ledgers(row: dict, result: ExecutionResult,
-                   include_rounds: bool) -> dict:
-    """Append the per-round message/bit ledgers to a summary row.
-
-    The engine (:mod:`repro.engine`) pops these into its ``ledgers``
-    table; appended last so table columns stay scalar and stable.
-    """
-    if include_rounds:
-        row["messages_per_round"] = list(result.metrics.messages_per_round)
-        row["bits_per_round"] = list(result.metrics.bits_per_round)
-    return row
-
-
 def check_renaming(
     result: ExecutionResult, n: int, *, order_preserving: bool = False
 ) -> dict[str, bool]:
@@ -89,7 +79,7 @@ def check_renaming(
 
 
 # ---------------------------------------------------------------------------
-# The protocol families of the crash model and the one way to run them
+# The protocol families and the one way to run them
 
 
 def make_crash_adversary(
@@ -113,6 +103,35 @@ def make_crash_adversary(
     )
 
 
+def crash_attack(kind: Optional[str], uids: list[int], f: int,
+                 seed: int) -> Optional[CrashAdversary]:
+    """A crash-model run's adversary: ``kind``'s, budget ``f``, on
+    ``Random(seed + 1)``."""
+    return make_crash_adversary(kind, f, Random(seed + 1))
+
+
+#: The Byzantine strategies by kind, each built from the run's seed.
+BYZANTINE_STRATEGIES: dict[str, Callable[[int], ByzantineFactory]] = {
+    "withholder": lambda seed: byzantine_strategies.make_withholder(
+        0.5, salt=seed),
+    "equivocator": lambda seed: byzantine_strategies.make_equivocator(),
+    "silent": lambda seed: byzantine_strategies.silent,
+    "crash-sim": lambda seed: byzantine_strategies.crash_simulator,
+}
+
+
+def byzantine_attack(kind: Optional[str], uids: list[int], f: int,
+                     seed: int) -> Optional[dict[int, ByzantineFactory]]:
+    """A Byzantine run's corrupt identities, each running strategy
+    ``kind``: Carlo picks ``f`` of them on ``Random(seed + 1)``, before
+    any shared randomness exists."""
+    if kind in (None, "none"):
+        return None
+    strategy = BYZANTINE_STRATEGIES[kind](seed)
+    corrupt = byzantine_strategies.corrupt_set(uids, f, Random(seed + 1))
+    return {uid: strategy for uid in corrupt}
+
+
 @dataclass(frozen=True)
 class Family:
     """A named protocol family: what Table 1, the sweeps and the
@@ -123,20 +142,82 @@ class Family:
     run: Callable[..., ExecutionResult]
     #: The ``algorithm`` column of its rows (Table 1's label).
     label: str
-    #: Crash-adversary kind of its sweep rows unless a request names one.
+    #: Adversary kind of its sweep rows unless a request names one.
     adversary: Optional[str] = "random"
     order_preserving: bool = False
     #: Driver params it takes; handed to ``run`` as keywords, or to
-    #: ``config`` when the entry point takes a config object instead.
+    #: ``config(n, f, **params)`` when the entry point takes a config
+    #: object instead.
     params: tuple[str, ...] = ()
     config: Optional[Callable[..., object]] = None
+    #: ``attack(kind, uids, f, seed)``: what ``run`` gets for a kind.
+    attack: Callable[..., object] = crash_attack
+    #: The family's own counters, read off a result into its rows.
+    columns: Callable[[ExecutionResult], dict] = lambda result: {}
 
 
-def _crash_config(election_constant: float = EXPERIMENT_ELECTION_CONSTANT,
+def _crash_config(n: int, f: int,
+                  election_constant: float = EXPERIMENT_ELECTION_CONSTANT,
                   early_stopping: bool = False) -> CrashRenamingConfig:
     return CrashRenamingConfig(election_constant=election_constant,
                                early_stopping=early_stopping)
 
+
+def _reelection_columns(result: ExecutionResult) -> dict:
+    """How far re-election climbed (Lemmas 2.4-2.7): the survivors'
+    largest ``p`` and its spread, and how many nodes were ever elected."""
+    p = [node.final_p for index, node in enumerate(result.processes)
+         if index not in result.crashed] or [0]
+    return {"max_p": max(p), "p_spread": max(p) - min(p),
+            "ever_elected": sum(node.ever_elected
+                                for node in result.processes)}
+
+
+def byzantine_config_for(n: int, f_assumed: int, *,
+                         full_committee: bool = False,
+                         consensus_iterations: int = 10
+                         ) -> ByzantineRenamingConfig:
+    """Experiment configuration: sampled committee unless forced full."""
+    p0 = (1.0 if full_committee
+          else min(1.0, BYZ_POOL_FACTOR * max(1.0, math.log2(n)) / n))
+    return ByzantineRenamingConfig(
+        max_byzantine=f_assumed,
+        candidate_probability=p0,
+        consensus_iterations=consensus_iterations,
+    )
+
+
+def _byzantine_config(n: int, f: int, f_assumed: Optional[int] = None,
+                      **options) -> ByzantineRenamingConfig:
+    """Provisioned for ``f_assumed`` corruptions, by default ``max(f, 1)``."""
+    return byzantine_config_for(
+        n, max(f, 1) if f_assumed is None else f_assumed, **options)
+
+
+def _run_byzantine(uids, *, adversary=None, seed: int = 0,
+                   **keywords) -> ExecutionResult:
+    """The Byzantine algorithm on a family's keywords: its adversary is
+    the corrupt set, and ``execute``'s ``seed + 2`` becomes shared
+    randomness ``seed + 3`` and network ``seed + 4``."""
+    return run_byzantine_renaming(uids, byzantine=adversary,
+                                  shared_seed=seed + 1, seed=seed + 2,
+                                  **keywords)
+
+
+def _split_columns(result: ExecutionResult) -> dict:
+    """The divide-and-conquer work (Lemma 3.10): the most segments an
+    honest committee member split."""
+    return {"segments_split": max([
+        node.segments_split for node in result.processes
+        if getattr(node, "was_committee", False) and not node.byzantine
+    ] or [0])}
+
+
+BYZANTINE = Family(
+    "byzantine", _run_byzantine, "byzantine-renaming (this work)",
+    adversary="withholder", order_preserving=True,
+    params=("f_assumed", "consensus_iterations"), config=_byzantine_config,
+    attack=byzantine_attack, columns=_split_columns)
 
 #: The families, in Table 1's row order.  Adding one is an entry here
 #: plus its ``run_*``: the driver registry, ``table1_requests``, the
@@ -145,12 +226,16 @@ FAMILIES: dict[str, Family] = {family.name: family for family in (
     Family("crash", run_crash_renaming, "crash-renaming (this work)",
            adversary="hunter",
            params=("election_constant", "early_stopping"),
-           config=_crash_config),
+           config=_crash_config, columns=_reelection_columns),
     Family("obg", run_obg_halving, "all-to-all halving [34]-style"),
     Family("balls", run_balls_into_slots, "balls-into-slots [3]-style",
            params=("slots",)),
     Family("gossip", run_collect_rank, "full-information gossip [20]-style",
            order_preserving=True, params=("assumed_faults",)),
+    BYZANTINE,
+    replace(BYZANTINE, name="byzantine-full",
+            label="byzantine-renaming, full committee",
+            config=partial(_byzantine_config, full_committee=True)),
 )}
 
 
@@ -168,7 +253,7 @@ def execute(
     f: int,
     seed: int,
     *,
-    adversary: CrashAdversary | str | None = None,
+    adversary: object = None,
     params: Optional[Mapping[str, object]] = None,
     namespace: Optional[int] = None,
     **network: object,
@@ -176,18 +261,19 @@ def execute(
     """Run ``family`` at ``(n, f, seed)``: the one seeding rule.
 
     Identities come from ``Random(seed)``, an adversary given by kind
-    runs on ``Random(seed + 1)`` with budget ``f``, the network is
-    seeded ``seed + 2``.  ``params`` may hold more than the family
-    takes (a campaign's params reach every scenario); ``network`` is
-    handed to the entry point, and through it to ``run_network``.
+    is the family's ``attack`` (budget ``f``, drawn on
+    ``Random(seed + 1)``), the network is seeded ``seed + 2``.
+    ``params`` may hold more than the family takes (a campaign's params
+    reach every scenario); ``network`` is handed to the entry point,
+    and through it to ``run_network``.
     """
     uids, namespace = population(n, seed, namespace)
     if isinstance(adversary, str):
-        adversary = make_crash_adversary(adversary, f, Random(seed + 1))
+        adversary = family.attack(adversary, uids, f, seed)
     params = params or {}
     keywords = {key: params[key] for key in family.params if key in params}
     if family.config is not None:
-        keywords = {"config": family.config(**keywords)}
+        keywords = {"config": family.config(n, f, **keywords)}
     return family.run(uids, namespace=namespace, adversary=adversary,
                       seed=seed + 2, **keywords, **network)
 
@@ -207,17 +293,24 @@ def summary(name: str, n: int, f: int, seed: int, *,
         raise TypeError(f"{name} driver got unexpected params {unknown}")
     result = execute(family, n, f, seed, adversary=adversary, params=params,
                      namespace=namespace)
-    return attach_ledgers({
+    row = {
         "algorithm": family.label,
         "n": n,
         "f_budget": f,
-        "f_actual": len(result.crashed),
+        "f_actual": len(result.crashed | result.byzantine),
         "rounds": result.rounds,
         "messages": result.metrics.correct_messages,
         "bits": result.metrics.correct_bits,
         "max_message_bits": result.metrics.max_message_bits,
+        **family.columns(result),
         **check_renaming(result, n, order_preserving=family.order_preserving),
-    }, result, include_rounds)
+    }
+    if include_rounds:
+        # Last, so that the columns stay scalar: the engine pops these
+        # per-round ledgers into its ``ledgers`` table.
+        row["messages_per_round"] = list(result.metrics.messages_per_round)
+        row["bits_per_round"] = list(result.metrics.bits_per_round)
+    return row
 
 
 crash_run_summary = partial(summary, "crash")
@@ -234,111 +327,6 @@ def rows_or_raise(results) -> list[dict]:
                 f"{result.request.describe()} failed:\n{result.error}"
             )
     return [result.row for result in results]
-
-
-def reelection_run_summary(n: int, f: int, seed: int = 5,
-                           include_rounds: bool = False) -> dict:
-    """Committee re-election ablation (report section F8).
-
-    Runs the crash algorithm under a :class:`CommitteeHunter` with
-    budget ``f`` and reports how far the re-election escalation ``p``
-    climbed and how many nodes were ever elected (Lemmas 2.4–2.7).
-    """
-    result = execute(FAMILIES["crash"], n, f, seed, adversary="hunter")
-    survivors = [p for i, p in enumerate(result.processes)
-                 if i not in result.crashed]
-    p_values = [p.final_p for p in survivors]
-    return attach_ledgers({
-        "algorithm": "crash re-election ablation",
-        "n": n,
-        "f_budget": f,
-        "crashed": len(result.crashed),
-        "max_p": max(p_values),
-        "p_spread": max(p_values) - min(p_values),
-        "ever_elected": sum(p.ever_elected for p in result.processes),
-        "messages": result.metrics.correct_messages,
-        "unique": check_renaming(result, n)["unique"],
-    }, result, include_rounds)
-
-
-# ---------------------------------------------------------------------------
-# Byzantine-side drivers
-
-
-def byzantine_config_for(n: int, f_assumed: int, *,
-                         full_committee: bool = False,
-                         consensus_iterations: int = 10
-                         ) -> ByzantineRenamingConfig:
-    """Experiment configuration: sampled committee unless forced full."""
-    if full_committee:
-        p0 = 1.0
-    else:
-        p0 = min(1.0, BYZ_POOL_FACTOR * max(1.0, math.log2(n)) / n)
-    return ByzantineRenamingConfig(
-        max_byzantine=f_assumed,
-        candidate_probability=p0,
-        consensus_iterations=consensus_iterations,
-    )
-
-
-def byzantine_run_summary(
-    n: int,
-    f: int,
-    seed: int,
-    *,
-    strategy: str = "withholder",
-    namespace: Optional[int] = None,
-    config: Optional[ByzantineRenamingConfig] = None,
-    f_assumed: Optional[int] = None,
-    full_committee: bool = False,
-    consensus_iterations: int = 10,
-    include_rounds: bool = False,
-) -> dict:
-    """One Byzantine-algorithm execution, summarized for sweeps."""
-    uids, namespace = population(n, seed, namespace)
-    # Carlo picks the corrupt set statically, before shared randomness.
-    corrupt = byzantine_strategies.corrupt_set(uids, f, Random(seed + 1))
-    factory = {
-        "withholder": byzantine_strategies.make_withholder(0.5, salt=seed),
-        "equivocator": byzantine_strategies.make_equivocator(),
-        "silent": lambda: byzantine_strategies.silent,
-        "crash-sim": lambda: byzantine_strategies.crash_simulator,
-    }[strategy]
-    if strategy in ("silent", "crash-sim"):
-        factory = factory()
-    if config is None:
-        bound = f_assumed if f_assumed is not None else max(f, 1)
-        config = byzantine_config_for(
-            n, bound, full_committee=full_committee,
-            consensus_iterations=consensus_iterations,
-        )
-    result = run_byzantine_renaming(
-        uids,
-        namespace=namespace,
-        byzantine={uid: factory for uid in corrupt},
-        config=config,
-        shared_seed=seed + 3,
-        seed=seed + 4,
-    )
-    splits = max(
-        (p.segments_split for p in result.processes
-         if getattr(p, "was_committee", False) and not p.byzantine),
-        default=0,
-    )
-    return attach_ledgers({
-        "algorithm": (
-            "byzantine-renaming, full committee"
-            if full_committee else "byzantine-renaming (this work)"
-        ),
-        "n": n,
-        "f_actual": f,
-        "rounds": result.rounds,
-        "messages": result.metrics.correct_messages,
-        "bits": result.metrics.correct_bits,
-        "max_message_bits": result.metrics.max_message_bits,
-        "segments_split": splits,
-        **check_renaming(result, n, order_preserving=True),
-    }, result, include_rounds)
 
 
 # ---------------------------------------------------------------------------

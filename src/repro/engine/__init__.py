@@ -13,10 +13,11 @@ Three layers, each usable on its own:
 
 ``repro.engine.sweeps``
     Declarative :class:`SweepSpec` / :class:`RunRequest` descriptions of
-    sweeps and the named-driver registry that maps ``"crash"``,
-    ``"byzantine"``, ``"obg"``, ``"gossip"``, ``"balls"``,
-    ``"reelection"`` to the summary functions in
-    :mod:`repro.analysis.experiments`.
+    sweeps and the named-driver registry: every protocol family of
+    :data:`repro.analysis.experiments.FAMILIES` (``"crash"``,
+    ``"byzantine"``, ``"byzantine-full"``, the baselines) runs through
+    its ``summary``, and ``"falsify"``, ``"faults"``, ``"serve"``
+    through their harnesses' summary functions.
 
 ``repro.engine.pool``
     :func:`run_requests` — the executor.  Serial in-process for

@@ -1,8 +1,8 @@
 """Declarative sweep specifications and the named-driver registry.
 
 A *driver* is a named summary function ``fn(n, f, seed, **params)``
-returning one flat dict row — exactly the contract of the
-``*_run_summary`` functions in :mod:`repro.analysis.experiments`.
+returning one flat dict row — exactly the contract of
+:func:`repro.analysis.experiments.summary` bound to a family.
 Naming drivers (rather than passing callables) keeps every run request
 picklable for the process pool and hashable for the run store.
 
@@ -38,8 +38,6 @@ def register_driver(name: str, fn: Callable[..., dict]) -> Callable[..., dict]:
 #: ``experiments.summary``), by the module that defines their
 #: ``<name>_run_summary``; imported on first resolve.
 OTHER_DRIVERS = {
-    "byzantine": "repro.analysis.experiments",
-    "reelection": "repro.analysis.experiments",
     "falsify": "repro.falsify.campaign",
     "faults": "repro.faults.driver",
     "serve": "repro.serve.driver",
@@ -198,7 +196,7 @@ class SweepSpec:
 
 def table1_requests(n: int, f: int, seed: int = 0) -> list[RunRequest]:
     """The measured rows of Table 1 as engine requests: one per
-    protocol family, then the Byzantine algorithm twice.
+    protocol family.
 
     The Byzantine rows use ``f_byz = min(f, 2)`` corrupted nodes: each
     withholder inflates the divide-and-conquer work by ``log2 N``
@@ -206,14 +204,13 @@ def table1_requests(n: int, f: int, seed: int = 0) -> list[RunRequest]:
     while still exercising the adversarial path; the dedicated F5/F9
     sweeps measure the growth in ``f`` itself.
     """
-    f_byz = min(f, 2, max((n - 1) // 3, 0))
-    from repro.analysis.experiments import FAMILIES
+    from repro.analysis.experiments import FAMILIES, byzantine_attack
 
+    f_byz = min(f, 2, max((n - 1) // 3, 0))
     return [
-        *(RunRequest.make(name, n, f, seed) for name in FAMILIES),
-        RunRequest.make("byzantine", n, f_byz, seed, strategy="withholder"),
-        RunRequest.make("byzantine", n, f_byz, seed, strategy="withholder",
-                        full_committee=True),
+        RunRequest.make(
+            name, n, f_byz if family.attack is byzantine_attack else f, seed)
+        for name, family in FAMILIES.items()
     ]
 
 

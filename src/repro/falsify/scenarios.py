@@ -7,6 +7,10 @@ down.  A scenario names a protocol family and runs it through
 :func:`repro.analysis.experiments.execute`, the same function the sweep
 drivers run it through, with tracing on — so a falsified configuration
 is a sweep row's execution, seeded by the same rule.
+
+The Byzantine families (``byzantine``, ``byzantine-full``) have no
+scenario: a campaign's adversaries, its shrinker and its replay
+artifacts are crash schedules, and a corrupt set is none of those.
 """
 
 from __future__ import annotations

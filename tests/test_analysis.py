@@ -14,7 +14,6 @@ from repro.analysis.complexity import (
     obg_message_envelope,
 )
 from repro.analysis.experiments import (
-    byzantine_run_summary,
     check_renaming,
     crash_run_summary,
     default_namespace,
@@ -22,6 +21,7 @@ from repro.analysis.experiments import (
     make_crash_adversary,
     obg_run_summary,
     sample_uids,
+    summary,
     table1_rows,
 )
 from repro.analysis.stats import replicate, summarize
@@ -145,7 +145,7 @@ class TestDrivers:
         assert row["unique"] and row["strong"] and row["order_preserving"]
 
     def test_byzantine_summary_row(self):
-        row = byzantine_run_summary(10, 1, seed=1, consensus_iterations=8)
+        row = summary("byzantine", 10, 1, 1, consensus_iterations=8)
         assert row["unique"] and row["strong"] and row["order_preserving"]
         assert row["f_actual"] == 1
 

@@ -146,7 +146,11 @@ class TestSharedWorkIsDoneOncePerRun:
     knowledge: a run pays for each once, not once per node."""
 
     def test_one_lottery_draw_and_one_derivation_for_n_nodes(self, monkeypatch):
-        from repro.analysis.experiments import byzantine_run_summary
+        from random import Random
+
+        from repro.adversary.byzantine import corrupt_set, make_withholder
+        from repro.analysis.experiments import check_renaming, population
+        from repro.core.byzantine_renaming import run_byzantine_renaming
         from repro.crypto.shared_randomness import SharedRandomness
 
         draws = []
@@ -164,9 +168,16 @@ class TestSharedWorkIsDoneOncePerRun:
         config = ByzantineRenamingConfig(
             max_byzantine=2, candidate_probability=0.47, slack_sigmas=2.49)
 
-        summary = byzantine_run_summary(48, 2, seed=1, config=config)
+        # The family's seed rule at seed 1, on an explicit config.
+        uids, namespace = population(48, 1)
+        corrupt = corrupt_set(uids, 2, Random(2))
+        result = run_byzantine_renaming(
+            uids, namespace=namespace,
+            byzantine={uid: make_withholder(0.5, salt=1) for uid in corrupt},
+            config=config, shared_seed=4, seed=5)
+        checks = check_renaming(result, 48)
 
-        assert summary["unique"] and summary["strong"]
+        assert checks["unique"] and checks["strong"]
         assert not config.parameters(48).full_committee
         assert draws.count("committee-lottery") == 1
         assert derivations == [48]

@@ -25,6 +25,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["byzantine", "--strategy", "nuke"])
 
+    def test_byzantine_strategies_are_the_strategy_table(self):
+        from repro.analysis.experiments import BYZANTINE_STRATEGIES
+
+        for kind in BYZANTINE_STRATEGIES:
+            args = build_parser().parse_args(["byzantine", "--strategy", kind])
+            assert args.adversary == kind
+        args = build_parser().parse_args(["byzantine"])
+        assert (args.adversary, args.consensus_iterations) == ("withholder", 8)
+
     @pytest.mark.parametrize("name", ["perf", "serve", "chaos"])
     def test_benchmarks_are_not_commands(self, name):
         # `perf` runs as `python -m benchmarks.perf`; the serve and
@@ -100,6 +109,30 @@ class TestCommands:
                      "--strategy", "silent", "--seed", "2"])
         assert code == 0
         assert "byzantine-renaming" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, own", [
+        (["crash", "--n", "12", "--f", "2", "--seed", "3"],
+         "max_p p_spread ever_elected"),
+        (["byzantine", "--n", "8", "--f", "1", "--strategy", "silent",
+          "--seed", "2"], "segments_split"),
+    ], ids=["crash", "byzantine"])
+    def test_header_is_the_familys_summary_row(self, argv, own, capsys):
+        assert main(argv) == 0
+        header = capsys.readouterr().out.splitlines()[0].split()
+        assert header == [
+            "algorithm", "n", "f_budget", "f_actual", "rounds", "messages",
+            "bits", "max_message_bits", *own.split(), "unique", "strong",
+            "order_preserving"]
+
+    def test_byzantine_prints_the_summary_with_its_flags(self, capsys):
+        from repro.analysis.experiments import summary
+        from repro.analysis.tables import plain_table
+
+        assert main(["byzantine", "--n", "10", "--f", "1", "--seed", "1",
+                     "--consensus-iterations", "6"]) == 0
+        row = summary("byzantine", 10, 1, 1, adversary="withholder",
+                      consensus_iterations=6)
+        assert capsys.readouterr().out == plain_table([row]) + "\n"
 
     def test_table1(self, capsys):
         assert main(["table1", "--n", "10", "--f", "1"]) == 0

@@ -55,13 +55,14 @@ class TestRequests:
             evaluate_f("__import__('os')", 4)
 
     def test_driver_registry(self):
-        assert {"crash", "byzantine", "obg", "gossip", "balls",
-                "reelection"} <= set(driver_names())
+        assert {"crash", "byzantine", "byzantine-full", "obg", "gossip",
+                "balls", "falsify", "faults", "serve"} <= set(driver_names())
+        assert "reelection" not in driver_names()
 
     def test_table1_requests_cover_all_families(self):
         requests = table1_requests(10, 1, seed=1)
         assert [r.driver for r in requests] == [
-            "crash", "obg", "balls", "gossip", "byzantine", "byzantine",
+            "crash", "obg", "balls", "gossip", "byzantine", "byzantine-full",
         ]
 
 

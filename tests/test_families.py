@@ -9,25 +9,34 @@ being in the table:
 * a family's driver row, through the engine, equals a row assembled
   here by hand.  The seeding rule is written out again below on
   purpose — identities from ``Random(seed)`` over ``N = 5 n^2``, the
-  adversary on ``Random(seed + 1)``, the network on ``seed + 2`` — as
-  the reference that does not move when ``execute`` does;
+  adversary on ``Random(seed + 1)``, the network on ``seed + 2``; for
+  Byzantine renaming the corrupt set on ``Random(seed + 1)``, shared
+  randomness ``seed + 3``, the network ``seed + 4`` and withholders
+  salted by ``seed`` — as the reference that does not move when
+  ``execute`` does;
 * a family's scenario and its summary are the same execution.
 """
 
 import inspect
+import math
 from random import Random
 
 import pytest
 
+from repro.adversary.byzantine import make_withholder
 from repro.adversary.crash import CommitteeHunter, RandomCrash
 from repro.analysis.experiments import (
     FAMILIES,
+    byzantine_attack,
     execute,
     make_crash_adversary,
     summary,
 )
 from repro.consensus.approx_agreement import run_approximate_agreement
-from repro.core.byzantine_renaming import run_byzantine_renaming
+from repro.core.byzantine_renaming import (
+    ByzantineRenamingConfig,
+    run_byzantine_renaming,
+)
 from repro.core.crash_renaming import CrashRenamingConfig
 from repro.engine.pool import run_requests
 from repro.engine.sweeps import RunRequest, resolve_driver, table1_requests
@@ -41,39 +50,38 @@ def _approx(uids, **keywords):
 
 
 #: Every ``run_*`` in ``src/``: the families' (the falsifier's planted
-#: one included), then the two that are run outside the table.
+#: one included), then the one that is run outside the table.
 ENTRY_POINTS = {
     **{scenario.family.name: scenario.family.run
        for scenario in SCENARIOS.values()},
     **{name: family.run for name, family in FAMILIES.items()},
-    "byzantine": run_byzantine_renaming,
     "approx-agreement": _approx,
 }
 
 entry_point = pytest.mark.parametrize(
-    "run", ENTRY_POINTS.values(), ids=list(ENTRY_POINTS))
+    "name, run", ENTRY_POINTS.items(), ids=list(ENTRY_POINTS))
 
 
 class TestEntryPoints:
     @entry_point
-    def test_rejects_duplicate_identities(self, run):
+    def test_rejects_duplicate_identities(self, name, run):
         with pytest.raises(ValueError, match="must be distinct"):
             run([5, 9, 5, 12])
 
     @entry_point
-    def test_rejects_identities_below_one(self, run):
+    def test_rejects_identities_below_one(self, name, run):
         with pytest.raises(ValueError, match=r"must lie in \[1, 12\]"):
             run([0, 5, 9, 12])
 
     @entry_point
-    def test_rejects_identities_above_the_namespace(self, run):
+    def test_rejects_identities_above_the_namespace(self, name, run):
         if run is _approx:
             pytest.skip("takes no namespace: it is the largest identity")
         with pytest.raises(ValueError, match=r"must lie in \[1, 16\]"):
             run([5, 9, 12, 40], namespace=16)
 
     @entry_point
-    def test_takes_every_run_network_keyword(self, run):
+    def test_takes_every_run_network_keyword(self, name, run):
         keywords = [
             parameter for parameter
             in inspect.signature(run_network).parameters.values()
@@ -81,20 +89,22 @@ class TestEntryPoints:
         ]
         assert {"monitors", "max_rounds", "fault_model"} <= {
             parameter.name for parameter in keywords}
+        # A Byzantine family's adversary is its corrupt set, not a
+        # crash adversary, and it builds ``shared`` itself.
+        byzantine = (name in FAMILIES
+                     and FAMILIES[name].attack is byzantine_attack)
         for parameter in keywords:
-            # The crash adversary is spelled ``adversary`` up here; the
-            # Byzantine algorithm has none and builds ``shared`` itself.
-            name = {"crash_adversary": "adversary"}.get(
+            # The crash adversary is spelled ``adversary`` up here.
+            keyword = {"crash_adversary": "adversary"}.get(
                 parameter.name, parameter.name)
-            if run is run_byzantine_renaming and name in ("adversary",
-                                                          "shared"):
+            if byzantine and keyword in ("adversary", "shared"):
                 continue
-            result = run([5, 9, 12, 40], **{name: parameter.default})
-            assert isinstance(result, ExecutionResult), name
-            assert len(result.outputs_by_uid()) == 4, name
+            result = run([5, 9, 12, 40], **{keyword: parameter.default})
+            assert isinstance(result, ExecutionResult), keyword
+            assert len(result.outputs_by_uid()) == 4, keyword
 
     @entry_point
-    def test_network_keywords_reach_the_network(self, run):
+    def test_network_keywords_reach_the_network(self, name, run):
         class CountRounds:
             rounds = 0
 
@@ -119,7 +129,7 @@ ADVERSARIES = {
     "random": lambda f, rng: RandomCrash(f, rate=0.05, rng=rng),
 }
 
-#: What the four families of today hand their entry point and call
+#: What the families of today hand their entry point and call
 #: themselves; a family added later is checked against its own entry.
 KEYWORDS = {"crash": {"config": CrashRenamingConfig(election_constant=2.0)}}
 LABELS = {
@@ -127,17 +137,56 @@ LABELS = {
     "obg": "all-to-all halving [34]-style",
     "balls": "balls-into-slots [3]-style",
     "gossip": "full-information gossip [20]-style",
+    "byzantine": "byzantine-renaming (this work)",
+    "byzantine-full": "byzantine-renaming, full committee",
+}
+
+#: The Byzantine families' committee lottery at ``n``: ``4 log2 n / n``
+#: candidates, or everyone.
+LOTTERY = {
+    "byzantine": lambda n: min(1.0, 4.0 * max(1.0, math.log2(n)) / n),
+    "byzantine-full": lambda n: 1.0,
 }
 
 
 def reference_run(family, n, f, seed, **network):
     namespace = max(5 * n * n, 16)
     uids = sorted(Random(seed).sample(range(1, namespace + 1), n))
+    if family.name in LOTTERY:
+        # Carlo corrupts f withholders before the shared randomness.
+        corrupt = sorted(Random(seed + 1).sample(uids, f))
+        config = ByzantineRenamingConfig(
+            max_byzantine=max(f, 1),
+            candidate_probability=LOTTERY[family.name](n),
+            consensus_iterations=10)
+        return run_byzantine_renaming(
+            uids, namespace=namespace,
+            byzantine={uid: make_withholder(0.5, salt=seed)
+                       for uid in corrupt},
+            config=config, shared_seed=seed + 3, seed=seed + 4, **network)
     adversary = (ADVERSARIES[family.adversary](f, Random(seed + 1))
                  if f else None)
     return family.run(uids, namespace=namespace, adversary=adversary,
                       seed=seed + 2, **KEYWORDS.get(family.name, {}),
                       **network)
+
+
+def own_columns(family, result):
+    """The counters a family adds: re-election's for the crash
+    algorithm, the recursion's splits for the Byzantine one."""
+    processes = result.processes
+    if family.name == "crash":
+        p_values = [process.final_p for index, process
+                    in enumerate(processes) if index not in result.crashed]
+        return {"max_p": max(p_values),
+                "p_spread": max(p_values) - min(p_values),
+                "ever_elected": sum(p.ever_elected for p in processes)}
+    if family.name in LOTTERY:
+        return {"segments_split": max(
+            [p.segments_split for p in processes
+             if getattr(p, "was_committee", False) and not p.byzantine]
+            or [0])}
+    return {}
 
 
 def reference_row(family, n, f, result):
@@ -147,11 +196,12 @@ def reference_row(family, n, f, result):
         "algorithm": LABELS.get(family.name, family.label),
         "n": n,
         "f_budget": f,
-        "f_actual": len(result.crashed),
+        "f_actual": len(result.crashed) + len(result.byzantine),
         "rounds": result.rounds,
         "messages": result.metrics.correct_messages,
         "bits": result.metrics.correct_bits,
         "max_message_bits": result.metrics.max_message_bits,
+        **own_columns(family, result),
         "unique": len(set(names)) == len(names),
         "strong": all(1 <= name <= n for name in names),
         "order_preserving": (not family.order_preserving
@@ -184,14 +234,20 @@ class TestFamilyRows:
         import repro.analysis.experiments as experiments
 
         row = summary(name, 12, 2, 3)
-        assert getattr(experiments, f"{name}_run_summary")(12, 2, 3) == row
+        binding = getattr(experiments, f"{name}_run_summary", None)
+        assert binding is None or binding(12, 2, 3) == row
         assert resolve_driver(name)(12, 2, seed=3) == row
 
     @family
     def test_adversary_param_overrides_the_default_kind(self, name):
-        quiet = summary(name, 12, 3, 1, adversary=None)
+        # A Byzantine config is provisioned for the budget: pinned, so
+        # that only the adversary differs.
+        pinned = ({"f_assumed": 3} if "f_assumed" in FAMILIES[name].params
+                  else {})
+        quiet = summary(name, 12, 3, 1, adversary=None, **pinned)
         assert quiet["f_actual"] == 0
-        assert quiet == summary(name, 12, 0, 1) | {"f_budget": 3}
+        assert quiet == summary(name, 12, 3, 1, adversary="none", **pinned)
+        assert quiet == summary(name, 12, 0, 1, **pinned) | {"f_budget": 3}
 
     @family
     def test_unknown_param_is_a_type_error(self, name):
@@ -199,11 +255,12 @@ class TestFamilyRows:
             summary(name, 8, 0, 0, no_such_param=1)
 
     def test_table1_has_a_row_per_family_then_the_byzantine_pair(self):
-        requests = table1_requests(16, 2, seed=1)
-        assert [r.driver for r in requests] == [*FAMILIES, "byzantine",
-                                                "byzantine"]
-        assert all((r.n, r.f, r.seed) == (16, 2, 1)
-                   for r in requests[:len(FAMILIES)])
+        requests = table1_requests(32, 4, seed=1)
+        assert [r.driver for r in requests] == list(FAMILIES)
+        assert requests[-2:] == [RunRequest.make("byzantine", 32, 2, 1),
+                                 RunRequest.make("byzantine-full", 32, 2, 1)]
+        assert all((r.n, r.f, r.seed, r.params) == (32, 4, 1, ())
+                   for r in requests[:-2])
 
 
 def counted(result):
@@ -211,8 +268,17 @@ def counted(result):
             result.metrics.correct_bits, result.outputs_by_uid())
 
 
+#: The families the falsifier probes: its scenarios are crash schedules.
+scenario_family = pytest.mark.parametrize(
+    "name", [name for name in FAMILIES if name in SCENARIOS])
+
+
 class TestScenarioIsTheSummarysExecution:
-    @family
+    def test_only_the_byzantine_families_have_no_scenario(self):
+        assert [name for name in FAMILIES if name not in SCENARIOS] == [
+            "byzantine", "byzantine-full"]
+
+    @scenario_family
     @pytest.mark.parametrize("n, f, seed", GRID)
     def test_same_adversary_same_execution(self, name, n, f, seed):
         entry = FAMILIES[name]

@@ -46,7 +46,7 @@ def test_requests_name_a_driver_and_only_params_it_takes():
     requested = [request for figure in FIGURES.values()
                  for request in figure.requests()]
     assert {request.driver for request in requested} == {
-        "crash", "obg", "balls", "gossip", "byzantine", "reelection",
+        "crash", "obg", "balls", "gossip", "byzantine", "byzantine-full",
         "serve"}
     for request in requested:
         driver = resolve_driver(request.driver)

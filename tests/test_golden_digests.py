@@ -25,6 +25,13 @@ sampled-committee ``byz-withholder-n64-f3``) were recorded on the commit
 each round's ``SubVote`` (the view and the vote read through ``derive``)
 and held across it without re-recording.
 
+The Byzantine rows of a strategy the ``byzantine`` family has
+(``byz-{withholder,equivocator}-n{24,48}``, ``byz-silent-n48``,
+``byz-crash-sim-n48``, ``byz-withholder-n64-f3``) are built by hand
+below, and were held without re-recording when Byzantine renaming
+became a family: the family's own path at seed 0
+(``FAMILY_CASES``) must give the same digests.
+
 The crash runs whose round-3 inboxes are unusual (``crash-corrupt-*``:
 bit-flipped answers, objects of their own; ``crash-partition-*``: held
 answers released as stamped rows beside a later round's;
@@ -62,8 +69,10 @@ from repro.adversary.crash import (
     ScheduledCrash,
 )
 from repro.analysis.experiments import (
+    FAMILIES,
     byzantine_config_for,
     default_namespace,
+    execute,
     make_crash_adversary,
     sample_uids,
 )
@@ -282,6 +291,24 @@ def test_every_case_has_a_recorded_digest():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_counted_results_match_the_recorded_digest(case):
     assert digest(CASES[case]()) == GOLDEN[case]
+
+
+#: Golden Byzantine case id -> ``(n, f, strategy)`` of the same run
+#: through the ``byzantine`` family at seed 0.
+FAMILY_CASES = {
+    **{f"byz-{kind}-n{n}": (n, 2, kind)
+       for kind in ("withholder", "equivocator") for n in (24, 48)},
+    "byz-silent-n48": (48, 2, "silent"),
+    "byz-crash-sim-n48": (48, 2, "crash-sim"),
+    "byz-withholder-n64-f3": (64, 3, "withholder"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_the_byzantine_family_runs_the_recorded_execution(case):
+    n, f, kind = FAMILY_CASES[case]
+    result = execute(FAMILIES["byzantine"], n, f, 0, adversary=kind)
+    assert digest(result) == GOLDEN[case]
 
 
 #: Worker-side resilience events: emitted by one lane in execution

@@ -11,10 +11,10 @@ from random import Random
 import pytest
 
 from repro.analysis.experiments import (
-    byzantine_run_summary,
     crash_run_summary,
     default_namespace,
     sample_uids,
+    summary,
 )
 from repro.core.byzantine_renaming import run_byzantine_renaming
 from repro.core.crash_renaming import run_crash_renaming
@@ -98,7 +98,7 @@ class TestPerRoundLedgers:
         assert len(row["messages_per_round"]) == row["rounds"]
 
     def test_include_rounds_default_off(self):
-        row = byzantine_run_summary(8, 1, seed=2, strategy="silent")
+        row = summary("byzantine", 8, 1, 2, adversary="silent")
         assert "messages_per_round" not in row
         assert "bits_per_round" not in row
 
