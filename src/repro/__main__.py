@@ -155,6 +155,13 @@ def _open_store(args):
     return RunStore(_store_url(args))
 
 
+def _add_store_flag(parser: argparse.ArgumentParser) -> None:
+    """``--store``, which :func:`_store_url` reads back."""
+    parser.add_argument("--store", default=None,
+                        help="run-store path or sqlite://path URL (default "
+                             "$REPRO_STORE or .repro/runs.sqlite)")
+
+
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     """The five flags that spell one sweep spec (``sweep``, ``fabric
     enqueue``); :func:`_spec_requests` reads them back."""
@@ -729,10 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (1 = serial, in-process)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-task seconds before a chunk is failed")
-    sweep.add_argument("--store", default=None,
-                       help="run-store path or sqlite://path URL "
-                            "(default $REPRO_STORE or "
-                            ".repro/runs.sqlite)")
+    _add_store_flag(sweep)
     sweep.add_argument("--no-store", action="store_true",
                        help="run without reading or writing the store")
     sweep.add_argument("--format", choices=["plain", "md", "json"],
@@ -775,10 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="KEY=VALUE",
                          help="extra scenario keyword (JSON value); "
                               "repeatable")
-    falsify.add_argument("--store", default=None,
-                         help="run-store path or sqlite://path URL "
-                            "(default $REPRO_STORE or "
-                              ".repro/runs.sqlite)")
+    _add_store_flag(falsify)
     falsify.add_argument("--no-store", action="store_true",
                          help="run without reading or writing the store")
     falsify.add_argument("--replay", default=None, metavar="PATH",
@@ -850,10 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.add_argument("--limit", type=int, default=None)
     obs_report.add_argument("--format", choices=["plain", "md", "json"],
                             default="plain")
-    obs_report.add_argument("--store", default=None,
-                            help="run-store path or sqlite://path URL "
-                            "(default $REPRO_STORE or "
-                                 ".repro/runs.sqlite)")
+    _add_store_flag(obs_report)
     obs_report.set_defaults(func=cmd_obs)
 
     fabric = sub.add_parser(
@@ -866,9 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _fabric_store_args(p, events_help):
         p.add_argument("--campaign", default="default",
                        help="campaign name (default: 'default')")
-        p.add_argument("--store", default=None,
-                       help="run-store path or sqlite://path URL (default "
-                            "$REPRO_STORE or .repro/runs.sqlite)")
+        _add_store_flag(p)
         p.add_argument("--events", default=None, metavar="DIR",
                        help=events_help)
 
@@ -916,10 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fabric_status.add_argument("--campaign", default=None,
                                help="restrict to one campaign")
-    fabric_status.add_argument("--store", default=None,
-                               help="run-store path or sqlite://path URL "
-                                    "(default $REPRO_STORE or "
-                                    ".repro/runs.sqlite)")
+    _add_store_flag(fabric_status)
     fabric_status.add_argument("--format", choices=["plain", "md", "json"],
                                default="plain")
     fabric_status.set_defaults(func=cmd_fabric)
@@ -935,9 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seconds between --live refreshes (default 2)")
     report.add_argument("--campaign", default=None,
                         help="restrict to one campaign")
-    report.add_argument("--store", default=None,
-                        help="run-store path or sqlite://path URL (default "
-                             "$REPRO_STORE or .repro/runs.sqlite)")
+    _add_store_flag(report)
     report.add_argument("--format", choices=["plain", "md", "json"],
                         default="plain")
     report.set_defaults(func=cmd_report)
@@ -953,9 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="plain")
     runs.add_argument("--ledgers", action="store_true",
                       help="include per-round ledgers in --export json")
-    runs.add_argument("--store", default=None,
-                      help="run-store path or sqlite://path URL (default "
-                           "$REPRO_STORE or .repro/runs.sqlite)")
+    _add_store_flag(runs)
     runs.set_defaults(func=cmd_runs, runs_command=None)
 
     runs_sub = runs.add_subparsers(dest="runs_command")
@@ -976,10 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="restrict the export to one driver")
     runs_export.add_argument("--status", choices=["ok", "failed"],
                              default=None)
-    runs_export.add_argument("--store", default=None,
-                             help="run-store path or sqlite://path URL "
-                                  "(default $REPRO_STORE or "
-                                  ".repro/runs.sqlite)")
+    _add_store_flag(runs_export)
     runs_export.set_defaults(func=cmd_runs_export)
 
     return parser

@@ -10,7 +10,7 @@ broadcast-to-view round and collects, per view member, the first
 well-formed vote for the current step.
 
 An honest vote round is one fan-out per member; members of one view that
-vote alike send one derived :class:`SubVote` to one view tuple.  Byzantine
+vote alike yield one derived ``Multicast`` of one :class:`SubVote`.  Byzantine
 strategies hook :meth:`CommitteeComm.outgoing_value` to equivocate (send
 different values to different receivers); only they pay per link.
 
@@ -66,7 +66,8 @@ class CommitteeComm:
             raise ValueError("committee view must not be empty")
         # A derived view tuple is kept: one object for all its members.
         self.view = view if links == view else links
-        self._members = frozenset(links)
+        self._members = _Members(links)
+        self._members.links = self.view
         if b_max < 0:
             raise ValueError(f"b_max must be >= 0, got {b_max}")
         self.b_max = b_max
@@ -82,19 +83,19 @@ class CommitteeComm:
         """This step's vote to every view member.
 
         Without an :meth:`outgoing_value` override: one :class:`SubVote`
-        multicast to the view, derived on the inbox last read (one per
-        view and distinct vote).  With one, the hook is called per link,
-        in link order; links that get the same value share one
+        multicast to the view, the fan-out derived on the inbox last read
+        (one per view and distinct vote).  With one, the hook is called
+        per link, in link order; links that get the same value share one
         ``SubVote`` (``1`` and ``True`` stay apart: the key holds the
         type).  An unhashable value is never shared.
         """
         step = self.step
         if not self._hooked and "outgoing_value" not in self.__dict__:
             try:
-                vote = derive(self._read, _vote, step, kind, type(value), value, width)
+                return derive(self._read, _vote, self._members, step, kind,
+                              type(value), value, width)
             except TypeError:  # unhashable: no key to share it under
-                vote = SubVote(step, kind, value, width)
-            return multicast(self.view, vote)
+                return multicast(self.view, SubVote(step, kind, value, width))
         hook = self.outgoing_value
         votes: dict[tuple[type, object], SubVote] = {}
         out = []
@@ -132,9 +133,17 @@ class CommitteeComm:
         return derive(inbox, _tally, self.step, kind, self._members, without)
 
 
-def _vote(envelopes, step: int, kind: str, cls: type, value, width: int):
-    """A vote; ``cls``, the value's type, keeps ``1`` and ``True`` apart."""
-    return SubVote(step, kind, value, width)
+class _Members(frozenset):
+    """A view's members (a ``derive`` key hashed once) and its tuple."""
+
+    __slots__ = ("links",)
+
+
+def _vote(envelopes, members: _Members, step: int, kind: str, cls: type,
+          value, width: int):
+    """A vote multicast to the view; ``cls``, the value's type, keeps
+    ``1`` and ``True`` apart."""
+    return multicast(members.links, SubVote(step, kind, value, width))
 
 
 def _collect(envelopes: Sequence[Envelope], step: int, kind: str,

@@ -113,14 +113,13 @@ all the messages with nothing left to fold, which makes
 them.  A program that calls none of them reads the
 ``Sequence[Envelope]`` it always has.
 
-Charging is not done here: the network charges every resolved send
-while it fills the rows (one ``Metrics.record_sends`` per multicast,
-one ``Metrics.flush`` per scatter or ``Send`` list).  Every counted
-quantity is held to the naive per-envelope oracle ``ReferenceNetwork``
-(``tests/test_fastpath_ab.py``, ``tests/test_columnar_property.py``,
-``tests/test_multicast_property.py``,
-``tests/test_shared_views_property.py``,
-``tests/test_blocks_property.py``).
+Charging is not done here: the network sums every resolved send while
+it fills the rows and advances the ledgers once per round (one
+``Metrics.flush``; a faulted sender's sends one ``record_send`` each).
+Every counted quantity is held to the naive per-envelope oracle
+``ReferenceNetwork`` (``tests/test_fastpath_ab.py``,
+``tests/test_columnar_property.py``, ``tests/test_multicast_property.py``,
+``tests/test_shared_views_property.py``, ``tests/test_blocks_property.py``).
 """
 
 from __future__ import annotations

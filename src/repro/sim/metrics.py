@@ -13,10 +13,10 @@ fan-out is many sends of a single message object, and
 link.  The cache is keyed by message identity only (with a strong
 reference pinning the object, so a recycled ``id`` can never alias) and
 is dropped at every :meth:`begin_round` so it stays bounded by one
-round's working set.  Every ledger advances in one place,
-:meth:`Metrics.flush`, once per sender per round in the engine.
-Memoization and batching are invisible in the ledgers: every counted
-quantity is identical to charging each send individually.
+round's working set.  The engine sums a round's sends and advances the
+ledgers once per round (:meth:`Metrics.flush`; ``sends_by_node`` per
+sender as it goes).  Memoization and batching are invisible: every
+counted quantity equals charging each send by :meth:`Metrics.record_send`.
 """
 
 from __future__ import annotations
@@ -64,42 +64,31 @@ class Metrics:
 
     def record_send(self, sender: int, message: Message, *, byzantine: bool) -> None:
         """Charge one transmitted message to the appropriate ledger."""
-        self.record_sends(sender, message, 1, byzantine=byzantine)
-
-    def record_sends(
-        self, sender: int, message: Message, count: int, *, byzantine: bool
-    ) -> None:
-        """Charge ``count`` transmissions of one message at once (a
-        fan-out): the bit size is computed, or fetched from the cache,
-        once, and every ledger ends identical to ``count`` single
-        ``record_send`` calls.
-        """
         bits = self.message_bits(message)
-        self.flush(sender, count, bits * count, bits,
-                   ((type(message), count),), byzantine=byzantine)
+        sent = (0, 0, 1, bits) if byzantine else (1, bits, 0, 0)
+        self.flush(*sent, bits, ((type(message), 1),))
+        self.sends_by_node[sender] += 1
 
-    def flush(self, sender: int, messages: int, bits: int, widest: int,
-              by_type: Iterable[tuple[type, int]], *, byzantine: bool) -> None:
-        """Advance every ledger by one sender's sends of this round:
-        ``messages`` of them totalling ``bits``, the largest ``widest``
-        bits, split ``by_type`` into ``(message class, count)`` pairs.
-        """
+    def flush(self, correct: int, correct_bits: int, byzantine: int,
+              byzantine_bits: int, widest: int,
+              by_type: Iterable[tuple[type, int]]) -> None:
+        """Advance every ledger but ``sends_by_node`` (the caller's) by a
+        batch of this round's sends: ``correct`` / ``byzantine`` messages
+        totalling ``correct_bits`` / ``byzantine_bits``, the largest
+        ``widest`` bits, ``by_type`` as ``(message class, count)`` pairs."""
         if not self.messages_per_round:
             raise RuntimeError(
                 "record_send before begin_round: per-round ledgers would "
                 "silently drift from the running totals"
             )
-        if byzantine:
-            self.byzantine_messages += messages
-            self.byzantine_bits += bits
-        else:
-            self.correct_messages += messages
-            self.correct_bits += bits
+        self.correct_messages += correct
+        self.correct_bits += correct_bits
+        self.byzantine_messages += byzantine
+        self.byzantine_bits += byzantine_bits
         if widest > self.max_message_bits:
             self.max_message_bits = widest
-        self.messages_per_round[-1] += messages
-        self.bits_per_round[-1] += bits
-        self.sends_by_node[sender] += messages
+        self.messages_per_round[-1] += correct + byzantine
+        self.bits_per_round[-1] += correct_bits + byzantine_bits
         for cls, count in by_type:
             self.sends_by_type[cls.__name__] += count
 

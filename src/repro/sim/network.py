@@ -383,19 +383,16 @@ class SyncNetwork:
             any) for per-send verdicts on what survived.  Both plans
             are validated before any delivery state changes.
         ``charge``
-            Charge every resolved send to the ledgers exactly once and
-            fill the round's :class:`~repro.sim.columnar.ColumnarRound`
-            (the two interleave), a fan-out at a time and no envelope
-            yet: a ``Multicast`` is one row read by its target tuple (a
+            Charge every resolved send exactly once and fill the round's
+            :class:`~repro.sim.columnar.ColumnarRound`, no envelope yet:
+            a ``Multicast`` is one row read by its target tuple (a
             broadcast row when it targets the whole network), a
-            ``Scatter`` one row per message, sized directly (a message
-            tuple several senders share, once) and filled by one
-            ``add_scatter``, neither building a per-link ``Send``; a
-            plain ``Send`` list (the general case: noise, a crash
-            plan's kept subset) is one row per maximal
-            constant-``(message, claim)`` run, sized through the
-            identity-keyed bit cache.  One ledger flush per sender;
-            only awake nodes are visited (a parked one proposed nothing).
+            ``Scatter`` one row per message, a plain ``Send`` list one
+            row per maximal constant-``(message, claim)`` run.  The
+            round's counts are summed as it goes (``sends_by_node`` per
+            sender) and advance the other ledgers by one
+            ``Metrics.flush``; a faulted sender is charged send by send.
+            Only awake nodes are visited (a parked one proposed nothing).
         ``deliver``
             ``attach`` freezes the alive set; messages addressed to
             crashed or terminated links vanish (they were still
@@ -447,11 +444,14 @@ class SyncNetwork:
 
         column = ColumnarRound(round_no)
         add_run = column.add_run
-        record_sends = metrics.record_sends
         message_bits = metrics.message_bits
         resolve = self.authenticator.resolve
+        by_node = metrics.sends_by_node
         cost = self.cost
         whole = range(self.n)
+        # The round's charge, flushed into the ledgers once at the end.
+        correct = correct_bits = byz = byz_bits = widest = 0
+        by_type: dict[type, int] = {}
         # id(a scatter's message tuple) -> its (count, bits, widest,
         # by-type) charge; `delivered` keeps every tuple alive, and so
         # its id unique, for exactly as long as this dict lives.
@@ -469,24 +469,29 @@ class SyncNetwork:
                 self._fill_faulted(column, sender, sends, verdicts)
                 continue
             process = processes[sender]
-            byz = process.byzantine
             true_uid = process.uid
+            # `resolve(uid, None)` is `(uid, None)` whatever the policy.
+            unclaimed = (sender, true_uid, None)
             if isinstance(sends, Multicast):
                 # One message to many links: one charge, one row.
                 message = sends.message
                 targets = sends.targets
-                record_sends(sender, message, len(targets), byzantine=byz)
-                row = ((sender, *resolve(true_uid, sends.claim)), message)
+                count = len(targets)
+                bits = message_bits(message)
+                sent_bits = bits * count
+                if bits > widest:
+                    widest = bits
+                cls = type(message)
+                by_type[cls] = by_type.get(cls, 0) + count
+                row = (unclaimed if sends.claim is None else
+                       (sender, *resolve(true_uid, sends.claim)), message)
                 if targets == whole:
                     column.add_broadcast(row)
                 else:
                     add_run(row, targets)
-                continue
-            if isinstance(sends, Scatter):
-                # One message per link: a row each, sized directly
-                # (one-shot messages would only bloat the bit cache).
-                # Committee members answering from one shared decision
-                # yield the same message tuple: it is sized once.
+            elif isinstance(sends, Scatter):
+                # One message per link: a row each, sized directly (not
+                # cached); a message tuple several senders share, once.
                 messages = sends.messages
                 sized = scatter_sizes.get(id(messages))
                 if sized is None:
@@ -494,35 +499,45 @@ class SyncNetwork:
                     sized = scatter_sizes[id(messages)] = (
                         len(sizes), sum(sizes), max(sizes),
                         tuple(Counter(map(type, messages)).items()))
-                column.add_scatter((sender, *resolve(true_uid, None)),
-                                   messages, sends.targets)
-                metrics.flush(sender, *sized, byzantine=byz)
-                continue
-            # A plain Send list: one row per maximal constant-(message,
-            # claim) run, closed into its target tuple when the next
-            # one opens; one ledger flush at the end.
-            bits_total = widest = 0
-            by_type: dict[type, int] = {}
-            message = sends  # no run open yet: no send carries this
-            run: list[int] = []
-            for send in sends:
-                if send.message is not message or send.claim != claim:
-                    if run:
-                        add_run(row, tuple(run))
-                        run = []
-                    message = send.message
-                    claim = send.claim
-                    cls = type(message)
-                    bits = message_bits(message)
-                    if bits > widest:
-                        widest = bits
-                    row = ((sender, *resolve(true_uid, claim)), message)
-                run.append(send.to)
-                bits_total += bits
-                by_type[cls] = by_type.get(cls, 0) + 1
-            add_run(row, tuple(run))
-            metrics.flush(sender, len(sends), bits_total, widest,
-                          by_type.items(), byzantine=byz)
+                count, sent_bits, bits, types = sized
+                if bits > widest:
+                    widest = bits
+                for cls, number in types:
+                    by_type[cls] = by_type.get(cls, 0) + number
+                column.add_scatter(unclaimed, messages, sends.targets)
+            else:
+                # A plain Send list: one row per maximal constant-(message,
+                # claim) run, closed into its tuple when the next opens.
+                count = len(sends)
+                sent_bits = 0
+                message = sends  # no run open yet: no send carries this
+                run: list[int] = []
+                for send in sends:
+                    if send.message is not message or send.claim != claim:
+                        if run:
+                            add_run(row, tuple(run))
+                            run = []
+                        message = send.message
+                        claim = send.claim
+                        cls = type(message)
+                        bits = message_bits(message)
+                        if bits > widest:
+                            widest = bits
+                        row = (unclaimed if claim is None else
+                               (sender, *resolve(true_uid, claim)), message)
+                    run.append(send.to)
+                    sent_bits += bits
+                    by_type[cls] = by_type.get(cls, 0) + 1
+                add_run(row, tuple(run))
+            by_node[sender] += count
+            if process.byzantine:
+                byz += count
+                byz_bits += sent_bits
+            else:
+                correct += count
+                correct_bits += sent_bits
+        metrics.flush(correct, correct_bits, byz, byz_bits, widest,
+                      by_type.items())
         t2 = perf_counter()
 
         column.attach(self._alive())
@@ -619,10 +634,10 @@ class SyncNetwork:
                       verdicts) -> None:
         """Charge and fill one sender's sends under link-fault verdicts.
 
-        *Every* resolved send is charged once whatever its verdict — a
-        dropped message was transmitted and lost, a duplicate was
-        transmitted once, a corrupted message charges its original, a
-        held message is charged at transmission time — so the ledgers
+        *Every* resolved send is charged once (``Metrics.record_send``)
+        whatever its verdict — a dropped message was transmitted and
+        lost, a duplicate was transmitted once, a corrupted message
+        charges its original, a held message at transmission — so the ledgers
         equal the fault-free execution of the same sends (per-send and
         batched charging agree, ``tests/test_metrics_ledgers.py``).
         Only delivery changes: drop fills no row, corrupt a row with
@@ -634,14 +649,14 @@ class SyncNetwork:
         process = self.processes[sender]
         byz = process.byzantine
         sender_true_uid = process.uid
-        record_sends = self.metrics.record_sends
+        record_send = self.metrics.record_send
         resolve = self.authenticator.resolve
         get_verdict = verdicts.get
         for index in range(len(sends)):
             send = sends[index]
             message = send.message
             to = send.to
-            record_sends(sender, message, 1, byzantine=byz)
+            record_send(sender, message, byzantine=byz)
             perceived_uid, recorded_claim = resolve(sender_true_uid, send.claim)
             recipients = (to,)
             verdict = get_verdict(index)

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -54,6 +56,57 @@ class TestParser:
         # driver as its JSON text (the faults driver's spec form).
         raw = '[{"kind": "omission", "p": 0.1}]'
         assert _parse_params([f"faults={raw}"]) == {"faults": raw}
+
+
+#: Command path -> the first 16 hex digits of the sha256 of its
+#: ``--help`` text at 80 columns, whitespace runs collapsed.  Recorded
+#: before the eight ``--store`` declarations became one helper.
+HELP_DIGESTS = {
+    "": "c542efbafe77c3c9",
+    "crash": "5c37620ade40bb6c",
+    "byzantine": "7103b30e0cfa19aa",
+    "table1": "1532c9d461fe9013",
+    "lowerbound": "4bad012012c1f215",
+    "sweep": "527d885a68295107",
+    "falsify": "353e3cea44d7fd7c",
+    "faults": "5804dc7270ed9d92",
+    "obs": "47c45e35fe664507",
+    "obs tail": "80f6c7611a72de62",
+    "obs profile": "9cefdf76530c0ce1",
+    "obs report": "ab68e67d14ea768c",
+    "fabric": "0121c9d4af9c1ce1",
+    "fabric enqueue": "c9d2b19b6c77c1fe",
+    "fabric work": "933fc77b93243037",
+    "fabric resume": "439263e61c625965",
+    "fabric status": "9f4647e5d66db256",
+    "report": "604955305a72b37f",
+    "runs": "b858925ebb2a2299",
+    "runs export": "7267089d2542a4f9",
+}
+
+
+def help_texts() -> dict[str, str]:
+    """The ``--help`` text of the top level and every subcommand, by
+    command path, whitespace runs collapsed."""
+    texts = {}
+
+    def walk(parser, path):
+        texts[" ".join(path)] = " ".join(parser.format_help().split())
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    walk(child, [*path, name])
+
+    walk(build_parser(), [])
+    return texts
+
+
+class TestHelpText:
+    def test_every_commands_help_is_pinned(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        digests = {path: hashlib.sha256(text.encode()).hexdigest()[:16]
+                   for path, text in help_texts().items()}
+        assert digests == HELP_DIGESTS
 
 
 class TestSpecFlags:

@@ -18,6 +18,7 @@ second of two equal sends records index 1 and replays exactly.
 """
 
 import sys
+from dataclasses import dataclass
 from random import Random
 
 import pytest
@@ -57,16 +58,22 @@ from repro.faults.base import (
     DROP,
     DUPLICATE,
     HOLD,
+    FaultModel,
     FaultStats,
+    corrupt,
     corrupt_message,
+    drop,
+    duplicate,
 )
 from repro.sim.messages import (
     Broadcast,
     CostModel,
     Envelope,
     Message,
+    Scatter,
     Send,
     broadcast,
+    multicast,
 )
 from repro.sim.metrics import Metrics
 from repro.sim.node import Context, Process
@@ -546,6 +553,86 @@ class TestBroadcastSequence:
             Broadcast(-1, _Tag())
 
 
+@dataclass(frozen=True)
+class _Sized(Message):
+    """Its size is ``bits``: the bit ledgers and the widest message tell
+    every row of a round apart."""
+
+    bits: int
+
+    def payload_bits(self, cost):
+        return self.bits
+
+
+class _OneRound(Process):
+    """Yields ``sends`` in round 1; returns the envelopes it read."""
+
+    def __init__(self, uid, sends, byzantine=False):
+        super().__init__(uid)
+        self.sends = sends
+        self.byzantine = byzantine
+
+    def program(self, ctx):
+        inbox = yield self.sends
+        return tuple((env.sender, env.sender_uid, env.claimed_sender,
+                      env.message) for env in inbox)
+
+
+class _FaultSenderZero(FaultModel):
+    """Duplicates, drops and corrupts node 0's three sends of round 1."""
+
+    def plan_round(self, round_no, delivered, alive):
+        if round_no != 1:
+            return {}
+        return {0: {0: duplicate(), 1: drop(), 2: corrupt(salt=1)}}
+
+
+class TestOneRoundOfEverySenderShape:
+    """One round holds every shape the charge loop knows -- a faulted
+    sender, a ``Send`` list with a forged claim (authentication off), one
+    ``Multicast`` object two senders share, a message tuple two
+    senders scatter (one of them Byzantine) and a Byzantine broadcast
+    with a claim -- and is charged once; every ledger must equal the
+    oracle's send-by-send charge."""
+
+    @staticmethod
+    def _processes():
+        shared = multicast((0, 1, 5), _Sized(6))
+        replies = (_Sized(4), _Sized(9), _Sized(4))
+        return [
+            _OneRound(10, [Send(1, _Sized(3)), Send(2, _Sized(3)),
+                           Send(3, _Sized(8))]),
+            _OneRound(11, [Send(0, _Sized(5), 77), Send(2, _Sized(5), 77),
+                           Send(4, _Sized(5))]),
+            _OneRound(12, shared),
+            _OneRound(13, shared),
+            _OneRound(14, Scatter((0, 1, 2), replies)),
+            _OneRound(15, Scatter((3, 4, 5), replies), byzantine=True),
+            _OneRound(16, Broadcast(7, _Sized(30), 9), byzantine=True),
+        ]
+
+    def test_engine_and_oracle_charge_the_round_alike(self):
+        cost = CostModel(n=7, namespace=64)
+        options = dict(fault_model=_FaultSenderZero(),
+                       authenticator=Authenticator(enabled=False))
+        result = run_network(self._processes(), cost, **options)
+        reference = ReferenceNetwork(self._processes(), cost, **options)
+        reference.run()
+        engine = engine_observables(result)
+        assert engine == reference_observables(reference)
+        assert result.fault_stats == reference.fault_stats
+        assert engine["sends_by_node"] == {
+            0: 3, 1: 3, 2: 3, 3: 3, 4: 3, 5: 3, 6: 7}
+        assert engine["sends_by_type"] == {"_Sized": 25}
+        summary = engine["summary"]
+        assert (summary["correct_messages"], summary["byzantine_messages"]
+                ) == (15, 10)
+        assert summary["max_message_bits"] == _Sized(30).bit_size(cost)
+        # Node 0 read node 1's forged claim; node 3 the Byzantine one.
+        assert (1, 77, 77, _Sized(5)) in engine["outputs"][0]
+        assert (6, 9, 9, _Sized(30)) in engine["outputs"][3]
+
+
 class TestBitSizeCache:
     class _CountingBlob(Message):
         computations = 0
@@ -601,11 +688,15 @@ class TestBitSizeCache:
         assert self._CountingBlob.computations == 2
 
     def test_batched_record_matches_singles(self):
+        """Seven sends flushed as one batch, the way the engine charges a
+        round, equal seven ``record_send`` calls."""
         cost = CostModel(n=4, namespace=16)
         batched, singles = Metrics(cost=cost), Metrics(cost=cost)
         blob = self._CountingBlob(11)
+        bits = blob.bit_size(cost)
         batched.begin_round()
-        batched.record_sends(2, blob, 7, byzantine=True)
+        batched.flush(0, 0, 7, 7 * bits, bits, [(type(blob), 7)])
+        batched.sends_by_node[2] += 7
         singles.begin_round()
         for _ in range(7):
             singles.record_send(2, blob, byzantine=True)

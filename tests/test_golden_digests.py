@@ -40,6 +40,12 @@ group of its own) were recorded on the commit *before* round 3 read each
 distinct answer once (``repro.sim.columnar.distinct``) and held across it
 without re-recording.
 
+``NODE_GOLDEN`` pins the one ledger ``digest`` leaves out, messages
+per sender (``sends_by_node``), for the same rows.  It was recorded at
+093de91, the commit *before* the engine advanced the ledgers once per
+round instead of once per sender, and held across it without
+re-recording.
+
 A digest that moves means two different programs are being compared.
 Only a deliberate accounting change may re-record the table:
 
@@ -98,6 +104,12 @@ def digest(result) -> str:
         sorted(metrics.sends_by_type.items()),
         sorted(result.outputs_by_uid().items()),
     ], sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def node_digest(result) -> str:
+    """sha256 of the per-sender ledger, ``sends_by_node``."""
+    canonical = json.dumps(sorted(result.metrics.sends_by_node.items()))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -284,13 +296,84 @@ GOLDEN = {
 }
 
 
+#: case id -> :func:`node_digest`, recorded at 093de91.
+NODE_GOLDEN = {
+    "crash-paper-n8":
+        "2bbedcf23ba9379c05d1a39abd1fcfafd6e61183ffb23dc33f3f0257730d38e7",
+    "crash-paper-n33":
+        "ae604a7da558e652e47b27ce3f4de0de25f3dae98e992cba880c46cfcd352d57",
+    "crash-paper-n96":
+        "c1806132bc25dca1f25df4e0180ceec04b1cf8764b933043611651db1186adcd",
+    "crash-hunter-n64-s0":
+        "5b587aabf2a7b8f1c3cb6232550c3facc8a0b67cbdcc3edae8bffc22041bceb1",
+    "crash-hunter-n64-s1":
+        "8a40e546b8139f86d0cabd3fa3d9aa6f53596cfb5ee488e84f9d4ee11b1a99c8",
+    "crash-hunter-n64-s2":
+        "a8e384ba700ba1bc0fb8a3f02d9c0270fd726e03171f1eba501644f2abe0672c",
+    "crash-hunter-n128-s0":
+        "2531085334cbd8a7ace253895db7f335e32797be32d44e7050e744562c77b4cf",
+    "crash-hunter-n128-s1":
+        "cb95e17730cde28c89de87a239b7be5cce9b199d588813c451a985f4fd647427",
+    "crash-hunter-n128-s2":
+        "ea1935bb948d6ce223bb63d1b9c54a588d519bd3c6dbccc837de23fd907e7775",
+    "crash-early-stopping-n33":
+        "3bd4d7ab719b1ff3e54276b1777c2f8072e7e99e2b073904c20e3e42d007ab58",
+    "crash-midsend-n16":
+        "c97a44c080d72270c67ec107683d67650762b191ddb0e812152130f506a973b1",
+    "crash-duplicate20-n16":
+        "2b5a2850528f8aff9be99ab0b71c52d8b876fe2799037cd29bac3667dd38d6e7",
+    "crash-corrupt-n16":
+        "2c10d35b1fbf92fd2475448a1cd9c437257bbeefd239353c052c5f3c59712634",
+    "crash-partition-n16":
+        "20d6365e57cd5de059d151b85f5082d5c75877a4ee1ee160e0ec41f9d964b60d",
+    "crash-partitioner-n64":
+        "912f4533747d83cb16a9ba74489eeabf8ecd07f24b10d2c791af8fa5820115d0",
+    "byz-withholder-n24":
+        "fd1011fd67f9db019fb89d2b06165a0aed2da641a3bb4d50f20113fc861b5205",
+    "byz-withholder-n48":
+        "0fabd43fc906047d7d56ee3166001f501aa234a4c893cc186d9aac3c1a942a36",
+    "byz-equivocator-n24":
+        "f326c6a0fd442658669e1e4697faca9761d4e23298008bf00e4f88d2b3ff2e2f",
+    "byz-equivocator-n48":
+        "4b29fd28cbfdcde276c757f286ea63897a3e53edef255b9ef320172f0d1b01ca",
+    "byz-silent-n48":
+        "b2d12122e839aa17658b9b32eb9839f0e91dbf040f88fde880b9c0644d60e405",
+    "byz-crash-sim-n48":
+        "fe5f7fde8703d36d4def053880a8d4f272bd8ed471efe8fcf85dcab25450fb2c",
+    "byz-chaos-n24":
+        "3785f9c185c66fd5c500a1b684f78bcb6bb9c024a02b65d8286b3b6e045c7c94",
+    "byz-withholder-n64-f3":
+        "f331123eef8e76848fc400977881a32f94d8b266e555862c50610620e3234eab",
+    "obg-n33-f0":
+        "942afd172b7fb84d2d65827ecef46f2263cd1a5b58cb7a486105eb038b6f56b2",
+    "balls-n33-f0":
+        "cb1734987bcbab139263c9fa46c59093bc737002865660a184231a2ba8dea90a",
+    "obg-random-n64-s0":
+        "22838251dcda3b5c73888eedae72e20e74f05d187646075e75297fde80141f20",
+    "obg-random-n64-s1":
+        "6ff9fde67738439dd8919fb9cfd0104ff30e5e0980a57dfddbff54bc6c183e53",
+    "balls-random-n64-s0":
+        "bb97f29da07412cf24185ef4740a269e88ea78732d147c05d51b428be939b830",
+    "balls-random-n64-s1":
+        "b3e1790990e814e1d16687ef604c4c7fb59ba1de3ec82e568e7ae8f5bdc790ee",
+    "collect-n33-f0":
+        "6bb663b31488b2256b13378b26aacc927341baffb1b151a486879324c503c3ec",
+    "collect-random-n64-s0":
+        "c2c69295ba59e95247a38dac31181e9a3a3a24c81e3d5f9a6050e50e775b69c0",
+    "collect-random-n64-s1":
+        "6554088a1e4664913d2adabe060e2eb08d073ca691a9fe46949298aa236441d9",
+}
+
+
 def test_every_case_has_a_recorded_digest():
-    assert sorted(GOLDEN) == sorted(CASES)
+    assert sorted(GOLDEN) == sorted(CASES) == sorted(NODE_GOLDEN)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_counted_results_match_the_recorded_digest(case):
-    assert digest(CASES[case]()) == GOLDEN[case]
+    result = CASES[case]()
+    assert digest(result) == GOLDEN[case]
+    assert node_digest(result) == NODE_GOLDEN[case]
 
 
 #: Golden Byzantine case id -> ``(n, f, strategy)`` of the same run
@@ -410,7 +493,9 @@ def test_serve_counts_match_the_recorded_digest(case):
 
 if __name__ == "__main__":
     for case, run in CASES.items():
-        print(f'    "{case}":\n        "{digest(run())}",')
+        result = run()
+        print(f'    "{case}":\n        "{digest(result)}",'
+              f'  # node {node_digest(result)}')
     for case, run in SERVE_CASES.items():
         recorded, lookups = run()
         print(f'    "{case}":\n        "{recorded}",  # lookups {lookups}')

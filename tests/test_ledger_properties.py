@@ -1,11 +1,12 @@
 """Ledger conservation properties of the metrics accounting.
 
-The engine now batches charges (one ``record_sends`` per broadcast or
-per same-message run) and memoizes bit sizes, so these properties pin
-what must never drift: the per-round series sum exactly to the running
-totals, on every workload shape the repo exercises — the falsification
-scenarios under every adversary kind, and the crash-renaming sweep
-grid.
+The engine batches charges (it sums a round's sends and advances the
+ledgers by one ``Metrics.flush`` per round, adding each sender's count
+to ``sends_by_node`` as it goes) and memoizes bit sizes, so these
+properties pin what must never drift: the per-round series sum exactly
+to the running totals, on every workload shape the repo exercises — the
+falsification scenarios under every adversary kind, and the
+crash-renaming sweep grid.
 """
 
 from random import Random

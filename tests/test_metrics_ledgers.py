@@ -30,6 +30,7 @@ from repro.sim.metrics import Metrics
 from repro.sim.node import IdleProcess
 from repro.sim.runner import ExecutionResult, run_network
 from repro.sim.trace import Trace
+from tests import test_golden_digests as golden
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,10 @@ class _Chirp(Message):
         return cost.id_bits + cost.depth_bits
 
 
-class TestOneFlushPerSender:
+class TestOneFlushPerRound:
     def test_three_runs_of_two_types_match_one_by_one_charging(self):
-        """The engine flushes a sender's round once; the ledgers must
-        equal ``record_send`` called send by send."""
+        """The engine flushes a round once; the ledgers must equal
+        ``record_send`` called send by send."""
         big, small, chirp = _Blob(30), _Blob(2), _Chirp()
         script = [Send(1, big), Send(2, big), Send(0, chirp),
                   Send(2, small), Send(2, small), Send(1, small)]
@@ -133,12 +134,33 @@ class TestOneFlushPerSender:
         assert engine.sends_by_node == {1: 6}
         assert engine.max_message_bits == big.bit_size(cost)
 
+    def test_a_committee_round_advances_the_ledgers_once(self, monkeypatch):
+        """~21 members vote every round of ``byz-withholder-n48``: the
+        ledgers advance once per round, not once per sender."""
+        advanced = []
+        flush = Metrics.flush
+
+        def counting_flush(self, *args, **kwargs):
+            advanced.append(self.rounds)
+            return flush(self, *args, **kwargs)
+
+        monkeypatch.setattr(Metrics, "flush", counting_flush)
+        result = golden.CASES["byz-withholder-n48"]()
+        assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
+        metrics = result.metrics
+        with_sends = [round_no for round_no, sent in enumerate(
+            metrics.messages_per_round, 1) if sent]
+        assert len(with_sends) > 1_000
+        assert advanced == list(range(1, metrics.rounds + 1))
+
     def test_flush_before_begin_round_raises(self):
         metrics = Metrics(cost=CostModel(n=4, namespace=16))
         with pytest.raises(RuntimeError, match="begin_round"):
-            metrics.flush(0, 2, 14, 7, [(_Blob, 2)], byzantine=False)
-        with pytest.raises(RuntimeError, match="begin_round"):
-            metrics.record_sends(0, _Blob(3), 2, byzantine=True)
+            metrics.flush(2, 14, 0, 0, 7, [(_Blob, 2)])
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="begin_round"):
+                metrics.record_send(0, _Blob(3), byzantine=True)
+        assert metrics == Metrics(cost=metrics.cost)
 
 
 class TestCostModelWordSizes:

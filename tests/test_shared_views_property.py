@@ -498,6 +498,30 @@ class TestComputedOnce:
             assert all(counted[step] <= bound[step] for step in counted)
         assert len(sized) == len(built)
 
+    def test_a_view_votes_with_one_fanout_object(self, monkeypatch):
+        sends = comm.CommitteeComm.sends
+        fanouts: dict[tuple, set[int]] = {}
+        kept = []  # every fan-out and view stays alive: ids stay unique
+
+        def recording_sends(self, kind, value, width):
+            fanout = sends(self, kind, value, width)
+            read = self._read
+            if type(read) is LazyInbox and not self._hooked:
+                view = read._resolve()
+                kept.append((fanout, view))
+                key = (self.step, id(view), self._members, kind,
+                       type(value), value)
+                fanouts.setdefault(key, set()).add(id(fanout))
+            return fanout
+
+        monkeypatch.setattr(comm.CommitteeComm, "sends", recording_sends)
+        result = golden.CASES["byz-withholder-n48"]()
+        assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
+        # Members that read one inbox, share a view and vote alike
+        # yield one `Multicast` object, not one each.
+        assert all(len(ids) == 1 for ids in fanouts.values())
+        assert len(kept) > 20 * len(fanouts)
+
     @pytest.mark.parametrize("protocol, answers", [
         ("crash-paper", {1}), ("crash-split", {2})])
     def test_round_three_counts_each_distinct_answer_once(
