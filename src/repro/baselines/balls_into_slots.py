@@ -59,7 +59,7 @@ MAX_CLAIM_ROUNDS = 10_000
 
 
 @dataclass(frozen=True)
-class SlotClaim(Message):
+class SlotClaim(Message, fixed_width=True):
     """``CLAIM(slot, ID)``: one ball racing for one leaf."""
 
     slot: int
@@ -70,7 +70,7 @@ class SlotClaim(Message):
 
 
 @dataclass(frozen=True)
-class SlotRelease(Message):
+class SlotRelease(Message, fixed_width=True):
     """Keep-alive of a named node: re-announces its final slot so late
     observers cannot mistake the slot for free."""
 

@@ -51,7 +51,7 @@ from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
 
 @dataclass(frozen=True)
-class HalvingStatus(Message):
+class HalvingStatus(Message, fixed_width=True):
     """Per-phase broadcast ``<ID(v), I_v>``."""
 
     uid: int

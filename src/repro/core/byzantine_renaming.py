@@ -69,7 +69,7 @@ class ByzantineRenamingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Elect(Message):
+class Elect(Message, fixed_width=True):
     """Committee announcement ``<ELECT, ID(v)>``."""
 
     uid: int
@@ -79,7 +79,7 @@ class Elect(Message):
 
 
 @dataclass(frozen=True)
-class IdAnnounce(Message):
+class IdAnnounce(Message, fixed_width=True):
     """Identity aggregation ``<ID, ID(v)>``."""
 
     uid: int
@@ -89,7 +89,7 @@ class IdAnnounce(Message):
 
 
 @dataclass(frozen=True)
-class NewId(Message):
+class NewId(Message, fixed_width=True):
     """Distribution ``<NEW, NewID(u)>`` (``None`` encodes ``null``)."""
 
     value: Optional[int]

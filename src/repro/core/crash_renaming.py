@@ -63,7 +63,7 @@ class RenamingFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CommitteeNotice(Message):
+class CommitteeNotice(Message, fixed_width=True):
     """Round-1 announcement: "I am a committee member"."""
 
     def payload_bits(self, cost: CostModel) -> int:
@@ -71,7 +71,7 @@ class CommitteeNotice(Message):
 
 
 @dataclass(frozen=True)
-class Status(Message):
+class Status(Message, fixed_width=True):
     """Round-2 report ``<ID(v), I_v, d_v, p_v>``."""
 
     uid: int
@@ -85,7 +85,7 @@ class Status(Message):
 
 
 @dataclass(frozen=True)
-class Done(Message):
+class Done(Message, fixed_width=True):
     """Early-stopping broadcast: every reporter holds a singleton."""
 
     def payload_bits(self, cost: CostModel) -> int:
@@ -93,7 +93,7 @@ class Done(Message):
 
 
 @dataclass(frozen=True)
-class Response(Message):
+class Response(Message, fixed_width=True):
     """Round-3 committee answer ``<ID(w), I, d, p_u>``."""
 
     uid: int
@@ -273,13 +273,13 @@ class CrashRenamingNode(Process):
             self.p += 1
             self._maybe_self_elect(ctx)
             return
-        first = min(
-            responses, key=lambda r: (-r.depth, r.interval.lo, r.interval.hi)
-        )
+        single = len(responses) == 1  # one decision: read it as it is
+        first = responses[0] if single else min(
+            responses, key=lambda r: (-r.depth, r.interval.lo, r.interval.hi))
         self.depth = first.depth
         if not self.interval.is_singleton:
             self.interval = first.interval
-        p_hat = max(response.p for response in responses)
+        p_hat = first.p if single else max(r.p for r in responses)
         if p_hat > self.p:
             self.p = p_hat
             if not self.elected:

@@ -17,11 +17,12 @@ many links it names, each maximal constant-``(message, claim)`` run of
 a ``Send`` list is one row, a :class:`~repro.sim.messages.Scatter` is
 one row per message, all under the sender's one header.  *An envelope
 exists once somebody reads its row*: it is built on the first read and
-kept on the row, so the same row read through two views -- or twice
-through a duplicated link -- is the same immutable instance, and a row
-nobody reads as an envelope never becomes one.  (Held mail arrives with
-the envelope it was stamped with when it was held; such a row keeps
-it.)
+kept in the column's sparse ``env`` (row -> envelope), so the same row
+read through two views -- or twice through a duplicated link -- is the
+same immutable instance, and a row nobody reads as an envelope (a
+scatter's answers, read through :func:`distinct`) never gets one, nor
+a slot.  (Held mail arrives with the envelope it was stamped with when
+it was held; such a row keeps it.)
 
 **Blocks and groups.**  Who reads a row is kept per fan-out, not per
 delivery.  A whole-network fan-out is a *broadcast row* (``b_seq``) and
@@ -183,10 +184,11 @@ class ColumnarRound:
 
     def __init__(self, round_no: int = 0):
         self.round_no = round_no
-        #: Per row: its header, its message, its envelope once read.
+        #: Per row: its header and its message; row -> its envelope,
+        #: for the rows read as envelopes and held mail only.
         self.hdr: list[Header] = []
         self.msg: list[Message] = []
-        self.env: list[Optional[Envelope]] = []
+        self.env: dict[int, Envelope] = {}
         self.b_seq: list[int] = []
         #: (targets, stride) -> first rows of the group's blocks.
         self._groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
@@ -209,16 +211,16 @@ class ColumnarRound:
 
     def _row(self, row: Union[tuple[Header, Message], Envelope]) -> int:
         """Append one row; returns its index."""
+        index = len(self.msg)
         if type(row) is Envelope:  # held mail: stamped when it was held
             header = (row.sender, row.sender_uid, row.claimed_sender)
-            message, envelope = row.message, row
+            message = row.message
+            self.env[index] = row
         else:
             header, message = row
-            envelope = None
         self.hdr.append(header)
         self.msg.append(message)
-        self.env.append(envelope)
-        return len(self.env) - 1
+        return index
 
     def _file(self, targets: Sequence[int], first: int,
               stride: int = 0) -> list[int]:
@@ -244,10 +246,9 @@ class ColumnarRound:
     def add_scatter(self, header: Header, messages: Sequence[Message],
                     links: Sequence[int]) -> None:
         """One row per link: ``messages[k]`` is read by ``links[k]``."""
-        first = len(self.env)
+        first = len(self.msg)
         self.hdr.extend([header] * len(messages))
         self.msg.extend(messages)
-        self.env.extend([None] * len(messages))
         once = self._once.setdefault(id(self._file(links, first, 1)), {})
         once.setdefault(id(messages), first)
         self._pinned.append(messages)
@@ -340,7 +341,7 @@ class ColumnarRound:
         """Give each of ``rows`` its envelope, unless it has one."""
         env, hdr, msg, round_no = self.env, self.hdr, self.msg, self.round_no
         for row in rows:
-            if env[row] is None:
+            if row not in env:
                 sender, uid, claim = hdr[row]
                 env[row] = Envelope(sender, round_no, msg[row], uid, claim)
 
@@ -376,12 +377,15 @@ class ColumnarRound:
         """The view's messages in send order, less the scatter blocks
         that repeat an earlier block's message tuple."""
         once = self._once
-        rows = [*self.b_seq]
+        rows: list[int] = []
         for firsts, offset in view.blocks:
             kept = once.get(id(firsts))
             rows += [first + offset
                      for first in (firsts if kept is None else kept.values())]
-        rows.sort()
+        if self.b_seq or len(view.blocks) > 1:
+            # Ascending runs to merge; one block alone is ascending.
+            rows += self.b_seq
+            rows.sort()
         msg = self.msg
         return [msg[row] for row in rows]
 
@@ -503,4 +507,6 @@ def distinct(inbox: Sequence[Envelope]) -> tuple[Message, ...]:
         read = inbox._column.once(inbox._resolve())
     else:
         read = messages(inbox)
+    if len(read) < 2:
+        return tuple(read)
     return tuple({id(message): message for message in read}.values())

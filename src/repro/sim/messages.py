@@ -25,12 +25,13 @@ yields :data:`UNTIL_MAIL` in place of ``[]``.
 Because messages are frozen (immutable) dataclasses, their bit size
 under a fixed :class:`CostModel` never changes after construction.  The
 engine exploits that: :meth:`repro.sim.metrics.Metrics.message_bits`
-memoizes :meth:`Message.bit_size` per message *object*, so one message
-sent over many links charges its size via a single ``payload_bits``
-evaluation (a scatter's one-shot messages are sized directly).
+memoizes :meth:`Message.bit_size` per message *object* within a round,
+so one message sent over many links charges its size via a single
+``payload_bits`` evaluation; a type declaring :attr:`Message.fixed_width`
+(its size reads no field) is sized once per *class* and run.
 ``payload_bits`` implementations must therefore be pure functions of
 the message's fields and the cost model — a message whose size depends
-on mutable external state would defeat both the cache and the frozen
+on mutable external state would defeat both memos and the frozen
 contract.
 """
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import ClassVar, Iterator, NamedTuple, Optional
 
 #: Number of bits charged for the message-type tag of every message.
 HEADER_BITS = 4
@@ -126,6 +127,15 @@ class Message:
     charges the message's fields under a :class:`CostModel`; the envelope
     adds :data:`HEADER_BITS` for the type tag.
     """
+
+    #: "My ``payload_bits`` reads only the cost model", so a run sizes
+    #: the class once.  Declared as ``class M(Message, fixed_width=True)``;
+    #: not inherited (a subclass's ``payload_bits`` may read a field).
+    fixed_width: ClassVar[bool] = False
+
+    def __init_subclass__(cls, fixed_width: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.fixed_width = fixed_width
 
     def payload_bits(self, cost: CostModel) -> int:
         raise NotImplementedError

@@ -10,13 +10,13 @@ Bit accounting is memoized: messages are frozen dataclasses, so a
 fan-out is many sends of a single message object, and
 :meth:`Metrics.message_bits` computes its
 :meth:`~repro.sim.messages.Message.bit_size` once instead of once per
-link.  The cache is keyed by message identity only (with a strong
-reference pinning the object, so a recycled ``id`` can never alias) and
-is dropped at every :meth:`begin_round` so it stays bounded by one
-round's working set.  The engine sums a round's sends and advances the
-ledgers once per round (:meth:`Metrics.flush`; ``sends_by_node`` per
-sender as it goes).  Memoization and batching are invisible: every
-counted quantity equals charging each send by :meth:`Metrics.record_send`.
+link, keyed by identity (a strong reference pins the object, so an
+``id`` never aliases) and dropped at every :meth:`begin_round`; a
+:attr:`~repro.sim.messages.Message.fixed_width` type, once per class
+and run.  The engine sums a round's sends and advances the ledgers once
+per round (:meth:`Metrics.flush`; ``sends_by_node`` per sender as it
+goes).  Memoization and batching are invisible: every counted quantity
+equals charging each send by :meth:`Metrics.record_send`.
 """
 
 from __future__ import annotations
@@ -46,6 +46,14 @@ class Metrics:
     #: id(message) -> (message, bits); the message reference keeps the
     #: object alive so the id cannot be recycled while the entry exists.
     _bits_by_id: dict = field(default_factory=dict, repr=False, compare=False)
+    #: fixed-width message class -> its bits under ``cost``, for the run.
+    _bits_by_class: dict = field(default_factory=dict, repr=False,
+                                 compare=False)
+
+    def _in_round(self, api: str) -> None:
+        if not self.messages_per_round:
+            raise RuntimeError(f"{api} before begin_round: per-round ledgers "
+                               "would silently drift from the running totals")
 
     def begin_round(self) -> None:
         self.rounds += 1
@@ -54,16 +62,24 @@ class Metrics:
         self._bits_by_id.clear()
 
     def message_bits(self, message: Message) -> int:
-        """The memoized :meth:`~repro.sim.messages.Message.bit_size`."""
+        """The memoized :meth:`~repro.sim.messages.Message.bit_size`:
+        per object within the round, then per fixed-width class."""
         entry = self._bits_by_id.get(id(message))
         if entry is not None and entry[0] is message:
             return entry[1]
+        cls = type(message)
+        if cls.fixed_width:
+            bits = self._bits_by_class.get(cls)
+            if bits is None:
+                bits = self._bits_by_class[cls] = message.bit_size(self.cost)
+            return bits
         bits = message.bit_size(self.cost)
         self._bits_by_id[id(message)] = (message, bits)
         return bits
 
     def record_send(self, sender: int, message: Message, *, byzantine: bool) -> None:
         """Charge one transmitted message to the appropriate ledger."""
+        self._in_round("record_send")
         bits = self.message_bits(message)
         sent = (0, 0, 1, bits) if byzantine else (1, bits, 0, 0)
         self.flush(*sent, bits, ((type(message), 1),))
@@ -76,11 +92,7 @@ class Metrics:
         batch of this round's sends: ``correct`` / ``byzantine`` messages
         totalling ``correct_bits`` / ``byzantine_bits``, the largest
         ``widest`` bits, ``by_type`` as ``(message class, count)`` pairs."""
-        if not self.messages_per_round:
-            raise RuntimeError(
-                "record_send before begin_round: per-round ledgers would "
-                "silently drift from the running totals"
-            )
+        self._in_round("flush")
         self.correct_messages += correct
         self.correct_bits += correct_bits
         self.byzantine_messages += byzantine

@@ -290,6 +290,8 @@ class SyncNetwork:
                     )
                 self._in_bounds = targets
             return sends
+        if type(sends) is list and not sends:
+            return sends  # a suspended program cannot change it: no copy
         out = list(sends)
         for send in out:
             if not 0 <= send.to < n:
@@ -447,7 +449,6 @@ class SyncNetwork:
         message_bits = metrics.message_bits
         resolve = self.authenticator.resolve
         by_node = metrics.sends_by_node
-        cost = self.cost
         whole = range(self.n)
         # The round's charge, flushed into the ledgers once at the end.
         correct = correct_bits = byz = byz_bits = widest = 0
@@ -490,12 +491,12 @@ class SyncNetwork:
                 else:
                     add_run(row, targets)
             elif isinstance(sends, Scatter):
-                # One message per link: a row each, sized directly (not
-                # cached); a message tuple several senders share, once.
+                # One message per link: a row each; a message tuple
+                # several senders share is sized once.
                 messages = sends.messages
                 sized = scatter_sizes.get(id(messages))
                 if sized is None:
-                    sizes = [message.bit_size(cost) for message in messages]
+                    sizes = [message_bits(message) for message in messages]
                     sized = scatter_sizes[id(messages)] = (
                         len(sizes), sum(sizes), max(sizes),
                         tuple(Counter(map(type, messages)).items()))

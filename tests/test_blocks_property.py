@@ -486,14 +486,15 @@ class TestMessages:
         with pytest.raises(TypeError):
             read[1][0] = Letter(9)
         assert all(messages(inboxes[link]) is read[link] for link in range(5))
-        # No envelope was asked for, so none exists...
-        assert column.env == [None] * 4
+        # No envelope was asked for, so none of the four rows has one...
+        assert len(column.msg) == 4 and column.env == {}
         # ...until somebody does; it then carries the column's round.
         assert [(env.sender, env.round_no, env.message.value, env.sender_uid)
                 for env in inboxes[2]] == [
             (0, 4, 0, 100), (1, 4, 1, 101), (1, 4, 1, 101)]
         assert inboxes[2][1] is inboxes[2][2] is inboxes[1][1]
-        assert column.env[2:] == [None, None]
+        # ...and only the rows read as envelopes: not the scatter's two.
+        assert sorted(column.env) == [0, 1]
 
     def test_a_row_filed_with_its_envelope_keeps_it(self):
         """Held mail was stamped when it was held: the row is that

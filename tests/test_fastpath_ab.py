@@ -36,23 +36,29 @@ from repro.adversary.crash import (
 )
 from repro.adversary.byzantine import make_chaos_monkey, silent
 from repro.analysis.experiments import default_namespace, sample_uids
-from repro.baselines.balls_into_slots import run_balls_into_slots
+from repro.baselines.balls_into_slots import SlotClaim, run_balls_into_slots
 from repro.baselines.collect_rank import CollectRankNode, run_collect_rank
-from repro.baselines.obg_halving import run_obg_halving
+from repro.baselines.obg_halving import HalvingStatus, run_obg_halving
 from repro.core.byzantine_renaming import (
     ByzantineRenamingConfig,
     ByzantineRenamingNode,
+    Elect,
+    NewId,
     run_byzantine_renaming,
 )
 from repro.core.crash_renaming import (
     CrashRenamingConfig,
     CrashRenamingNode,
+    Response,
+    Status,
     run_crash_renaming,
 )
+from repro.core.intervals import Interval
 from repro.crypto.auth import Authenticator
 from repro.crypto.shared_randomness import SharedRandomness
 from repro.falsify.faulty import RacyRankNode
 from repro.falsify.replay import RecordingAdversary, ReplayAdversary
+from repro.faults import build_fault_model
 from repro.faults.base import (
     CORRUPT,
     DROP,
@@ -65,6 +71,7 @@ from repro.faults.base import (
     drop,
     duplicate,
 )
+from repro.faults.channels import CorruptingChannel
 from repro.sim.messages import (
     Broadcast,
     CostModel,
@@ -631,6 +638,86 @@ class TestOneRoundOfEverySenderShape:
         # Node 0 read node 1's forged claim; node 3 the Byzantine one.
         assert (1, 77, 77, _Sized(5)) in engine["outputs"][0]
         assert (6, 9, 9, _Sized(30)) in engine["outputs"][3]
+
+
+def _both(processes, cost, **options):
+    """One execution on the engine and one on the oracle, from fresh
+    processes (and a fresh fault model, when ``options`` make one)."""
+    fault_model = options.pop("fault_model", lambda: None)
+    result = run_network(processes(), cost, fault_model=fault_model(),
+                         **options)
+    reference = ReferenceNetwork(processes(), cost,
+                                 fault_model=fault_model(), **options)
+    reference.run()
+    assert engine_observables(result) == reference_observables(reference)
+    assert result.fault_stats == reference.fault_stats
+    return result
+
+
+class TestFixedWidthAgainstTheOracle:
+    """A fixed-width type is sized once per class and run; the oracle
+    sizes every send anew.  A flipped or out-of-range field must not
+    tell them apart."""
+
+    @staticmethod
+    def _reporters():
+        status = Status(7, Interval(1, 8), 0, 0)
+        return [
+            _OneRound(10, multicast((1, 2, 3), status)),
+            _OneRound(11, Scatter((0, 2), (Response(7, Interval(1, 4), 1, 0),
+                                           Response(9, Interval(5, 8), 1, 2)))),
+            _OneRound(12, [Send(0, status),
+                           Send(3, Status(9, Interval(1, 8), 0, 1))]),
+            _OneRound(13, broadcast(5, Response(3, Interval(2, 2), 3, 1))),
+            _OneRound(14, []),
+        ]
+
+    def test_a_corrupting_channel_flips_status_and_response(self):
+        result = _both(self._reporters, CostModel(n=5, namespace=64),
+                       fault_model=lambda: CorruptingChannel(1.0, seed=5))
+        assert result.fault_stats.corrupted == 12
+        sent = {send.message for process in self._reporters()
+                for send in process.sends}
+        read = {entry[3] for entries in result.results.values()
+                for entry in entries}
+        assert {type(message) for message in read} == {Status, Response}
+        assert read - sent  # the channel did flip fields
+
+    def test_a_crash_run_under_corruption(self):
+        uids, namespace = _population(16, seed=39)
+        config = CrashRenamingConfig()
+        result = _both(
+            lambda: [CrashRenamingNode(uid, config) for uid in uids],
+            CostModel(n=16, namespace=namespace), seed=41,
+            fault_model=lambda: build_fault_model(
+                [{"kind": "corrupt", "p": 0.005}], 16, 39))
+        assert result.fault_stats.corrupted > 0
+        assert result.metrics.sends_by_type["Response"] > 0
+
+    def test_a_byzantine_sender_with_out_of_range_fields(self):
+        huge = 2 ** 90
+
+        def processes():
+            return [
+                _OneRound(10, multicast((1, 2), Status(7, Interval(1, 8), 0, 0))),
+                _OneRound(11, Scatter((0, 2, 3), (
+                    Status(-huge, Interval(-5, huge), -3, huge),
+                    Response(huge, Interval(0, 0), -1, -huge),
+                    Elect(-1))), byzantine=True),
+                _OneRound(12, [Send(0, NewId(None)), Send(1, NewId(huge)),
+                               Send(3, SlotClaim(-9, huge))], byzantine=True),
+                _OneRound(13, Broadcast(4, HalvingStatus(
+                    0, Interval(huge, 2 * huge)), 2), byzantine=True),
+            ]
+
+        cost = CostModel(n=4, namespace=64)
+        result = _both(processes, cost)
+        summary = result.metrics.summary()
+        assert (summary["correct_messages"], summary["byzantine_messages"]
+                ) == (2, 10)
+        assert summary["byzantine_bits"] == sum(
+            send.message.bit_size(cost) for process in processes()[1:]
+            for send in process.sends)
 
 
 class TestBitSizeCache:

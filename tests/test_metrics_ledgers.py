@@ -162,6 +162,15 @@ class TestOneFlushPerRound:
                 metrics.record_send(0, _Blob(3), byzantine=True)
         assert metrics == Metrics(cost=metrics.cost)
 
+    def test_the_error_names_the_api_that_was_called(self):
+        """The engine's per-round ``flush`` is not a ``record_send``."""
+        metrics = Metrics(cost=CostModel(n=4, namespace=16))
+        with pytest.raises(RuntimeError, match="^flush before begin_round"):
+            metrics.flush(2, 14, 0, 0, 7, [(_Blob, 2)])
+        with pytest.raises(RuntimeError,
+                           match="^record_send before begin_round"):
+            metrics.record_send(0, _Blob(3), byzantine=True)
+
 
 class TestCostModelWordSizes:
     def test_identity_is_the_two_fields_only(self):

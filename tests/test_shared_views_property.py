@@ -541,7 +541,7 @@ class TestComputedOnce:
         # with two, and the pass over `messages(inbox)` keeps each once.
         assert engine["error"] is None and set(heard) == answers
 
-    def test_a_shared_reply_tuple_is_sized_once_per_round(self, monkeypatch):
+    def test_a_reply_type_is_sized_once_per_run(self, monkeypatch):
         sized = []
         bit_size = crash_renaming.Response.bit_size
 
@@ -554,8 +554,10 @@ class TestComputedOnce:
         result = golden.CASES["crash-paper-n33"]()
         assert golden.digest(result) == golden.GOLDEN["crash-paper-n33"]
         responses = result.metrics.sends_by_type["Response"]
-        # 33 members send the same 33 answers: each is sized once.
-        assert len(sized) * 33 == responses
+        # 33 members send the same 33 answers in each of 18 phases: a
+        # fixed-width type, sized once for all 19,602 of them.
+        assert crash_renaming.Response.fixed_width
+        assert len(sized) == 1 and responses == 33 * 33 * 18
 
 
 class _RoundSized(Message):
@@ -587,9 +589,10 @@ class _SharedScatterer(Process):
 
 
 def test_reply_sizes_are_not_remembered_across_rounds():
-    """The size cache is keyed by the tuple's identity, which names it
-    only while the round keeps it alive: the cache is the charge
-    loop's own and sizes the tuple anew in every round."""
+    """A width-varying type (no ``fixed_width``) is sized per object,
+    and that memo is keyed by identity, which names an object only
+    while the round keeps it alive: the tuple is sized anew in every
+    round."""
     n, rounds, clock = 5, 6, {}
     messages = tuple(_RoundSized(clock) for _ in range(n))
     result = run_network(

@@ -338,7 +338,7 @@ class TestTheReader:
         fresh.add_run(((1, 101, None), Probe(2)), (1, 2))
         fresh.attach(range(3))
         assert tally(LazyInbox(fresh, 1), values, 0)[0] == (1,)
-        assert fresh.env == [None, None]
+        assert len(fresh.msg) == 2 and fresh.env == {}
 
     def test_memoised_on_the_column_under_the_common_view(self):
         column, inboxes = _column()
