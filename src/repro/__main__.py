@@ -8,8 +8,8 @@ Examples::
     python -m repro lowerbound --n 48
     python -m repro sweep --driver crash --n 16,32,64 --seeds 0-4 --jobs 4
     python -m repro sweep --driver crash --store sqlite://.repro/runs.sqlite
-    python -m repro runs --export md
-    python -m repro runs export --parquet --out .repro/export
+    python -m repro runs --format md
+    python -m repro runs export --out .repro/export
     python -m repro sweep --driver serve --n 64 --seeds 0-2 --f 1
     python -m repro falsify --n 8,12 --seeds 0-3 --jobs 4
     python -m repro falsify --replay .repro/repros/repro-crash-....json
@@ -20,9 +20,8 @@ Examples::
     python -m repro obs report --driver crash
     python -m repro fabric enqueue --driver crash --n 16,32 --seeds 0-4 --campaign night
     python -m repro fabric work --campaign night --workers 4
-    python -m repro fabric status
+    python -m repro fabric status --live
     python -m repro fabric resume --campaign night --workers 2
-    python -m repro report --live
 """
 
 from __future__ import annotations
@@ -453,17 +452,6 @@ def _obs_report(args: argparse.Namespace) -> int:
     return 0
 
 
-
-
-def _ledger_json(store, run, include: bool):
-    if not include:
-        return None
-    ledger = store.ledger(run.hash)
-    if ledger is None:
-        return None
-    return dict(zip(("messages_per_round", "bits_per_round"), ledger))
-
-
 def cmd_runs(args: argparse.Namespace) -> int:
     from datetime import datetime, timezone
 
@@ -471,81 +459,49 @@ def cmd_runs(args: argparse.Namespace) -> int:
     try:
         stored = store.query(driver=args.driver, n=args.n,
                              status=args.status, limit=args.limit)
-        if args.export == "json":
-            print(json.dumps(
-                [
-                    {
-                        "hash": run.hash, "driver": run.driver, "n": run.n,
-                        "f": run.f, "seed": run.seed, "params": run.params,
-                        "code_version": run.code_version,
-                        "status": run.status, "row": run.row,
-                        "error": run.error, "elapsed": run.elapsed,
-                        "created": run.created, "attempts": run.attempts,
-                        "ledger": _ledger_json(store, run, args.ledgers),
-                    }
-                    for run in stored
-                ],
-                indent=2,
-            ))
-        elif args.export == "md":
-            _print_rows(
-                [run.row for run in stored if run.ok and run.row], "md"
-            )
-        else:
-            rows = [
-                {
-                    "hash": run.hash[:10],
-                    "driver": run.driver,
-                    "n": run.n,
-                    "f": run.f,
-                    "seed": run.seed,
-                    "status": run.status,
-                    "rounds": (run.row or {}).get("rounds"),
-                    "messages": (run.row or {}).get("messages"),
-                    "bits": (run.row or {}).get("bits"),
-                    "attempts": run.attempts,
-                    "elapsed_s": round(run.elapsed or 0.0, 3),
-                    "created": datetime.fromtimestamp(
-                        run.created, tz=timezone.utc
-                    ).strftime("%Y-%m-%d %H:%M:%S"),
-                }
-                for run in stored
-            ]
-            _print_rows(rows)
-            stats = store.stats()
-            print(
-                f"\n{stats['ok']} ok / {stats['failed']} failed of "
-                f"{stats['total']} stored runs  [store: {stats['path']}]",
-                file=sys.stderr,
-            )
+        stats = store.stats()
     finally:
         store.close()
+    _print_rows([
+        {
+            "hash": run.hash[:10],
+            "driver": run.driver,
+            "n": run.n,
+            "f": run.f,
+            "seed": run.seed,
+            "status": run.status,
+            "rounds": (run.row or {}).get("rounds"),
+            "messages": (run.row or {}).get("messages"),
+            "bits": (run.row or {}).get("bits"),
+            "attempts": run.attempts,
+            "elapsed_s": round(run.elapsed or 0.0, 3),
+            "created": datetime.fromtimestamp(
+                run.created, tz=timezone.utc
+            ).strftime("%Y-%m-%d %H:%M:%S"),
+        }
+        for run in stored
+    ], args.format)
+    print(
+        f"\n{stats['ok']} ok / {stats['failed']} failed of "
+        f"{stats['total']} stored runs  [store: {stats['path']}]",
+        file=sys.stderr,
+    )
     return 0
 
 
 def cmd_runs_export(args: argparse.Namespace) -> int:
     from repro.engine.export import export_store
 
-    formats = [fmt for fmt, wanted in
-               (("jsonl", args.jsonl), ("parquet", args.parquet)) if wanted]
-    if not formats:
-        formats = ["jsonl"]
     store = _open_store(args)
     try:
-        try:
-            written = export_store(store, args.out, formats=formats,
-                                   driver=args.driver, status=args.status)
-        except RuntimeError as error:
-            print(f"python -m repro runs export: {error}", file=sys.stderr)
-            return 1
-        exported = len(store.query(driver=args.driver, status=args.status))
+        exported, written = export_store(
+            store, args.out, driver=args.driver, status=args.status)
     finally:
         store.close()
-    for table in ("runs", "ledgers", "telemetry"):
-        for path in written[table]:
-            print(path)
-    print(f"\nexported {exported} runs (+ ledgers, telemetry) as "
-          f"{'/'.join(formats)} under {args.out}", file=sys.stderr)
+    for path in written.values():
+        print(path)
+    print(f"\nexported {exported} runs (+ ledgers, telemetry) as jsonl "
+          f"under {args.out}", file=sys.stderr)
     return 0
 
 
@@ -634,51 +590,33 @@ def _campaign_rows(status: dict) -> list[dict]:
 
 
 def _fabric_status(args: argparse.Namespace) -> int:
-    """One snapshot of the queue: per-campaign counts + live leases."""
-    from repro.engine.fabric import campaign_status
-
-    status = campaign_status(_store_url(args), args.campaign)
-    if args.format == "json":
-        print(json.dumps(status, indent=2))
-        return 0
-    if not status["campaigns"]:
-        print("no campaigns enqueued")
-        return 0
-    _print_rows(_campaign_rows(status), args.format)
-    for lease in status["leases"]:
-        print(f"  leased {lease['task'][:10]} ({lease['campaign']}) by "
-              f"{lease['owner']} — attempt {lease['attempts']}, expires "
-              f"in {lease['expires_in']}s", file=sys.stderr)
-    print(f"\n{status['outstanding']} outstanding  "
-          f"[store: {status['store']}]", file=sys.stderr)
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    """Campaign + store progress view; ``--live`` polls until drained."""
-    import time as time_module
+    """Per-campaign counts, live leases and the store's run counts;
+    ``--live`` polls until nothing is outstanding."""
+    import time
 
     from repro.engine.fabric import campaign_status
-    from repro.engine.store import RunStore
 
     url = _store_url(args)
     while True:
         status = campaign_status(url, args.campaign)
-        with RunStore(url) as store:
-            stats = store.stats()
-        if status["campaigns"]:
-            _print_rows(_campaign_rows(status), args.format)
-            for lease in status["leases"]:
-                print(f"  leased {lease['task'][:10]} by {lease['owner']} "
-                      f"(attempt {lease['attempts']}, expires in "
-                      f"{lease['expires_in']}s)")
+        if args.format == "json":
+            print(json.dumps(status, indent=2))
         else:
-            print("no campaigns enqueued")
-        print(f"store: {stats['ok']} ok / {stats['failed']} failed of "
-              f"{stats['total']} runs  [{stats['path']}]")
+            if status["campaigns"]:
+                _print_rows(_campaign_rows(status), args.format)
+            else:
+                print("no campaigns enqueued")
+            for lease in status["leases"]:
+                print(f"  leased {lease['task'][:10]} ({lease['campaign']}) "
+                      f"by {lease['owner']} — attempt {lease['attempts']}, "
+                      f"expires in {lease['expires_in']}s", file=sys.stderr)
+            runs = status["runs"]
+            print(f"\n{status['outstanding']} outstanding, {runs['ok']} ok "
+                  f"/ {runs['failed']} failed of {runs['total']} runs  "
+                  f"[store: {status['store']}]", file=sys.stderr)
         if not args.live or status["outstanding"] == 0:
             return 0
-        time_module.sleep(args.interval)
+        time.sleep(args.interval)
         print()
 
 
@@ -915,52 +853,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_flag(fabric_status)
     fabric_status.add_argument("--format", choices=["plain", "md", "json"],
                                default="plain")
+    fabric_status.add_argument("--live", action="store_true",
+                               help="refresh until no tasks remain "
+                                    "outstanding")
+    fabric_status.add_argument("--interval", type=float, default=2.0,
+                               help="seconds between --live refreshes "
+                                    "(default 2)")
     fabric_status.set_defaults(func=cmd_fabric)
 
-    report = sub.add_parser(
-        "report",
-        help="campaign + store progress view (--live polls until "
-             "drained)",
-    )
-    report.add_argument("--live", action="store_true",
-                        help="refresh until no tasks remain outstanding")
-    report.add_argument("--interval", type=float, default=2.0,
-                        help="seconds between --live refreshes (default 2)")
-    report.add_argument("--campaign", default=None,
-                        help="restrict to one campaign")
-    _add_store_flag(report)
-    report.add_argument("--format", choices=["plain", "md", "json"],
-                        default="plain")
-    report.set_defaults(func=cmd_report)
-
     runs = sub.add_parser(
-        "runs", help="list/query/export cached runs from the store"
+        "runs", help="list/query cached runs; 'runs export' dumps them"
     )
     runs.add_argument("--driver", default=None)
     runs.add_argument("--n", type=int, default=None)
     runs.add_argument("--status", choices=["ok", "failed"], default=None)
     runs.add_argument("--limit", type=int, default=None)
-    runs.add_argument("--export", choices=["plain", "md", "json"],
+    runs.add_argument("--format", choices=["plain", "md", "json"],
                       default="plain")
-    runs.add_argument("--ledgers", action="store_true",
-                      help="include per-round ledgers in --export json")
     _add_store_flag(runs)
     runs.set_defaults(func=cmd_runs, runs_command=None)
 
     runs_sub = runs.add_subparsers(dest="runs_command")
     runs_export = runs_sub.add_parser(
         "export",
-        help="dump runs+ledgers+telemetry as columnar files for "
-             "analytics SQL",
+        help="dump runs+ledgers+telemetry as JSONL files for analytics "
+             "SQL",
     )
     runs_export.add_argument("--out", default=".repro/export",
                              help="output directory (default .repro/export)")
-    runs_export.add_argument("--parquet", action="store_true",
-                             help="write Parquet files (needs pyarrow "
-                                  "or duckdb)")
-    runs_export.add_argument("--jsonl", action="store_true",
-                             help="write JSONL files (stdlib only; the "
-                                  "default when no format is given)")
     runs_export.add_argument("--driver", default=None,
                              help="restrict the export to one driver")
     runs_export.add_argument("--status", choices=["ok", "failed"],

@@ -8,8 +8,8 @@ Three layers, each usable on its own:
     per-round message/bit ledgers in one stdlib-SQLite file (WAL, one
     connection per thread).  Re-running a sweep whose runs are already
     stored performs zero executions, and ``repro.engine.export`` dumps
-    runs/ledgers/telemetry as columnar Parquet/JSONL files for
-    SQL-native frontier queries (DuckDB reads the Parquet directly).
+    runs/ledgers/telemetry as JSONL files for SQL-native frontier
+    queries.
 
 ``repro.engine.sweeps``
     Declarative :class:`SweepSpec` / :class:`RunRequest` descriptions of

@@ -1,9 +1,9 @@
-"""Columnar export: dump a run store for analytics-grade SQL.
+"""JSONL export: dump a run store for analytics-grade SQL.
 
 ``export_store`` writes the three store tables — ``runs``, ``ledgers``,
-``telemetry`` — as columnar files so frontier queries and scaling fits
-run directly in SQL (DuckDB over Parquet, or any engine over JSONL)
-without re-executing anything:
+``telemetry`` — as one JSONL file each (one JSON object per line,
+stable key order, stdlib only), so frontier queries and scaling fits
+run in any SQL engine that loads them without re-executing anything:
 
 * ``runs``: the identity/status columns, the full summary ``row`` as a
   JSON text column, **and** every scalar summary field flattened into
@@ -14,21 +14,12 @@ without re-executing anything:
 * ``telemetry``: ``(run_hash, key, value)`` with ``value`` as JSON
   text.
 
-Formats:
-
-``jsonl``
-    Always available (stdlib only): one JSON object per line, stable
-    key order.
-``parquet``
-    Written through ``pyarrow`` when importable, else through
-    ``duckdb``'s native Parquet ``COPY``; requesting it with neither
-    installed raises a clear error naming both options.
-
-Example frontier query over the Parquet export (DuckDB)::
+Example frontier query, with ``runs.jsonl`` loaded into a ``sqlite3``
+table ``runs`` (one column per record key)::
 
     SELECT row_scenario AS scenario, row_faults AS faults,
            row_outcome AS outcome
-    FROM 'export/runs.parquet'
+    FROM runs
     WHERE driver = 'faults' AND status = 'ok'
     ORDER BY created, hash
 """
@@ -37,7 +28,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 _SCALARS = (str, int, float, bool, type(None))
 
@@ -86,103 +77,20 @@ def _write_jsonl(path: Path, columns: list[str],
     return path
 
 
-def parquet_writer_available() -> bool:
-    """Whether any Parquet writer (pyarrow or duckdb) is importable."""
-    for module in ("pyarrow", "duckdb"):
-        try:
-            __import__(module)
-            return True
-        except ImportError:
-            continue
-    return False
-
-
-def _duckdb_type(values: list) -> str:
-    present = [value for value in values if value is not None]
-    if not present:
-        return "VARCHAR"
-    if all(isinstance(value, bool) for value in present):
-        return "BOOLEAN"
-    if all(isinstance(value, int) and not isinstance(value, bool)
-           for value in present):
-        return "BIGINT"
-    if all(isinstance(value, (int, float)) and not isinstance(value, bool)
-           for value in present):
-        return "DOUBLE"
-    return "VARCHAR"
-
-
-def _write_parquet(path: Path, columns: list[str],
-                   records: list[dict]) -> Path:
-    try:
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-    except ImportError:
-        pass
-    else:
-        table = pa.table({
-            column: [record.get(column) for record in records]
-            for column in columns
-        })
-        pq.write_table(table, str(path))
-        return path
-    try:
-        import duckdb
-    except ImportError:
-        raise RuntimeError(
-            "parquet export needs a writer: install 'pyarrow' or 'duckdb' "
-            "(pip install duckdb), or export --jsonl instead"
-        ) from None
-    types = {
-        column: _duckdb_type([record.get(column) for record in records])
-        for column in columns
-    }
-    connection = duckdb.connect(":memory:")
-    try:
-        ddl = ", ".join(f'"{column}" {types[column]}' for column in columns)
-        connection.execute(f"CREATE TABLE export ({ddl})")
-        placeholders = ", ".join("?" for _ in columns)
-        rows = [
-            tuple(
-                value if isinstance(value, _SCALARS) else json.dumps(value)
-                for value in (record.get(column) for column in columns)
-            )
-            for record in records
-        ]
-        if rows:
-            connection.executemany(
-                f"INSERT INTO export VALUES ({placeholders})", rows)
-        target = str(path).replace("'", "''")
-        connection.execute(
-            f"COPY export TO '{target}' (FORMAT PARQUET)")
-    finally:
-        connection.close()
-    return path
-
-
-_WRITERS = {"jsonl": _write_jsonl, "parquet": _write_parquet}
-
-
 def export_store(
     store,
     out_dir,
     *,
-    formats: Sequence[str] = ("jsonl",),
     driver: Optional[str] = None,
     status: Optional[str] = None,
-) -> dict[str, list[Path]]:
+) -> tuple[int, dict[str, Path]]:
     """Dump ``store`` (an open RunStore) under ``out_dir``.
 
-    Returns ``{table: [written paths]}`` with one file per requested
-    format (``runs.jsonl``, ``runs.parquet``, ...).  ``driver`` /
-    ``status`` filter the exported runs; ledgers and telemetry follow
-    the selected runs.
+    Returns the number of runs written and ``{table: path}``
+    (``runs.jsonl``, ``ledgers.jsonl``, ``telemetry.jsonl``).
+    ``driver`` / ``status`` filter the exported runs; ledgers and
+    telemetry follow the selected runs.
     """
-    for fmt in formats:
-        if fmt not in _WRITERS:
-            raise ValueError(
-                f"unknown export format {fmt!r}; "
-                f"known: {', '.join(sorted(_WRITERS))}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -216,10 +124,8 @@ def export_store(
     ]
     tables["telemetry"] = (["run_hash", "key", "value"], telemetry_records)
 
-    written: dict[str, list[Path]] = {}
-    for table, (columns, records) in tables.items():
-        written[table] = [
-            _WRITERS[fmt](out / f"{table}.{fmt}", columns, records)
-            for fmt in formats
-        ]
-    return written
+    written = {
+        table: _write_jsonl(out / f"{table}.jsonl", columns, records)
+        for table, (columns, records) in tables.items()
+    }
+    return len(runs), written

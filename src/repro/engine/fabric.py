@@ -469,9 +469,11 @@ def resume_campaign(config: FabricConfig, count: int = 1, *,
 
 def campaign_status(store_url: str,
                     campaign: Optional[str] = None) -> dict:
-    """Queue counts plus live leases, for the status CLI and tests."""
+    """Queue counts, live leases and the store's run counts
+    (:meth:`RunStore.stats`), for the status CLI and tests."""
     url = resolve_store_url(store_url)
     with RunStore(url) as store:
+        runs = store.stats()
         queue = TaskQueue(store)
         counts = queue.counts(campaign)
         now = time.time()
@@ -492,4 +494,5 @@ def campaign_status(store_url: str,
         "leases": leases,
         "outstanding": sum(
             per["pending"] + per["leased"] for per in counts.values()),
+        "runs": runs,
     }

@@ -32,11 +32,11 @@ Four tables, created on connect from the one ``_SCHEMA`` below:
 
 A store location is a bare path or a ``sqlite://path`` URL
 (:func:`parse_store_url`).  Analytics do not run against the store:
-``python -m repro runs export --parquet`` dumps it as columnar files
-for DuckDB or any other SQL engine (:mod:`repro.engine.export`).
+``python -m repro runs export`` dumps it as JSONL files for any SQL
+engine (:mod:`repro.engine.export`).
 
 WAL journaling makes concurrent *readers* first-class: a
-``python -m repro runs`` session (or the live progress view) can watch
+``python -m repro runs`` session (or ``fabric status --live``) can watch
 a sweep fill in from another process while the coordinator writes, and
 fabric workers in separate processes write the same file.  Within one
 process every thread gets its own connection — SQLite connections are
@@ -108,7 +108,7 @@ def parse_store_url(value: os.PathLike | str) -> tuple[str, str]:
         raise ValueError(
             f"unknown run-store scheme {scheme.lower()!r} in {text!r}; the "
             "run store is sqlite:// only (a bare path selects it) — for "
-            "analytics, dump it with 'python -m repro runs export --parquet'"
+            "analytics, dump it with 'python -m repro runs export'"
         )
     elif not rest:
         raise ValueError(f"run-store URL {text!r} is missing a path")

@@ -2,14 +2,18 @@
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import _parse_params, build_parser, main
+from repro.analysis.tables import markdown_table, plain_table
+from repro.engine import RunRequest, RunStore, TaskQueue, enqueue_campaign
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -36,10 +40,12 @@ class TestParser:
         args = build_parser().parse_args(["byzantine"])
         assert (args.adversary, args.consensus_iterations) == ("withholder", 8)
 
-    @pytest.mark.parametrize("name", ["perf", "serve", "chaos"])
+    @pytest.mark.parametrize("name", ["perf", "serve", "chaos", "report"])
     def test_benchmarks_are_not_commands(self, name):
         # `perf` runs as `python -m benchmarks.perf`; the serve and
-        # chaos tables are figures F16 / F17 of benchmarks/figures.py.
+        # chaos tables are figures F16 / F17 of benchmarks/figures.py;
+        # the figures' report is benchmarks/report.py, and a campaign's
+        # progress is `fabric status --live`.
         with pytest.raises(SystemExit):
             build_parser().parse_args([name])
 
@@ -62,7 +68,7 @@ class TestParser:
 #: ``--help`` text at 80 columns, whitespace runs collapsed.  Recorded
 #: before the eight ``--store`` declarations became one helper.
 HELP_DIGESTS = {
-    "": "c542efbafe77c3c9",
+    "": "67cede2997575c5e",
     "crash": "5c37620ade40bb6c",
     "byzantine": "7103b30e0cfa19aa",
     "table1": "1532c9d461fe9013",
@@ -78,10 +84,9 @@ HELP_DIGESTS = {
     "fabric enqueue": "c9d2b19b6c77c1fe",
     "fabric work": "933fc77b93243037",
     "fabric resume": "439263e61c625965",
-    "fabric status": "9f4647e5d66db256",
-    "report": "604955305a72b37f",
-    "runs": "b858925ebb2a2299",
-    "runs export": "7267089d2542a4f9",
+    "fabric status": "79bf4517dc025b86",
+    "runs": "174c7ef8b80d87ab",
+    "runs export": "82fa8db1b5eedb76",
 }
 
 
@@ -231,3 +236,94 @@ class TestStoreLocation:
         (line,) = done.stderr.splitlines()
         assert line.startswith("python -m repro: unknown run-store scheme ")
         assert list(tmp_path.iterdir()) == []
+
+
+def _two_run_store(tmp_path) -> str:
+    url = f"sqlite://{tmp_path}/runs.sqlite"
+    with RunStore(url) as store:
+        store.put("a" * 64, driver="crash", n=8, f=1, seed=0, params={},
+                  version="v1", status="ok",
+                  row={"rounds": 3, "messages": 40, "bits": 320})
+        store.put("b" * 64, driver="gossip", n=8, f=1, seed=1, params={},
+                  version="v1", status="failed", error="boom")
+    return url
+
+
+class TestRunsListing:
+    @pytest.mark.parametrize("fmt", ["plain", "md", "json"])
+    def test_format_renders_the_listing(self, fmt, tmp_path, capsys):
+        url = _two_run_store(tmp_path)
+        assert main(["runs", "--store", url, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(row["hash"], row["driver"], row["status"], row["messages"])
+                for row in rows] == [("a" * 10, "crash", "ok", 40),
+                                     ("b" * 10, "gossip", "failed", None)]
+
+        assert main(["runs", "--store", url, "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        render = {"plain": plain_table, "md": markdown_table,
+                  "json": lambda rows: json.dumps(rows, indent=2)}[fmt]
+        assert out == render(rows) + "\n"
+        assert "1 ok / 1 failed of 2 stored runs" in err
+
+
+def _settle_one(url: str) -> None:
+    with RunStore(url) as store:
+        queue = TaskQueue(store)
+        task = queue.claim("w", 60.0)
+        assert queue.settle(task, "w", result_status="ok") == "settled"
+
+
+class TestFabricStatus:
+    """``fabric status`` is the one campaign view: queue counts, leases,
+    the store's run counts, and ``--live`` polling until drained."""
+
+    @pytest.fixture
+    def url(self, tmp_path):
+        return f"sqlite://{tmp_path}/runs.sqlite"
+
+    @pytest.fixture
+    def campaign(self, url):
+        requests = [RunRequest.make("crash", 6, 1, seed) for seed in (0, 1)]
+        enqueue_campaign(url, "t", requests)
+        return len(requests)
+
+    @staticmethod
+    def footers(err: str) -> list[str]:
+        return [line for line in err.splitlines() if "outstanding" in line]
+
+    def test_empty_store_prints_the_store_line(self, url, capsys):
+        assert main(["fabric", "status", "--store", url]) == 0
+        out, err = capsys.readouterr()
+        assert out == "no campaigns enqueued\n"
+        assert err == (f"\n0 outstanding, 0 ok / 0 failed of 0 runs  "
+                       f"[store: {url}]\n")
+
+    def test_live_on_a_drained_campaign_is_one_snapshot(
+            self, url, campaign, capsys, monkeypatch):
+        for _ in range(campaign):
+            _settle_one(url)
+        monkeypatch.setattr(time, "sleep",
+                            lambda seconds: pytest.fail("polled"))
+        assert main(["fabric", "status", "--store", url, "--live"]) == 0
+        out, err = capsys.readouterr()
+        assert out.count("campaign") == 1
+        assert self.footers(err) == [
+            f"0 outstanding, 0 ok / 0 failed of 0 runs  [store: {url}]"]
+
+    def test_live_polls_until_drained(self, url, campaign, capsys,
+                                      monkeypatch):
+        slept = []
+
+        def sleep(seconds):
+            slept.append(seconds)
+            _settle_one(url)
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        assert main(["fabric", "status", "--store", url, "--live",
+                     "--interval", "0.5"]) == 0
+        out, err = capsys.readouterr()
+        assert slept == [0.5] * campaign
+        assert out.count("campaign") == campaign + 1
+        assert [line.split(",")[0] for line in self.footers(err)] == [
+            "2 outstanding", "1 outstanding", "0 outstanding"]

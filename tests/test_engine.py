@@ -1,7 +1,5 @@
 """Tests for the parallel sweep engine and its SQLite run store."""
 
-import json
-
 import pytest
 
 from repro.analysis.experiments import crash_run_summary
@@ -335,20 +333,6 @@ class TestCli:
         listing = capsys.readouterr()
         assert "crash" in listing.out
         assert "4 ok / 0 failed of 4 stored runs" in listing.err
-
-    def test_runs_export_json(self, tmp_path, capsys):
-        store_path = str(tmp_path / "runs.sqlite")
-        main(["sweep", "--driver", "crash", "--n", "6", "--seeds", "0",
-              "--store", store_path])
-        capsys.readouterr()
-        assert main(["runs", "--store", store_path, "--export", "json",
-                     "--ledgers"]) == 0
-        records = json.loads(capsys.readouterr().out)
-        assert len(records) == 1
-        record = records[0]
-        assert record["driver"] == "crash" and record["status"] == "ok"
-        ledger = record["ledger"]
-        assert sum(ledger["messages_per_round"]) == record["row"]["messages"]
 
     def test_sweep_no_store(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

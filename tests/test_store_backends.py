@@ -114,7 +114,7 @@ class TestStoreUrls:
         message = str(caught.value)
         assert "unknown run-store scheme 'duckdb'" in message
         assert "sqlite://" in message
-        assert "python -m repro runs export --parquet" in message
+        assert "'python -m repro runs export'" in message
         assert "\n" not in message
 
     def test_unknown_scheme_is_an_error(self):

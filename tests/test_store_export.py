@@ -1,10 +1,9 @@
-"""Columnar export: flattened runs, frontier SQL, writer fallbacks.
+"""JSONL export: flattened runs, frontier SQL, filters, the CLI.
 
 The acceptance bar: a ``runs export`` dump of a crash-scenario fault
 sweep must reproduce the frontier rows with a *single* SQL query — no
-JSON extraction, no re-execution.  The jsonl path is exercised
-unconditionally (stdlib only); the Parquet round trip runs when a
-writer (pyarrow or duckdb) is importable and the clean error when not.
+JSON extraction, no re-execution — once ``runs.jsonl`` is loaded into
+stdlib ``sqlite3``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.export import export_store, parquet_writer_available
+from repro.engine import export
+from repro.engine.export import export_store
 from repro.engine.pool import run_requests
 from repro.engine.store import RunStore
 from repro.engine.sweeps import RunRequest
@@ -24,7 +24,7 @@ from repro.__main__ import main as cli_main
 FRONTIER_SQL = (
     "SELECT row_scenario AS scenario, row_faults AS faults,"
     " row_outcome AS outcome, row_messages AS messages"
-    " FROM {runs}"
+    " FROM runs"
     " WHERE driver = 'faults' AND status = 'ok'"
     " ORDER BY created, hash"
 )
@@ -68,8 +68,11 @@ def faults_store(tmp_path):
 class TestJsonlExport:
     def test_frontier_rows_from_single_query(self, faults_store, tmp_path):
         out = tmp_path / "export"
-        written = export_store(faults_store, out, formats=("jsonl",))
-        assert [p.name for p in written["runs"]] == ["runs.jsonl"]
+        exported, written = export_store(faults_store, out)
+        assert exported == 4
+        assert {table: path.name for table, path in written.items()} == {
+            "runs": "runs.jsonl", "ledgers": "ledgers.jsonl",
+            "telemetry": "telemetry.jsonl"}
 
         expected = [
             (run.row["scenario"], run.row["faults"], run.row["outcome"],
@@ -79,8 +82,7 @@ class TestJsonlExport:
         assert len(expected) == 4
 
         connection = load_runs_into_sqlite(out / "runs.jsonl")
-        frontier = connection.execute(
-            FRONTIER_SQL.format(runs="runs")).fetchall()
+        frontier = connection.execute(FRONTIER_SQL).fetchall()
         assert frontier == expected
         # The fault-free runs sit on the safe side of the frontier; the
         # injected-omission runs may degrade — the query surfaces both.
@@ -158,11 +160,6 @@ class TestJsonlExport:
         assert [r["run_hash"] for r in
                 read_jsonl(tmp_path / "export/telemetry.jsonl")] == ["keep"]
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with RunStore(f"sqlite://{tmp_path}/runs.sqlite") as store:
-            with pytest.raises(ValueError, match="unknown export format"):
-                export_store(store, tmp_path / "export", formats=("csv",))
-
 
 class TestCli:
     def test_runs_export_cli(self, faults_store, tmp_path, capsys):
@@ -179,30 +176,22 @@ class TestCli:
         assert "exported 4 runs" in captured.err
         assert len(read_jsonl(out / "runs.jsonl")) == 4
 
+    def test_count_is_what_was_written(self, faults_store, tmp_path,
+                                       capsys, monkeypatch):
+        # A sweep may write between the export's read and the printed
+        # count; the count must still be the runs the files hold.
+        def export_then_write(store, *args, **kwargs):
+            result = real_export(store, *args, **kwargs)
+            store.put("late", driver="faults", n=6, f=1, seed=9, params={},
+                      version="v1", status="ok", row={"messages": 1})
+            return result
 
-class TestParquet:
-    @pytest.mark.skipif(parquet_writer_available(),
-                        reason="a parquet writer is installed")
-    def test_parquet_without_writer_fails_cleanly(self, faults_store,
-                                                  tmp_path):
-        with pytest.raises(RuntimeError, match="pyarrow.*duckdb"):
-            export_store(faults_store, tmp_path / "export",
-                         formats=("parquet",))
-
-    def test_parquet_frontier_round_trip(self, faults_store, tmp_path):
-        duckdb = pytest.importorskip("duckdb")
-
-        out = tmp_path / "export"
-        export_store(faults_store, out, formats=("parquet", "jsonl"))
-        expected = [
-            (run.row["scenario"], run.row["faults"], run.row["outcome"],
-             run.row["messages"])
-            for run in faults_store.query(driver="faults", status="ok")
-        ]
-        connection = duckdb.connect(":memory:")
-        try:
-            frontier = connection.execute(FRONTIER_SQL.format(
-                runs=f"'{out / 'runs.parquet'}'")).fetchall()
-        finally:
-            connection.close()
-        assert frontier == expected
+        real_export = export.export_store
+        monkeypatch.setattr(export, "export_store", export_then_write)
+        out = tmp_path / "cli-export"
+        assert cli_main([
+            "runs", "export", "--store", f"sqlite://{tmp_path}/runs.sqlite",
+            "--out", str(out), "--driver", "faults",
+        ]) == 0
+        assert "exported 4 runs" in capsys.readouterr().err
+        assert len(read_jsonl(out / "runs.jsonl")) == 4
