@@ -174,6 +174,11 @@ def _committee_answers(envelopes: Sequence[Envelope], p_self: int):
     return _committee_decision(_status_reports(envelopes)[0], p_self)
 
 
+def _committee_fanout(envelopes: Sequence[Envelope], p_self: int) -> Scatter:
+    """Round 3's sends: :func:`_committee_answers` as one ``Scatter``."""
+    return Scatter(*_committee_answers(envelopes, p_self))
+
+
 def _committee_decision(
     statuses: Sequence[tuple[int, Status]], p_self: int
 ) -> tuple[tuple[int, ...], tuple[Response, ...]]:
@@ -327,12 +332,10 @@ class CrashRenamingNode(Process):
                     # is complete, tell everyone to stop idling.
                     decisions = broadcast(n, Done())
                 else:
-                    # The decision is the view's; the fan-out is this
-                    # member's own: it is what the round's `proposed`
-                    # holds for this sender, and a crash plan names what
-                    # it keeps of it by position.
-                    decisions = Scatter(
-                        *derive(inbox, _committee_answers, self.p))
+                    # The decision is the view's, and so is the fan-out:
+                    # the engine charges and files one object once, and
+                    # a crash plan names what it keeps by position.
+                    decisions = derive(inbox, _committee_fanout, self.p)
             inbox = yield decisions
             # Who answered is never read, and `_node_action` takes a min
             # and a max, idempotent over repeats: each answer object is

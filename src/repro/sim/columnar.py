@@ -39,9 +39,11 @@ on a miss.  An ``id`` names an object only while it is alive, and a
 fill creates temporaries (a closed run's tuple, a released letter's
 ``(to,)``) whose ids the allocator would reuse within the same fill:
 the column pins every tuple it has keyed by ``id`` until it dies
-itself.  Link faults are blocks too: a dropped send files nothing, a
-corrupted one a row carrying the bit-flipped message, a duplicated one
-a block naming its link ``1 + copies`` times.
+itself.  Each ``add_*`` returns its group (``b_seq`` for a broadcast
+row); a later sender of the same fan-out object is ``add_repeat``, its
+rows appended there unfiled.  Link faults are blocks too: a dropped
+send files nothing, a corrupted one a row carrying the bit-flipped
+message, a duplicated one a block naming its link ``1 + copies`` times.
 
 **Views.**  An inbox is made for a node the engine resumes (a node
 parked on ``UNTIL_MAIL`` that no row names gets none), read per *view*,
@@ -234,24 +236,37 @@ class ColumnarRound:
         firsts.append(first)
         return firsts
 
-    def add_broadcast(self, row) -> None:
+    def add_broadcast(self, row) -> list[int]:
         """One whole-network fan-out: a single row, no block."""
         self.b_seq.append(self._row(row))
+        return self.b_seq
 
-    def add_run(self, row, targets: Sequence[int]) -> None:
+    def add_run(self, row, targets: Sequence[int]) -> list[int]:
         """One row read by every link of ``targets`` (a repeated link
         reads it once more)."""
-        self._file(targets, self._row(row))
+        return self._file(targets, self._row(row))
 
     def add_scatter(self, header: Header, messages: Sequence[Message],
-                    links: Sequence[int]) -> None:
+                    links: Sequence[int]) -> list[int]:
         """One row per link: ``messages[k]`` is read by ``links[k]``."""
         first = len(self.msg)
         self.hdr.extend([header] * len(messages))
         self.msg.extend(messages)
-        once = self._once.setdefault(id(self._file(links, first, 1)), {})
-        once.setdefault(id(messages), first)
+        firsts = self._file(links, first, 1)
+        self._once.setdefault(id(firsts), {}).setdefault(id(messages), first)
         self._pinned.append(messages)
+        return firsts
+
+    def add_repeat(self, header: Header, messages: Sequence[Message],
+                   group: list[int]) -> None:
+        """A later sender's rows of a fan-out filed into ``group``."""
+        group.append(len(self.msg))
+        if len(messages) == 1:  # a multicast's: no list to build
+            self.hdr.append(header)
+            self.msg.append(messages[0])
+        else:
+            self.hdr.extend([header] * len(messages))
+            self.msg.extend(messages)
 
     def attach(self, alive: Iterable[int]) -> None:
         """Freeze the alive set: the links whose :class:`LazyInbox`

@@ -14,8 +14,8 @@ link, keyed by identity (a strong reference pins the object, so an
 ``id`` never aliases) and dropped at every :meth:`begin_round`; a
 :attr:`~repro.sim.messages.Message.fixed_width` type, once per class
 and run.  The engine sums a round's sends and advances the ledgers once
-per round (:meth:`Metrics.flush`; ``sends_by_node`` per sender as it
-goes).  Memoization and batching are invisible: every counted quantity
+per round (:meth:`Metrics.flush`; ``sends_by_node`` by one update of
+its own).  Memoization and batching are invisible: every counted quantity
 equals charging each send by :meth:`Metrics.record_send`.
 """
 

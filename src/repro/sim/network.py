@@ -390,10 +390,11 @@ class SyncNetwork:
             a ``Multicast`` is one row read by its target tuple (a
             broadcast row when it targets the whole network), a
             ``Scatter`` one row per message, a plain ``Send`` list one
-            row per maximal constant-``(message, claim)`` run.  The
-            round's counts are summed as it goes (``sends_by_node`` per
-            sender) and advance the other ledgers by one
-            ``Metrics.flush``; a faulted sender is charged send by send.
+            row per maximal constant-``(message, claim)`` run; a fan-out
+            object is sized and filed once, for its first sender.  The
+            round's counts are summed as it goes and advance the ledgers
+            once (one ``sends_by_node`` update, one ``Metrics.flush``);
+            a faulted sender is charged send by send.
             Only awake nodes are visited (a parked one proposed nothing).
         ``deliver``
             ``attach`` freezes the alive set; messages addressed to
@@ -453,59 +454,62 @@ class SyncNetwork:
         # The round's charge, flushed into the ledgers once at the end.
         correct = correct_bits = byz = byz_bits = widest = 0
         by_type: dict[type, int] = {}
-        # id(a scatter's message tuple) -> its (count, bits, widest,
-        # by-type) charge; `delivered` keeps every tuple alive, and so
-        # its id unique, for exactly as long as this dict lives.
-        scatter_sizes: dict[int, tuple] = {}
+        # id(fan-out) -> (count, bits, group[, by-type]); `delivered` pins ids
+        fanouts: dict[int, tuple] = {}
+        sent: dict[int, int] = {}  # sender -> its sends this round
         if self._held:
             # Healing partition traffic has been in flight the longest:
             # it enters the column ahead of the round's own sends.
             self._release_held(column)
         for sender in senders:
             sends = delivered[sender]
-            if not sends:
+            # A fan-out's `len` is a Python call; a multicast's targets not.
+            if not (sends.targets if type(sends) is Multicast else sends):
                 continue
             verdicts = plan.get(sender)
             if verdicts:
                 self._fill_faulted(column, sender, sends, verdicts)
                 continue
             process = processes[sender]
-            true_uid = process.uid
             # `resolve(uid, None)` is `(uid, None)` whatever the policy.
-            unclaimed = (sender, true_uid, None)
+            unclaimed = (sender, process.uid, None)
             if isinstance(sends, Multicast):
-                # One message to many links: one charge, one row.
+                # One message to many links: one row, a repeat's in its group.
+                header = (unclaimed if sends.claim is None else
+                          (sender, *resolve(process.uid, sends.claim)))
                 message = sends.message
-                targets = sends.targets
-                count = len(targets)
-                bits = message_bits(message)
-                sent_bits = bits * count
-                if bits > widest:
-                    widest = bits
+                fanout = fanouts.get(id(sends))
+                if fanout is None:
+                    targets = sends.targets
+                    count = len(targets)
+                    bits = message_bits(message)
+                    if bits > widest:
+                        widest = bits
+                    row = (header, message)
+                    fanout = fanouts[id(sends)] = (
+                        count, bits * count, column.add_broadcast(row)
+                        if targets == whole else add_run(row, targets))
+                else:
+                    column.add_repeat(header, (message,), fanout[2])
+                count, sent_bits, _ = fanout
                 cls = type(message)
                 by_type[cls] = by_type.get(cls, 0) + count
-                row = (unclaimed if sends.claim is None else
-                       (sender, *resolve(true_uid, sends.claim)), message)
-                if targets == whole:
-                    column.add_broadcast(row)
-                else:
-                    add_run(row, targets)
             elif isinstance(sends, Scatter):
-                # One message per link: a row each; a message tuple
-                # several senders share is sized once.
+                # One message per link: a row each; a repeat likewise.
                 messages = sends.messages
-                sized = scatter_sizes.get(id(messages))
-                if sized is None:
+                fanout = fanouts.get(id(sends))
+                if fanout is None:
                     sizes = [message_bits(message) for message in messages]
-                    sized = scatter_sizes[id(messages)] = (
-                        len(sizes), sum(sizes), max(sizes),
+                    widest = max(widest, max(sizes))
+                    fanout = fanouts[id(sends)] = (
+                        len(sizes), sum(sizes),
+                        column.add_scatter(unclaimed, messages, sends.targets),
                         tuple(Counter(map(type, messages)).items()))
-                count, sent_bits, bits, types = sized
-                if bits > widest:
-                    widest = bits
+                else:
+                    column.add_repeat(unclaimed, messages, fanout[2])
+                count, sent_bits, _, types = fanout
                 for cls, number in types:
                     by_type[cls] = by_type.get(cls, 0) + number
-                column.add_scatter(unclaimed, messages, sends.targets)
             else:
                 # A plain Send list: one row per maximal constant-(message,
                 # claim) run, closed into its tuple when the next opens.
@@ -525,18 +529,21 @@ class SyncNetwork:
                         if bits > widest:
                             widest = bits
                         row = (unclaimed if claim is None else
-                               (sender, *resolve(true_uid, claim)), message)
+                               (sender, *resolve(process.uid, claim)), message)
                     run.append(send.to)
                     sent_bits += bits
                     by_type[cls] = by_type.get(cls, 0) + 1
                 add_run(row, tuple(run))
-            by_node[sender] += count
+            sent[sender] = count
             if process.byzantine:
                 byz += count
                 byz_bits += sent_bits
             else:
                 correct += count
                 correct_bits += sent_bits
+        get = by_node.get  # one C-level update: `Counter.__setitem__` is not
+        dict.update(by_node, {node: get(node, 0) + number
+                              for node, number in sent.items()})
         metrics.flush(correct, correct_bits, byz, byz_bits, widest,
                       by_type.items())
         t2 = perf_counter()

@@ -326,10 +326,10 @@ class TestScatterMidSendCrash:
         _assert_sliced_fanout_records_and_replays(Scatter)
 
     def test_members_sharing_one_decision_are_cut_one_at_a_time(self):
-        """Every member answers from the one decision of its view (the
-        same links and replies tuples), each through its own ``Scatter``:
-        cutting one member mid-answer charges the named subset to the
-        victim only and leaves every other member's delivery whole."""
+        """Every member answers with the one ``Scatter`` derived on its
+        view (the same object, and so the same ``Send``s): cutting one
+        member mid-answer charges the named subset to the victim only
+        and leaves every other member's delivery whole."""
         from repro.core.crash_renaming import run_crash_renaming
         from repro.falsify.replay import RecordingAdversary, ReplayAdversary
         from repro.obs import EventRecorder
@@ -348,13 +348,10 @@ class TestScatterMidSendCrash:
                   if node != victim and type(proposed) is Scatter}
         assert len(others) == len(uids) - 1  # paper constants: everyone
         for proposed in others.values():
-            # One decision ...
-            assert proposed.messages is sends.messages
-            assert proposed.targets is sends.targets
-            # ... but a fan-out, and ``Send``s, of the member's own: a
-            # ``Send`` instance names one transmission by one sender.
-            assert proposed is not sends
-            assert all(a is not b for a, b in zip(proposed, sends))
+            # One decision, one fan-out object: the engine charges and
+            # files it once; a plan names a victim's kept part by
+            # position, so the victim's cut is its own.
+            assert proposed is sends
         assert all(k is sends[i]
                    for k, i in zip(kept, range(0, len(sends), 2)))
 

@@ -17,7 +17,8 @@ becomes an ``Envelope`` the first time somebody reads it, and
   ``messages(inbox)``, ``len(inbox)``, down to which entries are the
   same message object -- and everything counted must be equal;
 - (b) white-box counts: the structure is really kept (and was not at
-  the parent commit, by construction);
+  the parent commit, by construction), and a fan-out object several
+  senders yield is sized and filed once per round;
 - (c) ``id`` keys are safe: the column pins what it has keyed;
 - (d) ``messages`` on a plain sequence is the plain comprehension;
 - (e) round 3 of crash renaming, driven by hand: the pass over
@@ -66,6 +67,7 @@ from repro.sim.messages import (
     broadcast,
     multicast,
 )
+from repro.sim.metrics import Metrics
 from repro.sim.network import SyncNetwork
 from repro.sim.node import Context, Process
 from repro.sim.runner import run_network
@@ -351,6 +353,48 @@ def columns(monkeypatch):
     return columns
 
 
+@pytest.fixture
+def proposals(monkeypatch):
+    """Every round's ``(n, delivered sends)``, in round order; kept, so
+    an ``id`` names one object for as long as the test runs."""
+    proposals = []
+    apply = SyncNetwork._apply_crash_plan
+
+    def recording_apply(self, proposed):
+        delivered = apply(self, proposed)
+        proposals.append((self.n, delivered))
+        return delivered
+
+    monkeypatch.setattr(SyncNetwork, "_apply_crash_plan", recording_apply)
+    return proposals
+
+
+def _charged_once(delivered, n):
+    """``(sizings, filings)`` a fault-free round's charge makes: per
+    distinct fan-out object one sizing per message and one filing (none
+    for a whole-network fan-out, a broadcast row), per plain ``Send``
+    list one of each per maximal constant-``(message, claim)`` run."""
+    sized = filed = 0
+    seen = set()
+    for sends in delivered.values():
+        if not sends or id(sends) in seen:
+            continue
+        if isinstance(sends, Scatter):
+            sized += len(sends.messages)
+            filed += 1
+        elif isinstance(sends, Multicast):
+            sized += 1
+            filed += sends.targets != range(n)
+        else:
+            runs = sum(1 for at, send in enumerate(sends)
+                       if at == 0 or send.message is not sends[at - 1].message
+                       or send.claim != sends[at - 1].claim)
+            sized += runs
+            filed += runs
+        seen.add(id(sends))
+    return sized, filed
+
+
 class TestKeptWhole:
     def test_no_answer_of_the_paper_run_ever_becomes_an_envelope(
             self, built, columns):
@@ -374,21 +418,64 @@ class TestKeptWhole:
             assert len(column._groups[targets, stride]) == 96
             assert len(column._by_id) == 1
 
-    def test_equal_view_tuples_of_a_vote_round_are_one_group(self, columns):
+    def test_equal_view_tuples_of_a_vote_round_are_one_group(
+            self, columns, proposals):
         result = golden.CASES["byz-withholder-n48"]()
         assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
-        vote_rounds = 0
-        for column in columns:
+        assert len(columns) == len(proposals) == result.rounds
+        vote_rounds = one_vote = 0
+        for column, (n, delivered) in zip(columns, proposals):
             filed = column.__dict__.get("filed", [])
             assert len(column._groups) == len(set(filed))
-            assert (sum(map(len, column._groups.values())) == len(filed))
-            if len(filed) >= 20 and len(set(filed)) == 1:
+            # Every row is a broadcast row or in one block of one group.
+            rows = list(column.b_seq)
+            for (targets, stride), firsts in column._groups.items():
+                for first in firsts:
+                    rows += range(first, first + (len(targets) if stride
+                                                  else 1))
+            assert sorted(rows) == list(range(len(column.msg)))
+            # One filing per distinct fan-out object, not per sender: a
+            # repeat joins the group its first sender's block opened.
+            assert len(filed) == _charged_once(delivered, n)[1]
+            (firsts, *others) = column._groups.values() or [[]]
+            if len(firsts) >= 20 and not others:
                 # ~21 members name the one view tuple they derived, so
                 # the group is found by `id` (it was found by value
                 # when each member sorted a tuple of its own).
                 assert len(column._by_id) == 1
                 vote_rounds += 1
-        assert vote_rounds > 1000
+                # Members who vote alike yield one multicast: one filing.
+                one_vote += len(filed) == 1
+        assert vote_rounds > 1000 and one_vote > 1000
+
+    def test_a_shared_fan_out_is_sized_and_filed_once(
+            self, monkeypatch, proposals):
+        """35,518 ``message_bits`` and 34,530 ``_file`` calls at the
+        parent: one per member and round."""
+        calls = {"message_bits": 0, "_file": 0}
+
+        def counting(cls, name):
+            method = getattr(cls, name)
+
+            def counted(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        counting(Metrics, "message_bits")
+        counting(ColumnarRound, "_file")
+        result = golden.CASES["byz-withholder-n48"]()
+        assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
+        sized, filed = map(sum, zip(*[
+            _charged_once(delivered, n) for n, delivered in proposals]))
+        assert (calls["message_bits"], calls["_file"]) == (sized, filed)
+        assert (sized, filed) == (2_745, 1_757)
+        # 34,552 sender-rounds, 1,779 distinct fan-out objects.
+        assert sum(1 for _, delivered in proposals
+                   for sends in delivered.values() if sends) == 34_552
+        assert sum(len({id(sends) for sends in delivered.values() if sends})
+                   for _, delivered in proposals) == 1_779
 
     def test_an_unread_round_builds_nothing_and_walks_nothing(
             self, built, monkeypatch):

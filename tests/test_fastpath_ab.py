@@ -15,6 +15,11 @@ and per-type send counts, node outputs and ``FaultStats``.
 The duplicate-send regression pins the crash-plan fix: kept sends are
 resolved to *indices* by object identity end to end, so keeping the
 second of two equal sends records index 1 and replays exactly.
+
+The engine charges and files a fan-out *object* once per round, however
+many senders yield it; ``TestSharedFanoutsAgainstTheOracle`` holds that
+to the oracle on generated rounds of shared and unshared senders --
+honest and Byzantine ones, forged claims, faulted and crashed sharers.
 """
 
 import sys
@@ -22,8 +27,10 @@ from dataclasses import dataclass
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adversary.base import (
+    CrashAdversary,
     CrashPlanError,
     kept_indices,
     kept_send_indices,
@@ -70,6 +77,7 @@ from repro.faults.base import (
     corrupt_message,
     drop,
     duplicate,
+    hold,
 )
 from repro.faults.channels import CorruptingChannel
 from repro.sim.messages import (
@@ -77,11 +85,13 @@ from repro.sim.messages import (
     CostModel,
     Envelope,
     Message,
+    Multicast,
     Scatter,
     Send,
     broadcast,
     multicast,
 )
+from repro.sim.columnar import ColumnarRound
 from repro.sim.metrics import Metrics
 from repro.sim.node import Context, Process
 from repro.sim.runner import run_network
@@ -797,3 +807,219 @@ class TestBitSizeCache:
         metrics = Metrics(cost=CostModel(n=4, namespace=16))
         with pytest.raises(RuntimeError, match="begin_round"):
             metrics.record_send(0, self._CountingBlob(3), byzantine=False)
+
+
+# ---------------------------------------------------------------------------
+# A fan-out several senders share is charged and filed once: invisibly
+
+
+@dataclass(frozen=True)
+class _Letter(Message):
+    """Sized by its value, so the bit ledgers tell letters apart."""
+
+    value: int
+
+    def payload_bits(self, cost):
+        return 8 + self.value % 5
+
+
+#: What a shared fan-out of a pool slot is.
+SHAPES = ("multicast", "broadcast", "claimed", "scatter")
+
+
+class _SharedWorld:
+    """The fan-out objects several senders of a round yield: one per
+    ``(round, slot)``, built by the first sender that asks for it."""
+
+    def __init__(self, n, pool):
+        self.n = n
+        self.pool = pool  # slot -> (shape, targets)
+        self._shared = {}
+
+    def fanout(self, slot, value):
+        """A fresh fan-out of the slot's shape."""
+        shape, targets = self.pool[slot]
+        letter = _Letter(value)
+        if shape == "broadcast":
+            return Broadcast(self.n, letter, value % 3 or None)
+        if shape == "scatter":
+            return Scatter(targets, [_Letter(value + at)
+                                     for at in range(len(targets))])
+        return Multicast(targets, letter, 70 + slot if shape == "claimed"
+                         else None)
+
+    def sends(self, op, round_no):
+        kind, slot, value = op
+        if kind == "share":
+            key = (round_no, slot)
+            if key not in self._shared:
+                self._shared[key] = self.fanout(slot, 10 * round_no + slot)
+            return self._shared[key]
+        if kind == "own":  # the slot's shape, an object of its own
+            return self.fanout(slot, 10 * round_no + slot)
+        if kind == "list":
+            claim = 90 + value if value % 2 else None
+            return [Send(to, _Letter(value), claim)
+                    for to in self.pool[slot][1]]
+        return []
+
+
+class _Sharer(Process):
+    """Plays its script over the world; returns every envelope it read,
+    in order, as plain values."""
+
+    def __init__(self, uid, script, world, byzantine=False):
+        super().__init__(uid)
+        self.script = script
+        self.world = world
+        self.byzantine = byzantine
+
+    def program(self, ctx):
+        read = []
+        for round_no, op in enumerate(self.script, start=1):
+            inbox = yield self.world.sends(op, round_no)
+            read.append(tuple(
+                (env.sender, env.round_no, env.sender_uid,
+                 env.claimed_sender, env.message.value) for env in inbox))
+        return tuple(read)
+
+
+class _PlannedCrashes(CrashAdversary):
+    """Crashes ``(round, victim)`` mid-send, keeping the sends whose
+    position ``keep`` admits."""
+
+    def __init__(self, plan, n):
+        super().__init__(budget=n)
+        self.plan = plan  # (round, victim) -> keep rule
+
+    def plan_round(self, round_no, proposed, alive, trace):
+        rules = {"none": lambda at: False, "first": lambda at: at == 0,
+                 "odd": lambda at: at % 2 == 1, "all": lambda at: True}
+        return {victim: [at for at in range(len(proposed[victim]))
+                         if rules[keep](at)]
+                for (when, victim), keep in sorted(self.plan.items())
+                if when == round_no and victim in alive
+                and victim not in self.crashed}
+
+
+class _PlannedFaults(FaultModel):
+    """Names ``(round, sender)``: drops, duplicates, corrupts or holds
+    its sends by position, starting the cycle at ``offset``."""
+
+    def __init__(self, plan):
+        self.plan = plan  # (round, sender) -> offset
+
+    def plan_round(self, round_no, delivered, alive):
+        cycle = (drop(), duplicate(), corrupt(salt=3),
+                 hold(round_no + 1), None)
+        plan = {}
+        for (when, sender), offset in sorted(self.plan.items()):
+            sends = delivered.get(sender)
+            if when != round_no or not sends:
+                continue
+            verdicts = {at: cycle[(at + offset) % len(cycle)]
+                        for at in range(len(sends))}
+            plan[sender] = {at: verdict for at, verdict in verdicts.items()
+                            if verdict is not None}
+        return plan
+
+
+#: One round of one node: (what it yields, pool slot, value).
+_SHARER_OPS = st.tuples(
+    st.sampled_from(["share", "share", "share", "own", "list", "quiet"]),
+    st.integers(0, 2), st.integers(0, 9))
+
+
+@st.composite
+def _sharing_scenarios(draw):
+    n = draw(st.integers(3, 7))
+    rounds = draw(st.integers(1, 4))
+    link = st.integers(0, n - 1)
+    pool = [(draw(st.sampled_from(SHAPES)),
+             tuple(draw(st.lists(link, max_size=n + 2))))
+            for _ in range(3)]
+    scripts = [draw(st.lists(_SHARER_OPS, min_size=1, max_size=rounds))
+               for _ in range(n)]
+    # Node 0 is correct, so the run has somebody to wait for.
+    byzantine = [False] + [draw(st.booleans()) for _ in range(n - 1)]
+    # Crashes and faults aim at sharers more often than not.
+    sharers = [(round_no, sender) for sender, script in enumerate(scripts)
+               for round_no, op in enumerate(script, 1) if op[0] == "share"]
+    when = st.tuples(st.integers(1, rounds), link)
+    if sharers:
+        when = st.one_of(st.sampled_from(sharers), when)
+    crashes = draw(st.dictionaries(
+        when, st.sampled_from(["none", "first", "odd", "all"]), max_size=2))
+    faults = draw(st.dictionaries(when, st.integers(0, 4), max_size=3))
+    forged = draw(st.booleans())
+    return n, pool, scripts, byzantine, crashes, faults, forged
+
+
+def _shared_run(n, pool, scripts, byzantine, crashes, faults, forged,
+                reference=False):
+    world = _SharedWorld(n, pool)
+    processes = [_Sharer(index + 1, scripts[index], world, byzantine[index])
+                 for index in range(n)]
+    options = dict(crash_adversary=_PlannedCrashes(crashes, n),
+                   fault_model=_PlannedFaults(faults),
+                   # Off: a forged claim reaches the receiver.
+                   authenticator=Authenticator(enabled=not forged))
+    cost = CostModel(n=n, namespace=4 * n)
+    if reference:
+        network = ReferenceNetwork(processes, cost, **options)
+        network.run()
+        observed = reference_observables(network)
+    else:
+        network = run_network(processes, cost, **options)
+        observed = engine_observables(network)
+    observed["fault_stats"] = network.fault_stats.as_dict()
+    return observed
+
+
+class TestSharedFanoutsAgainstTheOracle:
+    """Senders that yield one ``Multicast``, ``Broadcast`` or ``Scatter``
+    object, interleaved with senders that do not share -- honest and
+    Byzantine sharers, a claim forged under an impersonation policy, a
+    sharer a fault verdict names, a sharer a crash cuts mid-send --
+    count and deliver what the oracle does, send by send: every ledger,
+    and every inbox in order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sharing_scenarios())
+    def test_a_shared_fanout_is_invisible(self, scenario):
+        assert _shared_run(*scenario) == _shared_run(*scenario,
+                                                     reference=True)
+
+    def test_one_round_of_every_kind_of_sharer(self, monkeypatch):
+        repeats = []
+        add_repeat = ColumnarRound.add_repeat
+
+        def counting_add_repeat(self, header, messages, group):
+            repeats.append(header)
+            return add_repeat(self, header, messages, group)
+
+        monkeypatch.setattr(ColumnarRound, "add_repeat", counting_add_repeat)
+        pool = [("multicast", (1, 4, 4, 7)), ("broadcast", ()),
+                ("claimed", (0, 2, 5)), ("scatter", (3, 0, 6))]
+        share = [("share", slot, 0) for slot in range(4)]
+        # Senders of one object are interleaved with senders of others.
+        scripts = [[share[0]], [share[1]], [share[0]], [share[2]],
+                   [("own", 0, 0)], [share[0]], [share[1]], [share[2]],
+                   [share[3]], [("list", 2, 3)], [share[3]], [share[1]]]
+        byzantine = [False, False, True, False, False, False, False, True,
+                     False, False, True, False]
+        scenario = (12, pool, scripts, byzantine,
+                    {(1, 6): "odd"},   # a broadcast's sharer, cut
+                    {(1, 5): 0},       # a multicast's sharer, faulted
+                    True)              # claims reach the receivers
+        engine = _shared_run(*scenario)
+        assert engine == _shared_run(*scenario, reference=True)
+        # Repeats: node 2 (Byzantine) of node 0's multicast, node 11 of
+        # node 1's broadcast, node 7 of node 3's claimed multicast, node
+        # 10 of node 8's scatter -- not the faulted node 5, nor node 6,
+        # which delivers what is left of its broadcast.
+        assert [header[0] for header in repeats] == [2, 7, 10, 11]
+        assert repeats[1] == (7, 72, 72)  # its own forged claim
+        assert engine["summary"]["byzantine_messages"] == 4 + 3 + 3
+        assert engine["fault_stats"]["held"] == 1
+        assert engine["crashed"] == {6}

@@ -191,8 +191,9 @@ def counted(monkeypatch):
 
     def counting_add_scatter(self, header, messages, links):
         before = len(self.env)
-        add_scatter(self, header, messages, links)
+        group = add_scatter(self, header, messages, links)
         counts["slots"] += len(self.env) - before
+        return group
 
     monkeypatch.setattr(Message, "bit_size", counting_bit_size)
     monkeypatch.setattr(SyncNetwork, "_validated", counting_validated)
