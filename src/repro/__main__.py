@@ -369,6 +369,9 @@ def _obs_tail(args: argparse.Namespace) -> int:
     """Validate an event file and print its most recent events."""
     from repro.obs import read_jsonl, validate_events
 
+    if args.last < 0:
+        raise SystemExit("python -m repro obs tail: error: --last must be "
+                         f">= 0, got {args.last}")
     try:
         events = read_jsonl(args.path)
     except (OSError, ValueError) as error:
@@ -377,7 +380,7 @@ def _obs_tail(args: argparse.Namespace) -> int:
     problems = validate_events(events)
     for problem in problems:
         print(f"INVALID {problem}", file=sys.stderr)
-    for event in events[-args.last:]:
+    for event in events[-args.last:] if args.last else ():
         print(json.dumps(event, sort_keys=True))
     print(f"\n{len(events)} events, {len(problems)} schema problems",
           file=sys.stderr)
@@ -418,9 +421,6 @@ def _obs_profile(args: argparse.Namespace) -> int:
 def _obs_report(args: argparse.Namespace) -> int:
     """Aggregate the store's telemetry table per driver."""
     store = _open_store(args)
-    if store is None:
-        print("python -m repro obs report: needs a store", file=sys.stderr)
-        return 1
     try:
         rows = store.telemetry_rows(
             key="run", driver=args.driver, limit=args.limit)

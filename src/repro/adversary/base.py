@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 if TYPE_CHECKING:  # imported for annotations only, to avoid an import cycle
     from repro.sim.messages import Send
-    from repro.sim.trace import Trace
 
 #: victim link index -> what of its proposed sends is still delivered:
 #: their indices (any sequence of distinct positions -- a ``range``, a
@@ -136,7 +135,6 @@ class CrashAdversary:
         round_no: int,
         proposed: Mapping[int, Sequence[Send]],
         alive: frozenset[int],
-        trace: Trace,
     ) -> CrashPlan:
         """Decide this round's crashes.  Default: crash nobody.
 
@@ -151,7 +149,8 @@ class CrashAdversary:
         resolves by object identity (:func:`kept_send_indices`), and
         mid-send crashes of broadcasting victims record and replay
         exactly (``tests/test_adversary_crash.py::
-        TestBroadcastMidSendCrash``).
+        TestBroadcastMidSendCrash``).  A strategy that adapts to more
+        history than this keeps it itself.
         """
         raise NotImplementedError
 
@@ -166,5 +165,5 @@ class NoCrashes(CrashAdversary):
     def __init__(self):
         super().__init__(budget=0)
 
-    def plan_round(self, round_no, proposed, alive, trace) -> CrashPlan:
+    def plan_round(self, round_no, proposed, alive) -> CrashPlan:
         return {}

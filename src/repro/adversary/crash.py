@@ -16,7 +16,6 @@ from repro.adversary.base import CrashAdversary, CrashPlan, CrashPlanError
 
 if TYPE_CHECKING:  # annotations only, avoids an import cycle
     from repro.sim.messages import Send
-    from repro.sim.trace import Trace
 
 
 class RandomCrash(CrashAdversary):
@@ -34,7 +33,7 @@ class RandomCrash(CrashAdversary):
         self.rate = rate
         self.rng = rng
 
-    def plan_round(self, round_no, proposed, alive, trace) -> CrashPlan:
+    def plan_round(self, round_no, proposed, alive) -> CrashPlan:
         plan: dict[int, list[int]] = {}
         random = self.rng.random
         for victim in sorted(alive):
@@ -88,7 +87,7 @@ class ScheduledCrash(CrashAdversary):
         self.schedule = {r: list(batch) for r, batch in schedule.items()}
         self.deliver_prefix = dict(deliver_prefix or {})
 
-    def plan_round(self, round_no, proposed, alive, trace) -> CrashPlan:
+    def plan_round(self, round_no, proposed, alive) -> CrashPlan:
         plan: dict[int, range] = {}
         for victim in self.schedule.get(round_no, []):
             if victim not in alive:
@@ -115,7 +114,7 @@ class MidSendPartitioner(CrashAdversary):
         self.per_round = per_round
         self.min_fanout = min_fanout
 
-    def plan_round(self, round_no, proposed, alive, trace) -> CrashPlan:
+    def plan_round(self, round_no, proposed, alive) -> CrashPlan:
         candidates = sorted(
             (victim for victim in alive
              if len(proposed.get(victim, [])) >= self.min_fanout),
@@ -155,7 +154,7 @@ class CommitteeHunter(CrashAdversary):
         self.threshold = threshold
         self.deliver_fraction = deliver_fraction
 
-    def plan_round(self, round_no, proposed, alive, trace) -> CrashPlan:
+    def plan_round(self, round_no, proposed, alive) -> CrashPlan:
         n = max(len(alive), 1)
         plan: dict[int, list[int]] = {}
         for victim in sorted(alive):
@@ -172,7 +171,7 @@ class CommitteeHunter(CrashAdversary):
 class BudgetedAdaptiveCrash(CrashAdversary):
     """A fully programmable adversary for white-box tests.
 
-    ``policy`` receives ``(round_no, proposed, alive, trace, remaining)``
+    ``policy`` receives ``(round_no, proposed, alive, remaining)``
     and returns a :data:`CrashPlan` -- kept indices, or the kept ``Send``
     objects themselves; the network still validates budget and subset
     constraints, so a buggy policy fails loudly.
@@ -182,11 +181,10 @@ class BudgetedAdaptiveCrash(CrashAdversary):
         self,
         budget: int,
         policy: Callable[[int, Mapping[int, Sequence[Send]], frozenset[int],
-                          Trace, int], CrashPlan],
+                          int], CrashPlan],
     ):
         super().__init__(budget)
         self.policy = policy
 
-    def plan_round(self, round_no, proposed, alive, trace) -> CrashPlan:
-        return self.policy(round_no, proposed, alive, trace,
-                           self.remaining_budget)
+    def plan_round(self, round_no, proposed, alive) -> CrashPlan:
+        return self.policy(round_no, proposed, alive, self.remaining_budget)

@@ -1,14 +1,16 @@
 """Execution timelines: render what happened, round by round.
 
-Turns an :class:`~repro.sim.runner.ExecutionResult` (run with
-``trace=True``) into human-readable summaries -- used by the examples
-and by failure-injection tests that want to assert on *when* things
-happened rather than only on final outputs.
+Turns an :class:`~repro.sim.runner.ExecutionResult` and the events an
+:class:`~repro.obs.events.EventRecorder` recorded during the run (the
+``observer=`` of any ``run_*``) into human-readable summaries, for
+failure-injection tests that want to assert on *when* things happened
+rather than only on final outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.sim.runner import ExecutionResult
 
@@ -19,18 +21,21 @@ class RoundSummary:
     messages: int
     bits: int
     crashes: tuple[int, ...]
-    terminations: tuple[int, ...]
+    finished: int
 
 
-def round_summaries(result: ExecutionResult) -> list[RoundSummary]:
-    """One summary per executed round (requires metrics; trace optional)."""
+def round_summaries(result: ExecutionResult,
+                    events: Iterable[dict]) -> list[RoundSummary]:
+    """One summary per executed round: counts from the metrics, crashes
+    from ``crash.apply`` and terminations from ``round.end`` events."""
     crashes_by_round: dict[int, list[int]] = {}
-    terms_by_round: dict[int, list[int]] = {}
-    for event in result.trace:
-        if event.kind == "crash":
-            crashes_by_round.setdefault(event.round_no, []).append(event.node)
-        elif event.kind == "terminate":
-            terms_by_round.setdefault(event.round_no, []).append(event.node)
+    finished_by_round: dict[int, int] = {}
+    for event in events:
+        if event["kind"] == "crash.apply":
+            crashes_by_round.setdefault(event["round"], []).append(
+                event["node"])
+        elif event["kind"] == "round.end":
+            finished_by_round[event["round"]] = event["data"]["finished"]
     summaries = []
     for index, (messages, bits) in enumerate(
         zip(result.metrics.messages_per_round, result.metrics.bits_per_round)
@@ -41,14 +46,15 @@ def round_summaries(result: ExecutionResult) -> list[RoundSummary]:
             messages=messages,
             bits=bits,
             crashes=tuple(sorted(crashes_by_round.get(round_no, []))),
-            terminations=tuple(sorted(terms_by_round.get(round_no, []))),
+            finished=finished_by_round.get(round_no, 0),
         ))
     return summaries
 
 
-def render_timeline(result: ExecutionResult, *, width: int = 40) -> str:
+def render_timeline(result: ExecutionResult, events: Iterable[dict], *,
+                    width: int = 40) -> str:
     """An ASCII timeline: one line per round, message volume as a bar."""
-    summaries = round_summaries(result)
+    summaries = round_summaries(result, events)
     if not summaries:
         return "(no rounds executed)"
     peak = max(summary.messages for summary in summaries) or 1
@@ -61,8 +67,8 @@ def render_timeline(result: ExecutionResult, *, width: int = 40) -> str:
         annotations = []
         if summary.crashes:
             annotations.append(f"crash:{list(summary.crashes)}")
-        if summary.terminations:
-            annotations.append(f"done:{len(summary.terminations)}")
+        if summary.finished:
+            annotations.append(f"done:{summary.finished}")
         suffix = ("  " + " ".join(annotations)) if annotations else ""
         lines.append(
             f"r{summary.round_no:>4} |{bar:<{width}}| "

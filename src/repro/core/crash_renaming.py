@@ -377,7 +377,7 @@ def run_crash_renaming(
     ``outputs_by_uid()`` maps each surviving node's original identity to
     its new identity in ``[1, n]``.  ``network`` is handed to
     :func:`repro.sim.runner.run_network` as it stands (``seed``,
-    ``trace``, ``monitors``, ``observer``, ``fault_model``, ...).
+    ``monitors``, ``observer``, ``fault_model``, ...).
     """
     uids, cost = admit_identities(uids, namespace)
     processes = [CrashRenamingNode(uid, config) for uid in uids]

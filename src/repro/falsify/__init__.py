@@ -1,4 +1,4 @@
-"""Falsification harness: invariant monitors, trace replay, shrinking.
+"""Falsification harness: invariant monitors, schedule replay, shrinking.
 
 Three layers, bottom to top:
 

@@ -3,10 +3,9 @@
 A :class:`Monitor` hooks into :meth:`repro.sim.network.SyncNetwork.step`
 via the network's ``monitors=`` parameter and checks one safety
 invariant after every completed round.  A falsified invariant raises a
-structured :class:`InvariantViolation` carrying the round, the
-offending nodes, and the full :class:`~repro.sim.trace.Trace`, so the
-campaign runner (:mod:`repro.falsify.campaign`) can serialize a
-replayable repro artifact on the spot.
+structured :class:`InvariantViolation` carrying the round and the
+offending nodes, so the campaign runner (:mod:`repro.falsify.campaign`)
+can serialize a replayable repro artifact on the spot.
 
 The concrete monitors cover the paper's safety claims:
 
@@ -29,7 +28,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # annotations only; sim never imports falsify back
     from repro.sim.network import SyncNetwork
-    from repro.sim.trace import Trace
 
 
 class InvariantViolation(AssertionError):
@@ -45,9 +43,6 @@ class InvariantViolation(AssertionError):
         Link indices of the offending nodes (may be empty).
     detail:
         A JSON-friendly payload with invariant-specific evidence.
-    trace:
-        The execution's :class:`~repro.sim.trace.Trace` at detection
-        time (empty unless the run was traced).
     """
 
     def __init__(
@@ -58,14 +53,12 @@ class InvariantViolation(AssertionError):
         round_no: int,
         nodes: Sequence[int] = (),
         detail: object = None,
-        trace: Optional["Trace"] = None,
     ):
         super().__init__(f"[{invariant}] round {round_no}: {message}")
         self.invariant = invariant
         self.round_no = round_no
         self.nodes = tuple(nodes)
         self.detail = detail
-        self.trace = trace
 
 
 class Monitor:
@@ -94,7 +87,6 @@ class Monitor:
         raise InvariantViolation(
             self.name, message,
             round_no=network.round_no, nodes=nodes, detail=detail,
-            trace=network.trace,
         )
 
 

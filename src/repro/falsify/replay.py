@@ -82,8 +82,8 @@ class RecordingAdversary(CrashAdversary):
         self.inner = inner
         self.schedule: Schedule = {}
 
-    def plan_round(self, round_no, proposed, alive, trace) -> CrashPlan:
-        plan = self.inner.plan_round(round_no, proposed, alive, trace)
+    def plan_round(self, round_no, proposed, alive) -> CrashPlan:
+        plan = self.inner.plan_round(round_no, proposed, alive)
         if plan:
             self.schedule[round_no] = {
                 victim: kept_indices(kept, proposed.get(victim, ()))
@@ -117,7 +117,7 @@ class ReplayAdversary(CrashAdversary):
         self.schedule = schedule
         self.strict = strict
 
-    def plan_round(self, round_no, proposed, alive, trace) -> CrashPlan:
+    def plan_round(self, round_no, proposed, alive) -> CrashPlan:
         step = self.schedule.get(round_no)
         if not step:
             return {}

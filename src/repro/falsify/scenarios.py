@@ -127,7 +127,7 @@ def run_scenario(
         fault_model = build_fault_model(spec, n, seed)
     return execute(
         scenario.family, n, f, seed, adversary=adversary, params=params,
-        trace=True, monitors=monitors, observer=observer,
+        monitors=monitors, observer=observer,
         fault_model=fault_model,
     )
 

@@ -236,7 +236,10 @@ class EventRecorder(Observer):
                 if e["kind"] == kind or e["kind"].startswith(prefix)]
 
     def tail(self, count: int) -> list[dict]:
-        return list(self._events)[-count:]
+        """The last ``count`` retained events, oldest first."""
+        if count < 0:
+            raise ValueError(f"tail count must be >= 0, got {count}")
+        return list(self._events)[-count:] if count else []
 
     # -- persistence --------------------------------------------------
 

@@ -11,7 +11,6 @@ This package provides the execution environment every protocol in
 * :mod:`repro.sim.network` -- the round-based network engine with
   link-addressed delivery, authentication stamping, and adversary hooks.
 * :mod:`repro.sim.metrics` -- message / bit / round counters.
-* :mod:`repro.sim.trace` -- structured per-round execution traces.
 * :mod:`repro.sim.runner` -- convenience entry points returning an
   :class:`~repro.sim.runner.ExecutionResult`.
 """
@@ -21,7 +20,6 @@ from repro.sim.metrics import Metrics
 from repro.sim.network import SyncNetwork
 from repro.sim.node import Context, Process
 from repro.sim.runner import ExecutionResult, run_network
-from repro.sim.trace import Trace, TraceEvent
 
 __all__ = [
     "Context",
@@ -33,7 +31,5 @@ __all__ = [
     "Process",
     "Send",
     "SyncNetwork",
-    "Trace",
-    "TraceEvent",
     "run_network",
 ]

@@ -55,7 +55,6 @@ from repro.sim.messages import (
 )
 from repro.sim.metrics import Metrics
 from repro.sim.node import Context, Process, Program
-from repro.sim.trace import Trace
 
 #: Hard cap on rounds; hitting it means a protocol failed to terminate.
 DEFAULT_MAX_ROUNDS = 1_000_000
@@ -72,9 +71,6 @@ class NonTerminationError(RuntimeError):
         The round at which the cap was hit.
     ``pending``
         Indices of the correct, alive nodes that had not terminated.
-    ``trace``
-        The execution's :class:`~repro.sim.trace.Trace` (empty unless
-        tracing was enabled).
     ``metrics``
         The live :class:`~repro.sim.metrics.Metrics` at abort time.
     """
@@ -85,13 +81,11 @@ class NonTerminationError(RuntimeError):
         *,
         round_no: int = 0,
         pending: Sequence[int] = (),
-        trace: Optional[Trace] = None,
         metrics: Optional[Metrics] = None,
     ):
         super().__init__(message)
         self.round_no = round_no
         self.pending = tuple(pending)
-        self.trace = trace
         self.metrics = metrics
 
 
@@ -121,9 +115,10 @@ class SyncNetwork:
         costs nothing.
     observer:
         Optional :class:`repro.obs.events.Observer`.  When enabled,
-        :meth:`step` emits structured events (round begin/end,
-        crash-plan application, delivery fan-out, link faults, monitor
-        fire); when it carries a
+        :meth:`step` emits structured events (round begin/end, the
+        end counting the nodes that terminated, crash-plan application,
+        delivery fan-out, link faults, a Byzantine program's own fault,
+        monitor fire) -- the run's only execution log; when it carries a
         :class:`~repro.obs.profile.PhaseProfiler`, :meth:`step` charges
         wall time to its four phases.  Both are guarded hooks in the
         one round body, so every counted quantity is identical with or
@@ -147,7 +142,6 @@ class SyncNetwork:
         authenticator: Optional[Authenticator] = None,
         shared: Optional[SharedRandomness] = None,
         seed: int = 0,
-        trace: bool = False,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         monitors: Sequence[object] = (),
         observer: Optional[object] = None,
@@ -174,7 +168,6 @@ class SyncNetwork:
         # (to, envelope) pairs a `hold` verdict deferred, by release round.
         self._held: dict[int, list[tuple[int, Envelope]]] = {}
         self.metrics = Metrics(cost=cost)
-        self.trace = Trace(enabled=trace)
         self.round_no = 0
         self.crashed: set[int] = set()
         self.finished: dict[int, object] = {}
@@ -238,7 +231,6 @@ class SyncNetwork:
         self.finished[index] = value
         self.processes[index].result = value
         self._retire(index)
-        self.trace.record(self.round_no, "terminate", index, value)
 
     def _retire(self, index: int) -> None:
         """Drop a crashed or terminated node from the alive bookkeeping.
@@ -327,7 +319,7 @@ class SyncNetwork:
         identical sends.
         """
         alive = self._alive()
-        plan = self.adversary.plan_round(self.round_no, proposed, alive, self.trace)
+        plan = self.adversary.plan_round(self.round_no, proposed, alive)
         victims = set(plan)
         if not victims:
             return proposed
@@ -357,9 +349,6 @@ class SyncNetwork:
             delivered[victim] = kept
             self.crashed.add(victim)
             self._retire(victim)
-            self.trace.record(self.round_no, "crash", victim,
-                              {"delivered": len(kept),
-                               "proposed": len(proposed.get(victim, []))})
             if emit:
                 obs.emit(
                     "crash.apply", round_no=self.round_no, node=victim,
@@ -427,6 +416,7 @@ class SyncNetwork:
         contexts = self.contexts
         processes = self.processes
         if emit:
+            done = len(self.finished)
             obs.emit("round.begin", round_no=round_no,
                      alive=len(self._alive_set))
 
@@ -583,7 +573,9 @@ class SyncNetwork:
                 # desynchronised view made honest-code reuse blow up).
                 # That is the adversary's problem, not the network's:
                 # the node simply falls silent.
-                self.trace.record(round_no, "byzantine-fault", index)
+                if emit:
+                    obs.emit("byzantine.fault", round_no=round_no,
+                             node=index)
                 self._finish(index, None)
                 continue
             pending[index] = sends
@@ -612,7 +604,8 @@ class SyncNetwork:
                      messages=metrics.messages_per_round[-1],
                      bits=metrics.bits_per_round[-1],
                      alive=len(self._alive_set),
-                     resumed=len(awake), parked=len(parked))
+                     resumed=len(awake), parked=len(parked),
+                     finished=len(self.finished) - done)
 
     def _fault_event(self, kind: str, sender: int, to: int, **data) -> None:
         if self._emitting:
@@ -736,7 +729,6 @@ class SyncNetwork:
                     f"pending correct nodes: {pending[:10]}",
                     round_no=self.round_no,
                     pending=pending,
-                    trace=self.trace,
                     metrics=self.metrics,
                 )
             self.step()

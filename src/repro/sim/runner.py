@@ -13,7 +13,6 @@ from repro.sim.messages import CostModel
 from repro.sim.metrics import Metrics
 from repro.sim.network import DEFAULT_MAX_ROUNDS, SyncNetwork
 from repro.sim.node import Process
-from repro.sim.trace import Trace
 
 
 @dataclass
@@ -25,7 +24,6 @@ class ExecutionResult:
     crashed: set[int]
     byzantine: set[int]
     rounds: int
-    trace: Trace
     processes: Sequence[Process] = field(repr=False, default=())
     #: Applied link-fault tallies, or ``None`` when no fault model ran.
     fault_stats: Optional[FaultStats] = None
@@ -75,7 +73,6 @@ def run_network(
     authenticator: Optional[Authenticator] = None,
     shared: Optional[SharedRandomness] = None,
     seed: int = 0,
-    trace: bool = False,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     monitors: Sequence[object] = (),
     observer: Optional[object] = None,
@@ -89,7 +86,6 @@ def run_network(
         authenticator=authenticator,
         shared=shared,
         seed=seed,
-        trace=trace,
         max_rounds=max_rounds,
         monitors=monitors,
         observer=observer,
@@ -105,7 +101,6 @@ def run_network(
         crashed=set(network.crashed),
         byzantine=byzantine,
         rounds=network.round_no,
-        trace=network.trace,
         processes=list(processes),
         fault_stats=network.fault_stats,
     )

@@ -17,7 +17,6 @@ from repro.adversary.crash import (
     ScheduledCrash,
 )
 from repro.sim.messages import Broadcast, Multicast, Scatter, Send
-from repro.sim.trace import Trace
 from tests.test_network import Ping
 
 
@@ -29,13 +28,12 @@ def proposed_for(fanouts):
     }
 
 
-TRACE = Trace(enabled=False)
 
 
 class TestNoCrashes:
     def test_never_crashes(self):
         adversary = NoCrashes()
-        plan = adversary.plan_round(1, proposed_for({0: 3}), frozenset({0}), TRACE)
+        plan = adversary.plan_round(1, proposed_for({0: 3}), frozenset({0}))
         assert plan == {}
         assert adversary.budget == 0
 
@@ -45,22 +43,20 @@ class TestRandomCrash:
         adversary = RandomCrash(budget=2, rate=1.0, rng=Random(1))
         plan = adversary.plan_round(
             1, proposed_for({i: 2 for i in range(10)}),
-            frozenset(range(10)), TRACE,
-        )
+            frozenset(range(10)))
         assert len(plan) == 2
 
     def test_rate_zero_never_crashes(self):
         adversary = RandomCrash(budget=5, rate=0.0, rng=Random(1))
         plan = adversary.plan_round(
             1, proposed_for({i: 2 for i in range(10)}),
-            frozenset(range(10)), TRACE,
-        )
+            frozenset(range(10)))
         assert plan == {}
 
     def test_kept_messages_are_subset(self):
         adversary = RandomCrash(budget=5, rate=1.0, rng=Random(3))
         proposed = proposed_for({0: 10})
-        plan = adversary.plan_round(1, proposed, frozenset({0}), TRACE)
+        plan = adversary.plan_round(1, proposed, frozenset({0}))
         kept = plan[0]
         assert 0 < len(kept) < 10 and kept == sorted(set(kept))
         assert all(type(index) is int and 0 <= index < 10 for index in kept)
@@ -81,13 +77,13 @@ class TestScheduledCrash:
 
     def test_fires_only_in_scheduled_round(self):
         adversary = ScheduledCrash({2: [0]})
-        assert adversary.plan_round(1, proposed_for({0: 1}), frozenset({0}), TRACE) == {}
-        plan = adversary.plan_round(2, proposed_for({0: 1}), frozenset({0}), TRACE)
+        assert adversary.plan_round(1, proposed_for({0: 1}), frozenset({0})) == {}
+        plan = adversary.plan_round(2, proposed_for({0: 1}), frozenset({0}))
         assert set(plan) == {0}
 
     def test_skips_already_dead_victims(self):
         adversary = ScheduledCrash({2: [0]})
-        plan = adversary.plan_round(2, proposed_for({1: 1}), frozenset({1}), TRACE)
+        plan = adversary.plan_round(2, proposed_for({1: 1}), frozenset({1}))
         assert plan == {}
 
     def test_duplicate_victims_rejected(self):
@@ -97,7 +93,7 @@ class TestScheduledCrash:
     def test_deliver_prefix(self):
         adversary = ScheduledCrash({1: [0]}, deliver_prefix={0: 2})
         proposed = proposed_for({0: 5})
-        plan = adversary.plan_round(1, proposed, frozenset({0}), TRACE)
+        plan = adversary.plan_round(1, proposed, frozenset({0}))
         assert plan[0] == range(2)
 
     def test_explicit_budget_pins_f(self):
@@ -122,22 +118,19 @@ class TestMidSendPartitioner:
     def test_targets_highest_fanout(self):
         adversary = MidSendPartitioner(budget=1, rng=Random(1), per_round=1)
         plan = adversary.plan_round(
-            1, proposed_for({0: 2, 1: 10, 2: 3}), frozenset({0, 1, 2}), TRACE
-        )
+            1, proposed_for({0: 2, 1: 10, 2: 3}), frozenset({0, 1, 2}))
         assert set(plan) == {1}
 
     def test_delivers_half(self):
         adversary = MidSendPartitioner(budget=1, rng=Random(1))
         plan = adversary.plan_round(
-            1, proposed_for({0: 10}), frozenset({0}), TRACE
-        )
+            1, proposed_for({0: 10}), frozenset({0}))
         assert len(plan[0]) == 5
 
     def test_ignores_low_fanout(self):
         adversary = MidSendPartitioner(budget=1, rng=Random(1), min_fanout=5)
         plan = adversary.plan_round(
-            1, proposed_for({0: 2}), frozenset({0}), TRACE
-        )
+            1, proposed_for({0: 2}), frozenset({0}))
         assert plan == {}
 
 
@@ -146,23 +139,20 @@ class TestCommitteeHunter:
         adversary = CommitteeHunter(budget=5, rng=Random(1))
         plan = adversary.plan_round(
             1, proposed_for({0: 10, 1: 1, 2: 10, 3: 0}),
-            frozenset({0, 1, 2, 3}), TRACE,
-        )
+            frozenset({0, 1, 2, 3}))
         assert set(plan) == {0, 2}
         assert list(plan[0]) == [] and list(plan[2]) == []
 
     def test_budget_limits_kills(self):
         adversary = CommitteeHunter(budget=1, rng=Random(1))
         plan = adversary.plan_round(
-            1, proposed_for({0: 10, 1: 10}), frozenset({0, 1}), TRACE
-        )
+            1, proposed_for({0: 10, 1: 10}), frozenset({0, 1}))
         assert len(plan) == 1
 
     def test_deliver_fraction_leaks_traffic(self):
         adversary = CommitteeHunter(budget=1, rng=Random(1), deliver_fraction=0.5)
         plan = adversary.plan_round(
-            1, proposed_for({0: 10}), frozenset({0}), TRACE
-        )
+            1, proposed_for({0: 10}), frozenset({0}))
         assert len(plan[0]) == 5
 
     def test_invalid_fraction_rejected(self):
@@ -174,14 +164,14 @@ class TestBudgetedAdaptiveCrash:
     def test_policy_sees_remaining_budget(self):
         seen = []
 
-        def policy(round_no, proposed, alive, trace, remaining):
+        def policy(round_no, proposed, alive, remaining):
             seen.append(remaining)
             return {}
 
         adversary = BudgetedAdaptiveCrash(3, policy)
-        adversary.plan_round(1, {}, frozenset(), TRACE)
+        adversary.plan_round(1, {}, frozenset())
         adversary.note_crashes({0, 1})
-        adversary.plan_round(2, {}, frozenset(), TRACE)
+        adversary.plan_round(2, {}, frozenset())
         assert seen == [3, 1]
 
 
@@ -194,7 +184,7 @@ class _FanoutSlicer(CrashAdversary):
         self.fanout = fanout
         self.captured = None  # (round_no, victim, proposed_seq, kept)
 
-    def plan_round(self, round_no, proposed, alive, trace):
+    def plan_round(self, round_no, proposed, alive):
         if self.crashed:
             return {}
         for victim in sorted(alive):
@@ -226,7 +216,7 @@ class TestBroadcastMidSendCrash:
         slicer = _FanoutSlicer()
         recorder = RecordingAdversary(slicer)
         first = run_crash_renaming(
-            uids, namespace=16, adversary=recorder, seed=seed, trace=True,
+            uids, namespace=16, adversary=recorder, seed=seed,
         )
 
         # The victim really was broadcasting and really kept a strict
@@ -248,7 +238,7 @@ class TestBroadcastMidSendCrash:
         # same outputs, same round count, same per-round ledgers.
         replayer = ReplayAdversary(recorder.schedule, strict=True)
         second = run_crash_renaming(
-            uids, namespace=16, adversary=replayer, seed=seed, trace=True,
+            uids, namespace=16, adversary=replayer, seed=seed,
         )
         assert second.outputs_by_uid() == outputs
         assert second.rounds == first.rounds

@@ -85,7 +85,7 @@ class TestUnderCrashes:
         likely to be winning some slot)."""
         n = 16
 
-        def policy(round_no, proposed, alive, trace, remaining):
+        def policy(round_no, proposed, alive, remaining):
             if remaining == 0 or not proposed:
                 return {}
             victim = min(v for v in proposed if proposed[v])

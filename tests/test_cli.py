@@ -152,6 +152,16 @@ class TestSpecFlags:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestObsTail:
+    def test_negative_last_is_one_error_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"seq": 0, "ts": 0, "kind": "tick"}\n')
+        with pytest.raises(SystemExit) as done:
+            main(["obs", "tail", str(path), "--last", "-2"])
+        assert done.value.code == (
+            "python -m repro obs tail: error: --last must be >= 0, got -2")
+
+
 class TestCommands:
     def test_crash_success_exit_code(self, capsys):
         assert main(["crash", "--n", "12", "--f", "2", "--seed", "3"]) == 0

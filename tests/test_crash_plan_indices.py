@@ -50,7 +50,6 @@ from repro.sim.messages import (
 from repro.sim.network import SyncNetwork
 from repro.sim.node import Process
 from repro.sim.runner import run_network
-from repro.sim.trace import Trace
 from tests.test_fastpath_ab import (
     ReferenceNetwork,
     engine_observables,
@@ -58,7 +57,6 @@ from tests.test_fastpath_ab import (
 )
 from tests.test_network import Chatter, Ping, PlanScript, cost_for
 
-TRACE = Trace(enabled=False)
 
 
 def schedule_digest(schedule) -> str:
@@ -73,8 +71,8 @@ class _Wrapped(CrashAdversary):
         super().__init__(inner.budget)
         self.inner = inner
 
-    def plan_round(self, round_no, proposed, alive, trace):
-        return self.inner.plan_round(round_no, proposed, alive, trace)
+    def plan_round(self, round_no, proposed, alive):
+        return self.inner.plan_round(round_no, proposed, alive)
 
     def note_crashes(self, victims):
         super().note_crashes(victims)
@@ -89,10 +87,10 @@ class _FromRound(_Wrapped):
         super().__init__(inner)
         self.first_round = first_round
 
-    def plan_round(self, round_no, proposed, alive, trace):
+    def plan_round(self, round_no, proposed, alive):
         if round_no < self.first_round:
             return {}
-        return super().plan_round(round_no, proposed, alive, trace)
+        return super().plan_round(round_no, proposed, alive)
 
 
 STRATEGIES = {
@@ -187,7 +185,7 @@ def _observe(strategy, run):
         for round_no in range(1, 6):
             alive = frozenset(proposed) - recorder.crashed
             plan = recorder.plan_round(
-                round_no, {v: proposed[v] for v in alive}, alive, TRACE)
+                round_no, {v: proposed[v] for v in alive}, alive)
             recorder.note_crashes(set(plan))
         return schedule_digest(recorder.schedule), len(recorder.crashed)
     result = RUNS[run](recorder)
@@ -208,8 +206,8 @@ class TestSchedulesArePinned:
         shapes = set()
 
         class Spy(_Wrapped):
-            def plan_round(self, round_no, proposed, alive, trace):
-                plan = super().plan_round(round_no, proposed, alive, trace)
+            def plan_round(self, round_no, proposed, alive):
+                plan = super().plan_round(round_no, proposed, alive)
                 shapes.update(type(proposed[victim]) for victim in plan)
                 return plan
 
@@ -248,7 +246,7 @@ class TestStrategiesBuildNoSend:
         seen = 0
         for round_no in range(1, 6):
             alive = frozenset(proposed) - adversary.crashed
-            plan = adversary.plan_round(round_no, proposed, alive, TRACE)
+            plan = adversary.plan_round(round_no, proposed, alive)
             for victim, kept in plan.items():
                 assert all(type(index) is int for index in kept)
                 assert kept_indices(kept, proposed[victim]) == tuple(kept)
@@ -374,7 +372,7 @@ class TestIndexPlansAreValidatedAtomically:
 
 class TestPoliciesMayStillKeepSends:
     def _policy_run(self, keep):
-        def policy(round_no, proposed, alive, trace, remaining):
+        def policy(round_no, proposed, alive, remaining):
             if round_no == 1 and 1 in alive:
                 return {1: keep(proposed[1])}
             return {}
@@ -400,7 +398,7 @@ class TestPoliciesMayStillKeepSends:
                 == second.metrics.messages_per_round[0] == 3 * 7 + 2)
 
     def test_sends_kept_from_a_lazy_fanout(self):
-        def policy(round_no, proposed, alive, trace, remaining):
+        def policy(round_no, proposed, alive, remaining):
             if round_no == 1:
                 return {0: [proposed[0][2], proposed[0][0]]}
             return {}
@@ -422,7 +420,7 @@ class TestReferenceNetworkResolvesTheSameWay:
     def test_both_plan_shapes(self, keep):
         def adversary():
             return BudgetedAdaptiveCrash(
-                1, lambda round_no, proposed, alive, trace, remaining:
+                1, lambda round_no, proposed, alive, remaining:
                 {2: keep(proposed[2])} if round_no == 2 else {})
 
         def processes():

@@ -83,7 +83,7 @@ class TestAdaptiveWorstCase:
     def test_busiest_sender_assassin(self, seed, keep):
         n = 16
 
-        def policy(round_no, proposed, alive, trace, remaining):
+        def policy(round_no, proposed, alive, remaining):
             if remaining == 0 or not proposed:
                 return {}
             busiest = max(proposed, key=lambda v: (len(proposed[v]), v))

@@ -55,7 +55,6 @@ class FakeNetwork:
         self.adversary = adversary or NoCrashes()
         self.metrics = metrics or FakeMetrics()
         self.round_no = round_no
-        self.trace = None
 
 
 class TestInvariantViolation:

@@ -183,7 +183,7 @@ class TestStrategyRoundTrips:
     def test_budgeted_adaptive_round_trips(self):
         from repro.adversary.crash import BudgetedAdaptiveCrash
 
-        def policy(round_no, proposed, alive, trace, remaining):
+        def policy(round_no, proposed, alive, remaining):
             # Crash the lowest alive index mid-send on even rounds.
             if round_no % 2 or not remaining:
                 return {}

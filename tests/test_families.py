@@ -41,6 +41,7 @@ from repro.core.crash_renaming import CrashRenamingConfig
 from repro.engine.pool import run_requests
 from repro.engine.sweeps import RunRequest, resolve_driver, table1_requests
 from repro.falsify.scenarios import SCENARIOS, run_scenario
+from repro.obs import EventRecorder
 from repro.sim.runner import ExecutionResult, run_network
 
 
@@ -117,9 +118,10 @@ class TestEntryPoints:
             on_finish = on_start
 
         monitor = CountRounds()
-        result = run([5, 9, 12, 40], monitors=(monitor,), trace=True)
+        recorder = EventRecorder()
+        result = run([5, 9, 12, 40], monitors=(monitor,), observer=recorder)
         assert monitor.rounds == result.rounds > 0
-        assert result.trace.enabled
+        assert len(recorder.events("round.end")) == result.rounds
 
 
 # -- the reference: the seeding rule, written out a second time ---------
@@ -288,11 +290,9 @@ class TestScenarioIsTheSummarysExecution:
             return make_crash_adversary(entry.adversary, f, Random(seed + 1))
 
         probed = run_scenario(name, n, f, seed, adversary=adversary())
-        assert probed.trace.enabled
         assert counted(probed) == counted(
-            execute(entry, n, f, seed, adversary=adversary(), trace=True))
-        assert counted(probed) == counted(
-            reference_run(entry, n, f, seed, trace=True))
+            execute(entry, n, f, seed, adversary=adversary()))
+        assert counted(probed) == counted(reference_run(entry, n, f, seed))
         row = summary(name, n, f, seed)
         assert counted(probed)[:3] == (
             row["rounds"], row["messages"], row["bits"])

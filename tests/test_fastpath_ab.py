@@ -95,7 +95,6 @@ from repro.sim.columnar import ColumnarRound
 from repro.sim.metrics import Metrics
 from repro.sim.node import Context, Process
 from repro.sim.runner import run_network
-from repro.sim.trace import Trace
 
 
 class ReferenceNetwork:
@@ -110,7 +109,6 @@ class ReferenceNetwork:
         self.cost = cost
         self.adversary = crash_adversary or NoCrashes()
         self.authenticator = authenticator or Authenticator()
-        self.trace = Trace(enabled=False)
         self.round_no = 0
         self.crashed = set()
         self.finished = {}
@@ -158,8 +156,7 @@ class ReferenceNetwork:
 
     def _apply_crash_plan(self, proposed):
         alive = frozenset(self._alive_unfinished())
-        plan = self.adversary.plan_round(
-            self.round_no, proposed, alive, self.trace)
+        plan = self.adversary.plan_round(self.round_no, proposed, alive)
         if not plan:
             return proposed
         kept_by_victim = {}
@@ -483,7 +480,7 @@ class TestDuplicateSendCrashPlan:
     """Kept sends resolve to indices by identity, end to end."""
 
     def _run_recorded(self, keep_position):
-        def policy(round_no, proposed, alive, trace, remaining):
+        def policy(round_no, proposed, alive, remaining):
             if round_no == 1 and 1 in alive:
                 return {1: [proposed[1][keep_position]]}
             return {}
@@ -892,7 +889,7 @@ class _PlannedCrashes(CrashAdversary):
         super().__init__(budget=n)
         self.plan = plan  # (round, victim) -> keep rule
 
-    def plan_round(self, round_no, proposed, alive, trace):
+    def plan_round(self, round_no, proposed, alive):
         rules = {"none": lambda at: False, "first": lambda at: at == 0,
                  "odd": lambda at: at % 2 == 1, "all": lambda at: True}
         return {victim: [at for at in range(len(proposed[victim]))

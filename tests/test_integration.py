@@ -16,6 +16,7 @@ from repro.apps.overlay_directory import OverlayDirectory
 from repro.baselines.balls_into_slots import run_balls_into_slots
 from repro.baselines.obg_halving import run_obg_halving
 from repro.core.crash_renaming import CrashRenamingConfig, run_crash_renaming
+from repro.obs import EventRecorder
 
 
 class TestDirectoryLifecycle:
@@ -74,13 +75,14 @@ class TestDirectoryLifecycle:
 class TestTimelineOverRealRuns:
     def test_crash_renaming_timeline_shows_attack_shape(self):
         n = 24
+        recorder = EventRecorder()
         result = run_crash_renaming(
             range(1, n + 1),
             adversary=MidSendPartitioner(6, Random(3), per_round=1),
             config=CrashRenamingConfig(election_constant=4),
-            seed=4, trace=True,
+            seed=4, observer=recorder,
         )
-        text = render_timeline(result)
+        text = render_timeline(result, recorder.events())
         assert text.count("\n") + 1 == result.rounds
         assert "crash:" in text
         summary = describe(result)

@@ -29,7 +29,6 @@ from repro.sim.messages import (
 from repro.sim.metrics import Metrics
 from repro.sim.node import IdleProcess
 from repro.sim.runner import ExecutionResult, run_network
-from repro.sim.trace import Trace
 from tests import test_golden_digests as golden
 
 
@@ -206,7 +205,6 @@ class TestOutputsByUidExclusion:
             crashed={0},
             byzantine={2},
             rounds=1,
-            trace=Trace(enabled=False),
             processes=[IdleProcess(uid=10), IdleProcess(uid=20),
                        IdleProcess(uid=30)],
         )
@@ -220,7 +218,6 @@ class TestOutputsByUidExclusion:
             crashed={0},
             byzantine={0},
             rounds=1,
-            trace=Trace(enabled=False),
             processes=[IdleProcess(uid=5), IdleProcess(uid=6)],
         )
         assert result.outputs_by_uid() == {6: "y"}

@@ -7,6 +7,7 @@ import pytest
 from repro.adversary.base import CrashPlanError
 from repro.adversary.crash import BudgetedAdaptiveCrash, ScheduledCrash
 from repro.crypto.auth import Authenticator
+from repro.obs import EventRecorder
 from repro.sim.messages import CostModel, Message, Send, broadcast
 from repro.sim.network import NonTerminationError, SyncNetwork
 from repro.sim.node import IdleProcess, Process
@@ -132,7 +133,7 @@ class TestCrashSemantics:
         assert result.correct_results == {0: 1}
 
     def test_budget_violation_detected(self):
-        def greedy(round_no, proposed, alive, trace, remaining):
+        def greedy(round_no, proposed, alive, remaining):
             return {victim: [] for victim in alive}
 
         adversary = BudgetedAdaptiveCrash(1, greedy)
@@ -141,7 +142,7 @@ class TestCrashSemantics:
             run_network(processes, cost_for(3), crash_adversary=adversary)
 
     def test_fabricated_kept_message_detected(self):
-        def forger(round_no, proposed, alive, trace, remaining):
+        def forger(round_no, proposed, alive, remaining):
             if round_no == 1:
                 return {0: [Send(to=0, message=Ping(payload=999))]}
             return {}
@@ -154,7 +155,7 @@ class TestCrashSemantics:
             )
 
     def test_double_crash_detected(self):
-        def repeat_offender(round_no, proposed, alive, trace, remaining):
+        def repeat_offender(round_no, proposed, alive, remaining):
             return {0: []} if round_no <= 2 else {}
 
         adversary = BudgetedAdaptiveCrash(5, repeat_offender)
@@ -212,9 +213,11 @@ class TestByzantineFaultContainment:
                 raise RuntimeError("adversary bug")
 
         processes = [Chatter(uid=1, rounds=3), Crasher(uid=2)]
-        result = run_network(processes, cost_for(2), trace=True)
+        recorder = EventRecorder()
+        result = run_network(processes, cost_for(2), observer=recorder)
         assert result.results[0] == 1
-        assert any(e.kind == "byzantine-fault" for e in result.trace)
+        (fault,) = recorder.events("byzantine.fault")
+        assert (fault["round"], fault["node"]) == (1, 1)
 
     def test_correct_exception_propagates(self):
         class Buggy(Process):
@@ -254,48 +257,53 @@ class TestAuthentication:
 
 
 class TestTrace:
+    """The observer's event stream is the execution log."""
+
     def test_crash_events_recorded(self):
         processes = [Chatter(uid=i + 1, rounds=2) for i in range(2)]
-        result = run_network(
+        recorder = EventRecorder()
+        run_network(
             processes, cost_for(2),
-            crash_adversary=ScheduledCrash({1: [1]}), trace=True,
+            crash_adversary=ScheduledCrash({1: [1]}), observer=recorder,
         )
-        crashes = result.trace.crashes()
-        assert len(crashes) == 1 and crashes[0].node == 1
+        crashes = recorder.events("crash.apply")
+        assert len(crashes) == 1 and crashes[0]["node"] == 1
 
     def test_terminate_events_recorded(self):
-        result = run_network([Chatter(uid=1)], cost_for(1), trace=True)
-        assert any(e.kind == "terminate" for e in result.trace)
-
-    def test_disabled_trace_records_nothing(self):
-        result = run_network([Chatter(uid=1)], cost_for(1), trace=False)
-        assert len(result.trace) == 0
+        recorder = EventRecorder()
+        run_network([Chatter(uid=1)], cost_for(1), observer=recorder)
+        finished = [event["data"]["finished"]
+                    for event in recorder.events("round.end")]
+        assert finished == [0, 1]
 
     def test_round_query(self):
-        result = run_network(
+        recorder = EventRecorder()
+        run_network(
             [Chatter(uid=1), Chatter(uid=2)], cost_for(2),
-            crash_adversary=ScheduledCrash({2: [0]}), trace=True,
+            crash_adversary=ScheduledCrash({2: [0]}), observer=recorder,
         )
-        round2 = list(result.trace.in_round(2))
-        assert any(e.kind == "crash" for e in round2)
+        round2 = [event for event in recorder if event.get("round") == 2]
+        assert any(event["kind"] == "crash.apply" for event in round2)
 
 
 class TestNonTerminationState:
     def test_error_carries_partial_execution_state(self):
+        recorder = EventRecorder()
         with pytest.raises(NonTerminationError) as info:
             run_network([IdleProcess(uid=1), Chatter(uid=2, rounds=2)],
-                        cost_for(2), max_rounds=10, trace=True)
+                        cost_for(2), max_rounds=10, observer=recorder)
         error = info.value
         assert error.round_no == 10
         assert error.pending == (0,)  # the idle node never terminates
-        assert error.trace is not None and len(error.trace) > 0
+        # The observer holds the history up to the cap.
+        assert len(recorder.events("round.end")) == 10
         assert error.metrics is not None and error.metrics.rounds == 10
 
     def test_defaults_are_empty(self):
         error = NonTerminationError("stuck")
         assert error.round_no == 0
         assert error.pending == ()
-        assert error.trace is None and error.metrics is None
+        assert error.metrics is None
 
 
 class RecordingMonitor:
@@ -361,7 +369,7 @@ class PlanScript(BudgetedAdaptiveCrash):
     def __init__(self, budget, plan):
         super().__init__(
             budget,
-            lambda round_no, proposed, alive, trace, remaining:
+            lambda round_no, proposed, alive, remaining:
                 plan if round_no == 1 else {},
         )
 
@@ -396,7 +404,7 @@ class TestCrashPlanRejectionIsAtomic:
         self.run_rejected(PlanScript(2, {0: [], 1: bogus}), "never proposed")
 
     def test_re_crash_rejected_without_mutation(self):
-        def twice(round_no, proposed, alive, trace, remaining):
+        def twice(round_no, proposed, alive, remaining):
             return {0: []} if round_no <= 2 else {}
 
         adversary = BudgetedAdaptiveCrash(5, twice)

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from repro.adversary.crash import ScheduledCrash
 from repro.engine.pool import run_requests
 from repro.engine.store import RunStore
 from repro.engine.sweeps import RunRequest
 from repro.falsify.campaign import CampaignConfig, run_campaign
 from repro.faults import NoFaults, build_fault_model
+from repro.faults.base import FaultModel, corrupt, drop, duplicate, hold
 from repro.obs import (
     EVENT_FORMAT,
     NULL_OBSERVER,
@@ -26,9 +28,10 @@ from repro.obs import (
 from repro.__main__ import main
 from repro.serve.obs import validate_serve_events
 from repro.sim.columnar import LazyInbox
-from repro.sim.messages import CostModel
+from repro.sim.messages import CostModel, broadcast
+from repro.sim.node import Process
 from repro.sim.runner import run_network
-from benchmarks.perf import BroadcastStorm
+from benchmarks.perf import BroadcastStorm, PerfBeat
 
 
 class TestRecorder:
@@ -64,6 +67,16 @@ class TestRecorder:
         assert event["round"] == 3
         assert event["node"] == 7
         assert event["data"] == {"delivered": 2}
+
+    def test_tail_counts_from_the_end(self):
+        recorder = EventRecorder()
+        for index in range(5):
+            recorder.emit("tick", count=index)
+        assert [e["data"]["count"] for e in recorder.tail(2)] == [3, 4]
+        assert len(recorder.tail(9)) == 5
+        assert recorder.tail(0) == []
+        with pytest.raises(ValueError, match=">= 0"):
+            recorder.tail(-1)
 
     def test_null_observer_is_disabled_and_silent(self):
         assert not NULL_OBSERVER.enabled
@@ -211,6 +224,45 @@ class TestProfiler:
         }
 
 
+#: The kinds ``SyncNetwork`` emits, as ``docs/api.md`` lists them.
+NETWORK_KINDS = {
+    "run.begin", "run.end", "round.begin", "round.end", "crash.apply",
+    "deliver.fanout", "monitor.fire", "byzantine.fault", "fault.drop",
+    "fault.dup", "fault.corrupt", "fault.hold", "fault.release",
+    "fault.expire",
+}
+
+
+class _DoneAtStart(Process):
+    """Terminates before round 1."""
+
+    def program(self, ctx):
+        return ctx.index
+        yield
+
+
+class _RaisingByzantine(Process):
+    """A Byzantine strategy whose own program blows up in round 2."""
+
+    byzantine = True
+
+    def program(self, ctx):
+        yield broadcast(ctx.n, PerfBeat(0))
+        yield broadcast(ctx.n, PerfBeat(1))
+        raise RuntimeError("strategy bug")
+
+
+class _EveryVerdict(FaultModel):
+    """Round 1: node 0's broadcast meets every verdict kind; one held
+    letter is released in round 2, another outlives the run."""
+
+    def plan_round(self, round_no, delivered, alive):
+        if round_no != 1:
+            return {}
+        return {0: {0: drop(), 1: duplicate(), 2: corrupt(salt=3),
+                    3: hold(2), 4: hold(99)}}
+
+
 class TestNetworkEvents:
     def test_execution_emits_round_and_run_events(self):
         recorder = EventRecorder(profile=True)
@@ -275,6 +327,30 @@ class TestNetworkEvents:
         fires = recorder.events("monitor.fire")
         assert fires
         assert fires[-1]["data"]["error"] == "InvariantViolation"
+
+    def test_kinds_and_finished_counts(self):
+        processes = [BroadcastStorm(index + 1, rounds=3) for index in range(5)]
+        processes += [_RaisingByzantine(6), _DoneAtStart(7)]
+        recorder = EventRecorder(capacity=None)
+        result = run_network(
+            processes, CostModel(n=7, namespace=28), observer=recorder,
+            crash_adversary=ScheduledCrash({2: [1]}),
+            fault_model=_EveryVerdict())
+        events = recorder.events()
+        assert validate_events(events) == []
+        kinds = {event["kind"] for event in events}
+        assert kinds <= NETWORK_KINDS
+        assert kinds == NETWORK_KINDS - {"monitor.fire"}  # every path ran
+        ends = recorder.events("round.end")
+        assert len(ends) == result.rounds
+        assert all("finished" in event["data"] for event in ends)
+        # Node 6 finished before round 1 and is not counted; node 5's
+        # fault finished it (result None) in round 2.
+        assert 6 in result.results and result.results[5] is None
+        assert sum(event["data"]["finished"] for event in ends) == (
+            len(result.results) - 1)
+        (fault,) = recorder.events("byzantine.fault")
+        assert (fault["round"], fault["node"]) == (2, 5)
 
 
 class _InboxKeeper(BroadcastStorm):
@@ -441,6 +517,16 @@ class TestCli:
 
     def test_obs_tail_missing_file(self, tmp_path, capsys):
         assert main(["obs", "tail", str(tmp_path / "absent.jsonl")]) == 1
+
+    def test_obs_tail_last_zero_prints_no_event(self, tmp_path, capsys):
+        recorder = EventRecorder()
+        for index in range(3):
+            recorder.emit("tick", count=index)
+        path = recorder.write_jsonl(tmp_path / "events.jsonl")
+        assert main(["obs", "tail", str(path), "--last", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "3 events, 0 schema problems" in captured.err
 
     def test_sweep_telemetry_then_report(self, tmp_path, capsys):
         store = str(tmp_path / "runs.sqlite")

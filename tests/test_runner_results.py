@@ -5,7 +5,6 @@ import pytest
 from repro.sim.messages import CostModel
 from repro.sim.node import IdleProcess
 from repro.sim.runner import ExecutionResult, run_network
-from repro.sim.trace import Trace
 from tests.test_network import Chatter
 
 
@@ -44,7 +43,6 @@ class TestCorrectResults:
             crashed={1},
             byzantine=set(),
             rounds=3,
-            trace=Trace(enabled=False),
             processes=[IdleProcess(uid=7), IdleProcess(uid=8)],
         )
         assert result.correct_results == {0: "a"}
