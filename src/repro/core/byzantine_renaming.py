@@ -323,7 +323,6 @@ class ByzantineRenamingNode(Process):
         shared: SharedRandomness,
     ):
         comm = self._make_comm(view_links, params)
-        family = FingerprintFamily(shared)
         iterations = params.consensus_iterations
         tuple_width = ctx.cost.digest_bits + ctx.cost.counter_bits
 
@@ -350,7 +349,7 @@ class ByzantineRenamingNode(Process):
 
             count = identity_list.count_ones_in(lo, hi)
             if self.config.use_fingerprints:
-                hasher = family.draw(f"segment:{step}")
+                hasher = FingerprintFamily.of(shared).draw(f"segment:{step}")
                 digest: object = identity_list.fingerprint(hasher, lo, hi)
                 width = tuple_width
             else:

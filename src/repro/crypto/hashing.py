@@ -20,15 +20,16 @@ Segments are addressed sparsely: the caller passes the *positions of
 one-bits* inside ``[l, r]`` rather than the raw bit string, so hashing a
 segment costs ``O(k log m)`` for ``k`` ones instead of ``O(m)``.  This
 keeps executions with ``N >> n`` cheap without changing the function
-being computed.
+being computed.  A run's members share a label's :class:`Fingerprinter`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+import weakref
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
-from repro.crypto.shared_randomness import SharedRandomness
+from repro.crypto.shared_randomness import SharedRandomness, kept
 
 #: Default field modulus: the Mersenne prime 2^127 - 1.  It exceeds
 #: ``N**6`` for every namespace up to ``N ~ 2*10^6``, which keeps the
@@ -43,6 +44,8 @@ class Fingerprinter:
 
     prime: int
     point: int
+    _powers: dict[int, int] = field(  # exponent -> point**exponent % prime
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 2 <= self.point <= self.prime - 2:
@@ -60,23 +63,21 @@ class Fingerprinter:
         """
         if lo > hi:
             raise ValueError(f"empty segment [{lo}, {hi}]")
+        powers, point, prime = self._powers, self.point, self.prime
         acc = 0
         for position in ones:
             if not lo <= position <= hi:
                 raise ValueError(
                     f"one-position {position} outside segment [{lo}, {hi}]"
                 )
-            acc = (acc + pow(self.point, position - lo, self.prime)) % self.prime
+            exponent = position - lo
+            power = powers.get(exponent)
+            if power is None:
+                power = powers[exponent] = pow(point, exponent, prime)
+            acc += power
         # Mix in the segment length so equal-content prefixes of unequal
         # declared lengths cannot be confused by construction.
-        return (acc * (hi - lo + 1)) % self.prime
-
-    def digest_ints(self, values: Iterable[int]) -> int:
-        """Fingerprint of an integer tuple (Horner evaluation)."""
-        acc = 0
-        for value in values:
-            acc = (acc * self.point + value + 1) % self.prime
-        return acc
+        return (acc * (hi - lo + 1)) % prime
 
 
 class FingerprintFamily:
@@ -85,7 +86,9 @@ class FingerprintFamily:
     All correct nodes construct the family from the same
     :class:`SharedRandomness`, hence draw identical hash functions for
     identical labels -- exactly the "hash function constructed via
-    shared randomness" of Section 3.1.
+    shared randomness" of Section 3.1.  A family keeps the function it
+    drew last, and its table of powers ``x^e mod P`` (one ``pow`` per
+    exponent, whoever asks), until it draws another label.
     """
 
     def __init__(self, shared: SharedRandomness, prime: int = DEFAULT_PRIME):
@@ -93,7 +96,16 @@ class FingerprintFamily:
             raise ValueError(f"prime too small: {prime}")
         self.shared = shared
         self.prime = prime
+        self._drawn: Optional[Fingerprinter] = None
+
+    @staticmethod
+    @kept
+    def of(shared: SharedRandomness, prime: int = DEFAULT_PRIME):
+        """The run's family; it holds ``shared`` weakly (no cycle)."""
+        return FingerprintFamily(weakref.proxy(shared), prime)
 
     def draw(self, label: str) -> Fingerprinter:
         point = self.shared.uniform_int(f"hash:{label}", 2, self.prime - 2)
-        return Fingerprinter(prime=self.prime, point=point)
+        if self._drawn is None or self._drawn.point != point:
+            self._drawn = Fingerprinter(prime=self.prime, point=point)
+        return self._drawn

@@ -7,7 +7,8 @@ the protocol designer.  We realise it as a keyed deterministic PRG:
 each *labelled query* hashes ``(seed, label)`` into a fresh
 :class:`random.Random` stream, so distinct labels give independent
 streams and repeated queries with the same label give identical bits on
-every node.
+every node.  An answer is a pure function of ``(seed, query)``: the one
+instance of a run keeps it (:func:`kept`), and a committee pays once.
 
 The static Byzantine adversary of the paper chooses the corrupt set
 *before* execution, i.e. before the shared random bits are revealed;
@@ -17,9 +18,22 @@ access to the :class:`SharedRandomness` instance.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from random import Random
+
+
+def kept(draw):
+    """``draw(shared, *args)``, computed once per instance and ``args``
+    and the same object after (an exception is not kept)."""
+    @functools.wraps(draw)
+    def answer(shared, *args):
+        answers, query = shared._answers, (draw, *args)
+        if query not in answers:
+            answers[query] = draw(shared, *args)
+        return answers[query]
+    return answer
 
 
 class SharedRandomness:
@@ -34,9 +48,8 @@ class SharedRandomness:
 
     def __init__(self, seed: int):
         self.seed = seed
-        # Answers are a pure function of (seed, query): a run pays for
-        # each lottery once, however many nodes read it.
-        self._subsets: dict[tuple[str, int, float], frozenset[int]] = {}
+        #: (draw, *args) -> its answer, for every `kept` query so far.
+        self._answers: dict[tuple, object] = {}
 
     def stream(self, label: str) -> Random:
         """A fresh PRG stream for ``label``, identical on every node."""
@@ -44,20 +57,23 @@ class SharedRandomness:
         return Random(int.from_bytes(digest[:16], "big"))
 
     def bits(self, label: str, count: int) -> list[int]:
-        """``count`` shared random bits for ``label``."""
+        """``count`` shared random bits for ``label`` (a fresh list)."""
         stream = self.stream(label)
         return [stream.getrandbits(1) for _ in range(count)]
 
+    @kept
     def coin(self, label: str) -> int:
         """One shared random bit for ``label``."""
         return self.stream(label).getrandbits(1)
 
+    @kept
     def uniform_int(self, label: str, low: int, high: int) -> int:
         """A shared uniform integer in ``[low, high]`` (inclusive)."""
         if low > high:
             raise ValueError(f"empty range [{low}, {high}]")
         return self.stream(label).randint(low, high)
 
+    @kept
     def bernoulli_subset(self, label: str, universe: int,
                          probability: float) -> frozenset[int]:
         """The set ``{i in [1, universe] : r_i = 1}`` with ``P[r_i = 1] = p``.
@@ -69,15 +85,11 @@ class SharedRandomness:
 
         For small probabilities the pool is sampled via geometric skips,
         so the cost is ``O(universe * p)`` rather than ``O(universe)``;
-        this keeps executions with ``N >> n`` cheap.  The pool is drawn
-        once per query and the same immutable set handed to every node.
+        this keeps executions with ``N >> n`` cheap.
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
-        query = (label, universe, probability)
-        if query not in self._subsets:
-            self._subsets[query] = frozenset(self._draw_subset(*query))
-        return self._subsets[query]
+        return frozenset(self._draw_subset(label, universe, probability))
 
     def _draw_subset(self, label: str, universe: int, probability: float):
         if probability == 0.0:

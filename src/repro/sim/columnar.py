@@ -48,13 +48,16 @@ message, a duplicated one a block naming its link ``1 + copies`` times.
 **Views.**  An inbox is made for a node the engine resumes (a node
 parked on ``UNTIL_MAIL`` that no row names gets none), read per *view*,
 and only when a program reads its inbox at the ``program.send()``
-boundary.  The first read of a round walks each *distinct* target
+boundary.  The first read of a round sorts the attached recipients
+into classes by the blocks they are in, walking each *distinct* target
 tuple once -- a round in which every sender names the same committee
-costs its size, not senders x size -- and notes for every attached
-recipient the blocks it is in.  Recipients in the same stride-0
-groups, as often, were delivered the same rows in the same order and
-share one view; a scatter's recipient reads rows of
-its own (``first + position`` per block) and so a view of its own.  A
+costs its size, not senders x size -- or none at all when the round's
+``(targets, stride)`` keys and alive set equal those of the run's last
+grouping, whose classes the network keeps (never a column or a view):
+a lockstep vote round reuses the one before.  Recipients in the same
+stride-0 groups, as often, were delivered the same rows in the same
+order and share one view; a scatter's recipient reads rows of its own
+(``first + position`` per block) and so a view of its own.  A
 view's rows, its envelope tuple (broadcast and targeted rows merged in
 global send order) and its message tuple are each computed when first
 asked for, once, whoever asks.  A :class:`LazyInbox` is a read-only
@@ -148,8 +151,7 @@ class _View:
     __slots__ = ("blocks", "size", "readers", "_rows", "envelopes",
                  "messages")
 
-    def __init__(self, blocks: tuple[tuple[list[int], int], ...] = (),
-                 readers: int = 0):
+    def __init__(self, blocks: tuple, readers: int):
         self.blocks = blocks
         self.size = sum([len(firsts) for firsts, _ in blocks])
         self.readers = readers
@@ -182,10 +184,12 @@ class ColumnarRound:
 
     __slots__ = ("round_no", "hdr", "msg", "env", "b_seq", "_groups",
                  "_by_id", "_pinned", "_once", "_wanted", "_views",
-                 "_common", "_memo", "__weakref__")
+                 "_common", "_memo", "_last", "__weakref__")
 
-    def __init__(self, round_no: int = 0):
+    def __init__(self, round_no: int = 0, last: Optional[list] = None):
         self.round_no = round_no
+        #: The run's last grouping, ``[shape, alive, classes]`` (`_group`).
+        self._last = [None, None, None] if last is None else last
         #: Per row: its header and its message; row -> its envelope,
         #: for the rows read as envelopes and held mail only.
         self.hdr: list[Header] = []
@@ -309,28 +313,30 @@ class ColumnarRound:
         block names; the rest share ``_common``.
 
         Built once, on the first read of the round; a round nobody
-        reads never pays for grouping.  Each distinct target tuple is
-        walked once, whatever number of blocks it holds.  A recipient's
-        key lists ``(group, offset)`` once per listing of its link, in
-        group order: equal keys are the same rows in the same order.
+        reads never pays for grouping, one of the last grouping's shape
+        only for its views.  Each distinct target tuple is walked once.
+        A recipient's key lists ``(group, offset)`` per listing of its
+        link, in group order: equal keys, the same rows, are one class.
         """
         wanted = self._wanted
-        keys: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        groups = list(self._groups.items())
-        for index, ((targets, stride), _) in enumerate(groups):
-            for position, to in enumerate(targets):
-                if to in wanted:
-                    keys[to].append((index, stride * position))
+        shape = list(self._groups)
+        last = self._last
+        if last[1] is not wanted or last[0] != shape:
+            keys: dict[int, list[tuple[int, int]]] = defaultdict(list)
+            for index, (targets, stride) in enumerate(shape):
+                for position, to in enumerate(targets):
+                    if to in wanted:
+                        keys[to].append((index, stride * position))
+            classes: dict[tuple, list[int]] = {}
+            for recipient, entries in keys.items():
+                classes.setdefault(tuple(entries), []).append(recipient)
+            last[:] = shape, wanted, classes
+        groups = list(self._groups.values())
         views: dict[int, _View] = {}
-        by_key: dict[tuple, _View] = {}
-        for recipient, entries in keys.items():
-            key = tuple(entries)
-            view = by_key.get(key)
-            if view is None:
-                view = by_key[key] = _View(tuple(
-                    [(groups[index][1], offset) for index, offset in key]))
-            view.readers += 1
-            views[recipient] = view
+        for key, recipients in last[2].items():
+            view = _View(tuple([(groups[index], offset)
+                                for index, offset in key]), len(recipients))
+            views.update(dict.fromkeys(recipients, view))
         self._common = _View((), len(wanted) - len(views))
         self._views = views
         return views

@@ -203,6 +203,7 @@ class SyncNetwork:
         # after the other that name the same tuple *object* share its
         # check.
         self._in_bounds: Optional[Sequence[int]] = None
+        self._last_grouping: list = [None, None, None]  # `ColumnarRound._last`
         self._correct_order: list[int] = [
             index for index in range(self.n)
             if not self.processes[index].byzantine
@@ -435,7 +436,7 @@ class SyncNetwork:
                 validate_plan(plan, round_no, delivered)
         t1 = perf_counter()
 
-        column = ColumnarRound(round_no)
+        column = ColumnarRound(round_no, self._last_grouping)
         add_run = column.add_run
         message_bits = metrics.message_bits
         resolve = self.authenticator.resolve
