@@ -188,8 +188,7 @@ class ColumnarRound:
 
     def __init__(self, round_no: int = 0, last: Optional[list] = None):
         self.round_no = round_no
-        #: The run's last grouping, ``[shape, alive, classes]`` (`_group`).
-        self._last = [None, None, None] if last is None else last
+        self._last = last or [None, None, None]  # the run's, for `_group`
         #: Per row: its header and its message; row -> its envelope,
         #: for the rows read as envelopes and held mail only.
         self.hdr: list[Header] = []
@@ -312,11 +311,11 @@ class ColumnarRound:
         """Attached recipient id -> its view, for every recipient some
         block names; the rest share ``_common``.
 
-        Built once, on the first read of the round; a round nobody
-        reads never pays for grouping, one of the last grouping's shape
-        only for its views.  Each distinct target tuple is walked once.
-        A recipient's key lists ``(group, offset)`` per listing of its
-        link, in group order: equal keys, the same rows, are one class.
+        Built once, on the first read of the round, walking each target
+        tuple once; a round nobody reads pays nothing, one of the last
+        grouping's shape only its views.  A recipient's key lists
+        ``(group, offset)`` per listing of its link, in group order:
+        equal keys are the same rows in the same order, one class.
         """
         wanted = self._wanted
         shape = list(self._groups)
@@ -336,7 +335,8 @@ class ColumnarRound:
         for key, recipients in last[2].items():
             view = _View(tuple([(groups[index], offset)
                                 for index, offset in key]), len(recipients))
-            views.update(dict.fromkeys(recipients, view))
+            for recipient in recipients:
+                views[recipient] = view
         self._common = _View((), len(wanted) - len(views))
         self._views = views
         return views
