@@ -155,6 +155,8 @@ class CommitteeHunter(CrashAdversary):
         self.deliver_fraction = deliver_fraction
 
     def plan_round(self, round_no, proposed, alive) -> CrashPlan:
+        if self.remaining_budget <= 0:  # spent: nobody to sort through
+            return {}
         n = max(len(alive), 1)
         plan: dict[int, list[int]] = {}
         for victim in sorted(alive):

@@ -27,12 +27,14 @@ version as the oracle.  And it computes them once per *distinct inbox*
 rather than once per member (:func:`repro.sim.columnar.derive`): the
 committee is a replicated object, members that received the same
 reports decide the same, and the model charges their messages, not
-their arithmetic.  The only knob is the election constant (paper:
-256), exposed because the paper's proof-friendly constant makes every
-node a committee member at any size this simulator runs
-(``256 log2(n) >= n`` for every ``n <= 2,950``), hiding the very
-scaling the theorems describe.  Benchmarks use a smaller constant and
-record that choice in EXPERIMENTS.md.
+their arithmetic.  Both committee-wide reads are of rows, not
+envelopes: reports are scanned once per view, and a node reads one
+answer row per decision (:func:`~repro.sim.columnar.distinct`).  The
+only knob is the election constant (paper: 256), exposed because the
+paper's proof-friendly constant makes every node a committee member at
+any size this simulator runs (``256 log2(n) >= n`` for every ``n <=
+2,950``), hiding the very scaling the theorems describe.  Benchmarks
+use a smaller constant and record that choice in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.core.intervals import Interval, reports_inside_bot, root_interval
-from repro.sim.columnar import derive, distinct
+from repro.sim.columnar import derive, distinct, messages, senders
 from repro.sim.messages import (
     CostModel,
     Envelope,
@@ -158,25 +160,22 @@ def _committee_links(envelopes: Sequence[Envelope]) -> tuple[int, ...]:
     }))
 
 
-def _status_reports(envelopes: Sequence[Envelope]
+def _status_reports(inbox: Sequence[Envelope]
                     ) -> tuple[tuple[tuple[int, Status], ...], int]:
-    """Round 2: the ``(link, status)`` reports in arrival order, and the
-    largest ``p`` among them (0 for none)."""
-    statuses = tuple(
-        (envelope.sender, envelope.message) for envelope in envelopes
-        if isinstance(envelope.message, Status)
-    )
-    return statuses, max((status.p for _, status in statuses), default=0)
+    """Round 2: the ``(link, status)`` reports in arrival order, read as
+    rows (no envelope), and the largest ``p`` among them (0 for none)."""
+    statuses = tuple([
+        report for report in zip(senders(inbox), messages(inbox))
+        if isinstance(report[1], Status)
+    ])
+    return statuses, max([status.p for _, status in statuses], default=0)
 
 
-def _committee_answers(envelopes: Sequence[Envelope], p_self: int):
-    """Round 3: :func:`_committee_decision` on the inbox's reports."""
-    return _committee_decision(_status_reports(envelopes)[0], p_self)
-
-
-def _committee_fanout(envelopes: Sequence[Envelope], p_self: int) -> Scatter:
-    """Round 3's sends: :func:`_committee_answers` as one ``Scatter``."""
-    return Scatter(*_committee_answers(envelopes, p_self))
+def _committee_fanout(inbox: Sequence[Envelope], p_self: int) -> Scatter:
+    """Round 3's sends: :func:`_committee_decision` on the reports the
+    view already derived, as one ``Scatter``."""
+    return Scatter(*_committee_decision(derive(inbox, _status_reports)[0],
+                                        p_self))
 
 
 def _committee_decision(

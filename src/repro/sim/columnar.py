@@ -68,24 +68,29 @@ inbox builds nothing.
 **Reading without envelopes.**  A protocol that never looks at
 ``sender`` / ``sender_uid`` says so with :func:`messages`:
 ``messages(inbox)`` is the inbox's messages in delivery order, one
-tuple per view, and no envelope is built for it.  A rule that also
-ignores repeats (a min, a max, a flag) reads :func:`distinct`: the
-message *objects*, each once, in order of first occurrence; a repeat is
-the same object, never an equal one.  A scatter's block whose message
-tuple an earlier block of its group carried -- another member answering
-from the decision ``derive`` shared -- is not walked at all.
+tuple per view, and no envelope is built for it; :func:`senders` is
+the same rows' sender links.  A rule that also ignores repeats (a min,
+a max, a flag) reads :func:`distinct`: the message *objects*, each
+once, in order of first occurrence; a repeat is the same object, never
+an equal one.  It reads by position, from a ``recipient -> rows`` index
+the round's first ``distinct`` builds in one pass over the groups --
+no view -- which leaves out a scatter's block whose message tuple an
+earlier block of its group carried (another member answering from the
+decision ``derive`` shared).
 
 **Reading once.**  A committee is a replicated object: every member
 that received the same rows takes the same decision from them.
 :func:`derive` lets a protocol say so: ``derive(inbox, fn, *args)`` is
-``fn(envelopes, *args)``, computed once per ``(view, fn, args)`` and
-kept on the round's :class:`ColumnarRound` -- it dies with the round;
-there is no module-level cache.  The contract for what goes through it:
+``fn(inbox, *args)``, computed once per ``(view, fn, args)`` and kept
+on the round's :class:`ColumnarRound` -- it dies with the round; there
+is no module-level cache.  ``fn`` reads the inbox as it likes, through
+another ``derive`` too.  The contract for what goes through it:
 
-- ``fn`` is a module-level function, pure in ``(envelopes, args)``: no
+- ``fn`` is a module-level function, pure in ``(inbox, args)``: no
   ``self``, no ``ctx.rng``, no node state.  ``args`` are hashable.
 - its result is read-only (tuple / ``frozenset`` /
-  ``MappingProxyType``), because the nodes of a view share it.
+  ``MappingProxyType``), because the nodes of a view share it, and
+  holds no reference to the inbox.
 - a view with one reader caches nothing -- the value would only be
   retained, never reused (a mid-send crash round has nearly one view
   per recipient, each holding an O(n) table).
@@ -183,8 +188,8 @@ class ColumnarRound:
     """
 
     __slots__ = ("round_no", "hdr", "msg", "env", "b_seq", "_groups",
-                 "_by_id", "_pinned", "_once", "_wanted", "_views",
-                 "_common", "_memo", "_last", "__weakref__")
+                 "_by_id", "_pinned", "_once", "_index", "_wanted",
+                 "_views", "_common", "_memo", "_last", "__weakref__")
 
     def __init__(self, round_no: int = 0, last: Optional[list] = None):
         self.round_no = round_no
@@ -204,6 +209,8 @@ class ColumnarRound:
         #: id(a scatter group's list) -> {id(message tuple): its first
         #: block}, the blocks `distinct` reads; `_pinned` holds the tuples.
         self._once: dict[int, dict[int, int]] = {}
+        #: Attached recipient -> the rows `distinct` reads for it.
+        self._index: Optional[dict[int, list[int]]] = None
         self._wanted: frozenset[int] = frozenset()
         self._views: Optional[dict[int, _View]] = None
         self._common: Optional[_View] = None
@@ -394,21 +401,23 @@ class ColumnarRound:
                 [msg[row] for row in self._rows_of(view)])
         return messages
 
-    def once(self, view: _View) -> list[Message]:
-        """The view's messages in send order, less the scatter blocks
-        that repeat an earlier block's message tuple."""
-        once = self._once
-        rows: list[int] = []
-        for firsts, offset in view.blocks:
-            kept = once.get(id(firsts))
-            rows += [first + offset
-                     for first in (firsts if kept is None else kept.values())]
-        if self.b_seq or len(view.blocks) > 1:
-            # Ascending runs to merge; one block alone is ascending.
-            rows += self.b_seq
-            rows.sort()
-        msg = self.msg
-        return [msg[row] for row in rows]
+    def _by_recipient(self) -> dict[int, list[int]]:
+        """Attached recipient id -> the targeted rows :func:`distinct`
+        reads (a scatter group's first block per message tuple), in
+        group order: one pass over the round's groups, no view."""
+        index = self._index
+        if index is None:
+            wanted, once = self._wanted, self._once
+            index = self._index = defaultdict(list)
+            for (targets, stride), firsts in self._groups.items():
+                kept = once.get(id(firsts))
+                if kept is not None:
+                    firsts = kept.values()
+                for position, to in enumerate(targets):
+                    if to in wanted:
+                        offset = stride * position
+                        index[to] += [first + offset for first in firsts]
+        return index
 
 
 class LazyInbox(Sequence):
@@ -453,7 +462,7 @@ class LazyInbox(Sequence):
 
 
 def derive(inbox: Sequence[Envelope], fn: Callable, *args):
-    """``fn(envelopes, *args)``, computed once per distinct inbox.
+    """``fn(inbox, *args)``, computed once per distinct inbox.
 
     On a :class:`LazyInbox` the value is memoised per ``(view, fn,
     args)`` on the round's column, so the nodes of a view share one
@@ -463,16 +472,15 @@ def derive(inbox: Sequence[Envelope], fn: Callable, *args):
     """
     if type(inbox) is not LazyInbox:
         return fn(inbox, *args)
-    column = inbox._column
     view = inbox._resolve()
     if view.readers < 2:
-        return fn(column.read(view), *args)
-    memo = column._memo
+        return fn(inbox, *args)
+    memo = inbox._column._memo
     key = (view, fn, args)
     try:
         return memo[key]
     except KeyError:
-        value = memo[key] = fn(column.read(view), *args)
+        value = memo[key] = fn(inbox, *args)
         return value
 
 
@@ -519,13 +527,28 @@ def messages(inbox: Sequence[Envelope]) -> tuple[Message, ...]:
     return inbox._column.messages(inbox._resolve())
 
 
+def senders(inbox: Sequence[Envelope]) -> tuple[int, ...]:
+    """The sender links of :func:`messages`, position by position, for
+    a rule that never reads ``sender_uid``: no envelope is built."""
+    if type(inbox) is not LazyInbox:
+        return tuple([envelope.sender for envelope in inbox])
+    column = inbox._column
+    hdr = column.hdr
+    return tuple([hdr[row][0] for row in column._rows_of(inbox._resolve())])
+
+
 def distinct(inbox: Sequence[Envelope]) -> tuple[Message, ...]:
     """The inbox's message objects, each once (by identity, never by
     equality), in order of first occurrence: for a rule that ignores
     repeats.  A reporter answered by ``k`` members from one decision
     reads one row, not ``k``.  See the module docstring."""
-    if type(inbox) is LazyInbox:
-        read = inbox._column.once(inbox._resolve())
+    if type(inbox) is LazyInbox:  # by position: no view is made
+        column = inbox._column
+        rows = [*column._by_recipient().get(inbox._recipient, ()),
+                *column.b_seq]
+        rows.sort()
+        msg = column.msg
+        read = [msg[row] for row in rows]
     else:
         read = messages(inbox)
     if len(read) < 2:

@@ -233,10 +233,10 @@ def _adversary(kind, n, seed):
 
 
 def _execute(n, pool, scripts, adversary, fault_spec, seed, reference=False,
-             fault_model=None):
+             fault_model=None, node=ShapedNode):
     """One scenario's observables, and the world its nodes shared."""
     world = World(pool)
-    processes = [ShapedNode(index + 1, scripts[index], world)
+    processes = [node(index + 1, scripts[index], world)
                  for index in range(n)]
     if fault_model is None and fault_spec:
         fault_model = build_fault_model(fault_spec, n, seed=seed)
@@ -404,8 +404,9 @@ class TestKeptWhole:
         # 193,536 at the parent: an envelope per scatter row, at fill.
         assert not any(isinstance(message, Response) for message in built)
         # What is read by sender is built, once per row: the notices
-        # (a broadcast each) and the status reports (a multicast each).
-        assert len(built) == 2 * 96 * 21
+        # (a broadcast each).  The status reports are read as rows
+        # (`senders` beside `messages`): 2 * 96 * 21 at the parent.
+        assert len(built) == 96 * 21
         assert len(columns) == result.rounds == 63
         for round_no, column in enumerate(columns, start=1):
             if round_no % 3 == 1:  # announcements: broadcast rows only
@@ -776,7 +777,9 @@ class TestDistinct:
         assert len(messages(inbox)) == 1 + 2 * 5 + 1
         # The held row, then both listings of two distinct tuples, then
         # the broadcast row: the other three blocks repeat a tuple.
-        assert len(column.once(inbox._resolve())) == 1 + 2 * 2 + 1
+        rows = column._by_recipient()[1]
+        assert len(rows) + len(column.b_seq) == 1 + 2 * 2 + 1
+        assert _ids(distinct(inbox)) == _ids(_dedupe(messages(inbox)))
         # Two equal letters that are two objects are both read.
         assert _ids(distinct(inbox)) == _ids(
             [decision[2], decision[1], other[1], other[2]])
@@ -787,20 +790,19 @@ class TestDistinct:
     def test_the_paper_run_reads_one_answer_per_node_and_phase(
             self, monkeypatch):
         lengths, rows = [], []
-        read, once = crash.distinct, ColumnarRound.once
+        read = crash.distinct
 
         def counting_distinct(inbox):
             answers = read(inbox)
             lengths.append(len(answers))
+            # The rows the read walked: the recipient's from the
+            # round's index, and every broadcast row.
+            column = inbox._column
+            rows.append(len(column._by_recipient().get(inbox._recipient, ()))
+                        + len(column.b_seq))
             return answers
 
-        def counting_once(self, view):
-            walked = once(self, view)
-            rows.append(len(walked))
-            return walked
-
         monkeypatch.setattr(crash, "distinct", counting_distinct)
-        monkeypatch.setattr(ColumnarRound, "once", counting_once)
         result = golden.CASES["crash-paper-n96"]()
         assert golden.digest(result) == golden.GOLDEN["crash-paper-n96"]
         # 193,536 answers sent, each node reading all 96 of a phase's

@@ -683,15 +683,30 @@ def _envelopes(*messages):
             for link, message in enumerate(messages)]
 
 
+def _inbox(*messages):
+    """Link 0's inbox of a round in which link ``k`` sent it
+    ``messages[k]``: the rows the report helpers read."""
+    column = ColumnarRound(1)
+    for link, message in enumerate(messages):
+        column.add_run(((link, link + 100, None), message), (0,))
+    column.attach({0})
+    return LazyInbox(column, 0)
+
+
+def _answers(fanout):
+    return fanout.targets, fanout.messages
+
+
 ROOT = Interval(1, 4)
 
 SHIPPED = {
     "committee links": lambda: crash_renaming._committee_links(
         _envelopes(CommitteeNotice(), CommitteeNotice())),
+    # The report helpers read rows: `senders` and `messages`.
     "status reports": lambda: crash_renaming._status_reports(
-        _envelopes(Status(7, ROOT, 0, 1), Status(9, ROOT, 0, 2))),
-    "committee answers": lambda: crash_renaming._committee_answers(
-        _envelopes(Status(7, ROOT, 0, 1), Status(9, ROOT, 0, 2)), 2),
+        _inbox(Status(7, ROOT, 0, 1), Status(9, ROOT, 0, 2))),
+    "committee answers": lambda: _answers(crash_renaming._committee_fanout(
+        _inbox(Status(7, ROOT, 0, 1), Status(9, ROOT, 0, 2)), 2)),
     # The two tallies (`repro.sim.columnar.tally`) read messages.
     "halving table": lambda: obg_halving._halving_table(
         [HalvingStatus(7, ROOT), HalvingStatus(9, ROOT)]),
