@@ -6,7 +6,7 @@ default (``None``) leaves every hot path untouched:
 * :mod:`repro.obs.events` — ring-buffered structured events with
   spans, a pure-python JSON schema validator, and JSONL persistence.
 * :mod:`repro.obs.profile` — wall-clock phase profiling for the four
-  phases of ``SyncNetwork.step`` and per-driver sweep timings.
+  phases of ``SyncNetwork.step``, sweep drivers and the collector.
 * the ``telemetry`` table of :class:`repro.engine.store.RunStore` and
   the ``python -m repro obs`` CLI (``tail`` / ``profile`` / ``report``).
 """

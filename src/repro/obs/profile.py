@@ -17,22 +17,26 @@ round in every configuration (observer or not, fault model or not):
     materialization of any inbox a program reads — and the monitors
 
 The sweep engine adds ``driver:<name>`` entries from
-:func:`repro.engine.sweeps.execute_request` timings.
+:func:`repro.engine.sweeps.execute_request` timings.  While
+:meth:`PhaseProfiler.collecting` is open, ``gc.callbacks`` times each
+cyclic collection into a ``gc`` row ``<place>:gen<g>``: ``loop`` if a
+``SyncNetwork.run`` round loop (run with the collector off) was under
+way, ``outside`` if not.
 
 Profiling is opt-in: attach a profiler via an observer
-(``EventRecorder(profile=True)``) or pass one directly where accepted.
-The timers are guarded hooks inside the engine's one round body, so a
-profiled run executes the same code as a detached one and the report
-describes the path that was timed.
-
-:func:`PhaseProfiler.report` returns a self-describing dict (schema
-tag, unit, per-phase calls/wall/mean) that ``benchmarks/perf.py``
-embeds verbatim under the ``"phases"`` key of ``BENCH_perf.json``.
+(``EventRecorder(profile=True)``).  The timers are guarded hooks in
+the engine's one round body, so a profiled run executes the same code
+as a detached one.  :func:`PhaseProfiler.report` returns a
+self-describing dict (schema tag, unit, per-phase calls/wall/mean, the
+``gc`` rows if collected) that ``python -m repro obs profile`` prints and
+``benchmarks/perf.py`` embeds under ``"phases"`` in ``BENCH_perf.json``.
 """
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from typing import Iterable, Optional
 
 #: Schema tag stamped into every report so downstream consumers can
@@ -44,38 +48,46 @@ STEP_PHASES = ("plan", "charge", "deliver", "advance")
 
 
 class PhaseProfiler:
-    """Accumulates wall-clock time per named phase."""
+    """Accumulates wall-clock time per named phase and, while
+    :meth:`collecting`, per collector generation."""
 
-    __slots__ = ("_calls", "_totals")
+    __slots__ = ("_calls", "_totals", "_gc")
 
     def __init__(self):
         self._calls: dict[str, int] = {}
         self._totals: dict[str, float] = {}
+        # "<place>:gen<g>" -> [collections, seconds]; None until collecting.
+        self._gc: Optional[dict[str, list]] = None
 
     def add(self, phase: str, seconds: float) -> None:
         """Charge ``seconds`` of wall time to ``phase``."""
         self._calls[phase] = self._calls.get(phase, 0) + 1
         self._totals[phase] = self._totals.get(phase, 0.0) + seconds
 
-    def time(self, phase: str) -> "_Timer":
-        """Context manager charging the block's duration to ``phase``."""
-        return _Timer(self, phase)
+    @contextmanager
+    def collecting(self):
+        """Time the process's cyclic collections while the block runs."""
+        from repro.sim import network
 
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's accumulations into this one."""
-        for phase, calls in other._calls.items():
-            self._calls[phase] = self._calls.get(phase, 0) + calls
-            self._totals[phase] = (self._totals.get(phase, 0.0)
-                                   + other._totals[phase])
+        rows = self._gc = self._gc or {
+            f"{place}:gen{gen}": [0, 0.0]
+            for place in ("loop", "outside") for gen in range(3)}
+        began = [0.0]
 
-    def total(self, phase: str) -> float:
-        return self._totals.get(phase, 0.0)
+        def on_gc(phase: str, info: dict) -> None:
+            if phase == "start":
+                began[0] = time.perf_counter()
+            else:
+                place = "loop" if network.running_loops else "outside"
+                row = rows[f"{place}:gen{info['generation']}"]
+                row[0] += 1
+                row[1] += time.perf_counter() - began[0]
 
-    def calls(self, phase: str) -> int:
-        return self._calls.get(phase, 0)
-
-    def phases(self) -> list[str]:
-        return list(self._calls)
+        gc.callbacks.append(on_gc)
+        try:
+            yield self
+        finally:
+            gc.callbacks.remove(on_gc)
 
     def __bool__(self) -> bool:
         return bool(self._calls)
@@ -86,7 +98,7 @@ class PhaseProfiler:
         ``phases`` preserves first-charge order; every row carries the
         call count, total wall seconds, and mean seconds per call.
         """
-        return {
+        report = {
             "schema": PROFILE_FORMAT,
             "unit": "seconds",
             "phases": {
@@ -99,21 +111,10 @@ class PhaseProfiler:
                 for phase in self._calls
             },
         }
-
-
-class _Timer:
-    __slots__ = ("profiler", "phase", "started")
-
-    def __init__(self, profiler: PhaseProfiler, phase: str):
-        self.profiler = profiler
-        self.phase = phase
-
-    def __enter__(self) -> "_Timer":
-        self.started = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.profiler.add(self.phase, time.perf_counter() - self.started)
+        if self._gc is not None:
+            report["gc"] = {key: {"calls": calls, "wall_s": round(spent, 6)}
+                            for key, (calls, spent) in self._gc.items()}
+        return report
 
 
 def idle_share(events: Iterable[dict]) -> Optional[float]:
@@ -140,29 +141,23 @@ def profile_scenario(
     f: int,
     seed: int,
     *,
+    observer,
     adversary: Optional[str] = "random",
-    observer=None,
     params: Optional[dict] = None,
 ):
-    """Run one falsification scenario with profiling attached.
+    """Run one falsification scenario with ``observer.profiler`` (an
+    ``EventRecorder(profile=True)``'s) attached and collecting.
 
     Returns ``(result, report)`` where ``result`` is the scenario's
     :class:`~repro.sim.runner.ExecutionResult` and ``report`` is the
-    profiler's self-describing dict.  When ``observer`` is ``None`` a
-    fresh profiling :class:`~repro.obs.events.EventRecorder` is used
-    (and discarded); pass your own recorder to keep the event stream.
+    profiler's self-describing dict.
     """
     from repro.falsify.scenarios import make_adversary, run_scenario
-    from repro.obs.events import EventRecorder
 
-    if observer is None:
-        observer = EventRecorder(profile=True)
-    if observer.profiler is None:
-        raise ValueError("observer has no profiler attached; construct it "
-                         "with EventRecorder(profile=True)")
     crash_adversary = make_adversary(adversary, f, seed)
-    result = run_scenario(
-        scenario, n, f, seed,
-        adversary=crash_adversary, params=params, observer=observer,
-    )
+    with observer.profiler.collecting():
+        result = run_scenario(
+            scenario, n, f, seed,
+            adversary=crash_adversary, params=params, observer=observer,
+        )
     return result, observer.profiler.report()

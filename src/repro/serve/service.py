@@ -369,12 +369,13 @@ class RenamingService:
             return
         await self.drain()
         self._closed = True
+        tasks = [lane.task for lane in self._lanes]
         for lane in self._lanes:
             if lane.timer is not None:
                 lane.timer.cancel()
             lane.task.cancel()
-        await asyncio.gather(*(lane.task for lane in self._lanes),
-                             return_exceptions=True)
+            lane.task = None  # a stopped task's frames hold the lane: a cycle
+        await asyncio.gather(*tasks, return_exceptions=True)
         if self._own_executor and self._executor is not None:
             self._executor.shutdown(wait=True)
         self._emit("serve.stop", epochs=self.epochs,

@@ -20,6 +20,8 @@ inside it, not alternative bodies.
 
 from __future__ import annotations
 
+import gc
+import threading
 from collections import Counter
 from random import Random
 from time import perf_counter
@@ -58,6 +60,11 @@ from repro.sim.node import Context, Process, Program
 
 #: Hard cap on rounds; hitting it means a protocol failed to terminate.
 DEFAULT_MAX_ROUNDS = 1_000_000
+
+#: Round loops running in this process (serve runs one per shard
+#: thread), and whether the collector was on when the first began.
+running_loops, _collector_was_on = 0, False
+_loops_lock = threading.Lock()
 
 
 class NonTerminationError(RuntimeError):
@@ -720,19 +727,31 @@ class SyncNetwork:
         self._start()
         for monitor in self.monitors:
             monitor.on_start(self)
-        while self._correct_order:
-            if self.round_no >= self.max_rounds:
-                # One snapshot serves both the error message and the
-                # structured payload — no redundant recomputation.
-                pending = list(self._correct_order)
-                raise NonTerminationError(
-                    f"protocol still running after {self.max_rounds} rounds; "
-                    f"pending correct nodes: {pending[:10]}",
-                    round_no=self.round_no,
-                    pending=pending,
-                    metrics=self.metrics,
-                )
-            self.step()
+        # Refcounting frees a round: the loop runs without the collector.
+        global running_loops, _collector_was_on
+        with _loops_lock:
+            if not running_loops:
+                _collector_was_on = gc.isenabled()
+                gc.disable()
+            running_loops += 1
+        try:
+            while self._correct_order and self.round_no < self.max_rounds:
+                self.step()
+        finally:
+            with _loops_lock:
+                running_loops -= 1
+                if not running_loops and _collector_was_on:
+                    gc.enable()
+        if self._correct_order:
+            # One snapshot serves both the message and the payload.
+            pending = list(self._correct_order)
+            raise NonTerminationError(
+                f"protocol still running after {self.max_rounds} rounds; "
+                f"pending correct nodes: {pending[:10]}",
+                round_no=self.round_no,
+                pending=pending,
+                metrics=self.metrics,
+            )
         for index in sorted(set(self._programs) - set(self.finished)):
             self._programs[index].close()
         self._expire_held()

@@ -1,5 +1,6 @@
 """Tests for the observability subsystem: events, profiling, telemetry."""
 
+import gc
 import json
 
 import pytest
@@ -186,32 +187,29 @@ class TestJsonl:
             read_jsonl(path)
 
 
+class _Collecting:
+    """A monitor that runs a full collection after every round."""
+
+    def on_start(self, network):
+        pass
+
+    def on_round(self, network):
+        gc.collect()
+
+    def on_finish(self, network):
+        pass
+
+
 class TestProfiler:
     def test_accumulates_calls_and_totals(self):
         profiler = PhaseProfiler()
         profiler.add("plan", 0.25)
         profiler.add("plan", 0.75)
-        assert profiler.calls("plan") == 2
-        assert profiler.total("plan") == 1.0
+        assert profiler.report()["phases"]["plan"] == {
+            "calls": 2, "wall_s": 1.0, "mean_s": 0.5,
+        }
         assert bool(profiler)
         assert not bool(PhaseProfiler())
-
-    def test_time_context_manager(self):
-        profiler = PhaseProfiler()
-        with profiler.time("deliver"):
-            pass
-        assert profiler.calls("deliver") == 1
-        assert profiler.total("deliver") >= 0
-
-    def test_merge(self):
-        left, right = PhaseProfiler(), PhaseProfiler()
-        left.add("plan", 1.0)
-        right.add("plan", 2.0)
-        right.add("charge", 3.0)
-        left.merge(right)
-        assert left.calls("plan") == 2
-        assert left.total("plan") == 3.0
-        assert left.total("charge") == 3.0
 
     def test_report_is_self_describing(self):
         profiler = PhaseProfiler()
@@ -222,6 +220,35 @@ class TestProfiler:
         assert report["phases"]["plan"] == {
             "calls": 1, "wall_s": 0.5, "mean_s": 0.5,
         }
+        assert "gc" not in report  # never collecting: no gc rows
+
+    def test_gc_rows_count_collections_while_collecting(self):
+        profiler = PhaseProfiler()
+        callbacks = list(gc.callbacks)
+        with profiler.collecting():
+            gc.collect()
+        assert gc.callbacks == callbacks
+        gc.collect()  # not counted: the block is closed
+        rows = profiler.report()["gc"]
+        assert list(rows) == [f"{place}:gen{gen}"
+                              for place in ("loop", "outside")
+                              for gen in (0, 1, 2)]
+        assert rows["outside:gen2"]["calls"] >= 1
+        assert rows["outside:gen2"]["wall_s"] > 0
+        assert all(rows[f"loop:gen{gen}"] == {"calls": 0, "wall_s": 0.0}
+                   for gen in (0, 1, 2))
+
+    def test_a_collection_in_a_round_loop_is_a_loop_row(self):
+        profiler = PhaseProfiler()
+        processes = [BroadcastStorm(uid, 3) for uid in range(1, 5)]
+        with profiler.collecting():
+            result = run_network(processes, CostModel(n=4, namespace=8),
+                                 monitors=[_Collecting()])
+        rows = profiler.report()["gc"]
+        # The loop runs with the collector off: only the monitor's
+        # explicit collections land there, one per round.
+        assert rows["loop:gen2"]["calls"] == result.rounds == 3
+        assert rows["loop:gen0"]["calls"] == rows["loop:gen1"]["calls"] == 0
 
 
 #: The kinds ``SyncNetwork`` emits, as ``docs/api.md`` lists them.
@@ -440,7 +467,8 @@ class TestTelemetryStore:
                 assert value["driver"] == "crash"
                 assert value["status"] == "ok"
                 assert value["rounds"] > 0
-            assert recorder.profiler.calls("driver:crash") == 2
+            phases = recorder.profiler.report()["phases"]
+            assert phases["driver:crash"]["calls"] == 2
 
             # Second invocation: pure store hits, no new telemetry.
             hits = EventRecorder()
@@ -501,6 +529,8 @@ class TestCli:
                      "--events", str(events)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["schema"] == "repro.obs/profile@1"
+        assert {row["calls"] for key, row in report["gc"].items()
+                if key.startswith("loop:")} == {0}
         assert events.is_file()
 
         assert main(["obs", "tail", str(events), "--last", "5"]) == 0

@@ -102,7 +102,8 @@ class TestNetworkAB:
         silent = ProfilerOnly(profile=True)
         observed = _observables(processes, cost, adversary_fn, 4, silent)
         assert observed == detached
-        assert silent.profiler.calls("plan") == detached["rounds"]
+        phases = silent.profiler.report()["phases"]
+        assert phases["plan"]["calls"] == detached["rounds"]
         assert not silent.events()  # disabled: profiled but no events
 
 
