@@ -27,13 +27,15 @@ version as the oracle.  And it computes them once per *distinct inbox*
 rather than once per member (:func:`repro.sim.columnar.derive`): the
 committee is a replicated object, members that received the same
 reports decide the same, and the model charges their messages, not
-their arithmetic.  Both committee-wide reads are of rows, not
-envelopes: reports are scanned once per view, and a node reads one
-answer row per decision (:func:`~repro.sim.columnar.distinct`).  The
+their arithmetic.  Every read is of rows, not envelopes: the
+announcements (every member broadcasts the one :data:`NOTICE`) and the
+reports are scanned once per view, and a node reads one answer row per
+decision (:func:`~repro.sim.columnar.distinct`); a member that sends a
+fan-out another sent is one record of the round's column.  The
 only knob is the election constant (paper: 256), exposed because the
-paper's proof-friendly constant makes every node a committee member at
-any size this simulator runs (``256 log2(n) >= n`` for every ``n <=
-2,950``), hiding the very scaling the theorems describe.  Benchmarks
+paper's proof-friendly constant makes every node a committee member up
+to n = 2,950 (``256 log2(n) >= n``) and a large share of them beyond,
+hiding the very scaling the theorems describe.  Benchmarks
 use a smaller constant and record that choice in EXPERIMENTS.md.
 """
 
@@ -70,6 +72,10 @@ class CommitteeNotice(Message, fixed_width=True):
 
     def payload_bits(self, cost: CostModel) -> int:
         return 0
+
+
+#: The one announcement: a round's broadcasts of it are sized once.
+NOTICE = CommitteeNotice()
 
 
 @dataclass(frozen=True)
@@ -152,11 +158,12 @@ class CrashRenamingConfig:
 # makes the sharing invisible.
 
 
-def _committee_links(envelopes: Sequence[Envelope]) -> tuple[int, ...]:
-    """Round 1: the links that announced membership, ascending."""
+def _committee_links(inbox: Sequence[Envelope]) -> tuple[int, ...]:
+    """Round 1: the links that announced membership, ascending, read as
+    rows (no envelope)."""
     return tuple(sorted({
-        envelope.sender for envelope in envelopes
-        if isinstance(envelope.message, CommitteeNotice)
+        link for link, message in zip(senders(inbox), messages(inbox))
+        if isinstance(message, CommitteeNotice)
     }))
 
 
@@ -262,13 +269,6 @@ class CrashRenamingNode(Process):
         #: quantify over.
         self.phase_log: list[tuple[Interval, int, int, bool]] = []
 
-    # -- committee-side logic -------------------------------------------
-
-    def _committee_action(self, statuses: Sequence[tuple[int, Status]],
-                          p_self: int) -> Scatter:
-        """Figure 2 (:func:`_committee_decision`) as this member's sends."""
-        return Scatter(*_committee_decision(statuses, p_self))
-
     # -- node-side logic -------------------------------------------------
 
     def _node_action(self, responses: list[Response], ctx: Context) -> None:
@@ -307,10 +307,10 @@ class CrashRenamingNode(Process):
             self.elected = True
             self.ever_elected = True
 
+        announcement = broadcast(n, NOTICE)  # the same object every phase
         for _phase in range(self.config.phase_count(n)):
             # Round 1: committee announcement.
-            announcements = broadcast(n, CommitteeNotice()) if self.elected else []
-            inbox = yield announcements
+            inbox = yield announcement if self.elected else []
             committee_links = derive(inbox, _committee_links)
 
             # Round 2: status reports to every announced committee member.

@@ -15,7 +15,11 @@ profiler and fault model included), and a fan-out stays whole from
 order.  A :class:`~repro.sim.messages.Multicast` is one row however
 many links it names, each maximal constant-``(message, claim)`` run of
 a ``Send`` list is one row, a :class:`~repro.sim.messages.Scatter` is
-one row per message, all under the sender's one header.  *An envelope
+one row per message, all under the sender's one header -- except for a
+*repeat*, a later sender of the same fan-out, which is one record: its
+header, and a scatter's the message tuple it repeats, whose rows are
+resolved only when read, each a row of its own in the repeat's place
+in send order (the tuple's message at its offset).  *An envelope
 exists once somebody reads its row*: it is built on the first read and
 kept in the column's sparse ``env`` (row -> envelope), so the same row
 read through two views -- or twice through a duplicated link -- is the
@@ -40,10 +44,10 @@ fill creates temporaries (a closed run's tuple, a released letter's
 ``(to,)``) whose ids the allocator would reuse within the same fill:
 the column pins every tuple it has keyed by ``id`` until it dies
 itself.  Each ``add_*`` returns its group (``b_seq`` for a broadcast
-row); a later sender of the same fan-out object is ``add_repeat``, its
-rows appended there unfiled.  Link faults are blocks too: a dropped
-send files nothing, a corrupted one a row carrying the bit-flipped
-message, a duplicated one a block naming its link ``1 + copies`` times.
+row); a repeat is ``add_repeat``, one record appended there unfiled.
+Link faults are blocks too: a dropped send files nothing, a corrupted
+one a row carrying the bit-flipped message, a duplicated one a block
+naming its link ``1 + copies`` times.
 
 **Views.**  An inbox is made for a node the engine resumes (a node
 parked on ``UNTIL_MAIL`` that no row names gets none), read per *view*,
@@ -167,7 +171,8 @@ class _View:
     @property
     def rows(self) -> tuple[int, ...]:
         """The targeted rows the view reads, ascending (a link named
-        twice reads its row twice): the canonical name of the view."""
+        twice reads its row twice): the canonical name of the view
+        (:meth:`ColumnarRound._targeted` resolves a repeat's)."""
         rows = self._rows
         if rows is None:
             found = [first + offset
@@ -187,19 +192,22 @@ class ColumnarRound:
     inbox lists its rows in global send order.
     """
 
-    __slots__ = ("round_no", "hdr", "msg", "env", "b_seq", "_groups",
-                 "_by_id", "_pinned", "_once", "_index", "_wanted",
-                 "_views", "_common", "_memo", "_last", "__weakref__")
+    __slots__ = ("round_no", "hdr", "msg", "env", "b_seq", "folded",
+                 "_groups", "_by_id", "_pinned", "_once", "_index",
+                 "_place", "_wanted", "_views", "_common", "_memo",
+                 "_last", "__weakref__")
 
     def __init__(self, round_no: int = 0, last: Optional[list] = None):
         self.round_no = round_no
         self._last = last or [None, None, None]  # the run's, for `_group`
-        #: Per row: its header and its message; row -> its envelope,
-        #: for the rows read as envelopes and held mail only.
+        #: Per record: its header and its message (a scatter repeat's
+        #: tuple, ``folded`` rows more); row -> its envelope, for the
+        #: rows read as envelopes and held mail only.
         self.hdr: list[Header] = []
-        self.msg: list[Message] = []
+        self.msg: list[Union[Message, tuple[Message, ...]]] = []
         self.env: dict[int, Envelope] = {}
         self.b_seq: list[int] = []
+        self.folded = 0
         #: (targets, stride) -> first rows of the group's blocks.
         self._groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
         #: (id(targets), stride) -> the same lists; `_pinned` keeps
@@ -211,6 +219,8 @@ class ColumnarRound:
         self._once: dict[int, dict[int, int]] = {}
         #: Attached recipient -> the rows `distinct` reads for it.
         self._index: Optional[dict[int, list[int]]] = None
+        #: A resolved row -> the (repeat record, offset) it stands for.
+        self._place: dict[int, tuple[int, int]] = {}
         self._wanted: frozenset[int] = frozenset()
         self._views: Optional[dict[int, _View]] = None
         self._common: Optional[_View] = None
@@ -269,14 +279,13 @@ class ColumnarRound:
 
     def add_repeat(self, header: Header, messages: Sequence[Message],
                    group: list[int]) -> None:
-        """A later sender's rows of a fan-out filed into ``group``."""
+        """A later sender of a fan-out, filed into ``group`` as one
+        record: its header and its message, or -- a scatter's -- the
+        message tuple it repeats, whose rows are resolved on read."""
         group.append(len(self.msg))
-        if len(messages) == 1:  # a multicast's: no list to build
-            self.hdr.append(header)
-            self.msg.append(messages[0])
-        else:
-            self.hdr.extend([header] * len(messages))
-            self.msg.extend(messages)
+        self.hdr.append(header)
+        self.msg.append(messages[0] if len(messages) == 1 else messages)
+        self.folded += len(messages) - 1
 
     def attach(self, alive: Iterable[int]) -> None:
         """Freeze the alive set: the links whose :class:`LazyInbox`
@@ -356,14 +365,40 @@ class ColumnarRound:
             views = self._group()
         return views.get(recipient, self._common)
 
+    def _targeted(self, view: _View) -> tuple[int, ...]:
+        """``view.rows``, a repeat record's resolved first: in a round
+        with one, each ``(record, offset)`` it reads is a row of its own
+        (:meth:`_resolve`), put in send order by :meth:`_order`."""
+        if self.folded and view._rows is None:
+            msg, resolve = self.msg, self._resolve
+            view._rows = tuple(sorted([
+                first + offset if type(msg[first]) is not tuple
+                else resolve(first, offset)
+                for firsts, offset in view.blocks for first in firsts],
+                key=self._order))
+        return view.rows
+
+    def _resolve(self, record: int, offset: int) -> int:
+        """Append the row of repeat ``record`` at ``offset`` (one link,
+        so one view, reads it): the message its tuple holds there."""
+        row = self._row((self.hdr[record], self.msg[record][offset]))
+        self._place[row] = (record, offset)
+        return row
+
+    def _order(self, row: int) -> tuple[int, ...]:
+        """Where ``row`` was sent: a resolved row at its record."""
+        return self._place.get(row, (row,))
+
     def _rows_of(self, view: _View) -> Sequence[int]:
         """The view's rows, broadcast and targeted, in send order."""
         if not view.blocks:
             return self.b_seq
+        rows = self._targeted(view)
         if not self.b_seq:
-            return view.rows
+            return rows
         # Two ascending runs: the sort is one linear merge.
-        return sorted([*self.b_seq, *view.rows])
+        return sorted([*self.b_seq, *rows],
+                      key=self._order if self.folded else None)
 
     def _build(self, rows: Sequence[int]) -> None:
         """Give each of ``rows`` its envelope, unless it has one."""
@@ -383,7 +418,7 @@ class ColumnarRound:
                 # Every view reads every broadcast row: they are built
                 # once, with the view of those who read nothing else.
                 self.read(self._common)
-                self._build(view.rows)
+                self._build(self._targeted(view))
             else:
                 self._build(self.b_seq)
             env = self.env
@@ -511,7 +546,7 @@ def tally(inbox: Sequence[Envelope], fn: Callable, *args
     if not view.blocks:
         return counted, ()
     msg = column.msg
-    return counted, [msg[row] for row in view.rows]
+    return counted, [msg[row] for row in column._targeted(view)]
 
 
 def messages(inbox: Sequence[Envelope]) -> tuple[Message, ...]:

@@ -388,10 +388,11 @@ class SyncNetwork:
             broadcast row when it targets the whole network), a
             ``Scatter`` one row per message, a plain ``Send`` list one
             row per maximal constant-``(message, claim)`` run; a fan-out
-            object is sized and filed once, for its first sender.  The
-            round's counts are summed as it goes and advance the ledgers
-            once (one ``sends_by_node`` update, one ``Metrics.flush``);
-            a faulted sender is charged send by send.
+            object (of a ``Broadcast``, its message) is sized and filed
+            once, for its first sender; a later one is one repeat record.
+            The round's counts are summed as it goes and advance the
+            ledgers once (one ``sends_by_node`` update, one
+            ``Metrics.flush``); a faulted sender is charged send by send.
             Only awake nodes are visited (a parked one proposed nothing).
         ``deliver``
             ``attach`` freezes the alive set; messages addressed to
@@ -452,7 +453,8 @@ class SyncNetwork:
         # The round's charge, flushed into the ledgers once at the end.
         correct = correct_bits = byz = byz_bits = widest = 0
         by_type: dict[type, int] = {}
-        # id(fan-out) -> (count, bits, group[, by-type]); `delivered` pins ids
+        # id(fan-out), or a broadcast's (id(message), claim, n) -> (count,
+        # bits, group[, by-type]); `delivered` pins the ids
         fanouts: dict[int, tuple] = {}
         sent: dict[int, int] = {}  # sender -> its sends this round
         if self._held:
@@ -476,7 +478,10 @@ class SyncNetwork:
                 header = (unclaimed if sends.claim is None else
                           (sender, *resolve(process.uid, sends.claim)))
                 message = sends.message
-                fanout = fanouts.get(id(sends))
+                # Broadcasts of one message share whatever object carries it.
+                key = ((id(message), sends.claim, sends.n)
+                       if type(sends) is Broadcast else id(sends))
+                fanout = fanouts.get(key)
                 if fanout is None:
                     targets = sends.targets
                     count = len(targets)
@@ -484,7 +489,7 @@ class SyncNetwork:
                     if bits > widest:
                         widest = bits
                     row = (header, message)
-                    fanout = fanouts[id(sends)] = (
+                    fanout = fanouts[key] = (
                         count, bits * count, column.add_broadcast(row)
                         if targets == whole else add_run(row, targets))
                 else:
@@ -557,7 +562,7 @@ class SyncNetwork:
         if emit:
             obs.emit("deliver.fanout", round_no=round_no,
                      senders=len({header[0] for header in column.hdr}),
-                     rows=len(column.hdr),
+                     rows=len(column.hdr) + column.folded,
                      envelopes=column.attached_envelopes())
         t3 = perf_counter()
 

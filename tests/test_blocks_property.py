@@ -403,10 +403,11 @@ class TestKeptWhole:
         assert result.metrics.sends_by_type["Response"] == 193_536
         # 193,536 at the parent: an envelope per scatter row, at fill.
         assert not any(isinstance(message, Response) for message in built)
-        # What is read by sender is built, once per row: the notices
-        # (a broadcast each).  The status reports are read as rows
-        # (`senders` beside `messages`): 2 * 96 * 21 at the parent.
-        assert len(built) == 96 * 21
+        # The notices and the status reports are read as rows too
+        # (`senders` beside `messages`): no envelope at all, where
+        # 2 * 96 * 21 were built before the reports were, and 96 * 21
+        # before the notices were.
+        assert built == []
         assert len(columns) == result.rounds == 63
         for round_no, column in enumerate(columns, start=1):
             if round_no % 3 == 1:  # announcements: broadcast rows only

@@ -1,7 +1,7 @@
 """Property test: the grouped committee action decides what Figure 2 decides.
 
-``CrashRenamingNode._committee_action`` answers every reporter from one
-grouping pass and one sweep.  The oracle below is the body it replaced
+``_committee_decision`` answers every reporter from one grouping pass
+and one sweep.  The oracle below is the body it replaced
 -- the pseudocode transliterated, rescanning every status for every
 reporter -- and lives only here.  On arbitrary status lists (mixed
 depths, singletons at the minimum depth, duplicated statuses, repeated
@@ -13,9 +13,9 @@ grouped one as a ``Scatter``): same order, same links, same
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.crash_renaming import CrashRenamingNode, Response, Status
+from repro.core.crash_renaming import Response, Status, _committee_decision
 from repro.core.intervals import Interval
-from repro.sim.messages import Send
+from repro.sim.messages import Scatter, Send
 
 
 def naive_committee_action(statuses, p_self):
@@ -87,8 +87,7 @@ status_lists = st.lists(st.tuples(st.integers(0, 40), status), max_size=24)
 
 
 def both(statuses, p_self=2):
-    node = CrashRenamingNode(uid=999)
-    return (list(node._committee_action(statuses, p_self)),
+    return (list(Scatter(*_committee_decision(statuses, p_self))),
             naive_committee_action(statuses, p_self))
 
 

@@ -858,6 +858,11 @@ class _SharedWorld:
             claim = 90 + value if value % 2 else None
             return [Send(to, _Letter(value), claim)
                     for to in self.pool[slot][1]]
+        if kind == "message":  # a broadcast of its own of a shared letter
+            key = (round_no, "message")
+            if key not in self._shared:
+                self._shared[key] = _Letter(10 * round_no + 7)
+            return Broadcast(self.n, self._shared[key], value or None)
         return []
 
 
@@ -1020,3 +1025,95 @@ class TestSharedFanoutsAgainstTheOracle:
         assert engine["summary"]["byzantine_messages"] == 4 + 3 + 3
         assert engine["fault_stats"]["held"] == 1
         assert engine["crashed"] == {6}
+
+    @staticmethod
+    def _repeats(monkeypatch):
+        """The header of every repeat record filed, and its row count."""
+        repeats = []
+        add_repeat = ColumnarRound.add_repeat
+
+        def counting_add_repeat(self, header, messages, group):
+            repeats.append((header, len(messages)))
+            return add_repeat(self, header, messages, group)
+
+        monkeypatch.setattr(ColumnarRound, "add_repeat", counting_add_repeat)
+        return repeats
+
+    def test_scatter_repeats_under_mid_send_crashes(self, monkeypatch):
+        repeats = self._repeats(monkeypatch)
+        # Link 0 is listed twice; every sharer's inbox is read as
+        # envelopes, so each repeat's rows are resolved.
+        pool = [("scatter", (3, 0, 6, 0, 1)), ("scatter", (2, 5)),
+                ("multicast", (4, 1))]
+        share, other = ("share", 0, 0), ("share", 1, 0)
+        scripts = [[share, share, other], [share, other, share],
+                   [share, share, share], [other, share, share],
+                   [share, ("own", 0, 0), share], [share, share, other],
+                   [("list", 2, 3), share, share]]
+        byzantine = [False, False, False, True, False, False, False]
+        scenario = (7, pool, scripts, byzantine,
+                    # the first sharer of round 1, a later one of round 2
+                    {(1, 0): "odd", (2, 5): "first"}, {}, False)
+        engine = _shared_run(*scenario)
+        assert engine == _shared_run(*scenario, reference=True)
+        assert engine["crashed"] == {0, 5}
+        # Round 1: node 1 files what node 0 (cut) no longer shares; 2,
+        # 4 and 5 repeat it.  Round 2: 0 is gone, 2 files, 3 and 6
+        # repeat (5 is cut).  Round 3: 1 files, 2, 3, 4 and 6 repeat.
+        assert [(header[0], rows) for header, rows in repeats] == [
+            (2, 5), (4, 5), (5, 5), (3, 5), (6, 5), (2, 5), (3, 5),
+            (4, 5), (6, 5)]
+
+    def test_scatter_repeats_under_link_faults_and_held_mail(
+            self, monkeypatch):
+        repeats = self._repeats(monkeypatch)
+        pool = [("scatter", (1, 4, 1, 0)), ("broadcast", ()),
+                ("scatter", (2, 3))]
+        share = ("share", 0, 0)
+        scripts = [[share, share, share, ("quiet", 0, 0)],
+                   [share, ("share", 2, 0), share, ("quiet", 0, 0)],
+                   [share, share, ("share", 1, 0), ("quiet", 0, 0)],
+                   [("share", 1, 0), share, share, ("quiet", 0, 0)],
+                   [share, ("share", 2, 0), share, ("quiet", 0, 0)]]
+        byzantine = [False, True, False, False, False]
+        scenario = (5, pool, scripts, byzantine, {},
+                    # a sharer's sends dropped / duplicated / corrupted /
+                    # held to the next round, where repeats are filed
+                    {(1, 2): 0, (2, 0): 3, (3, 4): 1}, False)
+        engine = _shared_run(*scenario)
+        assert engine == _shared_run(*scenario, reference=True)
+        assert engine["fault_stats"]["held"] == 3
+        assert engine["fault_stats"]["released"] == 3
+        # A faulted sharer is filed send by send, never as a repeat:
+        # round 1 node 2 (1 and 4 repeat node 0), round 2 node 0 (3
+        # repeats node 2, 4 node 1), round 3 node 4 (1 and 3 repeat 0).
+        assert [header[0] for header, rows in repeats if rows > 1] == [
+            1, 4, 3, 4, 1, 3]
+
+    def test_broadcasts_of_one_message_under_claims_and_a_crash(
+            self, monkeypatch):
+        repeats = self._repeats(monkeypatch)
+        # Every node broadcasts the round's one letter in a `Broadcast`
+        # of its own: no claim, claim 1 or claim 2 (a Byzantine node's
+        # spoofed one reaches the receivers: no authentication).
+        pool = [("multicast", (0, 2))] * 3
+        scripts = [[("message", 0, 0), ("message", 0, 1)],
+                   [("message", 0, 1), ("message", 0, 0)],
+                   [("message", 0, 0), ("message", 0, 2)],
+                   [("message", 0, 2), ("message", 0, 2)],
+                   [("message", 0, 1), ("message", 0, 0)],
+                   [("message", 0, 0), ("share", 0, 0)]]
+        byzantine = [False, False, True, True, False, False]
+        scenario = (6, pool, scripts, byzantine,
+                    # a sharer of the unclaimed broadcast, cut mid-send
+                    {(1, 2): "odd"}, {}, True)
+        engine = _shared_run(*scenario)
+        assert engine == _shared_run(*scenario, reference=True)
+        assert engine["crashed"] == {2}
+        # Round 1: node 4 repeats node 1's claim 1, node 5 node 0's
+        # unclaimed one (node 2 is cut: a multicast of its own).  Round
+        # 2: node 4 repeats node 1's unclaimed one.
+        assert [(header, rows) for header, rows in repeats] == [
+            ((4, 1, 1), 1), ((5, 6, None), 1), ((4, 5, None), 1)]
+        # Node 3's spoofed claim reached node 0 with the shared letter.
+        assert (3, 1, 2, 2, 17) in engine["outputs"][0][0]

@@ -6,7 +6,7 @@ ledgers, sends by message type, and every surviving node's new name.
 A refactor of ``core/``, ``consensus/`` or ``sim/`` changes
 ``code_version``; it must not change any digest below.  The table was
 recorded on the commit *before* the near-linear protocol layer
-(``_committee_action`` as one grouping pass, one ``SubVote`` per
+(``_committee_decision`` as one grouping pass, one ``SubVote`` per
 fan-out value) and is the gate that change had to pass.
 
 The rows of the two all-to-all baselines (``obg-*``, ``balls-*``:

@@ -321,6 +321,31 @@ class TestNetworkEvents:
             {"senders": 8, "rows": 64, "envelopes": 64},  # one reply a link
         ]
 
+    def test_deliver_fanout_counts_the_rows_a_repeat_stands_for(self):
+        """A repeat is one record of the column, but the event counts
+        the rows it stands for: every round of a paper-constant run at
+        n = 32 reads as it did when every repeat was filed as rows."""
+        from random import Random
+
+        from repro.analysis.experiments import default_namespace, sample_uids
+        from repro.core.crash_renaming import run_crash_renaming
+
+        recorder = EventRecorder()
+        namespace = default_namespace(32)
+        result = run_crash_renaming(
+            sample_uids(32, namespace, Random(1)), namespace=namespace,
+            seed=1, observer=recorder)
+        fanouts = [event["data"]
+                   for event in recorder.events("deliver.fanout")]
+        assert result.rounds == len(fanouts) == 45
+        # Recorded before repeats were records: per phase, 32 notices,
+        # 32 reports and every member's 32 answers, each read by 32.
+        assert fanouts == [
+            {"senders": 32, "rows": 32, "envelopes": 1_024},
+            {"senders": 32, "rows": 32, "envelopes": 1_024},
+            {"senders": 32, "rows": 1_024, "envelopes": 1_024},
+        ] * 15
+
     def test_crash_apply_events_name_victims(self):
         from repro.falsify.scenarios import make_adversary, run_scenario
 

@@ -13,16 +13,16 @@ from repro.core.crash_renaming import (
     CrashRenamingNode,
     Response,
     Status,
+    _committee_decision,
 )
 from repro.core.intervals import Interval
-from repro.sim.messages import CostModel
+from repro.sim.messages import CostModel, Scatter
 from repro.sim.node import Context
 
 
 def committee_replies(statuses, p_self=0):
     """Run Figure 2 on (link, status) pairs; return {uid: response}."""
-    node = CrashRenamingNode(uid=999)
-    sends = node._committee_action(list(enumerate(statuses)), p_self)
+    sends = Scatter(*_committee_decision(list(enumerate(statuses)), p_self))
     return {send.message.uid: send.message for send in sends}
 
 
