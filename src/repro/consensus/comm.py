@@ -9,21 +9,22 @@ threshold logic depends on; :func:`exchange` performs one
 broadcast-to-view round and collects, per view member, the first
 well-formed vote for the current step.
 
-An honest vote round is one fan-out per member; members of one view that
-vote alike yield one derived ``Multicast`` of one :class:`SubVote`.  Byzantine
+An honest vote round is one fan-out per member; members of one view
+(one :func:`members_of` set) that vote alike yield one ``Multicast`` of
+one :class:`SubVote`, kept for the round they last read.  Byzantine
 strategies hook :meth:`CommitteeComm.outgoing_value` to equivocate (send
 different values to different receivers); only they pay per link.
 
 Reading is replicated too.  Members that were delivered the same rows
 hold the same votes, so :meth:`CommitteeComm.collect` goes through
 :func:`repro.sim.columnar.derive`: the vote table of a step is computed
-once per distinct inbox -- per ``(view, step, kind, members)`` -- and
-the members of that view share one read-only mapping; so does
-:meth:`CommitteeComm.tally`, the plurality of such a table.  What varies
-between members (the step a desynchronised Byzantine member believes in,
-its committee view) is an argument, never hidden state; an equivocator
-or withholder splits the committee into several views, each still
-computed once.
+once per distinct inbox -- per ``(view, step, kind, members)``, from its
+rows -- and the members of that view share one read-only mapping; so
+does :meth:`CommitteeComm.tally`, the plurality of such a table.  What
+varies between members (the step a desynchronised Byzantine member
+believes in, its committee view) is an argument, never hidden state; an
+equivocator or withholder splits the committee into several views, each
+still computed once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from repro.sim.columnar import derive
+from repro.sim.columnar import derive, messages, round_memo, senders
 from repro.sim.messages import CostModel, Envelope, Message, Send, multicast
 
 
@@ -61,18 +62,13 @@ class CommitteeComm:
     """One committee member's view of in-committee communication."""
 
     def __init__(self, view: Iterable[int], b_max: int):
-        links = tuple(sorted(set(view)))
-        if not links:
-            raise ValueError("committee view must not be empty")
-        # A derived view tuple is kept: one object for all its members.
-        self.view = view if links == view else links
-        self._members = _Members(links)
-        self._members.links = self.view
+        members = view if type(view) is _Members else members_of(view)
+        self._members, self.view = members, members.links
         if b_max < 0:
             raise ValueError(f"b_max must be >= 0, got {b_max}")
         self.b_max = b_max
         self.step = 0
-        self._read: Sequence[Envelope] = ()  # the inbox last read
+        self._votes: dict = {}  # the round last read's votes
         self._hooked = type(self).outgoing_value is not CommitteeComm.outgoing_value
 
     def outgoing_value(self, kind: str, value: object, receiver: int) -> object:
@@ -83,17 +79,21 @@ class CommitteeComm:
         """This step's vote to every view member.
 
         Without an :meth:`outgoing_value` override: one :class:`SubVote`
-        multicast to the view, the fan-out derived on the inbox last read
-        (one per view and distinct vote).  With one, the hook is called
-        per link, in link order; links that get the same value share one
-        ``SubVote`` (``1`` and ``True`` stay apart: the key holds the
-        type).  An unhashable value is never shared.
+        multicast to the view, kept on the round last read (one per
+        member set and distinct vote).  With one, the hook is called per
+        link, in link order; links that get the same value share one
+        ``SubVote``.  Either way ``1`` and ``True`` stay apart (the key
+        holds the type), and an unhashable value is never shared.
         """
         step = self.step
         if not self._hooked and "outgoing_value" not in self.__dict__:
+            key = (self._members, step, kind, type(value), value, width)
             try:
-                return derive(self._read, _vote, self._members, step, kind,
-                              type(value), value, width)
+                return self._votes[key]
+            except KeyError:
+                vote = self._votes[key] = multicast(
+                    self.view, SubVote(step, kind, value, width))
+                return vote
             except TypeError:  # unhashable: no key to share it under
                 return multicast(self.view, SubVote(step, kind, value, width))
         hook = self.outgoing_value
@@ -119,7 +119,7 @@ class CommitteeComm:
         members that received the same rows share one (read-only)
         mapping, computed once (:func:`repro.sim.columnar.derive`).
         """
-        self._read = inbox
+        self._votes = round_memo(inbox)
         return derive(inbox, _collect, self.step, kind, self._members)
 
     def tally(self, inbox: Sequence[Envelope], kind: str,
@@ -129,47 +129,50 @@ class CommitteeComm:
         heard but not counted for a value, and ``(heard, None, 0)`` is
         what remains of nothing.  Like :meth:`collect`, once per
         distinct inbox."""
-        self._read = inbox
+        self._votes = round_memo(inbox)
         return derive(inbox, _tally, self.step, kind, self._members, without)
 
 
 class _Members(frozenset):
-    """A view's members (a ``derive`` key hashed once) and its tuple."""
+    """A view's members (a memo key hashed once) and its sorted tuple."""
 
     __slots__ = ("links",)
 
 
-def _vote(envelopes, members: _Members, step: int, kind: str, cls: type,
-          value, width: int):
-    """A vote multicast to the view; ``cls``, the value's type, keeps
-    ``1`` and ``True`` apart."""
-    return multicast(members.links, SubVote(step, kind, value, width))
+def members_of(view: Iterable[int]) -> _Members:
+    """``view``'s member set and sorted links (``view`` itself if it is
+    that tuple): made once per derived view, one object for its comms."""
+    links = tuple(sorted(set(view)))
+    if not links:
+        raise ValueError("committee view must not be empty")
+    members = _Members(links)
+    members.links = view if links == view else links
+    return members
 
 
-def _collect(envelopes: Sequence[Envelope], step: int, kind: str,
+def _collect(inbox: Sequence[Envelope], step: int, kind: str,
              members: frozenset[int]) -> Mapping[int, object]:
     """``sender link -> value`` of the first ``kind`` vote of ``step``
     from each of ``members``; pure in its arguments."""
     votes: dict[int, object] = {}
-    for envelope in envelopes:
-        message = envelope.message
+    for sender, message in zip(senders(inbox), messages(inbox)):
         if (
             isinstance(message, SubVote)
             and message.step == step
             and message.kind == kind
-            and envelope.sender in members
-            and envelope.sender not in votes
+            and sender in members
+            and sender not in votes
         ):
-            votes[envelope.sender] = message.value
+            votes[sender] = message.value
     return MappingProxyType(votes)
 
 
-def _tally(envelopes: Sequence[Envelope], step: int, kind: str,
+def _tally(inbox: Sequence[Envelope], step: int, kind: str,
            members: frozenset[int], without: object
            ) -> tuple[int, object, int]:
     """:func:`plurality` over :func:`_collect`'s votes other than
     ``without``, and how many votes there were; pure in its arguments."""
-    votes = _collect(envelopes, step, kind, members).values()
+    votes = _collect(inbox, step, kind, members).values()
     counted = (votes if without is None
                else [value for value in votes if value != without])
     if not counted:

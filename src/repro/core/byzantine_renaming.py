@@ -38,15 +38,15 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.consensus.binary import DEFAULT_ITERATIONS, binary_consensus
-from repro.consensus.comm import CommitteeComm, exchange
+from repro.consensus.comm import CommitteeComm, exchange, members_of
 from repro.consensus.validator import validator
 from repro.core.identity_list import IdentityList
 from repro.crypto.hashing import FingerprintFamily
 from repro.crypto.shared_randomness import SharedRandomness
-from repro.sim.columnar import derive
+from repro.sim.columnar import derive, messages, senders
 from repro.sim.messages import (
     UNTIL_MAIL,
     CostModel,
@@ -250,7 +250,7 @@ class ByzantineRenamingNode(Process):
 
     # -- hooks (overridden by Byzantine strategy subclasses) -----------------
 
-    def _make_comm(self, view_links: Sequence[int], params: CommitteeParameters
+    def _make_comm(self, view_links: Iterable[int], params: CommitteeParameters
                    ) -> CommitteeComm:
         return CommitteeComm(view_links, params.b_max)
 
@@ -281,13 +281,14 @@ class ByzantineRenamingNode(Process):
 
         # Round 1: committee election and announcement (a view, derived).
         inbox = yield (broadcast(ctx.n, Elect(self.uid)) if elected else [])
-        view, links = derive(inbox, _committee_view, candidates)
+        view, _ = derive(inbox, _committee_view, candidates)
         if not view:
             raise ByzantineRenamingError(
                 f"node {self.uid}: committee lottery produced an empty view "
                 f"(p0={params.candidate_probability}); re-run with another "
                 f"shared seed or a larger candidate probability"
             )
+        members = elected and derive(inbox, _committee_members, candidates)
 
         # Round 2: original identity aggregation.
         announce = IdAnnounce(self.uid)
@@ -306,7 +307,7 @@ class ByzantineRenamingNode(Process):
                 registry.setdefault(envelope.sender_uid, envelope.sender)
 
         result = yield from self._committee_program(
-            ctx, params, view, links, identity_list, registry, shared
+            ctx, params, view, members, identity_list, registry, shared
         )
         return result
 
@@ -317,12 +318,12 @@ class ByzantineRenamingNode(Process):
         ctx: Context,
         params: CommitteeParameters,
         view: Mapping[int, int],
-        view_links: tuple[int, ...],
+        members: frozenset[int],
         identity_list: IdentityList,
         registry: Mapping[int, int],
         shared: SharedRandomness,
     ):
-        comm = self._make_comm(view_links, params)
+        comm = self._make_comm(members, params)
         iterations = params.consensus_iterations
         tuple_width = ctx.cost.digest_bits + ctx.cost.counter_bits
 
@@ -424,16 +425,15 @@ class ByzantineRenamingNode(Process):
         """Wait until more than ``b_max`` view members report one value."""
         counts: Counter = Counter()
         answered: set[int] = set()
-        inbox = first_inbox
+        inbox = first_inbox or ()
         while True:
-            for envelope in inbox or ():
-                message = envelope.message
+            for sender, message in zip(senders(inbox), messages(inbox)):
                 if (
                     isinstance(message, NewId)
-                    and envelope.sender in view
-                    and envelope.sender not in answered
+                    and sender in view
+                    and sender not in answered
                 ):
-                    answered.add(envelope.sender)
+                    answered.add(sender)
                     if message.value is not None:
                         counts[message.value] += 1
             for value, count in counts.items():
@@ -455,6 +455,11 @@ def _committee_view(envelopes, candidates: frozenset[int]):
         ):
             view[envelope.sender] = envelope.sender_uid
     return MappingProxyType(view), tuple(sorted(view))
+
+
+def _committee_members(inbox, candidates: frozenset[int]):
+    """:func:`_committee_view`'s links as the view's one member set."""
+    return members_of(derive(inbox, _committee_view, candidates)[1])
 
 
 # ---------------------------------------------------------------------------

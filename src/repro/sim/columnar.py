@@ -225,7 +225,7 @@ class ColumnarRound:
         self._views: Optional[dict[int, _View]] = None
         self._common: Optional[_View] = None
         #: (view, fn, args) -> what `derive` computed for the view, or
-        #: `tally` for the common one.
+        #: `tally` for the common one; and `round_memo`'s keys.
         self._memo: dict = {}
 
     # ------------------------------------------------------------------
@@ -507,7 +507,7 @@ def derive(inbox: Sequence[Envelope], fn: Callable, *args):
     """
     if type(inbox) is not LazyInbox:
         return fn(inbox, *args)
-    view = inbox._resolve()
+    view = inbox._view or inbox._resolve()
     if view.readers < 2:
         return fn(inbox, *args)
     memo = inbox._column._memo
@@ -517,6 +517,11 @@ def derive(inbox: Sequence[Envelope], fn: Callable, *args):
     except KeyError:
         value = memo[key] = fn(inbox, *args)
         return value
+
+
+def round_memo(inbox: Sequence[Envelope]) -> dict:
+    """``derive``'s memo of the round, for what no view keys; else ``{}``."""
+    return inbox._column._memo if type(inbox) is LazyInbox else {}
 
 
 def tally(inbox: Sequence[Envelope], fn: Callable, *args

@@ -574,7 +574,9 @@ class SyncNetwork:
             contexts[index].current_round = round_no
             try:
                 sends = programs[index].send(LazyInbox(column, index))
-                if sends is not until_mail:
+                if sends is not until_mail and (  # unless known valid
+                        type(sends) is not Multicast
+                        or sends.targets is not self._in_bounds):
                     sends = validated(index, sends)
             except StopIteration as stop:
                 self._finish(index, stop.value)
@@ -729,10 +731,7 @@ class SyncNetwork:
             obs.emit("run.begin", n=self.n,
                      namespace=self.cost.namespace,
                      adversary=type(self.adversary).__name__)
-        self._start()
-        for monitor in self.monitors:
-            monitor.on_start(self)
-        # Refcounting frees a round: the loop runs without the collector.
+        # Refcounting frees a round: `_start` and the loop skip the collector.
         global running_loops, _collector_was_on
         with _loops_lock:
             if not running_loops:
@@ -740,6 +739,9 @@ class SyncNetwork:
                 gc.disable()
             running_loops += 1
         try:
+            self._start()
+            for monitor in self.monitors:
+                monitor.on_start(self)
             while self._correct_order and self.round_no < self.max_rounds:
                 self.step()
         finally:

@@ -10,10 +10,10 @@ one is held to here:
 - the paper's crash renaming (paper and sparse constants), the two
   all-to-all baselines and Byzantine renaming (withholder,
   equivocator, chaos monkey, crash simulator -- the committee's view
-  and its votes are derived too) run on both executors under mid-send
-  crash adversaries and link faults (drop, duplicate, corrupt,
-  hold/release): ledgers, outputs and every node's protocol state must
-  be equal;
+  is derived too, and its votes shared per round) run on both executors
+  under mid-send crash adversaries and link faults (drop, duplicate,
+  corrupt, hold/release): ledgers, outputs and every node's protocol
+  state must be equal;
 - random send scripts whose nodes ``derive`` from every inbox, so views
   that differ in one row, one duplicate or one argument are drawn;
 - white-box counts: the sharing really happens (and did not at the
@@ -501,24 +501,23 @@ class TestComputedOnce:
     def test_a_view_votes_with_one_fanout_object(self, monkeypatch):
         sends = comm.CommitteeComm.sends
         fanouts: dict[tuple, set[int]] = {}
-        kept = []  # every fan-out and view stays alive: ids stay unique
+        kept = []  # every fan-out and member set stays alive: ids unique
 
         def recording_sends(self, kind, value, width):
             fanout = sends(self, kind, value, width)
-            read = self._read
-            if type(read) is LazyInbox and not self._hooked:
-                view = read._resolve()
-                kept.append((fanout, view))
-                key = (self.step, id(view), self._members, kind,
-                       type(value), value)
+            # Step 1 follows no read; from step 2 on, a step is a round.
+            if self.step > 1 and not self._hooked:
+                kept.append((fanout, self._members))
+                key = (self.step, id(self._members), kind, type(value),
+                       value)
                 fanouts.setdefault(key, set()).add(id(fanout))
             return fanout
 
         monkeypatch.setattr(comm.CommitteeComm, "sends", recording_sends)
         result = golden.CASES["byz-withholder-n48"]()
         assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
-        # Members that read one inbox, share a view and vote alike
-        # yield one `Multicast` object, not one each.
+        # Members of one member set that vote alike in a round yield
+        # one `Multicast` object, not one each.
         assert all(len(ids) == 1 for ids in fanouts.values())
         assert len(kept) > 20 * len(fanouts)
 

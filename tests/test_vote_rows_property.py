@@ -1,0 +1,241 @@
+"""A committee vote round reads rows and shares its vote object.
+
+A member's vote round is the Byzantine algorithm's unit of work: one
+``Multicast`` of one :class:`~repro.consensus.comm.SubVote` out, one
+vote table in.  Three things keep it cheap, and none may be visible:
+
+- (a) ``CommitteeComm.collect`` / ``tally`` read an inbox as rows --
+  ``zip(senders(inbox), messages(inbox))`` -- so no vote round builds an
+  ``Envelope``.  On random vote columns (steps, kinds, duplicate
+  senders, non-members, forged votes under a claimed header, other
+  message types, repeats of a multicast, held mail) every member's
+  ``collect`` and ``tally`` over its ``LazyInbox`` equal the same call
+  over a plain envelope list and a per-envelope rule written here.
+- (b) an honest ``sends`` keeps the round's vote under ``(member set,
+  step, kind, type(value), value, width)`` on the column it last read:
+  members of one member set that vote alike get one object, ``1`` and
+  ``True`` stay apart, an unhashable vote is never shared.
+- (c) the member set is one object per derived committee view.
+
+White-box, in ``byz-withholder-n48``: at most 70 envelopes are built
+(35,497 when votes and answers were read as envelopes), every honest
+comm of one view holds one member-set object, and from step 2 on a vote
+round builds one ``SubVote`` per distinct ``(member set, vote)``.
+
+CI runs this file under two ``PYTHONHASHSEED`` values.
+"""
+
+from collections import Counter, defaultdict
+
+from hypothesis import given, settings, strategies as st
+
+from repro.consensus import comm as comm_module
+from repro.consensus.comm import CommitteeComm, SubVote, members_of, plurality
+from repro.core.byzantine_renaming import ByzantineRenamingNode, NewId
+from repro.sim.columnar import ColumnarRound, LazyInbox
+from repro.sim.messages import Envelope
+from tests import test_golden_digests as golden
+
+KINDS = ("x", "y")
+VALUES = (0, 1, True, "__bottom__", (7, 2))
+
+
+# ---------------------------------------------------------------------------
+# (a) + (b) random vote columns
+
+
+@st.composite
+def vote_columns(draw):
+    n = draw(st.integers(1, 6))
+    link = st.integers(0, n - 1)
+    vote = st.builds(SubVote, st.integers(1, 2), st.sampled_from(KINDS),
+                     st.sampled_from(VALUES), st.just(4))
+    message = st.one_of(vote, vote, st.builds(NewId, st.integers(0, 3)))
+    # (how, sender, message, targets, claim): a multicast row, a repeat
+    # of the last one by another sender, a broadcast row, held mail.
+    filings = draw(st.lists(st.tuples(
+        st.sampled_from(("run", "run", "repeat", "broadcast", "held")),
+        link, message, st.lists(link, min_size=1, max_size=n + 1),
+        st.sampled_from([None, 0])), max_size=14))
+    members = draw(st.sets(link, min_size=1))
+    attached = draw(st.sets(link))
+    step = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(KINDS))
+    without = draw(st.sampled_from([None, "__bottom__", 0]))
+    order = draw(st.permutations(range(n)))
+    return n, filings, members, attached, step, kind, without, order
+
+
+def _fill(filings) -> ColumnarRound:
+    """The filings as the network files them (a claimed header is a
+    forged sender identity; the link stays the sender's)."""
+    column = ColumnarRound(5)
+    last = None  # (message, group) of the last multicast filed
+    for how, sender, message, targets, claim in filings:
+        header = (sender, 100 + sender, claim)
+        if how == "run":
+            last = message, column.add_run((header, message), tuple(targets))
+        elif how == "repeat" and last is not None:
+            column.add_repeat(header, (last[0],), last[1])
+        elif how == "broadcast":
+            column.add_broadcast((header, message))
+        elif how == "held":  # stamped in the round it was held
+            column.add_run(Envelope(sender, 4, message, 100 + sender),
+                           tuple(targets))
+    return column
+
+
+def _first_votes(envelopes, step, kind, members):
+    """The rule, one envelope at a time: each member's first vote."""
+    votes = {}
+    for envelope in envelopes:
+        message = envelope.message
+        if (type(message) is SubVote and message.step == step
+                and message.kind == kind and envelope.sender in members):
+            votes.setdefault(envelope.sender, message.value)
+    return votes
+
+
+class TestRandomVoteColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(vote_columns())
+    def test_collect_and_tally_read_rows_as_the_plain_call(self, scenario):
+        n, filings, members, attached, step, kind, without, order = scenario
+        column = _fill(filings)
+        column.attach(attached)
+        plain = _fill(filings)  # the oracle's envelopes, from its own column
+        plain.attach(attached)
+        view = members_of(sorted(members))
+        for to in order:
+            lazy, mine = LazyInbox(column, to), CommitteeComm(view, 0)
+            listed, theirs = list(LazyInbox(plain, to)), CommitteeComm(
+                sorted(members), 0)
+            mine.step = theirs.step = step
+            expected = _first_votes(listed, step, kind, members)
+            assert dict(mine.collect(lazy, kind)) == expected
+            assert dict(theirs.collect(listed, kind)) == expected
+            tallied = mine.tally(lazy, kind, without)
+            assert tallied == theirs.tally(listed, kind, without)
+            counted = [value for value in expected.values()
+                       if without is None or value != without]
+            assert tallied == ((len(expected), *plurality(counted))
+                               if counted else (len(expected), None, 0))
+        # Only held mail, stamped when it was held, is an envelope: the
+        # votes were read as rows.
+        held = sum(how == "held" for how, *_ in filings)
+        assert len(column.env) == held
+
+    @settings(max_examples=150, deadline=None)
+    @given(vote_columns(), st.lists(st.sampled_from(VALUES), min_size=1,
+                                    max_size=6))
+    def test_a_round_builds_one_vote_per_member_set_and_value(
+            self, scenario, values):
+        n, filings, members, attached, step, kind, _, order = scenario
+        column = _fill(filings)
+        column.attach(attached)
+        view = members_of(sorted(members))
+        other = members_of(sorted(members | {n}))
+        comms = [CommitteeComm(view, 0) for _ in order] + [
+            CommitteeComm(other, 0) for _ in order]
+        sent = []
+        for at, (comm, to) in enumerate(zip(comms, order + order)):
+            comm.step = step
+            comm.collect(LazyInbox(column, to), kind)
+            comm.step += 1
+            value = values[at % len(values)]
+            sent.append((id(comm._members), type(value), value,
+                         comm.sends("z", value, width=2)))
+        fanouts = defaultdict(set)
+        for members_id, cls, value, fanout in sent:
+            assert fanout.targets == comms[0 if members_id == id(view)
+                                           else -1].view
+            assert fanout.message == SubVote(step + 1, "z", value, 2)
+            fanouts[members_id, cls, value].add(id(fanout))
+        # One object per (member set, vote); `1` and `True` apart.
+        assert all(len(ids) == 1 for ids in fanouts.values())
+        assert len({id(fanout) for *_, fanout in sent}) == len(fanouts)
+        unhashable = [comm.sends("z", [1], width=2) for comm in comms[:2]]
+        assert unhashable[0].message is not unhashable[1].message
+
+
+def test_a_members_first_vote_of_the_step_is_the_one_counted():
+    column = ColumnarRound(5)
+    for value in (1, 0, 0):  # link 0 votes three times, to link 1
+        column.add_run(((0, 100, None), SubVote(1, "x", value, 1)), (1,))
+    column.attach({1})
+    comm = CommitteeComm(members_of((0, 1)), 0)
+    comm.step = 1
+    assert comm.collect(LazyInbox(column, 1), "x") == {0: 1}
+    assert comm.tally(LazyInbox(column, 1), "x") == (1, 1, 1)
+
+
+def test_a_vote_after_a_plain_read_is_built_by_its_member():
+    members = members_of((0, 1))
+    comms = [CommitteeComm(members, 0) for _ in range(2)]
+    for comm in comms:
+        comm.step = 1
+        comm.collect([Envelope(0, 1, SubVote(1, "x", 1, 1), 100)], "x")
+        comm.step = 2
+    first, second = (comm.sends("x", 1, width=1) for comm in comms)
+    assert first.message == second.message and first is not second
+
+
+# ---------------------------------------------------------------------------
+# (c) and the white-box pins, on the run path
+
+
+def test_a_withholder_run_builds_at_most_seventy_envelopes(monkeypatch):
+    built = []
+    build = ColumnarRound._build
+
+    def counting_build(self, rows):
+        before = len(self.env)
+        build(self, rows)
+        built.append(len(self.env) - before)
+
+    monkeypatch.setattr(ColumnarRound, "_build", counting_build)
+    result = golden.CASES["byz-withholder-n48"]()
+    assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
+    # Only the `Elect` and `IdAnnounce` rounds read `sender_uid`.
+    assert sum(built) <= 70
+
+
+def test_one_member_set_per_view_and_one_vote_per_distinct_value(
+        monkeypatch):
+    comms, built, voted = [], [], set()
+    make_comm = ByzantineRenamingNode._make_comm
+    init, sends = SubVote.__init__, CommitteeComm.sends
+
+    def recording_make_comm(self, links, params):
+        made = make_comm(self, links, params)
+        if not self.byzantine:
+            comms.append(made)
+        return made
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.step)
+
+    def recording_sends(self, kind, value, width):
+        voted.add((self.step, id(self._members), kind, type(value), value))
+        return sends(self, kind, value, width)
+
+    monkeypatch.setattr(ByzantineRenamingNode, "_make_comm",
+                        recording_make_comm)
+    monkeypatch.setattr(SubVote, "__init__", counting_init)
+    monkeypatch.setattr(comm_module.CommitteeComm, "sends", recording_sends)
+    result = golden.CASES["byz-withholder-n48"]()
+    assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
+    by_view = defaultdict(set)
+    for made in comms:
+        by_view[made.view].add(id(made._members))
+    assert len(comms) == 21
+    assert all(len(ids) == 1 for ids in by_view.values())
+    # Step 1 follows no read: every member builds its own.  From step 2
+    # on, the committee is in lockstep and a step is one round.
+    distinct = Counter(step for step, *_ in voted)
+    counted = Counter(built)
+    assert counted[1] == 21
+    later = [step for step in distinct if step > 1]
+    assert len(later) > 1000
+    assert all(counted[step] == distinct[step] for step in later)
