@@ -34,6 +34,8 @@ class RandomCrash(CrashAdversary):
         self.rng = rng
 
     def plan_round(self, round_no, proposed, alive) -> CrashPlan:
+        if self.remaining_budget <= 0:  # spent: nobody to sort through
+            return {}
         plan: dict[int, list[int]] = {}
         random = self.rng.random
         for victim in sorted(alive):
@@ -115,6 +117,8 @@ class MidSendPartitioner(CrashAdversary):
         self.min_fanout = min_fanout
 
     def plan_round(self, round_no, proposed, alive) -> CrashPlan:
+        if self.remaining_budget <= 0:  # spent: nobody to sort through
+            return {}
         candidates = sorted(
             (victim for victim in alive
              if len(proposed.get(victim, [])) >= self.min_fanout),
@@ -142,7 +146,8 @@ class CommitteeHunter(CrashAdversary):
     the resource-competitiveness experiments (F2/F8).
 
     ``deliver_fraction`` controls how much of a victim's in-flight
-    traffic still leaks out (0 = clean pre-send crash).
+    traffic still leaks out (0 = clean pre-send crash, and no draw from
+    ``rng``: a shuffle that keeps nothing decides nothing).
     """
 
     def __init__(self, budget: int, rng: Random, threshold: float = 0.5,
@@ -155,15 +160,19 @@ class CommitteeHunter(CrashAdversary):
         self.deliver_fraction = deliver_fraction
 
     def plan_round(self, round_no, proposed, alive) -> CrashPlan:
-        if self.remaining_budget <= 0:  # spent: nobody to sort through
+        budget = self.remaining_budget
+        if budget <= 0:  # spent: nobody to sort through
             return {}
         n = max(len(alive), 1)
-        plan: dict[int, list[int]] = {}
+        plan: dict[int, Sequence[int]] = {}
         for victim in sorted(alive):
-            if len(plan) >= self.remaining_budget:
+            if len(plan) >= budget:
                 break
             fanout = len(proposed.get(victim, ()))
             if fanout >= self.threshold * n:
+                if not self.deliver_fraction:  # keeps nothing: no draw
+                    plan[victim] = ()
+                    continue
                 order = list(range(fanout))
                 self.rng.shuffle(order)
                 plan[victim] = order[: int(fanout * self.deliver_fraction)]

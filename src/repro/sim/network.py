@@ -211,10 +211,11 @@ class SyncNetwork:
         # check.
         self._in_bounds: Optional[Sequence[int]] = None
         self._last_grouping: list = [None, None, None]  # `ColumnarRound._last`
-        self._correct_order: list[int] = [
+        # Ascending, and an O(1) retire: a dict keyed by index.
+        self._correct_order: dict[int, None] = dict.fromkeys(
             index for index in range(self.n)
             if not self.processes[index].byzantine
-        ]
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -257,8 +258,7 @@ class SyncNetwork:
             program = self._programs.get(index)
             if program is not None:
                 program.close()
-            if not self.processes[index].byzantine:
-                self._correct_order.remove(index)
+            self._correct_order.pop(index, None)
 
     def _alive(self) -> frozenset[int]:
         """The alive set, frozen; rebuilt only after it changed."""

@@ -133,18 +133,33 @@ class TestFingerprinter:
     @given(
         ones_a=st.sets(st.integers(1, 128), max_size=20),
         ones_b=st.sets(st.integers(1, 128), max_size=20),
-        point=st.integers(2, (1 << 61) - 3),
+        seed=st.integers(0, (1 << 32) - 1),
+        label=st.text(max_size=8),
     )
-    def test_no_collision_between_distinct_segments(self, ones_a, ones_b, point):
+    def test_no_collision_between_distinct_segments(self, ones_a, ones_b,
+                                                    seed, label):
         """Fact 3.2's guarantee: distinct segments collide only with
-        vanishing probability; across these sampled instances, never."""
-        hasher = Fingerprinter(prime=(1 << 61) - 1, point=point)
+        vanishing probability over the *drawn* point; across these
+        sampled draws, never."""
+        hasher = FingerprintFamily(
+            SharedRandomness(seed), prime=(1 << 61) - 1).draw(label)
         digest_a = hasher.digest_segment(sorted(ones_a), 1, 128)
         digest_b = hasher.digest_segment(sorted(ones_b), 1, 128)
         if ones_a != ones_b:
             assert digest_a != digest_b
         else:
             assert digest_a == digest_b
+
+    def test_low_order_point_collides(self):
+        """Why the point must be drawn: 2 has multiplicative order 61
+        modulo 2^61 - 1, so ones 61 positions apart hash alike under it."""
+        prime = (1 << 61) - 1
+        assert pow(2, 61, prime) == 1
+        hasher = Fingerprinter(prime=prime, point=2)
+        ones_a = [1, 2, 39, 97, 98, 99, 101]
+        ones_b = [1, 2, 97, 98, 99, 100, 101]
+        assert hasher.digest_segment(ones_a, 1, 128) == hasher.digest_segment(
+            ones_b, 1, 128)
 
 
 class TestFingerprintFamily:

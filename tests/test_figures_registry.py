@@ -113,5 +113,5 @@ def test_no_doc_points_at_a_deleted_benchmark_file():
         for name in DELETED:
             assert name not in text, (doc.name, name)
     assert sorted(path.name for path in (ROOT / "benchmarks").glob("test_*.py")
-                  ) == ["test_figures.py"]
+                  ) == ["test_figures.py", "test_own_time.py"]
     assert not [name for name in DELETED if (ROOT / name).exists()]
