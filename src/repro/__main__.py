@@ -249,7 +249,13 @@ def cmd_falsify(args: argparse.Namespace) -> int:
     from repro.falsify.scenarios import DEFAULT_ADVERSARIES, DEFAULT_SCENARIOS
 
     if args.replay:
-        artifact = ReproArtifact.load(args.replay)
+        try:
+            artifact = ReproArtifact.load(args.replay)
+        except (OSError, ValueError, KeyError) as error:
+            reason = (f"missing field {error}"
+                      if isinstance(error, KeyError) else error)
+            raise SystemExit(f"python -m repro falsify: error: cannot "
+                             f"replay {args.replay}: {reason}") from None
         print(artifact.describe())
         error = replay_artifact(artifact)
         if error is None:
@@ -312,14 +318,26 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
+    from repro.falsify.scenarios import make_adversary, resolve_scenario
     from repro.faults.degradation import (
         SAFE_TERMINATED,
         classify_scenario,
         degradation_frontier,
         summarize_frontier,
     )
+    from repro.faults.spec import build_fault_model
 
     scenarios = [s for s in args.scenario.split(",") if s]
+    # A bad flag is the caller's error, not a rung's outcome: check each
+    # before any run (the adversary's kind whatever its budget).
+    try:
+        for scenario in scenarios:
+            resolve_scenario(scenario)
+        make_adversary(args.adversary, max(args.f, 1), args.seed)
+        build_fault_model(args.faults, args.n, args.seed)
+    except (KeyError, TypeError, ValueError) as error:
+        raise SystemExit(
+            f"python -m repro faults: error: {error.args[0]}") from None
     if args.faults:
         # One explicit spec instead of the ladder: classify it per
         # scenario (the single-cell form of the frontier).

@@ -206,10 +206,9 @@ class ReproArtifact:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ReproArtifact":
-        if data.get("kind") != ARTIFACT_KIND:
-            raise ValueError(
-                f"not a falsify repro artifact: kind={data.get('kind')!r}"
-            )
+        kind = data.get("kind") if isinstance(data, Mapping) else None
+        if kind != ARTIFACT_KIND:
+            raise ValueError(f"not a falsify repro artifact: kind={kind!r}")
         if data.get("format") != ARTIFACT_FORMAT:
             raise ValueError(
                 f"unsupported artifact format {data.get('format')!r} "

@@ -62,12 +62,8 @@ OUTCOMES = (SAFE_TERMINATED, SAFE_STALLED, SAFETY_VIOLATED, CRASHED)
 
 
 def outcome_rank(outcome: str) -> int:
-    """Severity index into :data:`OUTCOMES` (0 best, 3 worst).
-
-    Shared vocabulary for anything that compares degradation levels —
-    the serve-level chaos harness ranks its rung outcomes with the same
-    scale the protocol-level frontier uses.
-    """
+    """Severity index into :data:`OUTCOMES` (0 best, 3 worst): the one
+    rule :func:`summarize_frontier` picks a scenario's worst outcome by."""
     return OUTCOMES.index(outcome)
 
 #: Invariants whose violation means "liveness lost", not "wrong answer".
@@ -302,7 +298,7 @@ def summarize_frontier(rows: Sequence[dict]) -> list[dict]:
             elif (first_unsafe is None
                     and outcome in (SAFETY_VIOLATED, CRASHED)):
                 first_unsafe = cell["rung"]
-            if OUTCOMES.index(outcome) > OUTCOMES.index(worst):
+            if outcome_rank(outcome) > outcome_rank(worst):
                 worst = outcome
         summaries.append({
             "scenario": name,

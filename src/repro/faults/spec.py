@@ -53,6 +53,9 @@ def normalize_spec(spec: FaultSpec) -> list[dict]:
             raise ValueError(f"fault spec is not JSON: {error}") from None
     if isinstance(spec, Mapping):
         spec = [spec]
+    if not isinstance(spec, Sequence):
+        raise ValueError(f"fault spec {spec!r} must be an object or a "
+                         f"list of objects")
     entries = []
     for entry in spec:
         if not isinstance(entry, Mapping) or "kind" not in entry:

@@ -4,7 +4,8 @@ Three pieces, all opt-in through an ``observer=`` parameter whose
 default (``None``) leaves every hot path untouched:
 
 * :mod:`repro.obs.events` — ring-buffered structured events with
-  spans, a pure-python JSON schema validator, and JSONL persistence.
+  spans, the one event contract (the envelope schema and the
+  :data:`EVENT_KINDS` table) with its validator, and JSONL persistence.
 * :mod:`repro.obs.profile` — wall-clock phase profiling for the four
   phases of ``SyncNetwork.step``, sweep drivers and the collector.
 * the ``telemetry`` table of :class:`repro.engine.store.RunStore` and
@@ -13,6 +14,7 @@ default (``None``) leaves every hot path untouched:
 
 from repro.obs.events import (
     EVENT_FORMAT,
+    EVENT_KINDS,
     EVENT_SCHEMA,
     NULL_OBSERVER,
     EventRecorder,
@@ -21,11 +23,6 @@ from repro.obs.events import (
     read_jsonl,
     validate_event,
     validate_events,
-)
-from repro.obs.fabric import (
-    FABRIC_EVENT_FORMAT,
-    FABRIC_EVENT_KINDS,
-    validate_fabric_events,
 )
 from repro.obs.profile import (
     PROFILE_FORMAT,
@@ -37,6 +34,7 @@ from repro.obs.profile import (
 
 __all__ = [
     "EVENT_FORMAT",
+    "EVENT_KINDS",
     "EVENT_SCHEMA",
     "NULL_OBSERVER",
     "EventRecorder",
@@ -45,9 +43,6 @@ __all__ = [
     "read_jsonl",
     "validate_event",
     "validate_events",
-    "FABRIC_EVENT_FORMAT",
-    "FABRIC_EVENT_KINDS",
-    "validate_fabric_events",
     "PROFILE_FORMAT",
     "STEP_PHASES",
     "PhaseProfiler",

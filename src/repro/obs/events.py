@@ -21,6 +21,8 @@ plus ``round`` / ``node`` when the event is attached to a round or a
 node, and arbitrary extra scalar fields under ``data``.  *Spans* are
 emitted as paired ``<kind>.begin`` / ``<kind>.end`` events sharing a
 ``span`` id; the ``.end`` event carries the measured ``wall_s``.
+Every kind the package emits is an entry of :data:`EVENT_KINDS`, with
+the ``data`` fields it requires; :func:`validate_events` checks both.
 
 The default observer everywhere in the engine is ``None`` — the no-op.
 Instrumented code guards every emission with a cheap
@@ -58,6 +60,98 @@ EVENT_SCHEMA = {
     },
     "additionalProperties": False,
 }
+
+#: The data fields each emitted kind requires -- the one event contract.
+#: A kind's *family* is its text before the first dot; in a family this
+#: table names, an unknown kind or a missing field is a problem, while
+#: a kind of any other family (a test's ad-hoc ``tick``) is checked on
+#: its envelope alone.  An entry lists only the fields every call site
+#: passes; ``round`` / ``node`` / ``span`` are envelope fields.
+EVENT_KINDS: dict[str, tuple[str, ...]] = {
+    # The network (``SyncNetwork``): a run's only execution log.
+    "run.begin": ("n", "namespace", "adversary"),
+    "run.end": ("rounds", "messages", "bits", "crashed"),
+    "round.begin": ("alive",),
+    # ``resumed``: programs driven this round; ``parked``: nodes left
+    # waiting on ``UNTIL_MAIL``; ``finished``: nodes that terminated.
+    "round.end": ("messages", "bits", "alive", "resumed", "parked",
+                  "finished"),
+    "crash.apply": ("delivered", "proposed", "budget_left"),
+    # ``senders``: distinct nodes with traffic; ``rows``: distinct sent
+    # messages; ``envelopes``: inbox entries the alive recipients read.
+    "deliver.fanout": ("senders", "rows", "envelopes"),
+    # ``node`` is a Byzantine node whose own program raised.
+    "byzantine.fault": (),
+    "monitor.fire": ("monitor", "error"),
+    # A link-fault verdict: ``node`` is the sender, ``to`` the link.
+    # ``dead`` (a release to a receiver gone meanwhile) is optional.
+    "fault.drop": ("to",),
+    "fault.dup": ("to", "copies"),
+    "fault.corrupt": ("to", "salt"),
+    "fault.hold": ("to", "release"),
+    "fault.release": ("to",),
+    "fault.expire": ("to", "release"),
+    # The sweep engine (``run_requests``).
+    "engine.store.hit": ("driver", "run_hash"),
+    "engine.store.miss": ("driver", "run_hash"),
+    "engine.chunk.dispatch": ("chunks", "chunksize", "jobs"),
+    "engine.chunk.timeout": ("tasks", "budget_s"),
+    "engine.chunk.broken": ("tasks",),
+    "engine.task.retry": ("driver", "n", "seed"),
+    "engine.task.settle": ("driver", "status", "attempts", "elapsed_s"),
+    # Falsification campaigns; ``campaign.shrink`` is a span.
+    "campaign.begin": ("probes", "scenarios", "adversaries"),
+    "campaign.batch": ("cursor", "size"),
+    "campaign.finding": ("scenario", "invariant", "n", "seed"),
+    "campaign.shrink.begin": ("scenario", "seed"),
+    "campaign.shrink.end": ("scenario", "seed", "wall_s", "ok"),
+    "campaign.end": ("findings", "failures", "cached", "skipped"),
+    # The service, emitted from its event loop only.
+    "serve.start": ("shards", "max_batch", "max_wait", "namespace",
+                    "seed"),
+    "serve.drain": ("flushed",),
+    "serve.stop": ("epochs", "failed_epochs", "batches", "requests"),
+    "serve.batch.close": ("shard", "batch", "size", "reason"),
+    # ``attempt`` is 0 for a batch's first execution, k for its k-th
+    # retry (the retry seed salt).
+    "serve.epoch.begin": ("shard", "epoch", "ops", "attempt"),
+    "serve.epoch.end": ("shard", "epoch", "members", "renamed",
+                        "departed", "rounds", "messages", "bits",
+                        "wall_s"),
+    "serve.epoch.empty": ("shard", "ops"),
+    # ``failure`` is the taxonomy ("faults" / "non_termination" /
+    # "rename_failed" / "error"), not ``kind``: the envelope owns that.
+    "serve.epoch.failed": ("shard", "epoch", "failure", "attempt", "error",
+                           "wall_s"),
+    "serve.shard.degraded": ("shard", "failures", "failure"),
+    # Resilience (only with a policy attached): a failed batch's
+    # survivors re-scheduled, the shard's breaker moving, ops shed from
+    # a full backlog or cancelled past their deadline.
+    "serve.retry": ("shard", "batch", "attempt", "ops", "delay_s"),
+    "serve.breaker.open": ("shard", "failures"),
+    "serve.breaker.half_open": ("shard",),
+    "serve.breaker.close": ("shard",),
+    "serve.shed": ("shard", "ops", "depth"),
+    "serve.deadline": ("shard", "expired", "attempt"),
+    # The sweep fabric, one stream per worker.  ``attempt`` is the
+    # lease generation; ``renewed`` is False when a heartbeat found the
+    # lease gone; ``outcome`` is the settle verdict ("settled",
+    # "already", "lost", "missing").
+    "fabric.campaign.enqueue": ("campaign", "tasks", "new"),
+    "fabric.worker.start": ("worker", "store", "campaign"),
+    "fabric.worker.stop": ("worker", "reason", "settled", "failed",
+                           "leases_lost"),
+    "fabric.task.lease": ("campaign", "task", "worker", "attempt",
+                          "deadline"),
+    "fabric.task.heartbeat": ("campaign", "task", "worker", "renewed",
+                              "deadline"),
+    "fabric.task.reap": ("campaign", "task", "owner", "attempt"),
+    "fabric.task.settle": ("campaign", "task", "worker", "state",
+                           "outcome", "cached", "run_attempts",
+                           "elapsed_s"),
+}
+
+_FAMILIES = frozenset(kind.split(".", 1)[0] for kind in EVENT_KINDS)
 
 _TYPE_CHECKS = {
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -286,38 +380,26 @@ def read_jsonl(path) -> list[dict]:
 
 
 def validate_events(events: Iterable[dict]) -> list[str]:
-    """Validate a batch; returns ``"event N: problem"`` strings."""
+    """Validate a batch: each event's envelope against
+    :data:`EVENT_SCHEMA` and, when its family is in
+    :data:`EVENT_KINDS`, its kind and data fields.  Returns ``"event N:
+    problem"`` strings; empty means valid."""
     problems = []
     for index, event in enumerate(events):
-        for problem in validate_event(event):
-            problems.append(f"event {index}: {problem}")
+        found = validate_event(event)
+        if isinstance(event, dict) and isinstance(event.get("kind"), str):
+            found += _kind_problems(event["kind"], event.get("data"))
+        problems.extend(f"event {index}: {problem}" for problem in found)
     return problems
 
 
-def validate_kinds(events: Iterable[dict], prefix: str,
-                   kinds: dict[str, tuple[str, ...]]) -> list[str]:
-    """Check one event family against its kind table.
-
-    Every event whose ``kind`` starts with ``prefix + "."`` must be a
-    known kind of ``kinds`` and carry all of that kind's required
-    ``data`` fields.  Returns human-readable problems; empty means
-    valid.  Other events are ignored (streams may interleave engine or
-    round events).
-    """
-    problems: list[str] = []
-    family = prefix + "."
-    for index, event in enumerate(events):
-        kind = event.get("kind", "")
-        if not kind.startswith(family):
-            continue
-        required = kinds.get(kind)
-        if required is None:
-            problems.append(f"event {index}: unknown {prefix} kind {kind!r}")
-            continue
-        data = event.get("data", {})
-        for field in required:
-            if field not in data:
-                problems.append(
-                    f"event {index}: {kind} missing data field {field!r}"
-                )
-    return problems
+def _kind_problems(kind: str, data: object) -> list[str]:
+    family = kind.split(".", 1)[0]
+    if family not in _FAMILIES:
+        return []
+    required = EVENT_KINDS.get(kind)
+    if required is None:
+        return [f"unknown {family} kind {kind!r}"]
+    data = data if isinstance(data, dict) else {}
+    return [f"{kind} missing data field {field!r}"
+            for field in required if field not in data]

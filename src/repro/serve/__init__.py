@@ -16,8 +16,10 @@ long-lived concurrent service:
   the classification of a run under it (resilient vs baseline);
 * :mod:`repro.serve.loadgen` — seeded load profiles, trace generation,
   latency histograms, and the one-call load harness;
-* :mod:`repro.serve.obs` — the ``repro.obs/serve@2`` event contract;
 * :mod:`repro.serve.driver` — the ``serve`` sweep-engine driver.
+
+Its ``serve.*`` events are ordinary ``repro.obs/events@1`` events,
+their data fields in :data:`repro.obs.events.EVENT_KINDS`.
 """
 
 from repro.serve.batching import (
@@ -41,11 +43,6 @@ from repro.serve.loadgen import (
     generate_trace,
     run_load,
     trace_digest,
-)
-from repro.serve.obs import (
-    SERVE_EVENT_FORMAT,
-    SERVE_EVENT_KINDS,
-    validate_serve_events,
 )
 from repro.serve.resilience import (
     CircuitBreaker,
@@ -90,8 +87,6 @@ __all__ = [
     "RequestShed",
     "ResiliencePolicy",
     "RetryBacklog",
-    "SERVE_EVENT_FORMAT",
-    "SERVE_EVENT_KINDS",
     "ServeError",
     "Shard",
     "ShardDegraded",

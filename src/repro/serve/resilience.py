@@ -33,7 +33,7 @@ the outage instead of dying inside it:
 
 Everything here is clock-free and service-agnostic: the service passes
 its lane's ``now`` in (the stamp of the item in hand, or ``loop.time()``
-on a live lane) and emits the ``repro.obs/serve@2`` events itself.
+on a live lane) and emits the ``serve.*`` events itself.
 """
 
 from __future__ import annotations

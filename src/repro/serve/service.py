@@ -56,9 +56,10 @@ that no batch has pulled along yet runs after it.  The synchronous
 one consistent epoch, possibly trailing batches in flight — so its
 answer follows wall-clock timing and no counted result may use it.
 
-Serve-level events (``repro.obs/serve@2``, see
-:mod:`repro.serve.obs`) are emitted through the ordinary ``observer=``
-hook, always from the event-loop thread.
+Serve-level events (``serve.*``, their data fields in
+:data:`repro.obs.events.EVENT_KINDS`) are emitted through the ordinary
+``observer=`` hook, always from the event-loop thread and never per
+request.
 """
 
 from __future__ import annotations

@@ -161,6 +161,83 @@ class TestObsTail:
         assert done.value.code == (
             "python -m repro obs tail: error: --last must be >= 0, got -2")
 
+    def test_every_family_is_checked(self, tmp_path, capsys):
+        """Before one kind table, this stream read "4 events, 0 schema
+        problems": only the envelope was checked here."""
+        events = [
+            ("serve.epoch.end", {"shard": 0, "epoch": 1}),
+            ("serve.epoch.ended", {}),
+            ("round.end", {"messages": 4}),
+            ("fault.dorp", {"to": 1}),
+        ]
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(
+            json.dumps({"seq": seq, "ts": 0.0, "kind": kind, "data": data})
+            + "\n" for seq, (kind, data) in enumerate(events)))
+        assert main(["obs", "tail", str(path), "--last", "0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        missing = [
+            f"INVALID event {index}: {kind} missing data field {field!r}"
+            for index, kind, fields in [
+                (0, "serve.epoch.end", "members renamed departed rounds "
+                                       "messages bits wall_s"),
+                (2, "round.end", "bits alive resumed parked finished")]
+            for field in fields.split()]
+        assert err == [
+            *missing[:7],
+            "INVALID event 1: unknown serve kind 'serve.epoch.ended'",
+            *missing[7:],
+            "INVALID event 3: unknown fault kind 'fault.dorp'",
+            "",
+            "4 events, 14 schema problems",
+        ]
+
+
+class TestBadInput:
+    """A bad flag or file is one error line before any run starts."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["faults", "--faults", "notjson"],
+         "fault spec is not JSON: Expecting value: line 1 column 1 "
+         "(char 0)"),
+        (["faults", "--scenario", "nope"], "unknown scenario 'nope'; "
+         "known: balls, crash, crash-dup, gossip, gossip-dup, "
+         "gossip-faults, obg, planted-duplicate"),
+        (["faults", "--adversary", "nope", "--f", "2"],
+         "unknown adversary kind 'nope'; expected one of none, random, "
+         "hunter, partitioner"),
+    ], ids=["faults-spec", "scenario", "adversary"])
+    def test_faults(self, argv, message, monkeypatch):
+        from repro.faults import degradation
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(degradation, "run_scenario", no_run)
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == f"python -m repro faults: error: {message}"
+
+    @pytest.mark.parametrize("text, reason", [
+        (None, "[Errno 2] No such file or directory: '{path}'"),
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"kind": "sweep"}', "not a falsify repro artifact: "
+                              "kind='sweep'"),
+    ], ids=["missing", "not-json", "wrong-kind"])
+    def test_falsify_replay(self, text, reason, tmp_path):
+        path = tmp_path / "repro.json"
+        if text is not None:
+            path.write_text(text)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "falsify", "--replay", str(path)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            f"python -m repro falsify: error: cannot replay {path}: "
+            + reason.format(path=path)]
+
 
 class TestCommands:
     def test_crash_success_exit_code(self, capsys):

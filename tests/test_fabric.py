@@ -47,7 +47,7 @@ from repro.engine.queue import (
     task_request,
 )
 from repro.engine.sweeps import DRIVERS, SweepSpec, register_driver
-from repro.obs import validate_events, validate_fabric_events
+from repro.obs import validate_events
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
@@ -188,7 +188,6 @@ class TestWorkerDrain:
         assert stored_rows(store_url) == serial_oracle(tmp_path, requests)
         events = list(worker.events)
         assert validate_events(events) == []
-        assert validate_fabric_events(events) == []
         kinds = [e["kind"] for e in events]
         assert kinds[0] == "fabric.worker.start"
         assert kinds[-1] == "fabric.worker.stop"
@@ -400,7 +399,7 @@ class TestCrashRecovery:
         assert summary["settled"] >= 1  # at least the gated task
 
         events = list(recovery.events)
-        assert validate_fabric_events(events) == []
+        assert validate_events(events) == []
         reaps = [e for e in events if e["kind"] == "fabric.task.reap"]
         assert any(e["data"]["task"] == gate_hash for e in reaps)
 

@@ -14,6 +14,7 @@ from repro.faults import NoFaults, build_fault_model
 from repro.faults.base import FaultModel, corrupt, drop, duplicate, hold
 from repro.obs import (
     EVENT_FORMAT,
+    EVENT_KINDS,
     NULL_OBSERVER,
     STEP_PHASES,
     EventRecorder,
@@ -24,10 +25,8 @@ from repro.obs import (
     read_jsonl,
     validate_event,
     validate_events,
-    validate_fabric_events,
 )
 from repro.__main__ import main
-from repro.serve.obs import validate_serve_events
 from repro.sim.columnar import LazyInbox
 from repro.sim.messages import CostModel, broadcast
 from repro.sim.node import Process
@@ -115,8 +114,9 @@ class TestSpans:
 class TestSchema:
     def test_recorder_events_validate(self):
         recorder = EventRecorder()
-        recorder.emit("round.begin", round_no=1)
-        recorder.emit("crash.apply", round_no=1, node=2, delivered=1)
+        recorder.emit("round.begin", round_no=1, alive=4)
+        recorder.emit("crash.apply", round_no=1, node=2, delivered=1,
+                      proposed=3, budget_left=0)
         assert validate_events(recorder.events()) == []
 
     def test_missing_required_field(self):
@@ -138,27 +138,30 @@ class TestSchema:
 
 
 class TestKindTables:
-    """The per-family validators share one loop; CI jobs and tests
-    compare their problem strings, so the wording is pinned."""
+    """One validator reads one kind table for every family; CI jobs and
+    tests compare its problem strings, so the wording is pinned."""
 
     EVENTS = [
-        {"kind": "serve.start", "data": {"shards": 2}},
+        {"kind": "serve.start", "data": {"shards": 2, "max_wait": 0.01,
+                                         "namespace": 64, "seed": 1}},
         {"kind": "serve.nope", "data": {}},
         {"kind": "fabric.task.reap",
          "data": {"campaign": "c", "task": "t", "owner": "w"}},
         {"kind": "fabric.nope"},
         {"kind": "round.begin"},
         {"kind": "server.start"},      # a family ends at its dot
+        {"kind": "tick"},              # no family in the table
     ]
 
-    def test_each_family_reports_only_its_own_problems(self):
-        assert validate_serve_events(self.EVENTS) == [
+    def test_one_pass_reports_every_family(self):
+        events = [{"seq": seq, "ts": 0.0, **event}
+                  for seq, event in enumerate(self.EVENTS)]
+        assert validate_events(events) == [
             "event 0: serve.start missing data field 'max_batch'",
             "event 1: unknown serve kind 'serve.nope'",
-        ]
-        assert validate_fabric_events(self.EVENTS) == [
             "event 2: fabric.task.reap missing data field 'attempt'",
             "event 3: unknown fabric kind 'fabric.nope'",
+            "event 4: round.begin missing data field 'alive'",
         ]
 
 
@@ -251,12 +254,12 @@ class TestProfiler:
         assert rows["loop:gen0"]["calls"] == rows["loop:gen1"]["calls"] == 0
 
 
-#: The kinds ``SyncNetwork`` emits, as ``docs/api.md`` lists them.
+#: The kinds ``SyncNetwork`` emits: every family of the table but the
+#: sweep engine's, the campaigns', the service's and the fabric's.
 NETWORK_KINDS = {
-    "run.begin", "run.end", "round.begin", "round.end", "crash.apply",
-    "deliver.fanout", "monitor.fire", "byzantine.fault", "fault.drop",
-    "fault.dup", "fault.corrupt", "fault.hold", "fault.release",
-    "fault.expire",
+    kind for kind in EVENT_KINDS
+    if kind.split(".", 1)[0] not in {"engine", "campaign", "serve",
+                                     "fabric"}
 }
 
 

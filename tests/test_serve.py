@@ -15,7 +15,6 @@ from repro.serve.batching import (
     EpochBatcher,
     plan_batches,
 )
-from repro.serve.obs import validate_serve_events
 from repro.serve.service import NotRenamed, RenamingService
 from repro.serve.sharding import (
     RELEASE,
@@ -375,7 +374,6 @@ class TestService:
         run(scenario())
         events = recorder.events()
         assert validate_events(events) == []
-        assert validate_serve_events(events) == []
         kinds = {event["kind"] for event in events}
         assert {"serve.start", "serve.batch.close", "serve.epoch.begin",
                 "serve.epoch.end", "serve.drain",

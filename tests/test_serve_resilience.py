@@ -24,7 +24,6 @@ from repro.serve.loadgen import (
     execute_profile,
     generate_trace,
 )
-from repro.serve.obs import validate_serve_events
 from repro.serve.resilience import ResiliencePolicy
 from repro.serve.service import (
     DeadlineExceeded,
@@ -186,7 +185,6 @@ class TestResilienceEvents:
                     resilience=RESILIENCE, observer=recorder)
         events = recorder.events()
         assert validate_events(events) == []
-        assert validate_serve_events(events) == []
         kinds = [event["kind"] for event in events]
         assert "serve.retry" in kinds
         open_at = kinds.index("serve.breaker.open")
@@ -228,7 +226,7 @@ class TestSheddingAndDeadlines:
         assert report["unresolved"] == 0
         assert report["unique"] is True
         assert any(e["kind"] == "serve.shed" for e in recorder.events())
-        assert validate_serve_events(recorder.events()) == []
+        assert validate_events(recorder.events()) == []
 
     def test_deadline_expires_retried_requests(self):
         # Backoff pushes the faulted shard's retries past the deadline;
