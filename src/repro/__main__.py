@@ -29,7 +29,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager, nullcontext
+from functools import partial
 from random import Random
+from typing import Callable
 
 
 def _print_rows(rows: list[dict], fmt: str = "plain") -> None:
@@ -66,26 +69,75 @@ def parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _parse_params(pairs: list[str]) -> dict:
-    """``key=value`` strings to a dict, JSON-decoding each value.
+def parse_param(pair: str) -> tuple[str, object]:
+    """One ``key=value`` string as ``(key, value)``, the value JSON-decoded.
 
     Engine parameters are JSON scalars only, so a structured JSON value
     (e.g. ``faults=[{"kind": "omission"}]``) stays the raw JSON *text* —
     drivers that take structured configuration accept it as a string.
     """
-    params = {}
-    for pair in pairs:
-        key, equals, raw = pair.partition("=")
-        if not equals:
-            raise SystemExit(f"--param needs key=value, got {pair!r}")
+    key, equals, raw = pair.partition("=")
+    if not equals:
+        raise ValueError(f"expected KEY=VALUE, got {pair!r}")
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    if not isinstance(value, (str, int, float, bool, type(None))):
+        value = raw
+    return key, value
+
+
+def _flag(check: Callable[[str], object]) -> Callable[[str], object]:
+    """A flag's ``type=``: ``check(text)``, whose ``ValueError`` becomes
+    argparse's usage error (exit 2) with the library's message kept."""
+    def parse(text: str) -> object:
         try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        if not isinstance(value, (str, int, float, bool, type(None))):
-            value = raw
-        params[key] = value
-    return params
+            return check(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+    return parse
+
+
+def _at_least(low: int) -> Callable[[str], object]:
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+    return _flag(count)
+
+
+def _names(resolve: Callable[[str], object], *,
+           one: bool = False) -> Callable[[str], object]:
+    """``type=`` of a comma list of names (or of ``one`` name), each
+    checked by ``resolve``: a library name table's ``lookup``."""
+    def names(text: str) -> object:
+        found = (text,) if one else tuple(
+            name for name in text.split(",") if name)
+        for name in found:
+            resolve(name)
+        return text if one else found
+    return _flag(names)
+
+
+def _scenario(name: str) -> object:
+    """``resolve_scenario``, imported on use: the falsifier's modules
+    stay out of every other command's start-up."""
+    from repro.falsify.scenarios import resolve_scenario
+
+    return resolve_scenario(name)
+
+
+@contextmanager
+def _one_error_line(args: argparse.Namespace, context: str = ""):
+    """What no one flag's ``type=`` can check — flags against each other,
+    a file, the store — fails as one ``python -m repro CMD: error: ...``
+    line with exit 1, before any run."""
+    try:
+        yield
+    except (OSError, TypeError, ValueError) as error:
+        raise SystemExit(f"{args.prog}: error: {context}{error}") from None
 
 
 def cmd_family(args: argparse.Namespace) -> int:
@@ -136,21 +188,19 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
 
 def _store_url(args) -> str:
     """``--store`` or ``$REPRO_STORE`` or the default, as an absolute
-    ``sqlite://`` URL; a bad location is one line, no traceback."""
+    ``sqlite://`` URL."""
     from repro.engine.store import default_store_path, resolve_store_url
 
-    try:
-        return resolve_store_url(
-            args.store if args.store else default_store_path())
-    except ValueError as error:
-        raise SystemExit(f"python -m repro: {error}") from None
+    with _one_error_line(args):
+        return resolve_store_url(args.store or default_store_path())
 
 
 def _open_store(args):
+    """The run store to enter (``None`` within it under ``--no-store``)."""
     from repro.engine.store import RunStore
 
     if getattr(args, "no_store", False):
-        return None
+        return nullcontext()
     return RunStore(_store_url(args))
 
 
@@ -161,6 +211,19 @@ def _add_store_flag(parser: argparse.ArgumentParser) -> None:
                              "$REPRO_STORE or .repro/runs.sqlite)")
 
 
+def _add_format_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=["plain", "md", "json"],
+                        default="plain")
+
+
+def _add_param_flag(parser: argparse.ArgumentParser, target: str) -> None:
+    """``--param``, a list of ``(key, value)`` pairs (:func:`parse_param`)."""
+    parser.add_argument("--param", action="append", default=[],
+                        type=_flag(parse_param), metavar="KEY=VALUE",
+                        help=f"extra {target} keyword (JSON value); "
+                             "repeatable")
+
+
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     """The five flags that spell one sweep spec (``sweep``, ``fabric
     enqueue``); :func:`_spec_requests` reads them back."""
@@ -168,52 +231,40 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument("--driver", default="crash", choices=driver_names(),
                         help="named summary driver from repro.engine.sweeps")
-    parser.add_argument("--n", default="16,32,64",
+    parser.add_argument("--n", default="16,32,64", type=_flag(parse_int_list),
                         help="comma/range list of n values, e.g. 16,32,64")
-    parser.add_argument("--seeds", default="0-4",
+    parser.add_argument("--seeds", default="0-4", type=_flag(parse_int_list),
                         help="comma/range list of seeds, e.g. 0-4 or 1,3,5")
     parser.add_argument("--f", default="0",
                         help="fault budget as an expression in n, "
                              "e.g. 0, n//8, 'max(1, n//4)'")
-    parser.add_argument("--param", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="extra driver keyword (JSON value); repeatable")
+    _add_param_flag(parser, "driver")
 
 
-def _spec_requests(args: argparse.Namespace, command: str) -> list:
-    """The requests of the spec flags; a bad spec is one error line."""
+def _spec_requests(args: argparse.Namespace) -> list:
+    """The requests of the spec flags: ``--f`` at each n and the params
+    against the spec are checked together here."""
     from repro.engine.sweeps import SweepSpec
 
-    try:
-        return SweepSpec.make(
-            args.driver,
-            parse_int_list(args.n),
-            parse_int_list(args.seeds),
-            f=args.f,
-            **_parse_params(args.param),
-        ).requests()
-    except (TypeError, ValueError) as error:
-        raise SystemExit(f"python -m repro {command}: error: {error}")
+    with _one_error_line(args):
+        return SweepSpec.make(args.driver, args.n, args.seeds, f=args.f,
+                              **dict(args.param)).requests()
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.engine.pool import run_requests
 
-    requests = _spec_requests(args, "sweep")
-    store = _open_store(args)
+    requests = _spec_requests(args)
     observer = None
     if args.telemetry:
         from repro.obs import EventRecorder
 
         observer = EventRecorder(profile=True)
-    try:
+    with _open_store(args) as store:
         results = run_requests(
             requests, jobs=args.jobs, store=store,
             timeout=args.timeout, observer=observer,
         )
-    finally:
-        if store is not None:
-            store.close()
     if observer is not None and observer.profiler:
         print(json.dumps(observer.profiler.report(), indent=2),
               file=sys.stderr)
@@ -239,6 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
+    from repro.engine.sweeps import evaluate_f
     from repro.falsify.campaign import (
         CampaignConfig,
         replay_artifact,
@@ -249,13 +301,8 @@ def cmd_falsify(args: argparse.Namespace) -> int:
     from repro.falsify.scenarios import DEFAULT_ADVERSARIES, DEFAULT_SCENARIOS
 
     if args.replay:
-        try:
+        with _one_error_line(args, f"cannot replay {args.replay}: "):
             artifact = ReproArtifact.load(args.replay)
-        except (OSError, ValueError, KeyError) as error:
-            reason = (f"missing field {error}"
-                      if isinstance(error, KeyError) else error)
-            raise SystemExit(f"python -m repro falsify: error: cannot "
-                             f"replay {args.replay}: {reason}") from None
         print(artifact.describe())
         error = replay_artifact(artifact)
         if error is None:
@@ -268,30 +315,27 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         print(f"reproduced: {error}")
         return 0
 
+    with _one_error_line(args):
+        for n in args.n:
+            evaluate_f(args.f, n)
     config = CampaignConfig(
-        scenarios=(tuple(s for s in args.scenario.split(",") if s)
-                   if args.scenario else DEFAULT_SCENARIOS),
-        n_values=tuple(parse_int_list(args.n)),
-        seeds=tuple(parse_int_list(args.seeds)),
+        scenarios=args.scenario or DEFAULT_SCENARIOS,
+        n_values=tuple(args.n),
+        seeds=tuple(args.seeds),
         f=args.f,
-        adversaries=(tuple(a for a in args.adversary.split(",") if a)
-                     if args.adversary else DEFAULT_ADVERSARIES),
+        adversaries=args.adversary or DEFAULT_ADVERSARIES,
         jobs=args.jobs,
         timeout=args.timeout,
         time_budget=args.time_budget,
         shrink=not args.no_shrink,
-        params=_parse_params(args.param),
+        params=dict(args.param),
     )
-    store = _open_store(args)
 
     def progress(done: int, total: int) -> None:
         print(f"probed {done}/{total}", file=sys.stderr)
 
-    try:
+    with _open_store(args) as store:
         result = run_campaign(config, store=store, progress=progress)
-    finally:
-        if store is not None:
-            store.close()
 
     print(
         f"\n{len(result.results)} probes: {result.executed} executed, "
@@ -318,7 +362,6 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
-    from repro.falsify.scenarios import make_adversary, resolve_scenario
     from repro.faults.degradation import (
         SAFE_TERMINATED,
         classify_scenario,
@@ -327,22 +370,14 @@ def cmd_faults(args: argparse.Namespace) -> int:
     )
     from repro.faults.spec import build_fault_model
 
-    scenarios = [s for s in args.scenario.split(",") if s]
-    # A bad flag is the caller's error, not a rung's outcome: check each
-    # before any run (the adversary's kind whatever its budget).
-    try:
-        for scenario in scenarios:
-            resolve_scenario(scenario)
-        make_adversary(args.adversary, max(args.f, 1), args.seed)
+    with _one_error_line(args):
+        # The spec's entries as built at --n and --seed, before any run.
         build_fault_model(args.faults, args.n, args.seed)
-    except (KeyError, TypeError, ValueError) as error:
-        raise SystemExit(
-            f"python -m repro faults: error: {error.args[0]}") from None
     if args.faults:
         # One explicit spec instead of the ladder: classify it per
         # scenario (the single-cell form of the frontier).
         rows = []
-        for scenario in scenarios:
+        for scenario in args.scenario:
             row = classify_scenario(
                 scenario, args.n, args.f, args.seed, args.faults,
                 adversary=args.adversary,
@@ -353,7 +388,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             rows.append(row)
     else:
         rows = degradation_frontier(
-            scenarios, args.n, args.f, args.seed,
+            args.scenario, args.n, args.f, args.seed,
             adversary=args.adversary,
             watchdog_rounds=args.watchdog_rounds,
         )
@@ -374,27 +409,12 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 1 if broken else 0
 
 
-def cmd_obs(args: argparse.Namespace) -> int:
-    handler = {
-        "tail": _obs_tail,
-        "profile": _obs_profile,
-        "report": _obs_report,
-    }[args.obs_command]
-    return handler(args)
-
-
 def _obs_tail(args: argparse.Namespace) -> int:
     """Validate an event file and print its most recent events."""
     from repro.obs import read_jsonl, validate_events
 
-    if args.last < 0:
-        raise SystemExit("python -m repro obs tail: error: --last must be "
-                         f">= 0, got {args.last}")
-    try:
+    with _one_error_line(args):
         events = read_jsonl(args.path)
-    except (OSError, ValueError) as error:
-        print(f"python -m repro obs tail: {error}", file=sys.stderr)
-        return 1
     problems = validate_events(events)
     for problem in problems:
         print(f"INVALID {problem}", file=sys.stderr)
@@ -414,7 +434,7 @@ def _obs_profile(args: argparse.Namespace) -> int:
         result, report = profile_scenario(
             args.scenario, args.n, args.f, args.seed,
             adversary=args.adversary, observer=recorder,
-            params=_parse_params(args.param),
+            params=dict(args.param),
         )
     except Exception as error:
         print(f"python -m repro obs profile: {error}", file=sys.stderr)
@@ -438,12 +458,9 @@ def _obs_profile(args: argparse.Namespace) -> int:
 
 def _obs_report(args: argparse.Namespace) -> int:
     """Aggregate the store's telemetry table per driver."""
-    store = _open_store(args)
-    try:
+    with _open_store(args) as store:
         rows = store.telemetry_rows(
             key="run", driver=args.driver, limit=args.limit)
-    finally:
-        store.close()
     if not rows:
         print("no telemetry recorded (run a sweep with --telemetry)")
         return 0
@@ -473,13 +490,10 @@ def _obs_report(args: argparse.Namespace) -> int:
 def cmd_runs(args: argparse.Namespace) -> int:
     from datetime import datetime, timezone
 
-    store = _open_store(args)
-    try:
+    with _open_store(args) as store:
         stored = store.query(driver=args.driver, n=args.n,
                              status=args.status, limit=args.limit)
         stats = store.stats()
-    finally:
-        store.close()
     _print_rows([
         {
             "hash": run.hash[:10],
@@ -510,12 +524,9 @@ def cmd_runs(args: argparse.Namespace) -> int:
 def cmd_runs_export(args: argparse.Namespace) -> int:
     from repro.engine.export import export_store
 
-    store = _open_store(args)
-    try:
+    with _open_store(args) as store:
         exported, written = export_store(
             store, args.out, driver=args.driver, status=args.status)
-    finally:
-        store.close()
     for path in written.values():
         print(path)
     print(f"\nexported {exported} runs (+ ledgers, telemetry) as jsonl "
@@ -523,21 +534,11 @@ def cmd_runs_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fabric(args: argparse.Namespace) -> int:
-    handler = {
-        "enqueue": _fabric_enqueue,
-        "work": _fabric_work,
-        "status": _fabric_status,
-        "resume": _fabric_resume,
-    }[args.fabric_command]
-    return handler(args)
-
-
 def _fabric_enqueue(args: argparse.Namespace) -> int:
     """Fan a sweep out as leasable tasks in the store's queue."""
     from repro.engine.fabric import enqueue_campaign
 
-    requests = _spec_requests(args, "fabric enqueue")
+    requests = _spec_requests(args)
     url = _store_url(args)
     total, new = enqueue_campaign(url, args.campaign, requests,
                                   events_dir=args.events)
@@ -549,7 +550,7 @@ def _fabric_enqueue(args: argparse.Namespace) -> int:
 def _fabric_config(args: argparse.Namespace):
     from repro.engine.fabric import FabricConfig
 
-    try:
+    with _one_error_line(args):
         return FabricConfig(
             store=_store_url(args),
             campaign=args.campaign,
@@ -559,8 +560,6 @@ def _fabric_config(args: argparse.Namespace):
             forever=getattr(args, "forever", False),
             events_dir=args.events,
         )
-    except ValueError as error:
-        raise SystemExit(f"python -m repro fabric: error: {error}")
 
 
 def _print_worker_summaries(summaries: list[dict]) -> int:
@@ -638,28 +637,43 @@ def _fabric_status(args: argparse.Namespace) -> int:
         print()
 
 
+def _command(sub, name: str, func: Callable[[argparse.Namespace], int],
+             **kwargs) -> argparse.ArgumentParser:
+    """Register one command: its parser runs ``func``, and ``prog``
+    names it in :func:`_one_error_line`'s line."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.set_defaults(func=func, prog=parser.prog)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.analysis.experiments import (
+        BYZANTINE_STRATEGIES,
+        CRASH_ADVERSARIES,
+        lookup,
+    )
+    from repro.faults.spec import normalize_spec
+
+    adversary = partial(lookup, CRASH_ADVERSARIES, "adversary")
+
     parser = argparse.ArgumentParser(
         prog="python -m repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    crash = sub.add_parser("crash", help="run the crash-resilient algorithm")
-    crash.add_argument("--n", type=int, default=64)
+    crash = _command(sub, "crash", cmd_family,
+                     help="run the crash-resilient algorithm")
+    crash.add_argument("--n", type=_at_least(1), default=64)
     crash.add_argument("--f", type=int, default=0,
                        help="crash budget for the adversary")
     crash.add_argument("--adversary", choices=["hunter", "random"],
                        default="hunter")
     crash.add_argument("--seed", type=int, default=1)
-    crash.set_defaults(func=cmd_family)
 
-    from repro.analysis.experiments import BYZANTINE_STRATEGIES
-
-    byzantine = sub.add_parser(
-        "byzantine", help="run the Byzantine-resilient algorithm"
-    )
-    byzantine.add_argument("--n", type=int, default=16)
+    byzantine = _command(sub, "byzantine", cmd_family,
+                         help="run the Byzantine-resilient algorithm")
+    byzantine.add_argument("--n", type=_at_least(1), default=16)
     byzantine.add_argument("--f", type=int, default=0,
                            help="number of corrupted nodes")
     byzantine.add_argument("--strategy", dest="adversary",
@@ -667,26 +681,22 @@ def build_parser() -> argparse.ArgumentParser:
                            default="withholder")
     byzantine.add_argument("--consensus-iterations", type=int, default=8)
     byzantine.add_argument("--seed", type=int, default=1)
-    byzantine.set_defaults(func=cmd_family)
 
-    table1 = sub.add_parser("table1", help="regenerate Table 1 at one (n, f)")
-    table1.add_argument("--n", type=int, default=32)
+    table1 = _command(sub, "table1", cmd_table1,
+                      help="regenerate Table 1 at one (n, f)")
+    table1.add_argument("--n", type=_at_least(1), default=32)
     table1.add_argument("--f", type=int, default=4)
     table1.add_argument("--seed", type=int, default=1)
-    table1.set_defaults(func=cmd_table1)
 
-    lowerbound = sub.add_parser(
-        "lowerbound", help="the Theorem 1.4 message-floor experiment"
-    )
-    lowerbound.add_argument("--n", type=int, default=48)
-    lowerbound.add_argument("--trials", type=int, default=2000)
+    lowerbound = _command(sub, "lowerbound", cmd_lowerbound,
+                          help="the Theorem 1.4 message-floor experiment")
+    # n - 2 is one of the message budgets tried, so n is at least 2.
+    lowerbound.add_argument("--n", type=_at_least(2), default=48)
+    lowerbound.add_argument("--trials", type=_at_least(1), default=2000)
     lowerbound.add_argument("--seed", type=int, default=1)
-    lowerbound.set_defaults(func=cmd_lowerbound)
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="run a parallel, store-backed sweep over n x seeds",
-    )
+    sweep = _command(sub, "sweep", cmd_sweep,
+                     help="run a parallel, store-backed sweep over n x seeds")
     _add_spec_flags(sweep)
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1 = serial, in-process)")
@@ -695,28 +705,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_flag(sweep)
     sweep.add_argument("--no-store", action="store_true",
                        help="run without reading or writing the store")
-    sweep.add_argument("--format", choices=["plain", "md", "json"],
-                       default="plain")
+    _add_format_flag(sweep)
     sweep.add_argument("--telemetry", action="store_true",
                        help="record engine events + per-driver timings; "
                             "persists telemetry rows into the store")
-    sweep.set_defaults(func=cmd_sweep)
 
-    falsify = sub.add_parser(
-        "falsify",
+    falsify = _command(
+        sub, "falsify", cmd_falsify,
         help="hunt for invariant violations; shrink and save repro "
              "artifacts",
     )
-    falsify.add_argument("--scenario", default=None,
+    falsify.add_argument("--scenario", default=None, type=_names(_scenario),
                          help="comma list of scenarios (default: the "
                               "clean built-in scenarios)")
-    falsify.add_argument("--n", default="8,12",
+    falsify.add_argument("--n", default="8,12", type=_flag(parse_int_list),
                          help="comma/range list of n values")
-    falsify.add_argument("--seeds", default="0-3",
+    falsify.add_argument("--seeds", default="0-3", type=_flag(parse_int_list),
                          help="comma/range list of seeds")
     falsify.add_argument("--f", default="max(1, n // 4)",
                          help="crash budget as an expression in n")
     falsify.add_argument("--adversary", default=None,
+                         type=_names(adversary),
                          help="comma list of adversaries "
                               "(default: random,hunter,partitioner)")
     falsify.add_argument("--jobs", type=int, default=1,
@@ -731,84 +740,76 @@ def build_parser() -> argparse.ArgumentParser:
                               "delta-debugging them")
     falsify.add_argument("--out", default=".repro/repros",
                          help="directory for repro artifacts")
-    falsify.add_argument("--param", action="append", default=[],
-                         metavar="KEY=VALUE",
-                         help="extra scenario keyword (JSON value); "
-                              "repeatable")
+    _add_param_flag(falsify, "scenario")
     _add_store_flag(falsify)
     falsify.add_argument("--no-store", action="store_true",
                          help="run without reading or writing the store")
     falsify.add_argument("--replay", default=None, metavar="PATH",
                          help="strictly replay one repro artifact and "
                               "exit (0 = reproduced)")
-    falsify.set_defaults(func=cmd_falsify)
 
-    faults = sub.add_parser(
-        "faults",
+    faults = _command(
+        sub, "faults", cmd_faults,
         help="degradation frontier: classify scenarios under an "
              "escalating fault ladder",
     )
     faults.add_argument("--scenario", default="crash,gossip",
+                        type=_names(_scenario),
                         help="comma list of scenarios "
                              "(default: crash,gossip)")
-    faults.add_argument("--n", type=int, default=16)
+    faults.add_argument("--n", type=_at_least(1), default=16)
     faults.add_argument("--f", type=int, default=0,
                         help="crash budget for --adversary (default 0)")
     faults.add_argument("--seed", type=int, default=1)
     faults.add_argument("--adversary", default="none",
+                        type=_names(adversary, one=True),
                         help="none, random, hunter, partitioner "
                              "(composed with the link faults)")
     faults.add_argument("--faults", default=None, metavar="JSON",
+                        type=_flag(normalize_spec),
                         help="classify one explicit fault spec instead "
                              "of the default ladder")
     faults.add_argument("--watchdog-rounds", type=int, default=None,
                         help="stall watchdog override (default 32n+256)")
-    faults.add_argument("--format", choices=["plain", "md", "json"],
-                        default="plain")
-    faults.set_defaults(func=cmd_faults)
+    _add_format_flag(faults)
 
     obs = sub.add_parser(
         "obs", help="observability: inspect events, profile, telemetry"
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
-    obs_tail = obs_sub.add_parser(
-        "tail", help="validate an event JSONL file and print the tail"
-    )
+    obs_tail = _command(
+        obs_sub, "tail", _obs_tail,
+        help="validate an event JSONL file and print the tail")
     obs_tail.add_argument("path", help="event file written by the recorder")
-    obs_tail.add_argument("--last", type=int, default=20,
+    obs_tail.add_argument("--last", type=_at_least(0), default=20,
                           help="events to print (default 20)")
-    obs_tail.set_defaults(func=cmd_obs)
 
-    obs_profile = obs_sub.add_parser(
-        "profile", help="run one scenario with the phase profiler on"
-    )
+    obs_profile = _command(
+        obs_sub, "profile", _obs_profile,
+        help="run one scenario with the phase profiler on")
     obs_profile.add_argument("--scenario", default="crash",
+                             type=_names(_scenario, one=True),
                              help="falsification scenario name "
                                   "(default: crash)")
-    obs_profile.add_argument("--n", type=int, default=32)
+    obs_profile.add_argument("--n", type=_at_least(1), default=32)
     obs_profile.add_argument("--f", type=int, default=4)
     obs_profile.add_argument("--seed", type=int, default=1)
     obs_profile.add_argument("--adversary", default="random",
+                             type=_names(adversary, one=True),
                              help="none, random, hunter, partitioner")
     obs_profile.add_argument("--events", default=None, metavar="PATH",
                              help="also write the event stream as JSONL")
-    obs_profile.add_argument("--param", action="append", default=[],
-                             metavar="KEY=VALUE",
-                             help="extra scenario keyword (JSON value); "
-                                  "repeatable")
-    obs_profile.set_defaults(func=cmd_obs)
+    _add_param_flag(obs_profile, "scenario")
 
-    obs_report = obs_sub.add_parser(
-        "report", help="aggregate stored sweep telemetry per driver"
-    )
+    obs_report = _command(
+        obs_sub, "report", _obs_report,
+        help="aggregate stored sweep telemetry per driver")
     obs_report.add_argument("--driver", default=None,
                             help="restrict to one driver")
     obs_report.add_argument("--limit", type=int, default=None)
-    obs_report.add_argument("--format", choices=["plain", "md", "json"],
-                            default="plain")
+    _add_format_flag(obs_report)
     _add_store_flag(obs_report)
-    obs_report.set_defaults(func=cmd_obs)
 
     fabric = sub.add_parser(
         "fabric",
@@ -824,13 +825,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--events", default=None, metavar="DIR",
                        help=events_help)
 
-    fabric_enqueue = fabric_sub.add_parser(
-        "enqueue", help="fan a sweep out as leasable queue tasks"
-    )
+    fabric_enqueue = _command(
+        fabric_sub, "enqueue", _fabric_enqueue,
+        help="fan a sweep out as leasable queue tasks")
     _add_spec_flags(fabric_enqueue)
     _fabric_store_args(fabric_enqueue,
                        "directory for the enqueue event record")
-    fabric_enqueue.set_defaults(func=cmd_fabric)
 
     def _fabric_worker_args(p):
         p.add_argument("--workers", type=int, default=1,
@@ -847,53 +847,45 @@ def build_parser() -> argparse.ArgumentParser:
         _fabric_store_args(p, "directory for per-worker fabric@1 "
                               "event streams")
 
-    fabric_work = fabric_sub.add_parser(
-        "work", help="run workers until the campaign drains"
-    )
+    fabric_work = _command(fabric_sub, "work", _fabric_work,
+                           help="run workers until the campaign drains")
     _fabric_worker_args(fabric_work)
     fabric_work.add_argument("--forever", action="store_true",
                              help="keep polling after the queue drains "
                                   "(a standing fleet)")
-    fabric_work.set_defaults(func=cmd_fabric)
 
-    fabric_resume = fabric_sub.add_parser(
-        "resume",
-        help="reclaim leases from dead workers, then drain the rest",
-    )
+    fabric_resume = _command(
+        fabric_sub, "resume", _fabric_resume,
+        help="reclaim leases from dead workers, then drain the rest")
     _fabric_worker_args(fabric_resume)
-    fabric_resume.set_defaults(func=cmd_fabric, forever=False)
 
-    fabric_status = fabric_sub.add_parser(
-        "status", help="per-campaign queue counts and live leases"
-    )
+    fabric_status = _command(
+        fabric_sub, "status", _fabric_status,
+        help="per-campaign queue counts and live leases")
     fabric_status.add_argument("--campaign", default=None,
                                help="restrict to one campaign")
     _add_store_flag(fabric_status)
-    fabric_status.add_argument("--format", choices=["plain", "md", "json"],
-                               default="plain")
+    _add_format_flag(fabric_status)
     fabric_status.add_argument("--live", action="store_true",
                                help="refresh until no tasks remain "
                                     "outstanding")
     fabric_status.add_argument("--interval", type=float, default=2.0,
                                help="seconds between --live refreshes "
                                     "(default 2)")
-    fabric_status.set_defaults(func=cmd_fabric)
 
-    runs = sub.add_parser(
-        "runs", help="list/query cached runs; 'runs export' dumps them"
-    )
+    runs = _command(
+        sub, "runs", cmd_runs,
+        help="list/query cached runs; 'runs export' dumps them")
     runs.add_argument("--driver", default=None)
     runs.add_argument("--n", type=int, default=None)
     runs.add_argument("--status", choices=["ok", "failed"], default=None)
     runs.add_argument("--limit", type=int, default=None)
-    runs.add_argument("--format", choices=["plain", "md", "json"],
-                      default="plain")
+    _add_format_flag(runs)
     _add_store_flag(runs)
-    runs.set_defaults(func=cmd_runs, runs_command=None)
 
     runs_sub = runs.add_subparsers(dest="runs_command")
-    runs_export = runs_sub.add_parser(
-        "export",
+    runs_export = _command(
+        runs_sub, "export", cmd_runs_export,
         help="dump runs+ledgers+telemetry as JSONL files for analytics "
              "SQL",
     )
@@ -904,7 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
     runs_export.add_argument("--status", choices=["ok", "failed"],
                              default=None)
     _add_store_flag(runs_export)
-    runs_export.set_defaults(func=cmd_runs_export)
 
     return parser
 

@@ -78,8 +78,29 @@ def check_renaming(
     return {"unique": unique, "strong": strong, "order_preserving": ordered}
 
 
+def lookup(table: Mapping[str, object], noun: str, name: str):
+    """``table[name]``: every name table (families, drivers, scenarios,
+    adversaries, strategies, fault kinds) resolves a name here, so an
+    unknown one is the same ``ValueError`` wherever it is given."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise ValueError(
+        f"unknown {noun} {name!r}; known: {', '.join(sorted(table))}")
+
+
 # ---------------------------------------------------------------------------
 # The protocol families and the one way to run them
+
+
+#: The crash adversaries by kind, each ``(budget, rng, rate)`` -> the
+#: adversary; ``"none"`` is no adversary.
+CRASH_ADVERSARIES: dict[str, Optional[Callable[..., CrashAdversary]]] = {
+    "none": None,
+    "random": lambda budget, rng, rate: RandomCrash(budget, rate=rate,
+                                                    rng=rng),
+    "hunter": lambda budget, rng, rate: CommitteeHunter(budget, rng),
+    "partitioner": lambda budget, rng, rate: MidSendPartitioner(budget, rng),
+}
 
 
 def make_crash_adversary(
@@ -89,18 +110,9 @@ def make_crash_adversary(
     ``None`` / ``"none"`` / an empty budget is no adversary.  ``rate``
     is the per-round crash probability of ``"random"``: 0.05 in sweep
     rows, ``FALSIFY_CRASH_RATE`` in the falsifier's probes."""
-    if kind in (None, "none") or budget <= 0:
-        return None
-    if kind == "random":
-        return RandomCrash(budget, rate=rate, rng=rng)
-    if kind == "hunter":
-        return CommitteeHunter(budget, rng)
-    if kind == "partitioner":
-        return MidSendPartitioner(budget, rng)
-    raise ValueError(
-        f"unknown adversary kind {kind!r}; expected one of "
-        f"none, random, hunter, partitioner"
-    )
+    make = None if kind is None else lookup(CRASH_ADVERSARIES, "adversary",
+                                            kind)
+    return make(budget, rng, rate) if make and budget > 0 else None
 
 
 def crash_attack(kind: Optional[str], uids: list[int], f: int,
@@ -127,7 +139,7 @@ def byzantine_attack(kind: Optional[str], uids: list[int], f: int,
     any shared randomness exists."""
     if kind in (None, "none"):
         return None
-    strategy = BYZANTINE_STRATEGIES[kind](seed)
+    strategy = lookup(BYZANTINE_STRATEGIES, "strategy", kind)(seed)
     corrupt = byzantine_strategies.corrupt_set(uids, f, Random(seed + 1))
     return {uid: strategy for uid in corrupt}
 
@@ -286,7 +298,7 @@ def summary(name: str, n: int, f: int, seed: int, *,
     ``params`` are the family's own plus ``adversary`` (a kind, or
     ``None`` for a failure-free run; default the family's).
     """
-    family = FAMILIES[name]
+    family = lookup(FAMILIES, "family", name)
     adversary = params.pop("adversary", family.adversary)
     unknown = sorted(set(params) - set(family.params))
     if unknown:

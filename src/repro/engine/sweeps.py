@@ -65,13 +65,10 @@ def driver_names() -> list[str]:
 
 
 def resolve_driver(name: str) -> Callable[..., dict]:
+    from repro.analysis.experiments import lookup
+
     _load_default_drivers()
-    try:
-        return DRIVERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown driver {name!r}; known: {', '.join(sorted(DRIVERS))}"
-        ) from None
+    return lookup(DRIVERS, "driver", name)
 
 
 def canonical_params(params: Mapping[str, object]) -> tuple:

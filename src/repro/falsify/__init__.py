@@ -46,7 +46,6 @@ from repro.falsify.scenarios import (
     make_adversary,
     register_scenario,
     run_scenario,
-    scenario_names,
 )
 from repro.falsify.shrink import ShrinkReport, probe, shrink_artifact
 
@@ -78,6 +77,5 @@ __all__ = [
     "run_campaign",
     "run_scenario",
     "save_findings",
-    "scenario_names",
     "shrink_artifact",
 ]

@@ -206,6 +206,10 @@ class ReproArtifact:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ReproArtifact":
+        """The artifact ``data`` spells; a wrong kind or format, a missing
+        field or an unknown scenario is a ``ValueError``."""
+        from repro.falsify.scenarios import resolve_scenario
+
         kind = data.get("kind") if isinstance(data, Mapping) else None
         if kind != ARTIFACT_KIND:
             raise ValueError(f"not a falsify repro artifact: kind={kind!r}")
@@ -215,19 +219,22 @@ class ReproArtifact:
                 f"(this build reads format {ARTIFACT_FORMAT})"
             )
         violation = data.get("violation", {})
-        return cls(
-            scenario=data["scenario"],
-            n=int(data["n"]),
-            f=int(data["f"]),
-            seed=int(data["seed"]),
-            params=dict(data.get("params", {})),
-            schedule=schedule_from_json(data.get("schedule", ())),
-            invariant=violation.get("invariant", "unknown"),
-            violation_round=int(violation.get("round", 0)),
-            nodes=tuple(violation.get("nodes", ())),
-            detail=violation.get("detail"),
-            code_version=data.get("code_version", ""),
-        )
+        try:
+            return cls(
+                scenario=resolve_scenario(data["scenario"]).name,
+                n=int(data["n"]),
+                f=int(data["f"]),
+                seed=int(data["seed"]),
+                params=dict(data.get("params", {})),
+                schedule=schedule_from_json(data.get("schedule", ())),
+                invariant=violation.get("invariant", "unknown"),
+                violation_round=int(violation.get("round", 0)),
+                nodes=tuple(violation.get("nodes", ())),
+                detail=violation.get("detail"),
+                code_version=data.get("code_version", ""),
+            )
+        except KeyError as error:
+            raise ValueError(f"missing field {error}") from None
 
     def save(self, path) -> Path:
         path = Path(path)

@@ -24,6 +24,7 @@ from repro.analysis.experiments import (
     FAMILIES,
     Family,
     execute,
+    lookup,
     make_crash_adversary,
 )
 from repro.falsify.faulty import run_racy_rank
@@ -65,17 +66,8 @@ def register_scenario(scenario: Scenario) -> Scenario:
     return scenario
 
 
-def scenario_names() -> list[str]:
-    return sorted(SCENARIOS)
-
-
 def resolve_scenario(name: str) -> Scenario:
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; known: {', '.join(scenario_names())}"
-        ) from None
+    return lookup(SCENARIOS, "scenario", name)
 
 
 def make_adversary(

@@ -56,6 +56,9 @@ def normalize_spec(spec: FaultSpec) -> list[dict]:
     if not isinstance(spec, Sequence):
         raise ValueError(f"fault spec {spec!r} must be an object or a "
                          f"list of objects")
+    # Imported here: importing experiments imports this package.
+    from repro.analysis.experiments import lookup
+
     entries = []
     for entry in spec:
         if not isinstance(entry, Mapping) or "kind" not in entry:
@@ -63,6 +66,7 @@ def normalize_spec(spec: FaultSpec) -> list[dict]:
                 f"fault spec entry {entry!r} must be an object with a "
                 f"'kind' field"
             )
+        lookup(FAULT_MODELS, "fault kind", entry["kind"])
         entries.append(dict(entry))
     return entries
 
@@ -83,6 +87,23 @@ def _partition_sides(entry: Mapping, n: int) -> list[int]:
     return list(range(max(1, min(n - 1, round(frac * n)))))
 
 
+#: The fault model of each spec kind, from ``(entry, n, seed, budget)``.
+FAULT_MODELS = {
+    "omission": lambda entry, n, seed, budget: OmissionFaults(
+        float(entry.get("p", 0.05)), seed=seed, budget=budget),
+    "duplicate": lambda entry, n, seed, budget: DuplicateDelivery(
+        float(entry.get("p", 0.05)), copies=int(entry.get("copies", 1)),
+        seed=seed, budget=budget),
+    "corrupt": lambda entry, n, seed, budget: CorruptingChannel(
+        float(entry.get("p", 0.05)), seed=seed, budget=budget),
+    "partition": lambda entry, n, seed, budget: TransientPartition(
+        int(entry.get("start", 2)),
+        int(entry.get("end", entry.get("start", 2) + 3)),
+        _partition_sides(entry, n)),
+    "none": lambda entry, n, seed, budget: NoFaults(),
+}
+
+
 def build_fault_model(
     spec: FaultSpec,
     n: int,
@@ -94,39 +115,15 @@ def build_fault_model(
     own stream from ``seed + FAULT_SEED_OFFSET + position`` so stacked
     models never share coins.
     """
-    entries = normalize_spec(spec)
-    if not entries:
-        return None
     models: list[FaultModel] = []
-    for position, entry in enumerate(entries):
-        kind = entry["kind"]
-        entry_seed = int(entry.get(
-            "seed", seed + FAULT_SEED_OFFSET + position))
+    for position, entry in enumerate(normalize_spec(spec)):
         budget = entry.get("budget")
-        budget = None if budget is None else int(budget)
-        if kind == "omission":
-            models.append(OmissionFaults(
-                float(entry.get("p", 0.05)), seed=entry_seed, budget=budget))
-        elif kind == "duplicate":
-            models.append(DuplicateDelivery(
-                float(entry.get("p", 0.05)),
-                copies=int(entry.get("copies", 1)),
-                seed=entry_seed, budget=budget))
-        elif kind == "corrupt":
-            models.append(CorruptingChannel(
-                float(entry.get("p", 0.05)), seed=entry_seed, budget=budget))
-        elif kind == "partition":
-            models.append(TransientPartition(
-                int(entry.get("start", 2)),
-                int(entry.get("end", entry.get("start", 2) + 3)),
-                _partition_sides(entry, n)))
-        elif kind == "none":
-            models.append(NoFaults())
-        else:
-            raise ValueError(
-                f"unknown fault kind {kind!r}; expected omission, "
-                f"duplicate, corrupt, partition, or none"
-            )
+        models.append(FAULT_MODELS[entry["kind"]](
+            entry, n, int(entry.get("seed", seed + FAULT_SEED_OFFSET
+                                    + position)),
+            None if budget is None else int(budget)))
+    if not models:
+        return None
     if len(models) == 1:
         return models[0]
     return ComposedFaults(models)

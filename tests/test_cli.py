@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import _parse_params, build_parser, main
+from repro.__main__ import build_parser, main, parse_param
 from repro.analysis.tables import markdown_table, plain_table
 from repro.engine import RunRequest, RunStore, TaskQueue, enqueue_campaign
 
@@ -50,18 +50,23 @@ class TestParser:
             build_parser().parse_args([name])
 
     def test_faults_defaults(self):
+        # A string default goes through the flag's type= like a value.
         args = build_parser().parse_args(["faults"])
-        assert args.scenario == "crash,gossip" and args.n == 16
+        assert args.scenario == ("crash", "gossip") and args.n == 16
 
     def test_param_scalars_are_json_decoded(self):
-        params = _parse_params(["rate=0.5", "strategy=withholder"])
-        assert params == {"rate": 0.5, "strategy": "withholder"}
+        assert parse_param("rate=0.5") == ("rate", 0.5)
+        assert parse_param("strategy=withholder") == ("strategy",
+                                                      "withholder")
+        args = build_parser().parse_args(
+            ["sweep", "--param", "rate=0.5", "--param", "slots=null"])
+        assert dict(args.param) == {"rate": 0.5, "slots": None}
 
     def test_param_structured_json_stays_text(self):
         # Engine params are JSON scalars; a structured value reaches the
         # driver as its JSON text (the faults driver's spec form).
         raw = '[{"kind": "omission", "p": 0.1}]'
-        assert _parse_params([f"faults={raw}"]) == {"faults": raw}
+        assert parse_param(f"faults={raw}") == ("faults", raw)
 
 
 #: Command path -> the first 16 hex digits of the sha256 of its
@@ -137,29 +142,39 @@ class TestSpecFlags:
 
     @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
     def test_spec_defaults(self, command):
+        # The string defaults of --n and --seeds go through their type=.
         args = build_parser().parse_args(command)
         assert (args.driver, args.n, args.seeds, args.f, args.param) == (
-            "crash", "16,32,64", "0-4", "0", [])
+            "crash", [16, 32, 64], [0, 1, 2, 3, 4], "0", [])
 
     @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
-    def test_bad_spec_is_one_error_line(self, command, tmp_path, monkeypatch):
+    def test_bad_spec_is_one_error_line(self, command, tmp_path, monkeypatch,
+                                        capsys):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as done:
-            main([*command, "--driver", "crash", "--n", "x"])
-        assert done.value.code == (
-            f"python -m repro {' '.join(command)}: error: "
-            "invalid literal for int() with base 10: 'x'")
+        prog = f"python -m repro {' '.join(command)}"
+        # One flag's value: argparse's usage error.
+        code, err = run_cli([*command, "--driver", "crash", "--n", "x"],
+                            capsys)
+        assert (code, err.splitlines()[-1]) == (2, (
+            f"{prog}: error: argument --n: invalid literal for int() "
+            "with base 10: 'x'"))
+        # --f is checked at each n: one error line, exit 1.
+        code, err = run_cli([*command, "--f", "bogus"], capsys)
+        assert (code, err) == (1, (
+            f"{prog}: error: bad fault-budget expression 'bogus': name "
+            "'bogus' is not defined\n"))
         assert list(tmp_path.iterdir()) == []
 
 
 class TestObsTail:
-    def test_negative_last_is_one_error_line(self, tmp_path):
+    def test_negative_last_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "events.jsonl"
         path.write_text('{"seq": 0, "ts": 0, "kind": "tick"}\n')
-        with pytest.raises(SystemExit) as done:
-            main(["obs", "tail", str(path), "--last", "-2"])
-        assert done.value.code == (
-            "python -m repro obs tail: error: --last must be >= 0, got -2")
+        code, err = run_cli(["obs", "tail", str(path), "--last", "-2"],
+                            capsys)
+        assert (code, err.splitlines()[-1]) == (2, (
+            "python -m repro obs tail: error: argument --last: must be "
+            ">= 0, got -2"))
 
     def test_every_family_is_checked(self, tmp_path, capsys):
         """Before one kind table, this stream read "4 events, 0 schema
@@ -193,37 +208,116 @@ class TestObsTail:
         ]
 
 
+def run_cli(argv: list[str], capsys) -> tuple[int, str]:
+    """``main(argv)`` in process: its exit code and stderr, a
+    ``SystemExit`` message counted as the interpreter reports it."""
+    try:
+        code = main(argv)
+    except SystemExit as done:
+        code = done.code
+    err = capsys.readouterr().err
+    if isinstance(code, str):
+        return 1, err + code + "\n"
+    return code, err
+
+
+SCENARIOS = ("balls, crash, crash-dup, gossip, gossip-dup, gossip-faults, "
+             "obg, planted-duplicate")
+
+
 class TestBadInput:
-    """A bad flag or file is one error line before any run starts."""
+    """A bad flag is argparse's usage error (exit 2); what only flags
+    together or a file can show is one error line (exit 1).  Either way
+    nothing runs and nothing is written."""
 
-    @pytest.mark.parametrize("argv, message", [
-        (["faults", "--faults", "notjson"],
-         "fault spec is not JSON: Expecting value: line 1 column 1 "
-         "(char 0)"),
-        (["faults", "--scenario", "nope"], "unknown scenario 'nope'; "
-         "known: balls, crash, crash-dup, gossip, gossip-dup, "
-         "gossip-faults, obg, planted-duplicate"),
-        (["faults", "--adversary", "nope", "--f", "2"],
-         "unknown adversary kind 'nope'; expected one of none, random, "
-         "hunter, partitioner"),
-    ], ids=["faults-spec", "scenario", "adversary"])
-    def test_faults(self, argv, message, monkeypatch):
-        from repro.faults import degradation
+    @pytest.fixture
+    def no_run(self, tmp_path, monkeypatch):
+        from repro.analysis import experiments
+        from repro.engine import pool
+        from repro.falsify import scenarios
+        from repro.lowerbound.anonymous import SilentRenamingExperiment
 
-        def no_run(*args, **kwargs):
+        def run(*args, **kwargs):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(degradation, "run_scenario", no_run)
-        with pytest.raises(SystemExit) as done:
-            main(argv)
-        assert done.value.code == f"python -m repro faults: error: {message}"
+        for owner, name in [(experiments, "execute"), (scenarios, "execute"),
+                            (pool, "run_requests"),
+                            (SilentRenamingExperiment, "run")]:
+            monkeypatch.setattr(owner, name, run)
+        monkeypatch.chdir(tmp_path)
+        yield
+        assert list(tmp_path.iterdir()) == []
+
+    BAD = [
+        (["falsify", "--scenario", "nope"], 2,
+         f"argument --scenario: unknown scenario 'nope'; known: {SCENARIOS}"),
+        (["falsify", "--adversary", "random,nope"], 2,
+         "argument --adversary: unknown adversary 'nope'; known: hunter, "
+         "none, partitioner, random"),
+        (["falsify", "--n", "abc"], 2,
+         "argument --n: invalid literal for int() with base 10: 'abc'"),
+        (["falsify", "--param", "x"], 2,
+         "argument --param: expected KEY=VALUE, got 'x'"),
+        (["falsify", "--f", "bogus"], 1,
+         "bad fault-budget expression 'bogus': name 'bogus' is not "
+         "defined"),
+        (["obs", "profile", "--scenario", "nope"], 2,
+         f"argument --scenario: unknown scenario 'nope'; known: {SCENARIOS}"),
+        (["faults", "--scenario", "nope"], 2,
+         f"argument --scenario: unknown scenario 'nope'; known: {SCENARIOS}"),
+        (["faults", "--adversary", "nope", "--f", "2"], 2,
+         "argument --adversary: unknown adversary 'nope'; known: hunter, "
+         "none, partitioner, random"),
+        (["faults", "--faults", "notjson"], 2,
+         "argument --faults: fault spec is not JSON: Expecting value: "
+         "line 1 column 1 (char 0)"),
+        (["faults", "--faults", '[{"kind": "nope"}]'], 2,
+         "argument --faults: unknown fault kind 'nope'; known: corrupt, "
+         "duplicate, none, omission, partition"),
+        (["faults", "--faults", '{"kind": "partition", "left_frac": 2}'], 1,
+         "left_frac must be in (0, 1), got 2.0"),
+        (["sweep", "--n", "x"], 2,
+         "argument --n: invalid literal for int() with base 10: 'x'"),
+        (["crash", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),
+        (["byzantine", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),
+        (["table1", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),
+        (["lowerbound", "--n", "0"], 2, "argument --n: must be >= 2, got 0"),
+        (["lowerbound", "--trials", "0"], 2,
+         "argument --trials: must be >= 1, got 0"),
+        (["faults", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, line", BAD,
+                             ids=[" ".join(argv) for argv, _, _ in BAD])
+    def test_nothing_runs(self, argv, code, line, no_run, capsys):
+        done, err = run_cli(argv, capsys)
+        assert "Traceback" not in err
+        prog = " ".join(["python -m repro", *argv[:2 if argv[0] == "obs"
+                                                   else 1]])
+        assert (done, err.splitlines()[-1]) == (code, f"{prog}: error: {line}")
+
+    def test_a_param_is_checked_by_its_run(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--driver", "byzantine", "--n", "8", "--seeds",
+                     "0", "--param", "adversary=nope", "--no-store"]) == 1
+        err = capsys.readouterr().err
+        assert "1 runs: 0 executed, 0 cached, 1 failed" in err
+        assert err.rstrip().splitlines()[-1] == (
+            "ValueError: unknown strategy 'nope'; known: crash-sim, "
+            "equivocator, silent, withholder")
 
     @pytest.mark.parametrize("text, reason", [
         (None, "[Errno 2] No such file or directory: '{path}'"),
         ("not json", "Expecting value: line 1 column 1 (char 0)"),
         ('{"kind": "sweep"}', "not a falsify repro artifact: "
                               "kind='sweep'"),
-    ], ids=["missing", "not-json", "wrong-kind"])
+        ('{"kind": "repro.falsify/repro", "format": 1}', "missing field "
+                                                  "'scenario'"),
+        ('{"kind": "repro.falsify/repro", "format": 1, "scenario": "nope"}',
+         f"unknown scenario 'nope'; known: {SCENARIOS}"),
+    ], ids=["missing", "not-json", "wrong-kind", "no-scenario",
+            "unknown-scenario"])
     def test_falsify_replay(self, text, reason, tmp_path):
         path = tmp_path / "repro.json"
         if text is not None:
@@ -318,10 +412,12 @@ class TestStoreLocation:
             [sys.executable, "-m", "repro", *command], cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True, text=True, timeout=120)
-        assert done.returncode != 0
+        assert done.returncode == 1
         assert done.stdout == ""
         (line,) = done.stderr.splitlines()
-        assert line.startswith("python -m repro: unknown run-store scheme ")
+        prog = " ".join(word for word in command[:2] if word[0] != "-")
+        assert line.startswith(
+            f"python -m repro {prog}: error: unknown run-store scheme ")
         assert list(tmp_path.iterdir()) == []
 
 

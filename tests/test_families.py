@@ -318,3 +318,49 @@ class TestScenarioIsTheSummarysExecution:
         assert counted(run_scenario(name, 12, 0, 2,
                                     params={"faults": other})) == counted(
             run_scenario(plain, 12, 0, 2, params={"faults": other}))
+
+
+class TestUnknownNames:
+    """Every name table rejects an unknown name the same way: one
+    ``ValueError`` naming the noun and listing the known names."""
+
+    @staticmethod
+    def tables():
+        from repro.analysis.experiments import (
+            BYZANTINE_STRATEGIES,
+            CRASH_ADVERSARIES,
+        )
+        from repro.engine.sweeps import DRIVERS, resolve_driver
+        from repro.falsify.scenarios import SCENARIOS, resolve_scenario
+
+        resolve_driver("crash")  # fills the lazy driver table
+        return [
+            ("scenario", SCENARIOS, resolve_scenario),
+            ("driver", DRIVERS, resolve_driver),
+            ("adversary", CRASH_ADVERSARIES,
+             lambda kind: make_crash_adversary(kind, 1, Random(0))),
+            ("strategy", BYZANTINE_STRATEGIES,
+             lambda kind: byzantine_attack(kind, [1, 2, 3, 4], 1, 0)),
+        ]
+
+    def test_one_wording(self):
+        for noun, table, resolve in self.tables():
+            known = ", ".join(sorted(table))
+            with pytest.raises(ValueError) as raised:
+                resolve("nope")
+            assert str(raised.value) == (
+                f"unknown {noun} 'nope'; known: {known}")
+
+    def test_none_and_an_empty_budget_are_no_adversary(self):
+        # None, "none" and an empty budget are no adversary; an unknown
+        # kind is rejected even when it would crash nobody.
+        rng = Random(0)
+        assert make_crash_adversary(None, 3, rng) is None
+        assert make_crash_adversary("none", 3, rng) is None
+        assert make_crash_adversary("hunter", 0, rng) is None
+        assert rng.getstate() == Random(0).getstate()
+        with pytest.raises(ValueError, match="unknown adversary 'nope'"):
+            make_crash_adversary("nope", 0, rng)
+        assert isinstance(make_crash_adversary("random", 2, rng), RandomCrash)
+        assert isinstance(make_crash_adversary("hunter", 2, rng),
+                          CommitteeHunter)

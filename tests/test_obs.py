@@ -573,8 +573,14 @@ class TestCli:
         assert main(["obs", "tail", str(path)]) == 1
         assert "INVALID" in capsys.readouterr().err
 
-    def test_obs_tail_missing_file(self, tmp_path, capsys):
-        assert main(["obs", "tail", str(tmp_path / "absent.jsonl")]) == 1
+    def test_obs_tail_missing_file(self, tmp_path):
+        # An unreadable file is one error line; SystemExit(str) exits 1.
+        path = tmp_path / "absent.jsonl"
+        with pytest.raises(SystemExit) as done:
+            main(["obs", "tail", str(path)])
+        assert done.value.code == (
+            "python -m repro obs tail: error: [Errno 2] No such file or "
+            f"directory: '{path}'")
 
     def test_obs_tail_last_zero_prints_no_event(self, tmp_path, capsys):
         recorder = EventRecorder()
