@@ -2,14 +2,16 @@
 
 Usage (from the repo root, with ``src`` on ``PYTHONPATH``)::
 
-    python -m benchmarks.own_time FAMILY N F [--param K=V ...] [--seed S] [--top K]
+    python -m benchmarks.own_time FAMILY N F [--param K=V ...] [--seed S]
+                                   [--repeat K] [--top K]
 
     python -m benchmarks.own_time crash 4096 3276 --param election_constant=2.0
 
 Runs ``repro.analysis.experiments.summary(FAMILY, N, F, S, **params)``
-once, in this process, with the kernel asked for a ``SIGPROF`` every
-millisecond of CPU time (``ITIMER_PROF``; it is delivered at the
-kernel's tick, so a sample stands for one tick or more).  Each signal
+``--repeat`` times (default once), in this process, with the kernel
+asked for a ``SIGPROF`` every millisecond of CPU time (``ITIMER_PROF``;
+it is delivered at the kernel's tick, so a sample stands for one tick
+or more).  Each signal
 counts the Python function whose frame it interrupts (own time; time
 in a C function is its Python caller's), that function under its
 caller, and every distinct function on the stack (cumulative).  This is
@@ -17,7 +19,10 @@ not cProfile on purpose: cProfile charges a fixed cost to every Python
 call and nothing to work inside C, so it inflates small, frequently
 called functions.
 
-It prints the counted results (the summary row), the run's CPU
+A short run gives few samples (a run at n = 48 is a few dozen ticks);
+``--repeat K`` samples K identical runs in one call, so the tables
+stand on K times as many.  It prints the counted results (the summary
+row, the same for every repetition), the CPU of all repetitions
 (``time.process_time``) and the process's peak RSS, the sample count,
 and three markdown tables of shares of the samples: own time, own time
 by caller, and cumulative.  ``--param`` values are Python literals when
@@ -128,6 +133,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--param", action="append", default=[],
                         metavar="K=V", help="a family parameter (repeatable)")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="identical runs sampled in one call (default 1)")
     parser.add_argument("--top", type=int, default=15,
                         help="rows per table (default 15)")
     args = parser.parse_args(argv)
@@ -138,14 +145,21 @@ def main(argv: list[str] | None = None) -> None:
             parser.error(f"--param wants K=V, got {item!r}")
         params[key] = literal(value)
 
-    row, profile, cpu_s = sampled(
-        partial(summary, args.family, args.n, args.f, args.seed, **params))
+    if args.repeat < 1:
+        parser.error(f"--repeat must be >= 1, got {args.repeat}")
+    run = partial(summary, args.family, args.n, args.f, args.seed, **params)
+    rows, profile, cpu_s = sampled(
+        lambda: [run() for _ in range(args.repeat)])
+    row = rows[0]
+    if any(other != row for other in rows):
+        raise SystemExit("repetitions disagree: the run is not deterministic")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"summary({args.family!r}, {args.n}, {args.f}, {args.seed}"
           + "".join(f", {k}={v!r}" for k, v in params.items()) + ")")
     print("counted: " + ", ".join(f"{k}={v}" for k, v in row.items()))
     print(f"cpu_s={cpu_s:.3f} peak_rss_mb={peak_mb:.1f} "
-          f"samples={profile.samples:,}")
+          f"samples={profile.samples:,}"
+          + (f" repeat={args.repeat}" if args.repeat > 1 else ""))
     if not profile.samples:
         return
     for title, counts in (("own time", profile.own),

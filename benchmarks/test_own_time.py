@@ -62,3 +62,24 @@ def test_cli_prints_the_counted_row(capsys):
     row = summary("crash", 64, 8, 1, adversary="hunter")
     assert f"rounds={row['rounds']}, messages={row['messages']}" in out
     assert "samples=" in out
+
+
+def test_repeat_samples_k_identical_runs(capsys, monkeypatch):
+    from benchmarks import own_time
+
+    calls = []
+    monkeypatch.setattr(own_time, "summary", lambda *args, **params: (
+        calls.append(args) or summary(*args, **params)))
+    main(["byzantine", "16", "1", "--repeat", "3", "--top", "2"])
+    out = capsys.readouterr().out
+    assert calls == [("byzantine", 16, 1, 1)] * 3
+    row = summary("byzantine", 16, 1, 1)
+    assert f"rounds={row['rounds']}, messages={row['messages']}" in out
+    assert "repeat=3" in out
+
+
+def test_repeat_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["crash", "16", "1", "--repeat", "0"])
+    assert exit_.value.code == 2
+    assert "--repeat must be >= 1, got 0" in capsys.readouterr().err

@@ -140,11 +140,21 @@ def _one_error_line(args: argparse.Namespace, context: str = ""):
         raise SystemExit(f"{args.prog}: error: {context}{error}") from None
 
 
+def _byzantine_bound(args: argparse.Namespace, f: int) -> None:
+    """The Byzantine config's ``f < n/3`` at ``--n``, before any run."""
+    from repro.analysis.experiments import FAMILIES
+
+    with _one_error_line(args):
+        FAMILIES["byzantine"].config(args.n, f).parameters(args.n)
+
+
 def cmd_family(args: argparse.Namespace) -> int:
     """``crash`` / ``byzantine``: the family's summary row, with the
     flags it takes as params."""
     from repro.analysis.experiments import FAMILIES, summary
 
+    if args.command == "byzantine":
+        _byzantine_bound(args, args.f)
     params = {key: value for key, value in vars(args).items()
               if key in FAMILIES[args.command].params}
     row = summary(args.command, args.n, args.f, args.seed,
@@ -156,7 +166,10 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import table1_rows
+    from repro.engine.sweeps import table1_requests
 
+    _byzantine_bound(args, next(r.f for r in table1_requests(
+        args.n, args.f, args.seed) if r.driver == "byzantine"))
     rows = table1_rows(args.n, args.f, seed=args.seed)
     keep = ("algorithm", "rounds", "messages", "bits", "unique", "strong")
     _print_rows([{k: row.get(k) for k in keep} for row in rows])

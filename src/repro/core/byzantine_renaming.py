@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.consensus.binary import DEFAULT_ITERATIONS, binary_consensus
 from repro.consensus.comm import CommitteeComm, exchange, members_of
@@ -299,15 +299,14 @@ class ByzantineRenamingNode(Process):
             return result
 
         self.was_committee = True
-        identity_list = IdentityList(ctx.namespace)
         registry: dict[int, int] = {}
         for envelope in inbox:
             if isinstance(envelope.message, IdAnnounce) and envelope.sender_uid:
-                identity_list.set_bit(envelope.sender_uid)
                 registry.setdefault(envelope.sender_uid, envelope.sender)
 
         result = yield from self._committee_program(
-            ctx, params, view, members, identity_list, registry, shared
+            ctx, params, view, members, IdentityList(ctx.namespace, registry),
+            registry, shared
         )
         return result
 
@@ -338,13 +337,12 @@ class ByzantineRenamingNode(Process):
 
             if lo == hi:
                 # Base case: classical consensus on the single bit.
-                bit = identity_list[lo]
                 agreed_bit = yield from binary_consensus(
-                    comm, bit, shared, f"bit:{step}", iterations
+                    comm, identity_list[lo], shared, f"bit:{step}", iterations
                 )
-                if agreed_bit and not identity_list[lo]:
+                if agreed_bit:
                     identity_list.set_bit(lo)
-                elif not agreed_bit and identity_list[lo]:
+                else:
                     identity_list.clear_bit(lo)
                 continue
 
@@ -365,30 +363,22 @@ class ByzantineRenamingNode(Process):
             same_agreed = yield from binary_consensus(
                 comm, same, shared, f"same:{step}", iterations
             )
-            if not same_agreed:
+            if same_agreed:
+                # Weak agreement: every correct member now holds the same
+                # ``agreed`` tuple, which is some correct member's input.
+                diff = 0 if agreed == (digest, count) else 1
+                reports = yield from exchange(comm, f"diff:{step}", diff,
+                                              width=1)
+                loud = sum(1 for value in reports.values() if value == 1)
+                diff_merged = 1 if loud >= params.diff_threshold else diff
+                diff_agreed = yield from binary_consensus(
+                    comm, diff_merged, shared, f"diff:{step}", iterations
+                )
+            if not same_agreed or diff_agreed:
                 mid = (lo + hi) // 2
-                stack.append((mid + 1, hi))
-                stack.append((lo, mid))
+                stack += [(mid + 1, hi), (lo, mid)]
                 self.segments_split += 1
-                continue
-
-            # Weak agreement: every correct member now holds the same
-            # ``agreed`` tuple, which is some correct member's input.
-            diff = 0 if agreed == (digest, count) else 1
-            reports = yield from exchange(comm, f"diff:{step}", diff, width=1)
-            loud = sum(1 for value in reports.values() if value == 1)
-            diff_merged = 1 if loud >= params.diff_threshold else diff
-            diff_agreed = yield from binary_consensus(
-                comm, diff_merged, shared, f"diff:{step}", iterations
-            )
-            if diff_agreed:
-                mid = (lo + hi) // 2
-                stack.append((mid + 1, hi))
-                stack.append((lo, mid))
-                self.segments_split += 1
-                continue
-
-            if diff:
+            elif diff:
                 # Accepted segment, but mine is not the agreed one: mark
                 # dirty and repair the count so global ranks stay right.
                 agreed_count = (
@@ -404,17 +394,11 @@ class ByzantineRenamingNode(Process):
 
         self.dirty_intervals = list(dirty)
 
-        # Distribution: answer every registered node.
-        links: list[int] = []
-        answers: list[NewId] = []
-        for uid, link in sorted(registry.items()):
-            in_dirty = any(d_lo <= uid <= d_hi for d_lo, d_hi in dirty)
-            if in_dirty or not identity_list[uid]:
-                answers.append(NewId(None))
-            else:
-                answers.append(NewId(identity_list.rank_of(uid)))
-            links.append(link)
-        inbox = yield Scatter(links, answers)
+        # Distribution: answer every registered node, in one merge.
+        uids = sorted(registry)
+        inbox = yield Scatter(
+            [registry[uid] for uid in uids],
+            [NewId(rank) for rank in identity_list.ranks(uids, sorted(dirty))])
         result = yield from self._await_new_id(params, view, first_inbox=inbox)
         return result
 
@@ -442,7 +426,7 @@ class ByzantineRenamingNode(Process):
             inbox = yield UNTIL_MAIL
 
 
-def _committee_view(envelopes, candidates: frozenset[int]):
+def _committee_view(envelopes, candidates: AbstractSet[int]):
     """Read-only ``link -> uid`` of authentic candidates, and its sorted links."""
     view: dict[int, int] = {}
     for envelope in envelopes:
@@ -457,7 +441,7 @@ def _committee_view(envelopes, candidates: frozenset[int]):
     return MappingProxyType(view), tuple(sorted(view))
 
 
-def _committee_members(inbox, candidates: frozenset[int]):
+def _committee_members(inbox, candidates: AbstractSet[int]):
     """:func:`_committee_view`'s links as the view's one member set."""
     return members_of(derive(inbox, _committee_view, candidates)[1])
 

@@ -15,7 +15,8 @@ exactly ``cnt`` ones" repair of dirty intervals -- cost
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.crypto.hashing import Fingerprinter
 
@@ -23,11 +24,14 @@ from repro.crypto.hashing import Fingerprinter
 class IdentityList:
     """A sparse ``{0,1}^N`` vector addressed by positions in ``[1, N]``."""
 
-    def __init__(self, namespace: int):
+    def __init__(self, namespace: int, ones: Iterable[int] = ()):
+        """The vector with exactly the bits ``ones`` set (one sort)."""
         if namespace < 1:
             raise ValueError(f"namespace must be positive, got {namespace}")
         self.namespace = namespace
-        self._ones: list[int] = []
+        self._ones: list[int] = sorted(set(ones))
+        for position in self._ones[:1] + self._ones[-1:]:
+            self._check(position)
 
     # -- bit access -------------------------------------------------------
 
@@ -44,8 +48,9 @@ class IdentityList:
 
     def set_bit(self, position: int) -> None:
         self._check(position)
-        if not self[position]:
-            insort(self._ones, position)
+        i = bisect_left(self._ones, position)
+        if i == len(self._ones) or self._ones[i] != position:
+            self._ones.insert(i, position)
 
     def clear_bit(self, position: int) -> None:
         self._check(position)
@@ -83,6 +88,20 @@ class IdentityList:
         if not self[position]:
             raise ValueError(f"position {position} is not set")
         return bisect_right(self._ones, position)
+
+    def ranks(self, positions: Iterable[int],
+              dirty: Sequence[tuple[int, int]]) -> Iterator[Optional[int]]:
+        """:meth:`rank_of` each of the ascending ``positions``, or ``None``
+        where its bit is unset or it lies in one of the ascending, disjoint
+        ``dirty`` intervals: one merge over positions, ones and intervals."""
+        ones, rank, d = self._ones, 0, 0
+        for position in positions:
+            while rank < len(ones) and ones[rank] <= position:
+                rank += 1
+            while d < len(dirty) and dirty[d][1] < position:
+                d += 1
+            clean = d == len(dirty) or position < dirty[d][0]
+            yield rank if clean and rank and ones[rank - 1] == position else None
 
     # -- dirty-interval repair -------------------------------------------------
 

@@ -21,6 +21,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from array import array
+from bisect import bisect_left
+from collections.abc import Set
 from random import Random
 
 
@@ -75,7 +78,7 @@ class SharedRandomness:
 
     @kept
     def bernoulli_subset(self, label: str, universe: int,
-                         probability: float) -> frozenset[int]:
+                         probability: float) -> SortedInts:
         """The set ``{i in [1, universe] : r_i = 1}`` with ``P[r_i = 1] = p``.
 
         This is the committee lottery of the Byzantine algorithm: every
@@ -85,24 +88,54 @@ class SharedRandomness:
 
         For small probabilities the pool is sampled via geometric skips,
         so the cost is ``O(universe * p)`` rather than ``O(universe)``;
-        this keeps executions with ``N >> n`` cheap.
+        this keeps executions with ``N >> n`` cheap.  The pool is kept
+        as 8 bytes a member (:class:`SortedInts`).
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
-        return frozenset(self._draw_subset(label, universe, probability))
-
-    def _draw_subset(self, label: str, universe: int, probability: float):
-        if probability == 0.0:
-            return
         if probability == 1.0:
-            yield from range(1, universe + 1)
-            return
-        stream = self.stream(label)
-        log_q = math.log1p(-probability)
-        position = 0
-        while True:
-            # Geometric(p) gap to the next success, via inverse CDF.
-            position += 1 + int(math.log(1.0 - stream.random()) / log_q)
-            if position > universe:
-                return
-            yield position
+            return SortedInts(array("q", range(1, universe + 1)))
+        members = array("q")
+        if probability > 0.0:
+            append, log = members.append, math.log
+            random, log_q = self.stream(label).random, math.log1p(-probability)
+            # Geometric(p) gaps between successes, via inverse CDF.
+            position = 1 + int(log(1.0 - random()) / log_q)
+            while position <= universe:
+                append(position)
+                position += 1 + int(log(1.0 - random()) / log_q)
+        return SortedInts(members)
+
+
+class SortedInts(Set):
+    """An immutable set of ints held as one ascending ``array('q')``.
+
+    Membership is one ``bisect``; it iterates ascending and equals a
+    ``frozenset`` of its members.  Its hash, ``(len, first, last)``, is
+    O(1), so a memo key holding millions of members costs nothing to
+    hash; it is not the equal ``frozenset``'s hash, so the two kinds do
+    not share one dict.  Set algebra on it answers frozensets.
+    """
+
+    __slots__ = ("_members", "_hash")
+    _from_iterable = frozenset
+
+    def __init__(self, members: array):
+        self._members = members
+        self._hash = hash((len(members), *members[:1], *members[-1:]))
+
+    def __contains__(self, value: object) -> bool:
+        try:
+            i = bisect_left(self._members, value)
+        except TypeError:  # not comparable with an int: not a member
+            return False
+        return i < len(self._members) and self._members[i] == value
+
+    def __iter__(self):
+        return iter(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __hash__(self) -> int:
+        return self._hash

@@ -184,7 +184,7 @@ class SyncNetwork:
                 n=self.n,
                 namespace=cost.namespace,
                 index=index,
-                rng=Random(self._seed_root.getrandbits(64)),
+                rng=self._seed_root.getrandbits(64),
                 cost=cost,
                 shared=shared,
             )

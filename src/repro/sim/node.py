@@ -34,7 +34,6 @@ rounds or acts on a timer yields ``[]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 from typing import Generator, Optional, Sequence
 
@@ -45,23 +44,30 @@ from repro.sim.messages import CostModel, Envelope, Send
 Program = Generator[Sequence[Send], Sequence[Envelope], object]
 
 
-@dataclass(slots=True)
 class Context:
     """Everything a node is allowed to know about its environment.
 
     Per the paper's model, a node knows ``n``, the size ``N`` of the
     original namespace, its own link index, and (in the Byzantine
     setting) has access to shared randomness.  ``rng`` is the node's
-    private coin source, seeded by the runner so executions replay.
+    private coin source, seeded by the runner so executions replay;
+    given as a seed, it is built the first time it is read.
     """
 
-    n: int
-    namespace: int
-    index: int
-    rng: Random
-    cost: CostModel
-    shared: Optional[SharedRandomness] = None
-    current_round: int = 0
+    __slots__ = ("n", "namespace", "index", "_rng", "cost", "shared",
+                 "current_round")
+
+    def __init__(self, n: int, namespace: int, index: int, rng: Random | int,
+                 cost: CostModel, shared: Optional[SharedRandomness] = None,
+                 current_round: int = 0):
+        self.n, self.namespace, self.index, self._rng = n, namespace, index, rng
+        self.cost, self.shared, self.current_round = cost, shared, current_round
+
+    @property
+    def rng(self) -> Random:
+        if not isinstance(self._rng, Random):
+            self._rng = Random(self._rng)
+        return self._rng
 
 
 class Process:

@@ -285,6 +285,14 @@ class TestBadInput:
         (["lowerbound", "--trials", "0"], 2,
          "argument --trials: must be >= 1, got 0"),
         (["faults", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),
+        (["byzantine", "--n", "3", "--f", "1"], 1,
+         "max_byzantine=1 violates f < n/3 for n=3"),
+        (["byzantine", "--n", "1"], 1,
+         "max_byzantine=1 violates f < n/3 for n=1"),
+        (["byzantine", "--n", "16", "--f", "6"], 1,
+         "max_byzantine=6 violates f < n/3 for n=16"),
+        (["table1", "--n", "2"], 1,
+         "max_byzantine=1 violates f < n/3 for n=2"),
     ]
 
     @pytest.mark.parametrize("argv, code, line", BAD,

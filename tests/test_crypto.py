@@ -1,5 +1,7 @@
 """Tests for shared randomness, fingerprints, and authentication."""
 
+from collections.abc import MutableSet, Set
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -84,7 +86,10 @@ class TestBernoulliSubset:
         shared = SharedRandomness(3)
         first = shared.bernoulli_subset("lot", 10_000, 0.01)
         assert shared.bernoulli_subset("lot", 10_000, 0.01) is first
-        assert isinstance(first, frozenset)
+        # Immutable, with a stable hash: it can key a memo.
+        assert isinstance(first, Set) and not isinstance(first, MutableSet)
+        assert not hasattr(first, "add") and not hasattr(first, "discard")
+        assert hash(first) == hash(first)
         assert labels == ["lot"]
         # Another label, universe or probability is another query.
         assert shared.bernoulli_subset("lot", 10_000, 0.02) != first
@@ -93,6 +98,8 @@ class TestBernoulliSubset:
         assert labels == ["lot", "lot", "lot", "pot"]
         assert first == SharedRandomness(3).bernoulli_subset(
             "lot", 10_000, 0.01)
+        assert hash(first) == hash(SharedRandomness(3).bernoulli_subset(
+            "lot", 10_000, 0.01))
 
     @given(seed=st.integers(0, 1000), p=st.floats(0.001, 0.999))
     @settings(max_examples=25)
