@@ -18,10 +18,6 @@ Examples::
     python -m repro obs profile --scenario crash --n 32 --f 4
     python -m repro obs tail events.jsonl --last 20
     python -m repro obs report --driver crash
-    python -m repro fabric enqueue --driver crash --n 16,32 --seeds 0-4 --campaign night
-    python -m repro fabric work --campaign night --workers 4
-    python -m repro fabric status --live
-    python -m repro fabric resume --campaign night --workers 2
 """
 
 from __future__ import annotations
@@ -237,37 +233,15 @@ def _add_param_flag(parser: argparse.ArgumentParser, target: str) -> None:
                              "repeatable")
 
 
-def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
-    """The five flags that spell one sweep spec (``sweep``, ``fabric
-    enqueue``); :func:`_spec_requests` reads them back."""
-    from repro.engine.sweeps import driver_names
-
-    parser.add_argument("--driver", default="crash", choices=driver_names(),
-                        help="named summary driver from repro.engine.sweeps")
-    parser.add_argument("--n", default="16,32,64", type=_flag(parse_int_list),
-                        help="comma/range list of n values, e.g. 16,32,64")
-    parser.add_argument("--seeds", default="0-4", type=_flag(parse_int_list),
-                        help="comma/range list of seeds, e.g. 0-4 or 1,3,5")
-    parser.add_argument("--f", default="0",
-                        help="fault budget as an expression in n, "
-                             "e.g. 0, n//8, 'max(1, n//4)'")
-    _add_param_flag(parser, "driver")
-
-
-def _spec_requests(args: argparse.Namespace) -> list:
-    """The requests of the spec flags: ``--f`` at each n and the params
-    against the spec are checked together here."""
-    from repro.engine.sweeps import SweepSpec
-
-    with _one_error_line(args):
-        return SweepSpec.make(args.driver, args.n, args.seeds, f=args.f,
-                              **dict(args.param)).requests()
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.engine.pool import run_requests
+    from repro.engine.sweeps import SweepSpec
 
-    requests = _spec_requests(args)
+    # ``--f`` at each n and the params against the spec are checked
+    # together here.
+    with _one_error_line(args):
+        requests = SweepSpec.make(args.driver, args.n, args.seeds, f=args.f,
+                                  **dict(args.param)).requests()
     observer = None
     if args.telemetry:
         from repro.obs import EventRecorder
@@ -547,109 +521,6 @@ def cmd_runs_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fabric_enqueue(args: argparse.Namespace) -> int:
-    """Fan a sweep out as leasable tasks in the store's queue."""
-    from repro.engine.fabric import enqueue_campaign
-
-    requests = _spec_requests(args)
-    url = _store_url(args)
-    total, new = enqueue_campaign(url, args.campaign, requests,
-                                  events_dir=args.events)
-    print(f"campaign {args.campaign!r}: {total} tasks ({new} new, "
-          f"{total - new} already enqueued)  [store: {url}]")
-    return 0
-
-
-def _fabric_config(args: argparse.Namespace):
-    from repro.engine.fabric import FabricConfig
-
-    with _one_error_line(args):
-        return FabricConfig(
-            store=_store_url(args),
-            campaign=args.campaign,
-            lease_ttl=args.lease_ttl,
-            task_timeout=args.timeout,
-            max_task_attempts=args.max_attempts,
-            forever=getattr(args, "forever", False),
-            events_dir=args.events,
-        )
-
-
-def _print_worker_summaries(summaries: list[dict]) -> int:
-    crashed = 0
-    for summary in summaries:
-        line = (f"worker {summary['worker']}: {summary['reason']} — "
-                f"{summary['settled']} settled, {summary['failed']} failed, "
-                f"{summary['cached']} cached, "
-                f"{summary['leases_lost']} leases lost")
-        if summary.get("events"):
-            line += f"  [events: {summary['events']}]"
-        print(line, file=sys.stderr)
-        crashed += summary["reason"] not in ("drained", "sigterm", "stopped")
-    return 1 if crashed else 0
-
-
-def _fabric_work(args: argparse.Namespace) -> int:
-    """Run worker processes until the campaign drains (or SIGTERM)."""
-    from repro.engine.fabric import run_workers
-
-    return _print_worker_summaries(
-        run_workers(_fabric_config(args), args.workers))
-
-
-def _fabric_resume(args: argparse.Namespace) -> int:
-    """Reclaim leases from dead workers, then drain what remains."""
-    from repro.engine.fabric import resume_campaign
-
-    return _print_worker_summaries(
-        resume_campaign(_fabric_config(args), args.workers))
-
-
-def _campaign_rows(status: dict) -> list[dict]:
-    return [
-        {
-            "campaign": name,
-            "pending": per["pending"],
-            "leased": per["leased"],
-            "settled": per["settled"],
-            "failed": per["failed"],
-            "total": per["total"],
-        }
-        for name, per in sorted(status["campaigns"].items())
-    ]
-
-
-def _fabric_status(args: argparse.Namespace) -> int:
-    """Per-campaign counts, live leases and the store's run counts;
-    ``--live`` polls until nothing is outstanding."""
-    import time
-
-    from repro.engine.fabric import campaign_status
-
-    url = _store_url(args)
-    while True:
-        status = campaign_status(url, args.campaign)
-        if args.format == "json":
-            print(json.dumps(status, indent=2))
-        else:
-            if status["campaigns"]:
-                _print_rows(_campaign_rows(status), args.format)
-            else:
-                print("no campaigns enqueued")
-            for lease in status["leases"]:
-                print(f"  leased {lease['task'][:10]} ({lease['campaign']}) "
-                      f"by {lease['owner']} — attempt {lease['attempts']}, "
-                      f"expires in {lease['expires_in']}s", file=sys.stderr)
-            runs = status["runs"]
-            print(f"\n{status['outstanding']} outstanding, {runs['ok']} ok "
-                  f"/ {runs['failed']} failed of {runs['total']} runs  "
-                  f"[store: {status['store']}]", file=sys.stderr)
-        if not args.live or status["outstanding"] == 0:
-            return 0
-        time.sleep(args.interval)
-        print()
-
-
 def _command(sub, name: str, func: Callable[[argparse.Namespace], int],
              **kwargs) -> argparse.ArgumentParser:
     """Register one command: its parser runs ``func``, and ``prog``
@@ -665,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         CRASH_ADVERSARIES,
         lookup,
     )
+    from repro.engine.sweeps import driver_names
     from repro.faults.spec import normalize_spec
 
     adversary = partial(lookup, CRASH_ADVERSARIES, "adversary")
@@ -710,7 +582,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = _command(sub, "sweep", cmd_sweep,
                      help="run a parallel, store-backed sweep over n x seeds")
-    _add_spec_flags(sweep)
+    sweep.add_argument("--driver", default="crash", choices=driver_names(),
+                       help="named summary driver from repro.engine.sweeps")
+    sweep.add_argument("--n", default="16,32,64", type=_flag(parse_int_list),
+                       help="comma/range list of n values, e.g. 16,32,64")
+    sweep.add_argument("--seeds", default="0-4", type=_flag(parse_int_list),
+                       help="comma/range list of seeds, e.g. 0-4 or 1,3,5")
+    sweep.add_argument("--f", default="0",
+                       help="fault budget as an expression in n, "
+                            "e.g. 0, n//8, 'max(1, n//4)'")
+    _add_param_flag(sweep, "driver")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1 = serial, in-process)")
     sweep.add_argument("--timeout", type=float, default=None,
@@ -823,68 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.add_argument("--limit", type=int, default=None)
     _add_format_flag(obs_report)
     _add_store_flag(obs_report)
-
-    fabric = sub.add_parser(
-        "fabric",
-        help="crash-resumable distributed sweeps: enqueue, work, "
-             "status, resume",
-    )
-    fabric_sub = fabric.add_subparsers(dest="fabric_command", required=True)
-
-    def _fabric_store_args(p, events_help):
-        p.add_argument("--campaign", default="default",
-                       help="campaign name (default: 'default')")
-        _add_store_flag(p)
-        p.add_argument("--events", default=None, metavar="DIR",
-                       help=events_help)
-
-    fabric_enqueue = _command(
-        fabric_sub, "enqueue", _fabric_enqueue,
-        help="fan a sweep out as leasable queue tasks")
-    _add_spec_flags(fabric_enqueue)
-    _fabric_store_args(fabric_enqueue,
-                       "directory for the enqueue event record")
-
-    def _fabric_worker_args(p):
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (default 1, in-process)")
-        p.add_argument("--lease-ttl", type=float, default=30.0,
-                       help="seconds a lease survives without a "
-                            "heartbeat (default 30)")
-        p.add_argument("--timeout", type=float, default=None,
-                       help="per-task seconds before an isolated "
-                            "execution is failed")
-        p.add_argument("--max-attempts", type=int, default=5,
-                       help="lease generations before a task is "
-                            "poisoned (default 5)")
-        _fabric_store_args(p, "directory for per-worker fabric@1 "
-                              "event streams")
-
-    fabric_work = _command(fabric_sub, "work", _fabric_work,
-                           help="run workers until the campaign drains")
-    _fabric_worker_args(fabric_work)
-    fabric_work.add_argument("--forever", action="store_true",
-                             help="keep polling after the queue drains "
-                                  "(a standing fleet)")
-
-    fabric_resume = _command(
-        fabric_sub, "resume", _fabric_resume,
-        help="reclaim leases from dead workers, then drain the rest")
-    _fabric_worker_args(fabric_resume)
-
-    fabric_status = _command(
-        fabric_sub, "status", _fabric_status,
-        help="per-campaign queue counts and live leases")
-    fabric_status.add_argument("--campaign", default=None,
-                               help="restrict to one campaign")
-    _add_store_flag(fabric_status)
-    _add_format_flag(fabric_status)
-    fabric_status.add_argument("--live", action="store_true",
-                               help="refresh until no tasks remain "
-                                    "outstanding")
-    fabric_status.add_argument("--interval", type=float, default=2.0,
-                               help="seconds between --live refreshes "
-                                    "(default 2)")
 
     runs = _command(
         sub, "runs", cmd_runs,

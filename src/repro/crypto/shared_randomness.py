@@ -99,11 +99,15 @@ class SharedRandomness:
         if probability > 0.0:
             append, log = members.append, math.log
             random, log_q = self.stream(label).random, math.log1p(-probability)
-            # Geometric(p) gaps between successes, via inverse CDF.
-            position = 1 + int(log(1.0 - random()) / log_q)
-            while position <= universe:
-                append(position)
-                position += 1 + int(log(1.0 - random()) / log_q)
+            # Geometric(p) gaps between successes, via inverse CDF.  A
+            # subnormal p makes a gap infinite: it lies past the universe.
+            try:
+                position = 1 + int(log(1.0 - random()) / log_q)
+                while position <= universe:
+                    append(position)
+                    position += 1 + int(log(1.0 - random()) / log_q)
+            except OverflowError:
+                pass
         return SortedInts(members)
 
 

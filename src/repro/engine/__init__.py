@@ -26,29 +26,13 @@ Three layers, each usable on its own:
     back in request order, so parallel output is byte-identical to
     serial.
 
-``repro.engine.queue`` / ``repro.engine.fabric``
-    The crash-resumable distributed layer: sweeps enqueued as leasable
-    tasks in the store's ``tasks`` table, drained by independent
-    worker processes with heartbeat renewal, a stale-lease reaper, and
-    at-most-once settlement into the ``runs`` table.  ``python -m
-    repro fabric enqueue|work|status|resume`` is the CLI.
-
 The CLI front ends are ``python -m repro sweep`` and
 ``python -m repro runs``; ``benchmarks/report.py`` routes every
 protocol execution through this engine.
 """
 
 from repro.engine.export import export_store
-from repro.engine.fabric import (
-    FabricConfig,
-    FabricWorker,
-    campaign_status,
-    enqueue_campaign,
-    resume_campaign,
-    run_workers,
-)
-from repro.engine.pool import RunResult, execute_leased, run_requests
-from repro.engine.queue import QueuedTask, TaskQueue
+from repro.engine.pool import RunResult, run_requests
 from repro.engine.store import (
     RunStore,
     StoredRun,
@@ -71,30 +55,21 @@ from repro.engine.sweeps import (
 
 __all__ = [
     "DRIVERS",
-    "FabricConfig",
-    "FabricWorker",
-    "QueuedTask",
     "RunRequest",
     "RunResult",
     "RunStore",
     "StoredRun",
     "SweepSpec",
-    "TaskQueue",
-    "campaign_status",
     "code_version",
     "default_store_path",
     "driver_names",
-    "enqueue_campaign",
     "evaluate_f",
-    "execute_leased",
     "execute_request",
     "export_store",
     "parse_store_url",
     "register_driver",
     "resolve_store_url",
-    "resume_campaign",
     "run_hash",
     "run_requests",
-    "run_workers",
     "table1_requests",
 ]

@@ -11,9 +11,10 @@
   single-worker pool so one poisoned task cannot take down its chunk
   mates) and only the tasks that fail again are recorded as failed.
 * **Caching** — with a :class:`~repro.engine.store.RunStore`, every
-  ``ok`` run is persisted under its content hash and served from the
-  store on the next invocation with zero executions; failed runs are
-  recorded but retried.
+  ``ok`` run is persisted under its content hash as it settles and
+  served from the store on the next invocation with zero executions;
+  failed runs are recorded but retried.  A killed sweep therefore
+  resumes by running it again: only what it had not stored executes.
 * **Deduplication** — identical requests inside one call execute once.
 
 ``jobs=1`` runs everything in-process (no pool, no pickling); ``jobs>1``
@@ -94,14 +95,13 @@ def _isolated_entry(connection, request: RunRequest) -> None:
         connection.close()
 
 
-def _isolated_verdict(request: RunRequest,
-                      timeout: Optional[float]) -> "RunResult | str":
+def _run_isolated(request: RunRequest,
+                  timeout: Optional[float]) -> RunResult:
     """One attempt in a dedicated, killable worker process.
 
     Returns what the driver made of the request — its row or its
-    traceback, a pure function of ``(inputs, seed, code_version)`` — or,
-    when the attempt ended without the driver's verdict (timed out,
-    child died), the reason as text: the only failures worth a retry.
+    traceback — or, when the attempt ended without the driver's verdict
+    (timed out, child died), a ``failed`` result giving the reason.
 
     Isolation is the point: if *this* task is the one that wedged or
     killed its original chunk's worker, only its own worker breaks.
@@ -118,38 +118,28 @@ def _isolated_verdict(request: RunRequest,
     worker.start()
     sender.close()
     try:
-        if not receiver.poll(timeout):
-            worker.terminate()
-            worker.join(5.0)
-            if worker.is_alive():  # pragma: no cover - SIGTERM ignored
-                worker.kill()
-                worker.join()
-            return f"timed out: task exceeded {timeout:.1f}s on retry"
-        try:
+        if receiver.poll(timeout):
             return receiver.recv()
-        except EOFError:
-            # The worker died before sending a result (OOM kill, hard
-            # crash) — poll() saw the pipe close, not a payload.
-            worker.join(5.0)
-            return f"retry worker died with exit code {worker.exitcode}"
+        worker.terminate()
+        worker.join(5.0)
+        if worker.is_alive():  # pragma: no cover - SIGTERM ignored
+            worker.kill()
+            worker.join()
+        error = f"timed out: task exceeded {timeout:.1f}s on retry"
+    except EOFError:
+        # The worker died before sending a result (OOM kill, hard
+        # crash) — poll() saw the pipe close, not a payload.
+        worker.join(5.0)
+        error = f"retry worker died with exit code {worker.exitcode}"
     except Exception:
-        return traceback.format_exc(limit=8)
+        error = traceback.format_exc(limit=8)
     finally:
         receiver.close()
         worker.join(5.0)
         if worker.is_alive():  # pragma: no cover - defensive teardown
             worker.kill()
             worker.join()
-
-
-def _run_isolated(request: RunRequest,
-                  timeout: Optional[float]) -> RunResult:
-    """:func:`_isolated_verdict`, with a lost attempt as a ``failed``
-    result — the last attempt of a task, whatever way it ends."""
-    outcome = _isolated_verdict(request, timeout)
-    if isinstance(outcome, str):
-        return RunResult(request=request, status="failed", error=outcome)
-    return outcome
+    return RunResult(request=request, status="failed", error=error)
 
 
 def retry_jitter_delay(base: float, request: RunRequest,
@@ -406,36 +396,3 @@ def run_requests(
                 progress(done, total)
 
     return results  # type: ignore[return-value]
-
-
-def execute_leased(
-    request: RunRequest,
-    *,
-    timeout: Optional[float] = None,
-    retry_backoff: float = 0.25,
-    isolate: bool = True,
-) -> RunResult:
-    """Execute one *leased* request for a fabric worker.
-
-    The single-task analogue of :func:`run_requests`' execute path,
-    with the same taxonomy: the driver's verdict — a row, or its
-    traceback — is final after one attempt, as it is in-process; an
-    isolated attempt that ended without one (timed out, child died)
-    gets one seeded-jitter retry and, failing again, a concatenated
-    error trail.  ``isolate=False`` runs in-process — for tests and for
-    workers that are themselves already expendable processes.
-    """
-    first = (_isolated_verdict(request, timeout) if isolate
-             else _run_one(request))
-    if isinstance(first, RunResult):
-        first.request = request
-        return first
-    delay = retry_jitter_delay(retry_backoff, request)
-    if delay > 0:
-        time.sleep(delay)
-    result = _run_isolated(request, timeout)
-    result.request = request
-    result.attempts = 2
-    if not result.ok:
-        result.error = f"{result.error}\n--- first attempt ---\n{first}"
-    return result

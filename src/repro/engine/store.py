@@ -8,7 +8,7 @@ of the ``repro`` package sources, so editing any algorithm or the cost
 model automatically invalidates old measurements instead of silently
 serving stale rows.
 
-Four tables, created on connect from the one ``_SCHEMA`` below:
+Three tables, created on connect from the one ``_SCHEMA`` below:
 
 ``runs``
     One row per execution: the identity fields, status (``ok`` or
@@ -26,22 +26,23 @@ Four tables, created on connect from the one ``_SCHEMA`` below:
     attached (see :mod:`repro.obs`); ``python -m repro obs report``
     aggregates it.
 
-``tasks``
-    The sweep fabric's work queue; its statements live in
-    :mod:`repro.engine.queue`, on top of :meth:`RunStore.transaction`.
-
 A store location is a bare path or a ``sqlite://path`` URL
 (:func:`parse_store_url`).  Analytics do not run against the store:
 ``python -m repro runs export`` dumps it as JSONL files for any SQL
 engine (:mod:`repro.engine.export`).
 
+Each result is stored under its hash as it settles, so a killed sweep
+resumes by running the same command again: what was stored is served,
+only the rest executes.  A store file from before the work queue was
+removed still opens; its ``tasks`` table is ignored.
+
 WAL journaling makes concurrent *readers* first-class: a
-``python -m repro runs`` session (or ``fabric status --live``) can watch
-a sweep fill in from another process while the coordinator writes, and
-fabric workers in separate processes write the same file.  Within one
-process every thread gets its own connection — SQLite connections are
-not thread-safe, so ``check_same_thread`` stays at its strict default
-and each connection simply never leaves its owning thread.
+``python -m repro runs`` session can watch a sweep fill in from another
+process while the coordinator writes, and two ``sweep`` processes may
+write the same file.  Within one process every thread gets its own
+connection — SQLite connections are not thread-safe, so
+``check_same_thread`` stays at its strict default and each connection
+simply never leaves its owning thread.
 """
 
 from __future__ import annotations
@@ -95,10 +96,8 @@ def parse_store_url(value: os.PathLike | str) -> tuple[str, str]:
 
     Bare paths (no ``://``) are SQLite files, so every pre-URL store
     path keeps working unchanged.  Relative paths resolve against the
-    *parser's* CWD at parse time: fabric workers are spawned from
-    whatever directory they happen to inherit, and a relative
-    ``sqlite://runs.sqlite`` resolved lazily would silently give each
-    worker its own store file.
+    *parser's* CWD at parse time, so a location handed to a process
+    started elsewhere names the same file.
     """
     text = os.fspath(value)
     scheme, separator, rest = text.partition("://")
@@ -124,8 +123,8 @@ def parse_store_url(value: os.PathLike | str) -> tuple[str, str]:
 def resolve_store_url(value: os.PathLike | str) -> str:
     """Normalize a store location to an absolute ``sqlite://path`` URL.
 
-    The canonical form to hand to a subprocess: every worker parses it
-    back to the same path regardless of its CWD.
+    The canonical form to hand to another process: it parses back to
+    the same path regardless of that process's CWD.
     """
     scheme, path = parse_store_url(value)
     return f"{scheme}://{path}"
@@ -275,22 +274,6 @@ CREATE TABLE IF NOT EXISTS telemetry (
     created  REAL NOT NULL,
     PRIMARY KEY (run_hash, key)
 );
-CREATE TABLE IF NOT EXISTS tasks (
-    campaign       TEXT NOT NULL,
-    task_hash      TEXT NOT NULL,
-    seq            INTEGER NOT NULL,
-    spec           TEXT NOT NULL,
-    state          TEXT NOT NULL
-        CHECK (state IN ('pending', 'leased', 'settled', 'failed')),
-    lease_owner    TEXT,
-    lease_deadline REAL,
-    attempts       INTEGER NOT NULL DEFAULT 0,
-    result_status  TEXT,
-    created        REAL NOT NULL,
-    settled        REAL,
-    PRIMARY KEY (campaign, task_hash)
-);
-CREATE INDEX IF NOT EXISTS idx_tasks_state ON tasks (state, lease_deadline);
 """
 
 _RUN_COLUMNS = ("hash, driver, n, f, seed, params, code_version, status,"
@@ -360,8 +343,8 @@ class RunStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # One connection per thread, all tracked so close() tears the
         # store down deterministically: a sweep coordinator, a progress
-        # watcher, a fabric worker's heartbeat thread and the test
-        # suite's concurrent readers all touch one store object.
+        # watcher and the test suite's concurrent readers all touch one
+        # store object.
         self._local = threading.local()
         self._connections: list[sqlite3.Connection] = []
         self._lock = threading.Lock()
@@ -423,7 +406,7 @@ class RunStore:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- plumbing (also what repro.engine.queue builds on) ------------
+    # -- plumbing -----------------------------------------------------
 
     def execute(self, sql: str, parameters: Sequence = ()) -> sqlite3.Cursor:
         """Run one statement on the calling thread's connection."""
@@ -435,12 +418,12 @@ class RunStore:
         connection: commit on exit, roll back on any exception.
 
         Keeps multi-statement mutations — a ``put``'s row + ledger
-        rewrite, a queue claim's read-then-lease — atomic for concurrent
-        readers and competing workers.  The lock is taken at BEGIN: a
-        deferred transaction that reads before writing can hit an
-        unretryable ``SQLITE_BUSY`` upgrading its shared lock when a
-        competing fabric worker committed in between, while ``BEGIN
-        IMMEDIATE`` serializes writers under ``busy_timeout``.
+        rewrite — atomic for concurrent readers and writers.  The lock
+        is taken at BEGIN: a deferred transaction that reads before
+        writing can hit an unretryable ``SQLITE_BUSY`` upgrading its
+        shared lock when another ``sweep`` process committed in between,
+        while ``BEGIN IMMEDIATE`` serializes writers under
+        ``busy_timeout``.
         """
         connection = self._connection()
         connection.execute("BEGIN IMMEDIATE")

@@ -110,30 +110,6 @@ class RunRequest:
         return f"{self.driver}(n={self.n}, f={self.f}, seed={self.seed}{extra})"
 
 
-def request_to_spec(request: RunRequest) -> dict:
-    """One request as a plain JSON-ready dict (the fabric task spec)."""
-    return {
-        "driver": request.driver,
-        "n": request.n,
-        "f": request.f,
-        "seed": request.seed,
-        "params": request.params_dict(),
-    }
-
-
-def request_from_spec(spec: Mapping[str, object]) -> RunRequest:
-    """Rebuild a :class:`RunRequest` from :func:`request_to_spec` output.
-
-    Round-trips through ``make`` so the params are re-canonicalized —
-    a hand-written spec with unsorted keys still produces the same
-    content hash as the original request.
-    """
-    return RunRequest.make(
-        str(spec["driver"]), int(spec["n"]), int(spec["f"]),
-        int(spec["seed"]), **dict(spec.get("params") or {}),
-    )
-
-
 #: Names usable inside ``--f`` expressions, besides ``n`` itself.
 F_EXPRESSION_NAMES = {
     "ceil": math.ceil,

@@ -309,20 +309,18 @@ def default_monitors(
     ``loose``); ``watchdog_rounds`` overrides the hang watchdog
     (``None`` picks :func:`default_watchdog_rounds`).
     """
-    bounds = {
-        "strong": NamespaceBounds.strong(n),
-        "tight": NamespaceBounds.tight(n, f),
-        "loose": NamespaceBounds.loose(n),
-    }
-    try:
-        namespace_monitor = bounds[bound]
-    except KeyError:
-        raise ValueError(
-            f"unknown bound {bound!r}; expected one of {sorted(bounds)}"
-        ) from None
+    # Imported here: the module-level import closes a cycle through
+    # repro.faults.degradation.
+    from repro.analysis.experiments import lookup
+
+    namespace_monitor = lookup({
+        "strong": lambda: NamespaceBounds.strong(n),
+        "tight": lambda: NamespaceBounds.tight(n, f),
+        "loose": lambda: NamespaceBounds.loose(n),
+    }, "bound", bound)
     return (
         UniqueNames(),
-        namespace_monitor,
+        namespace_monitor(),
         CrashBudget(),
         LedgerMonotone(),
         RoundBudget(watchdog_rounds or default_watchdog_rounds(n)),

@@ -133,22 +133,6 @@ EVENT_KINDS: dict[str, tuple[str, ...]] = {
     "serve.breaker.close": ("shard",),
     "serve.shed": ("shard", "ops", "depth"),
     "serve.deadline": ("shard", "expired", "attempt"),
-    # The sweep fabric, one stream per worker.  ``attempt`` is the
-    # lease generation; ``renewed`` is False when a heartbeat found the
-    # lease gone; ``outcome`` is the settle verdict ("settled",
-    # "already", "lost", "missing").
-    "fabric.campaign.enqueue": ("campaign", "tasks", "new"),
-    "fabric.worker.start": ("worker", "store", "campaign"),
-    "fabric.worker.stop": ("worker", "reason", "settled", "failed",
-                           "leases_lost"),
-    "fabric.task.lease": ("campaign", "task", "worker", "attempt",
-                          "deadline"),
-    "fabric.task.heartbeat": ("campaign", "task", "worker", "renewed",
-                              "deadline"),
-    "fabric.task.reap": ("campaign", "task", "owner", "attempt"),
-    "fabric.task.settle": ("campaign", "task", "worker", "state",
-                           "outcome", "cached", "run_attempts",
-                           "elapsed_s"),
 }
 
 _FAMILIES = frozenset(kind.split(".", 1)[0] for kind in EVENT_KINDS)

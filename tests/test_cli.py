@@ -6,14 +6,13 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import build_parser, main, parse_param
 from repro.analysis.tables import markdown_table, plain_table
-from repro.engine import RunRequest, RunStore, TaskQueue, enqueue_campaign
+from repro.engine import RunStore
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -44,8 +43,8 @@ class TestParser:
     def test_benchmarks_are_not_commands(self, name):
         # `perf` runs as `python -m benchmarks.perf`; the serve and
         # chaos tables are figures F16 / F17 of benchmarks/figures.py;
-        # the figures' report is benchmarks/report.py, and a campaign's
-        # progress is `fabric status --live`.
+        # the figures' report is benchmarks/report.py, and a sweep's
+        # progress is `runs`.
         with pytest.raises(SystemExit):
             build_parser().parse_args([name])
 
@@ -71,9 +70,10 @@ class TestParser:
 
 #: Command path -> the first 16 hex digits of the sha256 of its
 #: ``--help`` text at 80 columns, whitespace runs collapsed.  Recorded
-#: before the eight ``--store`` declarations became one helper.
+#: before the eight ``--store`` declarations became one helper; the
+#: top-level entry re-recorded when the work-queue command left the list.
 HELP_DIGESTS = {
-    "": "67cede2997575c5e",
+    "": "870f6ec5366cdf0b",
     "crash": "5c37620ade40bb6c",
     "byzantine": "7103b30e0cfa19aa",
     "table1": "1532c9d461fe9013",
@@ -85,11 +85,6 @@ HELP_DIGESTS = {
     "obs tail": "80f6c7611a72de62",
     "obs profile": "9cefdf76530c0ce1",
     "obs report": "ab68e67d14ea768c",
-    "fabric": "0121c9d4af9c1ce1",
-    "fabric enqueue": "c9d2b19b6c77c1fe",
-    "fabric work": "933fc77b93243037",
-    "fabric resume": "439263e61c625965",
-    "fabric status": "79bf4517dc025b86",
     "runs": "174c7ef8b80d87ab",
     "runs export": "82fa8db1b5eedb76",
 }
@@ -120,9 +115,9 @@ class TestHelpText:
 
 
 class TestSpecFlags:
-    """``sweep`` and ``fabric enqueue`` take one sweep spec the same way."""
+    """``sweep`` takes one sweep spec."""
 
-    COMMANDS = [["sweep"], ["fabric", "enqueue"]]
+    COMMANDS = [["sweep"]]
 
     @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
     def test_help_lists_the_spec_flags_and_every_driver(self, command, capsys):
@@ -413,8 +408,12 @@ class TestStoreLocation:
     @pytest.mark.parametrize("command", [
         ["sweep", "--driver", "crash", "--n", "8", "--seeds", "0",
          "--store", "duckdb://x.duckdb"],
-        ["fabric", "status", "--store", "postgres://x"],
-    ], ids=["sweep-duckdb", "fabric-status-postgres"])
+        ["runs", "--store", "postgres://x"],
+        ["falsify", "--store", "duckdb://x.duckdb"],
+        ["obs", "report", "--store", "postgres://x"],
+        ["runs", "export", "--store", "postgres://x"],
+    ], ids=["sweep-duckdb", "runs-postgres", "falsify-duckdb",
+            "obs-report-postgres", "runs-export-postgres"])
     def test_unknown_scheme_is_one_line_no_traceback(self, command, tmp_path):
         done = subprocess.run(
             [sys.executable, "-m", "repro", *command], cwd=tmp_path,
@@ -457,64 +456,8 @@ class TestRunsListing:
         assert out == render(rows) + "\n"
         assert "1 ok / 1 failed of 2 stored runs" in err
 
-
-def _settle_one(url: str) -> None:
-    with RunStore(url) as store:
-        queue = TaskQueue(store)
-        task = queue.claim("w", 60.0)
-        assert queue.settle(task, "w", result_status="ok") == "settled"
-
-
-class TestFabricStatus:
-    """``fabric status`` is the one campaign view: queue counts, leases,
-    the store's run counts, and ``--live`` polling until drained."""
-
-    @pytest.fixture
-    def url(self, tmp_path):
-        return f"sqlite://{tmp_path}/runs.sqlite"
-
-    @pytest.fixture
-    def campaign(self, url):
-        requests = [RunRequest.make("crash", 6, 1, seed) for seed in (0, 1)]
-        enqueue_campaign(url, "t", requests)
-        return len(requests)
-
-    @staticmethod
-    def footers(err: str) -> list[str]:
-        return [line for line in err.splitlines() if "outstanding" in line]
-
-    def test_empty_store_prints_the_store_line(self, url, capsys):
-        assert main(["fabric", "status", "--store", url]) == 0
-        out, err = capsys.readouterr()
-        assert out == "no campaigns enqueued\n"
-        assert err == (f"\n0 outstanding, 0 ok / 0 failed of 0 runs  "
-                       f"[store: {url}]\n")
-
-    def test_live_on_a_drained_campaign_is_one_snapshot(
-            self, url, campaign, capsys, monkeypatch):
-        for _ in range(campaign):
-            _settle_one(url)
-        monkeypatch.setattr(time, "sleep",
-                            lambda seconds: pytest.fail("polled"))
-        assert main(["fabric", "status", "--store", url, "--live"]) == 0
-        out, err = capsys.readouterr()
-        assert out.count("campaign") == 1
-        assert self.footers(err) == [
-            f"0 outstanding, 0 ok / 0 failed of 0 runs  [store: {url}]"]
-
-    def test_live_polls_until_drained(self, url, campaign, capsys,
-                                      monkeypatch):
-        slept = []
-
-        def sleep(seconds):
-            slept.append(seconds)
-            _settle_one(url)
-
-        monkeypatch.setattr(time, "sleep", sleep)
-        assert main(["fabric", "status", "--store", url, "--live",
-                     "--interval", "0.5"]) == 0
-        out, err = capsys.readouterr()
-        assert slept == [0.5] * campaign
-        assert out.count("campaign") == campaign + 1
-        assert [line.split(",")[0] for line in self.footers(err)] == [
-            "2 outstanding", "1 outstanding", "0 outstanding"]
+    def test_empty_store_prints_the_store_line(self, tmp_path, capsys):
+        path = tmp_path / "runs.sqlite"
+        assert main(["runs", "--store", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert err == f"\n0 ok / 0 failed of 0 stored runs  [store: {path}]\n"

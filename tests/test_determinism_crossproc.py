@@ -186,32 +186,25 @@ print(json.dumps({
 """
 
 
-#: Drains a small fabric campaign with an in-process worker and prints
-#: one sha256 digest over the settled run set (hash, status, row,
-#: ledger).  Lease jitter, heartbeat scheduling, and retry backoff all
-#: derive from integer-tuple hashes, and every run row is keyed by its
-#: content hash, so the campaign's final store must be byte-identical
-#: across hash seeds — the fabric's determinism contract.
-FABRIC_SCRIPT = """
+#: Runs a small campaign through a two-worker pool into a fresh store
+#: and prints one sha256 digest over the stored run set (hash, status,
+#: row, ledger).  Every row is keyed by its content hash, so the store a
+#: sweep leaves behind — the one a rerun resumes from — must be
+#: byte-identical across hash seeds.
+STORE_SCRIPT = """
 import hashlib
 import json
 import tempfile
 
-from repro.engine import (FabricConfig, FabricWorker, RunStore,
-                          enqueue_campaign)
+from repro.engine import RunStore, run_requests
 from repro.engine.sweeps import SweepSpec
 
 with tempfile.TemporaryDirectory() as tmp:
-    url = f"sqlite://{tmp}/runs.sqlite"
     requests = SweepSpec.make("crash", [8, 12], [0, 1],
                               f="n//8").requests()
-    enqueue_campaign(url, "digest", requests)
-    summary = FabricWorker(
-        FabricConfig(store=url, campaign="digest", isolate=False),
-        name="digest-w",
-    ).run()
-    assert summary["settled"] == len(requests), summary
-    with RunStore(url) as store:
+    with RunStore(f"{tmp}/runs.sqlite") as store:
+        results = run_requests(requests, jobs=2, chunksize=1, store=store)
+        assert all(result.ok for result in results), results
         rows = [
             {
                 "hash": run.hash,
@@ -221,6 +214,7 @@ with tempfile.TemporaryDirectory() as tmp:
             }
             for run in sorted(store.query(), key=lambda r: r.hash)
         ]
+assert len(rows) == len(requests), rows
 canonical = json.dumps(rows, sort_keys=True).encode()
 print(hashlib.sha256(canonical).hexdigest())
 """
@@ -265,9 +259,9 @@ def test_columnar_path_hashseed_independent():
     assert len(digest) == 64 and int(digest, 16) >= 0
 
 
-def test_fabric_campaign_hashseed_independent():
-    first = _run(1, FABRIC_SCRIPT)
-    second = _run(2, FABRIC_SCRIPT)
+def test_stored_campaign_hashseed_independent():
+    first = _run(1, STORE_SCRIPT)
+    second = _run(2, STORE_SCRIPT)
     assert first == second  # one byte-identical run-set digest
     digest = first.decode().strip()
     assert len(digest) == 64 and int(digest, 16) >= 0

@@ -1,5 +1,14 @@
 """Tests for the parallel sweep engine and its SQLite run store."""
 
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.experiments import crash_run_summary
@@ -14,11 +23,14 @@ from repro.engine.sweeps import (
     driver_names,
     evaluate_f,
     register_driver,
+    resolve_driver,
     table1_requests,
 )
 from repro.__main__ import main, parse_int_list
 
 SMALL = SweepSpec.make("crash", [6, 8], [0, 1], f="n//4")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -76,6 +88,21 @@ class TestHashing:
                              (("adversary", "hunter"),), "v1")
         assert h != run_hash("crash", 8, 1, 0,
                              (("adversary", "hunter"),), "v2")
+
+    BASE = ("crash", 8, 1, 0, (("adversary", "hunter"),), "v1")
+
+    @pytest.mark.parametrize("field, value", [
+        (0, "byzantine"),
+        (1, 9),
+        (2, 2),
+        (4, (("adversary", "random"),)),
+        (4, (("adversary", "hunter"), ("namespace", 99))),
+        (4, ()),
+    ], ids=["driver", "n", "f", "param-value", "extra-param", "no-params"])
+    def test_every_input_moves_the_hash(self, field, value):
+        changed = list(self.BASE)
+        changed[field] = value
+        assert run_hash(*changed) != run_hash(*self.BASE)
 
     def test_code_version_is_short_hex(self):
         version = code_version()
@@ -334,6 +361,20 @@ class TestCli:
         assert "crash" in listing.out
         assert "4 ok / 0 failed of 4 stored runs" in listing.err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_over_a_partly_stored_campaign_counts_both(
+            self, jobs, tmp_path, capsys):
+        argv = ["sweep", "--driver", "crash", "--seeds", "0-1", "--f",
+                "n//4", "--format", "json", "--store",
+                str(tmp_path / "runs.sqlite")]
+        assert main([*argv, "--n", "6"]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--n", "6,8", "--jobs", jobs]) == 0
+        both = capsys.readouterr()
+        assert "4 runs: 2 executed, 2 cached, 0 failed" in both.err
+        rows = json.loads(both.out)
+        assert len(rows) == 4 and rows[:2] == alone
+
     def test_sweep_no_store(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["sweep", "--driver", "crash", "--n", "6", "--seeds",
@@ -346,6 +387,240 @@ class TestCli:
                      "0", "--no-store", "--param", "adversary=random",
                      "--f", "1"]) == 0
         assert "crash-renaming" in capsys.readouterr().out
+
+
+def stored_rows(path) -> set:
+    """A store's runs as ``(hash, status, row, ledger)``: identity and
+    payload, without timings."""
+    with RunStore(path) as store:
+        return {
+            (run.hash, run.status, json.dumps(run.row, sort_keys=True),
+             json.dumps(store.ledger(run.hash)))
+            for run in store.query()
+        }
+
+
+class TestKilledSweepResumes:
+    """A sweep stores each run as it settles, so one killed mid-run
+    resumes by running the same command again."""
+
+    #: Four runs that land at once, then four that take a while each.
+    SWEEP = ["sweep", "--driver", "crash", "--n", "16,2048", "--seeds",
+             "0-3", "--f", "0", "--format", "json"]
+    TOTAL = 8
+
+    def sweep(self, store, jobs=2, **popen):
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", *self.SWEEP, "--jobs", str(jobs),
+             "--store", str(store)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            **popen)
+
+    def kill_and_rerun(self, tmp_path, capsys, jobs):
+        path = tmp_path / "runs.sqlite"
+        # Its own session: the pool's workers share the coordinator's
+        # process group, and killing only the coordinator orphans them.
+        process = self.sweep(path, jobs, start_new_session=True)
+        try:
+            with RunStore(path) as store:
+                deadline = time.monotonic() + 120
+                while store.stats()["total"] == 0:
+                    assert process.poll() is None, process.communicate()
+                    assert time.monotonic() < deadline, "no run landed"
+                    time.sleep(0.01)
+        finally:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+        assert process.returncode == -signal.SIGKILL
+        stored = len(stored_rows(path))
+        assert 0 < stored < self.TOTAL
+
+        rerun = self.sweep(path, jobs)
+        _, err = rerun.communicate(timeout=300)
+        assert rerun.returncode == 0, err
+        counts = re.search(r"(\d+) runs: (\d+) executed, (\d+) cached", err)
+        assert counts is not None, err
+        assert tuple(map(int, counts.groups())) == (
+            self.TOTAL, self.TOTAL - stored, stored)
+
+        oracle = tmp_path / "oracle.sqlite"
+        assert main([*self.SWEEP, "--jobs", "1", "--store", str(oracle)]) == 0
+        capsys.readouterr()
+        assert stored_rows(path) == stored_rows(oracle)
+        assert len(stored_rows(oracle)) == self.TOTAL
+
+    def test_sigkilled_sweep_reruns_only_what_it_had_not_stored(
+            self, tmp_path, capsys):
+        self.kill_and_rerun(tmp_path, capsys, jobs=2)
+
+    def test_sigkilled_serial_sweep_resumes_the_same_way(
+            self, tmp_path, capsys):
+        # Without a pool the store is written from the one process, run
+        # by run: the kill loses at most the run in hand.
+        self.kill_and_rerun(tmp_path, capsys, jobs=1)
+
+
+def _crash_driver(n, f, seed, include_rounds=False, **params):
+    return resolve_driver("crash")(n, f, seed, include_rounds=include_rounds,
+                                   **params)
+
+
+class TestStoreResume:
+    """A rerun over a store serves every run stored ``ok`` and executes
+    the rest, on either executor path."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_partly_stored_campaign_executes_only_the_rest(self, jobs,
+                                                            tmp_path):
+        requests = SMALL.requests()
+        path = tmp_path / "runs.sqlite"
+        with RunStore(path) as store:
+            run_requests(requests[1::2], store=store)
+            results = run_requests(requests, jobs=jobs, chunksize=1,
+                                   store=store)
+        assert [r.cached for r in results] == [False, True, False, True]
+        assert [r.attempts for r in results] == [1, 0, 1, 0]
+        oracle = tmp_path / "oracle.sqlite"
+        with RunStore(oracle) as store:
+            serial = run_requests(requests, store=store)
+        assert [r.row for r in results] == [r.row for r in serial]
+        assert stored_rows(path) == stored_rows(oracle)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_progress_starts_at_the_stored_count(self, jobs, store):
+        requests = SMALL.requests()
+        run_requests(requests[:1], store=store)
+        calls = []
+        run_requests(requests, jobs=jobs, chunksize=1, store=store,
+                     progress=lambda done, total: calls.append((done, total)))
+        assert calls[0] == (1, 4) and calls[-1] == (4, 4)
+        assert [done for done, _ in calls] == sorted(
+            done for done, _ in calls)
+
+    def test_pool_leaves_the_store_a_serial_run_leaves(self, tmp_path):
+        paths = {jobs: tmp_path / f"jobs{jobs}.sqlite" for jobs in (1, 2)}
+        for jobs, path in paths.items():
+            with RunStore(path) as store:
+                run_requests(SMALL.requests(), jobs=jobs, chunksize=1,
+                             store=store)
+        assert stored_rows(paths[2]) == stored_rows(paths[1])
+        assert len(stored_rows(paths[1])) == len(SMALL.requests())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_runs_rerun_and_are_replaced_once_they_pass(self, jobs,
+                                                               store):
+        requests = [RunRequest.make("flaky", 6, 0, seed) for seed in (0, 1)]
+        requests.append(RunRequest.make("crash", 6, 0, 0))
+        register_driver("flaky", _boom_driver)
+        try:
+            first = run_requests(requests, jobs=jobs, chunksize=1,
+                                 store=store)
+            register_driver("flaky", _crash_driver)
+            second = run_requests(requests, jobs=jobs, chunksize=1,
+                                  store=store)
+        finally:
+            DRIVERS.pop("flaky", None)
+        assert [r.status for r in first] == ["failed", "failed", "ok"]
+        assert [(r.status, r.cached) for r in second] == [
+            ("ok", False), ("ok", False), ("ok", True)]
+        assert [r.row for r in second] == [
+            crash_run_summary(6, 0, seed) for seed in (0, 1, 0)]
+        stored = {(run.driver, run.seed): run for run in store.query()}
+        assert sorted(stored) == [("crash", 0), ("flaky", 0), ("flaky", 1)]
+        assert all(run.ok and run.error is None for run in stored.values())
+
+    def test_worker_death_is_stored_as_a_failed_run(self, store):
+        register_driver("halt", _halt_driver)
+        try:
+            requests = [RunRequest.make("crash", 6, 0, 0),
+                        RunRequest.make("halt", 6, 0, 13)]
+            run_requests(requests, jobs=2, chunksize=2, retry_backoff=0.0,
+                         store=store)
+        finally:
+            DRIVERS.pop("halt", None)
+        stored = {run.driver: run for run in store.query()}
+        assert (stored["crash"].status, stored["crash"].attempts) == ("ok", 2)
+        assert stored["crash"].row == crash_run_summary(6, 0, 0)
+        assert (stored["halt"].status, stored["halt"].attempts) == (
+            "failed", 2)
+        assert "exit code 37" in stored["halt"].error
+        assert "first attempt" in stored["halt"].error
+
+    def test_each_run_is_stored_before_the_next_starts(self, tmp_path):
+        # What a killed sweep resumes from: every settled run is
+        # committed, and visible to another connection, at once.
+        path = tmp_path / "runs.sqlite"
+        seen = []
+
+        def peeking(n, f, seed, include_rounds=False, **params):
+            with RunStore(path) as reader:
+                seen.append(reader.stats()["total"])
+            return _crash_driver(n, f, seed, include_rounds, **params)
+
+        register_driver("peek", peeking)
+        try:
+            with RunStore(path) as store:
+                run_requests([RunRequest.make("peek", 6, 1, seed)
+                              for seed in range(4)], store=store)
+        finally:
+            DRIVERS.pop("peek", None)
+        assert seen == [0, 1, 2, 3]
+
+    def test_a_new_code_version_is_a_cache_miss(self, store, monkeypatch):
+        first = run_requests(SMALL.requests(), store=store)
+        monkeypatch.setattr(engine_pool, "code_version", lambda: "0" * 16)
+        second = run_requests(SMALL.requests(), store=store)
+        assert not any(result.cached for result in second)
+        assert [r.row for r in second] == [r.row for r in first]
+        assert store.stats()["total"] == 2 * len(SMALL.requests())
+
+    def test_a_lost_attempt_waits_one_jittered_delay(self, monkeypatch):
+        delays = []
+
+        def recording(base, request, attempt=1):
+            delays.append((base, request, attempt))
+            return 0.0
+
+        monkeypatch.setattr(engine_pool, "retry_jitter_delay", recording)
+        register_driver("halt", _halt_driver)
+        try:
+            requests = [RunRequest.make("crash", 6, 0, 0),
+                        RunRequest.make("halt", 6, 0, 13)]
+            good, bad = run_requests(requests, jobs=2, chunksize=2,
+                                     retry_backoff=0.25)
+        finally:
+            DRIVERS.pop("halt", None)
+        # Both chunk-mates lost their first attempt with the worker; each
+        # is retried once, after the delay keyed on its own request.
+        assert delays == [(0.25, request, 1) for request in requests]
+        assert (good.ok, good.attempts) == (True, 2)
+        assert (bad.ok, bad.attempts) == (False, 2)
+
+    def test_two_sweeps_sharing_a_store_leave_the_serial_store(
+            self, tmp_path, capsys):
+        path = tmp_path / "runs.sqlite"
+        argv = ["sweep", "--driver", "crash", "--n", "6,8,12", "--seeds",
+                "0-3", "--f", "n//4", "--format", "json"]
+        sweeps = [subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv, "--jobs", "2",
+             "--store", str(path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(2)]
+        outputs = [sweep.communicate(timeout=300) for sweep in sweeps]
+        for sweep, (_, err) in zip(sweeps, outputs):
+            assert sweep.returncode == 0, err
+        oracle = tmp_path / "oracle.sqlite"
+        assert main([*argv, "--jobs", "1", "--store", str(oracle)]) == 0
+        serial_out = capsys.readouterr().out
+        assert [out for out, _ in outputs] == [serial_out, serial_out]
+        assert stored_rows(path) == stored_rows(oracle)
+        assert len(stored_rows(oracle)) == 12
+
+
+def _seeded_boom_driver(n, f, seed, include_rounds=False, **params):
+    raise RuntimeError(f"boom seed={seed}")
 
 
 def _halt_driver(n, f, seed, include_rounds=False, **params):
@@ -367,6 +642,28 @@ class TestChunkRetry:
         assert all(result.attempts == 1 for result in fresh)
         cached = run_requests(SMALL.requests(), store=store)
         assert all(result.attempts == 0 for result in cached)
+
+    def test_raising_driver_costs_one_attempt_on_every_path(
+            self, monkeypatch):
+        # A traceback is the driver's verdict, a pure function of
+        # (inputs, seed, code_version): no executor runs it twice.
+        monkeypatch.setattr(
+            engine_pool, "retry_jitter_delay",
+            lambda *args, **kwargs: pytest.fail("a verdict was retried"))
+        register_driver("boom", _seeded_boom_driver)
+        try:
+            boom = RunRequest.make("boom", 4, 0, 0)
+            mate = RunRequest.make("crash", 6, 1, 0)
+            outcomes = {
+                "serial": run_requests([boom, mate])[0],
+                "pool": run_requests([boom, mate], jobs=2, chunksize=1)[0],
+            }
+        finally:
+            DRIVERS.pop("boom", None)
+        for path, outcome in outcomes.items():
+            assert (outcome.status, outcome.attempts) == ("failed", 1), path
+            assert outcome.error.count("RuntimeError: boom seed=0") == 1, path
+            assert "first attempt" not in outcome.error, path
 
     def test_poisoned_task_isolated_from_chunk_mates(self):
         register_driver("halt", _halt_driver)

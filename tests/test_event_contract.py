@@ -175,22 +175,6 @@ def serve_stream() -> tuple:
     return tuple(recorder.events())
 
 
-@functools.cache
-def fabric_stream() -> tuple:
-    from repro.engine import FabricWorker, enqueue_campaign
-    from repro.obs import read_jsonl
-    from tests.test_fabric import quick_config, small_requests
-
-    with tempfile.TemporaryDirectory() as scratch:
-        url = f"sqlite://{scratch}/runs.sqlite"
-        enqueue_campaign(url, "t", small_requests(), events_dir=scratch)
-        worker = FabricWorker(quick_config(url, events_dir=scratch),
-                              name="w0")
-        worker.run()
-        return tuple(event for path in sorted(Path(scratch).glob("*.jsonl"))
-                     for event in read_jsonl(path))
-
-
 #: Each family of the table, and the stream that records it.
 STREAMS = {
     "run": network_stream,
@@ -203,7 +187,6 @@ STREAMS = {
     "engine": engine_stream,
     "campaign": campaign_stream,
     "serve": serve_stream,
-    "fabric": fabric_stream,
 }
 
 

@@ -211,6 +211,30 @@ class TestDefaultSuite:
         with pytest.raises(ValueError, match="unknown bound"):
             default_monitors(8, bound="weird")
 
+    @pytest.mark.parametrize("bound, hi", [
+        ("strong", 8), ("tight", 10), ("loose", 64)])
+    def test_each_bound_builds_its_namespace_monitor(self, bound, hi):
+        monitor = default_monitors(8, 2, bound=bound)[1]
+        assert (monitor.label, monitor.lo, monitor.hi) == (bound, 1, hi)
+
+    def test_unknown_bound_is_the_one_lookup_error(self):
+        from repro.analysis.experiments import lookup
+
+        with pytest.raises(ValueError) as wording:
+            lookup({"loose": 0, "strong": 0, "tight": 0}, "bound", "weird")
+        with pytest.raises(ValueError) as raised:
+            default_monitors(8, bound="weird")
+        assert str(raised.value) == str(wording.value) == (
+            "unknown bound 'weird'; known: loose, strong, tight")
+
+    def test_only_the_selected_bound_is_built(self, monkeypatch):
+        def unwanted(*args):
+            raise AssertionError("built a bound nobody selected")
+
+        for name in ("tight", "loose"):
+            monkeypatch.setattr(NamespaceBounds, name, unwanted)
+        assert default_monitors(8, 2, bound="strong")[1].label == "strong"
+
 
 class TestScenariosUnderFullSuite:
     """Every real driver must pass the whole monitor suite."""

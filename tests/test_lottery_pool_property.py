@@ -59,19 +59,31 @@ QUERIES = dict(seed=st.integers(0, 2**64), label=st.text(max_size=8),
 
 def both(seed, label, universe, probability):
     """The pool and the oracle's frozenset; where the oracle raises (a
-    subnormal ``p`` overflows the first gap), the pool raises the same."""
+    subnormal ``p`` overflows a gap), the pool is still drawn, within
+    the universe: an infinite gap ends the draw."""
     try:
         oracle = frozen_pool(seed, label, universe, probability)
     except OverflowError:
-        with pytest.raises(OverflowError):
-            SharedRandomness(seed).bernoulli_subset(label, universe,
-                                                    probability)
+        pool = SharedRandomness(seed).bernoulli_subset(label, universe,
+                                                       probability)
+        assert isinstance(pool, SortedInts)
+        assert all(1 <= member <= universe for member in pool)
+        assert not SharedRandomness(seed).bernoulli_subset("x", 0, 5e-324)
         assume(False)
     return SharedRandomness(seed).bernoulli_subset(
         label, universe, probability), oracle
 
 
 class TestThePoolIsTheFrozenset:
+    @pytest.mark.parametrize("universe", [0, 10**6])
+    @pytest.mark.parametrize("probability", [5e-324, 1e-310])
+    def test_subnormal_probability_draws_an_empty_pool(self, universe,
+                                                       probability):
+        # The first gap is infinite: it lies past any universe.
+        pool = SharedRandomness(0).bernoulli_subset("x", universe,
+                                                    probability)
+        assert isinstance(pool, SortedInts) and not pool
+
     @settings(max_examples=300, deadline=None)
     @given(**QUERIES)
     def test_same_members_ascending(self, seed, label, universe, probability):

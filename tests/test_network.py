@@ -141,7 +141,7 @@ class TestCrashSemantics:
         with pytest.raises(CrashPlanError, match="budget"):
             run_network(processes, cost_for(3), crash_adversary=adversary)
 
-    def test_fabricated_kept_message_detected(self):
+    def test_forged_kept_message_detected(self):
         def forger(round_no, proposed, alive, remaining):
             if round_no == 1:
                 return {0: [Send(to=0, message=Ping(payload=999))]}

@@ -145,9 +145,9 @@ class TestKindTables:
         {"kind": "serve.start", "data": {"shards": 2, "max_wait": 0.01,
                                          "namespace": 64, "seed": 1}},
         {"kind": "serve.nope", "data": {}},
-        {"kind": "fabric.task.reap",
-         "data": {"campaign": "c", "task": "t", "owner": "w"}},
-        {"kind": "fabric.nope"},
+        {"kind": "engine.task.retry",
+         "data": {"driver": "crash", "n": 8}},
+        {"kind": "engine.nope"},
         {"kind": "round.begin"},
         {"kind": "server.start"},      # a family ends at its dot
         {"kind": "tick"},              # no family in the table
@@ -159,8 +159,8 @@ class TestKindTables:
         assert validate_events(events) == [
             "event 0: serve.start missing data field 'max_batch'",
             "event 1: unknown serve kind 'serve.nope'",
-            "event 2: fabric.task.reap missing data field 'attempt'",
-            "event 3: unknown fabric kind 'fabric.nope'",
+            "event 2: engine.task.retry missing data field 'seed'",
+            "event 3: unknown engine kind 'engine.nope'",
             "event 4: round.begin missing data field 'alive'",
         ]
 
@@ -255,11 +255,10 @@ class TestProfiler:
 
 
 #: The kinds ``SyncNetwork`` emits: every family of the table but the
-#: sweep engine's, the campaigns', the service's and the fabric's.
+#: sweep engine's, the campaigns' and the service's.
 NETWORK_KINDS = {
     kind for kind in EVENT_KINDS
-    if kind.split(".", 1)[0] not in {"engine", "campaign", "serve",
-                                     "fabric"}
+    if kind.split(".", 1)[0] not in {"engine", "campaign", "serve"}
 }
 
 

@@ -2,8 +2,6 @@
 
 :class:`TestBackendContract` pins ``RunStore`` (put/get/ledger/query/
 telemetry, concurrent readers in threads and in another process);
-:class:`TestQueueContract` pins the work queue through
-:class:`~repro.engine.queue.TaskQueue` with explicit ``now=`` clocks;
 :class:`TestOneStore` pins that there is one engine, one on-disk
 schema and no second layer.
 
@@ -14,7 +12,6 @@ names these tests by id.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import os
 import re
@@ -28,15 +25,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.engine.queue import (
-    SETTLE_ALREADY,
-    SETTLE_LOST,
-    SETTLE_MISSING,
-    SETTLE_OK,
-    TASK_LEASED,
-    TASK_PENDING,
-    TaskQueue,
-)
+from repro.engine.pool import run_requests
 from repro.engine.store import (
     RunStore,
     code_version,
@@ -165,6 +154,12 @@ class TestBackendContract:
         assert not run.ok
         assert run.error == "boom"
         assert run.row is None
+
+    def test_run_attempts_round_trip(self, store):
+        put_run(store, "h1", attempts=2)
+        put_run(store, "h2")
+        assert store.get("h1").attempts == 2
+        assert store.get("h2").attempts == 1
 
     def test_ledger_preserves_round_order(self, store):
         messages, bits = [7, 3, 9, 1], [70, 30, 90, 10]
@@ -340,184 +335,6 @@ class TestBackendContract:
         ).stderr
 
 
-def queue_requests(count):
-    return [RunRequest.make("crash", 8, 0, seed) for seed in range(count)]
-
-
-class TestQueueContract:
-    """The work queue, through the one layer that holds its SQL.
-
-    Tasks are named by ``seq`` (their enqueue position): the task hash
-    is the request's content hash under the current code version.
-    """
-
-    @pytest.fixture
-    def queue(self, store):
-        return TaskQueue(store)
-
-    def enqueue(self, queue, campaign="c", count=2):
-        return queue.enqueue(campaign, queue_requests(count))
-
-    def test_enqueue_is_idempotent(self, queue):
-        assert self.enqueue(queue) == (2, 2)
-        assert self.enqueue(queue) == (2, 0)
-        assert self.enqueue(queue, count=3) == (3, 1)  # only seq 2 is new
-        counts = queue.counts()
-        assert counts["c"][TASK_PENDING] == 3
-        assert counts["c"]["total"] == 3
-
-    def test_claim_orders_by_seq_and_stamps_lease(self, queue):
-        self.enqueue(queue)
-        task = queue.claim("w1", 30.0, now=100.0)
-        assert task.seq == 0
-        assert task.task_hash == run_hash("crash", 8, 0, 0)
-        assert task.state == TASK_LEASED
-        assert task.lease_owner == "w1"
-        assert task.lease_deadline == 130.0
-        assert task.attempts == 1
-        assert task.spec["seed"] == 0
-        persisted = queue.get("c", task.task_hash)
-        assert persisted.state == TASK_LEASED
-        assert persisted.lease_owner == "w1"
-        assert persisted == task
-
-    def test_claim_skips_live_leases(self, queue):
-        self.enqueue(queue)
-        queue.claim("w1", 30.0, now=100.0)
-        second = queue.claim("w2", 30.0, now=100.0)
-        assert second.seq == 1
-        assert queue.claim("w3", 30.0, now=100.0) is None
-
-    def test_claim_reclaims_expired_lease(self, queue):
-        self.enqueue(queue, count=1)
-        queue.claim("dead", 30.0, now=100.0)
-        # Before the deadline the lease holds; after it, it's claimable
-        # and the new lease increments the attempt counter.
-        assert queue.claim("w2", 30.0, now=129.0) is None
-        task = queue.claim("w2", 30.0, now=131.0)
-        assert task.seq == 0
-        assert task.lease_owner == "w2"
-        assert task.attempts == 2
-
-    def test_campaign_filter(self, queue):
-        self.enqueue(queue, campaign="a", count=1)
-        self.enqueue(queue, campaign="b", count=1)
-        task = queue.claim("w", 30.0, campaign="b", now=100.0)
-        assert task.campaign == "b"
-        assert queue.claim("w", 30.0, campaign="nope", now=100.0) is None
-
-    def test_heartbeat_extends_only_the_live_owner(self, queue):
-        self.enqueue(queue, count=1)
-        task = queue.claim("w1", 30.0, now=100.0)
-        assert queue.heartbeat(task, "w1", 30.0, now=170.0)
-        assert queue.get("c", task.task_hash).lease_deadline == 200.0
-        assert not queue.heartbeat(task, "imposter", 30.0, now=969.0)
-        assert queue.get("c", task.task_hash).lease_deadline == 200.0
-
-    def test_settlement_is_at_most_once(self, queue):
-        self.enqueue(queue, count=1)
-        task = queue.claim("w1", 30.0, now=100.0)
-        assert queue.settle(task, "w1", result_status="ok",
-                            now=101.0) == SETTLE_OK
-        settled = queue.get("c", task.task_hash)
-        assert settled.done and settled.result_status == "ok"
-        assert settled.lease_owner is None
-        assert settled.settled == 101.0
-        # Everyone after the winner gets a detected no-op.
-        assert queue.settle(task, "w1", result_status="ok",
-                            now=102.0) == SETTLE_ALREADY
-        assert queue.settle(task, "w2", result_status="ok",
-                            now=102.0) == SETTLE_ALREADY
-        assert queue.get("c", task.task_hash).settled == 101.0
-        ghost = dataclasses.replace(task, task_hash="nope")
-        assert queue.settle(ghost, "w1", result_status="ok",
-                            now=102.0) == SETTLE_MISSING
-
-    def test_settle_maps_run_status_to_a_terminal_state(self, queue):
-        """``ok`` settles; anything else — ``failed``, or ``None`` for a
-        run that never produced a result — fails the task."""
-        self.enqueue(queue, count=3)
-        for result_status, state in (("ok", "settled"), ("failed", "failed"),
-                                     (None, "failed")):
-            task = queue.claim("w1", 30.0, now=100.0)
-            assert queue.settle(task, "w1", result_status=result_status,
-                                now=101.0) == SETTLE_OK
-            final = queue.get("c", task.task_hash)
-            assert (final.state, final.result_status) == (
-                state, result_status)
-        assert queue.outstanding() == 0
-
-    def test_settle_after_lease_lost_is_detected(self, queue):
-        self.enqueue(queue, count=1)
-        slow = queue.claim("slow", 30.0, now=100.0)
-        # The lease expires and another worker claims it; the original
-        # worker's settle must NOT override the new lease.
-        queue.claim("fast", 30.0, now=131.0)
-        assert queue.settle(slow, "slow", result_status="ok",
-                            now=132.0) == SETTLE_LOST
-        task = queue.get("c", slow.task_hash)
-        assert task.state == TASK_LEASED and task.lease_owner == "fast"
-
-    def test_reap_returns_expired_leases_to_pending(self, queue):
-        self.enqueue(queue)
-        dead = queue.claim("dead", 30.0, now=100.0)
-        live = queue.claim("live", 400.0, now=100.0)
-        reaped = queue.reap(now=200.0)
-        assert [(t.seq, t.lease_owner) for t in reaped] == [(0, "dead")]
-        assert queue.get("c", dead.task_hash).state == TASK_PENDING
-        assert queue.get("c", live.task_hash).state == TASK_LEASED
-        assert queue.reap(now=200.0) == []
-
-    def test_force_reap_reclaims_live_leases_too(self, queue):
-        self.enqueue(queue, count=1)
-        task = queue.claim("live", 400.0, now=100.0)
-        reaped = queue.reap(force=True, now=101.0)
-        assert [t.lease_owner for t in reaped] == ["live"]
-        assert queue.get("c", task.task_hash).state == TASK_PENDING
-
-    def test_list_tasks_filters(self, queue):
-        self.enqueue(queue)
-        queue.claim("w1", 30.0, now=100.0)
-        assert [t.seq for t in queue.tasks()] == [0, 1]
-        assert [t.seq for t in queue.tasks(state=TASK_PENDING)] == [1]
-        assert queue.tasks(campaign="nope") == []
-        assert len(queue.tasks(limit=1)) == 1
-
-    def test_run_attempts_round_trip(self, store):
-        put_run(store, "h1", attempts=2)
-        put_run(store, "h2")
-        assert store.get("h1").attempts == 2
-        assert store.get("h2").attempts == 1
-
-    def test_concurrent_claimants_never_share_a_task(self, queue):
-        """Racing threads each lease a disjoint set of tasks."""
-        total = 16
-        self.enqueue(queue, campaign="race", count=total)
-        claimed: list[list[int]] = [[] for _ in range(4)]
-        errors: list[BaseException] = []
-
-        def claimant(slot: int) -> None:
-            try:
-                while True:
-                    task = queue.claim(f"w{slot}", 60.0, campaign="race")
-                    if task is None:
-                        return
-                    claimed[slot].append(task.seq)
-            except BaseException as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=claimant, args=(slot,))
-                   for slot in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors, errors
-        everything = [seq for per in claimed for seq in per]
-        assert sorted(everything) == list(range(total))  # no double-claims
-
-
 class TestClosedStore:
     def test_use_after_close_is_an_error(self, tmp_path):
         store = RunStore(f"sqlite://{tmp_path}/runs.sqlite")
@@ -527,14 +344,14 @@ class TestClosedStore:
 
 
 #: ``SELECT name, sql FROM sqlite_master ORDER BY name`` on a fresh
-#: store, recorded at the last commit that had ``engine/backends/``.
+#: store, recorded at the last commit that had ``engine/backends/``,
+#: less the work queue's ``tasks`` table and index (removed with the
+#: queue; :data:`LEGACY_TASKS` is how an old file still carries them).
 #: Changing it changes the on-disk format: extend ``_migrate`` first.
 PINNED_SCHEMA = [
     ("idx_runs_created", "CREATE INDEX idx_runs_created ON runs (created)"),
     ("idx_runs_driver",
      "CREATE INDEX idx_runs_driver ON runs (driver, n, f, seed)"),
-    ("idx_tasks_state",
-     "CREATE INDEX idx_tasks_state ON tasks (state, lease_deadline)"),
     ("ledgers", """CREATE TABLE ledgers (
     run_hash TEXT NOT NULL REFERENCES runs (hash) ON DELETE CASCADE,
     "round"  INTEGER NOT NULL,
@@ -560,9 +377,20 @@ PINNED_SCHEMA = [
 )"""),
     ("sqlite_autoindex_ledgers_1", None),
     ("sqlite_autoindex_runs_1", None),
-    ("sqlite_autoindex_tasks_1", None),
     ("sqlite_autoindex_telemetry_1", None),
-    ("tasks", """CREATE TABLE tasks (
+    ("telemetry", """CREATE TABLE telemetry (
+    run_hash TEXT NOT NULL,
+    key      TEXT NOT NULL,
+    value    TEXT NOT NULL,
+    created  REAL NOT NULL,
+    PRIMARY KEY (run_hash, key)
+)"""),
+]
+
+
+#: The work queue's table as stores written before its removal carry
+#: it: such a file must still open and serve its runs.
+LEGACY_TASKS = """CREATE TABLE tasks (
     campaign       TEXT NOT NULL,
     task_hash      TEXT NOT NULL,
     seq            INTEGER NOT NULL,
@@ -576,15 +404,7 @@ PINNED_SCHEMA = [
     created        REAL NOT NULL,
     settled        REAL,
     PRIMARY KEY (campaign, task_hash)
-)"""),
-    ("telemetry", """CREATE TABLE telemetry (
-    run_hash TEXT NOT NULL,
-    key      TEXT NOT NULL,
-    value    TEXT NOT NULL,
-    created  REAL NOT NULL,
-    PRIMARY KEY (run_hash, key)
-)"""),
-]
+)"""
 
 
 class TestOneStore:
@@ -602,15 +422,34 @@ class TestOneStore:
     def test_no_backends_package_and_no_layer_cycle(self):
         assert importlib.util.find_spec(".backends", "repro.engine") is None
         engine = Path(repro.__file__).resolve().parent / "engine"
-        # The store never imports the layer above it, and the queue
-        # imports the store at module level only (an indented import
-        # would be a function-level one papering over a cycle).
+        # The store is the bottom layer: it imports no other module of
+        # the engine, at any level.
         assert not re.search(
-            r"^\s*(?:from|import)\s+repro\.engine\.queue\b",
+            r"^\s*(?:from|import)\s+repro\.engine\.",
             (engine / "store.py").read_text(), re.MULTILINE)
-        assert not re.search(
-            r"^[ \t]+(?:from|import)\s+repro\.engine\.store\b",
-            (engine / "queue.py").read_text(), re.MULTILINE)
+
+    def test_store_with_a_legacy_tasks_table_serves_cache_hits(
+            self, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        requests = [RunRequest.make("crash", 6, 1, seed) for seed in (0, 1)]
+        with RunStore(path) as store:
+            fresh = run_requests(requests, store=store)
+        connection = sqlite3.connect(path)
+        try:
+            connection.execute(LEGACY_TASKS)
+            connection.execute(
+                "INSERT INTO tasks VALUES"
+                " ('c', 'h', 0, '{}', 'leased', 'w', 1.0, 1, NULL, 0.0, NULL)")
+            connection.commit()
+        finally:
+            connection.close()
+        with RunStore(path) as store:
+            cached = run_requests(requests, store=store)
+            tasks = store.execute("SELECT campaign, state FROM tasks").fetchall()
+        assert all(result.cached for result in cached)
+        assert [r.row for r in cached] == [r.row for r in fresh]
+        # Ignored, not migrated: the table and its row are as they were.
+        assert tasks == [("c", "leased")]
 
     def test_concurrent_writer_threads_lose_nothing(self, tmp_path):
         """Four threads x 50 puts on one store object: every row lands
@@ -641,3 +480,84 @@ class TestOneStore:
                 assert store.stats()["total"] == per_thread * writers
         finally:
             sys.setswitchinterval(interval)
+
+    def test_legacy_tasks_table_outlives_put_delete_and_clear(self, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        connection = sqlite3.connect(path)
+        try:
+            connection.execute(LEGACY_TASKS)
+            connection.execute(
+                "INSERT INTO tasks VALUES"
+                " ('c', 'h', 0, '{}', 'pending', NULL, NULL, 0, NULL, 0.0,"
+                " NULL)")
+            connection.commit()
+        finally:
+            connection.close()
+        with RunStore(path) as store:
+            put_run(store, "a" * 64, messages_per_round=[1],
+                    bits_per_round=[8])
+            put_run(store, "b" * 64)
+            store.delete("a" * 64)
+            assert [run.hash for run in store.query()] == ["b" * 64]
+            store.clear()
+            assert store.stats()["total"] == 0
+            tasks = store.execute("SELECT campaign, state FROM tasks").fetchall()
+        assert tasks == [("c", "pending")]
+
+    def test_two_sweeps_share_a_store_in_wal_mode(self, tmp_path):
+        # WAL lets a reader poll while a sweep writes; the busy timeout
+        # makes a second sweep's BEGIN IMMEDIATE wait for the first.
+        with RunStore(tmp_path / "runs.sqlite") as store:
+            assert store.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+            assert store.execute("PRAGMA busy_timeout").fetchone() == (10000,)
+
+    def test_two_store_objects_on_one_file_see_each_others_writes(
+            self, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        with RunStore(path) as first, RunStore(path) as second:
+            put_run(first, "a" * 64, messages_per_round=[3, 4],
+                    bits_per_round=[30, 40])
+            put_run(second, "b" * 64, seed=1)
+            for store in (first, second):
+                assert sorted(run.hash for run in store.query()) == [
+                    "a" * 64, "b" * 64]
+            assert second.ledger("a" * 64) == ([3, 4], [30, 40])
+
+    def test_a_failed_transaction_leaves_no_trace(self, store):
+        put_run(store, "a" * 64, messages_per_round=[1], bits_per_round=[8])
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with store.transaction() as connection:
+                connection.execute("DELETE FROM ledgers")
+                connection.execute("DELETE FROM runs")
+                raise RuntimeError("mid-write")
+        assert [run.hash for run in store.query()] == ["a" * 64]
+        assert store.ledger("a" * 64) == ([1], [8])
+
+    def test_concurrent_writer_processes_lose_nothing(self, tmp_path):
+        """Two processes put 50 runs each into one file at once, as two
+        ``sweep`` commands sharing a store do: every row lands."""
+        url = resolve_store_url(tmp_path / "runs.sqlite")
+        script = (
+            "import sys\n"
+            "from repro.engine.store import RunStore\n"
+            "slot, url = sys.argv[1], sys.argv[2]\n"
+            "with RunStore(url) as store:\n"
+            "    for index in range(50):\n"
+            "        store.put(f'{slot}-{index:03d}', driver='crash', n=8,\n"
+            "                  f=2, seed=index, params={}, version='v1',\n"
+            "                  status='ok', row={'messages': index},\n"
+            "                  messages_per_round=[index],\n"
+            "                  bits_per_round=[8 * index])\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        writers = [subprocess.Popen(
+            [sys.executable, "-c", script, slot, url],
+            env={**os.environ, "PYTHONPATH": src},
+            stderr=subprocess.PIPE, text=True) for slot in ("p", "q")]
+        for writer in writers:
+            _, err = writer.communicate(timeout=120)
+            assert writer.returncode == 0, err
+        with RunStore(url) as store:
+            runs = store.query()
+            assert len(runs) == 100
+            assert all(store.ledger(run.hash) == ([run.seed], [8 * run.seed])
+                       for run in runs)
