@@ -4,10 +4,17 @@ Usage (from the repo root, with ``src`` on ``PYTHONPATH``)::
 
     python -m benchmarks.own_time FAMILY N F [--param K=V ...] [--seed S]
                                    [--repeat K] [--top K]
+    python -m benchmarks.own_time --workload NAME [--seed S]
+                                   [--repeat K] [--top K]
 
     python -m benchmarks.own_time crash 4096 3276 --param election_constant=2.0
+    python -m benchmarks.own_time --workload f1_sweep
 
-Runs ``repro.analysis.experiments.summary(FAMILY, N, F, S, **params)``
+Runs ``repro.analysis.experiments.summary(FAMILY, N, F, S, **params)``,
+or one rep of the end-to-end benchmark's batch workload ``NAME``
+(``crash_paper``, ``byz_withholder``, ``f1_sweep``: the rep object of
+:mod:`benchmarks.e2e.batch`, set up as the timed pass sets it up, with
+its speed meter running -- its samples are the ``speed.py`` rows),
 ``--repeat`` times (default once), in this process, with the kernel
 asked for a ``SIGPROF`` every millisecond of CPU time (``ITIMER_PROF``;
 it is delivered at the kernel's tick, so a sample stands for one tick
@@ -22,7 +29,8 @@ called functions.
 A short run gives few samples (a run at n = 48 is a few dozen ticks);
 ``--repeat K`` samples K identical runs in one call, so the tables
 stand on K times as many.  It prints the counted results (the summary
-row, the same for every repetition), the CPU of all repetitions
+row, or a rep's ``counts_digest`` and message count, the same for every
+repetition), the CPU of all repetitions
 (``time.process_time``) and the process's peak RSS, the sample count,
 and three markdown tables of shares of the samples: own time, own time
 by caller, and cumulative.  ``--param`` values are Python literals when
@@ -43,7 +51,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from repro.analysis.experiments import summary
+from repro.analysis.experiments import FAMILIES, check_params, lookup, summary
 
 #: Seconds of CPU time between two asks for a ``SIGPROF``.
 INTERVAL_S = 0.001
@@ -123,13 +131,71 @@ def literal(text: str) -> object:
         return text
 
 
+def workload_reps(parser, args):
+    """``--repeat`` reps of batch workload ``--workload`` (full sizes,
+    after the timed pass's set-up and warm-up), sampled with the meter
+    running.  The harness is imported only here: a family run's peak
+    RSS is the run's."""
+    from benchmarks.e2e.batch import BATCH_WORKLOADS
+    from benchmarks.e2e.passes import build, digest
+    from benchmarks.e2e.spec import FULL
+    from benchmarks.e2e.speed import SpeedMeter
+
+    name = args.workload
+    if name not in BATCH_WORKLOADS:
+        parser.error(f"unknown workload {name!r}; known: "
+                     + ", ".join(sorted(BATCH_WORKLOADS)))
+    if args.family is not None or args.param:
+        parser.error("--workload takes no FAMILY N F and no --param")
+    with SpeedMeter() as meter:
+        workload = build(name, args.seed, FULL, 0.0, 0, meter)
+        reps, profile, cpu_s = sampled(
+            lambda: [workload.rep() for _ in range(args.repeat)])
+    errors = [rep.error for rep in reps if rep.error or rep.failed]
+    if errors:
+        raise SystemExit(f"{name}: a rep failed its checks: {errors[0]}")
+    row = {"counts_digest": digest(reps[0].counted)[:16],
+           "messages": reps[0].messages, "runs": reps[0].attempted}
+    return (f"workload {name!r}, seed {args.seed}", row,
+            [rep.counted for rep in reps], profile, cpu_s)
+
+
+def family_runs(parser, args):
+    """``--repeat`` summary rows of FAMILY N F, every name checked first."""
+    if None in (args.family, args.n, args.f):
+        parser.error("give FAMILY N F, or --workload NAME")
+    try:
+        family = lookup(FAMILIES, "family", args.family)
+    except ValueError as error:
+        parser.error(str(error))
+    params = {}
+    for item in args.param:
+        key, sep, value = item.partition("=")
+        if not sep:
+            parser.error(f"--param wants K=V, got {item!r}")
+        params[key] = literal(value)
+    try:
+        check_params(family, params)
+    except TypeError as error:
+        parser.error(str(error))
+    run = partial(summary, args.family, args.n, args.f, args.seed, **params)
+    rows, profile, cpu_s = sampled(
+        lambda: [run() for _ in range(args.repeat)])
+    title = (f"summary({args.family!r}, {args.n}, {args.f}, {args.seed}"
+             + "".join(f", {k}={v!r}" for k, v in params.items()) + ")")
+    return title, rows[0], rows, profile, cpu_s
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks.own_time",
-        description="Own-time profile of one summary(FAMILY, N, F, SEED) run.")
-    parser.add_argument("family")
-    parser.add_argument("n", type=int)
-    parser.add_argument("f", type=int)
+        description="Own-time profile of one summary(FAMILY, N, F, SEED) "
+                    "run or of one e2e batch workload rep.")
+    parser.add_argument("family", nargs="?")
+    parser.add_argument("n", type=int, nargs="?")
+    parser.add_argument("f", type=int, nargs="?")
+    parser.add_argument("--workload", metavar="NAME",
+                        help="sample this e2e batch workload's rep instead")
     parser.add_argument("--param", action="append", default=[],
                         metavar="K=V", help="a family parameter (repeatable)")
     parser.add_argument("--seed", type=int, default=1)
@@ -138,24 +204,14 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--top", type=int, default=15,
                         help="rows per table (default 15)")
     args = parser.parse_args(argv)
-    params = {}
-    for item in args.param:
-        key, sep, value = item.partition("=")
-        if not sep:
-            parser.error(f"--param wants K=V, got {item!r}")
-        params[key] = literal(value)
-
     if args.repeat < 1:
         parser.error(f"--repeat must be >= 1, got {args.repeat}")
-    run = partial(summary, args.family, args.n, args.f, args.seed, **params)
-    rows, profile, cpu_s = sampled(
-        lambda: [run() for _ in range(args.repeat)])
-    row = rows[0]
-    if any(other != row for other in rows):
+    title, row, rows, profile, cpu_s = (
+        family_runs if args.workload is None else workload_reps)(parser, args)
+    if any(other != rows[0] for other in rows):
         raise SystemExit("repetitions disagree: the run is not deterministic")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"summary({args.family!r}, {args.n}, {args.f}, {args.seed}"
-          + "".join(f", {k}={v!r}" for k, v in params.items()) + ")")
+    print(title)
     print("counted: " + ", ".join(f"{k}={v}" for k, v in row.items()))
     print(f"cpu_s={cpu_s:.3f} peak_rss_mb={peak_mb:.1f} "
           f"samples={profile.samples:,}"

@@ -3,15 +3,20 @@
 Run with ``pytest benchmarks/test_own_time.py``.
 """
 
+import os
 import signal
+import subprocess
+import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from benchmarks.own_time import main, sampled
 from repro.analysis.experiments import summary
 
+ROOT = Path(__file__).resolve().parents[1]
 RUNS = [("crash", {}), ("crash", {"adversary": "random"}),
         ("obg", {"adversary": "random"})]
 
@@ -83,3 +88,70 @@ def test_repeat_must_be_positive(capsys):
         main(["crash", "16", "1", "--repeat", "0"])
     assert exit_.value.code == 2
     assert "--repeat must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["crash", "16", "1", "--param", "strategy=withholder"],
+     "crash takes no param strategy; known: election_constant, "
+     "early_stopping, adversary, namespace, include_rounds"),
+    (["nosuch", "16", "1"], "unknown family 'nosuch'; known: "),
+    ([], "give FAMILY N F, or --workload NAME"),
+    (["--workload", "crash_paper", "crash", "16", "1"],
+     "--workload takes no FAMILY N F and no --param"),
+    (["--workload", "nosuch"], "unknown workload 'nosuch'; known: "
+     "byz_withholder, crash_paper, f1_sweep"),
+])
+def test_bad_input_is_one_parser_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0], err
+
+
+def test_workload_samples_the_e2e_rep_with_its_meter(capsys, monkeypatch):
+    from benchmarks.e2e.batch import CrashPaper
+    from benchmarks.e2e.passes import digest
+    from benchmarks.e2e.spec import FULL
+    from benchmarks.e2e.speed import SpeedMeter
+
+    samples = []
+    original = SpeedMeter.sample
+    monkeypatch.setattr(SpeedMeter, "sample", lambda self, *signal_args: (
+        samples.append(1), original(self)))
+    main(["--workload", "crash_paper", "--seed", "3", "--repeat", "2",
+          "--top", "2"])
+    out = capsys.readouterr().out
+    assert samples, "the workload's speed meter never sampled"
+    with SpeedMeter() as meter:
+        rep = CrashPaper(3, FULL, meter).rep()
+    assert out.startswith("workload 'crash_paper', seed 3\n")
+    assert (f"counted: counts_digest={digest(rep.counted)[:16]}, "
+            f"messages={rep.messages}, runs=1\n") in out
+    assert "repeat=2" in out
+
+
+@pytest.mark.parametrize("name", ["byz_withholder", "f1_sweep"])
+def test_every_batch_workload_is_sampled(name, capsys, monkeypatch):
+    from benchmarks.e2e import spec
+
+    monkeypatch.setattr(spec, "FULL", spec.QUICK)
+    main(["--workload", name, "--top", "2"])
+    out = capsys.readouterr().out
+    assert out.startswith(f"workload {name!r}, seed 1\n")
+    assert "counted: counts_digest=" in out and "samples=" in out
+
+
+def test_a_family_run_does_not_import_the_e2e_harness():
+    # The harness (sqlite store, engine pool) would add to the peak RSS
+    # the table reports as the run's.
+    code = ("import sys; from benchmarks.own_time import main; "
+            "main(['crash', '16', '1', '--top', '1']); "
+            "print(sorted(m for m in sys.modules if 'e2e' in m))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={
+                             **os.environ, "PYTHONPATH": os.pathsep.join(
+                                 [str(ROOT / "src"), str(ROOT)])}).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from random import Random
 
-from dataclasses import dataclass
 
 from repro.consensus.comm import CommitteeComm
 from repro.core.byzantine_renaming import (
@@ -33,7 +32,14 @@ from repro.core.byzantine_renaming import (
     Elect,
     IdAnnounce,
 )
-from repro.sim.messages import UNTIL_MAIL, Message, Send, broadcast, multicast
+from repro.sim.messages import (
+    UNTIL_MAIL,
+    Message,
+    Send,
+    broadcast,
+    multicast,
+    record,
+)
 from repro.sim.node import Context, Process, Program
 
 
@@ -195,7 +201,7 @@ class ChaosMonkeyByzantine(Process):
             yield sends
 
 
-@dataclass(frozen=True)
+@record
 class SlotNoise(Message):
     """A message type no honest protocol knows, for type-filter tests."""
 

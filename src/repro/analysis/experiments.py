@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from inspect import signature
 from random import Random
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from repro.adversary import byzantine as byzantine_strategies
 from repro.adversary.base import CrashAdversary
@@ -299,10 +300,8 @@ def summary(name: str, n: int, f: int, seed: int, *,
     ``None`` for a failure-free run; default the family's).
     """
     family = lookup(FAMILIES, "family", name)
+    check_params(family, params)
     adversary = params.pop("adversary", family.adversary)
-    unknown = sorted(set(params) - set(family.params))
-    if unknown:
-        raise TypeError(f"{name} driver got unexpected params {unknown}")
     result = execute(family, n, f, seed, adversary=adversary, params=params,
                      namespace=namespace)
     row = {
@@ -324,6 +323,20 @@ def summary(name: str, n: int, f: int, seed: int, *,
         row["bits_per_round"] = list(result.metrics.bits_per_round)
     return row
 
+
+def check_params(family: Family, params: Iterable[str]) -> None:
+    """Raise ``TypeError`` naming each of ``params`` that :func:`summary`
+    of ``family`` does not take."""
+    known = (*family.params, "adversary", *_SUMMARY_KEYWORDS)
+    unknown = [key for key in sorted(set(params)) if key not in known]
+    if unknown:
+        raise TypeError(f"{family.name} takes no param {', '.join(unknown)}; "
+                        f"known: {', '.join(known)}")
+
+
+_SUMMARY_KEYWORDS = tuple(
+    parameter.name for parameter in signature(summary).parameters.values()
+    if parameter.kind is parameter.KEYWORD_ONLY)
 
 crash_run_summary = partial(summary, "crash")
 obg_run_summary = partial(summary, "obg")

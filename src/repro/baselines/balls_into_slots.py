@@ -41,14 +41,13 @@ program.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.core.crash_renaming import RenamingFailure
 from repro.sim.columnar import tally
-from repro.sim.messages import CostModel, Message, broadcast
+from repro.sim.messages import CostModel, Message, broadcast, record
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
@@ -58,7 +57,7 @@ from repro.sim.runner import ExecutionResult, admit_identities, run_network
 MAX_CLAIM_ROUNDS = 10_000
 
 
-@dataclass(frozen=True)
+@record
 class SlotClaim(Message, fixed_width=True):
     """``CLAIM(slot, ID)``: one ball racing for one leaf."""
 
@@ -69,7 +68,7 @@ class SlotClaim(Message, fixed_width=True):
         return cost.index_bits + cost.id_bits
 
 
-@dataclass(frozen=True)
+@record
 class SlotRelease(Message, fixed_width=True):
     """Keep-alive of a named node: re-announces its final slot so late
     observers cannot mistake the slot for free."""

@@ -23,17 +23,16 @@ in ``[1, n]`` (strong renaming).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.sim.columnar import messages
-from repro.sim.messages import CostModel, Message, broadcast
+from repro.sim.messages import CostModel, Message, broadcast, record
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
 
-@dataclass(frozen=True)
+@record
 class KnowledgeGossip(Message):
     """A node's full knowledge: every original identity it has heard of."""
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -45,12 +44,12 @@ from repro.adversary.base import CrashAdversary
 from repro.core.crash_renaming import RenamingFailure
 from repro.core.intervals import Interval, reports_inside_bot, root_interval
 from repro.sim.columnar import messages, tally
-from repro.sim.messages import CostModel, Message, broadcast
+from repro.sim.messages import CostModel, Message, broadcast, record
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
 
-@dataclass(frozen=True)
+@record
 class HalvingStatus(Message, fixed_width=True):
     """Per-phase broadcast ``<ID(v), I_v>``."""
 

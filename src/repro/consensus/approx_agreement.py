@@ -22,12 +22,11 @@ the halving rate under adversarial mid-send crash schedules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.sim.columnar import messages
-from repro.sim.messages import CostModel, Message, broadcast
+from repro.sim.messages import CostModel, Message, broadcast, record
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
@@ -36,7 +35,7 @@ from repro.sim.runner import ExecutionResult, admit_identities, run_network
 PRECISION = 1 << 20
 
 
-@dataclass(frozen=True)
+@record
 class ValueReport(Message):
     """One round's value broadcast, fixed-point encoded."""
 

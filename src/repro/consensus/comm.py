@@ -29,15 +29,21 @@ still computed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from repro.sim.columnar import derive, messages, round_memo, senders
-from repro.sim.messages import CostModel, Envelope, Message, Send, multicast
+from repro.sim.messages import (
+    CostModel,
+    Envelope,
+    Message,
+    Send,
+    multicast,
+    record,
+)
 
 
-@dataclass(frozen=True)
+@record
 class SubVote(Message):
     """One vote inside an in-committee subprotocol.
 
@@ -68,7 +74,9 @@ class CommitteeComm:
             raise ValueError(f"b_max must be >= 0, got {b_max}")
         self.b_max = b_max
         self.step = 0
-        self._votes: dict = {}  # the round last read's votes
+        #: The round last read's memo (:func:`round_memo`): what the
+        #: members of one view build alike is kept there, votes first.
+        self.memo: dict = {}
         self._hooked = type(self).outgoing_value is not CommitteeComm.outgoing_value
 
     def outgoing_value(self, kind: str, value: object, receiver: int) -> object:
@@ -89,9 +97,9 @@ class CommitteeComm:
         if not self._hooked and "outgoing_value" not in self.__dict__:
             key = (self._members, step, kind, type(value), value, width)
             try:
-                return self._votes[key]
+                return self.memo[key]
             except KeyError:
-                vote = self._votes[key] = multicast(
+                vote = self.memo[key] = multicast(
                     self.view, SubVote(step, kind, value, width))
                 return vote
             except TypeError:  # unhashable: no key to share it under
@@ -119,7 +127,7 @@ class CommitteeComm:
         members that received the same rows share one (read-only)
         mapping, computed once (:func:`repro.sim.columnar.derive`).
         """
-        self._votes = round_memo(inbox)
+        self.memo = round_memo(inbox)
         return derive(inbox, _collect, self.step, kind, self._members)
 
     def tally(self, inbox: Sequence[Envelope], kind: str,
@@ -129,7 +137,7 @@ class CommitteeComm:
         heard but not counted for a value, and ``(heard, None, 0)`` is
         what remains of nothing.  Like :meth:`collect`, once per
         distinct inbox."""
-        self._votes = round_memo(inbox)
+        self.memo = round_memo(inbox)
         return derive(inbox, _tally, self.step, kind, self._members, without)
 
 

@@ -46,7 +46,7 @@ from repro.consensus.validator import validator
 from repro.core.identity_list import IdentityList
 from repro.crypto.hashing import FingerprintFamily
 from repro.crypto.shared_randomness import SharedRandomness
-from repro.sim.columnar import derive, messages, senders
+from repro.sim.columnar import derive, messages, sender_uids, senders
 from repro.sim.messages import (
     UNTIL_MAIL,
     CostModel,
@@ -54,6 +54,7 @@ from repro.sim.messages import (
     Scatter,
     broadcast,
     multicast,
+    record,
 )
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, admit_identities, run_network
@@ -68,7 +69,7 @@ class ByzantineRenamingError(RuntimeError):
 # Messages
 
 
-@dataclass(frozen=True)
+@record
 class Elect(Message, fixed_width=True):
     """Committee announcement ``<ELECT, ID(v)>``."""
 
@@ -78,7 +79,7 @@ class Elect(Message, fixed_width=True):
         return cost.id_bits
 
 
-@dataclass(frozen=True)
+@record
 class IdAnnounce(Message, fixed_width=True):
     """Identity aggregation ``<ID, ID(v)>``."""
 
@@ -88,7 +89,7 @@ class IdAnnounce(Message, fixed_width=True):
         return cost.id_bits
 
 
-@dataclass(frozen=True)
+@record
 class NewId(Message, fixed_width=True):
     """Distribution ``<NEW, NewID(u)>`` (``None`` encodes ``null``)."""
 
@@ -299,14 +300,10 @@ class ByzantineRenamingNode(Process):
             return result
 
         self.was_committee = True
-        registry: dict[int, int] = {}
-        for envelope in inbox:
-            if isinstance(envelope.message, IdAnnounce) and envelope.sender_uid:
-                registry.setdefault(envelope.sender_uid, envelope.sender)
-
+        uids, links = derive(inbox, _registry)
         result = yield from self._committee_program(
-            ctx, params, view, members, IdentityList(ctx.namespace, registry),
-            registry, shared
+            ctx, params, view, members,
+            IdentityList(ctx.namespace, uids), uids, links, shared
         )
         return result
 
@@ -319,7 +316,8 @@ class ByzantineRenamingNode(Process):
         view: Mapping[int, int],
         members: frozenset[int],
         identity_list: IdentityList,
-        registry: Mapping[int, int],
+        uids: tuple[int, ...],
+        links: tuple[int, ...],
         shared: SharedRandomness,
     ):
         comm = self._make_comm(members, params)
@@ -394,11 +392,17 @@ class ByzantineRenamingNode(Process):
 
         self.dirty_intervals = list(dirty)
 
-        # Distribution: answer every registered node, in one merge.
-        uids = sorted(registry)
-        inbox = yield Scatter(
-            [registry[uid] for uid in uids],
-            [NewId(rank) for rank in identity_list.ranks(uids, sorted(dirty))])
+        # Distribution: answer every registered node, in one merge.  The
+        # members whose registries and ranks agree (all correct ones, as
+        # a rule) send one `Scatter`, kept in the round last read: the
+        # engine files it once and the rest as repeats.
+        ranks = tuple(identity_list.ranks(uids, sorted(dirty)))
+        key = (NewId, links, ranks)
+        try:
+            answers = comm.memo[key]
+        except KeyError:
+            answers = comm.memo[key] = Scatter(links, map(NewId, ranks))
+        inbox = yield answers
         result = yield from self._await_new_id(params, view, first_inbox=inbox)
         return result
 
@@ -439,6 +443,18 @@ def _committee_view(envelopes, candidates: AbstractSet[int]):
         ):
             view[envelope.sender] = envelope.sender_uid
     return MappingProxyType(view), tuple(sorted(view))
+
+
+def _registry(inbox) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Round 2's registry as ``(uids, links)``: every authentic announced
+    uid, ascending, and the link it was first heard on."""
+    registry: dict[int, int] = {}
+    for link, uid, message in zip(senders(inbox), sender_uids(inbox),
+                                  messages(inbox)):
+        if isinstance(message, IdAnnounce) and uid:
+            registry.setdefault(uid, link)
+    uids = tuple(sorted(registry))
+    return uids, tuple([registry[uid] for uid in uids])
 
 
 def _committee_members(inbox, candidates: AbstractSet[int]):

@@ -57,6 +57,7 @@ from repro.sim.messages import (
     Scatter,
     broadcast,
     multicast,
+    record,
 )
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, admit_identities, run_network
@@ -66,7 +67,7 @@ class RenamingFailure(RuntimeError):
     """A node finished all phases without reducing its interval to size 1."""
 
 
-@dataclass(frozen=True)
+@record
 class CommitteeNotice(Message, fixed_width=True):
     """Round-1 announcement: "I am a committee member"."""
 
@@ -78,7 +79,7 @@ class CommitteeNotice(Message, fixed_width=True):
 NOTICE = CommitteeNotice()
 
 
-@dataclass(frozen=True)
+@record
 class Status(Message, fixed_width=True):
     """Round-2 report ``<ID(v), I_v, d_v, p_v>``."""
 
@@ -92,7 +93,7 @@ class Status(Message, fixed_width=True):
                 + cost.depth_bits + cost.counter_bits)
 
 
-@dataclass(frozen=True)
+@record
 class Done(Message, fixed_width=True):
     """Early-stopping broadcast: every reporter holds a singleton."""
 
@@ -100,7 +101,7 @@ class Done(Message, fixed_width=True):
         return 0
 
 
-@dataclass(frozen=True)
+@record
 class Response(Message, fixed_width=True):
     """Round-3 committee answer ``<ID(w), I, d, p_u>``."""
 

@@ -25,11 +25,15 @@ class IdentityList:
     """A sparse ``{0,1}^N`` vector addressed by positions in ``[1, N]``."""
 
     def __init__(self, namespace: int, ones: Iterable[int] = ()):
-        """The vector with exactly the bits ``ones`` set (one sort)."""
+        """The vector with exactly the bits ``ones`` set (one sort).
+
+        ``dict.fromkeys`` drops repeats but keeps the input's order, so
+        ascending ``ones`` (a registry) sort as one run, in linear time.
+        """
         if namespace < 1:
             raise ValueError(f"namespace must be positive, got {namespace}")
         self.namespace = namespace
-        self._ones: list[int] = sorted(set(ones))
+        self._ones: list[int] = sorted(dict.fromkeys(ones))
         for position in self._ones[:1] + self._ones[-1:]:
             self._check(position)
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sized
-from dataclasses import dataclass
+
+from repro.sim.messages import record
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Interval:
     """A closed integer interval ``[lo, hi]`` with ``lo <= hi``.
 

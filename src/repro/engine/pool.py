@@ -25,6 +25,8 @@ dispatch overhead on the many-small-runs workloads typical of sweeps.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -82,6 +84,24 @@ def _run_one(request: RunRequest) -> RunResult:
         )
 
 
+def _exit_with_parent() -> None:
+    """Make this worker process end when its parent does.
+
+    A worker whose coordinator was killed would otherwise compute, under
+    ppid 1, chunks nobody collects or stores.  The parent's sentinel is
+    a pipe end only the parent holds open (and workers forked after
+    this one, which exit the same way first), so it reads EOF once the
+    parent is gone; one daemon thread waits on it and ends the process.
+    """
+    parent = multiprocessing.parent_process()
+
+    def exit_when_parent_is_gone() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=exit_when_parent_is_gone, daemon=True).start()
+
+
 def _worker(batch: list[tuple[int, RunRequest]]) -> list[tuple[int, RunResult]]:
     """Pool entry point: run one chunk of ``(index, request)`` tasks."""
     return [(index, _run_one(request)) for index, request in batch]
@@ -89,6 +109,7 @@ def _worker(batch: list[tuple[int, RunRequest]]) -> list[tuple[int, RunResult]]:
 
 def _isolated_entry(connection, request: RunRequest) -> None:
     """Child-process entry point for :func:`_run_isolated`."""
+    _exit_with_parent()
     try:
         connection.send(_run_one(request))
     finally:
@@ -334,7 +355,8 @@ def run_requests(
         # processes (e.g. a caller's own multiprocessing children)
         # without reaching into the executor's private ``_processes``.
         preexisting = {child.pid for child in multiprocessing.active_children()}
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)),
+                                   initializer=_exit_with_parent)
         try:
             futures = [pool.submit(_worker, chunk) for chunk in chunks]
             if obs is not None:

@@ -18,16 +18,15 @@ paper's committee algorithm defends against with its response round
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
-from repro.sim.messages import CostModel, Message, broadcast
+from repro.sim.messages import CostModel, Message, broadcast, record
 from repro.sim.node import Context, Process, Program
 from repro.sim.runner import ExecutionResult, admit_identities, run_network
 
 
-@dataclass(frozen=True)
+@record
 class RankHello(Message):
     """The racy renaming's single message: "my identity is ``uid``"."""
 

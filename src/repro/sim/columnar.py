@@ -72,8 +72,9 @@ inbox builds nothing.
 **Reading without envelopes.**  A protocol that never looks at
 ``sender`` / ``sender_uid`` says so with :func:`messages`:
 ``messages(inbox)`` is the inbox's messages in delivery order, one
-tuple per view, and no envelope is built for it; :func:`senders` is
-the same rows' sender links.  A rule that also ignores repeats (a min,
+tuple per view, and no envelope is built for it; :func:`senders` and
+:func:`sender_uids` are the same rows' sender links and perceived
+identities.  A rule that also ignores repeats (a min,
 a max, a flag) reads :func:`distinct`: the message *objects*, each
 once, in order of first occurrence; a repeat is the same object, never
 an equal one.  It reads by position, from a ``recipient -> rows`` index
@@ -570,11 +571,23 @@ def messages(inbox: Sequence[Envelope]) -> tuple[Message, ...]:
 def senders(inbox: Sequence[Envelope]) -> tuple[int, ...]:
     """The sender links of :func:`messages`, position by position, for
     a rule that never reads ``sender_uid``: no envelope is built."""
+    return _header_field(inbox, 0, "sender")
+
+
+def sender_uids(inbox: Sequence[Envelope]) -> tuple[Optional[int], ...]:
+    """The ``sender_uid`` of :func:`messages`, position by position (the
+    identity the receiver perceives): no envelope is built."""
+    return _header_field(inbox, 1, "sender_uid")
+
+
+def _header_field(inbox: Sequence[Envelope], at: int, name: str) -> tuple:
+    """Field ``at`` of each row's header -- the envelopes' ``name`` --
+    in delivery order."""
     if type(inbox) is not LazyInbox:
-        return tuple([envelope.sender for envelope in inbox])
+        return tuple([getattr(envelope, name) for envelope in inbox])
     column = inbox._column
     hdr = column.hdr
-    return tuple([hdr[row][0] for row in column._rows_of(inbox._resolve())])
+    return tuple([hdr[row][at] for row in column._rows_of(inbox._resolve())])
 
 
 def distinct(inbox: Sequence[Envelope]) -> tuple[Message, ...]:

@@ -419,8 +419,8 @@ class TestKilledSweepResumes:
 
     def kill_and_rerun(self, tmp_path, capsys, jobs):
         path = tmp_path / "runs.sqlite"
-        # Its own session: the pool's workers share the coordinator's
-        # process group, and killing only the coordinator orphans them.
+        # Its own session, killed as a group: nothing of it outlives the
+        # kill, whichever process would notice first.
         process = self.sweep(path, jobs, start_new_session=True)
         try:
             with RunStore(path) as store:
@@ -459,6 +459,65 @@ class TestKilledSweepResumes:
         # Without a pool the store is written from the one process, run
         # by run: the kill loses at most the run in hand.
         self.kill_and_rerun(tmp_path, capsys, jobs=1)
+
+
+def _session(sid: int) -> list[int]:
+    """The live (not zombie) processes of session ``sid``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[3]) == sid and fields[0] != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+#: A process that makes a retry worker whose run never ends, then waits.
+_HANGING_RETRY = """
+import time
+from repro.engine import pool
+from repro.engine.sweeps import RunRequest
+pool.execute_request = lambda request: time.sleep(300)
+pool._run_isolated(RunRequest.make("crash", 16, 0, 0), None)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestWorkersExitWithTheirCoordinator:
+    """A worker ends when the process that started it is killed, so a
+    plain ``kill -9`` of the coordinator leaves nothing computing."""
+
+    def kill_the_leader_only(self, argv, workers):
+        process = subprocess.Popen(
+            [sys.executable, *argv], env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while len(_session(process.pid)) < 1 + workers:
+                assert process.poll() is None, "ended before its workers ran"
+                assert time.monotonic() < deadline, "no workers started"
+                time.sleep(0.02)
+            process.kill()
+            process.wait()
+            deadline = time.monotonic() + 5
+            while _session(process.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _session(process.pid) == []
+        finally:
+            if _session(process.pid):
+                os.killpg(process.pid, signal.SIGKILL)
+
+    def test_pool_workers_exit_with_a_killed_sweep(self, tmp_path):
+        self.kill_the_leader_only(
+            ["-m", "repro", *TestKilledSweepResumes.SWEEP, "--jobs", "2",
+             "--store", str(tmp_path / "runs.sqlite")], workers=2)
+
+    def test_a_retry_worker_exits_with_its_killed_parent(self):
+        self.kill_the_leader_only(["-c", _HANGING_RETRY], workers=1)
 
 
 def _crash_driver(n, f, seed, include_rounds=False, **params):

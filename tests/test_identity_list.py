@@ -54,6 +54,17 @@ class TestBits:
         with pytest.raises(ValueError):
             IdentityList(0)
 
+    def test_bulk_load_from_a_shared_sorted_registry(self):
+        registry = (2, 5, 9)
+        ids = IdentityList(10, registry)
+        assert ids == IdentityList(10, [9, 5, 2, 5])
+        ids.set_bit(7)  # a member's own copy: the shared tuple is kept
+        assert registry == (2, 5, 9) and ids.ones() == [2, 5, 7, 9]
+        assert IdentityList(10, ()) == IdentityList(10)
+        for outside in [(0, 3), (3, 11)]:
+            with pytest.raises(IndexError):
+                IdentityList(10, outside)
+
 
 class TestSegments:
     def test_ones_in_segment(self):

@@ -32,6 +32,7 @@ from repro.sim.columnar import (
     LazyInbox,
     distinct,
     messages,
+    sender_uids,
     senders,
     tally,
 )
@@ -62,7 +63,8 @@ FILINGS = ("shared", "copied", "own", "repeat", "run", "broadcast",
            "rebroadcast", "held", "single")
 
 #: Every way of reading an inbox.
-READS = ("len", "read", "messages", "senders", "tally", "distinct")
+READS = ("len", "read", "messages", "senders", "sender_uids", "tally",
+         "distinct")
 
 
 @st.composite
@@ -155,6 +157,8 @@ def _read(column, to, how):
         return _ids(messages(inbox))
     if how == "senders":
         return senders(inbox)
+    if how == "sender_uids":
+        return sender_uids(inbox)
     if how == "tally":
         counted, own = tally(inbox, _message_ids)
         return tuple(sorted([*counted, *map(id, own)]))
