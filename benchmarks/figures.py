@@ -823,12 +823,13 @@ class F17(Figure):
     points = tuple(default_chaos_ladder())
 
     def runs(self, rung):
+        # The serve driver's ``f`` is the number of faulted shards.
+        faulted = 1 if rung.spec else 0
+        resilient = {"resilience": DEFAULT_CHAOS_RESILIENCE.to_json()}
         return {
-            arm: RunRequest.make("serve", self.clients, rung.faulted,
-                                 self.seed, **self.load,
-                                 **rung.params(policy))
-            for arm, policy in (("resilient", DEFAULT_CHAOS_RESILIENCE),
-                                ("baseline", None))
+            arm: RunRequest.make("serve", self.clients, faulted, self.seed,
+                                 **self.load, **rung.params(), **policy)
+            for arm, policy in (("resilient", resilient), ("baseline", {}))
         }
 
     def row(self, rung, resilient, baseline):

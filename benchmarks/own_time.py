@@ -175,7 +175,7 @@ def family_runs(parser, args):
             parser.error(f"--param wants K=V, got {item!r}")
         params[key] = literal(value)
     try:
-        check_params(family, params)
+        check_params(family, args.n, args.f, params)
     except TypeError as error:
         parser.error(str(error))
     run = partial(summary, args.family, args.n, args.f, args.seed, **params)

@@ -234,14 +234,18 @@ def _add_param_flag(parser: argparse.ArgumentParser, target: str) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import FAMILIES, check_params
     from repro.engine.pool import run_requests
     from repro.engine.sweeps import SweepSpec
 
-    # ``--f`` at each n and the params against the spec are checked
-    # together here.
+    # ``--f`` at each n and a family's params against its summary and
+    # config are checked together here.
     with _one_error_line(args):
         requests = SweepSpec.make(args.driver, args.n, args.seeds, f=args.f,
                                   **dict(args.param)).requests()
+        if args.driver in FAMILIES:
+            for n, f in dict.fromkeys((r.n, r.f) for r in requests):
+                check_params(FAMILIES[args.driver], n, f, dict(args.param))
     observer = None
     if args.telemetry:
         from repro.obs import EventRecorder
@@ -349,10 +353,12 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
+    from repro.engine.pool import run_requests
+    from repro.engine.sweeps import RunRequest
     from repro.faults.degradation import (
         SAFE_TERMINATED,
-        classify_scenario,
-        degradation_frontier,
+        Rung,
+        default_ladder,
         summarize_frontier,
     )
     from repro.faults.spec import build_fault_model
@@ -360,25 +366,20 @@ def cmd_faults(args: argparse.Namespace) -> int:
     with _one_error_line(args):
         # The spec's entries as built at --n and --seed, before any run.
         build_fault_model(args.faults, args.n, args.seed)
-    if args.faults:
-        # One explicit spec instead of the ladder: classify it per
-        # scenario (the single-cell form of the frontier).
-        rows = []
-        for scenario in args.scenario:
-            row = classify_scenario(
-                scenario, args.n, args.f, args.seed, args.faults,
-                adversary=args.adversary,
-                watchdog_rounds=args.watchdog_rounds,
-            )
-            row.pop("_result", None)
-            row["rung"] = "custom"
-            rows.append(row)
-    else:
-        rows = degradation_frontier(
-            args.scenario, args.n, args.f, args.seed,
-            adversary=args.adversary,
-            watchdog_rounds=args.watchdog_rounds,
-        )
+    # One explicit spec is the single-rung form of the ladder.
+    ladder = ([Rung("custom", tuple(args.faults))] if args.faults
+              else default_ladder(args.n))
+    cells = [(scenario, rung) for scenario in args.scenario
+             for rung in ladder]
+    results = run_requests([
+        RunRequest.make("faults", args.n, args.f, args.seed,
+                        scenario=scenario, adversary=args.adversary,
+                        watchdog_rounds=args.watchdog_rounds,
+                        **rung.params())
+        for scenario, rung in cells
+    ])
+    rows = [{**result.row, "rung": rung.label}
+            for result, (_, rung) in zip(results, cells) if result.ok]
     keep = ("scenario", "rung", "outcome", "rounds", "dropped",
             "duplicated", "corrupted", "held", "detail")
     _print_rows([{k: row.get(k) for k in keep} for row in rows],
@@ -387,13 +388,16 @@ def cmd_faults(args: argparse.Namespace) -> int:
     _print_rows(summarize_frontier(rows), args.format)
     # The fault-free control rung must terminate safely; anything else
     # means the harness (not the fault model) is broken.
-    controls = [row for row in rows if row["rung"] == "none"]
-    broken = [row for row in controls
-              if row["outcome"] != SAFE_TERMINATED]
+    broken = [row for row in rows if row["rung"] == "none"
+              and row["outcome"] != SAFE_TERMINATED]
     for row in broken:
         print(f"CONTROL FAILED: {row['scenario']} without faults "
               f"classified {row['outcome']}", file=sys.stderr)
-    return 1 if broken else 0
+    failed = [result for result in results if not result.ok]
+    for result in failed:
+        print(f"FAILED {result.request.describe()}\n{result.error}",
+              file=sys.stderr)
+    return 1 if broken or failed else 0
 
 
 def _obs_tail(args: argparse.Namespace) -> int:

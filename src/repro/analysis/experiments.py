@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from inspect import signature
 from random import Random
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from repro.adversary import byzantine as byzantine_strategies
 from repro.adversary.base import CrashAdversary
@@ -172,6 +172,9 @@ class Family:
 def _crash_config(n: int, f: int,
                   election_constant: float = EXPERIMENT_ELECTION_CONSTANT,
                   early_stopping: bool = False) -> CrashRenamingConfig:
+    if not isinstance(election_constant, (int, float)):
+        raise TypeError(f"election_constant must be a number, got "
+                        f"{election_constant!r}")
     return CrashRenamingConfig(election_constant=election_constant,
                                early_stopping=early_stopping)
 
@@ -300,7 +303,7 @@ def summary(name: str, n: int, f: int, seed: int, *,
     ``None`` for a failure-free run; default the family's).
     """
     family = lookup(FAMILIES, "family", name)
-    check_params(family, params)
+    check_params(family, n, f, params)
     adversary = params.pop("adversary", family.adversary)
     result = execute(family, n, f, seed, adversary=adversary, params=params,
                      namespace=namespace)
@@ -324,14 +327,19 @@ def summary(name: str, n: int, f: int, seed: int, *,
     return row
 
 
-def check_params(family: Family, params: Iterable[str]) -> None:
+def check_params(family: Family, n: int, f: int,
+                 params: Mapping[str, object]) -> None:
     """Raise ``TypeError`` naming each of ``params`` that :func:`summary`
-    of ``family`` does not take."""
+    of ``family`` does not take, or the one its config at ``(n, f)``
+    rejects."""
     known = (*family.params, "adversary", *_SUMMARY_KEYWORDS)
     unknown = [key for key in sorted(set(params)) if key not in known]
     if unknown:
         raise TypeError(f"{family.name} takes no param {', '.join(unknown)}; "
                         f"known: {', '.join(known)}")
+    if family.config is not None:
+        family.config(n, f, **{key: params[key] for key in family.params
+                               if key in params})
 
 
 _SUMMARY_KEYWORDS = tuple(

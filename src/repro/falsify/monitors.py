@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.analysis.experiments import lookup
+
 if TYPE_CHECKING:  # annotations only; sim never imports falsify back
     from repro.sim.network import SyncNetwork
 
@@ -309,10 +311,6 @@ def default_monitors(
     ``loose``); ``watchdog_rounds`` overrides the hang watchdog
     (``None`` picks :func:`default_watchdog_rounds`).
     """
-    # Imported here: the module-level import closes a cycle through
-    # repro.faults.degradation.
-    from repro.analysis.experiments import lookup
-
     namespace_monitor = lookup({
         "strong": lambda: NamespaceBounds.strong(n),
         "tight": lambda: NamespaceBounds.tight(n, f),

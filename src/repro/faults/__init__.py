@@ -1,5 +1,5 @@
 """Link-level fault injection: omission, duplication, corruption,
-transient partitions, and the graceful-degradation classifier.
+transient partitions, and the graceful-degradation frontier.
 
 This package sits between the crash adversary and delivery inside
 :class:`repro.sim.network.SyncNetwork`; see :mod:`repro.faults.base`
@@ -7,10 +7,13 @@ for the verdict semantics and charging invariant.
 
 Note: ``repro.sim.network`` imports :mod:`repro.faults.base`, so this
 ``__init__`` must stay limited to the leaf modules (``base``,
-``channels``, ``spec``).  The classifier and engine driver live in
-:mod:`repro.faults.degradation` / :mod:`repro.faults.driver` and are
-imported explicitly by their callers — importing them here would close
-an import cycle through the scenario registry.
+``channels``, ``spec``).  The fault-ladder vocabulary (outcomes,
+:class:`~repro.faults.degradation.Rung`, the ladders' summary) lives
+in :mod:`repro.faults.degradation`, which imports no harness, and the
+``faults`` engine driver that classifies a run under the falsifier's
+monitors in :mod:`repro.faults.driver`; both are imported explicitly
+by their callers — the driver here would close an import cycle
+through the scenario registry.
 """
 
 from repro.faults.base import (

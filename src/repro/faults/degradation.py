@@ -1,4 +1,4 @@
-"""Graceful-degradation classification under an escalating fault ladder.
+"""The fault-ladder vocabulary: outcomes, rungs, ladders, frontiers.
 
 A protocol proven correct for crash faults can fail three different
 ways when the channel model is violated, and the difference matters:
@@ -23,34 +23,26 @@ ways when the channel model is violated, and the difference matters:
     (protocol assertion, malformed plan): the implementation itself
     fell over rather than degrading.
 
-:func:`degradation_frontier` runs one or more scenarios across an
-escalating fault ladder (:func:`default_ladder`) and tabulates the
-outcome per rung — the *degradation frontier* of each algorithm.  All
-executions are seeded and replayable: a rung is just a
-:mod:`repro.faults.spec` spec, so any frontier cell can be re-run via
-``params["faults"]`` in the falsify harness.
+A :class:`Rung` is one step of an escalating fault ladder — the
+protocol ladder :func:`default_ladder` or the serve ladder
+:func:`repro.serve.chaos.default_chaos_ladder` — and its
+:meth:`Rung.params` are the keywords that play it through an engine
+driver (``faults`` or ``serve``).  The ``faults`` driver
+(:mod:`repro.faults.driver`) classifies each execution; one row per
+(scenario, rung) is the *degradation frontier*, and
+:func:`summarize_frontier` folds it per scenario.  Nothing here
+imports the falsifier, so the serving layer can use the vocabulary
+without loading it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.core.crash_renaming import RenamingFailure
-from repro.falsify.monitors import (
-    InvariantViolation,
-    default_monitors,
-    default_watchdog_rounds,
-)
-from repro.falsify.scenarios import (
-    make_adversary,
-    resolve_scenario,
-    run_scenario,
-)
-from repro.faults.base import FaultModel, FaultVerdict, NoFaults
-from repro.faults.spec import build_fault_model, spec_to_json
-from repro.sim.network import NonTerminationError
+from repro.faults.base import FaultModel, FaultVerdict
+from repro.faults.spec import spec_to_json
 
 SAFE_TERMINATED = "SAFE_TERMINATED"
 SAFE_STALLED = "SAFE_STALLED"
@@ -65,9 +57,6 @@ def outcome_rank(outcome: str) -> int:
     """Severity index into :data:`OUTCOMES` (0 best, 3 worst): the one
     rule :func:`summarize_frontier` picks a scenario's worst outcome by."""
     return OUTCOMES.index(outcome)
-
-#: Invariants whose violation means "liveness lost", not "wrong answer".
-LIVENESS_INVARIANTS = frozenset({"round-budget"})
 
 
 class FaultTap(FaultModel):
@@ -94,18 +83,31 @@ class FaultTap(FaultModel):
 
 @dataclass(frozen=True)
 class Rung:
-    """One step of the escalating fault ladder."""
+    """One step of a fault ladder.
+
+    ``spec`` is a :mod:`repro.faults.spec` entry tuple (empty on the
+    fault-free control rung); ``window`` bounds a ``serve`` rung's
+    injection to the faulted shard's protocol attempts ``[start,
+    stop)`` (``None`` = persistent).
+    """
 
     label: str
-    spec: tuple  # normalized spec entries, as an immutable tuple
+    spec: tuple = ()
+    window: Optional[tuple[int, int]] = None
 
     @property
     def spec_json(self) -> str:
         return spec_to_json(list(self.spec))
 
-
-def _rung(label: str, spec: Sequence[dict]) -> Rung:
-    return Rung(label, tuple(dict(entry) for entry in spec))
+    def params(self) -> dict:
+        """The driver keywords that play this rung: ``faults``, plus
+        ``fault_window`` when windowed; none on the control rung."""
+        if not self.spec:
+            return {}
+        params = {"faults": self.spec_json}
+        if self.window is not None:
+            params["fault_window"] = json.dumps(list(self.window))
+        return params
 
 
 def default_ladder(n: int) -> list[Rung]:
@@ -114,204 +116,45 @@ def default_ladder(n: int) -> list[Rung]:
     case.  Specs depend only on ``n`` so frontiers are comparable
     across scenarios and replayable from their JSON."""
     return [
-        _rung("none", []),
-        _rung("omission-1%", [{"kind": "omission", "p": 0.01}]),
-        _rung("omission-5%", [{"kind": "omission", "p": 0.05}]),
-        _rung("omission-20%", [{"kind": "omission", "p": 0.20}]),
-        _rung("omission-5%-budget2n",
-              [{"kind": "omission", "p": 0.05, "budget": 2 * n}]),
-        _rung("duplicate-20%", [{"kind": "duplicate", "p": 0.20}]),
-        _rung("corrupt-10%", [{"kind": "corrupt", "p": 0.10}]),
-        _rung("partition-3r", [{"kind": "partition", "start": 2, "end": 5}]),
-        _rung("partition-8r", [{"kind": "partition", "start": 2, "end": 10}]),
-        _rung("omission+partition",
-              [{"kind": "omission", "p": 0.05, "budget": 2 * n},
-               {"kind": "partition", "start": 3, "end": 6}]),
+        Rung("none"),
+        Rung("omission-1%", ({"kind": "omission", "p": 0.01},)),
+        Rung("omission-5%", ({"kind": "omission", "p": 0.05},)),
+        Rung("omission-20%", ({"kind": "omission", "p": 0.20},)),
+        Rung("omission-5%-budget2n",
+             ({"kind": "omission", "p": 0.05, "budget": 2 * n},)),
+        Rung("duplicate-20%", ({"kind": "duplicate", "p": 0.20},)),
+        Rung("corrupt-10%", ({"kind": "corrupt", "p": 0.10},)),
+        Rung("partition-3r", ({"kind": "partition", "start": 2, "end": 5},)),
+        Rung("partition-8r", ({"kind": "partition", "start": 2, "end": 10},)),
+        Rung("omission+partition",
+             ({"kind": "omission", "p": 0.05, "budget": 2 * n},
+              {"kind": "partition", "start": 3, "end": 6})),
     ]
-
-
-def classify_outcome(execute: Callable[[], object]) -> tuple[str, dict]:
-    """Run ``execute`` and fold its fate into an outcome + detail dict.
-
-    The classification rules (see the module docstring): a liveness
-    invariant, :class:`NonTerminationError` or the protocol's own
-    :class:`RenamingFailure` is a stall; any other
-    :class:`InvariantViolation` is a safety violation; any other
-    exception is a crash; otherwise the run terminated safely.
-    """
-    try:
-        result = execute()
-    except InvariantViolation as violation:
-        detail = {
-            "invariant": violation.invariant,
-            "round": violation.round_no,
-            "nodes": list(violation.nodes)[:16],
-        }
-        if violation.invariant in LIVENESS_INVARIANTS:
-            return SAFE_STALLED, detail
-        return SAFETY_VIOLATED, detail
-    except NonTerminationError as hang:
-        return SAFE_STALLED, {
-            "invariant": "max-rounds",
-            "round": hang.round_no,
-            "nodes": list(hang.pending)[:16],
-        }
-    except RenamingFailure as failure:
-        # A node finished every phase still holding a wide interval:
-        # nobody got a wrong name, somebody got none.
-        return SAFE_STALLED, {
-            "error": type(failure).__name__,
-            "message": str(failure)[:200],
-        }
-    except Exception as error:  # the implementation fell over
-        return CRASHED, {
-            "error": type(error).__name__,
-            "message": str(error)[:200],
-        }
-    return SAFE_TERMINATED, {"result": result}
-
-
-def classify_scenario(
-    scenario_name: str,
-    n: int,
-    f: int,
-    seed: int,
-    spec,
-    *,
-    adversary: str = "none",
-    watchdog_rounds: Optional[int] = None,
-) -> dict:
-    """Classify one (scenario, fault spec) cell; returns a frontier row."""
-    scenario = resolve_scenario(scenario_name)
-    model = build_fault_model(spec, n, seed)
-    # An empty spec still passes an explicit NoFaults: the explicit
-    # instance overrides any default fault spec a fault scenario (e.g.
-    # `gossip-faults`) would otherwise inject, so the ladder's control
-    # rung is genuinely fault-free for every scenario.  NoFaults is
-    # counted-result-identical to fault_model=None (A/B-tested).
-    tap = FaultTap(model if model is not None else NoFaults())
-    if watchdog_rounds is None:
-        watchdog_rounds = default_watchdog_rounds(n)
-    monitors = default_monitors(n, f, bound=scenario.bound,
-                                watchdog_rounds=watchdog_rounds)
-
-    def execute():
-        return run_scenario(
-            scenario_name, n, f, seed,
-            adversary=make_adversary(adversary, f, seed), monitors=monitors,
-            fault_model=tap,
-        )
-
-    outcome, detail = classify_outcome(execute)
-    row = {
-        "scenario": scenario_name,
-        "adversary": adversary,
-        "n": n,
-        "f_budget": f,
-        "seed": seed,
-        "faults": spec_to_json(spec),
-        "outcome": outcome,
-    }
-    if outcome == SAFE_TERMINATED:
-        result = detail["result"]
-        row["rounds"] = result.rounds
-        row["messages"] = result.metrics.correct_messages
-        row["bits"] = result.metrics.correct_bits
-        stats = result.fault_stats
-        row.update(stats.as_dict() if stats is not None else
-                   {"dropped": 0, "duplicated": 0, "corrupted": 0,
-                    "held": 0, "released": 0, "released_to_dead": 0,
-                    "expired": 0})
-        row["detail"] = None
-        row["_result"] = result
-    else:
-        row["rounds"] = detail.get("round")
-        row["messages"] = None
-        row["bits"] = None
-        issued = tap.issued if tap is not None else {}
-        row.update({
-            "dropped": issued.get("drop", 0),
-            "duplicated": issued.get("duplicate", 0),
-            "corrupted": issued.get("corrupt", 0),
-            "held": issued.get("hold", 0),
-            "released": None,
-            "released_to_dead": None,
-            "expired": None,
-        })
-        row["detail"] = json.dumps(detail, default=repr)
-    return row
-
-
-def degradation_frontier(
-    scenarios: Sequence[str],
-    n: int,
-    f: int,
-    seed: int,
-    *,
-    ladder: Optional[Sequence[Rung]] = None,
-    adversary: str = "none",
-    watchdog_rounds: Optional[int] = None,
-) -> list[dict]:
-    """The degradation-frontier table: one row per (scenario, rung).
-
-    Rows carry a ``rung`` label plus everything
-    :func:`classify_scenario` reports; internal ``_result`` handles are
-    stripped so the table is JSON-friendly.
-    """
-    if ladder is None:
-        ladder = default_ladder(n)
-    rows = []
-    for scenario_name in scenarios:
-        for rung in ladder:
-            row = classify_scenario(
-                scenario_name, n, f, seed, list(rung.spec),
-                adversary=adversary, watchdog_rounds=watchdog_rounds,
-            )
-            row.pop("_result", None)
-            row["rung"] = rung.label
-            rows.append(row)
-    return rows
 
 
 def summarize_frontier(rows: Sequence[dict]) -> list[dict]:
     """Per-scenario frontier summary, in first-seen scenario order:
     how far up the ladder the algorithm stays fully safe, and the first
     rung (if any) where safety — not just liveness — is lost."""
-    order: list[str] = []
     by_scenario: dict[str, list[dict]] = {}
     for row in rows:
-        name = row["scenario"]
-        if name not in by_scenario:
-            order.append(name)
-            by_scenario[name] = []
-        by_scenario[name].append(row)
+        by_scenario.setdefault(row["scenario"], []).append(row)
     summaries = []
-    for name in order:
-        cells = by_scenario[name]
-        last_safe = None
-        first_unsafe = None
-        worst = SAFE_TERMINATED
-        for cell in cells:
-            outcome = cell["outcome"]
-            if outcome == SAFE_TERMINATED:
-                last_safe = cell["rung"]
-            elif (first_unsafe is None
-                    and outcome in (SAFETY_VIOLATED, CRASHED)):
-                first_unsafe = cell["rung"]
-            if outcome_rank(outcome) > outcome_rank(worst):
-                worst = outcome
+    for name, cells in by_scenario.items():
+        outcomes = [cell["outcome"] for cell in cells]
+        safe = [cell["rung"] for cell in cells
+                if cell["outcome"] == SAFE_TERMINATED]
+        unsafe = [cell["rung"] for cell in cells
+                  if cell["outcome"] in (SAFETY_VIOLATED, CRASHED)]
         summaries.append({
             "scenario": name,
             "rungs": len(cells),
-            "safe": sum(1 for c in cells
-                        if c["outcome"] == SAFE_TERMINATED),
-            "stalled": sum(1 for c in cells
-                           if c["outcome"] == SAFE_STALLED),
-            "violated": sum(1 for c in cells
-                            if c["outcome"] == SAFETY_VIOLATED),
-            "crashed": sum(1 for c in cells if c["outcome"] == CRASHED),
-            "last_safe_rung": last_safe,
-            "first_unsafe_rung": first_unsafe,
-            "worst_outcome": worst,
+            "safe": outcomes.count(SAFE_TERMINATED),
+            "stalled": outcomes.count(SAFE_STALLED),
+            "violated": outcomes.count(SAFETY_VIOLATED),
+            "crashed": outcomes.count(CRASHED),
+            "last_safe_rung": safe[-1] if safe else None,
+            "first_unsafe_rung": unsafe[0] if unsafe else None,
+            "worst_outcome": max(outcomes, key=outcome_rank),
         })
     return summaries

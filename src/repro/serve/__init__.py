@@ -30,7 +30,6 @@ from repro.serve.batching import (
 )
 from repro.serve.chaos import (
     DEFAULT_CHAOS_RESILIENCE,
-    ChaosRung,
     classify_serve_run,
     default_chaos_ladder,
 )
@@ -72,7 +71,6 @@ from repro.serve.sharding import (
 __all__ = [
     "Batch",
     "BatchPolicy",
-    "ChaosRung",
     "CircuitBreaker",
     "DEFAULT_CHAOS_RESILIENCE",
     "DeadlineExceeded",

@@ -5,10 +5,11 @@ of link faults; this module names how the *service* degrades — the
 level users actually see.  Each rung of :func:`default_chaos_ladder`
 injects a :mod:`repro.faults` channel model into one or more shards
 of a :class:`~repro.serve.service.RenamingService` (usually bounded to
-a transient window of protocol attempts); :meth:`ChaosRung.params`
-says so in the keywords of the ``serve`` engine driver, whose row
-:func:`classify_serve_run` folds into the
-:mod:`repro.faults.degradation` vocabulary:
+a transient window of protocol attempts); the rung is the protocol
+ladder's :class:`~repro.faults.degradation.Rung`, whose
+:meth:`~repro.faults.degradation.Rung.params` say so in the keywords
+of the ``serve`` engine driver, and :func:`classify_serve_run` folds
+that driver's row into the same vocabulary:
 
 ``SAFE_TERMINATED``
     Every accepted request was answered and the final global
@@ -34,17 +35,13 @@ same rows.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.faults.degradation import (
     CRASHED,
     SAFE_STALLED,
     SAFE_TERMINATED,
     SAFETY_VIOLATED,
+    Rung,
 )
-from repro.faults.spec import spec_to_json
 from repro.serve.resilience import ResiliencePolicy
 
 #: Default policy for the resilient arm: enough retries to outlast the
@@ -68,48 +65,7 @@ DEFAULT_CHAOS_RESILIENCE = ResiliencePolicy(
 DEFAULT_WINDOW = (1, 9)
 
 
-@dataclass(frozen=True)
-class ChaosRung:
-    """One rung of the serve-level ladder.
-
-    ``spec`` is a :mod:`repro.faults.spec` entry tuple injected into
-    shard 0; ``window`` bounds the injection to that shard's protocol
-    attempts ``[start, stop)`` (``None`` = persistent).
-    """
-
-    label: str
-    spec: tuple
-    window: Optional[tuple[int, int]] = None
-
-    @property
-    def spec_json(self) -> str:
-        return spec_to_json(list(self.spec))
-
-    @property
-    def faulted(self) -> int:
-        """The ``serve`` driver's ``f``: shards under the fault (none on
-        the control rung)."""
-        return 1 if self.spec else 0
-
-    def params(self, resilience: Optional[ResiliencePolicy]) -> dict:
-        """The ``serve`` driver keywords that play this rung, in the
-        resilient arm under ``resilience`` or, for ``None``, the
-        baseline arm."""
-        params = {}
-        if self.spec:
-            params["faults"] = self.spec_json
-            if self.window is not None:
-                params["fault_window"] = json.dumps(list(self.window))
-        if resilience is not None:
-            params["resilience"] = resilience.to_json()
-        return params
-
-
-def _rung(label, spec, window=None) -> ChaosRung:
-    return ChaosRung(label, tuple(dict(entry) for entry in spec), window)
-
-
-def default_chaos_ladder() -> list[ChaosRung]:
+def default_chaos_ladder() -> list[Rung]:
     """The serve ladder: control, outages of rising pressure windowed to
     :data:`DEFAULT_WINDOW`, then persistent faults.  Windowed rungs
     model a transient incident (the acceptance scenario: requests
@@ -118,21 +74,21 @@ def default_chaos_ladder() -> list[ChaosRung]:
     stays open — degraded but safe)."""
     window = DEFAULT_WINDOW
     return [
-        _rung("none", []),
-        _rung("omission-10%-window",
-              [{"kind": "omission", "p": 0.10}], window),
-        _rung("omission-50%-window",
-              [{"kind": "omission", "p": 0.50}], window),
-        _rung("omission-100%-window",
-              [{"kind": "omission", "p": 1.0}], window),
-        _rung("corrupt-20%-window",
-              [{"kind": "corrupt", "p": 0.20}], window),
-        _rung("duplicate-20%",
-              [{"kind": "duplicate", "p": 0.20}]),
-        _rung("partition-3r-window",
-              [{"kind": "partition", "start": 2, "end": 5}], window),
-        _rung("omission-100%-persistent",
-              [{"kind": "omission", "p": 1.0}]),
+        Rung("none"),
+        Rung("omission-10%-window",
+             ({"kind": "omission", "p": 0.10},), window),
+        Rung("omission-50%-window",
+             ({"kind": "omission", "p": 0.50},), window),
+        Rung("omission-100%-window",
+             ({"kind": "omission", "p": 1.0},), window),
+        Rung("corrupt-20%-window",
+             ({"kind": "corrupt", "p": 0.20},), window),
+        Rung("duplicate-20%",
+             ({"kind": "duplicate", "p": 0.20},)),
+        Rung("partition-3r-window",
+             ({"kind": "partition", "start": 2, "end": 5},), window),
+        Rung("omission-100%-persistent",
+             ({"kind": "omission", "p": 1.0},)),
     ]
 
 

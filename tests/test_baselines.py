@@ -16,12 +16,8 @@ from repro.baselines.collect_rank import run_collect_rank
 from repro.baselines.obg_halving import run_obg_halving
 from repro.core.byzantine_renaming import run_byzantine_renaming
 from repro.faults.channels import CorruptingChannel
-from repro.faults.degradation import (
-    CRASHED,
-    SAFE_STALLED,
-    SAFE_TERMINATED,
-    classify_outcome,
-)
+from repro.faults.degradation import CRASHED, SAFE_STALLED, SAFE_TERMINATED
+from repro.faults.driver import classify_outcome
 
 
 def assert_strong(result, n):

@@ -1,6 +1,10 @@
 """The serve-level chaos frontier: classification, ladder, F17's shape."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +15,11 @@ from repro.faults.degradation import (
     SAFE_STALLED,
     SAFE_TERMINATED,
     SAFETY_VIOLATED,
+    Rung,
     outcome_rank,
 )
 from repro.serve.chaos import (
     DEFAULT_CHAOS_RESILIENCE,
-    ChaosRung,
     classify_serve_run,
     default_chaos_ladder,
     failed,
@@ -32,9 +36,10 @@ LOAD = dict(requests=1_200, shards=2, max_batch=16, max_wait=0.002,
 
 def play(rung, resilience):
     """One (rung, arm) cell as a ``serve`` driver row, clock readings
-    dropped."""
-    row = serve_run_summary(CLIENTS, rung.faulted, SEED, **LOAD,
-                            **rung.params(resilience))
+    dropped: F17's keywords, ``f`` the faulted shards."""
+    arm = {} if resilience is None else {"resilience": resilience.to_json()}
+    row = serve_run_summary(CLIENTS, 1 if rung.spec else 0, SEED, **LOAD,
+                            **rung.params(), **arm)
     del row["telemetry"]
     return row
 
@@ -92,25 +97,49 @@ class TestLadder:
         assert windowed and persistent
 
     def test_rung_spec_json_round_trips(self):
-        rung = ChaosRung("x", ({"kind": "omission", "p": 0.5},), (1, 4))
+        rung = Rung("x", ({"kind": "omission", "p": 0.5},), (1, 4))
         decoded = json.loads(rung.spec_json)
         assert decoded[0]["kind"] == "omission"
 
     def test_rung_params_are_the_serve_drivers_keywords(self):
         control, windowed = default_chaos_ladder()[:2]
-        assert (control.faulted, control.params(None)) == (0, {})
-        assert windowed.faulted == 1
-        params = windowed.params(DEFAULT_CHAOS_RESILIENCE)
+        assert (control.spec, control.params()) == ((), {})
+        params = windowed.params()
+        assert set(params) == {"faults", "fault_window"}
         assert json.loads(params["faults"]) == list(windowed.spec)
         assert json.loads(params["fault_window"]) == [1, 9]
-        assert params["resilience"] == DEFAULT_CHAOS_RESILIENCE.to_json()
-        assert "resilience" not in windowed.params(None)
+        persistent = default_chaos_ladder()[-1]
+        assert set(persistent.params()) == {"faults"}
+
+    def test_f17_adds_the_resilience_arm_and_the_faulted_shards(self):
+        control, windowed = (F17().runs(rung)
+                             for rung in default_chaos_ladder()[:2])
+        assert control["resilient"].f == control["baseline"].f == 0
+        assert windowed["resilient"].f == windowed["baseline"].f == 1
+        resilient = windowed["resilient"].params_dict()
+        assert resilient["resilience"] == DEFAULT_CHAOS_RESILIENCE.to_json()
+        assert "resilience" not in windowed["baseline"].params_dict()
+        assert {key: resilient[key] for key in ("faults", "fault_window")
+                } == default_chaos_ladder()[1].params()
+
+    def test_importing_the_service_loads_no_falsifier(self):
+        """The ladder vocabulary the service reads (``FaultTap``,
+        ``Rung``, the outcomes) lives apart from the harness that
+        classifies protocol runs."""
+        code = ("import sys, repro.serve; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('repro.falsify')))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestRunRung:
     def test_control_rung_both_arms(self):
         control = default_chaos_ladder()[0]
-        assert control.faulted == 0
+        assert control.spec == ()
         for resilience in (DEFAULT_CHAOS_RESILIENCE, None):
             row = play(control, resilience)
             assert classify_serve_run(row) == (SAFE_TERMINATED, {})
@@ -118,8 +147,8 @@ class TestRunRung:
             assert row["unique"] is True
 
     def test_windowed_outage_resilient_beats_baseline(self):
-        rung = ChaosRung("omission-100%-window",
-                         ({"kind": "omission", "p": 1.0},), (1, 9))
+        rung = Rung("omission-100%-window",
+                    ({"kind": "omission", "p": 1.0},), (1, 9))
         resilient = play(rung, DEFAULT_CHAOS_RESILIENCE)
         baseline = play(rung, None)
         assert classify_serve_run(resilient)[0] == SAFE_TERMINATED
@@ -132,8 +161,8 @@ class TestRunRung:
         assert resilient["trace_sha256"] == baseline["trace_sha256"]
 
     def test_rows_are_reproducible(self):
-        rung = ChaosRung("omission-50%-window",
-                         ({"kind": "omission", "p": 0.5},), (1, 9))
+        rung = Rung("omission-50%-window",
+                    ({"kind": "omission", "p": 0.5},), (1, 9))
         rows = [play(rung, DEFAULT_CHAOS_RESILIENCE) for _ in range(2)]
         assert rows[0] == rows[1]
 

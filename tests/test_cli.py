@@ -273,6 +273,13 @@ class TestBadInput:
          "left_frac must be in (0, 1), got 2.0"),
         (["sweep", "--n", "x"], 2,
          "argument --n: invalid literal for int() with base 10: 'x'"),
+        (["sweep", "--driver", "crash", "--param", "strategy=x", "--n", "8",
+          "--seeds", "0", "--no-store"], 1,
+         "crash takes no param strategy; known: election_constant, "
+         "early_stopping, adversary, namespace, include_rounds"),
+        (["sweep", "--driver", "crash", "--param", "election_constant=abc",
+          "--n", "8", "--seeds", "0", "--no-store"], 1,
+         "election_constant must be a number, got 'abc'"),
         (["crash", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),
         (["byzantine", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),
         (["table1", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),

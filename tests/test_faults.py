@@ -40,18 +40,19 @@ from repro.faults import (
     spec_to_json,
     validate_plan,
 )
+from repro.__main__ import main
+from repro.engine.pool import run_requests
+from repro.engine.sweeps import RunRequest
 from repro.faults.degradation import (
     CRASHED,
     SAFE_STALLED,
     SAFE_TERMINATED,
     SAFETY_VIOLATED,
     FaultTap,
-    classify_outcome,
     default_ladder,
-    degradation_frontier,
     summarize_frontier,
 )
-from repro.faults.driver import faults_run_summary
+from repro.faults.driver import classify_outcome, faults_run_summary
 from repro.sim.messages import CostModel, Message, Send, broadcast
 from repro.sim.network import NonTerminationError
 from repro.sim.node import Process
@@ -669,19 +670,35 @@ class TestFaultTap:
         assert tap.issued == {DROP: 1, DUPLICATE: 1}
 
 
+def frontier(scenarios, n, labels=None, *, seed=1, watchdog_rounds=None):
+    """The frontier cells of ``default_ladder(n)`` (only the rungs named
+    in ``labels``, if given) per scenario, played as ``faults`` driver
+    requests the way ``python -m repro faults`` plays them."""
+    ladder = [rung for rung in default_ladder(n)
+              if labels is None or rung.label in labels]
+    cells = [(scenario, rung) for scenario in scenarios for rung in ladder]
+    results = run_requests([
+        RunRequest.make("faults", n, 0, seed, scenario=scenario,
+                        watchdog_rounds=watchdog_rounds, **rung.params())
+        for scenario, rung in cells])
+    assert all(result.ok for result in results)
+    return [{**result.row, "rung": rung.label}
+            for result, (_, rung) in zip(results, cells)]
+
+
 class TestFrontier:
     def test_default_ladder_starts_with_control(self):
         ladder = default_ladder(8)
         assert ladder[0].label == "none" and ladder[0].spec == ()
+        assert ladder[0].params() == {}
         assert len(ladder) >= 6
         for rung in ladder:
             json.loads(rung.spec_json)  # every rung serializes
 
     def test_gossip_frontier_all_safe(self):
-        ladder = [rung for rung in default_ladder(8)
-                  if rung.label in ("none", "omission-5%", "partition-3r")]
-        rows = degradation_frontier(
-            ["gossip"], 8, 0, 1, ladder=ladder, watchdog_rounds=200)
+        rows = frontier(["gossip"], 8,
+                        ("none", "omission-5%", "partition-3r"),
+                        watchdog_rounds=200)
         assert [row["outcome"] for row in rows] == [SAFE_TERMINATED] * 3
         assert rows[1]["dropped"] > 0
         assert rows[2]["held"] > 0
@@ -692,12 +709,8 @@ class TestFrontier:
     def test_crash_renaming_violates_under_omission(self):
         """The measured frontier: committee renaming genuinely loses
         unique-names on a lossy channel (it assumes reliable links)."""
-        rows = degradation_frontier(
-            ["crash"], 16, 0, 1,
-            ladder=[rung for rung in default_ladder(16)
-                    if rung.label in ("none", "omission-5%")],
-            watchdog_rounds=800)
-        control, lossy = rows
+        control, lossy = frontier(["crash"], 16, ("none", "omission-5%"),
+                                  watchdog_rounds=800)
         assert control["outcome"] == SAFE_TERMINATED
         assert lossy["outcome"] == SAFETY_VIOLATED
         assert "unique-names" in lossy["detail"]
@@ -705,10 +718,7 @@ class TestFrontier:
     def test_crash_renaming_under_corruption_is_classified(self):
         """Regression (F15 `corrupt-10%`): a bit-flipped ``p`` used to
         overflow ``election_probability`` and the row read CRASHED."""
-        (row,) = degradation_frontier(
-            ["crash"], 16, 0, 1,
-            ladder=[rung for rung in default_ladder(16)
-                    if rung.label == "corrupt-10%"])
+        (row,) = frontier(["crash"], 16, ("corrupt-10%",))
         assert row["outcome"] == SAFE_STALLED
         assert row["corrupted"] > 0
         detail = json.loads(row["detail"])
@@ -718,12 +728,29 @@ class TestFrontier:
     def test_fault_scenario_control_rung_is_fault_free(self):
         # The explicit NoFaults control overrides gossip-faults'
         # default spec: zero faults issued on the "none" rung.
-        rows = degradation_frontier(
-            ["gossip-faults"], 8, 0, 1,
-            ladder=default_ladder(8)[:1], watchdog_rounds=200)
-        (row,) = rows
+        (row,) = frontier(["gossip-faults"], 8, ("none",),
+                          watchdog_rounds=200)
         assert row["outcome"] == SAFE_TERMINATED
         assert row["dropped"] == 0 and row["held"] == 0
+
+    def test_the_f15_frontier_of_the_cli(self, capsys):
+        """``python -m repro faults`` plays each rung through the
+        ``faults`` driver: EXPERIMENTS.md's F15 summary, and each cell
+        is the driver's row for its rung."""
+        assert main(["faults", "--scenario", "crash,gossip", "--n", "16",
+                     "--seed", "1", "--format", "json"]) == 0
+        cells_text, summary_text = capsys.readouterr().out.split("\n\n")
+        summary = [(row["scenario"], row["rungs"], row["safe"],
+                    row["stalled"], row["violated"], row["crashed"],
+                    row["last_safe_rung"], row["first_unsafe_rung"])
+                   for row in json.loads(summary_text)]
+        assert summary == [
+            ("crash", 10, 2, 1, 7, 0, "duplicate-20%", "omission-1%"),
+            ("gossip", 10, 10, 0, 0, 0, "omission+partition", None),
+        ]
+        cells = json.loads(cells_text)
+        rows = frontier(["crash", "gossip"], 16)
+        assert cells == [{key: row[key] for key in cells[0]} for row in rows]
 
 
 # ---------------------------------------------------------------------------

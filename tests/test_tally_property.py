@@ -59,11 +59,8 @@ from repro.falsify.replay import RecordingAdversary, ReplayAdversary
 from repro.faults import build_fault_model
 from repro.faults.base import FaultModel, corrupt, drop
 from repro.faults.channels import DuplicateDelivery
-from repro.faults.degradation import (
-    SAFE_STALLED,
-    SAFE_TERMINATED,
-    classify_outcome,
-)
+from repro.faults.degradation import SAFE_STALLED, SAFE_TERMINATED
+from repro.faults.driver import classify_outcome
 from repro.sim.columnar import ColumnarRound, LazyInbox, tally
 from repro.sim.messages import CostModel, multicast
 from repro.sim.network import SyncNetwork
