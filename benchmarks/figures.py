@@ -43,6 +43,11 @@ from repro.serve.chaos import (
 
 Table = list[dict]
 
+#: The scales ``report.py --scale`` prints: ``points`` (what CI runs)
+#: or ``large``, each large point run over :data:`LARGE_SEEDS`.
+SCALES = ("default", "large")
+LARGE_SEEDS = (1, 2, 3, 4, 5)
+
 
 def crash(n: int, f: int, seed: int = 1, **params) -> RunRequest:
     return RunRequest.make("crash", n, f, seed, **params)
@@ -67,13 +72,56 @@ def strong(result, names: int) -> bool:
     return checks["unique"] and checks["strong"]
 
 
+#: The crash algorithm's election constant as the paper states it.
+PAPER_ELECTION_CONSTANT = 256.0
+
+
+def _mean_sd(values) -> str:
+    """``mean ± sd`` of ``values`` over seeds (one seed: the value;
+    none: a dash), digits grouped."""
+    if not values:
+        return "—"
+    spread = summarize(values)
+    if spread.count == 1:
+        return f"{spread.mean:,.0f}"
+    return f"{spread.mean:,.0f} ± {spread.std:,.0f}"
+
+
+def _spread(values) -> str:
+    """``mean ± sd [min-max]`` of a fitted quantity over seeds."""
+    spread = summarize(values)
+    return (f"{spread.mean:.3f} ± {spread.std:.3f} "
+            f"[{spread.minimum:.3f}-{spread.maximum:.3f}]")
+
+
+def _crossover(points) -> float:
+    """log2 n where ``ratio`` crosses 1, linear in ``(log2 n, log2
+    ratio)`` through two ``(n, ratio)`` points (outside them: extended)."""
+    (x1, y1), (x2, y2) = [(math.log2(n), math.log2(ratio))
+                          for n, ratio in points]
+    return x2 - y2 * (x2 - x1) / (y2 - y1)
+
+
+def _predicted_crossover() -> float:
+    """log2 n where ``2,304 n log2^2 n`` messages (the crash algorithm at
+    the paper's constant, fitted) meet all-to-all's ``n^2 log2 n``: the
+    fixed point of ``x = log2(2,304 x)``."""
+    x = 15.0
+    for _ in range(50):
+        x = math.log2(2304 * x)
+    return x
+
+
 class Figure:
     """One measured artifact; the class docstring is the paper's claim.
 
     A figure names its sample ``points``, the engine runs of one point
     (``runs``) and the table row made of their driver rows (``row``).
     Rows reach ``table`` keyed by the request that produced them, never
-    by position.
+    by position.  Its ``large`` points are the same claim at the scale
+    it is made for: each is run over :data:`LARGE_SEEDS`
+    (``large_runs``) and its row carries the seeds' spread
+    (``large_row``, from :func:`repro.analysis.stats.summarize`).
     """
 
     #: The section heading ``report.py`` prints.
@@ -109,6 +157,38 @@ class Figure:
     def note(self, table: Table) -> str:
         """The line under the printed table, if any."""
         return ""
+
+    #: The points of the large scale; none where a figure has none yet.
+    large: tuple = ()
+    #: The large table's printed columns.
+    large_columns: Optional[tuple[str, ...]] = None
+
+    def large_runs(self, point, seed: int) -> dict[str, RunRequest]:
+        """Engine runs of one large point under one seed (a seed may
+        leave a run out), under the names ``large_row`` reads."""
+        return {}
+
+    def large_row(self, point, by_seed: Mapping[int, dict]) -> dict:
+        """The row of one large point: ``by_seed`` maps each seed to
+        ``{run name: driver row}``."""
+        raise NotImplementedError
+
+    def large_note(self, table: Table) -> str:
+        """The line under the printed large table, if any."""
+        return ""
+
+    def large_requests(self) -> list[RunRequest]:
+        return [request for point in self.large for seed in LARGE_SEEDS
+                for request in self.large_runs(point, seed).values()]
+
+    def large_table(self, row_of: Mapping[RunRequest, dict]) -> Table:
+        return [
+            self.large_row(point, {
+                seed: {name: row_of[request] for name, request
+                       in self.large_runs(point, seed).items()}
+                for seed in LARGE_SEEDS})
+            for point in self.large
+        ]
 
     def shape(self, table: Table) -> None:
         """Assert the paper's claim on ``table``."""
@@ -192,6 +272,76 @@ class F1(Figure):
     def note(self, rows):
         return (f"log-log slopes: ours {slope(rows, 'ours_messages'):.2f}, "
                 f"all-to-all {slope(rows, 'obg_messages'):.2f}.")
+
+    #: Ours (the experiments' election constant) and all-to-all up to
+    #: 16,384; the paper's constant from 4,096 on, on the first two
+    #: seeds, with all-to-all beside it.
+    large = (256, 1024, 4096, 16384, 32768)
+    ours_up_to = 16384
+    paper_from, paper_seeds = 4096, LARGE_SEEDS[:2]
+    large_columns = (
+        "n", "ours msgs", "ours bits", "all-to-all msgs", "all-to-all bits",
+        "all-to-all / ours msgs", "paper constant msgs",
+        "paper constant bits", "all-to-all / paper msgs",
+        "all-to-all / paper bits")
+
+    def large_runs(self, n, seed):
+        runs = {}
+        if n <= self.ours_up_to:
+            runs["ours"] = crash(n, 0, seed, adversary=None)
+        if n >= self.paper_from and seed in self.paper_seeds:
+            runs["paper"] = crash(n, 0, seed, adversary=None,
+                                  election_constant=PAPER_ELECTION_CONSTANT)
+        if runs:
+            runs["obg"] = RunRequest.make("obg", n, 0, seed)
+        return runs
+
+    def large_row(self, n, by_seed):
+        runs = list(by_seed.values())
+
+        def ratio(name, key):
+            ratios = [by_name["obg"][key] / by_name[name][key]
+                      for by_name in runs if name in by_name]
+            return f"{summarize(ratios).mean:.2f}" if ratios else "—"
+
+        row = {"n": n}
+        for name, label in (("ours", "ours"), ("obg", "all-to-all"),
+                            ("paper", "paper constant")):
+            for key, unit in (("messages", "msgs"), ("bits", "bits")):
+                row[f"{label} {unit}"] = _mean_sd(
+                    [by_name[name][key] for by_name in runs
+                     if name in by_name])
+        row["all-to-all / ours msgs"] = ratio("ours", "messages")
+        row["all-to-all / paper msgs"] = ratio("paper", "messages")
+        row["all-to-all / paper bits"] = ratio("paper", "bits")
+        row["by_seed"] = by_seed  # not printed: the note's fits read it
+        return row
+
+    def large_note(self, rows):
+        def exponent(name):
+            return _spread([complexity.fit_loglog_slope(*zip(*[
+                (row["n"], row["by_seed"][seed][name]["messages"])
+                for row in rows if row["n"] <= self.ours_up_to]))
+                for seed in LARGE_SEEDS])
+
+        last = [row for row in rows if row["n"] >= self.paper_from][-2:]
+
+        def crossover(key):
+            return _spread([_crossover([
+                (row["n"], row["by_seed"][seed]["paper"][key]
+                 / row["by_seed"][seed]["obg"][key]) for row in last])
+                for seed in self.paper_seeds])
+
+        return (
+            f"log-log slopes of messages over n = {rows[0]['n']:,}-"
+            f"{self.ours_up_to:,} ({len(LARGE_SEEDS)} seeds, mean ± sd "
+            f"[min-max]): ours {exponent('ours')}, all-to-all "
+            f"{exponent('obg')}.  Paper constant against all-to-all "
+            f"({len(self.paper_seeds)} seeds; log2 n where the ratio "
+            f"crosses 1, linear in log n through n = {last[0]['n']:,} and "
+            f"{last[1]['n']:,}): messages {crossover('messages')}, bits "
+            f"{crossover('bits')}; predicted {_predicted_crossover():.1f} "
+            f"(n = 2,304 log2 n).")
 
     def shape(self, rows):
         ours_slope = slope(rows, "ours_messages")
@@ -875,17 +1025,23 @@ FIGURES: dict[str, Figure] = {
 
 
 def measure(figures: Iterable[Figure], *, jobs: int = 1,
-            store: Optional[RunStore] = None) -> dict[str, Table]:
-    """The table of each of ``figures``, by id.
+            store: Optional[RunStore] = None,
+            scale: str = "default") -> dict[str, Table]:
+    """The table of each of ``figures`` at ``scale``, by id (at the
+    large scale, of those that have one).
 
     Their requests go to the engine in one call, so a run two figures
     share executes once and a ``store`` resumes an interrupted pass.
     """
-    figures = list(figures)
+    large = scale == "large"
+    figures = [figure for figure in figures if not large or figure.large]
     results = run_requests(
-        [request for figure in figures for request in figure.requests()],
+        [request for figure in figures for request in (
+            figure.large_requests() if large else figure.requests())],
         jobs=jobs, store=store,
     )
     experiments.rows_or_raise(results)
     row_of = {result.request: result.row for result in results}
-    return {figure.id: figure.table(row_of) for figure in figures}
+    return {figure.id: (figure.large_table(row_of) if large
+                        else figure.table(row_of))
+            for figure in figures}

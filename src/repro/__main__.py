@@ -136,23 +136,15 @@ def _one_error_line(args: argparse.Namespace, context: str = ""):
         raise SystemExit(f"{args.prog}: error: {context}{error}") from None
 
 
-def _byzantine_bound(args: argparse.Namespace, f: int) -> None:
-    """The Byzantine config's ``f < n/3`` at ``--n``, before any run."""
-    from repro.analysis.experiments import FAMILIES
-
-    with _one_error_line(args):
-        FAMILIES["byzantine"].config(args.n, f).parameters(args.n)
-
-
 def cmd_family(args: argparse.Namespace) -> int:
     """``crash`` / ``byzantine``: the family's summary row, with the
     flags it takes as params."""
-    from repro.analysis.experiments import FAMILIES, summary
+    from repro.analysis.experiments import FAMILIES, check_params, summary
 
-    if args.command == "byzantine":
-        _byzantine_bound(args, args.f)
     params = {key: value for key, value in vars(args).items()
               if key in FAMILIES[args.command].params}
+    with _one_error_line(args):
+        check_params(FAMILIES[args.command], args.n, args.f, params)
     row = summary(args.command, args.n, args.f, args.seed,
                   adversary=args.adversary, **params)
     _print_rows([row])
@@ -162,10 +154,12 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import table1_rows
-    from repro.engine.sweeps import table1_requests
+    from repro.engine.sweeps import check_driver_params, table1_requests
 
-    _byzantine_bound(args, next(r.f for r in table1_requests(
-        args.n, args.f, args.seed) if r.driver == "byzantine"))
+    with _one_error_line(args):
+        for request in table1_requests(args.n, args.f, args.seed):
+            check_driver_params(request.driver, request.n, request.f,
+                                request.params_dict())
     rows = table1_rows(args.n, args.f, seed=args.seed)
     keep = ("algorithm", "rounds", "messages", "bits", "unique", "strong")
     _print_rows([{k: row.get(k) for k in keep} for row in rows])
@@ -234,18 +228,16 @@ def _add_param_flag(parser: argparse.ArgumentParser, target: str) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import FAMILIES, check_params
     from repro.engine.pool import run_requests
-    from repro.engine.sweeps import SweepSpec
+    from repro.engine.sweeps import SweepSpec, check_driver_params
 
-    # ``--f`` at each n and a family's params against its summary and
-    # config are checked together here.
+    # ``--f`` at each n and the driver's params against its signature
+    # (a family's: its summary and config) are checked together here.
     with _one_error_line(args):
         requests = SweepSpec.make(args.driver, args.n, args.seeds, f=args.f,
                                   **dict(args.param)).requests()
-        if args.driver in FAMILIES:
-            for n, f in dict.fromkeys((r.n, r.f) for r in requests):
-                check_params(FAMILIES[args.driver], n, f, dict(args.param))
+        for n, f in dict.fromkeys((r.n, r.f) for r in requests):
+            check_driver_params(args.driver, n, f, dict(args.param))
     observer = None
     if args.telemetry:
         from repro.obs import EventRecorder

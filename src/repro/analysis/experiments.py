@@ -330,16 +330,20 @@ def summary(name: str, n: int, f: int, seed: int, *,
 def check_params(family: Family, n: int, f: int,
                  params: Mapping[str, object]) -> None:
     """Raise ``TypeError`` naming each of ``params`` that :func:`summary`
-    of ``family`` does not take, or the one its config at ``(n, f)``
-    rejects."""
+    of ``family`` does not take, or the error its config at ``(n, f)``
+    raises -- a Byzantine config's parameters at ``n`` included (``f <
+    n/3``)."""
     known = (*family.params, "adversary", *_SUMMARY_KEYWORDS)
     unknown = [key for key in sorted(set(params)) if key not in known]
     if unknown:
         raise TypeError(f"{family.name} takes no param {', '.join(unknown)}; "
                         f"known: {', '.join(known)}")
     if family.config is not None:
-        family.config(n, f, **{key: params[key] for key in family.params
-                               if key in params})
+        config = family.config(n, f, **{key: params[key]
+                                        for key in family.params
+                                        if key in params})
+        if isinstance(config, ByzantineRenamingConfig):
+            config.parameters(n)
 
 
 _SUMMARY_KEYWORDS = tuple(

@@ -12,7 +12,7 @@ well-formed vote for the current step.
 An honest vote round is one fan-out per member; members of one view
 (one :func:`members_of` set) that vote alike yield one ``Multicast`` of
 one :class:`SubVote`, kept for the round they last read.  Byzantine
-strategies hook :meth:`CommitteeComm.outgoing_value` to equivocate (send
+strategies hook :attr:`CommitteeComm.outgoing_value` to equivocate (send
 different values to different receivers); only they pay per link.
 
 Reading is replicated too.  Members that were delivered the same rows
@@ -30,9 +30,9 @@ still computed once.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.sim.columnar import derive, messages, round_memo, senders
+from repro.sim.columnar import derive_kept, messages, senders
 from repro.sim.messages import (
     CostModel,
     Envelope,
@@ -74,19 +74,21 @@ class CommitteeComm:
             raise ValueError(f"b_max must be >= 0, got {b_max}")
         self.b_max = b_max
         self.step = 0
-        #: The round last read's memo (:func:`round_memo`): what the
-        #: members of one view build alike is kept there, votes first.
+        #: The round last read's memo (:func:`~repro.sim.columnar.
+        #: derive_kept`): what the members of one view build alike is
+        #: kept there, votes first.
         self.memo: dict = {}
-        self._hooked = type(self).outgoing_value is not CommitteeComm.outgoing_value
 
-    def outgoing_value(self, kind: str, value: object, receiver: int) -> object:
-        """The value actually sent to ``receiver`` (hook for equivocators)."""
-        return value
+    #: The hook for equivocators: ``outgoing_value(kind, value,
+    #: receiver)`` is the value actually sent to ``receiver``.  A
+    #: subclass overrides it as a method, or an instance is given one;
+    #: ``None`` sends ``value`` to every view member.
+    outgoing_value: Optional[Callable[[str, object, int], object]] = None
 
     def sends(self, kind: str, value: object, width: int) -> Sequence[Send]:
         """This step's vote to every view member.
 
-        Without an :meth:`outgoing_value` override: one :class:`SubVote`
+        Without an :attr:`outgoing_value` hook: one :class:`SubVote`
         multicast to the view, kept on the round last read (one per
         member set and distinct vote).  With one, the hook is called per
         link, in link order; links that get the same value share one
@@ -94,7 +96,8 @@ class CommitteeComm:
         holds the type), and an unhashable value is never shared.
         """
         step = self.step
-        if not self._hooked and "outgoing_value" not in self.__dict__:
+        hook = self.outgoing_value  # one test: the class's or instance's
+        if hook is None:
             key = (self._members, step, kind, type(value), value, width)
             try:
                 return self.memo[key]
@@ -104,7 +107,6 @@ class CommitteeComm:
                 return vote
             except TypeError:  # unhashable: no key to share it under
                 return multicast(self.view, SubVote(step, kind, value, width))
-        hook = self.outgoing_value
         votes: dict[tuple[type, object], SubVote] = {}
         out = []
         for link in self.view:
@@ -127,8 +129,9 @@ class CommitteeComm:
         members that received the same rows share one (read-only)
         mapping, computed once (:func:`repro.sim.columnar.derive`).
         """
-        self.memo = round_memo(inbox)
-        return derive(inbox, _collect, self.step, kind, self._members)
+        votes, self.memo = derive_kept(inbox, _collect, self.step, kind,
+                                       self._members)
+        return votes
 
     def tally(self, inbox: Sequence[Envelope], kind: str,
               without: object = None) -> tuple[int, object, int]:
@@ -137,8 +140,9 @@ class CommitteeComm:
         heard but not counted for a value, and ``(heard, None, 0)`` is
         what remains of nothing.  Like :meth:`collect`, once per
         distinct inbox."""
-        self.memo = round_memo(inbox)
-        return derive(inbox, _tally, self.step, kind, self._members, without)
+        counted, self.memo = derive_kept(inbox, _tally, self.step, kind,
+                                         self._members, without)
+        return counted
 
 
 class _Members(frozenset):

@@ -34,7 +34,6 @@ force at most ``O(log N)`` extra splits (Lemma 3.10).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -46,7 +45,7 @@ from repro.consensus.validator import validator
 from repro.core.identity_list import IdentityList
 from repro.crypto.hashing import FingerprintFamily
 from repro.crypto.shared_randomness import SharedRandomness
-from repro.sim.columnar import derive, messages, sender_uids, senders
+from repro.sim.columnar import derive, messages, runs, sender_uids, senders
 from repro.sim.messages import (
     UNTIL_MAIL,
     CostModel,
@@ -410,38 +409,46 @@ class ByzantineRenamingNode(Process):
 
     def _await_new_id(self, params: CommitteeParameters,
                       view: Mapping[int, int], first_inbox):
-        """Wait until more than ``b_max`` view members report one value."""
-        counts: Counter = Counter()
+        """Wait until more than ``b_max`` view members report one value.
+
+        A view member's first answer counts, in delivery order.  The
+        inbox is read as :func:`~repro.sim.columnar.runs`: the members
+        that repeat one distribution ``Scatter`` are one run, tallied
+        at once -- its value, and those of its senders in the view not
+        heard before."""
+        counts: dict[int, int] = {}
         answered: set[int] = set()
+        members = view.keys()
         inbox = first_inbox or ()
         while True:
-            for sender, message in zip(senders(inbox), messages(inbox)):
-                if (
-                    isinstance(message, NewId)
-                    and sender in view
-                    and sender not in answered
-                ):
-                    answered.add(sender)
-                    if message.value is not None:
-                        counts[message.value] += 1
+            for message, sent_by in runs(inbox):
+                if isinstance(message, NewId):
+                    heard = members & sent_by
+                    heard -= answered
+                    if heard:
+                        answered |= heard
+                        value = message.value
+                        if value is not None:
+                            counts[value] = counts.get(value, 0) + len(heard)
             for value, count in counts.items():
                 if count >= params.b_max + 1:
                     return value
             inbox = yield UNTIL_MAIL
 
 
-def _committee_view(envelopes, candidates: AbstractSet[int]):
-    """Read-only ``link -> uid`` of authentic candidates, and its sorted links."""
+def _committee_view(inbox, candidates: AbstractSet[int]):
+    """Read-only ``link -> uid`` of authentic candidates, and its sorted
+    links: read from round 1's rows, no envelope built."""
     view: dict[int, int] = {}
-    for envelope in envelopes:
-        message = envelope.message
+    for link, uid, message in zip(senders(inbox), sender_uids(inbox),
+                                  messages(inbox)):
         if (
             isinstance(message, Elect)
-            and envelope.sender_uid in candidates
-            and message.uid == envelope.sender_uid
-            and envelope.sender not in view
+            and uid in candidates
+            and message.uid == uid
+            and link not in view
         ):
-            view[envelope.sender] = envelope.sender_uid
+            view[link] = uid
     return MappingProxyType(view), tuple(sorted(view))
 
 

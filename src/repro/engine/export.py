@@ -1,4 +1,4 @@
-"""JSONL export: dump a run store for analytics-grade SQL.
+"""JSONL export: dump a run store for analytics-grade SQL, and load it back.
 
 ``export_store`` writes the three store tables — ``runs``, ``ledgers``,
 ``telemetry`` — as one JSONL file each (one JSON object per line,
@@ -129,3 +129,31 @@ def export_store(
         for table, (columns, records) in tables.items()
     }
     return len(runs), written
+
+
+def load_export(store, out_dir) -> int:
+    """Put the ``ok`` runs of an export under ``out_dir`` back into
+    ``store`` (an open RunStore), keyed for the code that loads them.
+
+    A committed export is the record of what its code version measured
+    (each run keeps that version in its ``code_version`` column); loaded,
+    a sweep or a report over ``store`` reads those rows instead of
+    running anything.  Returns the number of runs loaded.
+    """
+    from repro.engine.store import code_version, run_hash
+
+    loaded = 0
+    with open(Path(out_dir) / "runs.jsonl", encoding="utf-8") as handle:
+        for line in handle:
+            record = json.loads(line)
+            if record["status"] != "ok":
+                continue
+            params = json.loads(record["params"])
+            key = (record["driver"], record["n"], record["f"],
+                   record["seed"], params)
+            store.put(run_hash(*key), driver=key[0], n=key[1], f=key[2],
+                      seed=key[3], params=params, version=code_version(),
+                      status="ok", row=json.loads(record["row"]),
+                      elapsed=record["elapsed"])
+            loaded += 1
+    return loaded

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from importlib import import_module
+from inspect import signature
 from typing import Callable, Iterable, Mapping, Optional
 
 #: Registered drivers: name -> summary function.  Populated lazily from
@@ -69,6 +70,30 @@ def resolve_driver(name: str) -> Callable[..., dict]:
 
     _load_default_drivers()
     return lookup(DRIVERS, "driver", name)
+
+
+def check_driver_params(name: str, n: int, f: int,
+                        params: Mapping[str, object]) -> None:
+    """Raise ``TypeError`` (or a config's ``ValueError``) for ``params``
+    that driver ``name`` would reject at ``(n, f)``, before any run: a
+    protocol family's through :func:`~repro.analysis.experiments.
+    check_params`, any other driver's against its keyword-only
+    signature (one that takes ``**`` keywords takes any)."""
+    from repro.analysis.experiments import FAMILIES, check_params
+
+    if name in FAMILIES:
+        check_params(FAMILIES[name], n, f, params)
+        return
+    parameters = signature(resolve_driver(name)).parameters.values()
+    if any(parameter.kind is parameter.VAR_KEYWORD
+           for parameter in parameters):
+        return
+    known = [parameter.name for parameter in parameters
+             if parameter.kind is parameter.KEYWORD_ONLY]
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise TypeError(f"{name} takes no param {', '.join(unknown)}; "
+                        f"known: {', '.join(known)}")
 
 
 def canonical_params(params: Mapping[str, object]) -> tuple:

@@ -81,7 +81,11 @@ an equal one.  It reads by position, from a ``recipient -> rows`` index
 the round's first ``distinct`` builds in one pass over the groups --
 no view -- which leaves out a scatter's block whose message tuple an
 earlier block of its group carried (another member answering from the
-decision ``derive`` shared).
+decision ``derive`` shared).  A rule that folds rows in order but reads
+only who sent what reads :func:`runs`: ``(message, senders)`` per
+stretch of rows carrying one message object -- on a scatter recipient's
+inbox, the group's stretches found once per round, so the members that
+repeat one ``Scatter`` are one run and no repeat is resolved.
 
 **Reading once.**  A committee is a replicated object: every member
 that received the same rows takes the same decision from them.
@@ -196,7 +200,7 @@ class ColumnarRound:
     __slots__ = ("round_no", "hdr", "msg", "env", "b_seq", "folded",
                  "_groups", "_by_id", "_pinned", "_once", "_index",
                  "_place", "_wanted", "_views", "_common", "_memo",
-                 "_last", "__weakref__")
+                 "_runs", "_last", "__weakref__")
 
     def __init__(self, round_no: int = 0, last: Optional[list] = None):
         self.round_no = round_no
@@ -225,8 +229,11 @@ class ColumnarRound:
         self._wanted: frozenset[int] = frozenset()
         self._views: Optional[dict[int, _View]] = None
         self._common: Optional[_View] = None
+        #: id(a group's list) -> its runs, once `runs` asked for them.
+        self._runs: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         #: (view, fn, args) -> what `derive` computed for the view, or
-        #: `tally` for the common one; and `round_memo`'s keys.
+        #: `tally` for the common one; and what `derive_kept`'s callers
+        #: keep there.
         self._memo: dict = {}
 
     # ------------------------------------------------------------------
@@ -437,6 +444,33 @@ class ColumnarRound:
                 [msg[row] for row in self._rows_of(view)])
         return messages
 
+    def _group_runs(self, firsts: list[int]
+                   ) -> list[tuple[int, tuple[int, ...]]]:
+        """The blocks of group ``firsts`` as runs, once per round: one
+        ``(first block, sender links)`` per stretch of consecutive
+        blocks that carry one message object -- one message tuple in a
+        scatter's group, its first sender's rows and every repeat of it
+        -- so a reader at any offset of the group reads one run per
+        distinct fan-out, not one row per sender."""
+        runs = self._runs.get(id(firsts))
+        if runs is None:
+            hdr, msg = self.hdr, self.msg
+            # A scatter's first block -> id of its message tuple.
+            carried = {first: key for key, first
+                       in self._once.get(id(firsts), {}).items()}
+            runs = self._runs[id(firsts)] = []
+            last = stretch = None
+            for first in firsts:
+                item = msg[first]
+                carrier = (id(item) if type(item) is tuple or not carried
+                           else carried.get(first, -1 - first))
+                if carrier != last:
+                    last, stretch = carrier, []
+                    runs.append((first, stretch))
+                stretch.append(hdr[first][0])
+            runs[:] = [(first, tuple(stretch)) for first, stretch in runs]
+        return runs
+
     def _by_recipient(self) -> dict[int, list[int]]:
         """Attached recipient id -> the targeted rows :func:`distinct`
         reads (a scatter group's first block per message tuple), in
@@ -508,7 +542,13 @@ def derive(inbox: Sequence[Envelope], fn: Callable, *args):
     """
     if type(inbox) is not LazyInbox:
         return fn(inbox, *args)
-    view = inbox._view or inbox._resolve()
+    view = inbox._view
+    if view is None:  # `LazyInbox._resolve`, inline: the first read
+        column = inbox._column
+        views = column._views
+        if views is None:
+            views = column._group()
+        view = inbox._view = views.get(inbox._recipient, column._common)
     if view.readers < 2:
         return fn(inbox, *args)
     memo = inbox._column._memo
@@ -520,9 +560,32 @@ def derive(inbox: Sequence[Envelope], fn: Callable, *args):
         return value
 
 
-def round_memo(inbox: Sequence[Envelope]) -> dict:
-    """``derive``'s memo of the round, for what no view keys; else ``{}``."""
-    return inbox._column._memo if type(inbox) is LazyInbox else {}
+def derive_kept(inbox: Sequence[Envelope], fn: Callable, *args
+                ) -> tuple[object, dict]:
+    """``(derive(inbox, fn, *args), memo)`` in one step: ``memo`` is the
+    dict ``derive`` keeps the round's values in (a fresh ``{}`` on any
+    other sequence), for a reader that also keeps there what the
+    round's readers build alike -- a committee member its next vote.
+    It is ``derive``'s body, not a call to it: a lockstep member reads
+    through it every round."""
+    if type(inbox) is not LazyInbox:
+        return fn(inbox, *args), {}
+    column = inbox._column
+    memo = column._memo
+    view = inbox._view
+    if view is None:
+        views = column._views
+        if views is None:
+            views = column._group()
+        view = inbox._view = views.get(inbox._recipient, column._common)
+    if view.readers < 2:
+        return fn(inbox, *args), memo
+    key = (view, fn, args)
+    try:
+        return memo[key], memo
+    except KeyError:
+        value = memo[key] = fn(inbox, *args)
+        return value, memo
 
 
 def tally(inbox: Sequence[Envelope], fn: Callable, *args
@@ -553,6 +616,43 @@ def tally(inbox: Sequence[Envelope], fn: Callable, *args
         return counted, ()
     msg = column.msg
     return counted, [msg[row] for row in column._targeted(view)]
+
+
+def runs(inbox: Sequence[Envelope]
+         ) -> list[tuple[Message, tuple[int, ...]]]:
+    """The inbox's rows as runs, in delivery order: ``(message,
+    senders)`` per stretch of consecutive rows that carry one message
+    object, ``senders`` their sender links in order.
+
+    For a rule that folds rows one by one and reads a row's sender and
+    message only: folding the runs in order, each run's senders at once,
+    is folding the rows.  On a :class:`LazyInbox` whose view reads one
+    group at one offset and no broadcast row -- a scatter's recipient,
+    the committee's distribution -- the runs are the group's
+    (:meth:`ColumnarRound._group_runs`, once per round) read at the
+    view's offset: O(distinct fan-outs) per reader, no row resolved, no
+    envelope built.  Any other inbox is read row by row.
+    """
+    if type(inbox) is LazyInbox:
+        column = inbox._column
+        blocks = (inbox._view or inbox._resolve()).blocks
+        if len(blocks) == 1 and not column.b_seq:
+            (firsts, offset), = blocks
+            msg = column.msg
+            read = []
+            for first, sent_by in column._group_runs(firsts):
+                item = msg[first]
+                read.append((item[offset] if type(item) is tuple
+                             else msg[first + offset], sent_by))
+            return read
+    read = []
+    last = stretch = None
+    for sender, message in zip(senders(inbox), messages(inbox)):
+        if message is not last:
+            last, stretch = message, []
+            read.append((message, stretch))
+        stretch.append(sender)
+    return [(message, tuple(stretch)) for message, stretch in read]
 
 
 def messages(inbox: Sequence[Envelope]) -> tuple[Message, ...]:

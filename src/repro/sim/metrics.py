@@ -14,9 +14,10 @@ link, keyed by identity (a strong reference pins the object, so an
 ``id`` never aliases) and dropped at every :meth:`begin_round`; a
 :attr:`~repro.sim.messages.Message.fixed_width` type, once per class
 and run.  The engine sums a round's sends and advances the ledgers once
-per round (:meth:`Metrics.flush`; ``sends_by_node`` by one update of
-its own).  Memoization and batching are invisible: every counted quantity
-equals charging each send by :meth:`Metrics.record_send`.
+per round (:meth:`Metrics.flush`; ``sends_by_node``, a plain ``dict``
+whose store is C-level -- a ``Counter``'s is not -- sender by sender).
+Memoization and batching are invisible: every counted quantity equals
+charging each send by :meth:`Metrics.record_send`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class Metrics:
     max_message_bits: int = 0
     messages_per_round: list[int] = field(default_factory=list)
     bits_per_round: list[int] = field(default_factory=list)
-    sends_by_node: Counter = field(default_factory=Counter)
+    sends_by_node: dict[int, int] = field(default_factory=dict)
     sends_by_type: Counter = field(default_factory=Counter)
     #: id(message) -> (message, bits); the message reference keeps the
     #: object alive so the id cannot be recycled while the entry exists.
@@ -83,7 +84,7 @@ class Metrics:
         bits = self.message_bits(message)
         sent = (0, 0, 1, bits) if byzantine else (1, bits, 0, 0)
         self.flush(*sent, bits, ((type(message), 1),))
-        self.sends_by_node[sender] += 1
+        self.sends_by_node[sender] = self.sends_by_node.get(sender, 0) + 1
 
     def flush(self, correct: int, correct_bits: int, byzantine: int,
               byzantine_bits: int, widest: int,

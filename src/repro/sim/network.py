@@ -211,6 +211,12 @@ class SyncNetwork:
         # check.
         self._in_bounds: Optional[Sequence[int]] = None
         self._last_grouping: list = [None, None, None]  # `ColumnarRound._last`
+        # Per node, fixed for the run: the header of its unclaimed rows
+        # (`resolve(uid, None)` is `(uid, None)` whatever the policy) and
+        # the ledger its sends go to.
+        self._unclaimed = [(index, process.uid, None)
+                           for index, process in enumerate(self.processes)]
+        self._byzantine = [process.byzantine for process in self.processes]
         # Ascending, and an O(1) retire: a dict keyed by index.
         self._correct_order: dict[int, None] = dict.fromkeys(
             index for index in range(self.n)
@@ -390,10 +396,18 @@ class SyncNetwork:
             row per maximal constant-``(message, claim)`` run; a fan-out
             object (of a ``Broadcast``, its message) is sized and filed
             once, for its first sender; a later one is one repeat record.
-            The round's counts are summed as it goes and advance the
-            ledgers once (one ``sends_by_node`` update, one
-            ``Metrics.flush``); a faulted sender is charged send by send.
-            Only awake nodes are visited (a parked one proposed nothing).
+            A later sender of an unclaimed ``Multicast`` or ``Scatter``
+            object that no fault verdict names -- the members of a
+            lockstep committee voting alike -- takes one branch: its
+            repeat record is appended under the header the run made for
+            it, and the fan-out's count and bits go to its ledger; no
+            type test, no header, no per-class count (a fan-out's
+            classes are counted for its first sender, and times its
+            later senders when the round is summed).  The round's
+            counts are summed as it goes and advance the ledgers once
+            (``sends_by_node`` sender by sender, one ``Metrics.flush``);
+            a faulted sender is charged send by send.  Only awake nodes
+            are visited (a parked one proposed nothing).
         ``deliver``
             ``attach`` freezes the alive set; messages addressed to
             crashed or terminated links vanish (they were still
@@ -446,17 +460,25 @@ class SyncNetwork:
 
         column = ColumnarRound(round_no, self._last_grouping)
         add_run = column.add_run
+        add_repeat = column.add_repeat
         message_bits = metrics.message_bits
         resolve = self.authenticator.resolve
         by_node = metrics.sends_by_node
+        get = by_node.get
+        unclaimed = self._unclaimed
+        byzantine = self._byzantine
         whole = range(self.n)
         # The round's charge, flushed into the ledgers once at the end.
         correct = correct_bits = byz = byz_bits = widest = 0
         by_type: dict[type, int] = {}
-        # id(fan-out), or a broadcast's (id(message), claim, n) -> (count,
-        # bits, group[, by-type]); `delivered` pins the ids
-        fanouts: dict[int, tuple] = {}
-        sent: dict[int, int] = {}  # sender -> its sends this round
+        # A fan-out filed this round -> [count, bits, group, what a
+        # repeat records, a scatter's (class, count) pairs, later
+        # senders]: by id(fan-out), a claimed multicast by (id,), a
+        # broadcast by (id(message), claim, n); `delivered` pins the ids.
+        # Only an unclaimed multicast or scatter is found by its bare id:
+        # its later senders take the repeat branch.
+        fanouts: dict[object, list] = {}
+        repeated = False  # a later sender's classes are counted at the end
         if self._held:
             # Healing partition traffic has been in flight the longest:
             # it enters the column ahead of the round's own sends.
@@ -466,22 +488,34 @@ class SyncNetwork:
             # A fan-out's `len` is a Python call; a multicast's targets not.
             if not (sends.targets if type(sends) is Multicast else sends):
                 continue
-            verdicts = plan.get(sender)
-            if verdicts:
-                self._fill_faulted(column, sender, sends, verdicts)
+            ident = id(sends)
+            fanout = fanouts.get(ident)
+            if fanout is not None and not (plan and plan.get(sender)):
+                # A later sender of an unclaimed fan-out, no verdict: one
+                # record in the group its first sender filed.
+                add_repeat(unclaimed[sender], fanout[3], fanout[2])
+                fanout[5] += 1
+                repeated = True
+                count, sent_bits = fanout[0], fanout[1]
+            elif plan.get(sender):
+                self._fill_faulted(column, sender, sends, plan[sender])
                 continue
-            process = processes[sender]
-            # `resolve(uid, None)` is `(uid, None)` whatever the policy.
-            unclaimed = (sender, process.uid, None)
-            if isinstance(sends, Multicast):
-                # One message to many links: one row, a repeat's in its group.
-                header = (unclaimed if sends.claim is None else
-                          (sender, *resolve(process.uid, sends.claim)))
+            elif isinstance(sends, Multicast):
+                # One message to many links: one row.
                 message = sends.message
-                # Broadcasts of one message share whatever object carries it.
-                key = ((id(message), sends.claim, sends.n)
-                       if type(sends) is Broadcast else id(sends))
-                fanout = fanouts.get(key)
+                claim = sends.claim
+                header = (unclaimed[sender] if claim is None else
+                          (sender, *resolve(processes[sender].uid, claim)))
+                if type(sends) is Broadcast:
+                    # Broadcasts of one message share whatever object
+                    # carries it.
+                    key = (id(message), claim, sends.n)
+                    fanout = fanouts.get(key)
+                elif claim is None:
+                    key = ident  # not filed yet: that was looked up
+                else:
+                    key = (ident,)
+                    fanout = fanouts.get(key)
                 if fanout is None:
                     targets = sends.targets
                     count = len(targets)
@@ -489,30 +523,30 @@ class SyncNetwork:
                     if bits > widest:
                         widest = bits
                     row = (header, message)
-                    fanout = fanouts[key] = (
-                        count, bits * count, column.add_broadcast(row)
-                        if targets == whole else add_run(row, targets))
+                    fanout = fanouts[key] = [
+                        count, bits * count,
+                        column.add_broadcast(row) if targets == whole
+                        else add_run(row, targets), (message,), None, 0]
+                    cls = type(message)
+                    by_type[cls] = by_type.get(cls, 0) + count
                 else:
-                    column.add_repeat(header, (message,), fanout[2])
-                count, sent_bits, _ = fanout
-                cls = type(message)
-                by_type[cls] = by_type.get(cls, 0) + count
+                    add_repeat(header, fanout[3], fanout[2])
+                    fanout[5] += 1
+                    repeated = True
+                count, sent_bits = fanout[0], fanout[1]
             elif isinstance(sends, Scatter):
-                # One message per link: a row each; a repeat likewise.
+                # One message per link: a row each.
                 messages = sends.messages
-                fanout = fanouts.get(id(sends))
-                if fanout is None:
-                    sizes = [message_bits(message) for message in messages]
-                    widest = max(widest, max(sizes))
-                    fanout = fanouts[id(sends)] = (
-                        len(sizes), sum(sizes),
-                        column.add_scatter(unclaimed, messages, sends.targets),
-                        tuple(Counter(map(type, messages)).items()))
-                else:
-                    column.add_repeat(unclaimed, messages, fanout[2])
-                count, sent_bits, _, types = fanout
+                sizes = [message_bits(message) for message in messages]
+                widest = max(widest, max(sizes))
+                types = tuple(Counter(map(type, messages)).items())
+                fanout = fanouts[ident] = [
+                    len(sizes), sum(sizes),
+                    column.add_scatter(unclaimed[sender], messages,
+                                       sends.targets), messages, types, 0]
                 for cls, number in types:
                     by_type[cls] = by_type.get(cls, 0) + number
+                count, sent_bits = fanout[0], fanout[1]
             else:
                 # A plain Send list: one row per maximal constant-(message,
                 # claim) run, closed into its tuple when the next opens.
@@ -531,22 +565,25 @@ class SyncNetwork:
                         bits = message_bits(message)
                         if bits > widest:
                             widest = bits
-                        row = (unclaimed if claim is None else
-                               (sender, *resolve(process.uid, claim)), message)
+                        row = (unclaimed[sender] if claim is None else
+                               (sender, *resolve(processes[sender].uid,
+                                                 claim)), message)
                     run.append(send.to)
                     sent_bits += bits
                     by_type[cls] = by_type.get(cls, 0) + 1
                 add_run(row, tuple(run))
-            sent[sender] = count
-            if process.byzantine:
+            by_node[sender] = get(sender, 0) + count
+            if byzantine[sender]:
                 byz += count
                 byz_bits += sent_bits
             else:
                 correct += count
                 correct_bits += sent_bits
-        get = by_node.get  # one C-level update: `Counter.__setitem__` is not
-        dict.update(by_node, {node: get(node, 0) + number
-                              for node, number in sent.items()})
+        if repeated:
+            for count, _, _, record, types, repeats in fanouts.values():
+                if repeats:
+                    for cls, number in types or ((type(record[0]), count),):
+                        by_type[cls] = by_type.get(cls, 0) + number * repeats
         metrics.flush(correct, correct_bits, byz, byz_bits, widest,
                       by_type.items())
         t2 = perf_counter()

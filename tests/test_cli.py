@@ -280,6 +280,19 @@ class TestBadInput:
         (["sweep", "--driver", "crash", "--param", "election_constant=abc",
           "--n", "8", "--seeds", "0", "--no-store"], 1,
          "election_constant must be a number, got 'abc'"),
+        (["sweep", "--driver", "byzantine", "--n", "8", "--seeds", "0",
+          "--f", "3", "--no-store"], 1,
+         "max_byzantine=3 violates f < n/3 for n=8"),
+        (["sweep", "--driver", "faults", "--param", "strategy=x", "--n", "8",
+          "--seeds", "0", "--no-store"], 1,
+         "faults takes no param strategy; known: scenario, adversary, "
+         "faults, watchdog_rounds, include_rounds"),
+        (["sweep", "--driver", "serve", "--param", "strategy=x", "--n", "8",
+          "--seeds", "0", "--no-store"], 1,
+         "serve takes no param strategy; known: requests, shards, "
+         "max_batch, max_wait, arrival_rate, rename_weight, lookup_weight, "
+         "release_weight, namespace, faults, fault_window, resilience, "
+         "include_rounds"),
         (["crash", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),
         (["byzantine", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),
         (["table1", "--n", "0"], 2, "argument --n: must be >= 1, got 0"),

@@ -790,7 +790,7 @@ class TestBitSizeCache:
         bits = blob.bit_size(cost)
         batched.begin_round()
         batched.flush(0, 0, 7, 7 * bits, bits, [(type(blob), 7)])
-        batched.sends_by_node[2] += 7
+        batched.sends_by_node[2] = batched.sends_by_node.get(2, 0) + 7
         singles.begin_round()
         for _ in range(7):
             singles.record_send(2, blob, byzantine=True)
@@ -1117,3 +1117,148 @@ class TestSharedFanoutsAgainstTheOracle:
             ((4, 1, 1), 1), ((5, 6, None), 1), ((4, 5, None), 1)]
         # Node 3's spoofed claim reached node 0 with the shared letter.
         assert (3, 1, 2, 2, 17) in engine["outputs"][0][0]
+
+
+class _CutAfterFirst(CrashAdversary):
+    """Crashes ``victim`` in round 1 mid-send: its first send still goes."""
+
+    def __init__(self, victim):
+        super().__init__(budget=1)
+        self.victim = victim
+
+    def plan_round(self, round_no, proposed, alive):
+        return {self.victim: [0]} if round_no == 1 else {}
+
+
+class _FaultOneSender(FaultModel):
+    """Drops ``sender``'s first send of round 1 and duplicates its
+    second."""
+
+    def __init__(self, sender):
+        self.sender = sender
+
+    def plan_round(self, round_no, delivered, alive):
+        if round_no != 1:
+            return {}
+        return {self.sender: {0: drop(), 1: duplicate()}}
+
+
+class TestTheRepeatBranch:
+    """A later sender of an unclaimed ``Multicast`` or ``Scatter``
+    object that no fault verdict names is one repeat record whose count
+    and bits go to its own ledger; a claimed sharer, a broadcast's, a
+    faulted one and a crash victim cut mid-send are charged the long
+    way.  Each round is held to the
+    oracle's send-by-send charge on every ledger -- ``sends_by_node``,
+    ``sends_by_type``, per-round messages and bits, the correct /
+    Byzantine split -- and to its inboxes."""
+
+    @staticmethod
+    def _run(processes, **options):
+        """Engine and oracle on fresh processes; the engine's
+        observables and the header of every repeat it filed."""
+        cost = CostModel(n=len(processes()), namespace=64)
+        fault_model = options.pop("fault_model", lambda: None)
+        adversary = options.pop("crash_adversary", lambda: None)
+        repeats = []
+        add_repeat = ColumnarRound.add_repeat
+
+        def counting_add_repeat(self, header, messages, group):
+            repeats.append(header)
+            return add_repeat(self, header, messages, group)
+
+        ColumnarRound.add_repeat = counting_add_repeat
+        try:
+            result = run_network(processes(), cost, fault_model=fault_model(),
+                                 crash_adversary=adversary(), **options)
+        finally:
+            ColumnarRound.add_repeat = add_repeat
+        reference = ReferenceNetwork(processes(), cost,
+                                     fault_model=fault_model(),
+                                     crash_adversary=adversary(), **options)
+        reference.run()
+        engine = engine_observables(result)
+        assert engine == reference_observables(reference)
+        assert result.fault_stats == reference.fault_stats
+        return engine, repeats
+
+    def test_one_multicast_repeated_by_correct_and_byzantine_members(self):
+        shared = multicast((0, 1, 2, 3, 5), _Sized(6))
+        every = Broadcast(6, _Sized(11))
+
+        def processes():
+            return [_OneRound(10, shared), _OneRound(11, shared, True),
+                    _OneRound(12, shared), _OneRound(13, every, True),
+                    _OneRound(14, every), _OneRound(15, shared, True)]
+
+        engine, repeats = self._run(processes)
+        # 11, 12 and 15 repeat node 0's multicast; 14 node 3's broadcast.
+        assert [header[0] for header in repeats] == [1, 2, 4, 5]
+        assert all(header[2] is None for header in repeats)
+        summary = engine["summary"]
+        assert (summary["correct_messages"], summary["byzantine_messages"]
+                ) == (5 + 5 + 6, 5 + 6 + 5)
+        assert engine["sends_by_node"] == {
+            0: 5, 1: 5, 2: 5, 3: 6, 4: 6, 5: 5}
+        assert engine["sends_by_type"] == {"_Sized": 32}
+        assert engine["messages_per_round"] == [32]
+
+    def test_a_claimed_repeat_is_filed_under_its_own_claim(self):
+        claimed = Multicast((0, 2, 3), _Sized(5), 77)
+
+        def processes():
+            return [_OneRound(10, claimed), _OneRound(11, claimed, True),
+                    _OneRound(12, multicast((1, 3), _Sized(7))),
+                    _OneRound(13, claimed)]
+
+        engine, repeats = self._run(
+            processes, authenticator=Authenticator(enabled=False))
+        # Never the sender's unclaimed header: the claim reaches the
+        # receivers from every sharer.
+        assert repeats == [(1, 77, 77), (3, 77, 77)]
+        assert (1, 77, 77, _Sized(5)) in engine["outputs"][0]
+        assert engine["sends_by_node"] == {0: 3, 1: 3, 2: 2, 3: 3}
+        summary = engine["summary"]
+        assert (summary["correct_messages"], summary["byzantine_messages"]
+                ) == (8, 3)
+
+    def test_a_sharer_with_a_fault_verdict_is_charged_send_by_send(self):
+        shared = multicast((0, 1, 2), _Sized(6))
+        replies = Scatter((3, 1, 0), (_Sized(4), _Sized(9), _Sized(4)))
+
+        def processes():
+            return [_OneRound(10, shared), _OneRound(11, shared),
+                    _OneRound(12, shared, True), _OneRound(13, replies),
+                    _OneRound(14, replies, True), _OneRound(15, replies)]
+
+        engine, repeats = self._run(
+            processes, fault_model=lambda: _FaultOneSender(1))
+        assert [header[0] for header in repeats] == [2, 4, 5]
+        assert engine["sends_by_node"] == dict.fromkeys(range(6), 3)
+        summary = engine["summary"]
+        assert (summary["correct_messages"], summary["byzantine_messages"]
+                ) == (12, 6)
+
+        engine, repeats = self._run(
+            processes, fault_model=lambda: _FaultOneSender(4))
+        assert [header[0] for header in repeats] == [1, 2, 5]
+
+    def test_a_sharer_cut_mid_send_delivers_what_is_left(self):
+        shared = multicast((0, 1, 2, 3), _Sized(6))
+        replies = Scatter((3, 1, 0, 2), (_Sized(4), _Sized(9), _Sized(4),
+                                         _Sized(2)))
+
+        def processes():
+            return [_OneRound(10, shared), _OneRound(11, shared),
+                    _OneRound(12, shared, True), _OneRound(13, replies),
+                    _OneRound(14, replies), _OneRound(15, replies, True)]
+
+        for victim, repeaters, sent in [
+                (1, [2, 4, 5], {1: 1}), (3, [1, 2, 5], {3: 1}),
+                (0, [2, 4, 5], {0: 1})]:
+            engine, repeats = self._run(
+                processes, crash_adversary=lambda: _CutAfterFirst(victim))
+            assert engine["crashed"] == {victim}
+            assert [header[0] for header in repeats] == repeaters
+            assert engine["sends_by_node"] == {
+                **dict.fromkeys(range(6), 4), **sent}

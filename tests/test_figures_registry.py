@@ -44,7 +44,8 @@ def test_every_figure_has_a_heading_a_claim_and_a_shape():
 
 def test_requests_name_a_driver_and_only_params_it_takes():
     requested = [request for figure in FIGURES.values()
-                 for request in figure.requests()]
+                 for request in (*figure.requests(),
+                                 *figure.large_requests())]
     assert {request.driver for request in requested} == {
         "crash", "obg", "balls", "gossip", "byzantine", "byzantine-full",
         "serve"}

@@ -506,7 +506,7 @@ class TestComputedOnce:
         def recording_sends(self, kind, value, width):
             fanout = sends(self, kind, value, width)
             # Step 1 follows no read; from step 2 on, a step is a round.
-            if self.step > 1 and not self._hooked:
+            if self.step > 1 and self.outgoing_value is None:
                 kept.append((fanout, self._members))
                 key = (self.step, id(self._members), kind, type(value),
                        value)
