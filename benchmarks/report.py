@@ -25,9 +25,11 @@ to the algorithms or the cost model.
 ``--scale large`` prints the figures that have large points instead
 (F1 so far: n up to 32,768, five seeds a point, minutes of CPU and
 ~350 MB at the largest run), through the same engine call.  Its rows
-are committed as a ``runs export`` in ``benchmarks/results/large/``
-and its output is EXPERIMENTS.md's F1 block; to print it from them
-without running anything, load them into a store first::
+are committed as the ``runs.jsonl`` of a ``runs export`` in
+``benchmarks/results/large/`` -- the one file ``load_export`` reads, so
+the export's ``ledgers.jsonl`` and ``telemetry.jsonl`` are not
+committed -- and its output is EXPERIMENTS.md's F1 block; to print it
+from them without running anything, load them into a store first::
 
     python -c "from repro.engine.export import load_export; \\
         from repro.engine.store import RunStore; \\

@@ -4,7 +4,8 @@ One test per entry of :data:`benchmarks.figures.FIGURES`: measure the
 figure's table the way ``benchmarks/report.py`` does and assert its
 ``shape``.  One more holds the large scale to EXPERIMENTS.md: the rows
 committed in ``benchmarks/results/large/``, loaded into a store, print
-its F1 block byte for byte, running nothing.  Run with ``pytest
+its F1 block byte for byte, running nothing -- and that directory holds
+only what ``load_export`` reads.  Run with ``pytest
 benchmarks/test_figures.py``.
 """
 
@@ -38,3 +39,10 @@ def test_the_large_scale_prints_experiments_f1_block(tmp_path, capsys):
     block = capsys.readouterr().out.strip()
     assert block.startswith("### F1 -- ")
     assert block in (ROOT / "EXPERIMENTS.md").read_text()
+
+
+def test_the_large_export_commits_only_what_is_loaded():
+    # `load_export` reads `runs.jsonl`; the ledgers and telemetry a
+    # `runs export` also writes are left out of the commit.
+    large = ROOT / "benchmarks/results/large"
+    assert sorted(path.name for path in large.iterdir()) == ["runs.jsonl"]

@@ -414,22 +414,25 @@ class ByzantineRenamingNode(Process):
         A view member's first answer counts, in delivery order.  The
         inbox is read as :func:`~repro.sim.columnar.runs`: the members
         that repeat one distribution ``Scatter`` are one run, tallied
-        at once -- its value, and those of its senders in the view not
-        heard before."""
+        at once -- its value, times those of its senders still in
+        ``unheard`` (the view members not heard yet), which one
+        ``difference_update`` strikes off.  ``unheard`` is made when the
+        first inbox is read: every non-member waits here, parked, from
+        round 2 on."""
         counts: dict[int, int] = {}
-        answered: set[int] = set()
-        members = view.keys()
-        inbox = first_inbox or ()
+        inbox = first_inbox
+        if inbox is None:
+            inbox = yield UNTIL_MAIL
+        unheard = set(view)
         while True:
             for message, sent_by in runs(inbox):
                 if isinstance(message, NewId):
-                    heard = members & sent_by
-                    heard -= answered
-                    if heard:
-                        answered |= heard
-                        value = message.value
-                        if value is not None:
-                            counts[value] = counts.get(value, 0) + len(heard)
+                    before = len(unheard)
+                    unheard.difference_update(sent_by)
+                    heard = before - len(unheard)
+                    value = message.value
+                    if heard and value is not None:
+                        counts[value] = counts.get(value, 0) + heard
             for value, count in counts.items():
                 if count >= params.b_max + 1:
                     return value

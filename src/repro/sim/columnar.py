@@ -56,11 +56,13 @@ boundary.  The first read of a round sorts the attached recipients
 into classes by the blocks they are in, walking each *distinct* target
 tuple once -- a round in which every sender names the same committee
 costs its size, not senders x size -- or none at all when the round's
-``(targets, stride)`` keys and alive set equal those of the run's last
-grouping, whose classes the network keeps (never a column or a view):
-a lockstep vote round reuses the one before.  Recipients in the same
-stride-0 groups, as often, were delivered the same rows in the same
-order and share one view; a scatter's recipient reads rows of its own
+``(targets, stride)`` keys, its *shape*, and alive set equal those of
+one of the run's last few groupings, whose classes the network keeps
+per shape (never a column or a view): a lockstep vote round reuses the
+one before, and the crash algorithm's three alternating rounds reuse
+theirs from the phase before.  Recipients in the same stride-0 groups,
+as often, were delivered the same rows in the same order and share one
+view; a scatter's recipient reads rows of its own
 (``first + position`` per block) and so a view of its own.  A
 view's rows, its envelope tuple (broadcast and targeted rows merged in
 global send order) and its message tuple are each computed when first
@@ -153,6 +155,9 @@ from repro.sim.messages import Envelope, Message
 #: What every row of one sender shares: (sender, perceived uid, claim).
 Header = tuple[int, Optional[int], Optional[int]]
 
+#: How many round shapes' groupings a run keeps (``ColumnarRound._group``).
+KEPT_SHAPES = 4
+
 
 class _View:
     """One distinct inbox of a round: the blocks its readers are in --
@@ -200,11 +205,11 @@ class ColumnarRound:
     __slots__ = ("round_no", "hdr", "msg", "env", "b_seq", "folded",
                  "_groups", "_by_id", "_pinned", "_once", "_index",
                  "_place", "_wanted", "_views", "_common", "_memo",
-                 "_runs", "_last", "__weakref__")
+                 "_runs", "_kept", "__weakref__")
 
-    def __init__(self, round_no: int = 0, last: Optional[list] = None):
+    def __init__(self, round_no: int = 0, kept: Optional[list] = None):
         self.round_no = round_no
-        self._last = last or [None, None, None]  # the run's, for `_group`
+        self._kept = kept or [None, {}, None]  # the run's, for `_group`
         #: Per record: its header and its message (a scatter repeat's
         #: tuple, ``folded`` rows more); row -> its envelope, for the
         #: rows read as envelopes and held mail only.
@@ -335,35 +340,64 @@ class ColumnarRound:
         """Attached recipient id -> its view, for every recipient some
         block names; the rest share ``_common``.
 
-        Built once, on the first read of the round, walking each target
-        tuple once; a round nobody reads pays nothing, one of the last
-        grouping's shape only its views.  A recipient's key lists
-        ``(group, offset)`` per listing of its link, in group order:
-        equal keys are the same rows in the same order, one class.
+        Built once, on the first read of the round; a round nobody reads
+        pays nothing.  The classes depend only on the round's shape --
+        its groups' ``(targets, stride)`` keys, in order -- and on the
+        alive set, so the run keeps the last :data:`KEPT_SHAPES` shapes'
+        classes (``_kept``, the network's ``[alive set, {shape:
+        classes}, (last shape read, its classes)]``, emptied when the
+        alive set changes): a round of a kept shape -- the crash
+        algorithm's three rounds alternate three -- only makes its
+        views.
         """
         wanted = self._wanted
-        shape = list(self._groups)
-        last = self._last
-        if last[1] is not wanted or last[0] != shape:
-            keys: dict[int, list[tuple[int, int]]] = defaultdict(list)
-            for index, (targets, stride) in enumerate(shape):
-                for position, to in enumerate(targets):
-                    if to in wanted:
-                        keys[to].append((index, stride * position))
-            classes: dict[tuple, list[int]] = {}
-            for recipient, entries in keys.items():
-                classes.setdefault(tuple(entries), []).append(recipient)
-            last[:] = shape, wanted, classes
+        kept = self._kept
+        if kept[0] is not wanted:
+            kept[:] = wanted, {}, None
+        shape = tuple(self._groups)
+        last = kept[2]
+        if last is not None and last[0] == shape:
+            # The shape of the last round read: compared by identity
+            # first, element by element, where hashing would walk it.
+            classes = last[1]
+        else:
+            shapes = kept[1]
+            classes = shapes.get(shape)
+            if classes is None:
+                classes = self._classes(shape)
+                if len(shapes) >= KEPT_SHAPES:
+                    del shapes[next(iter(shapes))]
+                shapes[shape] = classes
+            kept[2] = shape, classes
         groups = list(self._groups.values())
         views: dict[int, _View] = {}
-        for key, recipients in last[2].items():
+        for key, recipients in classes.items():
             view = _View(tuple([(groups[index], offset)
                                 for index, offset in key]), len(recipients))
-            for recipient in recipients:
-                views[recipient] = view
+            if len(recipients) == 1:
+                views[recipients[0]] = view
+            else:
+                views.update(dict.fromkeys(recipients, view))
         self._common = _View((), len(wanted) - len(views))
         self._views = views
         return views
+
+    def _classes(self, shape: tuple) -> dict[tuple, list[int]]:
+        """The attached recipients of a round of ``shape``, by the rows
+        they read: one walk of each target tuple.  A recipient's key
+        lists ``(group, offset)`` per listing of its link, in group
+        order: equal keys are the same rows in the same order, one
+        class."""
+        wanted = self._wanted
+        keys: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for index, (targets, stride) in enumerate(shape):
+            for position, to in enumerate(targets):
+                if to in wanted:
+                    keys[to].append((index, stride * position))
+        classes: dict[tuple, list[int]] = {}
+        for recipient, entries in keys.items():
+            classes.setdefault(tuple(entries), []).append(recipient)
+        return classes
 
     def view_of(self, recipient: int) -> _View:
         """The view ``recipient`` shares with every attached recipient
@@ -482,7 +516,15 @@ class ColumnarRound:
             for (targets, stride), firsts in self._groups.items():
                 kept = once.get(id(firsts))
                 if kept is not None:
-                    firsts = kept.values()
+                    firsts = list(kept.values())
+                if len(firsts) == 1:
+                    # One kept block -- every member answered from one
+                    # decision: one row per listing.
+                    first, = firsts
+                    for position, to in enumerate(targets):
+                        if to in wanted:
+                            index[to].append(first + stride * position)
+                    continue
                 for position, to in enumerate(targets):
                     if to in wanted:
                         offset = stride * position
@@ -631,7 +673,10 @@ def runs(inbox: Sequence[Envelope]
     the committee's distribution -- the runs are the group's
     (:meth:`ColumnarRound._group_runs`, once per round) read at the
     view's offset: O(distinct fan-outs) per reader, no row resolved, no
-    envelope built.  Any other inbox is read row by row.
+    envelope built.  Any other inbox is read row by row: at f > 0 the
+    withholders give each committee member a view of its own, so a
+    distribution reader's view holds one group per member and one row
+    per group, and its rows are its runs.
     """
     if type(inbox) is LazyInbox:
         column = inbox._column
@@ -697,8 +742,10 @@ def distinct(inbox: Sequence[Envelope]) -> tuple[Message, ...]:
     reads one row, not ``k``.  See the module docstring."""
     if type(inbox) is LazyInbox:  # by position: no view is made
         column = inbox._column
-        rows = [*column._by_recipient().get(inbox._recipient, ()),
-                *column.b_seq]
+        rows = column._by_recipient().get(inbox._recipient, ())
+        if not column.b_seq and len(rows) < 2:
+            return (column.msg[rows[0]],) if rows else ()
+        rows = [*rows, *column.b_seq]
         rows.sort()
         msg = column.msg
         read = [msg[row] for row in rows]

@@ -322,7 +322,10 @@ class Fanout:
     ``len()`` is free.  Caching matters for correctness, not just
     speed: a policy's crash plan may name kept sends by object identity,
     so repeated access must yield the *same* ``Send`` instances.  A
-    subclass says what it denotes (``_expand``) and what is left of it
+    subclass sets every slot in its one ``__init__`` -- ``targets`` a
+    ``range`` or a tuple snapshot, ``_sends`` ``None`` -- with no
+    ``super()`` chain (a protocol builds one fan-out per node and round),
+    and says what it denotes (``_expand``) and what is left of it
     when a crash cuts it mid-send (``kept``: the same shape over the
     named positions, no ``Send`` built).  It is a ``Sequence`` by
     registration, its mixins borrowed: the engine tests every proposal's
@@ -334,10 +337,6 @@ class Fanout:
     __reversed__ = Sequence.__reversed__
     index = Sequence.index
     count = Sequence.count
-
-    def __init__(self, targets):
-        self.targets = targets if type(targets) is range else tuple(targets)
-        self._sends: Optional[list[Send]] = None
 
     def _materialize(self) -> list[Send]:
         sends = self._sends
@@ -368,7 +367,8 @@ class Multicast(Fanout):
     __slots__ = ("message", "claim")
 
     def __init__(self, targets, message: Message, claim: Optional[int] = None):
-        super().__init__(targets)
+        self.targets = targets if type(targets) is range else tuple(targets)
+        self._sends: Optional[list[Send]] = None
         self.message = message
         self.claim = claim
 
@@ -399,7 +399,8 @@ class Scatter(Fanout):
     __slots__ = ("messages",)
 
     def __init__(self, links, messages):
-        super().__init__(links)
+        self.targets = links if type(links) is range else tuple(links)
+        self._sends: Optional[list[Send]] = None
         self.messages = tuple(messages)
         if len(self.messages) != len(self.targets):
             raise ValueError(
@@ -425,7 +426,10 @@ class Broadcast(Multicast):
     def __init__(self, n: int, message: Message, claim: Optional[int] = None):
         if n < 0:
             raise ValueError(f"link count must be non-negative, got {n}")
-        super().__init__(range(n), message, claim)
+        self.targets = range(n)
+        self._sends: Optional[list[Send]] = None
+        self.message = message
+        self.claim = claim
         self.n = n
 
 
@@ -449,11 +453,11 @@ class _UntilMail(tuple):
 UNTIL_MAIL: Sequence[Send] = _UntilMail()
 
 
-def broadcast(n: int, message: Message) -> Broadcast:
-    """Address ``message`` to all ``n`` links (including the self link)."""
-    return Broadcast(n, message)
+#: ``broadcast(n, message)``: address ``message`` to all ``n`` links
+#: (including the self link).  The class itself, so a protocol's fan-out
+#: costs one constructor call.
+broadcast = Broadcast
 
-
-def multicast(targets, message: Message) -> Multicast:
-    """Address ``message`` to each link index in ``targets``."""
-    return Multicast(targets, message)
+#: ``multicast(targets, message)``: address ``message`` to each link
+#: index in ``targets``.  The class itself, as :data:`broadcast` is.
+multicast = Multicast

@@ -13,7 +13,8 @@ fan-out is many sends of a single message object, and
 link, keyed by identity (a strong reference pins the object, so an
 ``id`` never aliases) and dropped at every :meth:`begin_round`; a
 :attr:`~repro.sim.messages.Message.fixed_width` type, once per class
-and run.  The engine sums a round's sends and advances the ledgers once
+and run (``_bits_by_class``, which the engine's charge loop reads
+directly: one class lookup per fixed-width fan-out).  The engine sums a round's sends and advances the ledgers once
 per round (:meth:`Metrics.flush`; ``sends_by_node``, a plain ``dict``
 whose store is C-level -- a ``Counter``'s is not -- sender by sender).
 Memoization and batching are invisible: every counted quantity equals
@@ -64,16 +65,18 @@ class Metrics:
 
     def message_bits(self, message: Message) -> int:
         """The memoized :meth:`~repro.sim.messages.Message.bit_size`:
-        per object within the round, then per fixed-width class."""
+        per fixed-width class and run, else per object within the round
+        (a fixed-width message never reaches the per-object memo)."""
+        cls = type(message)
+        bits = self._bits_by_class.get(cls)
+        if bits is not None:
+            return bits
+        if cls.fixed_width:
+            bits = self._bits_by_class[cls] = message.bit_size(self.cost)
+            return bits
         entry = self._bits_by_id.get(id(message))
         if entry is not None and entry[0] is message:
             return entry[1]
-        cls = type(message)
-        if cls.fixed_width:
-            bits = self._bits_by_class.get(cls)
-            if bits is None:
-                bits = self._bits_by_class[cls] = message.bit_size(self.cost)
-            return bits
         bits = message.bit_size(self.cost)
         self._bits_by_id[id(message)] = (message, bits)
         return bits

@@ -58,6 +58,10 @@ from repro.sim.messages import (
 from repro.sim.metrics import Metrics
 from repro.sim.node import Context, Process, Program
 
+#: The fan-outs whose emptiness is read off ``targets`` (a ``len`` call
+#: on one is a Python call).
+_FANOUT_TYPES = frozenset((Multicast, Broadcast, Scatter))
+
 #: Hard cap on rounds; hitting it means a protocol failed to terminate.
 DEFAULT_MAX_ROUNDS = 1_000_000
 
@@ -210,7 +214,8 @@ class SyncNetwork:
         # after the other that name the same tuple *object* share its
         # check.
         self._in_bounds: Optional[Sequence[int]] = None
-        self._last_grouping: list = [None, None, None]  # `ColumnarRound._last`
+        # The run's groupings, per round shape (`ColumnarRound._group`).
+        self._groupings: list = [None, {}, None]
         # Per node, fixed for the run: the header of its unclaimed rows
         # (`resolve(uid, None)` is `(uid, None)` whatever the policy) and
         # the ledger its sends go to.
@@ -396,6 +401,11 @@ class SyncNetwork:
             row per maximal constant-``(message, claim)`` run; a fan-out
             object (of a ``Broadcast``, its message) is sized and filed
             once, for its first sender; a later one is one repeat record.
+            Sizing reads the run's per-class memo first: a fixed-width
+            message is one class lookup, and a ``Scatter`` of one
+            fixed-width class -- a committee's ``Response``s -- is
+            count x width, one lookup for all its messages.  A fan-out's
+            emptiness is read off its ``targets``.
             A later sender of an unclaimed ``Multicast`` or ``Scatter``
             object that no fault verdict names -- the members of a
             lockstep committee voting alike -- takes one branch: its
@@ -422,7 +432,10 @@ class SyncNetwork:
             program reads it, recipients of the same rows read one
             shared view, and a row becomes an envelope the first time
             one is asked for, so listen-free rounds cost O(senders),
-            not O(messages) -- then the monitors.  A program that
+            not O(messages) -- then the monitors.  What a program yields
+            is bounds-checked unless known valid: a multicast or
+            scatter to the tuple last checked, an empty list,
+            ``UNTIL_MAIL``.  A program that
             yields :data:`~repro.sim.messages.UNTIL_MAIL` is parked: it
             stays alive in every respect (proposed with its empty
             sends, shown to both adversaries, crashable, counted as a
@@ -458,10 +471,12 @@ class SyncNetwork:
                 validate_plan(plan, round_no, delivered)
         t1 = perf_counter()
 
-        column = ColumnarRound(round_no, self._last_grouping)
+        column = ColumnarRound(round_no, self._groupings)
         add_run = column.add_run
         add_repeat = column.add_repeat
         message_bits = metrics.message_bits
+        by_class = metrics._bits_by_class
+        fanout_types = _FANOUT_TYPES
         resolve = self.authenticator.resolve
         by_node = metrics.sends_by_node
         get = by_node.get
@@ -485,8 +500,8 @@ class SyncNetwork:
             self._release_held(column)
         for sender in senders:
             sends = delivered[sender]
-            # A fan-out's `len` is a Python call; a multicast's targets not.
-            if not (sends.targets if type(sends) is Multicast else sends):
+            # A fan-out's `len` is a Python call; its targets' is not.
+            if not (sends.targets if type(sends) in fanout_types else sends):
                 continue
             ident = id(sends)
             fanout = fanouts.get(ident)
@@ -519,7 +534,10 @@ class SyncNetwork:
                 if fanout is None:
                     targets = sends.targets
                     count = len(targets)
-                    bits = message_bits(message)
+                    cls = type(message)
+                    bits = by_class.get(cls)
+                    if bits is None:
+                        bits = message_bits(message)
                     if bits > widest:
                         widest = bits
                     row = (header, message)
@@ -527,7 +545,6 @@ class SyncNetwork:
                         count, bits * count,
                         column.add_broadcast(row) if targets == whole
                         else add_run(row, targets), (message,), None, 0]
-                    cls = type(message)
                     by_type[cls] = by_type.get(cls, 0) + count
                 else:
                     add_repeat(header, fanout[3], fanout[2])
@@ -537,16 +554,29 @@ class SyncNetwork:
             elif isinstance(sends, Scatter):
                 # One message per link: a row each.
                 messages = sends.messages
-                sizes = [message_bits(message) for message in messages]
-                widest = max(widest, max(sizes))
-                types = tuple(Counter(map(type, messages)).items())
+                count = len(messages)
+                kinds = set(map(type, messages))
+                cls = kinds.pop() if len(kinds) == 1 else None
+                bits = by_class.get(cls)
+                if bits is None and cls is not None and cls.fixed_width:
+                    bits = message_bits(messages[0])
+                if bits is not None:
+                    # One fixed-width class: sized once, count x width.
+                    sent_bits = bits * count
+                    types = ((cls, count),)
+                else:
+                    sizes = [message_bits(message) for message in messages]
+                    bits = max(sizes)
+                    sent_bits = sum(sizes)
+                    types = tuple(Counter(map(type, messages)).items())
+                if bits > widest:
+                    widest = bits
                 fanout = fanouts[ident] = [
-                    len(sizes), sum(sizes),
+                    count, sent_bits,
                     column.add_scatter(unclaimed[sender], messages,
                                        sends.targets), messages, types, 0]
                 for cls, number in types:
                     by_type[cls] = by_type.get(cls, 0) + number
-                count, sent_bits = fanout[0], fanout[1]
             else:
                 # A plain Send list: one row per maximal constant-(message,
                 # claim) run, closed into its tuple when the next opens.
@@ -562,7 +592,9 @@ class SyncNetwork:
                         message = send.message
                         claim = send.claim
                         cls = type(message)
-                        bits = message_bits(message)
+                        bits = by_class.get(cls)
+                        if bits is None:
+                            bits = message_bits(message)
                         if bits > widest:
                             widest = bits
                         row = (unclaimed[sender] if claim is None else
@@ -611,9 +643,14 @@ class SyncNetwork:
             contexts[index].current_round = round_no
             try:
                 sends = programs[index].send(LazyInbox(column, index))
-                if sends is not until_mail and (  # unless known valid
-                        type(sends) is not Multicast
-                        or sends.targets is not self._in_bounds):
+                kind = type(sends)  # checked unless known valid
+                if kind is Multicast or kind is Scatter:
+                    if sends.targets is not self._in_bounds:
+                        sends = validated(index, sends)
+                elif kind is list:
+                    if sends:
+                        sends = validated(index, sends)
+                elif sends is not until_mail:
                     sends = validated(index, sends)
             except StopIteration as stop:
                 self._finish(index, stop.value)

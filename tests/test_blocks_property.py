@@ -369,28 +369,48 @@ def proposals(monkeypatch):
     return proposals
 
 
-def _charged_once(delivered, n):
-    """``(sizings, filings)`` a fault-free round's charge makes: per
-    distinct fan-out object one sizing per message and one filing (none
-    for a whole-network fan-out, a broadcast row), per plain ``Send``
-    list one of each per maximal constant-``(message, claim)`` run."""
+def _charged_once(delivered, n, widths):
+    """``(sizings, filings)`` a fault-free round's charge makes.
+
+    Filings: one per distinct fan-out object (none for a whole-network
+    fan-out, a broadcast row), one per maximal constant-``(message,
+    claim)`` run of a plain ``Send`` list.  Sizings -- ``message_bits``
+    calls: a fixed-width class is sized once per run (``widths``, the
+    classes sized so far, carried from round to round) and read by class
+    after that; any other message once per distinct fan-out object, or
+    per run of a list.  A scatter of one fixed-width class is sized as a
+    whole; one that mixes classes, or is not fixed-width, per message."""
     sized = filed = 0
     seen = set()
+
+    def sizing(message):
+        cls = type(message)
+        if cls in widths:
+            return 0
+        if cls.fixed_width:
+            widths.add(cls)
+        return 1
+
     for sends in delivered.values():
         if not sends or id(sends) in seen:
             continue
         if isinstance(sends, Scatter):
-            sized += len(sends.messages)
+            kinds = {type(message) for message in sends.messages}
+            if len(kinds) == 1 and next(iter(kinds)).fixed_width:
+                sized += sizing(sends.messages[0])
+            else:
+                sized += len(sends.messages)
+                widths.update(cls for cls in kinds if cls.fixed_width)
             filed += 1
         elif isinstance(sends, Multicast):
-            sized += 1
+            sized += sizing(sends.message)
             filed += sends.targets != range(n)
         else:
-            runs = sum(1 for at, send in enumerate(sends)
-                       if at == 0 or send.message is not sends[at - 1].message
-                       or send.claim != sends[at - 1].claim)
-            sized += runs
-            filed += runs
+            runs = [send.message for at, send in enumerate(sends)
+                    if at == 0 or send.message is not sends[at - 1].message
+                    or send.claim != sends[at - 1].claim]
+            sized += sum(map(sizing, runs))
+            filed += len(runs)
         seen.add(id(sends))
     return sized, filed
 
@@ -442,7 +462,7 @@ class TestKeptWhole:
             assert sorted(rows) == list(range(len(column.msg)))
             # One filing per distinct fan-out object, not per sender: a
             # repeat joins the group its first sender's block opened.
-            assert len(filed) == _charged_once(delivered, n)[1]
+            assert len(filed) == _charged_once(delivered, n, set())[1]
             (firsts, *others) = column._groups.values() or [[]]
             if len(firsts) >= 20 and not others:
                 # ~21 members name the one view tuple they derived, so
@@ -473,12 +493,16 @@ class TestKeptWhole:
         counting(ColumnarRound, "_file")
         result = golden.CASES["byz-withholder-n48"]()
         assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
+        widths = set()
         sized, filed = map(sum, zip(*[
-            _charged_once(delivered, n) for n, delivered in proposals]))
+            _charged_once(delivered, n, widths)
+            for n, delivered in proposals]))
         assert (calls["message_bits"], calls["_file"]) == (sized, filed)
         # (2,745, 1,757) before the members that rank alike shared one
-        # distribution `Scatter`: 17 filings and 799 sizings of `NewId`s.
-        assert (sized, filed) == (1_946, 1_740)
+        # distribution `Scatter`: 17 filings and 799 sizings of `NewId`s;
+        # (1,946, 1,740) while every filing of a fixed-width message
+        # called `message_bits`, where the charge now reads its class.
+        assert (sized, filed) == (1_691, 1_740)
         # 34,552 sender-rounds, 1,762 distinct fan-out objects (1,779).
         assert sum(1 for _, delivered in proposals
                    for sends in delivered.values() if sends) == 34_552

@@ -17,6 +17,15 @@ row, kept below as the oracle) returns, in the same round:
 - on the engine (``LazyInbox``) and on the per-envelope oracle
   executor's plain lists alike.
 
+An inbox of several groups -- Byzantine members split the committee's
+views, so members answer over link tuples of their own -- is read row
+by row.  On random columns (scatters from shared, copied and own
+tuples, repeats, runs, links named twice, held mail, broadcast rows)
+the runs of every link's inbox, expanded sender by sender, are its rows
+in order, and on a view of several groups they are the row-by-row runs
+themselves.  A hand-made distribution whose members interleave over two
+link tuples adopts what the row-by-row read adopts.
+
 White-box: a Byzantine run at f = 0 resolves no repeat record into a
 row (``ColumnarRound._resolve``; each member's answer was resolved for
 every reader before).
@@ -30,7 +39,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.experiments import summary
 from repro.core.byzantine_renaming import ByzantineRenamingNode, NewId
-from repro.sim.columnar import ColumnarRound, messages, runs, senders
+from repro.sim.columnar import (
+    ColumnarRound,
+    LazyInbox,
+    messages,
+    runs,
+    senders,
+)
 from repro.sim.messages import (
     UNTIL_MAIL,
     CostModel,
@@ -43,6 +58,7 @@ from repro.sim.messages import (
 from repro.sim.node import Process
 from repro.sim.runner import run_network
 from tests.test_fastpath_ab import ReferenceNetwork
+from tests.test_position_reads_property import _fill, columns
 
 VALUES = (None, 0, 1, 2)
 
@@ -199,6 +215,55 @@ class TestTheTallyIsTheRowRead:
         assert engine[0] == ((1, 1), (1, 1))
         assert engine[1] == ((1, 2), (1, 2))
         assert engine[2] == ((1, 0), (1, 0))
+        assert engine == _adoptions(*scenario, reference=True)
+
+
+def _row_runs(inbox):
+    """The inbox read row by row, as runs: the oracle of ``runs``."""
+    read = []
+    for sender, message in zip(senders(inbox), messages(inbox)):
+        if read and read[-1][0] is message:
+            read[-1][1].append(sender)
+        else:
+            read.append((message, [sender]))
+    return [(message, tuple(sent_by)) for message, sent_by in read]
+
+
+def _expanded(read):
+    return [(id(message), sender) for message, sent_by in read
+            for sender in sent_by]
+
+
+class TestSeveralGroupsInOneView:
+
+    @settings(max_examples=400, deadline=None)
+    @given(columns())
+    def test_the_merged_runs_are_the_rows(self, scenario):
+        n, pool, answers, filings, attached, _ = scenario
+        column = _fill(pool, answers, filings)
+        column.attach(attached)
+        read = {to: runs(LazyInbox(column, to)) for to in range(n + 1)}
+        for to in range(n + 1):
+            inbox = LazyInbox(column, to)
+            rows = _row_runs(inbox)
+            assert _expanded(read[to]) == _expanded(rows)
+            if len(inbox._resolve().blocks) > 1:
+                assert [(id(message), sent_by)
+                        for message, sent_by in read[to]] == [
+                    (id(message), sent_by) for message, sent_by in rows]
+
+    def test_a_distribution_over_two_link_tuples(self):
+        # Members answer over two link tuples, both naming every node,
+        # interleaved in send order; the odd ones share one scatter of
+        # each tuple, node 4 a tuple of its own.
+        pool = [((0, 1, 2, 3, 4, 0), (1, 2, 0, 0, 1, 2)),
+                ((4, 3, 2, 1, 0), (2, 2, 1, 0, None))]
+        scripts = [[("share", 0, 0)], [("share", 1, 0)], [("share", 0, 0)],
+                   [("share", 1, 0)], [("equivocate", 0, 1)]]
+        scenario = (5, pool, scripts, {0, 1, 2, 3, 4}, 1)
+        engine = _adoptions(*scenario)
+        for tallied, rows in engine.values():
+            assert tallied == rows
         assert engine == _adoptions(*scenario, reference=True)
 
 

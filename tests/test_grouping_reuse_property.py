@@ -204,19 +204,20 @@ def _run(n, pool, scripts, crashes, holds, reference=False):
 
 def _counting(monkeypatch):
     """Counts `_group` calls and lists the rounds that walked: those
-    that left the run a new set of classes."""
+    whose classes no kept shape had (`ColumnarRound._classes`)."""
     calls = {"_group": 0, "walked": []}
-    group = ColumnarRound._group
+    group, classes = ColumnarRound._group, ColumnarRound._classes
 
     def counted_group(self):
         calls["_group"] += 1
-        before = self._last[2]
-        views = group(self)
-        if self._last[2] is not before:
-            calls["walked"].append(self.round_no)
-        return views
+        return group(self)
+
+    def counted_classes(self, shape):
+        calls["walked"].append(self.round_no)
+        return classes(self, shape)
 
     monkeypatch.setattr(ColumnarRound, "_group", counted_group)
+    monkeypatch.setattr(ColumnarRound, "_classes", counted_classes)
     return calls
 
 
@@ -242,11 +243,13 @@ class TestReuseIsInvisible:
         run = (5, pool, scripts, {}, set())
         assert _run(*run) == _run(*run, reference=True)
         # Round 1 walks; 2-3 reuse; 4 (group order) walks, 5 reuses;
-        # 6 (a stride) walks, and so does 7, back from it; 8 has one
-        # node less alive (it finished in 7) and walks; 9 names the
-        # tuple object of which 8 named an equal copy: reused.
+        # 6 (a stride) walks; 7, back from it to an equal copy of round
+        # 1's shape, reuses round 1's classes (it walked while the run
+        # kept only its last grouping: [1, 4, 6, 7, 8]); 8 has one node
+        # less alive (it finished in 7) and walks; 9 names the tuple
+        # object of which 8 named an equal copy: reused.
         assert calls["_group"] == 9
-        assert calls["walked"] == [1, 4, 6, 7, 8]
+        assert calls["walked"] == [1, 4, 6, 8]
 
 
 class TestPaperRun:
