@@ -20,7 +20,10 @@ hold the same votes, so :meth:`CommitteeComm.collect` goes through
 :func:`repro.sim.columnar.derive`: the vote table of a step is computed
 once per distinct inbox -- per ``(view, step, kind, members)``, from its
 rows -- and the members of that view share one read-only mapping; so
-does :meth:`CommitteeComm.tally`, the plurality of such a table.  What
+does :meth:`CommitteeComm.tally`, the plurality of such a table, which
+reads the inbox as :func:`~repro.sim.columnar.runs`: the members that
+repeat one vote are one run, its senders counted at once, so a lockstep
+round's tally costs its distinct votes, not its members.  What
 varies between members (the step a desynchronised Byzantine member
 believes in, its committee view) is an argument, never hidden state; an
 equivocator or withholder splits the committee into several views, each
@@ -32,7 +35,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.sim.columnar import derive_kept, messages, senders
+from repro.sim.columnar import derive_kept, messages, runs, senders
 from repro.sim.messages import (
     CostModel,
     Envelope,
@@ -182,14 +185,38 @@ def _collect(inbox: Sequence[Envelope], step: int, kind: str,
 def _tally(inbox: Sequence[Envelope], step: int, kind: str,
            members: frozenset[int], without: object
            ) -> tuple[int, object, int]:
-    """:func:`plurality` over :func:`_collect`'s votes other than
-    ``without``, and how many votes there were; pure in its arguments."""
-    votes = _collect(inbox, step, kind, members).values()
-    counted = (votes if without is None
-               else [value for value in votes if value != without])
-    if not counted:
-        return len(votes), None, 0
-    return (len(votes), *plurality(counted))
+    """:func:`plurality` over the first ``kind`` vote of ``step`` from
+    each of ``members`` other than ``without``, and how many votes there
+    were; pure in its arguments.
+
+    The inbox is read as :func:`~repro.sim.columnar.runs`: the members
+    that repeat one vote are one run, and a run's senders not heard yet
+    are counted at once, so a lockstep round costs its distinct votes,
+    not its members.  Folding the runs in order is folding the rows:
+    :func:`_collect`'s first vote per member, then :func:`plurality`.
+    """
+    heard: set[int] = set()
+    counts: dict[object, int] = {}
+    for message, sent_by in runs(inbox):
+        if (
+            isinstance(message, SubVote)
+            and message.step == step
+            and message.kind == kind
+        ):
+            new = members.intersection(sent_by)
+            if heard:
+                new -= heard
+            if new:
+                heard |= new
+                value = message.value
+                if without is None or value != without:
+                    counts[value] = counts.get(value, 0) + len(new)
+    if not counts:
+        return len(heard), None, 0
+    if len(counts) == 1:  # one value: no tie to break
+        (value, count), = counts.items()
+        return len(heard), value, count
+    return (len(heard), *_most(counts))
 
 
 def exchange(comm: CommitteeComm, kind: str, value: object, width: int):
@@ -211,5 +238,9 @@ def plurality(votes: Iterable[object]) -> tuple[object, int]:
         counts[value] = counts.get(value, 0) + 1
     if not counts:
         raise ValueError("no votes to take a plurality of")
-    best = min(counts.items(), key=lambda item: (-item[1], repr(item[0])))
-    return best[0], best[1]
+    return _most(counts)
+
+
+def _most(counts: Mapping[object, int]) -> tuple[object, int]:
+    """The tie-break of :func:`plurality` over ``value -> count``."""
+    return min(counts.items(), key=lambda item: (-item[1], repr(item[0])))

@@ -45,12 +45,14 @@ import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.core.intervals import Interval, reports_inside_bot, root_interval
 from repro.sim.columnar import derive, distinct, messages, senders
 from repro.sim.messages import (
+    Broadcast,
     CostModel,
     Envelope,
     Message,
@@ -77,6 +79,14 @@ class CommitteeNotice(Message, fixed_width=True):
 
 #: The one announcement: a round's broadcasts of it are sized once.
 NOTICE = CommitteeNotice()
+
+
+@cache
+def announcement(n: int) -> Broadcast:
+    """Round 1's fan-out in a network of ``n`` links: one object every
+    member yields, so a round files it once and each later member as one
+    repeat record."""
+    return broadcast(n, NOTICE)
 
 
 @record
@@ -291,8 +301,8 @@ class CrashRenamingNode(Process):
                 self._maybe_self_elect(ctx)
 
     def _maybe_self_elect(self, ctx: Context) -> None:
-        probability = self.config.election_probability(self.p, ctx.n)
-        if not self.elected and ctx.rng.random() < probability:
+        if not self.elected and _coin(
+                ctx, self.config.election_probability(self.p, ctx.n)):
             self.elected = True
             self.ever_elected = True
 
@@ -304,14 +314,14 @@ class CrashRenamingNode(Process):
         self.p = 0
         self.depth = 0
         self.elected = False
-        if n > 1 and ctx.rng.random() < self.config.election_probability(0, n):
+        if n > 1 and _coin(ctx, self.config.election_probability(0, n)):
             self.elected = True
             self.ever_elected = True
 
-        announcement = broadcast(n, NOTICE)  # the same object every phase
+        notice = announcement(n)  # every member's, every phase
         for _phase in range(self.config.phase_count(n)):
             # Round 1: committee announcement.
-            inbox = yield announcement if self.elected else []
+            inbox = yield notice if self.elected else []
             committee_links = derive(inbox, _committee_links)
 
             # Round 2: status reports to every announced committee member.
@@ -361,6 +371,14 @@ class CrashRenamingNode(Process):
                 f"node {self.uid} finished with interval {self.interval}"
             )
         return self.interval.lo
+
+
+def _coin(ctx: Context, probability: float) -> bool:
+    """Heads with ``probability``, drawn from the node's stream only if
+    it can come up tails: ``random() < 1`` always holds, and an elected
+    node never draws again, so every later draw is the one it was.  With
+    the paper's constants up to n = 2,950 no node builds its stream."""
+    return probability >= 1 or ctx.rng.random() < probability
 
 
 def run_crash_renaming(

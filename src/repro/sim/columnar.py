@@ -163,12 +163,13 @@ class _View:
     """One distinct inbox of a round: the blocks its readers are in --
     ``(first rows of a group's blocks, offset into each)`` pairs -- how
     many targeted rows that makes, how many attached recipients read it,
-    and its rows, envelope tuple and message tuple once somebody asked.
+    its rows, envelope tuple and message tuple once somebody asked, and
+    the ``(fn, args, value)`` a ``derive`` of it computed or found last.
     Plain data -- the column does the work, so a view never points back
     at it."""
 
     __slots__ = ("blocks", "size", "readers", "_rows", "envelopes",
-                 "messages")
+                 "messages", "last")
 
     def __init__(self, blocks: tuple, readers: int):
         self.blocks = blocks
@@ -177,6 +178,7 @@ class _View:
         self._rows: Optional[tuple[int, ...]] = None
         self.envelopes: Optional[tuple[Envelope, ...]] = None
         self.messages: Optional[tuple[Message, ...]] = None
+        self.last: Optional[tuple] = None
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -489,9 +491,18 @@ class ColumnarRound:
         runs = self._runs.get(id(firsts))
         if runs is None:
             hdr, msg = self.hdr, self.msg
+            once = self._once.get(id(firsts))
+            if once is None:  # not a scatter's: a block is one message
+                message = msg[firsts[0]]
+                for first in firsts:
+                    if msg[first] is not message:
+                        break
+                else:  # one fan-out and its repeats -- a lockstep vote
+                    runs = self._runs[id(firsts)] = [(firsts[0], tuple(
+                        [hdr[first][0] for first in firsts]))]
+                    return runs
             # A scatter's first block -> id of its message tuple.
-            carried = {first: key for key, first
-                       in self._once.get(id(firsts), {}).items()}
+            carried = {first: key for key, first in (once or {}).items()}
             runs = self._runs[id(firsts)] = []
             last = stretch = None
             for first in firsts:
@@ -593,13 +604,17 @@ def derive(inbox: Sequence[Envelope], fn: Callable, *args):
         view = inbox._view = views.get(inbox._recipient, column._common)
     if view.readers < 2:
         return fn(inbox, *args)
+    last = view.last  # the view's readers ask alike: no key to hash
+    if last is not None and last[0] is fn and last[1] == args:
+        return last[2]
     memo = inbox._column._memo
     key = (view, fn, args)
     try:
-        return memo[key]
+        value = memo[key]
     except KeyError:
         value = memo[key] = fn(inbox, *args)
-        return value
+    view.last = fn, args, value
+    return value
 
 
 def derive_kept(inbox: Sequence[Envelope], fn: Callable, *args
@@ -622,12 +637,16 @@ def derive_kept(inbox: Sequence[Envelope], fn: Callable, *args
         view = inbox._view = views.get(inbox._recipient, column._common)
     if view.readers < 2:
         return fn(inbox, *args), memo
+    last = view.last
+    if last is not None and last[0] is fn and last[1] == args:
+        return last[2], memo
     key = (view, fn, args)
     try:
-        return memo[key], memo
+        value = memo[key]
     except KeyError:
         value = memo[key] = fn(inbox, *args)
-        return value, memo
+    view.last = fn, args, value
+    return value, memo
 
 
 def tally(inbox: Sequence[Envelope], fn: Callable, *args

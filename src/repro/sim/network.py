@@ -289,6 +289,8 @@ class SyncNetwork:
                         f"node {index} broadcast to {len(targets)} links, "
                         f"network has {n}"
                     )
+                # Its range: the next sender of this object is not checked.
+                self._in_bounds = targets
             elif targets is not self._in_bounds and targets:
                 # A tuple many senders share by reference (the committee
                 # `derive` hands every reporter) is checked once; a bad
@@ -406,18 +408,21 @@ class SyncNetwork:
             fixed-width class -- a committee's ``Response``s -- is
             count x width, one lookup for all its messages.  A fan-out's
             emptiness is read off its ``targets``.
-            A later sender of an unclaimed ``Multicast`` or ``Scatter``
-            object that no fault verdict names -- the members of a
-            lockstep committee voting alike -- takes one branch: its
-            repeat record is appended under the header the run made for
-            it, and the fan-out's count and bits go to its ledger; no
-            type test, no header, no per-class count (a fan-out's
-            classes are counted for its first sender, and times its
-            later senders when the round is summed).  The round's
-            counts are summed as it goes and advance the ledgers once
-            (``sends_by_node`` sender by sender, one ``Metrics.flush``);
-            a faulted sender is charged send by send.  Only awake nodes
-            are visited (a parked one proposed nothing).
+            A later sender of an unclaimed ``Multicast``, ``Broadcast``
+            or ``Scatter`` object that no fault verdict names -- the
+            members of a lockstep committee voting alike, a crash
+            committee announcing -- takes one branch: its repeat record
+            is filed in place (``add_repeat``'s body, not a call: the
+            group's append, the header the run made for it, the message
+            or the scatter's tuple), and the fan-out's count and bits
+            go to its ledger; no type test, no header, no per-class
+            count (a fan-out's classes, and a scatter repeat's rows
+            beyond one in ``folded``, are counted for its first sender,
+            and times its later senders when the round is summed).  The
+            round's counts are summed as it goes and advance the ledgers
+            once (``sends_by_node`` sender by sender, one
+            ``Metrics.flush``); a faulted sender is charged send by send.
+            Only awake nodes are visited (a parked one proposed nothing).
         ``deliver``
             ``attach`` freezes the alive set; messages addressed to
             crashed or terminated links vanish (they were still
@@ -434,8 +439,9 @@ class SyncNetwork:
             one is asked for, so listen-free rounds cost O(senders),
             not O(messages) -- then the monitors.  What a program yields
             is bounds-checked unless known valid: a multicast or
-            scatter to the tuple last checked, an empty list,
-            ``UNTIL_MAIL``.  A program that
+            scatter to the tuple last checked, a broadcast over the
+            range last checked (one object its members share), an empty
+            list, ``UNTIL_MAIL``.  A program that
             yields :data:`~repro.sim.messages.UNTIL_MAIL` is parked: it
             stays alive in every respect (proposed with its empty
             sends, shown to both adversaries, crashable, counted as a
@@ -474,6 +480,9 @@ class SyncNetwork:
         column = ColumnarRound(round_no, self._groupings)
         add_run = column.add_run
         add_repeat = column.add_repeat
+        # A repeat's record, filed in place: `add_repeat`'s body.
+        hdr_append, msg_append = column.hdr.append, column.msg.append
+        records = column.msg
         message_bits = metrics.message_bits
         by_class = metrics._bits_by_class
         fanout_types = _FANOUT_TYPES
@@ -487,11 +496,12 @@ class SyncNetwork:
         correct = correct_bits = byz = byz_bits = widest = 0
         by_type: dict[type, int] = {}
         # A fan-out filed this round -> [count, bits, group, what a
-        # repeat records, a scatter's (class, count) pairs, later
-        # senders]: by id(fan-out), a claimed multicast by (id,), a
-        # broadcast by (id(message), claim, n); `delivered` pins the ids.
-        # Only an unclaimed multicast or scatter is found by its bare id:
-        # its later senders take the repeat branch.
+        # repeat records (the message, or a scatter's tuple of more than
+        # one), a scatter's (class, count) pairs, later senders]: by
+        # id(fan-out), a claimed multicast by (id,), a broadcast by
+        # (id(message), claim, n) and an unclaimed one by its id too;
+        # `delivered` pins the ids.  Only an unclaimed fan-out is found
+        # by its bare id: its later senders take the repeat branch.
         fanouts: dict[object, list] = {}
         repeated = False  # a later sender's classes are counted at the end
         if self._held:
@@ -507,8 +517,11 @@ class SyncNetwork:
             fanout = fanouts.get(ident)
             if fanout is not None and not (plan and plan.get(sender)):
                 # A later sender of an unclaimed fan-out, no verdict: one
-                # record in the group its first sender filed.
-                add_repeat(unclaimed[sender], fanout[3], fanout[2])
+                # record in the group its first sender filed (a scatter's
+                # extra rows are folded in at the end).
+                fanout[2].append(len(records))
+                hdr_append(unclaimed[sender])
+                msg_append(fanout[3])
                 fanout[5] += 1
                 repeated = True
                 count, sent_bits = fanout[0], fanout[1]
@@ -544,12 +557,16 @@ class SyncNetwork:
                     fanout = fanouts[key] = [
                         count, bits * count,
                         column.add_broadcast(row) if targets == whole
-                        else add_run(row, targets), (message,), None, 0]
+                        else add_run(row, targets), message, None, 0]
                     by_type[cls] = by_type.get(cls, 0) + count
                 else:
-                    add_repeat(header, fanout[3], fanout[2])
+                    add_repeat(header, (message,), fanout[2])
                     fanout[5] += 1
                     repeated = True
+                if claim is None and key is not ident:
+                    # An unclaimed broadcast: its later senders find it
+                    # by id.
+                    fanouts[ident] = fanout
                 count, sent_bits = fanout[0], fanout[1]
             elif isinstance(sends, Scatter):
                 # One message per link: a row each.
@@ -574,7 +591,8 @@ class SyncNetwork:
                 fanout = fanouts[ident] = [
                     count, sent_bits,
                     column.add_scatter(unclaimed[sender], messages,
-                                       sends.targets), messages, types, 0]
+                                       sends.targets),
+                    messages if count > 1 else messages[0], types, 0]
                 for cls, number in types:
                     by_type[cls] = by_type.get(cls, 0) + number
             else:
@@ -612,10 +630,18 @@ class SyncNetwork:
                 correct += count
                 correct_bits += sent_bits
         if repeated:
-            for count, _, _, record, types, repeats in fanouts.values():
+            folded = 0
+            for fanout in fanouts.values():
+                count, _, _, record, types, repeats = fanout
                 if repeats:
-                    for cls, number in types or ((type(record[0]), count),):
+                    fanout[5] = 0  # a broadcast is filed under two keys
+                    if types is None:
+                        types = ((type(record), count),)
+                    else:  # a scatter's repeat stands for `count` rows
+                        folded += (count - 1) * repeats
+                    for cls, number in types:
                         by_type[cls] = by_type.get(cls, 0) + number * repeats
+            column.folded += folded
         metrics.flush(correct, correct_bits, byz, byz_bits, widest,
                       by_type.items())
         t2 = perf_counter()
@@ -644,7 +670,7 @@ class SyncNetwork:
             try:
                 sends = programs[index].send(LazyInbox(column, index))
                 kind = type(sends)  # checked unless known valid
-                if kind is Multicast or kind is Scatter:
+                if kind in fanout_types:
                     if sends.targets is not self._in_bounds:
                         sends = validated(index, sends)
                 elif kind is list:

@@ -91,6 +91,7 @@ from repro.sim.messages import (
     broadcast,
     multicast,
 )
+from repro.sim import network as network_module
 from repro.sim.columnar import ColumnarRound
 from repro.sim.metrics import Metrics
 from repro.sim.node import Context, Process
@@ -978,6 +979,52 @@ def _shared_run(n, pool, scripts, byzantine, crashes, faults, forged,
     return observed
 
 
+def _recorded_columns(monkeypatch):
+    """Every column the engine fills from here on, in round order."""
+    columns = []
+
+    class Recorded(ColumnarRound):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            columns.append(self)
+
+    monkeypatch.setattr(network_module, "ColumnarRound", Recorded)
+    return columns
+
+
+def _repeat_records(columns):
+    """``(header, rows)`` of every repeat record the columns hold, in
+    filing order.  A repeat is one record filed among the blocks of the
+    fan-out it repeats: a scatter's message tuple (the rows it stands
+    for), or the message a record before it there carried under the
+    same claim -- in a scatter's group over several links, where every
+    sender of its own files a row per link, the tuple alone.  Exact
+    where no two senders the long way (faulted, cut mid-send, of fan-outs
+    of their own) file one message to one target tuple under one claim,
+    as in every scenario it is asked about here."""
+    found = []
+    for column in columns:
+        hdr, msg = column.hdr, column.msg
+        records = []
+        groups = [(firsts, stride and len(targets) > 1)
+                  for (targets, stride), firsts in column._groups.items()]
+        for firsts, wide in [(column.b_seq, False), *groups]:
+            carried = set()
+            for first in firsts:
+                item = msg[first]
+                if type(item) is tuple:
+                    records.append((first, len(item)))
+                elif not wide:
+                    key = (id(item), hdr[first][2])
+                    if key in carried:
+                        records.append((first, 1))
+                    carried.add(key)
+        found += [(hdr[record], rows) for record, rows in sorted(records)]
+    return found
+
+
 class TestSharedFanoutsAgainstTheOracle:
     """Senders that yield one ``Multicast``, ``Broadcast`` or ``Scatter``
     object, interleaved with senders that do not share -- honest and
@@ -993,14 +1040,7 @@ class TestSharedFanoutsAgainstTheOracle:
                                                      reference=True)
 
     def test_one_round_of_every_kind_of_sharer(self, monkeypatch):
-        repeats = []
-        add_repeat = ColumnarRound.add_repeat
-
-        def counting_add_repeat(self, header, messages, group):
-            repeats.append(header)
-            return add_repeat(self, header, messages, group)
-
-        monkeypatch.setattr(ColumnarRound, "add_repeat", counting_add_repeat)
+        columns = _recorded_columns(monkeypatch)
         pool = [("multicast", (1, 4, 4, 7)), ("broadcast", ()),
                 ("claimed", (0, 2, 5)), ("scatter", (3, 0, 6))]
         share = [("share", slot, 0) for slot in range(4)]
@@ -1015,6 +1055,7 @@ class TestSharedFanoutsAgainstTheOracle:
                     {(1, 5): 0},       # a multicast's sharer, faulted
                     True)              # claims reach the receivers
         engine = _shared_run(*scenario)
+        repeats = [header for header, _ in _repeat_records(columns)]
         assert engine == _shared_run(*scenario, reference=True)
         # Repeats: node 2 (Byzantine) of node 0's multicast, node 11 of
         # node 1's broadcast, node 7 of node 3's claimed multicast, node
@@ -1026,21 +1067,8 @@ class TestSharedFanoutsAgainstTheOracle:
         assert engine["fault_stats"]["held"] == 1
         assert engine["crashed"] == {6}
 
-    @staticmethod
-    def _repeats(monkeypatch):
-        """The header of every repeat record filed, and its row count."""
-        repeats = []
-        add_repeat = ColumnarRound.add_repeat
-
-        def counting_add_repeat(self, header, messages, group):
-            repeats.append((header, len(messages)))
-            return add_repeat(self, header, messages, group)
-
-        monkeypatch.setattr(ColumnarRound, "add_repeat", counting_add_repeat)
-        return repeats
-
     def test_scatter_repeats_under_mid_send_crashes(self, monkeypatch):
-        repeats = self._repeats(monkeypatch)
+        columns = _recorded_columns(monkeypatch)
         # Link 0 is listed twice; every sharer's inbox is read as
         # envelopes, so each repeat's rows are resolved.
         pool = [("scatter", (3, 0, 6, 0, 1)), ("scatter", (2, 5)),
@@ -1055,6 +1083,7 @@ class TestSharedFanoutsAgainstTheOracle:
                     # the first sharer of round 1, a later one of round 2
                     {(1, 0): "odd", (2, 5): "first"}, {}, False)
         engine = _shared_run(*scenario)
+        repeats = _repeat_records(columns)
         assert engine == _shared_run(*scenario, reference=True)
         assert engine["crashed"] == {0, 5}
         # Round 1: node 1 files what node 0 (cut) no longer shares; 2,
@@ -1066,7 +1095,7 @@ class TestSharedFanoutsAgainstTheOracle:
 
     def test_scatter_repeats_under_link_faults_and_held_mail(
             self, monkeypatch):
-        repeats = self._repeats(monkeypatch)
+        columns = _recorded_columns(monkeypatch)
         pool = [("scatter", (1, 4, 1, 0)), ("broadcast", ()),
                 ("scatter", (2, 3))]
         share = ("share", 0, 0)
@@ -1081,6 +1110,7 @@ class TestSharedFanoutsAgainstTheOracle:
                     # held to the next round, where repeats are filed
                     {(1, 2): 0, (2, 0): 3, (3, 4): 1}, False)
         engine = _shared_run(*scenario)
+        repeats = _repeat_records(columns)
         assert engine == _shared_run(*scenario, reference=True)
         assert engine["fault_stats"]["held"] == 3
         assert engine["fault_stats"]["released"] == 3
@@ -1092,7 +1122,7 @@ class TestSharedFanoutsAgainstTheOracle:
 
     def test_broadcasts_of_one_message_under_claims_and_a_crash(
             self, monkeypatch):
-        repeats = self._repeats(monkeypatch)
+        columns = _recorded_columns(monkeypatch)
         # Every node broadcasts the round's one letter in a `Broadcast`
         # of its own: no claim, claim 1 or claim 2 (a Byzantine node's
         # spoofed one reaches the receivers: no authentication).
@@ -1108,6 +1138,7 @@ class TestSharedFanoutsAgainstTheOracle:
                     # a sharer of the unclaimed broadcast, cut mid-send
                     {(1, 2): "odd"}, {}, True)
         engine = _shared_run(*scenario)
+        repeats = _repeat_records(columns)
         assert engine == _shared_run(*scenario, reference=True)
         assert engine["crashed"] == {2}
         # Round 1: node 4 repeats node 1's claim 1, node 5 node 0's
@@ -1144,9 +1175,9 @@ class _FaultOneSender(FaultModel):
 
 
 class TestTheRepeatBranch:
-    """A later sender of an unclaimed ``Multicast`` or ``Scatter``
-    object that no fault verdict names is one repeat record whose count
-    and bits go to its own ledger; a claimed sharer, a broadcast's, a
+    """A later sender of an unclaimed ``Multicast``, ``Broadcast`` or
+    ``Scatter`` object that no fault verdict names is one repeat record
+    whose count and bits go to its own ledger; a claimed sharer, a
     faulted one and a crash victim cut mid-send are charged the long
     way.  Each round is held to the
     oracle's send-by-send charge on every ledger -- ``sends_by_node``,
@@ -1160,19 +1191,11 @@ class TestTheRepeatBranch:
         cost = CostModel(n=len(processes()), namespace=64)
         fault_model = options.pop("fault_model", lambda: None)
         adversary = options.pop("crash_adversary", lambda: None)
-        repeats = []
-        add_repeat = ColumnarRound.add_repeat
-
-        def counting_add_repeat(self, header, messages, group):
-            repeats.append(header)
-            return add_repeat(self, header, messages, group)
-
-        ColumnarRound.add_repeat = counting_add_repeat
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            columns = _recorded_columns(patch)
             result = run_network(processes(), cost, fault_model=fault_model(),
                                  crash_adversary=adversary(), **options)
-        finally:
-            ColumnarRound.add_repeat = add_repeat
+        repeats = [header for header, _ in _repeat_records(columns)]
         reference = ReferenceNetwork(processes(), cost,
                                      fault_model=fault_model(),
                                      crash_adversary=adversary(), **options)

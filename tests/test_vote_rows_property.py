@@ -4,9 +4,12 @@ A member's vote round is the Byzantine algorithm's unit of work: one
 ``Multicast`` of one :class:`~repro.consensus.comm.SubVote` out, one
 vote table in.  Three things keep it cheap, and none may be visible:
 
-- (a) ``CommitteeComm.collect`` / ``tally`` read an inbox as rows --
-  ``zip(senders(inbox), messages(inbox))`` -- so no vote round builds an
-  ``Envelope``.  On random vote columns (steps, kinds, duplicate
+- (a) ``CommitteeComm.collect`` reads an inbox as rows --
+  ``zip(senders(inbox), messages(inbox))`` -- and ``tally`` as runs of
+  them (:func:`repro.sim.columnar.runs`: members repeating one vote are
+  one run), so no vote round builds an ``Envelope``; the runs against
+  the row rule are ``tests/test_vote_runs_property.py``'s.  On random
+  vote columns (steps, kinds, duplicate
   senders, non-members, forged votes under a claimed header, other
   message types, repeats of a multicast, held mail) every member's
   ``collect`` and ``tally`` over its ``LazyInbox`` equal the same call
