@@ -505,8 +505,16 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 
 def cmd_runs_export(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.engine.export import export_store
 
+    # A file in `--out`'s way fails before the store is opened.
+    out = Path(args.out)
+    with _one_error_line(args, "--out: "):
+        found = next(path for path in (out, *out.parents) if path.exists())
+        if not found.is_dir():
+            raise NotADirectoryError(f"{found} is not a directory")
     with _open_store(args) as store:
         exported, written = export_store(
             store, args.out, driver=args.driver, status=args.status)

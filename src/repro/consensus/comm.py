@@ -11,7 +11,7 @@ well-formed vote for the current step.
 
 An honest vote round is one fan-out per member; members of one view
 (one :func:`members_of` set) that vote alike yield one ``Multicast`` of
-one :class:`SubVote`, kept for the round they last read.  Byzantine
+one :class:`SubVote`, kept on that set for the step.  Byzantine
 strategies hook :attr:`CommitteeComm.outgoing_value` to equivocate (send
 different values to different receivers); only they pay per link.
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.sim.columnar import derive_kept, messages, runs, senders
+from repro.sim.columnar import derive, messages, runs, senders
 from repro.sim.messages import (
     CostModel,
     Envelope,
@@ -77,10 +77,6 @@ class CommitteeComm:
             raise ValueError(f"b_max must be >= 0, got {b_max}")
         self.b_max = b_max
         self.step = 0
-        #: The round last read's memo (:func:`~repro.sim.columnar.
-        #: derive_kept`): what the members of one view build alike is
-        #: kept there, votes first.
-        self.memo: dict = {}
 
     #: The hook for equivocators: ``outgoing_value(kind, value,
     #: receiver)`` is the value actually sent to ``receiver``.  A
@@ -92,20 +88,22 @@ class CommitteeComm:
         """This step's vote to every view member.
 
         Without an :attr:`outgoing_value` hook: one :class:`SubVote`
-        multicast to the view, kept on the round last read (one per
-        member set and distinct vote).  With one, the hook is called per
-        link, in link order; links that get the same value share one
-        ``SubVote``.  Either way ``1`` and ``True`` stay apart (the key
-        holds the type), and an unhashable value is never shared.
+        multicast to the view, in :attr:`kept` (one per member set and
+        distinct vote).  With one, the hook is called per link, in link
+        order; links that get the same value share one ``SubVote``.
+        Either way ``1`` and ``True`` stay apart (the key holds the
+        type), and an unhashable value is never shared.
         """
         step = self.step
         hook = self.outgoing_value  # one test: the class's or instance's
         if hook is None:
-            key = (self._members, step, kind, type(value), value, width)
+            members = self._members  # this step's `kept`: no call
+            kept = members.kept if members.step == step else self.kept
+            key = (step, kind, type(value), value, width)
             try:
-                return self.memo[key]
+                return kept[key]
             except KeyError:
-                vote = self.memo[key] = multicast(
+                vote = kept[key] = multicast(
                     self.view, SubVote(step, kind, value, width))
                 return vote
             except TypeError:  # unhashable: no key to share it under
@@ -132,9 +130,7 @@ class CommitteeComm:
         members that received the same rows share one (read-only)
         mapping, computed once (:func:`repro.sim.columnar.derive`).
         """
-        votes, self.memo = derive_kept(inbox, _collect, self.step, kind,
-                                       self._members)
-        return votes
+        return derive(inbox, _collect, self.step, kind, self._members)
 
     def tally(self, inbox: Sequence[Envelope], kind: str,
               without: object = None) -> tuple[int, object, int]:
@@ -143,15 +139,25 @@ class CommitteeComm:
         heard but not counted for a value, and ``(heard, None, 0)`` is
         what remains of nothing.  Like :meth:`collect`, once per
         distinct inbox."""
-        counted, self.memo = derive_kept(inbox, _tally, self.step, kind,
-                                         self._members, without)
-        return counted
+        return derive(inbox, _tally, self.step, kind, self._members,
+                      without)
+
+    @property
+    def kept(self) -> dict:
+        """What the members of this comm's view build alike at the
+        current step -- its votes, the distribution -- kept on their one
+        member set and emptied when a member asks at a new step."""
+        members = self._members
+        if members.step != self.step:
+            members.step, members.kept = self.step, {}
+        return members.kept
 
 
 class _Members(frozenset):
-    """A view's members (a memo key hashed once) and its sorted tuple."""
+    """A view's members (a ``derive`` key hashed once), its sorted tuple,
+    and what its members build alike at ``step`` (``kept``)."""
 
-    __slots__ = ("links",)
+    __slots__ = ("links", "step", "kept")
 
 
 def members_of(view: Iterable[int]) -> _Members:
@@ -162,6 +168,7 @@ def members_of(view: Iterable[int]) -> _Members:
         raise ValueError("committee view must not be empty")
     members = _Members(links)
     members.links = view if links == view else links
+    members.step, members.kept = 0, {}
     return members
 
 

@@ -392,15 +392,15 @@ class ByzantineRenamingNode(Process):
         self.dirty_intervals = list(dirty)
 
         # Distribution: answer every registered node, in one merge.  The
-        # members whose registries and ranks agree (all correct ones, as
-        # a rule) send one `Scatter`, kept in the round last read: the
-        # engine files it once and the rest as repeats.
+        # members of one view whose registries and ranks agree (all
+        # correct ones, as a rule) send one `Scatter`, kept on their
+        # member set: the engine files it once and the rest as repeats.
         ranks = tuple(identity_list.ranks(uids, sorted(dirty)))
         key = (NewId, links, ranks)
         try:
-            answers = comm.memo[key]
+            answers = comm.kept[key]
         except KeyError:
-            answers = comm.memo[key] = Scatter(links, map(NewId, ranks))
+            answers = comm.kept[key] = Scatter(links, map(NewId, ranks))
         inbox = yield answers
         result = yield from self._await_new_id(params, view, first_inbox=inbox)
         return result

@@ -44,7 +44,8 @@ fill creates temporaries (a closed run's tuple, a released letter's
 ``(to,)``) whose ids the allocator would reuse within the same fill:
 the column pins every tuple it has keyed by ``id`` until it dies
 itself.  Each ``add_*`` returns its group (``b_seq`` for a broadcast
-row); a repeat is ``add_repeat``, one record appended there unfiled.
+row); a repeat is one record appended there unfiled (``add_repeat``,
+whose body the network's charge loop runs in place).
 Link faults are blocks too: a dropped send files nothing, a corrupted
 one a row carrying the bit-flipped message, a duplicated one a block
 naming its link ``1 + copies`` times.
@@ -239,8 +240,7 @@ class ColumnarRound:
         #: id(a group's list) -> its runs, once `runs` asked for them.
         self._runs: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         #: (view, fn, args) -> what `derive` computed for the view, or
-        #: `tally` for the common one; and what `derive_kept`'s callers
-        #: keep there.
+        #: `tally` for the common one.
         self._memo: dict = {}
 
     # ------------------------------------------------------------------
@@ -615,38 +615,6 @@ def derive(inbox: Sequence[Envelope], fn: Callable, *args):
         value = memo[key] = fn(inbox, *args)
     view.last = fn, args, value
     return value
-
-
-def derive_kept(inbox: Sequence[Envelope], fn: Callable, *args
-                ) -> tuple[object, dict]:
-    """``(derive(inbox, fn, *args), memo)`` in one step: ``memo`` is the
-    dict ``derive`` keeps the round's values in (a fresh ``{}`` on any
-    other sequence), for a reader that also keeps there what the
-    round's readers build alike -- a committee member its next vote.
-    It is ``derive``'s body, not a call to it: a lockstep member reads
-    through it every round."""
-    if type(inbox) is not LazyInbox:
-        return fn(inbox, *args), {}
-    column = inbox._column
-    memo = column._memo
-    view = inbox._view
-    if view is None:
-        views = column._views
-        if views is None:
-            views = column._group()
-        view = inbox._view = views.get(inbox._recipient, column._common)
-    if view.readers < 2:
-        return fn(inbox, *args), memo
-    last = view.last
-    if last is not None and last[0] is fn and last[1] == args:
-        return last[2], memo
-    key = (view, fn, args)
-    try:
-        value = memo[key]
-    except KeyError:
-        value = memo[key] = fn(inbox, *args)
-    view.last = fn, args, value
-    return value, memo
 
 
 def tally(inbox: Sequence[Envelope], fn: Callable, *args

@@ -400,28 +400,27 @@ class SyncNetwork:
             a ``Multicast`` is one row read by its target tuple (a
             broadcast row when it targets the whole network), a
             ``Scatter`` one row per message, a plain ``Send`` list one
-            row per maximal constant-``(message, claim)`` run; a fan-out
-            object (of a ``Broadcast``, its message) is sized and filed
-            once, for its first sender; a later one is one repeat record.
+            row per maximal constant-``(message, claim)`` run.
             Sizing reads the run's per-class memo first: a fixed-width
             message is one class lookup, and a ``Scatter`` of one
             fixed-width class -- a committee's ``Response``s -- is
             count x width, one lookup for all its messages.  A fan-out's
             emptiness is read off its ``targets``.
-            A later sender of an unclaimed ``Multicast``, ``Broadcast``
-            or ``Scatter`` object that no fault verdict names -- the
-            members of a lockstep committee voting alike, a crash
-            committee announcing -- takes one branch: its repeat record
-            is filed in place (``add_repeat``'s body, not a call: the
-            group's append, the header the run made for it, the message
-            or the scatter's tuple), and the fan-out's count and bits
-            go to its ledger; no type test, no header, no per-class
-            count (a fan-out's classes, and a scatter repeat's rows
-            beyond one in ``folded``, are counted for its first sender,
-            and times its later senders when the round is summed).  The
-            round's counts are summed as it goes and advance the ledgers
-            once (``sends_by_node`` sender by sender, one
-            ``Metrics.flush``); a faulted sender is charged send by send.
+            An unclaimed ``Multicast`` or ``Scatter`` object is filed
+            under its ``id``, and a later sender of it that no fault
+            verdict names -- the members of a lockstep committee voting
+            alike, a crash committee announcing -- takes one branch:
+            its repeat record is filed in place (``add_repeat``'s body,
+            not a call: the group's append, the header the run made for
+            it, the message or the scatter's tuple), and the fan-out's
+            count and bits go to its ledger; no type test, no header, no
+            per-class count (a fan-out's classes, and a scatter repeat's
+            rows beyond one in ``folded``, are counted for its first
+            sender, and times its later senders when the round is
+            summed).  The round's counts are summed as it goes and
+            advance the ledgers once (``sends_by_node`` sender by
+            sender, one ``Metrics.flush``); a faulted sender is charged
+            send by send.
             Only awake nodes are visited (a parked one proposed nothing).
         ``deliver``
             ``attach`` freezes the alive set; messages addressed to
@@ -479,7 +478,6 @@ class SyncNetwork:
 
         column = ColumnarRound(round_no, self._groupings)
         add_run = column.add_run
-        add_repeat = column.add_repeat
         # A repeat's record, filed in place: `add_repeat`'s body.
         hdr_append, msg_append = column.hdr.append, column.msg.append
         records = column.msg
@@ -495,13 +493,11 @@ class SyncNetwork:
         # The round's charge, flushed into the ledgers once at the end.
         correct = correct_bits = byz = byz_bits = widest = 0
         by_type: dict[type, int] = {}
-        # A fan-out filed this round -> [count, bits, group, what a
-        # repeat records (the message, or a scatter's tuple of more than
-        # one), a scatter's (class, count) pairs, later senders]: by
-        # id(fan-out), a claimed multicast by (id,), a broadcast by
-        # (id(message), claim, n) and an unclaimed one by its id too;
-        # `delivered` pins the ids.  Only an unclaimed fan-out is found
-        # by its bare id: its later senders take the repeat branch.
+        # An unclaimed fan-out filed this round, by id (a claimed one's
+        # senders each resolve a header of their own) -> [count, bits,
+        # group, what a repeat records (the message, or a scatter's
+        # tuple of more than one), a scatter's (class, count) pairs,
+        # later senders]; `delivered` pins the ids.
         fanouts: dict[object, list] = {}
         repeated = False  # a later sender's classes are counted at the end
         if self._held:
@@ -532,42 +528,24 @@ class SyncNetwork:
                 # One message to many links: one row.
                 message = sends.message
                 claim = sends.claim
-                header = (unclaimed[sender] if claim is None else
-                          (sender, *resolve(processes[sender].uid, claim)))
-                if type(sends) is Broadcast:
-                    # Broadcasts of one message share whatever object
-                    # carries it.
-                    key = (id(message), claim, sends.n)
-                    fanout = fanouts.get(key)
-                elif claim is None:
-                    key = ident  # not filed yet: that was looked up
-                else:
-                    key = (ident,)
-                    fanout = fanouts.get(key)
-                if fanout is None:
-                    targets = sends.targets
-                    count = len(targets)
-                    cls = type(message)
-                    bits = by_class.get(cls)
-                    if bits is None:
-                        bits = message_bits(message)
-                    if bits > widest:
-                        widest = bits
-                    row = (header, message)
-                    fanout = fanouts[key] = [
-                        count, bits * count,
-                        column.add_broadcast(row) if targets == whole
-                        else add_run(row, targets), message, None, 0]
-                    by_type[cls] = by_type.get(cls, 0) + count
-                else:
-                    add_repeat(header, (message,), fanout[2])
-                    fanout[5] += 1
-                    repeated = True
-                if claim is None and key is not ident:
-                    # An unclaimed broadcast: its later senders find it
-                    # by id.
-                    fanouts[ident] = fanout
-                count, sent_bits = fanout[0], fanout[1]
+                targets = sends.targets
+                count = len(targets)
+                cls = type(message)
+                bits = by_class.get(cls)
+                if bits is None:
+                    bits = message_bits(message)
+                if bits > widest:
+                    widest = bits
+                sent_bits = bits * count
+                row = (unclaimed[sender] if claim is None else
+                       (sender, *resolve(processes[sender].uid, claim)),
+                       message)
+                group = (column.add_broadcast(row) if targets == whole
+                         else add_run(row, targets))
+                if claim is None:
+                    fanouts[ident] = [count, sent_bits, group, message,
+                                      None, 0]
+                by_type[cls] = by_type.get(cls, 0) + count
             elif isinstance(sends, Scatter):
                 # One message per link: a row each.
                 messages = sends.messages
@@ -588,7 +566,7 @@ class SyncNetwork:
                     types = tuple(Counter(map(type, messages)).items())
                 if bits > widest:
                     widest = bits
-                fanout = fanouts[ident] = [
+                fanouts[ident] = [
                     count, sent_bits,
                     column.add_scatter(unclaimed[sender], messages,
                                        sends.targets),
@@ -634,7 +612,6 @@ class SyncNetwork:
             for fanout in fanouts.values():
                 count, _, _, record, types, repeats = fanout
                 if repeats:
-                    fanout[5] = 0  # a broadcast is filed under two keys
                     if types is None:
                         types = ((type(record), count),)
                     else:  # a scatter's repeat stands for `count` rows

@@ -330,6 +330,20 @@ class TestBadInput:
             "ValueError: unknown strategy 'nope'; known: crash-sim, "
             "equivocator, silent, withholder")
 
+    @pytest.mark.parametrize("below", ["", "x/y"], ids=["file", "under-file"])
+    def test_export_into_a_file(self, below, no_run, tmp_path_factory,
+                                capsys):
+        # The file lies outside `tmp_path`, which `no_run` keeps empty:
+        # no store is opened, no directory made.
+        taken = tmp_path_factory.mktemp("taken") / "runs.jsonl"
+        taken.write_text("")
+        out = taken / below if below else taken
+        done, err = run_cli(["runs", "export", "--out", str(out)], capsys)
+        assert (done, err.splitlines()) == (1, [
+            f"python -m repro runs export: error: --out: {taken} is not "
+            "a directory"])
+        assert taken.read_text() == ""
+
     @pytest.mark.parametrize("text, reason", [
         (None, "[Errno 2] No such file or directory: '{path}'"),
         ("not json", "Expecting value: line 1 column 1 (char 0)"),

@@ -1,6 +1,6 @@
 """Unit tests for the committee communication layer (vote filtering)."""
 
-from repro.consensus.comm import CommitteeComm, SubVote, exchange
+from repro.consensus.comm import CommitteeComm, SubVote, exchange, members_of
 from repro.sim.columnar import ColumnarRound, LazyInbox
 from repro.sim.messages import CostModel, Envelope, Multicast
 
@@ -129,7 +129,7 @@ class TestSends:
         column = ColumnarRound()
         column.add_run(((0, 10, None), SubVote(1, "x", 7, 4)), (0, 1, 2))
         column.attach(range(3))
-        links = (0, 1, 2)
+        links = members_of((0, 1, 2))  # one object per view, as derived
         members = [CommitteeComm(view=links, b_max=0) for _ in range(3)]
         for link, member in enumerate(members):
             member.step = 1
@@ -144,10 +144,14 @@ class TestSends:
                  for member in members[:2]]
         assert lists[0] == lists[1] and lists[0] is not lists[1]
 
-    def test_the_first_vote_is_built_before_any_read(self):
-        members = [CommitteeComm(view=[0, 1], b_max=0) for _ in range(2)]
+    def test_a_vote_is_shared_by_one_member_set_only(self):
+        # Before any read too; comms of equal views made apart share none.
+        shared = members_of([0, 1])
+        members = [CommitteeComm(view=shared, b_max=0) for _ in range(2)]
+        members.append(CommitteeComm(view=[0, 1], b_max=0))
         votes = [member.sends("x", 1, width=1).message for member in members]
-        assert votes[0] == votes[1] and votes[0] is not votes[1]
+        assert votes[0] is votes[1] == votes[2]
+        assert votes[2] is not votes[0]
 
     def test_subvote_bit_cost(self):
         cost = CostModel(n=8, namespace=64)

@@ -14,16 +14,18 @@ vote table in.  Three things keep it cheap, and none may be visible:
   message types, repeats of a multicast, held mail) every member's
   ``collect`` and ``tally`` over its ``LazyInbox`` equal the same call
   over a plain envelope list and a per-envelope rule written here.
-- (b) an honest ``sends`` keeps the round's vote under ``(member set,
-  step, kind, type(value), value, width)`` on the column it last read:
-  members of one member set that vote alike get one object, ``1`` and
-  ``True`` stay apart, an unhashable vote is never shared.
+- (b) an honest ``sends`` keeps the step's vote under ``(step, kind,
+  type(value), value, width)`` on its member set, whatever it read
+  last: members of one member set that vote alike get one object, ``1``
+  and ``True`` stay apart, an unhashable vote is never shared, and a
+  new step empties the keep.
 - (c) the member set is one object per derived committee view.
 
 White-box, in ``byz-withholder-n48``: at most 70 envelopes are built
 (35,497 when votes and answers were read as envelopes), every honest
-comm of one view holds one member-set object, and from step 2 on a vote
-round builds one ``SubVote`` per distinct ``(member set, vote)``.
+comm of one view holds one member-set object, and every vote round,
+the first included, builds one ``SubVote`` per distinct ``(member set,
+vote)``.
 
 CI runs this file under two ``PYTHONHASHSEED`` values.
 """
@@ -172,7 +174,7 @@ def test_a_members_first_vote_of_the_step_is_the_one_counted():
     assert comm.tally(LazyInbox(column, 1), "x") == (1, 1, 1)
 
 
-def test_a_vote_after_a_plain_read_is_built_by_its_member():
+def test_a_vote_after_a_plain_read_is_shared_by_its_member_set():
     members = members_of((0, 1))
     comms = [CommitteeComm(members, 0) for _ in range(2)]
     for comm in comms:
@@ -180,7 +182,11 @@ def test_a_vote_after_a_plain_read_is_built_by_its_member():
         comm.collect([Envelope(0, 1, SubVote(1, "x", 1, 1), 100)], "x")
         comm.step = 2
     first, second = (comm.sends("x", 1, width=1) for comm in comms)
-    assert first.message == second.message and first is not second
+    assert first is second and first.message == SubVote(2, "x", 1, 1)
+    # A new step empties the keep: step 2's vote is not held any more.
+    comms[0].step = 3
+    third = comms[0].sends("x", 1, width=1)
+    assert third is not first and list(members.kept.values()) == [third]
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +240,10 @@ def test_one_member_set_per_view_and_one_vote_per_distinct_value(
         by_view[made.view].add(id(made._members))
     assert len(comms) == 21
     assert all(len(ids) == 1 for ids in by_view.values())
-    # Step 1 follows no read: every member builds its own.  From step 2
-    # on, the committee is in lockstep and a step is one round.
+    # The committee is in lockstep and a step is one round: each builds
+    # one vote per distinct (member set, vote), the first one too.
     distinct = Counter(step for step, *_ in voted)
     counted = Counter(built)
-    assert counted[1] == 21
-    later = [step for step in distinct if step > 1]
-    assert len(later) > 1000
-    assert all(counted[step] == distinct[step] for step in later)
+    assert counted[1] == distinct[1] == 4
+    assert len(distinct) > 1000
+    assert all(counted[step] == distinct[step] for step in distinct)

@@ -16,9 +16,10 @@ visible:
   envelope list, value type included; through ``CommitteeComm.tally``
   too, where a view's readers find the value their view last derived;
 - (b) a repeat is filed in place: the charge loop appends a later
-  sender's record itself, so ``byz-withholder-n48`` and
-  ``crash-paper-n96`` call ``ColumnarRound.add_repeat`` zero times
-  (32,790 and 3,990 at the parent) with their digests unchanged;
+  sender's record itself, one record per later sender of a fan-out
+  object -- counted as the records a column holds when it is attached
+  beyond the rows its ``_row`` / ``add_scatter`` filed -- with the
+  digests of ``byz-withholder-n48`` and ``crash-paper-n96`` unchanged;
 - (c) one announcement object per network size: every crash committee
   member yields the same ``Broadcast``, its later senders are repeats
   of the fast branch, and the advance loop knows its range valid, so
@@ -214,19 +215,33 @@ def test_a_lockstep_vote_is_one_run_counted_at_once(monkeypatch):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts ``add_repeat`` and ``_validated`` calls."""
-    counted = {"add_repeat": 0, "validated": 0}
-    add_repeat, validated = ColumnarRound.add_repeat, SyncNetwork._validated
+    """Counts repeat records and ``_validated`` calls: a column's records
+    when it is attached, less the rows ``_row`` and ``add_scatter``
+    filed (a later read's resolved rows come after ``attach``)."""
+    counted = {"repeats": 0, "validated": 0}
+    filed: dict[int, int] = {}
+    row, scatter = ColumnarRound._row, ColumnarRound.add_scatter
+    attach, validated = ColumnarRound.attach, SyncNetwork._validated
 
-    def counting_add_repeat(self, *args):
-        counted["add_repeat"] += 1
-        return add_repeat(self, *args)
+    def counting_row(self, *args):
+        filed[id(self)] = filed.get(id(self), 0) + 1
+        return row(self, *args)
+
+    def counting_scatter(self, header, messages, links):
+        filed[id(self)] = filed.get(id(self), 0) + len(messages)
+        return scatter(self, header, messages, links)
+
+    def counting_attach(self, alive):
+        counted["repeats"] += len(self.msg) - filed.pop(id(self), 0)
+        return attach(self, alive)
 
     def counting_validated(self, index, sends):
         counted["validated"] += 1
         return validated(self, index, sends)
 
-    monkeypatch.setattr(ColumnarRound, "add_repeat", counting_add_repeat)
+    monkeypatch.setattr(ColumnarRound, "_row", counting_row)
+    monkeypatch.setattr(ColumnarRound, "add_scatter", counting_scatter)
+    monkeypatch.setattr(ColumnarRound, "attach", counting_attach)
     monkeypatch.setattr(SyncNetwork, "_validated", counting_validated)
     return counted
 
@@ -234,7 +249,9 @@ def counts(monkeypatch):
 def test_a_withholder_run_files_every_repeat_in_place(counts):
     result = golden.CASES["byz-withholder-n48"]()
     assert golden.digest(result) == golden.GOLDEN["byz-withholder-n48"]
-    assert counts["add_repeat"] == 0
+    # A record per later sender: 34,552 sender-rounds over 1,745 fan-out
+    # objects (32,790 while step 1's votes were each member's own).
+    assert counts["repeats"] == 32_807
 
 
 def test_the_paper_run_announces_with_one_object(counts):
@@ -242,7 +259,8 @@ def test_the_paper_run_announces_with_one_object(counts):
     assert announcement(96).targets == range(96)
     result = golden.CASES["crash-paper-n96"]()
     assert golden.digest(result) == golden.GOLDEN["crash-paper-n96"]
-    assert counts == {"add_repeat": 0, "validated": 158}
+    # 21 announcement and 21 answer rounds, 95 later senders each.
+    assert counts == {"repeats": 3_990, "validated": 158}
 
 
 class _Contexts:
