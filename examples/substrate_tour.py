@@ -1,49 +1,23 @@
-"""Scenario: a tour of the substrates underneath the renaming stack.
+"""Scenario: a tour of the substrate underneath the Byzantine stack.
 
-The paper's algorithms stand on classical primitives that this library
-implements as reusable components. This example exercises three of
-them directly:
-
-1. **Approximate agreement** (under Okun's [32] renaming family) —
-   crash-tolerant convergence of sensor readings;
-2. **Binary consensus + weak validator** (Lemmas 3.3/3.4) — the
-   committee's decision core, run standalone;
-3. **The commit-reveal randomness beacon** (the Section 3.2 extension)
-   — generating shared randomness instead of assuming it.
+The paper's Byzantine algorithm stands on classical primitives that
+this library implements as reusable components.  This example runs its
+committee's decision core directly: the weak validator and binary
+consensus (Lemmas 3.3/3.4), back to back, standalone.
 
 Run:  python examples/substrate_tour.py
 """
 
-from random import Random
-
-from repro.adversary.crash import MidSendPartitioner
-from repro.consensus.approx_agreement import run_approximate_agreement
 from repro.consensus.binary import binary_consensus
 from repro.consensus.validator import validator
-from repro.crypto.beacon import weak_common_coin
 from repro.sim.messages import CostModel
 from repro.sim.node import Process
 from repro.sim.runner import run_network
 from repro.crypto.shared_randomness import SharedRandomness
 
 
-def tour_approximate_agreement() -> None:
-    print("1) approximate agreement: 12 sensors, readings 0..110,")
-    print("   2 crash mid-broadcast, target spread 0.5")
-    inputs = [(i + 1, float(i * 10)) for i in range(12)]
-    result = run_approximate_agreement(
-        inputs, epsilon=0.5,
-        adversary=MidSendPartitioner(2, Random(1), per_round=1),
-        seed=2,
-    )
-    values = sorted(result.outputs_by_uid().values())
-    print(f"   rounds: {result.rounds}, survivors: {len(values)}, "
-          f"spread: {values[-1] - values[0]:.3f}")
-    print(f"   converged near: {sum(values) / len(values):.2f}\n")
-
-
 class CommitteeMember(Process):
-    """Runs validator -> consensus -> beacon, back to back."""
+    """Runs validator -> consensus, back to back."""
 
     def __init__(self, uid, proposal):
         super().__init__(uid)
@@ -57,12 +31,11 @@ class CommitteeMember(Process):
         bit = yield from binary_consensus(
             comm, int(same), ctx.shared, "tour", iterations=8
         )
-        ok, coin = yield from weak_common_coin(comm, ctx.rng, "tour-coin")
-        return {"validated": out, "all_same": bit, "coin_ok": ok, "coin": coin}
+        return {"validated": out, "all_same": bit}
 
 
 def tour_committee_core() -> None:
-    print("2) validator + consensus + beacon among a 7-member committee")
+    print("validator + consensus among a 7-member committee")
     proposals = [("cfg-a", 3)] * 5 + [("cfg-b", 9)] * 2  # honest disagreement
     processes = [
         CommitteeMember(uid=i + 1, proposal=p) for i, p in enumerate(proposals)
@@ -73,19 +46,14 @@ def tour_committee_core() -> None:
     )
     outputs = list(result.results.values())
     validated = {str(o["validated"]) for o in outputs}
-    coins = {o["coin"] for o in outputs}
     print(f"   rounds: {result.rounds}")
     print(f"   validated outputs agree: {len(validated) == 1} "
           f"(value: {validated.pop()})")
     print(f"   consensus on sameness bit: "
-          f"{ {o['all_same'] for o in outputs} }")
-    print(f"   beacon succeeded everywhere: "
-          f"{all(o['coin_ok'] for o in outputs)}, "
-          f"one common coin: {len(coins) == 1}\n")
+          f"{ {o['all_same'] for o in outputs} }\n")
 
 
 def main() -> None:
-    tour_approximate_agreement()
     tour_committee_core()
     print("these are the same components the renaming algorithms compose;")
     print("see repro.core for how they fit together.")

@@ -139,12 +139,13 @@ def _one_error_line(args: argparse.Namespace, context: str = ""):
 def cmd_family(args: argparse.Namespace) -> int:
     """``crash`` / ``byzantine``: the family's summary row, with the
     flags it takes as params."""
-    from repro.analysis.experiments import FAMILIES, check_params, summary
+    from repro.analysis.experiments import FAMILIES, summary
+    from repro.engine.sweeps import check_driver_params
 
     params = {key: value for key, value in vars(args).items()
               if key in FAMILIES[args.command].params}
     with _one_error_line(args):
-        check_params(FAMILIES[args.command], args.n, args.f, params)
+        check_driver_params(args.command, args.n, args.f, params)
     row = summary(args.command, args.n, args.f, args.seed,
                   adversary=args.adversary, **params)
     _print_rows([row])

@@ -33,14 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.adversary.base import CrashAdversary
 from repro.core.crash_renaming import CrashRenamingConfig, run_crash_renaming
 from repro.faults.base import FaultModel
-
-#: Builds a fresh adversary per epoch: ``factory(epoch) -> adversary``.
-AdversaryFactory = Callable[[int], Optional[CrashAdversary]]
 
 
 @dataclass(frozen=True)

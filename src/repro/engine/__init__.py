@@ -49,7 +49,6 @@ from repro.engine.sweeps import (
     driver_names,
     evaluate_f,
     execute_request,
-    register_driver,
     table1_requests,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "execute_request",
     "export_store",
     "parse_store_url",
-    "register_driver",
     "resolve_store_url",
     "run_hash",
     "run_requests",

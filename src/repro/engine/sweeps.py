@@ -21,23 +21,17 @@ from importlib import import_module
 from inspect import signature
 from typing import Callable, Iterable, Mapping, Optional
 
-#: Registered drivers: name -> summary function.  Populated lazily from
-#: :mod:`repro.analysis.experiments` to avoid an import cycle; extend
-#: with :func:`register_driver`.
+#: The built-in drivers: name -> summary function.  Populated lazily
+#: from :mod:`repro.analysis.experiments` to avoid an import cycle.
 DRIVERS: dict[str, Callable[..., dict]] = {}
 
 _SCALARS = (str, int, float, bool, type(None))
 
 
-def register_driver(name: str, fn: Callable[..., dict]) -> Callable[..., dict]:
-    """Register (or override) a named driver.  Returns ``fn``."""
-    DRIVERS[name] = fn
-    return fn
-
-
 #: Built-in drivers besides the protocol families' (which run through
 #: ``experiments.summary``), by the module that defines their
-#: ``<name>_run_summary``; imported on first resolve.
+#: ``<name>_run_summary`` and the ``<name>_inputs`` it builds its run's
+#: arguments with; imported on first resolve.
 OTHER_DRIVERS = {
     "falsify": "repro.falsify.campaign",
     "faults": "repro.faults.driver",
@@ -62,7 +56,7 @@ def driver_names() -> list[str]:
     ``--driver`` choices are read from here on every start)."""
     from repro.analysis.experiments import FAMILIES
 
-    return sorted({*FAMILIES, *OTHER_DRIVERS, *DRIVERS})
+    return sorted({*FAMILIES, *OTHER_DRIVERS})
 
 
 def resolve_driver(name: str) -> Callable[..., dict]:
@@ -74,26 +68,32 @@ def resolve_driver(name: str) -> Callable[..., dict]:
 
 def check_driver_params(name: str, n: int, f: int,
                         params: Mapping[str, object]) -> None:
-    """Raise ``TypeError`` (or a config's ``ValueError``) for ``params``
-    that driver ``name`` would reject at ``(n, f)``, before any run: a
-    protocol family's through :func:`~repro.analysis.experiments.
-    check_params`, any other driver's against its keyword-only
-    signature (one that takes ``**`` keywords takes any)."""
+    """Raise ``TypeError`` (or a ``ValueError``) for ``params`` that
+    driver ``name`` would reject at ``(n, f)``, before any run: a
+    negative ``f``; a protocol family's through :func:`~repro.analysis.
+    experiments.check_params`; any other driver's against its
+    keyword-only signature (one that takes ``**`` keywords takes any),
+    then by building its run's arguments (``<name>_inputs``)."""
     from repro.analysis.experiments import FAMILIES, check_params
 
+    if f < 0:
+        raise ValueError(f"f={f} must be non-negative")
     if name in FAMILIES:
         check_params(FAMILIES[name], n, f, params)
         return
-    parameters = signature(resolve_driver(name)).parameters.values()
-    if any(parameter.kind is parameter.VAR_KEYWORD
-           for parameter in parameters):
-        return
+    taken = signature(resolve_driver(name))
+    parameters = taken.parameters.values()
     known = [parameter.name for parameter in parameters
              if parameter.kind is parameter.KEYWORD_ONLY]
     unknown = sorted(set(params) - set(known))
-    if unknown:
+    if unknown and not any(parameter.kind is parameter.VAR_KEYWORD
+                           for parameter in parameters):
         raise TypeError(f"{name} takes no param {', '.join(unknown)}; "
                         f"known: {', '.join(known)}")
+    bound = taken.bind(n, f, 0, **params)
+    bound.apply_defaults()
+    getattr(import_module(OTHER_DRIVERS[name]), f"{name}_inputs")(
+        **bound.arguments)
 
 
 def canonical_params(params: Mapping[str, object]) -> tuple:
@@ -107,7 +107,7 @@ def canonical_params(params: Mapping[str, object]) -> tuple:
         if not isinstance(value, _SCALARS):
             raise TypeError(
                 f"sweep parameter {key}={value!r} is not a JSON scalar; "
-                "register a dedicated driver for structured configuration"
+                "pass structured configuration as a JSON string"
             )
     return tuple(sorted(params.items()))
 

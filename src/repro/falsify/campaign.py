@@ -54,6 +54,15 @@ from repro.sim.network import NonTerminationError
 HARNESS_PARAMS = ("scenario", "adversary", "rate", "watchdog_rounds")
 
 
+def falsify_inputs(n, f, seed, *, scenario, adversary, rate,
+                   watchdog_rounds, **_) -> tuple:
+    """:func:`falsify_run_summary`'s crash adversary and monitors, built:
+    a bad param raises here, before any run."""
+    return (make_adversary(adversary, f, seed, rate=rate),
+            monitors_for(resolve_scenario(scenario), n, f,
+                         watchdog_rounds=watchdog_rounds))
+
+
 def falsify_run_summary(
     n: int,
     f: int,
@@ -74,10 +83,10 @@ def falsify_run_summary(
     nodes, and the recorded crash schedule; only a driver bug makes
     the run ``failed``.
     """
-    spec = resolve_scenario(scenario)
-    inner = make_adversary(adversary, f, seed, rate=rate)
+    inner, monitors = falsify_inputs(n, f, seed, scenario=scenario,
+                                     adversary=adversary, rate=rate,
+                                     watchdog_rounds=watchdog_rounds)
     recorder = RecordingAdversary(inner) if inner is not None else None
-    monitors = monitors_for(spec, n, f, watchdog_rounds=watchdog_rounds)
     row = {
         "scenario": scenario,
         "adversary": adversary,

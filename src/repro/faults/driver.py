@@ -85,6 +85,14 @@ def classify_outcome(execute: Callable[[], object]) -> tuple[str, dict]:
     return SAFE_TERMINATED, {"result": result}
 
 
+def faults_inputs(n, f, seed, *, scenario, adversary, faults, **_) -> tuple:
+    """:func:`faults_run_summary`'s monitor bound, fault model and crash
+    adversary, built: a bad param raises here, before any run."""
+    return (resolve_scenario(scenario).bound,
+            build_fault_model(faults, n, seed),
+            make_adversary(adversary, f, seed))
+
+
 def faults_run_summary(
     n: int,
     f: int,
@@ -104,8 +112,8 @@ def faults_run_summary(
     ``SAFE_TERMINATED`` outcomes (aborted executions have no final
     ledger to report).
     """
-    bound = resolve_scenario(scenario).bound
-    model = build_fault_model(faults, n, seed)
+    bound, model, crash_adversary = faults_inputs(
+        n, f, seed, scenario=scenario, adversary=adversary, faults=faults)
     # An empty spec still passes an explicit NoFaults: the explicit
     # instance overrides any default fault spec a fault scenario (e.g.
     # `gossip-faults`) would otherwise inject, so the ladder's control
@@ -118,7 +126,7 @@ def faults_run_summary(
                                 watchdog_rounds=watchdog_rounds)
     outcome, detail = classify_outcome(lambda: run_scenario(
         scenario, n, f, seed,
-        adversary=make_adversary(adversary, f, seed), monitors=monitors,
+        adversary=crash_adversary, monitors=monitors,
         fault_model=tap,
     ))
     row = {

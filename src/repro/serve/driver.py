@@ -19,11 +19,43 @@ import json
 from typing import Optional
 
 from repro.serve.loadgen import LoadProfile, execute_profile
+from repro.serve.resilience import ResiliencePolicy
 
 #: Spec injected into each of the first ``f`` shards when the caller
 #: does not pass one: total omission, which makes every epoch on those
 #: shards fail — the worst case the degradation frontier measures.
 DEFAULT_FAULT_SPEC = '[{"kind": "omission", "p": 1.0}]'
+
+
+def serve_inputs(n, f, seed, *, requests, shards, max_batch, max_wait,
+                 arrival_rate, rename_weight, lookup_weight, release_weight,
+                 namespace, faults, fault_window, resilience, **_) -> dict:
+    """:func:`serve_run_summary`'s arguments to ``execute_profile``,
+    built: a bad param raises here, before any run."""
+    if not 0 <= f <= shards:
+        raise ValueError(f"f={f} must be within [0, shards={shards}]")
+    profile = LoadProfile(
+        clients=n,
+        requests=40 * n if requests is None else requests,
+        shards=shards,
+        max_batch=max_batch,
+        max_wait=max_wait,
+        arrival_rate=arrival_rate,
+        rename_weight=rename_weight,
+        lookup_weight=lookup_weight,
+        release_weight=release_weight,
+        namespace=namespace if namespace is not None else max(1 << 20, n),
+        seed=seed,
+    )
+    spec = json.loads(faults)
+    windows = None
+    if fault_window is not None and f:
+        start, stop = json.loads(fault_window)
+        windows = {shard: (start, stop) for shard in range(f)}
+    return {"profile": profile,
+            "shard_faults": {shard: spec for shard in range(f)} if f else None,
+            "shard_fault_windows": windows,
+            "resilience": ResiliencePolicy.from_spec(resilience)}
 
 
 def serve_run_summary(
@@ -63,30 +95,12 @@ def serve_run_summary(
     :func:`~repro.serve.chaos.classify_serve_run` and
     :func:`~repro.serve.chaos.goodput` read.
     """
-    if not 0 <= f <= shards:
-        raise ValueError(f"f={f} must be within [0, shards={shards}]")
-    profile = LoadProfile(
-        clients=n,
-        requests=40 * n if requests is None else requests,
-        shards=shards,
-        max_batch=max_batch,
-        max_wait=max_wait,
-        arrival_rate=arrival_rate,
-        rename_weight=rename_weight,
-        lookup_weight=lookup_weight,
-        release_weight=release_weight,
-        namespace=namespace if namespace is not None else max(1 << 20, n),
-        seed=seed,
-    )
-    spec = json.loads(faults)
-    shard_faults = {shard: spec for shard in range(f)} if f else None
-    windows = None
-    if fault_window is not None and f:
-        start, stop = json.loads(fault_window)
-        windows = {shard: (start, stop) for shard in range(f)}
-    report = execute_profile(profile, shard_faults=shard_faults,
-                             shard_fault_windows=windows,
-                             resilience=resilience)
+    report = execute_profile(**serve_inputs(
+        n, f, seed, requests=requests, shards=shards, max_batch=max_batch,
+        max_wait=max_wait, arrival_rate=arrival_rate,
+        rename_weight=rename_weight, lookup_weight=lookup_weight,
+        release_weight=release_weight, namespace=namespace, faults=faults,
+        fault_window=fault_window, resilience=resilience))
     service = report["service"]
     rename_latency = report["latency"]["rename"]
     row = {

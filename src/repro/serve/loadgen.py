@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, replace
 from random import Random
 from typing import Mapping, Optional, Sequence
 
+from repro.serve.batching import BatchPolicy
 from repro.serve.resilience import ResilienceSpec
 from repro.serve.service import (
     DeadlineExceeded,
@@ -73,6 +74,9 @@ class LoadProfile:
     def __post_init__(self):
         if self.clients < 1:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        BatchPolicy(self.max_batch, self.max_wait)  # checks both
         if self.namespace < self.clients:
             raise ValueError(
                 f"namespace {self.namespace} smaller than "

@@ -68,7 +68,7 @@ import asyncio
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.crash_renaming import CrashRenamingConfig
 from repro.faults.spec import FaultSpec
@@ -95,7 +95,6 @@ from repro.serve.sharding import (
     RELEASE,
     RENAME,
     Shard,
-    ShardAdversaryFactory,
     ShardOp,
     shard_of,
 )
@@ -257,7 +256,7 @@ class RenamingService:
         config: Optional[CrashRenamingConfig] = None,
         shard_faults: Optional[Mapping[int, FaultSpec]] = None,
         shard_fault_windows: Optional[Mapping[int, tuple[int, int]]] = None,
-        adversary_factory: Optional[ShardAdversaryFactory] = None,
+        adversary_factory: Optional[Callable[[int, int], object]] = None,
         resilience: ResilienceSpec = None,
         observer: Optional[object] = None,
         executor: Optional[ThreadPoolExecutor] = None,

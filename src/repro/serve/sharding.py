@@ -170,18 +170,14 @@ class EpochOutcome:
         return self.report is not None
 
 
-#: Builds a per-epoch crash adversary: ``factory(shard, epoch)``.
-ShardAdversaryFactory = Callable[[int, int], Optional[object]]
-
-
 class Shard:
     """One directory partition plus its per-epoch execution policy.
 
     Wraps an :class:`OverlayDirectory` seeded independently per shard.
     ``fault_spec`` (a :mod:`repro.faults.spec` spec) rebuilds a fresh
     seeded fault model for every epoch, so injected faults replay
-    bit-exactly; ``adversary_factory`` does the same for crash
-    adversaries.
+    bit-exactly; ``adversary_factory(shard, epoch)`` does the same for
+    crash adversaries.
 
     ``fault_window`` bounds the injection to a half-open interval of
     *protocol execution attempts* ``[start, stop)``, 1-based — the
@@ -202,7 +198,7 @@ class Shard:
         config: Optional[CrashRenamingConfig] = None,
         fault_spec: FaultSpec = None,
         fault_window: Optional[tuple[int, int]] = None,
-        adversary_factory: Optional[ShardAdversaryFactory] = None,
+        adversary_factory: Optional[Callable[[int, int], object]] = None,
     ):
         self.index = index
         self.shards = shards

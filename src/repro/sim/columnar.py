@@ -44,8 +44,9 @@ fill creates temporaries (a closed run's tuple, a released letter's
 ``(to,)``) whose ids the allocator would reuse within the same fill:
 the column pins every tuple it has keyed by ``id`` until it dies
 itself.  Each ``add_*`` returns its group (``b_seq`` for a broadcast
-row); a repeat is one record appended there unfiled (``add_repeat``,
-whose body the network's charge loop runs in place).
+row); a repeat is one record the network's charge loop appends there
+unfiled, its header in ``hdr`` and its message (a scatter's tuple) in
+``msg``, a scatter's rows beyond one counted in ``folded``.
 Link faults are blocks too: a dropped send files nothing, a corrupted
 one a row carrying the bit-flipped message, a duplicated one a block
 naming its link ``1 + copies`` times.
@@ -291,16 +292,6 @@ class ColumnarRound:
         self._once.setdefault(id(firsts), {}).setdefault(id(messages), first)
         self._pinned.append(messages)
         return firsts
-
-    def add_repeat(self, header: Header, messages: Sequence[Message],
-                   group: list[int]) -> None:
-        """A later sender of a fan-out, filed into ``group`` as one
-        record: its header and its message, or -- a scatter's -- the
-        message tuple it repeats, whose rows are resolved on read."""
-        group.append(len(self.msg))
-        self.hdr.append(header)
-        self.msg.append(messages[0] if len(messages) == 1 else messages)
-        self.folded += len(messages) - 1
 
     def attach(self, alive: Iterable[int]) -> None:
         """Freeze the alive set: the links whose :class:`LazyInbox`

@@ -410,17 +410,16 @@ class SyncNetwork:
             under its ``id``, and a later sender of it that no fault
             verdict names -- the members of a lockstep committee voting
             alike, a crash committee announcing -- takes one branch:
-            its repeat record is filed in place (``add_repeat``'s body,
-            not a call: the group's append, the header the run made for
-            it, the message or the scatter's tuple), and the fan-out's
-            count and bits go to its ledger; no type test, no header, no
-            per-class count (a fan-out's classes, and a scatter repeat's
-            rows beyond one in ``folded``, are counted for its first
-            sender, and times its later senders when the round is
-            summed).  The round's counts are summed as it goes and
-            advance the ledgers once (``sends_by_node`` sender by
-            sender, one ``Metrics.flush``); a faulted sender is charged
-            send by send.
+            its repeat record is filed in place (the group's append, the
+            header the run made for it, the message or the scatter's
+            tuple), and the fan-out's count and bits go to its ledger;
+            no type test, no header, no per-class count (a fan-out's
+            classes, and a scatter repeat's rows beyond one in
+            ``folded``, are counted for its first sender, and times its
+            later senders when the round is summed).  The round's counts
+            are summed as it goes and advance the ledgers once
+            (``sends_by_node`` sender by sender, one ``Metrics.flush``);
+            a faulted sender is charged send by send.
             Only awake nodes are visited (a parked one proposed nothing).
         ``deliver``
             ``attach`` freezes the alive set; messages addressed to
@@ -478,7 +477,7 @@ class SyncNetwork:
 
         column = ColumnarRound(round_no, self._groupings)
         add_run = column.add_run
-        # A repeat's record, filed in place: `add_repeat`'s body.
+        # A repeat's record is filed in place, not by a call.
         hdr_append, msg_append = column.hdr.append, column.msg.append
         records = column.msg
         message_bits = metrics.message_bits

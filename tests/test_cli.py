@@ -308,6 +308,24 @@ class TestBadInput:
          "max_byzantine=6 violates f < n/3 for n=16"),
         (["table1", "--n", "2"], 1,
          "max_byzantine=1 violates f < n/3 for n=2"),
+        (["table1", "--n", "8", "--f", "-1"], 1, "f=-1 must be non-negative"),
+        (["byzantine", "--n", "8", "--f", "-1"], 1,
+         "f=-1 must be non-negative"),
+        (["crash", "--n", "8", "--f", "-1"], 1, "f=-1 must be non-negative"),
+        (["sweep", "--no-store", "--driver", "crash", "--n", "8", "--f", "-1",
+          "--seeds", "1"], 1, "f=-1 must be non-negative"),
+        (["sweep", "--no-store", "--driver", "serve", "--n", "8", "--f", "0",
+          "--seeds", "1", "--param", "shards=0"], 1,
+         "shards must be >= 1, got 0"),
+        (["sweep", "--no-store", "--driver", "serve", "--n", "8", "--f", "0",
+          "--seeds", "1", "--param", "max_batch=0"], 1,
+         "max_batch must be >= 1, got 0"),
+        (["sweep", "--no-store", "--driver", "faults", "--n", "8", "--f", "0",
+          "--seeds", "1", "--param", "faults=[["], 1,
+         "fault spec is not JSON: Expecting value: line 1 column 3 (char 2)"),
+        (["sweep", "--no-store", "--driver", "falsify", "--n", "8", "--f",
+          "0", "--seeds", "1", "--param", "scenario=nope"], 1,
+         f"unknown scenario 'nope'; known: {SCENARIOS}"),
     ]
 
     @pytest.mark.parametrize("argv, code, line", BAD,

@@ -19,11 +19,11 @@ row, kept below as the oracle) returns, in the same round:
 
 An inbox of several groups -- Byzantine members split the committee's
 views, so members answer over link tuples of their own -- is read row
-by row.  On random columns (scatters from shared, copied and own
-tuples, repeats, runs, links named twice, held mail, broadcast rows)
-the runs of every link's inbox, expanded sender by sender, are its rows
-in order, and on a view of several groups they are the row-by-row runs
-themselves.  A hand-made distribution whose members interleave over two
+by row.  On random rounds played through the engine (scatters from
+shared, copied and own tuples, repeats, runs, links named twice, held
+mail, broadcast rows) the runs of every link's inbox, expanded sender
+by sender, are its rows in order, and on a view of several groups they
+are the row-by-row runs themselves.  A hand-made distribution whose members interleave over two
 link tuples adopts what the row-by-row read adopts.
 
 White-box: a Byzantine run at f = 0 resolves no repeat record into a
@@ -239,9 +239,8 @@ class TestSeveralGroupsInOneView:
     @settings(max_examples=400, deadline=None)
     @given(columns())
     def test_the_merged_runs_are_the_rows(self, scenario):
-        n, pool, answers, filings, attached, _ = scenario
-        column = _fill(pool, answers, filings)
-        column.attach(attached)
+        n, pool, answers, filings, gone, _ = scenario
+        column = _fill(n, pool, answers, filings, gone)
         read = {to: runs(LazyInbox(column, to)) for to in range(n + 1)}
         for to in range(n + 1):
             inbox = LazyInbox(column, to)

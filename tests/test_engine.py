@@ -22,7 +22,6 @@ from repro.engine.sweeps import (
     SweepSpec,
     driver_names,
     evaluate_f,
-    register_driver,
     resolve_driver,
     table1_requests,
 )
@@ -254,22 +253,19 @@ class TestExecution:
         assert len(calls) == 1
         assert [r.row for r in results] == [results[0].row] * 3
 
-    def test_driver_failure_isolated_and_recorded(self, store):
-        register_driver("boom", _boom_driver)
-        try:
-            requests = [RunRequest.make("crash", 6, 0, 0),
-                        RunRequest.make("boom", 6, 0, 0),
-                        RunRequest.make("crash", 6, 0, 1)]
-            results = run_requests(requests, store=store)
-            assert [r.status for r in results] == ["ok", "failed", "ok"]
-            assert "deliberate failure" in results[1].error
-            stored = store.query(status="failed")
-            assert len(stored) == 1 and stored[0].driver == "boom"
-            # Failed runs are recorded but not served as cache hits.
-            retry = run_requests(requests, store=store)
-            assert [r.cached for r in retry] == [True, False, True]
-        finally:
-            DRIVERS.pop("boom", None)
+    def test_driver_failure_isolated_and_recorded(self, store, monkeypatch):
+        monkeypatch.setitem(DRIVERS, "boom", _boom_driver)
+        requests = [RunRequest.make("crash", 6, 0, 0),
+                    RunRequest.make("boom", 6, 0, 0),
+                    RunRequest.make("crash", 6, 0, 1)]
+        results = run_requests(requests, store=store)
+        assert [r.status for r in results] == ["ok", "failed", "ok"]
+        assert "deliberate failure" in results[1].error
+        stored = store.query(status="failed")
+        assert len(stored) == 1 and stored[0].driver == "boom"
+        # Failed runs are recorded but not served as cache hits.
+        retry = run_requests(requests, store=store)
+        assert [r.cached for r in retry] == [True, False, True]
 
 
 def _boom_driver(n, f, seed, include_rounds=False, **params):
@@ -310,29 +306,25 @@ class TestSettleLedgerIntegrity:
         assert all(result.cached for result in cached)
         assert [r.row for r in cached] == [r.row for r in results]
 
-    def test_empty_ledger_survives_cache_round_trip(self, store):
-        register_driver("zero-rounds", _zero_rounds_driver)
-        register_driver("ledgerless", _ledgerless_driver)
-        try:
-            requests = [RunRequest.make("zero-rounds", 4, 0, 0),
-                        RunRequest.make("ledgerless", 4, 0, 0)]
-            fresh = run_requests(requests, store=store)
-            assert fresh[0].messages_per_round == []
-            assert fresh[0].bits_per_round == []
-            assert fresh[1].messages_per_round is None
-            assert fresh[1].bits_per_round is None
+    def test_empty_ledger_survives_cache_round_trip(self, store, monkeypatch):
+        monkeypatch.setitem(DRIVERS, "zero-rounds", _zero_rounds_driver)
+        monkeypatch.setitem(DRIVERS, "ledgerless", _ledgerless_driver)
+        requests = [RunRequest.make("zero-rounds", 4, 0, 0),
+                    RunRequest.make("ledgerless", 4, 0, 0)]
+        fresh = run_requests(requests, store=store)
+        assert fresh[0].messages_per_round == []
+        assert fresh[0].bits_per_round == []
+        assert fresh[1].messages_per_round is None
+        assert fresh[1].bits_per_round is None
 
-            cached = run_requests(requests, store=store)
-            assert all(result.cached for result in cached)
-            # [] stays [] and None stays None — a zero-round run is not
-            # conflated with a run stored without ledgers.
-            assert cached[0].messages_per_round == []
-            assert cached[0].bits_per_round == []
-            assert cached[1].messages_per_round is None
-            assert cached[1].bits_per_round is None
-        finally:
-            DRIVERS.pop("zero-rounds", None)
-            DRIVERS.pop("ledgerless", None)
+        cached = run_requests(requests, store=store)
+        assert all(result.cached for result in cached)
+        # [] stays [] and None stays None — a zero-round run is not
+        # conflated with a run stored without ledgers.
+        assert cached[0].messages_per_round == []
+        assert cached[0].bits_per_round == []
+        assert cached[1].messages_per_round is None
+        assert cached[1].bits_per_round is None
 
 
 class TestCli:
@@ -567,19 +559,16 @@ class TestStoreResume:
         assert len(stored_rows(paths[1])) == len(SMALL.requests())
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failed_runs_rerun_and_are_replaced_once_they_pass(self, jobs,
-                                                               store):
+    def test_failed_runs_rerun_and_are_replaced_once_they_pass(
+            self, jobs, store, monkeypatch):
         requests = [RunRequest.make("flaky", 6, 0, seed) for seed in (0, 1)]
         requests.append(RunRequest.make("crash", 6, 0, 0))
-        register_driver("flaky", _boom_driver)
-        try:
-            first = run_requests(requests, jobs=jobs, chunksize=1,
-                                 store=store)
-            register_driver("flaky", _crash_driver)
-            second = run_requests(requests, jobs=jobs, chunksize=1,
-                                  store=store)
-        finally:
-            DRIVERS.pop("flaky", None)
+        monkeypatch.setitem(DRIVERS, "flaky", _boom_driver)
+        first = run_requests(requests, jobs=jobs, chunksize=1,
+                             store=store)
+        monkeypatch.setitem(DRIVERS, "flaky", _crash_driver)
+        second = run_requests(requests, jobs=jobs, chunksize=1,
+                              store=store)
         assert [r.status for r in first] == ["failed", "failed", "ok"]
         assert [(r.status, r.cached) for r in second] == [
             ("ok", False), ("ok", False), ("ok", True)]
@@ -589,15 +578,12 @@ class TestStoreResume:
         assert sorted(stored) == [("crash", 0), ("flaky", 0), ("flaky", 1)]
         assert all(run.ok and run.error is None for run in stored.values())
 
-    def test_worker_death_is_stored_as_a_failed_run(self, store):
-        register_driver("halt", _halt_driver)
-        try:
-            requests = [RunRequest.make("crash", 6, 0, 0),
-                        RunRequest.make("halt", 6, 0, 13)]
-            run_requests(requests, jobs=2, chunksize=2, retry_backoff=0.0,
-                         store=store)
-        finally:
-            DRIVERS.pop("halt", None)
+    def test_worker_death_is_stored_as_a_failed_run(self, store, monkeypatch):
+        monkeypatch.setitem(DRIVERS, "halt", _halt_driver)
+        requests = [RunRequest.make("crash", 6, 0, 0),
+                    RunRequest.make("halt", 6, 0, 13)]
+        run_requests(requests, jobs=2, chunksize=2, retry_backoff=0.0,
+                     store=store)
         stored = {run.driver: run for run in store.query()}
         assert (stored["crash"].status, stored["crash"].attempts) == ("ok", 2)
         assert stored["crash"].row == crash_run_summary(6, 0, 0)
@@ -606,7 +592,8 @@ class TestStoreResume:
         assert "exit code 37" in stored["halt"].error
         assert "first attempt" in stored["halt"].error
 
-    def test_each_run_is_stored_before_the_next_starts(self, tmp_path):
+    def test_each_run_is_stored_before_the_next_starts(self, tmp_path,
+                                                       monkeypatch):
         # What a killed sweep resumes from: every settled run is
         # committed, and visible to another connection, at once.
         path = tmp_path / "runs.sqlite"
@@ -617,13 +604,10 @@ class TestStoreResume:
                 seen.append(reader.stats()["total"])
             return _crash_driver(n, f, seed, include_rounds, **params)
 
-        register_driver("peek", peeking)
-        try:
-            with RunStore(path) as store:
-                run_requests([RunRequest.make("peek", 6, 1, seed)
-                              for seed in range(4)], store=store)
-        finally:
-            DRIVERS.pop("peek", None)
+        monkeypatch.setitem(DRIVERS, "peek", peeking)
+        with RunStore(path) as store:
+            run_requests([RunRequest.make("peek", 6, 1, seed)
+                          for seed in range(4)], store=store)
         assert seen == [0, 1, 2, 3]
 
     def test_a_new_code_version_is_a_cache_miss(self, store, monkeypatch):
@@ -642,14 +626,11 @@ class TestStoreResume:
             return 0.0
 
         monkeypatch.setattr(engine_pool, "retry_jitter_delay", recording)
-        register_driver("halt", _halt_driver)
-        try:
-            requests = [RunRequest.make("crash", 6, 0, 0),
-                        RunRequest.make("halt", 6, 0, 13)]
-            good, bad = run_requests(requests, jobs=2, chunksize=2,
-                                     retry_backoff=0.25)
-        finally:
-            DRIVERS.pop("halt", None)
+        monkeypatch.setitem(DRIVERS, "halt", _halt_driver)
+        requests = [RunRequest.make("crash", 6, 0, 0),
+                    RunRequest.make("halt", 6, 0, 13)]
+        good, bad = run_requests(requests, jobs=2, chunksize=2,
+                                 retry_backoff=0.25)
         # Both chunk-mates lost their first attempt with the worker; each
         # is retried once, after the delay keyed on its own request.
         assert delays == [(0.25, request, 1) for request in requests]
@@ -709,53 +690,45 @@ class TestChunkRetry:
         monkeypatch.setattr(
             engine_pool, "retry_jitter_delay",
             lambda *args, **kwargs: pytest.fail("a verdict was retried"))
-        register_driver("boom", _seeded_boom_driver)
-        try:
-            boom = RunRequest.make("boom", 4, 0, 0)
-            mate = RunRequest.make("crash", 6, 1, 0)
-            outcomes = {
-                "serial": run_requests([boom, mate])[0],
-                "pool": run_requests([boom, mate], jobs=2, chunksize=1)[0],
-            }
-        finally:
-            DRIVERS.pop("boom", None)
+        monkeypatch.setitem(DRIVERS, "boom", _seeded_boom_driver)
+        boom = RunRequest.make("boom", 4, 0, 0)
+        mate = RunRequest.make("crash", 6, 1, 0)
+        outcomes = {
+            "serial": run_requests([boom, mate])[0],
+            "pool": run_requests([boom, mate], jobs=2, chunksize=1)[0],
+        }
         for path, outcome in outcomes.items():
             assert (outcome.status, outcome.attempts) == ("failed", 1), path
             assert outcome.error.count("RuntimeError: boom seed=0") == 1, path
             assert "first attempt" not in outcome.error, path
 
-    def test_poisoned_task_isolated_from_chunk_mates(self):
-        register_driver("halt", _halt_driver)
-        try:
-            requests = [RunRequest.make("crash", 6, 0, 0),
-                        RunRequest.make("halt", 6, 0, 13)]
-            good, bad = run_requests(requests, jobs=2, chunksize=2,
-                                     retry_backoff=0.0)
-            # The worker died mid-chunk, taking the good task's first
-            # attempt with it; the individual retry recovers it.
-            assert good.ok and good.attempts == 2
-            assert good.row == crash_run_summary(6, 0, 0)
-            assert not bad.ok and bad.attempts == 2
-            assert "first attempt" in bad.error
-        finally:
-            DRIVERS.pop("halt", None)
+    def test_poisoned_task_isolated_from_chunk_mates(self, monkeypatch):
+        monkeypatch.setitem(DRIVERS, "halt", _halt_driver)
+        requests = [RunRequest.make("crash", 6, 0, 0),
+                    RunRequest.make("halt", 6, 0, 13)]
+        good, bad = run_requests(requests, jobs=2, chunksize=2,
+                                 retry_backoff=0.0)
+        # The worker died mid-chunk, taking the good task's first
+        # attempt with it; the individual retry recovers it.
+        assert good.ok and good.attempts == 2
+        assert good.row == crash_run_summary(6, 0, 0)
+        assert not bad.ok and bad.attempts == 2
+        assert "first attempt" in bad.error
 
-    def test_hung_task_terminated_and_chunk_mate_recovered(self):
-        register_driver("sleepy", _sleepy_driver)
-        try:
-            requests = [RunRequest.make("crash", 6, 0, 1),
-                        RunRequest.make("sleepy", 6, 0, 0)]
-            good, hung = run_requests(requests, jobs=2, chunksize=2,
-                                      timeout=0.5, retry_backoff=0.0)
-            assert good.ok and good.attempts == 2
-            assert good.row == crash_run_summary(6, 0, 1)
-            assert not hung.ok and hung.attempts == 2
-            assert "on retry" in hung.error
-            assert "first attempt" in hung.error
-        finally:
-            DRIVERS.pop("sleepy", None)
+    def test_hung_task_terminated_and_chunk_mate_recovered(self,
+                                                           monkeypatch):
+        monkeypatch.setitem(DRIVERS, "sleepy", _sleepy_driver)
+        requests = [RunRequest.make("crash", 6, 0, 1),
+                    RunRequest.make("sleepy", 6, 0, 0)]
+        good, hung = run_requests(requests, jobs=2, chunksize=2,
+                                  timeout=0.5, retry_backoff=0.0)
+        assert good.ok and good.attempts == 2
+        assert good.row == crash_run_summary(6, 0, 1)
+        assert not hung.ok and hung.attempts == 2
+        assert "on retry" in hung.error
+        assert "first attempt" in hung.error
 
-    def test_run_isolated_kills_hung_worker(self):
+    def test_run_isolated_kills_hung_worker(self, monkeypatch):
         # Exercise the retry path directly: the hung worker must be
         # terminated (no orphan process left behind) through the public
         # multiprocessing API, and the failure message must carry the
@@ -764,29 +737,23 @@ class TestChunkRetry:
         import multiprocessing
         import time
 
-        register_driver("sleepy", _sleepy_driver)
-        try:
-            request = RunRequest.make("sleepy", 6, 0, 0)
-            before = {child.pid
-                      for child in multiprocessing.active_children()}
-            start = time.perf_counter()
-            result = engine_pool._run_isolated(request, timeout=0.5)
-            elapsed = time.perf_counter() - start
-            assert not result.ok
-            assert "timed out" in result.error and "on retry" in result.error
-            assert elapsed < 8  # terminated, not joined for the full sleep
-            leaked = [child for child in multiprocessing.active_children()
-                      if child.pid not in before]
-            assert not leaked
-        finally:
-            DRIVERS.pop("sleepy", None)
+        monkeypatch.setitem(DRIVERS, "sleepy", _sleepy_driver)
+        request = RunRequest.make("sleepy", 6, 0, 0)
+        before = {child.pid
+                  for child in multiprocessing.active_children()}
+        start = time.perf_counter()
+        result = engine_pool._run_isolated(request, timeout=0.5)
+        elapsed = time.perf_counter() - start
+        assert not result.ok
+        assert "timed out" in result.error and "on retry" in result.error
+        assert elapsed < 8  # terminated, not joined for the full sleep
+        leaked = [child for child in multiprocessing.active_children()
+                  if child.pid not in before]
+        assert not leaked
 
-    def test_run_isolated_reports_worker_death(self):
-        register_driver("halt", _halt_driver)
-        try:
-            request = RunRequest.make("halt", 6, 0, 0)
-            result = engine_pool._run_isolated(request, timeout=10.0)
-            assert not result.ok
-            assert "exit code 37" in result.error
-        finally:
-            DRIVERS.pop("halt", None)
+    def test_run_isolated_reports_worker_death(self, monkeypatch):
+        monkeypatch.setitem(DRIVERS, "halt", _halt_driver)
+        request = RunRequest.make("halt", 6, 0, 0)
+        result = engine_pool._run_isolated(request, timeout=10.0)
+        assert not result.ok
+        assert "exit code 37" in result.error

@@ -32,7 +32,6 @@ from repro.analysis.experiments import (
     make_crash_adversary,
     summary,
 )
-from repro.consensus.approx_agreement import run_approximate_agreement
 from repro.core.byzantine_renaming import (
     ByzantineRenamingConfig,
     run_byzantine_renaming,
@@ -45,18 +44,12 @@ from repro.obs import EventRecorder
 from repro.sim.runner import ExecutionResult, run_network
 
 
-def _approx(uids, **keywords):
-    return run_approximate_agreement(
-        [(uid, float(uid)) for uid in uids], 0.5, **keywords)
-
-
-#: Every ``run_*`` in ``src/``: the families' (the falsifier's planted
-#: one included), then the one that is run outside the table.
+#: Every ``run_*`` in ``src/``: the families', the falsifier's planted
+#: one included.
 ENTRY_POINTS = {
     **{scenario.family.name: scenario.family.run
        for scenario in SCENARIOS.values()},
     **{name: family.run for name, family in FAMILIES.items()},
-    "approx-agreement": _approx,
 }
 
 entry_point = pytest.mark.parametrize(
@@ -76,8 +69,6 @@ class TestEntryPoints:
 
     @entry_point
     def test_rejects_identities_above_the_namespace(self, name, run):
-        if run is _approx:
-            pytest.skip("takes no namespace: it is the largest identity")
         with pytest.raises(ValueError, match=r"must lie in \[1, 16\]"):
             run([5, 9, 12, 40], namespace=16)
 

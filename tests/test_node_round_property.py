@@ -28,7 +28,7 @@ where every node is resumed in every round of every phase:
   the alive set walks again, and the paper-constant crash run walks
   twice in 63 rounds;
 - (d) answers by position: ``ColumnarRound._by_recipient`` equals the
-  per-block formula kept here as the oracle on random columns, and
+  per-block formula kept here as the oracle on random rounds, and
   ``distinct`` -- one row, several groups, a link named twice, with
   and without broadcast rows -- is the identity dedupe of what the
   recipient reads.
@@ -43,7 +43,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.columnar import (
     KEPT_SHAPES,
-    ColumnarRound,
     LazyInbox,
     distinct,
     messages,
@@ -65,6 +64,7 @@ from repro.sim.network import SyncNetwork
 from repro.sim.node import Process
 from repro.sim.runner import run_network
 from tests import test_golden_digests as golden
+from tests.support import play_round
 from tests.test_blocks_property import Letter, _dedupe, _ids
 from tests.test_fastpath_ab import (
     ReferenceNetwork,
@@ -453,9 +453,8 @@ class TestAnswersByPosition:
     @settings(max_examples=300, deadline=None)
     @given(columns())
     def test_the_index_is_the_per_block_formula(self, scenario):
-        n, pool, answers, filings, attached, _ = scenario
-        column = _fill(pool, answers, filings)
-        column.attach(attached)
+        n, pool, answers, filings, gone, _ = scenario
+        column = _fill(n, pool, answers, filings, gone)
         assert dict(column._by_recipient()) == _index_oracle(column)
         for recipient in range(n + 1):
             inbox = LazyInbox(column, recipient)
@@ -467,25 +466,24 @@ class TestAnswersByPosition:
             self, broadcast_row):
         decision = (Letter(1), Letter(2), Letter(3))
         other = (Letter(4), Letter(5))
-        column = ColumnarRound(3)
-        if broadcast_row:
-            column.add_broadcast(((9, 109, None), Letter(0)))
-        # Three members answer from one decision: one kept block.
-        group = column.add_scatter((0, 100, None), decision, (2, 0, 2))
-        column.add_repeat((1, 101, None), decision, group)
-        column.add_repeat((2, 102, None), decision, group)
-        # A member of another view, over other links.
-        column.add_scatter((3, 103, None), other, (1, 2))
-        column.attach({0, 1, 2, 3})
+        # Three members answer from one decision: one kept block; a
+        # member of another view, over other links.
+        answer = Scatter((2, 0, 2), decision)
+        proposals = {0: answer, 1: answer, 2: answer,
+                     3: Scatter((1, 2), other)}
+        tail = ()
+        if broadcast_row:  # the last sender's: read after the answers
+            tail = (Letter(0),)
+            proposals[4] = Broadcast(5, tail[0])
+        column = play_round(proposals, 5 if broadcast_row else 4)
         read = {to: distinct(LazyInbox(column, to)) for to in range(4)}
         for to in range(4):
             inbox = LazyInbox(column, to)
             assert _ids(read[to]) == _ids(_dedupe(messages(inbox)))
             assert type(read[to]) is tuple
-        head = (column.msg[0],) if broadcast_row else ()
-        assert read[0] == (*head, decision[1])      # one row
-        assert read[1] == (*head, other[0])         # one row, other group
+        assert read[0] == (decision[1], *tail)      # one row
+        assert read[1] == (other[0], *tail)         # one row, other group
         # Link 2: named twice by the decision, once by the other group.
-        assert _ids(read[2]) == _ids((*head, decision[0], decision[2],
-                                      other[1]))
-        assert read[3] == head                      # no row of its own
+        assert _ids(read[2]) == _ids((decision[0], decision[2], other[1],
+                                      *tail))
+        assert read[3] == tail                      # no row of its own

@@ -7,13 +7,13 @@ the first block of each message tuple a scatter group repeats, the
 broadcast rows merged in -- no view, no grouping.  None of that may be
 observable:
 
-- (a) on random columns -- scatters answering from one tuple, from
-  copies of it and from tuples of their own, a later sender's repeat of
-  a fan-out, multicasts, broadcast rows, links named twice, held mail,
-  faulted single deliveries -- ``distinct`` of every link's inbox,
-  attached or not, and read before or after its view exists, is the
-  identity dedupe of ``messages(inbox)`` and of its envelopes, in order
-  of first occurrence;
+- (a) on random rounds played through the engine -- scatters answering
+  from one tuple, from copies of it and from tuples of their own, a
+  later sender's repeat of a fan-out, multicasts, broadcast rows, links
+  named twice, held mail, faulted sends -- ``distinct`` of every link's
+  inbox, attached or not, and read before or after its view exists, is
+  the identity dedupe of ``messages(inbox)`` and of its envelopes, in
+  order of first occurrence;
 - (b) real fan-outs on ``SyncNetwork`` and on the per-envelope oracle
   ``ReferenceNetwork``, under mid-send crashes and link faults: every
   node's ``distinct`` reads the same objects in the same order on both;
@@ -33,8 +33,9 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.experiments import EXPERIMENT_ELECTION_CONSTANT, summary
 from repro.core import crash_renaming
 from repro.sim.columnar import ColumnarRound, LazyInbox, distinct, messages
-from repro.sim.messages import Envelope
+from repro.sim.messages import Scatter, Send
 from tests import test_golden_digests as golden
+from tests.support import play_round
 from tests.test_blocks_property import (
     Letter,
     ShapedNode,
@@ -43,77 +44,33 @@ from tests.test_blocks_property import (
     _ids,
     scenarios,
 )
+from tests.test_repeat_records_property import _plan, rounds
 
 # ---------------------------------------------------------------------------
 # (a) random columns, every link
 
 
-#: One filing: a scatter from the pool's shared tuple, from a copy of
-#: it, from letters of its own, a later sender's repeat of the last
-#: fan-out filed, a multicast run, a broadcast row, held mail and a
-#: faulted single delivery.
-FILINGS = ("shared", "copied", "own", "repeat", "run", "broadcast", "held",
-           "single")
-
-
 @st.composite
 def columns(draw):
-    n = draw(st.integers(1, 6))
-    link = st.integers(0, n - 1)
-    letters = [Letter(value) for value in range(draw(st.integers(1, 4)))]
-    letter = st.sampled_from(letters)
-    # Two target tuples (links may repeat), each with two message tuples
-    # that several scatters answer from.
-    pool = [tuple(draw(st.lists(link, min_size=1, max_size=n + 2)))
-            for _ in range(2)]
-    answers = [[tuple(draw(st.lists(letter, min_size=len(targets),
-                                    max_size=len(targets))))
-                for _ in range(2)] for targets in pool]
-    filings = draw(st.lists(st.tuples(
-        st.sampled_from(FILINGS), st.integers(0, 1), st.integers(0, 1),
-        letter, st.lists(link, max_size=n + 1), link), max_size=14))
-    attached = draw(st.sets(link))
-    # The view of some links is made before `distinct` reads them.
-    grouped_first = draw(st.sets(link))
-    return n, pool, answers, filings, attached, grouped_first
+    """A random round (``test_repeat_records_property.rounds``), and
+    the links whose view is made before ``distinct`` reads them."""
+    n, pool, answers, filings, gone, _ = draw(rounds())
+    grouped_first = draw(st.sets(st.integers(0, n - 1)))
+    return n, pool, answers, filings, gone, grouped_first
 
 
-def _fill(pool, answers, filings):
-    column = ColumnarRound(3)
-    last = None  # (messages, group) of the last fan-out filed
-    for sender, (kind, slot, which, letter, targets, to) in enumerate(
-            filings):
-        header = (sender, 100 + sender, None)
-        if kind in ("shared", "copied", "own"):
-            links = pool[slot] if which else list(pool[slot])
-            replies = answers[slot][which]
-            if kind == "copied":
-                replies = tuple(list(replies))
-            elif kind == "own":
-                replies = tuple(Letter(10 + at) for at in range(len(links)))
-            last = replies, column.add_scatter(header, replies, links)
-        elif kind == "repeat":
-            if last is not None:
-                column.add_repeat(header, *last)
-        elif kind == "run":
-            last = (letter,), column.add_run((header, letter), tuple(targets))
-        elif kind == "broadcast":
-            column.add_broadcast((header, letter))
-        elif kind == "held":  # stamped in the round it was held
-            column.add_run(Envelope(sender, 2, letter, 100 + sender),
-                           tuple(targets))
-        else:  # a faulted sender's send: a row and a block of its own
-            column.add_run((header, letter), (to,))
-    return column
+def _fill(n, pool, answers, filings, gone):
+    """The drawn round, played through the engine."""
+    proposals, held, verdicts, _, _ = _plan(n, pool, answers, filings, gone)
+    return play_round(proposals, n, held=held, gone=gone, verdicts=verdicts)
 
 
 class TestRandomColumns:
     @settings(max_examples=400, deadline=None)
     @given(columns())
     def test_it_is_the_identity_dedupe_of_every_links_read(self, scenario):
-        n, pool, answers, filings, attached, grouped_first = scenario
-        column = _fill(pool, answers, filings)
-        column.attach(attached)
+        n, pool, answers, filings, gone, grouped_first = scenario
+        column = _fill(n, pool, answers, filings, gone)
         for recipient in sorted(grouped_first):
             messages(LazyInbox(column, recipient))
         # Every link, attached or not, and one the network never had.
@@ -127,19 +84,16 @@ class TestRandomColumns:
             # The oracle reads its inbox as a plain sequence.
             assert _ids(distinct(envelopes)) == _ids(once)
             assert _ids(distinct(LazyInbox(column, recipient))) == _ids(once)
-            if recipient not in attached:  # the broadcast rows alone
+            if recipient not in column._wanted:  # the broadcast rows
                 assert _ids(once) == _ids(_dedupe(
                     [column.msg[row] for row in column.b_seq]))
 
     def test_an_index_is_built_once_per_round_and_skips_repeats(self):
         links = (2, 0, 2)  # link 2 is listed twice
         decision = (Letter(1), Letter(2), Letter(3))
-        column = ColumnarRound(3)
-        group = column.add_scatter((0, 100, None), decision, links)
-        column.add_repeat((1, 101, None), decision, group)
-        column.add_scatter((2, 102, None), decision, links)
-        column.add_run(((3, 103, None), Letter(4)), (2,))
-        column.attach({0, 1, 2})
+        answer = Scatter(links, decision)
+        column = play_round({0: answer, 1: answer, 2: Scatter(links, decision),
+                             3: [Send(2, Letter(4))]}, 4)
         index = column._by_recipient()
         assert column._by_recipient() is index
         # One block of the three that answer from `decision`, twice for

@@ -138,7 +138,7 @@ ids = [cls.__qualname__ for cls in RECORDS]
 def test_every_record_is_found():
     names = {cls.__name__ for cls in RECORDS}
     assert {"CommitteeNotice", "Status", "Done", "Response", "Elect",
-            "IdAnnounce", "NewId", "SubVote", "ValueReport", "HalvingStatus",
+            "IdAnnounce", "NewId", "SubVote", "HalvingStatus",
             "SlotClaim", "SlotRelease", "KnowledgeGossip", "SlotNoise",
             "RankHello", "Interval", "Send"} == names
 

@@ -3,16 +3,17 @@
 A later sender of a fan-out that another sender of the round already
 filed -- a committee member answering from the decision its view
 shared, a member broadcasting the one announcement -- is filed by
-``ColumnarRound.add_repeat`` as one record: its header, and for a
-scatter the message tuple it repeats.  Its rows are resolved only when
-somebody reads them.  The column as it was filled before, every repeat
+``SyncNetwork.step`` as one record: its header, and for a scatter the
+message tuple it repeats.  Its rows are resolved only when somebody
+reads them.  The column as it was filled before, every repeat
 extending ``hdr`` / ``msg`` by the rows it stands for, is kept here as
 the oracle (:class:`EagerRound`), and nothing may tell the two apart:
 
-- (a) on random columns -- broadcasts, runs, scatters from a shared
-  tuple, from a copy of it and from letters of their own, scatter
-  repeats, multicast repeats, broadcasts of one message by several
-  senders, held mail, faulted single deliveries, links named twice --
+- (a) on random rounds played through the engine
+  (:func:`tests.support.play_round`) -- broadcasts, runs, scatters from
+  a shared tuple, from a copy of it and from letters of their own,
+  scatter repeats, multicast repeats, broadcasts of one message by
+  several senders, held mail, faulted sends, links named twice --
   every link's inbox, attached or not and read in any order, gives the
   oracle's ``len``, envelopes, ``messages``, ``senders``, ``tally`` and
   ``distinct``; a row read through two views is one envelope on both
@@ -27,6 +28,7 @@ CI runs this file under two ``PYTHONHASHSEED`` values.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults.base import duplicate
 from repro.sim.columnar import (
     ColumnarRound,
     LazyInbox,
@@ -36,31 +38,32 @@ from repro.sim.columnar import (
     senders,
     tally,
 )
-from repro.sim.messages import Envelope
+from repro.sim.messages import Broadcast, Envelope, Multicast, Scatter, Send
 from tests import test_golden_digests as golden
+from tests.support import play_round
 from tests.test_blocks_property import Letter, _ids
 
 
 class EagerRound(ColumnarRound):
     """The oracle: a repeat filed as every row it stands for."""
 
-    def add_repeat(self, header, messages, group):
+    def add_copies(self, header, messages, group):
         group.append(len(self.msg))
         self.hdr.extend([header] * len(messages))
         self.msg.extend(messages)
 
 
 # ---------------------------------------------------------------------------
-# (a) random columns, every link
+# (a) random rounds, every link
 
 
-#: One filing: a scatter from the pool's shared tuple, from a copy of it
-#: and from letters of its own; a repeat of the last scatter or run
-#: filed; a run; a broadcast row; a repeat of the last broadcast (the
-#: network's for senders of one message); held mail; a faulted single
-#: delivery.
+#: What a link proposes: a scatter from the pool's shared tuple, from a
+#: copy of it and from letters of its own; the last unclaimed scatter or
+#: run an earlier link proposed (a repeat); a run; a broadcast; the last
+#: broadcast (a repeat); a one-send list; mail held from round 1; a
+#: faulted run (filed send by send, its first link duplicated); nothing.
 FILINGS = ("shared", "copied", "own", "repeat", "run", "broadcast",
-           "rebroadcast", "held", "single")
+           "rebroadcast", "single", "held", "faulted", "silent")
 
 #: Every way of reading an inbox.
 READS = ("len", "read", "messages", "senders", "sender_uids", "tally",
@@ -68,8 +71,8 @@ READS = ("len", "read", "messages", "senders", "sender_uids", "tally",
 
 
 @st.composite
-def columns(draw):
-    n = draw(st.integers(1, 6))
+def rounds(draw):
+    n = draw(st.integers(1, 8))
     link = st.integers(0, n - 1)
     letters = [Letter(value) for value in range(draw(st.integers(1, 4)))]
     letter = st.sampled_from(letters)
@@ -81,20 +84,29 @@ def columns(draw):
     filings = draw(st.lists(st.tuples(
         st.sampled_from(FILINGS), st.integers(0, 1), st.integers(0, 1),
         letter, st.lists(link, max_size=n + 1), link,
-        st.sampled_from([None, 70])), max_size=16))
-    attached = draw(st.sets(link))
+        st.sampled_from([None, 70])), min_size=n, max_size=n))
+    gone = draw(st.sets(link)) - {draw(link)}
     reads = draw(st.permutations([(to, how) for to in range(n + 1)
                                   for how in READS]))
-    return n, pool, answers, filings, attached, reads
+    return n, pool, answers, filings, gone, reads
 
 
-def _plan(pool, answers, filings):
-    """The filings as calls, every message and held envelope made once,
-    so both columns are filled with the very same objects."""
-    calls = []
+def _plan(n, pool, answers, filings, gone):
+    """What each link proposes, and the oracle's calls in the order the
+    engine files them: held mail first, then the senders ascending."""
+    proposals, held, verdicts = {}, {}, {}
+    releases, calls = [], []
+    last = spoken = None  # (fan-out, its first call) of the last repeatable
     for sender, (kind, slot, which, letter, targets, to, claim) in enumerate(
             filings):
-        header = (sender, 100 + sender, claim)
+        header = (sender, 100 + sender, None)
+        if kind == "held":  # stamped with its release round
+            held[sender] = Multicast(targets or (to,), letter)
+            releases += [(Envelope(sender, 2, letter, 100 + sender), to)
+                         for to in targets or (to,) if to not in gone]
+            continue
+        if sender in gone or kind == "silent":
+            continue
         if kind in ("shared", "copied", "own"):
             links = pool[slot] if which else list(pool[slot])
             replies = answers[slot][which]
@@ -102,41 +114,64 @@ def _plan(pool, answers, filings):
                 replies = tuple(list(replies))
             elif kind == "own":
                 replies = tuple(Letter(10 + at) for at in range(len(links)))
-            calls.append(("scatter", header, replies, links))
+            sends = Scatter(links, replies)
+            last = sends, len(calls)
+            calls.append(("scatter", header, sends.messages, sends.targets))
         elif kind in ("repeat", "rebroadcast"):
-            calls.append((kind, header))
-        elif kind == "run":
-            calls.append(("run", (header, letter), tuple(targets)))
+            repeated = last if kind == "repeat" else spoken
+            if repeated is None:
+                continue
+            sends = repeated[0]
+            calls.append(("repeat", header, repeated[1]))
+        elif kind == "run" and targets:
+            sends = Multicast(targets, letter, claim)
+            if claim is None:
+                last = sends, len(calls)
+            else:
+                header = (sender, claim, claim)
+            calls.append(("run", (header, letter), sends.targets))
         elif kind == "broadcast":
+            sends = Broadcast(n, letter)
+            spoken = sends, len(calls)
             calls.append(("broadcast", (header, letter)))
-        elif kind == "held":  # stamped in the round it was held
-            calls.append(("run", Envelope(sender, 2, letter, 100 + sender),
-                          tuple(targets) or (to,)))
-        else:  # a faulted sender's send: a row and a block of its own
+        elif kind == "single":
+            sends = [Send(to, letter, claim)]
+            if claim is not None:
+                header = (sender, claim, claim)
             calls.append(("run", (header, letter), (to,)))
-    return calls
+        elif kind == "faulted":
+            sends = Multicast(targets or (to,), letter)
+            verdicts[sender] = {0: duplicate()}
+            calls += [("run", (header, letter), (link,) * (1 + (at == 0)))
+                      for at, link in enumerate(sends.targets)]
+        else:
+            continue
+        proposals[sender] = sends
+    return proposals, held, verdicts, releases, calls
 
 
-def _fill(cls, calls):
-    """Play ``calls`` into a fresh ``cls`` as the network files them."""
-    column = cls(3)
-    last = spoken = None  # (messages, group) of the last fan-out filed
+def _fill(cls, releases, calls, envelopes):
+    """Play ``calls`` into a fresh ``cls`` as the network files them,
+    the held mail first as ``envelopes``, the engine's own instances."""
+    column = cls(2)
+    for (stamp, to), envelope in zip(releases, envelopes, strict=True):
+        assert envelope == stamp
+        column.add_run(envelope, (to,))
+    filed = []  # what every call filed: (messages, group)
     for kind, *args in calls:
         if kind == "scatter":
             header, replies, links = args
-            last = replies, column.add_scatter(header, replies, links)
+            filed.append((replies, column.add_scatter(header, replies,
+                                                      links)))
         elif kind == "run":
             row, targets = args
-            group = column.add_run(row, targets)
-            if type(row) is not Envelope:
-                last = (row[1],), group
+            filed.append(((row[1],), column.add_run(row, targets)))
         elif kind == "broadcast":
-            column.add_broadcast(args[0])
-            spoken = args[0][1]
-        elif kind == "repeat" and last is not None:
-            column.add_repeat(args[0], *last)
-        elif kind == "rebroadcast" and spoken is not None:
-            column.add_repeat(args[0], (spoken,), column.b_seq)
+            filed.append(((args[0][1],), column.add_broadcast(args[0])))
+        else:
+            header, first = args
+            column.add_copies(header, *filed[first])
+            filed.append(None)
     return column
 
 
@@ -172,22 +207,25 @@ def _stamp(envelope):
 
 class TestRandomColumns:
     @settings(max_examples=400, deadline=None)
-    @given(columns())
+    @given(rounds())
     def test_every_read_equals_the_eager_rows(self, scenario):
-        n, pool, answers, filings, attached, reads = scenario
-        calls = _plan(pool, answers, filings)
-        column, eager = _fill(ColumnarRound, calls), _fill(EagerRound, calls)
+        n, pool, answers, filings, gone, reads = scenario
+        proposals, held, verdicts, releases, calls = _plan(
+            n, pool, answers, filings, gone)
+        column = play_round(proposals, n, held=held, gone=gone,
+                            verdicts=verdicts)
+        held_mail = [column.env[row] for row in sorted(column.env)]
+        eager = _fill(EagerRound, releases, calls, held_mail)
+        eager.attach(column._wanted)
         # One record per repeat, standing for the rows it repeats.
         assert len(column.hdr) == len(column.msg) <= len(eager.msg)
         assert len(column.hdr) + column.folded == len(eager.hdr)
-        column.attach(attached)
-        eager.attach(attached)
         mine, theirs = {}, {}
         for to, how in reads:  # the column in any order, the oracle after
             mine[to, how] = _read(column, to, how)
         for to, how in reads:
             theirs[to, how] = _read(eager, to, how)
-        held = {id(call[1]) for call in calls if type(call[1]) is Envelope}
+        held_ids = set(map(id, held_mail))
         pairs = {}
         for key, value in mine.items():
             if key[1] != "read":
@@ -197,7 +235,7 @@ class TestRandomColumns:
             for envelope, oracle in zip(value, theirs[key]):
                 pairs.setdefault(id(oracle), set()).add(id(envelope))
                 # Held mail arrives as the envelope it was stamped with.
-                assert id(oracle) not in held or envelope is oracle
+                assert id(oracle) not in held_ids or envelope is oracle
         # A row is one envelope on each side, whichever views read it.
         assert all(len(read) == 1 for read in pairs.values())
         assert len(set.union(set(), *pairs.values())) == len(pairs)
@@ -205,11 +243,9 @@ class TestRandomColumns:
     def test_a_scatter_repeat_is_resolved_only_when_read(self):
         links = (2, 0, 2)  # link 2 is listed twice
         decision = (Letter(1), Letter(2), Letter(3))
-        column = ColumnarRound(3)
-        group = column.add_scatter((0, 100, None), decision, links)
-        column.add_repeat((1, 101, None), decision, group)
-        column.add_broadcast(((2, 102, None), Letter(4)))
-        column.attach({0, 1, 2})
+        answer = Scatter(links, decision)
+        column = play_round({0: answer, 1: answer,
+                             2: Broadcast(3, Letter(4))}, 3)
         assert (len(column.hdr), column.folded) == (5, 2)
         assert distinct(LazyInbox(column, 2)) == (
             decision[0], decision[2], Letter(4))

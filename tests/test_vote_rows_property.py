@@ -9,11 +9,12 @@ vote table in.  Three things keep it cheap, and none may be visible:
   them (:func:`repro.sim.columnar.runs`: members repeating one vote are
   one run), so no vote round builds an ``Envelope``; the runs against
   the row rule are ``tests/test_vote_runs_property.py``'s.  On random
-  vote columns (steps, kinds, duplicate
-  senders, non-members, forged votes under a claimed header, other
-  message types, repeats of a multicast, held mail) every member's
-  ``collect`` and ``tally`` over its ``LazyInbox`` equal the same call
-  over a plain envelope list and a per-envelope rule written here.
+  vote rounds played through the engine (steps, kinds, a sender voting
+  more than once, non-members, forged votes under a claimed header,
+  other message types, repeats of a multicast, held mail) every
+  member's ``collect`` and ``tally`` over its ``LazyInbox`` equal the
+  same call over a plain envelope list and a per-envelope rule written
+  here.
 - (b) an honest ``sends`` keeps the step's vote under ``(step, kind,
   type(value), value, width)`` on its member set, whatever it read
   last: members of one member set that vote alike get one object, ``1``
@@ -38,8 +39,9 @@ from repro.consensus import comm as comm_module
 from repro.consensus.comm import CommitteeComm, SubVote, members_of, plurality
 from repro.core.byzantine_renaming import ByzantineRenamingNode, NewId
 from repro.sim.columnar import ColumnarRound, LazyInbox
-from repro.sim.messages import Envelope
+from repro.sim.messages import Broadcast, Envelope, Multicast, Send
 from tests import test_golden_digests as golden
+from tests.support import play_round
 
 KINDS = ("x", "y")
 VALUES = (0, 1, True, "__bottom__", (7, 2))
@@ -50,44 +52,59 @@ VALUES = (0, 1, True, "__bottom__", (7, 2))
 
 
 @st.composite
-def vote_columns(draw):
-    n = draw(st.integers(1, 6))
+def vote_rounds(draw):
+    n = draw(st.integers(1, 8))
     link = st.integers(0, n - 1)
     vote = st.builds(SubVote, st.integers(1, 2), st.sampled_from(KINDS),
                      st.sampled_from(VALUES), st.just(4))
     message = st.one_of(vote, vote, st.builds(NewId, st.integers(0, 3)))
-    # (how, sender, message, targets, claim): a multicast row, a repeat
-    # of the last one by another sender, a broadcast row, held mail.
+    # Per link (how, message, targets, claim): a multicast row; a repeat
+    # of the last unclaimed one; a send list of a row per message (a
+    # sender voting more than once); a broadcast row; held mail.
     filings = draw(st.lists(st.tuples(
-        st.sampled_from(("run", "run", "repeat", "broadcast", "held")),
-        link, message, st.lists(link, min_size=1, max_size=n + 1),
-        st.sampled_from([None, 0])), max_size=14))
+        st.sampled_from(("run", "run", "repeat", "sends", "broadcast",
+                         "held")),
+        st.lists(message, min_size=1, max_size=3),
+        st.lists(link, min_size=1, max_size=n + 1),
+        st.sampled_from([None, 0])), min_size=n, max_size=n))
     members = draw(st.sets(link, min_size=1))
-    attached = draw(st.sets(link))
+    gone = draw(st.sets(link)) - {draw(link)}
     step = draw(st.integers(1, 2))
     kind = draw(st.sampled_from(KINDS))
     without = draw(st.sampled_from([None, "__bottom__", 0]))
     order = draw(st.permutations(range(n)))
-    return n, filings, members, attached, step, kind, without, order
+    return n, filings, members, gone, step, kind, without, order
 
 
-def _fill(filings) -> ColumnarRound:
-    """The filings as the network files them (a claimed header is a
-    forged sender identity; the link stays the sender's)."""
-    column = ColumnarRound(5)
-    last = None  # (message, group) of the last multicast filed
-    for how, sender, message, targets, claim in filings:
-        header = (sender, 100 + sender, claim)
-        if how == "run":
-            last = message, column.add_run((header, message), tuple(targets))
+def _proposed(n, filings, gone):
+    """What each link proposes in the played round, its mail held from
+    round 1 apart; a link that leaves proposes nothing then (a claim is
+    a forged sender identity; the link stays the sender's)."""
+    proposals, held = {}, {}
+    last = None  # the last unclaimed multicast
+    for sender, (how, said, targets, claim) in enumerate(filings):
+        if how == "held":
+            held[sender] = Multicast(targets, said[0])
+        elif sender in gone:
+            continue
+        elif how == "run":
+            proposals[sender] = Multicast(targets, said[0], claim)
+            if claim is None:
+                last = proposals[sender]
         elif how == "repeat" and last is not None:
-            column.add_repeat(header, (last[0],), last[1])
+            proposals[sender] = last
+        elif how == "sends":
+            proposals[sender] = [Send(to, message, claim)
+                                 for message in said for to in targets]
         elif how == "broadcast":
-            column.add_broadcast((header, message))
-        elif how == "held":  # stamped in the round it was held
-            column.add_run(Envelope(sender, 4, message, 100 + sender),
-                           tuple(targets))
-    return column
+            proposals[sender] = Broadcast(n, said[0])
+    return proposals, held
+
+
+def _play(n, filings, gone):
+    """The filings' round, as the network files it."""
+    proposals, held = _proposed(n, filings, gone)
+    return play_round(proposals, n, held=held, gone=gone)
 
 
 def _first_votes(envelopes, step, kind, members):
@@ -103,13 +120,12 @@ def _first_votes(envelopes, step, kind, members):
 
 class TestRandomVoteColumns:
     @settings(max_examples=300, deadline=None)
-    @given(vote_columns())
+    @given(vote_rounds())
     def test_collect_and_tally_read_rows_as_the_plain_call(self, scenario):
-        n, filings, members, attached, step, kind, without, order = scenario
-        column = _fill(filings)
-        column.attach(attached)
-        plain = _fill(filings)  # the oracle's envelopes, from its own column
-        plain.attach(attached)
+        n, filings, members, gone, step, kind, without, order = scenario
+        column = _play(n, filings, gone)
+        held = len(column.env)
+        plain = _play(n, filings, gone)  # the oracle's envelopes
         view = members_of(sorted(members))
         for to in order:
             lazy, mine = LazyInbox(column, to), CommitteeComm(view, 0)
@@ -127,17 +143,15 @@ class TestRandomVoteColumns:
                                if counted else (len(expected), None, 0))
         # Only held mail, stamped when it was held, is an envelope: the
         # votes were read as rows.
-        held = sum(how == "held" for how, *_ in filings)
         assert len(column.env) == held
 
     @settings(max_examples=150, deadline=None)
-    @given(vote_columns(), st.lists(st.sampled_from(VALUES), min_size=1,
-                                    max_size=6))
+    @given(vote_rounds(), st.lists(st.sampled_from(VALUES), min_size=1,
+                                   max_size=6))
     def test_a_round_builds_one_vote_per_member_set_and_value(
             self, scenario, values):
-        n, filings, members, attached, step, kind, _, order = scenario
-        column = _fill(filings)
-        column.attach(attached)
+        n, filings, members, gone, step, kind, _, order = scenario
+        column = _play(n, filings, gone)
         view = members_of(sorted(members))
         other = members_of(sorted(members | {n}))
         comms = [CommitteeComm(view, 0) for _ in order] + [

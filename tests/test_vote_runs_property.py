@@ -7,14 +7,16 @@ visible:
 - (a) a tally reads runs: ``comm._tally`` folds
   :func:`repro.sim.columnar.runs` -- the members that repeat one vote
   are one run, its senders not heard yet counted at once.  On random
-  vote columns -- several groups in one view, broadcast rows, held mail,
-  a link named twice, claimed headers, an equivocator's vote per link,
-  repeats of a multicast, non-members, a wrong step or kind, other
-  message types, ``1`` beside ``True`` -- every link's tally, under
-  every ``without``, is the row rule (``_collect``'s first vote per
-  member, then ``plurality``) over its ``LazyInbox`` and over its plain
-  envelope list, value type included; through ``CommitteeComm.tally``
-  too, where a view's readers find the value their view last derived;
+  vote rounds played through the engine
+  (:func:`tests.support.play_round`) -- several groups in one view,
+  broadcast rows, held mail, a link named twice, claimed headers, an
+  equivocator's vote per link, repeats of a multicast, non-members, a
+  wrong step or kind, other message types, ``1`` beside ``True`` --
+  every link's tally, under every ``without``, is the row rule
+  (``_collect``'s first vote per member, then ``plurality``) over its
+  ``LazyInbox`` and over its plain envelope list, value type included;
+  through ``CommitteeComm.tally`` too, where a view's readers find the
+  value their view last derived;
 - (b) a repeat is filed in place: the charge loop appends a later
   sender's record itself, one record per later sender of a fan-out
   object -- counted as the records a column holds when it is attached
@@ -50,9 +52,10 @@ from repro.consensus.comm import (
 from repro.core.byzantine_renaming import NewId
 from repro.core.crash_renaming import announcement, run_crash_renaming
 from repro.sim.columnar import ColumnarRound, LazyInbox
-from repro.sim.messages import Envelope
+from repro.sim.messages import Broadcast, Multicast, Send
 from repro.sim.network import SyncNetwork
 from tests import test_golden_digests as golden
+from tests.support import play_round
 
 KINDS = ("x", "y")
 #: ``1``, ``True`` and ``1.0`` are one value to a tally, first seen kept.
@@ -65,52 +68,57 @@ WITHOUT = (None, "__bottom__", 0, 1, True)
 
 
 @st.composite
-def vote_columns(draw):
-    n = draw(st.integers(1, 6))
+def vote_rounds(draw):
+    n = draw(st.integers(1, 8))
     link = st.integers(0, n - 1)
     vote = st.builds(SubVote, st.integers(1, 2), st.sampled_from(KINDS),
                      st.sampled_from(VALUES), st.just(4))
     message = st.one_of(vote, vote, vote, st.builds(NewId, st.integers(0, 3)))
-    # (how, sender, message, targets, claim): a multicast row; a repeat
-    # of the last one by another sender; an equivocator's vote per link
-    # (a row and a block of its own each, its value shifted per link); a
+    # Per link (how, message, targets, claim): a multicast row; a repeat
+    # of the last unclaimed one; an equivocator's vote per link (a row
+    # and a block of its own each, its value shifted per link); a
     # broadcast row; held mail.  Target tuples vary, so a view reads
     # several groups, and a link may be named twice.
     filings = draw(st.lists(st.tuples(
         st.sampled_from(("run", "run", "repeat", "repeat", "per-link",
                          "broadcast", "held")),
-        link, message, st.lists(link, min_size=1, max_size=n + 1),
-        st.sampled_from([None, None, 0])), max_size=16))
+        message, st.lists(link, min_size=1, max_size=n + 1),
+        st.sampled_from([None, None, 0])), min_size=n, max_size=n))
     members = draw(st.sets(link, min_size=1))
-    attached = draw(st.sets(link))
+    gone = draw(st.sets(link)) - {draw(link)}
     step = draw(st.integers(1, 2))
     kind = draw(st.sampled_from(KINDS))
-    return n, filings, members, attached, step, kind
+    return n, filings, members, gone, step, kind
 
 
-def _fill(filings) -> ColumnarRound:
-    """The filings as the network files them (a claimed header is a
-    forged sender identity; the link stays the sender's)."""
-    column = ColumnarRound(5)
-    last = None  # (message, group) of the last multicast filed
-    for how, sender, message, targets, claim in filings:
-        header = (sender, 100 + sender, claim)
-        if how == "run":
-            last = message, column.add_run((header, message), tuple(targets))
+def _play(n, filings, gone):
+    """The filings' round, as the network files it: what each link
+    proposes, its mail held from round 1 apart; a link that leaves
+    proposes nothing then (a claim is a forged sender identity; the
+    link stays the sender's)."""
+    proposals, held = {}, {}
+    last = None  # the last unclaimed multicast
+    for sender, (how, message, targets, claim) in enumerate(filings):
+        if how == "held":
+            held[sender] = Multicast(targets, message)
+        elif sender in gone:
+            continue
+        elif how == "run":
+            proposals[sender] = Multicast(targets, message, claim)
+            if claim is None:
+                last = proposals[sender]
         elif how == "repeat" and last is not None:
-            column.add_repeat(header, (last[0],), last[1])
+            proposals[sender] = last
         elif how == "per-link" and type(message) is SubVote:
-            for shift, to in enumerate(targets):
-                value = VALUES[(VALUES.index(message.value) + shift)
-                               % len(VALUES)]
-                column.add_run((header, SubVote(message.step, message.kind,
-                                                value, 4)), (to,))
+            at = VALUES.index(message.value)
+            proposals[sender] = [
+                Send(to, SubVote(message.step, message.kind,
+                                 VALUES[(at + shift) % len(VALUES)], 4),
+                     claim)
+                for shift, to in enumerate(targets)]
         elif how == "broadcast":
-            column.add_broadcast((header, message))
-        elif how == "held":  # stamped in the round it was held
-            column.add_run(Envelope(sender, 4, message, 100 + sender),
-                           tuple(targets))
-    return column
+            proposals[sender] = Broadcast(n, message)
+    return play_round(proposals, n, held=held, gone=gone)
 
 
 def _row_rule(inbox, step, kind, members, without):
@@ -130,13 +138,11 @@ def _typed(tallied):
 
 class TestATallyReadsRuns:
     @settings(max_examples=400, deadline=None)
-    @given(vote_columns())
+    @given(vote_rounds())
     def test_every_links_tally_is_the_row_rule(self, scenario):
-        n, filings, members, attached, step, kind = scenario
-        column = _fill(filings)
-        column.attach(attached)
-        plain = _fill(filings)  # the envelopes, from a column of their own
-        plain.attach(attached)
+        n, filings, members, gone, step, kind = scenario
+        column = _play(n, filings, gone)
+        plain = _play(n, filings, gone)  # the envelopes, of their own round
         view = members_of(sorted(members))
         for to in range(n + 1):  # and a link the network never had
             listed = list(LazyInbox(plain, to))
@@ -149,21 +155,19 @@ class TestATallyReadsRuns:
                                      without)) == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(vote_columns())
+    @given(vote_rounds())
     def test_readers_of_one_view_asking_in_turn(self, scenario):
         # The attached links ask in turn, each turn the next `without`:
         # a reader finds what its view derived last only for the same
         # question.  Every filing names every link, so the attached links
         # share views (an equivocator's votes still split them).
-        n, filings, members, attached, step, kind = scenario
-        filings = [(how, sender, message, list(range(n)), claim)
-                   for how, sender, message, _, claim in filings]
-        column = _fill(filings)
-        column.attach(attached)
-        plain = _fill(filings)
-        plain.attach(attached)
+        n, filings, members, gone, step, kind = scenario
+        filings = [(how, message, list(range(n)), claim)
+                   for how, message, _, claim in filings]
+        column = _play(n, filings, gone)
+        plain = _play(n, filings, gone)
         view = members_of(sorted(members))
-        readers = sorted(attached) * len(WITHOUT)
+        readers = sorted(column._wanted) * len(WITHOUT)
         for turn, to in enumerate(readers):
             without = WITHOUT[turn % len(WITHOUT)]
             comm = CommitteeComm(view, 0)
@@ -186,14 +190,10 @@ def test_a_tie_is_broken_by_repr_whatever_the_order():
 
 
 def test_a_lockstep_vote_is_one_run_counted_at_once(monkeypatch):
-    # Five members repeat one multicast; one equivocates per link.
-    column = ColumnarRound(5)
-    vote = SubVote(1, "x", 1, 1)
+    # Five members repeat one multicast.
     targets = (0, 1, 2, 3, 4, 5)
-    group = column.add_run(((0, 100, None), vote), targets)
-    for sender in (1, 2, 3, 4):
-        column.add_repeat((sender, 100 + sender, None), (vote,), group)
-    column.attach(set(targets))
+    vote = Multicast(targets, SubVote(1, "x", 1, 1))
+    column = play_round(dict.fromkeys(range(5), vote), 6)
     counted = []
     intersection = comm_module._Members.intersection
 
