@@ -4,12 +4,15 @@
 EXPERIMENTS.md's F1 block is printed from without running anything.
 Every ``ok`` row of it at n <= 1,024 -- 20 rows, a second or two of
 CPU -- is run again through its driver with its committed params, and
-must equal the committed row in every field.  A mismatch names the
-first row and field that differ.
+must equal the committed row in every field.  Each row is a case of its
+own, so every row that differs is reported, each by the first field
+that differs.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.engine.sweeps import resolve_driver
 
@@ -18,20 +21,25 @@ RUNS = (Path(__file__).resolve().parents[1]
 
 MISSING = "<missing>"
 
+STORED = [json.loads(line) for line in RUNS.read_text().splitlines()]
+SMALL = [run for run in STORED if run["status"] == "ok" and run["n"] <= 1024]
 
-def test_every_small_committed_row_is_what_its_driver_returns():
-    stored = [json.loads(line) for line in RUNS.read_text().splitlines()]
-    small = [run for run in stored
-             if run["status"] == "ok" and run["n"] <= 1024]
-    assert len(small) == 20
-    for run in small:
-        committed = json.loads(run["row"])
-        fresh = resolve_driver(run["driver"])(
-            run["n"], run["f"], run["seed"], **json.loads(run["params"]))
-        for field in [*committed, *(key for key in fresh
-                                    if key not in committed)]:
-            was, now = committed.get(field, MISSING), fresh.get(field, MISSING)
-            assert now == was, (
-                f"{run['driver']} n={run['n']} f={run['f']} "
-                f"seed={run['seed']} params={run['params']}: {field} is "
-                f"{now!r}, committed {was!r}")
+
+def test_there_are_twenty_small_committed_rows():
+    assert len(SMALL) == 20
+
+
+@pytest.mark.parametrize("run", SMALL, ids=[
+    f"{run['driver']}-n{run['n']}-f{run['f']}-s{run['seed']}"
+    for run in SMALL])
+def test_every_small_committed_row_is_what_its_driver_returns(run):
+    committed = json.loads(run["row"])
+    fresh = resolve_driver(run["driver"])(
+        run["n"], run["f"], run["seed"], **json.loads(run["params"]))
+    for field in [*committed, *(key for key in fresh
+                                if key not in committed)]:
+        was, now = committed.get(field, MISSING), fresh.get(field, MISSING)
+        assert now == was, (
+            f"{run['driver']} n={run['n']} f={run['f']} "
+            f"seed={run['seed']} params={run['params']}: {field} is "
+            f"{now!r}, committed {was!r}")

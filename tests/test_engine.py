@@ -20,6 +20,7 @@ from repro.engine.sweeps import (
     DRIVERS,
     RunRequest,
     SweepSpec,
+    check_driver_params,
     driver_names,
     evaluate_f,
     resolve_driver,
@@ -67,6 +68,15 @@ class TestRequests:
         assert {"crash", "byzantine", "byzantine-full", "obg", "gossip",
                 "balls", "falsify", "faults", "serve"} <= set(driver_names())
         assert "reelection" not in driver_names()
+
+    @pytest.mark.parametrize("name", driver_names())
+    def test_every_driver_passes_its_check_on_its_defaults(self, name):
+        assert check_driver_params(name, 8, 1, {}) is None
+
+    @pytest.mark.parametrize("name", driver_names())
+    def test_every_driver_rejects_a_negative_f_before_any_run(self, name):
+        with pytest.raises(ValueError, match="f=-1 must be non-negative"):
+            check_driver_params(name, 8, -1, {})
 
     def test_table1_requests_cover_all_families(self):
         requests = table1_requests(10, 1, seed=1)

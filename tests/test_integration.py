@@ -8,7 +8,11 @@ and the analysis-layer plumbing over real executions.
 
 from random import Random
 
-from repro.adversary.crash import CommitteeHunter, MidSendPartitioner
+from repro.adversary.crash import (
+    CommitteeHunter,
+    MidSendPartitioner,
+    ScheduledCrash,
+)
 from repro.analysis.experiments import check_renaming, sample_uids
 from repro.analysis.tables import plain_table
 from repro.apps.overlay_directory import OverlayDirectory
@@ -98,6 +102,74 @@ class TestTimelineOverRealRuns:
         text = plain_table(rows, columns=["n", "rounds", "messages",
                                           "unique"])
         assert "rounds" in text and "yes" in text
+
+
+def traced_crash_run():
+    """Eight nodes, node 2 crashed in round 4, and the events an
+    :class:`EventRecorder` kept of the run."""
+    recorder = EventRecorder()
+    result = run_crash_renaming(
+        range(1, 9),
+        adversary=ScheduledCrash({4: [2]}),
+        config=CrashRenamingConfig(election_constant=4),
+        seed=3, observer=recorder,
+    )
+    return result, recorder
+
+
+class TestRoundByRoundShape:
+    """What a run's ledger and its ``round.end`` / ``crash.apply``
+    events say about each round, read from the run itself."""
+
+    def test_one_ledger_entry_and_one_round_end_per_round(self):
+        result, recorder = traced_crash_run()
+        metrics = result.metrics
+        assert (len(metrics.messages_per_round)
+                == len(metrics.bits_per_round) == result.rounds)
+        assert [event["round"] for event in recorder.events("round.end")
+                ] == list(range(1, result.rounds + 1))
+
+    def test_round_end_counts_are_the_ledger(self):
+        result, recorder = traced_crash_run()
+        ends = recorder.events("round.end")
+        assert [event["data"]["messages"] for event in ends
+                ] == result.metrics.messages_per_round
+        assert [event["data"]["bits"] for event in ends
+                ] == result.metrics.bits_per_round
+
+    def test_the_crash_is_in_its_round(self):
+        result, recorder = traced_crash_run()
+        assert [(event["round"], event["node"])
+                for event in recorder.events("crash.apply")] == [(4, 2)]
+        assert set(result.crashed) == {2}
+
+    def test_terminations_in_the_final_round(self):
+        result, recorder = traced_crash_run()
+        finished = [event["data"]["finished"]
+                    for event in recorder.events("round.end")]
+        assert finished[-1] == len(result.correct_results) == 7
+        assert not any(finished[:-1])
+
+    def test_message_totals_match_metrics(self):
+        result, _ = traced_crash_run()
+        metrics = result.metrics
+        assert sum(metrics.messages_per_round) == metrics.correct_messages
+        assert sum(metrics.bits_per_round) == metrics.correct_bits
+
+    def test_the_recorded_shape(self):
+        result, _ = traced_crash_run()
+        messages = result.metrics.messages_per_round
+        assert result.rounds == 27
+        assert messages[:5] == [64, 64, 64, 56, 49]
+        assert messages[-1] == 49
+
+    def test_a_lone_node_runs_no_round(self):
+        recorder = EventRecorder()
+        result = run_crash_renaming([42], namespace=50, observer=recorder)
+        assert result.rounds == 0
+        assert result.metrics.messages_per_round == []
+        assert recorder.events("round.end") == []
+        assert len(result.correct_results) == 1
 
 
 class TestOnePopulationAcrossAlgorithms:
