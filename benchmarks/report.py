@@ -13,9 +13,9 @@ runs are gathered into one request list, deduplicated, executed in
 parallel, and (with ``--store``, on by default) cached in the run store
 — an interrupted report resumes from where it stopped, and a re-run
 after an algorithm change recomputes only what the new code version
-invalidates.  ``--store`` accepts a path or a ``sqlite://path`` URL;
-see ``python -m repro runs export`` for the columnar analytics path
-over a filled store.
+invalidates.  ``--store`` takes the path of a SQLite file; see
+``python -m repro runs export`` for the columnar analytics path over a
+filled store.
 
 The printed output is markdown and deterministic:
 ``benchmarks/results/report.md`` is the committed copy (CI diffs
@@ -57,8 +57,8 @@ def main(argv=None) -> None:
                         default=max(1, (os.cpu_count() or 1) - 1),
                         help="engine worker processes")
     parser.add_argument("--store", default=None,
-                        help="run-store path or sqlite://path URL (default "
-                             "$REPRO_STORE or .repro/runs.sqlite)")
+                        help="run-store file path (default $REPRO_STORE "
+                             "or .repro/runs.sqlite)")
     parser.add_argument("--no-store", action="store_true",
                         help="recompute everything, touch no store")
     parser.add_argument("--scale", choices=SCALES, default="default",
@@ -68,7 +68,10 @@ def main(argv=None) -> None:
 
     store = None
     if not args.no_store:
-        store = RunStore(args.store if args.store else default_store_path())
+        try:
+            store = RunStore(args.store or default_store_path())
+        except ValueError as error:  # not a file path: one usage error
+            parser.error(str(error))
     try:
         tables = measure(FIGURES.values(), jobs=args.jobs, store=store,
                          scale=args.scale)

@@ -7,7 +7,7 @@ Examples::
     python -m repro table1 --n 32 --f 4
     python -m repro lowerbound --n 48
     python -m repro sweep --driver crash --n 16,32,64 --seeds 0-4 --jobs 4
-    python -m repro sweep --driver crash --store sqlite://.repro/runs.sqlite
+    python -m repro sweep --driver crash --store .repro/runs.sqlite
     python -m repro runs --format md
     python -m repro runs export --out .repro/export
     python -m repro sweep --driver serve --n 64 --seeds 0-2 --f 1
@@ -190,29 +190,22 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _store_url(args) -> str:
-    """``--store`` or ``$REPRO_STORE`` or the default, as an absolute
-    ``sqlite://`` URL."""
-    from repro.engine.store import default_store_path, resolve_store_url
-
-    with _one_error_line(args):
-        return resolve_store_url(args.store or default_store_path())
-
-
 def _open_store(args):
-    """The run store to enter (``None`` within it under ``--no-store``)."""
-    from repro.engine.store import RunStore
+    """The run store at ``--store`` or ``$REPRO_STORE`` or the default,
+    to enter (``None`` within it under ``--no-store``)."""
+    from repro.engine.store import RunStore, default_store_path
 
     if getattr(args, "no_store", False):
         return nullcontext()
-    return RunStore(_store_url(args))
+    with _one_error_line(args):
+        return RunStore(args.store or default_store_path())
 
 
 def _add_store_flag(parser: argparse.ArgumentParser) -> None:
-    """``--store``, which :func:`_store_url` reads back."""
+    """``--store``, which :func:`_open_store` reads back."""
     parser.add_argument("--store", default=None,
-                        help="run-store path or sqlite://path URL (default "
-                             "$REPRO_STORE or .repro/runs.sqlite)")
+                        help="run-store file path (default $REPRO_STORE "
+                             "or .repro/runs.sqlite)")
 
 
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
@@ -274,7 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
-    from repro.engine.sweeps import evaluate_f
+    from repro.engine.sweeps import check_driver_params, evaluate_f
     from repro.falsify.campaign import (
         CampaignConfig,
         replay_artifact,
@@ -301,7 +294,8 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
     with _one_error_line(args):
         for n in args.n:
-            evaluate_f(args.f, n)
+            check_driver_params("falsify", n, evaluate_f(args.f, n),
+                                dict(args.param))
     config = CampaignConfig(
         scenarios=args.scenario or DEFAULT_SCENARIOS,
         n_values=tuple(args.n),

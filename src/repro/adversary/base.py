@@ -15,92 +15,51 @@ models the mid-send crash the proofs of Lemmas 2.3/2.5 defend against.
 Positions are all a plan needs -- a strategy reads ``len()`` of a
 proposal, which is free on a lazy fan-out, and never a ``Send`` -- so a
 crash round costs its crashes, not the victims' fan-outs (DESIGN
-decision 15).  A programmable policy may still answer with the kept
-``Send`` objects themselves; :func:`kept_indices` is the one place
-either form becomes validated positions, for the network, the
-falsification recorder and the tests' oracle alike.  The network
-enforces that the plan only names alive nodes, that every kept part
-really is part of what was proposed, and that the adversary's total
-budget ``f`` is respected.
+decision 15).  :func:`kept_indices` is the one place a plan value
+becomes validated positions, for the network, the falsification
+recorder and the tests' oracle alike.  The network enforces that the
+plan only names alive nodes, that every kept part really is part of
+what was proposed, and that the adversary's total budget ``f`` is
+respected.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # imported for annotations only, to avoid an import cycle
     from repro.sim.messages import Send
 
-#: victim link index -> what of its proposed sends is still delivered:
-#: their indices (any sequence of distinct positions -- a ``range``, a
-#: shuffled list), or, from a policy, the kept ``Send`` objects.
-CrashPlan = Mapping[int, Union["Sequence[int]", "Sequence[Send]"]]
+#: victim link index -> the indices of its proposed sends that are still
+#: delivered (any sequence of distinct positions -- a ``range``, a
+#: shuffled list).
+CrashPlan = Mapping[int, Sequence[int]]
 
 
 class CrashPlanError(ValueError):
     """An adversary returned an invalid plan (budget / subset violation)."""
 
 
-def kept_send_indices(
-    kept: "Sequence[Send]", proposed: "Sequence[Send]"
-) -> tuple[int, ...]:
-    """Positions in ``proposed`` of each send in ``kept``, in ``kept`` order.
-
-    The matching rule for a plan that names kept sends by *object*
-    (:func:`kept_indices` is its one caller).  Each kept send is matched
-    to an unused position by *object identity* first (a policy normally
-    keeps the very objects it was shown), falling back to equality for
-    one that constructs fresh-but-equal sends.  Identity-first matching
-    keeps the resolution well-defined when a victim proposes duplicate
-    identical sends: keeping the second of two equal sends resolves to
-    index 1, never to index 0, so a recorded schedule replays the exact
-    instance the network delivered.
-
-    Raises :class:`CrashPlanError` when a kept send cannot be matched.
-    """
-    positions_by_id: dict[int, list[int]] = {}
-    for position, send in enumerate(proposed):
-        positions_by_id.setdefault(id(send), []).append(position)
-    used: set[int] = set()
-    indices: list[int] = []
-    for send in kept:
-        chosen = -1
-        for position in positions_by_id.get(id(send), ()):
-            if position not in used and proposed[position] is send:
-                chosen = position
-                break
-        if chosen < 0:
-            for position, candidate in enumerate(proposed):
-                if position not in used and candidate == send:
-                    chosen = position
-                    break
-        if chosen < 0:
-            raise CrashPlanError(f"kept message {send} was never proposed")
-        used.add(chosen)
-        indices.append(chosen)
-    return tuple(indices)
-
-
-def kept_indices(
-    kept: "Union[Sequence[int], Sequence[Send]]", proposed: "Sequence[Send]"
-) -> tuple[int, ...]:
+def kept_indices(kept: Sequence[int], proposed: "Sequence[Send]"
+                 ) -> tuple[int, ...]:
     """One victim's plan value as validated positions in ``proposed``.
 
     The single resolution rule for a :data:`CrashPlan` value, used
     wherever one is applied or written down -- the network, the
-    falsification recorder, the tests' ``ReferenceNetwork``.  Indices
-    pass through, checked: each inside ``[0, len(proposed))``, none
+    falsification recorder, the tests' ``ReferenceNetwork``.  Each
+    index must be an ``int`` inside ``[0, len(proposed))``, none named
     twice; ``proposed`` itself is not touched, so a lazy fan-out stays
-    lazy.  Anything else is a policy's kept ``Send`` objects and is
-    matched by :func:`kept_send_indices`.
+    lazy.
 
-    Raises :class:`CrashPlanError` on a part that was never proposed.
+    Raises :class:`CrashPlanError` on anything else.
     """
     kept = tuple(kept)
     if not kept:
         return kept
-    if set(map(type, kept)) != {int}:
-        return kept_send_indices(kept, proposed)
+    for index in kept:
+        if type(index) is not int:
+            raise CrashPlanError(
+                f"kept part names {index!r}, not a send index")
     if not (0 <= min(kept) and max(kept) < len(proposed)):
         raise CrashPlanError(
             f"kept indices {sorted(set(kept) - set(range(len(proposed))))} "
@@ -142,15 +101,10 @@ class CrashAdversary:
         outgoing sends **as an abstract sequence, not necessarily a
         list**: a node that fans one message out yields a lazy
         :class:`~repro.sim.messages.Multicast`.  Its ``len()`` is free,
-        and a plan that answers with kept *indices* never makes it
-        build a ``Send``.  A policy that wants the objects may index,
-        slice and iterate it freely: the ``Send`` instances are
-        materialized once and stable, so a kept subset taken from it
-        resolves by object identity (:func:`kept_send_indices`), and
-        mid-send crashes of broadcasting victims record and replay
-        exactly (``tests/test_adversary_crash.py::
-        TestBroadcastMidSendCrash``).  A strategy that adapts to more
-        history than this keeps it itself.
+        and a plan answers with kept *indices*, so it never makes the
+        fan-out build a ``Send``.  A policy may still index, slice and
+        iterate it to decide.  A strategy that adapts to more history
+        than this keeps it itself.
         """
         raise NotImplementedError
 

@@ -183,9 +183,9 @@ class BudgetedAdaptiveCrash(CrashAdversary):
     """A fully programmable adversary for white-box tests.
 
     ``policy`` receives ``(round_no, proposed, alive, remaining)``
-    and returns a :data:`CrashPlan` -- kept indices, or the kept ``Send``
-    objects themselves; the network still validates budget and subset
-    constraints, so a buggy policy fails loudly.
+    and returns a :data:`CrashPlan` of kept indices; the network still
+    validates budget and subset constraints, so a buggy policy fails
+    loudly.
     """
 
     def __init__(

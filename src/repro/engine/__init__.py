@@ -38,8 +38,6 @@ from repro.engine.store import (
     StoredRun,
     code_version,
     default_store_path,
-    parse_store_url,
-    resolve_store_url,
     run_hash,
 )
 from repro.engine.sweeps import (
@@ -65,8 +63,6 @@ __all__ = [
     "evaluate_f",
     "execute_request",
     "export_store",
-    "parse_store_url",
-    "resolve_store_url",
     "run_hash",
     "run_requests",
     "table1_requests",

@@ -229,7 +229,7 @@ def run_requests(
         task gets exactly one retry; a task that fails twice is
         recorded failed with both errors.
     observer:
-        Optional :class:`repro.obs.Observer`.  When enabled, emits
+        Optional :class:`repro.obs.EventRecorder`.  When given, emits
         ``engine.*`` events (store hit/miss, chunk dispatch/timeout/
         broken, task retry/settle), accumulates per-driver wall time
         into ``observer.profiler`` as ``driver:<name>`` phases, and —
@@ -237,9 +237,7 @@ def run_requests(
         freshly-executed request under its run hash.
     """
     requests = list(requests)
-    obs = observer if (observer is not None
-                       and getattr(observer, "enabled", False)) else None
-    prof = getattr(observer, "profiler", None) if observer is not None else None
+    prof = observer.profiler if observer is not None else None
     results: list[Optional[RunResult]] = [None] * len(requests)
     version = code_version()
     hashes = [
@@ -265,12 +263,13 @@ def run_requests(
                     bits_per_round=bits_per_round,
                     attempts=0,
                 )
-                if obs is not None:
-                    obs.emit("engine.store.hit", driver=requests[index].driver,
-                             run_hash=hash_)
-            elif obs is not None:
-                obs.emit("engine.store.miss", driver=requests[index].driver,
-                         run_hash=hash_)
+                if observer is not None:
+                    observer.emit("engine.store.hit",
+                                  driver=requests[index].driver,
+                                  run_hash=hash_)
+            elif observer is not None:
+                observer.emit("engine.store.miss",
+                              driver=requests[index].driver, run_hash=hash_)
 
     pending = [i for i, result in enumerate(results) if result is None]
 
@@ -294,8 +293,8 @@ def run_requests(
         nonlocal done
         if prof is not None:
             prof.add(f"driver:{requests[index].driver}", result.elapsed)
-        if obs is not None:
-            obs.emit(
+        if observer is not None:
+            observer.emit(
                 "engine.task.settle", driver=requests[index].driver,
                 status=result.status, attempts=result.attempts,
                 elapsed_s=result.elapsed,
@@ -316,7 +315,7 @@ def run_requests(
                 bits_per_round=result.bits_per_round,
                 attempts=result.attempts,
             )
-            if obs is not None:
+            if observer is not None:
                 store.put_telemetry(hashes[index], "run", {
                     "driver": request.driver, "n": request.n,
                     "f": request.f, "seed": request.seed,
@@ -359,9 +358,9 @@ def run_requests(
                                    initializer=_exit_with_parent)
         try:
             futures = [pool.submit(_worker, chunk) for chunk in chunks]
-            if obs is not None:
-                obs.emit("engine.chunk.dispatch", chunks=len(chunks),
-                         chunksize=size, jobs=min(jobs, len(chunks)))
+            if observer is not None:
+                observer.emit("engine.chunk.dispatch", chunks=len(chunks),
+                              chunksize=size, jobs=min(jobs, len(chunks)))
             for chunk, future in zip(chunks, futures):
                 budget = None if timeout is None else timeout * len(chunk)
                 try:
@@ -372,15 +371,15 @@ def run_requests(
                     first_error = (f"timed out: chunk exceeded {budget:.1f}s"
                                    f" ({len(chunk)} tasks)")
                     retry.extend((i, r, first_error) for i, r in chunk)
-                    if obs is not None:
-                        obs.emit("engine.chunk.timeout", tasks=len(chunk),
-                                 budget_s=budget)
+                    if observer is not None:
+                        observer.emit("engine.chunk.timeout",
+                                      tasks=len(chunk), budget_s=budget)
                     continue
                 except Exception:  # BrokenProcessPool and kin
                     first_error = traceback.format_exc(limit=8)
                     retry.extend((i, r, first_error) for i, r in chunk)
-                    if obs is not None:
-                        obs.emit("engine.chunk.broken", tasks=len(chunk))
+                    if observer is not None:
+                        observer.emit("engine.chunk.broken", tasks=len(chunk))
                     continue
                 for index, _request in chunk:
                     settle(index, outcomes[index])
@@ -403,9 +402,9 @@ def run_requests(
             delay = retry_jitter_delay(retry_backoff, request)
             if delay > 0:
                 time.sleep(delay)
-            if obs is not None:
-                obs.emit("engine.task.retry", driver=request.driver,
-                         n=request.n, seed=request.seed)
+            if observer is not None:
+                observer.emit("engine.task.retry", driver=request.driver,
+                              n=request.n, seed=request.seed)
             result = _run_isolated(request, timeout)
             result.request = request
             result.attempts = 2

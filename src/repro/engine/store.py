@@ -26,8 +26,8 @@ Three tables, created on connect from the one ``_SCHEMA`` below:
     attached (see :mod:`repro.obs`); ``python -m repro obs report``
     aggregates it.
 
-A store location is a bare path or a ``sqlite://path`` URL
-(:func:`parse_store_url`).  Analytics do not run against the store:
+A store location is a file path, made absolute when the store opens.
+Analytics do not run against the store:
 ``python -m repro runs export`` dumps it as JSONL files for any SQL
 engine (:mod:`repro.engine.export`).
 
@@ -68,13 +68,10 @@ __all__ = [
     "code_version",
     "default_store_path",
     "normalize_ledger",
-    "parse_store_url",
-    "resolve_store_url",
     "run_hash",
 ]
 
-#: Environment variable overriding the default store location; accepts
-#: a bare path or a ``sqlite://path`` URL.
+#: Environment variable overriding the default store path.
 STORE_ENV = "REPRO_STORE"
 
 #: Default store path, relative to the current working directory.
@@ -82,52 +79,8 @@ DEFAULT_STORE = ".repro/runs.sqlite"
 
 
 def default_store_path() -> str:
-    """``$REPRO_STORE`` if set, else ``.repro/runs.sqlite`` under cwd.
-
-    The value may be a ``sqlite://path`` URL, so it is returned as a
-    string — wrapping it in :class:`~pathlib.Path` would collapse the
-    ``//``.
-    """
+    """``$REPRO_STORE`` if set, else ``.repro/runs.sqlite`` under cwd."""
     return os.environ.get(STORE_ENV, DEFAULT_STORE)
-
-
-def parse_store_url(value: os.PathLike | str) -> tuple[str, str]:
-    """Split a store location into ``("sqlite", absolute path)``.
-
-    Bare paths (no ``://``) are SQLite files, so every pre-URL store
-    path keeps working unchanged.  Relative paths resolve against the
-    *parser's* CWD at parse time, so a location handed to a process
-    started elsewhere names the same file.
-    """
-    text = os.fspath(value)
-    scheme, separator, rest = text.partition("://")
-    if not separator:
-        rest = text
-    elif scheme.lower() != "sqlite":
-        raise ValueError(
-            f"unknown run-store scheme {scheme.lower()!r} in {text!r}; the "
-            "run store is sqlite:// only (a bare path selects it) — for "
-            "analytics, dump it with 'python -m repro runs export'"
-        )
-    elif not rest:
-        raise ValueError(f"run-store URL {text!r} is missing a path")
-    if rest == ":memory:":
-        # Not a file: abspath below would quietly create one by that name.
-        raise ValueError(
-            f"run store {text!r}: in-memory stores are not supported "
-            "(every thread and worker opens its own connection); "
-            "give a file path")
-    return "sqlite", os.path.abspath(rest)
-
-
-def resolve_store_url(value: os.PathLike | str) -> str:
-    """Normalize a store location to an absolute ``sqlite://path`` URL.
-
-    The canonical form to hand to another process: it parses back to
-    the same path regardless of that process's CWD.
-    """
-    scheme, path = parse_store_url(value)
-    return f"{scheme}://{path}"
 
 
 @lru_cache(maxsize=1)
@@ -276,6 +229,10 @@ CREATE TABLE IF NOT EXISTS telemetry (
 );
 """
 
+#: How long a connection waits on another's lock before "database is
+#: locked".
+_BUSY_TIMEOUT_MS = 10_000
+
 _RUN_COLUMNS = ("hash, driver, n, f, seed, params, code_version, status,"
                 " row, error, elapsed, created, has_ledger, attempts")
 
@@ -316,7 +273,7 @@ def _migrate(connection: sqlite3.Connection) -> None:
 
 
 class RunStore:
-    """The run cache: open with a path or ``sqlite://`` URL; close when done.
+    """The run cache: open with a file path; close when done.
 
     Usable as a context manager::
 
@@ -336,10 +293,21 @@ class RunStore:
     * ``query`` orders by ``(created, hash)``; ``stats`` reports totals.
     * Readers in other threads and other processes see committed
       writes — concurrent readers are first-class.
+    * A location that is not a file path -- ``:memory:`` or anything
+      with ``://`` in it -- is a ``ValueError``, and nothing is created.
     """
 
     def __init__(self, path: os.PathLike | str = DEFAULT_STORE):
-        self.path = Path(parse_store_url(path)[1])
+        text = os.fspath(path)
+        if text == ":memory:" or "://" in text:
+            # Every thread opens its own connection, so an in-memory
+            # store would be one store per thread; and a URL taken as a
+            # path would create a directory named after its scheme.
+            raise ValueError(
+                f"run store {text!r} is not a file path; give the path "
+                "of a SQLite file (for analytics, dump it with "
+                "'python -m repro runs export')")
+        self.path = Path(os.path.abspath(text))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # One connection per thread, all tracked so close() tears the
         # store down deterministically: a sweep coordinator, a progress
@@ -376,14 +344,27 @@ class RunStore:
             # safety net rather than being disabled.
             check_same_thread=True,
         )
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute("PRAGMA synchronous=NORMAL")
-        connection.execute("PRAGMA foreign_keys=ON")
         # Concurrent-writer safety net: WAL readers never block, but a
         # reader opening its connection while the coordinator holds the
         # write lock briefly (schema setup, a put) should wait, not
         # fail with "database is locked".
-        connection.execute("PRAGMA busy_timeout=10000")
+        connection.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
+        # SQLite does not call the busy handler for the switch to WAL:
+        # a new file still in rollback mode, write-locked by another
+        # process's first transaction, fails it at once.  Wait as
+        # busy_timeout would.
+        deadline = time.monotonic() + _BUSY_TIMEOUT_MS / 1000
+        while True:
+            try:
+                connection.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as error:
+                if ("locked" not in str(error)
+                        or time.monotonic() > deadline):
+                    raise
+                time.sleep(0.01)
+        connection.execute("PRAGMA synchronous=NORMAL")
+        connection.execute("PRAGMA foreign_keys=ON")
         connection.executescript(_SCHEMA)
         _migrate(connection)
         connection.commit()

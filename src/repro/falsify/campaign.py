@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from repro.analysis.experiments import FAMILIES
 from repro.engine.store import RunStore, code_version
 from repro.falsify.monitors import InvariantViolation
 from repro.falsify.replay import (
@@ -55,9 +56,19 @@ HARNESS_PARAMS = ("scenario", "adversary", "rate", "watchdog_rounds")
 
 
 def falsify_inputs(n, f, seed, *, scenario, adversary, rate,
-                   watchdog_rounds, **_) -> tuple:
+                   watchdog_rounds, scenario_params=None, **_) -> tuple:
     """:func:`falsify_run_summary`'s crash adversary and monitors, built:
-    a bad param raises here, before any run."""
+    a bad param raises here, before any run.  A campaign's params reach
+    every scenario of its grid, so a scenario param need only be one
+    that ``run_scenario`` (``faults``) or some family reads."""
+    read = {"faults"}.union(*(family.params for family in FAMILIES.values()))
+    unknown = sorted(set(scenario_params or ()) - read)
+    if unknown:
+        raise TypeError(
+            f"falsify takes no param {', '.join(unknown)}; known: "
+            f"{', '.join([*HARNESS_PARAMS, *sorted(read)])}")
+    if rate is not None and type(rate) not in (int, float):
+        raise TypeError(f"falsify param rate={rate!r} is not a number")
     return (make_adversary(adversary, f, seed, rate=rate),
             monitors_for(resolve_scenario(scenario), n, f,
                          watchdog_rounds=watchdog_rounds))
@@ -85,7 +96,8 @@ def falsify_run_summary(
     """
     inner, monitors = falsify_inputs(n, f, seed, scenario=scenario,
                                      adversary=adversary, rate=rate,
-                                     watchdog_rounds=watchdog_rounds)
+                                     watchdog_rounds=watchdog_rounds,
+                                     scenario_params=scenario_params)
     recorder = RecordingAdversary(inner) if inner is not None else None
     row = {
         "scenario": scenario,
@@ -270,21 +282,19 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a campaign: probe the grid, shrink and verify every finding.
 
-    ``observer`` (a :class:`repro.obs.Observer`, optional) receives the
-    probe lifecycle as ``campaign.*`` events: one ``campaign.begin`` /
+    ``observer`` (a :class:`repro.obs.EventRecorder`, optional) receives
+    the probe lifecycle as ``campaign.*`` events: one ``campaign.begin`` /
     ``campaign.end`` pair, a ``campaign.batch`` per probe batch handed
     to the engine, and a ``campaign.finding`` plus a ``campaign.shrink``
     span per falsified configuration.
     """
     from repro.engine.pool import run_requests
 
-    obs = observer if (observer is not None
-                       and getattr(observer, "enabled", False)) else None
     requests = campaign_requests(config)
-    if obs is not None:
-        obs.emit("campaign.begin", probes=len(requests),
-                 scenarios=",".join(config.scenarios),
-                 adversaries=",".join(config.adversaries))
+    if observer is not None:
+        observer.emit("campaign.begin", probes=len(requests),
+                      scenarios=",".join(config.scenarios),
+                      adversaries=",".join(config.adversaries))
     batch_size = max(4 * max(config.jobs, 1), 8)
     started = clock()
     results: list = []
@@ -296,8 +306,8 @@ def run_campaign(
             skipped = len(requests) - cursor
             break
         batch = requests[cursor:cursor + batch_size]
-        if obs is not None:
-            obs.emit("campaign.batch", cursor=cursor, size=len(batch))
+        if observer is not None:
+            observer.emit("campaign.batch", cursor=cursor, size=len(batch))
         try:
             results.extend(run_requests(
                 batch, jobs=config.jobs, store=store, timeout=config.timeout,
@@ -317,15 +327,15 @@ def run_campaign(
         if not (result.ok and result.row and result.row.get("violation")):
             continue
         raw = artifact_from_row(result.row, result.request.params_dict())
-        if obs is not None:
-            obs.emit("campaign.finding", scenario=raw.scenario,
-                     invariant=raw.invariant, n=raw.n, seed=raw.seed)
+        if observer is not None:
+            observer.emit("campaign.finding", scenario=raw.scenario,
+                          invariant=raw.invariant, n=raw.n, seed=raw.seed)
         report: Optional[ShrinkReport] = None
         artifact = raw
         if config.shrink:
-            if obs is not None:
-                with obs.span("campaign.shrink", scenario=raw.scenario,
-                              seed=raw.seed):
+            if observer is not None:
+                with observer.span("campaign.shrink",
+                                   scenario=raw.scenario, seed=raw.seed):
                     report = shrink_artifact(
                         raw, max_executions=config.max_shrink_executions)
             else:
@@ -340,9 +350,10 @@ def run_campaign(
 
     failures = [result for result in results if not result.ok]
     cached = sum(1 for result in results if result.cached)
-    if obs is not None:
-        obs.emit("campaign.end", findings=len(findings),
-                 failures=len(failures), cached=cached, skipped=skipped)
+    if observer is not None:
+        observer.emit("campaign.end", findings=len(findings),
+                      failures=len(failures), cached=cached,
+                      skipped=skipped)
     return CampaignResult(
         findings=findings,
         results=results,

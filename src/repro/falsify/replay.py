@@ -71,10 +71,9 @@ class RecordingAdversary(CrashAdversary):
     inner adversary and forwards ``note_crashes`` so adaptive inner
     strategies keep seeing their own remaining budget.  What it writes
     down is the plan it is handed, through the rule the network applies
-    it with (:func:`~repro.adversary.base.kept_indices`: indices as
-    they are, a policy's kept ``Send`` objects identity first), so a
-    recorded index always names the instance the network delivered —
-    including when a victim proposed duplicate identical sends.
+    it with (:func:`~repro.adversary.base.kept_indices`), so a recorded
+    index always names the instance the network delivered — including
+    when a victim proposed duplicate identical sends.
     """
 
     def __init__(self, inner: CrashAdversary):

@@ -1,7 +1,8 @@
 """Zero-cost-when-off observability for executions and sweeps.
 
-Three pieces, all opt-in through an ``observer=`` parameter whose
-default (``None``) leaves every hot path untouched:
+Three pieces, all opt-in through an ``observer=`` parameter -- an
+:class:`~repro.obs.events.EventRecorder`, or ``None``, the default,
+which leaves every hot path untouched:
 
 * :mod:`repro.obs.events` — ring-buffered structured events with
   spans, the one event contract (the envelope schema and the
@@ -16,10 +17,7 @@ from repro.obs.events import (
     EVENT_FORMAT,
     EVENT_KINDS,
     EVENT_SCHEMA,
-    NULL_OBSERVER,
     EventRecorder,
-    Observer,
-    observing,
     read_jsonl,
     validate_event,
     validate_events,
@@ -36,10 +34,7 @@ __all__ = [
     "EVENT_FORMAT",
     "EVENT_KINDS",
     "EVENT_SCHEMA",
-    "NULL_OBSERVER",
     "EventRecorder",
-    "Observer",
-    "observing",
     "read_jsonl",
     "validate_event",
     "validate_events",

@@ -24,10 +24,10 @@ emitted as paired ``<kind>.begin`` / ``<kind>.end`` events sharing a
 Every kind the package emits is an entry of :data:`EVENT_KINDS`, with
 the ``data`` fields it requires; :func:`validate_events` checks both.
 
-The default observer everywhere in the engine is ``None`` — the no-op.
-Instrumented code guards every emission with a cheap
-:func:`observing` check, so the disabled path costs one attribute
-load per *round* (never per message), and the A/B tests in
+An observer is an :class:`EventRecorder` or ``None``, the default
+everywhere in the engine.  Instrumented code guards every emission with
+``observer is not None`` (the network reads it once, at construction),
+so the detached path costs nothing per message, and the A/B tests in
 ``tests/test_obs_ab.py`` prove counted results are byte-identical with
 observability detached.
 """
@@ -183,37 +183,6 @@ def validate_event(event: object) -> list[str]:
     return problems
 
 
-def observing(observer: Optional["Observer"]) -> bool:
-    """True when ``observer`` wants events.  The single guard every
-    instrumented call site uses; ``None`` (the default everywhere) and
-    a disabled observer both short-circuit to False."""
-    return observer is not None and observer.enabled
-
-
-class Observer:
-    """No-op base observer; the contract every recorder implements.
-
-    ``enabled`` gates event emission; ``profiler`` (optional, may stay
-    ``None``) is a :class:`repro.obs.profile.PhaseProfiler` that the
-    network fills with per-phase wall times when attached.
-    """
-
-    enabled = False
-    profiler = None
-
-    def emit(self, kind: str, *, round_no: Optional[int] = None,
-             node: Optional[int] = None, **data) -> None:
-        """Record one event.  The base class drops it."""
-
-    def span(self, kind: str, **data) -> "_Span":
-        """Context manager emitting ``<kind>.begin`` / ``<kind>.end``."""
-        return _Span(self, kind, data)
-
-
-#: Shared do-nothing observer for call sites that want a non-None value.
-NULL_OBSERVER = Observer()
-
-
 class _Span:
     """Paired begin/end events around a block, with measured wall time."""
 
@@ -221,7 +190,7 @@ class _Span:
 
     _next_id = 0
 
-    def __init__(self, observer: Observer, kind: str, data: dict):
+    def __init__(self, observer: "EventRecorder", kind: str, data: dict):
         self.observer = observer
         self.kind = kind
         self.data = data
@@ -230,22 +199,20 @@ class _Span:
         _Span._next_id += 1
         self.span_id = _Span._next_id
         self.started = time.perf_counter()
-        if self.observer.enabled:
-            self.observer.emit(f"{self.kind}.begin", span=self.span_id,
-                               **self.data)
+        self.observer.emit(f"{self.kind}.begin", span=self.span_id,
+                           **self.data)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self.observer.enabled:
-            self.observer.emit(
-                f"{self.kind}.end", span=self.span_id,
-                wall_s=round(time.perf_counter() - self.started, 6),
-                ok=exc_type is None, **self.data,
-            )
+        self.observer.emit(
+            f"{self.kind}.end", span=self.span_id,
+            wall_s=round(time.perf_counter() - self.started, 6),
+            ok=exc_type is None, **self.data,
+        )
 
 
-class EventRecorder(Observer):
-    """Ring-buffered event collector.
+class EventRecorder:
+    """Ring-buffered event collector: the observer.
 
     Parameters
     ----------
@@ -255,10 +222,9 @@ class EventRecorder(Observer):
     profile:
         When true, attaches a fresh
         :class:`~repro.obs.profile.PhaseProfiler` as ``.profiler`` so
-        the network also collects per-phase wall times.
+        the network also collects per-phase wall times; otherwise
+        ``.profiler`` is ``None``.
     """
-
-    enabled = True
 
     def __init__(self, capacity: Optional[int] = 65536, *,
                  profile: bool = False):
@@ -294,6 +260,10 @@ class EventRecorder(Observer):
                 and len(self._events) == self._events.maxlen):
             self.dropped += 1
         self._events.append(event)
+
+    def span(self, kind: str, **data) -> _Span:
+        """Context manager emitting ``<kind>.begin`` / ``<kind>.end``."""
+        return _Span(self, kind, data)
 
     # -- queries ------------------------------------------------------
 

@@ -343,7 +343,6 @@ def execute_profile(
     *,
     shard_faults: Optional[Mapping[int, object]] = None,
     shard_fault_windows: Optional[Mapping[int, tuple]] = None,
-    adversary_factory=None,
     resilience: ResilienceSpec = None,
     config=None,
     observer=None,
@@ -368,7 +367,6 @@ def execute_profile(
             config=config,
             shard_faults=shard_faults,
             shard_fault_windows=shard_fault_windows,
-            adversary_factory=adversary_factory,
             resilience=resilience,
             observer=observer,
         )

@@ -68,11 +68,10 @@ import asyncio
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.crash_renaming import CrashRenamingConfig
 from repro.faults.spec import FaultSpec
-from repro.obs.events import observing
 from repro.serve.batching import (
     CLOSE_DRAIN,
     CLOSE_TIMEOUT,
@@ -238,8 +237,7 @@ class RenamingService:
     spec injected into that shard's every epoch; ``shard_fault_windows``
     bounds a shard's injection to a ``(start, stop)`` window of
     protocol execution attempts (1-based, half-open) — a transient
-    outage.  ``adversary_factory`` builds a per-``(shard, epoch)``
-    crash adversary.  ``resilience`` (a
+    outage.  ``resilience`` (a
     :class:`~repro.serve.resilience.ResiliencePolicy`, a JSON spec, or
     a mapping) enables deadlines / retries / circuit breaking; ``None``
     keeps the fail-the-batch behaviour.
@@ -256,7 +254,6 @@ class RenamingService:
         config: Optional[CrashRenamingConfig] = None,
         shard_faults: Optional[Mapping[int, FaultSpec]] = None,
         shard_fault_windows: Optional[Mapping[int, tuple[int, int]]] = None,
-        adversary_factory: Optional[Callable[[int, int], object]] = None,
         resilience: ResilienceSpec = None,
         observer: Optional[object] = None,
         executor: Optional[ThreadPoolExecutor] = None,
@@ -295,7 +292,6 @@ class RenamingService:
                     index, shards, namespace=namespace, seed=seed,
                     config=config, fault_spec=faults.get(index),
                     fault_window=windows.get(index),
-                    adversary_factory=adversary_factory,
                 ),
                 self.policy,
                 self._policy,
@@ -810,5 +806,5 @@ class RenamingService:
     # -- events ---------------------------------------------------------
 
     def _emit(self, event_kind: str, **data) -> None:
-        if observing(self.observer):
+        if self.observer is not None:
             self.observer.emit(event_kind, **data)

@@ -25,7 +25,7 @@ the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.apps.overlay_directory import EpochReport, OverlayDirectory
 from repro.core.crash_renaming import CrashRenamingConfig
@@ -176,8 +176,7 @@ class Shard:
     Wraps an :class:`OverlayDirectory` seeded independently per shard.
     ``fault_spec`` (a :mod:`repro.faults.spec` spec) rebuilds a fresh
     seeded fault model for every epoch, so injected faults replay
-    bit-exactly; ``adversary_factory(shard, epoch)`` does the same for
-    crash adversaries.
+    bit-exactly.
 
     ``fault_window`` bounds the injection to a half-open interval of
     *protocol execution attempts* ``[start, stop)``, 1-based — the
@@ -198,14 +197,12 @@ class Shard:
         config: Optional[CrashRenamingConfig] = None,
         fault_spec: FaultSpec = None,
         fault_window: Optional[tuple[int, int]] = None,
-        adversary_factory: Optional[Callable[[int, int], object]] = None,
     ):
         self.index = index
         self.shards = shards
         self.seed = shard_seed(seed, index)
         self.fault_spec = normalize_spec(fault_spec)
         self.fault_window = _check_window(fault_window)
-        self.adversary_factory = adversary_factory
         self.directory = OverlayDirectory(
             namespace, config=config, seed=self.seed,
         )
@@ -280,23 +277,18 @@ class Shard:
         self.attempts += 1
         self.last_fault_issued = {}
         tap: Optional[FaultTap] = None
-        adversary = None
         running = len(directory.participants())
-        if running > 1:
-            if self.fault_spec and self._faults_active(self.attempts):
-                if salt:
-                    fault_seed = hash((self.seed, epoch, salt)) & 0x7FFFFFFF
-                else:
-                    fault_seed = hash((self.seed, epoch)) & 0x7FFFFFFF
-                tap = FaultTap(build_fault_model(
-                    self.fault_spec, running, seed=fault_seed,
-                ))
-            if self.adversary_factory is not None:
-                adversary = self.adversary_factory(self.index, epoch)
+        if (running > 1 and self.fault_spec
+                and self._faults_active(self.attempts)):
+            if salt:
+                fault_seed = hash((self.seed, epoch, salt)) & 0x7FFFFFFF
+            else:
+                fault_seed = hash((self.seed, epoch)) & 0x7FFFFFFF
+            tap = FaultTap(build_fault_model(
+                self.fault_spec, running, seed=fault_seed,
+            ))
         try:
-            report = directory.run_epoch(
-                adversary, fault_model=tap, seed_salt=salt,
-            )
+            report = directory.run_epoch(fault_model=tap, seed_salt=salt)
         except Exception:
             # run_epoch installs atomically, so only the join/leave
             # delta needs undoing.

@@ -319,9 +319,8 @@ class Fanout:
     simulate.  The ``Send`` list is materialized (and cached) only when
     someone indexes or iterates the sequence -- in practice, a crash
     adversary or fault model inspecting a sender's in-flight messages;
-    ``len()`` is free.  Caching matters for correctness, not just
-    speed: a policy's crash plan may name kept sends by object identity,
-    so repeated access must yield the *same* ``Send`` instances.  A
+    ``len()`` is free, and ``_sends`` stays ``None`` until then, which
+    is how the tests see that no crash round built a ``Send``.  A
     subclass sets every slot in its one ``__init__`` -- ``targets`` a
     ``range`` or a tuple snapshot, ``_sends`` ``None`` -- with no
     ``super()`` chain (a protocol builds one fan-out per node and round),

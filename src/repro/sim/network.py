@@ -125,7 +125,7 @@ class SyncNetwork:
         signals a falsified invariant by raising.  The default ``()``
         costs nothing.
     observer:
-        Optional :class:`repro.obs.events.Observer`.  When enabled,
+        Optional :class:`repro.obs.events.EventRecorder`.  When given,
         :meth:`step` emits structured events (round begin/end, the
         end counting the nodes that terminated, crash-plan application,
         delivery fan-out, link faults, a Byzantine program's own fault,
@@ -169,11 +169,9 @@ class SyncNetwork:
         self.max_rounds = max_rounds
         self.monitors = tuple(monitors)
         self.observer = observer
-        self.profiler = (getattr(observer, "profiler", None)
-                         if observer is not None else None)
-        # Guards every obs.emit(); `enabled` is fixed per observer class.
-        self._emitting = (observer is not None
-                          and getattr(observer, "enabled", False))
+        self.profiler = observer.profiler if observer is not None else None
+        # Guards every obs.emit(), read once per round.
+        self._emitting = observer is not None
         self.fault_model = fault_model
         self.fault_stats = FaultStats() if fault_model is not None else None
         # (to, envelope) pairs a `hold` verdict deferred, by release round.
@@ -330,11 +328,10 @@ class SyncNetwork:
 
         A victim's kept part is named by *position* in its proposed
         fan-out (:func:`~repro.adversary.base.kept_indices`, the rule
-        the falsification recorder shares: indices pass through checked,
-        a policy's ``Send`` objects are matched identity first) and is
-        delivered, in the plan's order, *as a fan-out*: a ``Multicast``
-        over the kept targets, a ``Scatter`` over the kept pairs, a list
-        of the kept sends of a list.  No ``Send`` is built for a victim,
+        the falsification recorder shares) and is delivered, in the
+        plan's order, *as a fan-out*: a ``Multicast`` over the kept
+        targets, a ``Scatter`` over the kept pairs, a list of the kept
+        sends of a list.  No ``Send`` is built for a victim,
         and the instance delivered is always the proposed instance the
         recorded index names, even when a victim proposed duplicate
         identical sends.
@@ -744,8 +741,7 @@ class SyncNetwork:
         record_send = self.metrics.record_send
         resolve = self.authenticator.resolve
         get_verdict = verdicts.get
-        for index in range(len(sends)):
-            send = sends[index]
+        for index, send in enumerate(sends):
             message = send.message
             to = send.to
             record_send(sender, message, byzantine=byz)

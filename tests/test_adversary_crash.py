@@ -4,11 +4,7 @@ from random import Random
 
 import pytest
 
-from repro.adversary.base import (
-    CrashAdversary,
-    NoCrashes,
-    kept_send_indices,
-)
+from repro.adversary.base import CrashAdversary, NoCrashes
 from repro.adversary.crash import (
     BudgetedAdaptiveCrash,
     CommitteeHunter,
@@ -177,7 +173,8 @@ class TestBudgetedAdaptiveCrash:
 
 class _FanoutSlicer(CrashAdversary):
     """Crashes the first node whose proposal is a lazy fan-out of type
-    ``fanout`` mid-send, keeping every other send (a strict subset)."""
+    ``fanout`` mid-send, keeping every other position (a strict
+    subset)."""
 
     def __init__(self, fanout=Broadcast):
         super().__init__(budget=1)
@@ -190,7 +187,7 @@ class _FanoutSlicer(CrashAdversary):
         for victim in sorted(alive):
             sends = proposed.get(victim)
             if type(sends) is self.fanout and len(sends) >= 4:
-                kept = [sends[i] for i in range(0, len(sends), 2)]
+                kept = list(range(0, len(sends), 2))
                 self.captured = (round_no, victim, sends, kept)
                 self.proposed = dict(proposed)
                 return {victim: kept}
@@ -200,13 +197,12 @@ class _FanoutSlicer(CrashAdversary):
 class TestBroadcastMidSendCrash:
     """Regression: ``plan_round`` receives lazy ``Broadcast`` sequences
     (not lists) for broadcasting nodes; a mid-send crash keeping a
-    strict subset must resolve identity-stably and replay exactly."""
+    strict subset must record by position and replay exactly."""
 
     def test_broadcast_materialization_is_identity_stable(self):
         bc = Broadcast(6, Ping(0))
         assert bc[2] is bc[2]  # cached; repeated access → same instance
-        kept = [bc[1], bc[4]]
-        assert kept_send_indices(kept, bc) == (1, 4)
+        assert list(bc.kept((1, 4))) == [bc[1], bc[4]]
 
     def test_mid_send_crash_of_broadcaster_records_and_replays(self):
         from repro.core.crash_renaming import run_crash_renaming
@@ -220,7 +216,7 @@ class TestBroadcastMidSendCrash:
         )
 
         # The victim really was broadcasting and really kept a strict
-        # subset, resolved against the Broadcast by identity.
+        # subset, recorded as its positions in the Broadcast.
         assert slicer.captured is not None
         round_no, victim, sends, kept = slicer.captured
         assert isinstance(sends, Broadcast)
@@ -251,8 +247,8 @@ class TestBroadcastMidSendCrash:
 
 def _assert_sliced_fanout_records_and_replays(fanout):
     """Crash renaming's first victim proposing a lazy ``fanout`` is cut
-    mid-send to every other send: resolved by identity, recorded by
-    index, and strictly replayed to the same golden digest."""
+    mid-send to every other send: recorded by index and strictly
+    replayed to the same golden digest."""
     from repro.core.crash_renaming import run_crash_renaming
     from repro.falsify.replay import RecordingAdversary, ReplayAdversary
     from tests.test_golden_digests import digest
@@ -266,7 +262,6 @@ def _assert_sliced_fanout_records_and_replays(fanout):
     round_no, victim, sends, kept = slicer.captured
     assert type(sends) is fanout
     assert 0 < len(kept) < len(sends)
-    assert all(k is sends[i] for k, i in zip(kept, range(0, len(sends), 2)))
     assert recorder.schedule == {
         round_no: {victim: tuple(range(0, len(sends), 2))}}
     assert first.crashed == {victim}
@@ -293,8 +288,8 @@ class TestMulticastMidSendCrash:
     def test_multicast_materialization_is_identity_stable(self):
         fanout = Multicast([4, 1, 4, 0], Ping(0))
         assert fanout[2] is fanout[2]
-        # Equal sends to the duplicated link resolve by identity.
-        assert kept_send_indices([fanout[2], fanout[3]], fanout) == (2, 3)
+        # Equal sends to the duplicated link are kept by position.
+        assert list(fanout.kept((2, 3))) == [fanout[2], fanout[3]]
 
     def test_mid_send_crash_of_multicaster_records_and_replays(self):
         _assert_sliced_fanout_records_and_replays(Multicast)
@@ -309,8 +304,8 @@ class TestScatterMidSendCrash:
         assert fanout[2] is fanout[2]
         assert list(fanout) == [Send(4, Ping(7)), Send(1, Ping(8)),
                                 Send(4, Ping(7))]
-        # Equal sends over the repeated link resolve by identity.
-        assert kept_send_indices([fanout[2], fanout[0]], fanout) == (2, 0)
+        # Equal sends over the repeated link are kept by position.
+        assert list(fanout.kept((2, 0))) == [fanout[2], fanout[0]]
 
     def test_mid_send_crash_of_scatterer_records_and_replays(self):
         _assert_sliced_fanout_records_and_replays(Scatter)
@@ -342,8 +337,8 @@ class TestScatterMidSendCrash:
             # files it once; a plan names a victim's kept part by
             # position, so the victim's cut is its own.
             assert proposed is sends
-        assert all(k is sends[i]
-                   for k, i in zip(kept, range(0, len(sends), 2)))
+        assert recorder.schedule == {
+            round_no: {victim: tuple(range(0, len(sends), 2))}}
 
         # Charged: the victim's named subset, everybody else in full.
         assert first.metrics.messages_per_round[round_no - 1] == (
@@ -356,7 +351,8 @@ class TestScatterMidSendCrash:
                    if event["round"] == round_no]
         assert fanout["envelopes"] == sum(
             send.to != victim
-            for proposed in [*others.values(), kept] for send in proposed)
+            for proposed in [*others.values(), [sends[i] for i in kept]]
+            for send in proposed)
         survivors = first.outputs_by_uid()
         assert len(set(survivors.values())) == len(survivors) == len(uids) - 1
 

@@ -71,22 +71,24 @@ class TestParser:
 #: Command path -> the first 16 hex digits of the sha256 of its
 #: ``--help`` text at 80 columns, whitespace runs collapsed.  Recorded
 #: before the eight ``--store`` declarations became one helper; the
-#: top-level entry re-recorded when the work-queue command left the list.
+#: top-level entry re-recorded when the work-queue command left the list,
+#: and every entry with ``--store`` (and the top level's example) when
+#: a store location became a file path only.
 HELP_DIGESTS = {
-    "": "870f6ec5366cdf0b",
+    "": "33c4f39c38f3d957",
     "crash": "5c37620ade40bb6c",
     "byzantine": "7103b30e0cfa19aa",
     "table1": "1532c9d461fe9013",
     "lowerbound": "4bad012012c1f215",
-    "sweep": "527d885a68295107",
-    "falsify": "353e3cea44d7fd7c",
+    "sweep": "bcb5c73fab3cc0dc",
+    "falsify": "84a64edbc19bcc60",
     "faults": "5804dc7270ed9d92",
     "obs": "47c45e35fe664507",
     "obs tail": "80f6c7611a72de62",
     "obs profile": "9cefdf76530c0ce1",
-    "obs report": "ab68e67d14ea768c",
-    "runs": "174c7ef8b80d87ab",
-    "runs export": "82fa8db1b5eedb76",
+    "obs report": "2576524f15ff1eb4",
+    "runs": "a15f9ea7222745a7",
+    "runs export": "042451f77f0932e0",
 }
 
 
@@ -218,6 +220,10 @@ def run_cli(argv: list[str], capsys) -> tuple[int, str]:
 
 SCENARIOS = ("balls, crash, crash-dup, gossip, gossip-dup, gossip-faults, "
              "obg, planted-duplicate")
+#: What the falsify driver reads: its own params, then every scenario's.
+FALSIFY_PARAMS = ("scenario, adversary, rate, watchdog_rounds, "
+                  "assumed_faults, consensus_iterations, early_stopping, "
+                  "election_constant, f_assumed, faults, slots")
 
 
 class TestBadInput:
@@ -326,6 +332,15 @@ class TestBadInput:
         (["sweep", "--no-store", "--driver", "falsify", "--n", "8", "--f",
           "0", "--seeds", "1", "--param", "scenario=nope"], 1,
          f"unknown scenario 'nope'; known: {SCENARIOS}"),
+        (["sweep", "--no-store", "--driver", "falsify", "--n", "8", "--f",
+          "1", "--seeds", "1", "--param", "bogus=1"], 1,
+         f"falsify takes no param bogus; known: {FALSIFY_PARAMS}"),
+        (["falsify", "--no-store", "--n", "8", "--seeds", "0", "--param",
+          "bogus=1"], 1,
+         f"falsify takes no param bogus; known: {FALSIFY_PARAMS}"),
+        (["sweep", "--no-store", "--driver", "falsify", "--n", "8", "--f",
+          "1", "--seeds", "1", "--param", "rate=abc"], 1,
+         "falsify param rate='abc' is not a number"),
     ]
 
     @pytest.mark.parametrize("argv, code, line", BAD,
@@ -457,51 +472,57 @@ class TestCommands:
 
 
 class TestStoreLocation:
-    @pytest.mark.parametrize("command", [
-        ["sweep", "--driver", "crash", "--n", "8", "--seeds", "0",
-         "--store", "duckdb://x.duckdb"],
-        ["runs", "--store", "postgres://x"],
-        ["falsify", "--store", "duckdb://x.duckdb"],
-        ["obs", "report", "--store", "postgres://x"],
-        ["runs", "export", "--store", "postgres://x"],
-    ], ids=["sweep-duckdb", "runs-postgres", "falsify-duckdb",
+    @pytest.mark.parametrize("command, environ", [
+        (["sweep", "--driver", "crash", "--n", "8", "--seeds", "0",
+          "--store", "duckdb://x.duckdb"], {}),
+        (["sweep", "--driver", "crash", "--n", "8", "--seeds", "0",
+          "--store", "sqlite://x.sqlite"], {}),
+        (["runs", "--store", "postgres://x"], {}),
+        (["runs", "--store", ":memory:"], {}),
+        (["runs"], {"REPRO_STORE": "duckdb://x"}),
+        (["falsify", "--store", "duckdb://x.duckdb"], {}),
+        (["obs", "report", "--store", "postgres://x"], {}),
+        (["runs", "export", "--store", "postgres://x"], {}),
+    ], ids=["sweep-duckdb", "sweep-sqlite-url", "runs-postgres",
+            "runs-memory", "runs-env-duckdb", "falsify-duckdb",
             "obs-report-postgres", "runs-export-postgres"])
-    def test_unknown_scheme_is_one_line_no_traceback(self, command, tmp_path):
+    def test_not_a_file_path_is_one_line_no_traceback(
+            self, command, environ, tmp_path):
         done = subprocess.run(
             [sys.executable, "-m", "repro", *command], cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
+            env={**os.environ, "PYTHONPATH": str(SRC), **environ},
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 1
         assert done.stdout == ""
         (line,) = done.stderr.splitlines()
         prog = " ".join(word for word in command[:2] if word[0] != "-")
-        assert line.startswith(
-            f"python -m repro {prog}: error: unknown run-store scheme ")
+        assert line.startswith(f"python -m repro {prog}: error: run store ")
+        assert "is not a file path" in line
         assert list(tmp_path.iterdir()) == []
 
 
 def _two_run_store(tmp_path) -> str:
-    url = f"sqlite://{tmp_path}/runs.sqlite"
-    with RunStore(url) as store:
+    path = str(tmp_path / "runs.sqlite")
+    with RunStore(path) as store:
         store.put("a" * 64, driver="crash", n=8, f=1, seed=0, params={},
                   version="v1", status="ok",
                   row={"rounds": 3, "messages": 40, "bits": 320})
         store.put("b" * 64, driver="gossip", n=8, f=1, seed=1, params={},
                   version="v1", status="failed", error="boom")
-    return url
+    return path
 
 
 class TestRunsListing:
     @pytest.mark.parametrize("fmt", ["plain", "md", "json"])
     def test_format_renders_the_listing(self, fmt, tmp_path, capsys):
-        url = _two_run_store(tmp_path)
-        assert main(["runs", "--store", url, "--format", "json"]) == 0
+        path = _two_run_store(tmp_path)
+        assert main(["runs", "--store", path, "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert [(row["hash"], row["driver"], row["status"], row["messages"])
                 for row in rows] == [("a" * 10, "crash", "ok", 40),
                                      ("b" * 10, "gossip", "failed", None)]
 
-        assert main(["runs", "--store", url, "--format", fmt]) == 0
+        assert main(["runs", "--store", path, "--format", fmt]) == 0
         out, err = capsys.readouterr()
         render = {"plain": plain_table, "md": markdown_table,
                   "json": lambda rows: json.dumps(rows, indent=2)}[fmt]

@@ -11,10 +11,10 @@ over the three shapes a victim's proposal takes: a lazy ``Broadcast`` /
 duplicate identical sends.
 
 The rest is the contract around the plan value: the network validates
-indices atomically, delivers the kept part as a fan-out in the plan's
-order, and still accepts ``Send`` lists from a programmable policy --
-through the one resolution function (``repro.adversary.base.
-kept_indices``) the recorder and the tests' ``ReferenceNetwork`` share.
+indices atomically -- anything but an ``int`` included -- and delivers
+the kept part as a fan-out in the plan's order, through the one
+resolution function (``repro.adversary.base.kept_indices``) the
+recorder and the tests' ``ReferenceNetwork`` share.
 """
 
 import hashlib
@@ -357,7 +357,14 @@ class TestIndexPlansAreValidatedAtomically:
         self.run_rejected({0: [0], 1: [1]}, "budget", budget=1)
 
     def test_neither_an_index_nor_a_send(self):
-        self.run_rejected({0: [0, "x"]}, "never proposed")
+        self.run_rejected({0: [0, "x"]}, "victim 0.*not a send index")
+        self.run_rejected({1: [Send(0, Ping(1))]},
+                          "victim 1.*not a send index")
+
+    @pytest.mark.parametrize("value", [True, 1.0, None, "1"],
+                             ids=["bool", "float", "none", "str"])
+    def test_a_kept_value_that_is_not_an_int(self, value):
+        self.run_rejected({1: [0, value]}, "victim 1.*not a send index")
 
     def test_kept_indices_itself(self):
         proposed = Broadcast(4, Ping(0))
@@ -370,58 +377,14 @@ class TestIndexPlansAreValidatedAtomically:
                 kept_indices(bad, proposed)
 
 
-class TestPoliciesMayStillKeepSends:
-    def _policy_run(self, keep):
-        def policy(round_no, proposed, alive, remaining):
-            if round_no == 1 and 1 in alive:
-                return {1: keep(proposed[1])}
-            return {}
-
-        recorder = RecordingAdversary(BudgetedAdaptiveCrash(1, policy))
-        result = run_network([_DupLister(uid + 1) for uid in range(4)],
-                             CostModel(n=4, namespace=64),
-                             crash_adversary=recorder, seed=0)
-        return recorder.schedule, result
-
-    def test_by_identity_then_by_equality(self):
-        by_identity, first = self._policy_run(
-            lambda sends: [sends[1], sends[4]])
-        assert by_identity == {1: {1: (1, 4)}}
-        # A fresh-but-equal send names the first unused equal position.
-        by_equality, second = self._policy_run(
-            lambda sends: [Send(0, Ping(0)), Send(0, Ping(0))])
-        assert by_equality == {1: {1: (0, 1)}}
-        by_index, third = self._policy_run(lambda sends: (1, 4))
-        assert by_index == by_identity
-        assert engine_observables(third) == engine_observables(first)
-        assert (first.metrics.messages_per_round[0]
-                == second.metrics.messages_per_round[0] == 3 * 7 + 2)
-
-    def test_sends_kept_from_a_lazy_fanout(self):
-        def policy(round_no, proposed, alive, remaining):
-            if round_no == 1:
-                return {0: [proposed[0][2], proposed[0][0]]}
-            return {}
-
-        recorder = RecordingAdversary(BudgetedAdaptiveCrash(1, policy))
-        processes = [_Announcer(uid + 1) for uid in range(4)]
-        run_network(processes, cost_for(4), crash_adversary=recorder)
-        assert recorder.schedule == {1: {0: (2, 0)}}
-        assert [0 in process.heard for process in processes[1:]] == [
-            False, True, False]
-
-
 class TestReferenceNetworkResolvesTheSameWay:
-    """Both plan shapes, through ``kept_indices``, on the oracle."""
+    """An index plan, through ``kept_indices``, on the oracle."""
 
-    @pytest.mark.parametrize("keep", [
-        lambda sends: (4, 1), lambda sends: [sends[4], sends[1]],
-    ], ids=["indices", "sends"])
-    def test_both_plan_shapes(self, keep):
+    def test_an_index_plan(self):
         def adversary():
             return BudgetedAdaptiveCrash(
                 1, lambda round_no, proposed, alive, remaining:
-                {2: keep(proposed[2])} if round_no == 2 else {})
+                {2: (4, 1)} if round_no == 2 else {})
 
         def processes():
             return [_DupLister(uid + 1) for uid in range(5)]
@@ -447,6 +410,14 @@ class TestReferenceNetworkResolvesTheSameWay:
         engine = run_network(processes(), cost, seed=7,
                              crash_adversary=STRATEGIES[strategy]())
         assert reference_observables(oracle) == engine_observables(engine)
+
+    def test_a_send_plan_is_rejected_there_too(self):
+        oracle = ReferenceNetwork(
+            [Chatter(uid=i + 1) for i in range(3)], cost_for(3),
+            crash_adversary=PlanScript(1, {0: [Send(0, Ping(0))]}))
+        with pytest.raises(CrashPlanError, match="not a send index"):
+            oracle.run()
+        assert oracle.crashed == set()
 
     def test_an_invalid_index_plan_is_rejected_there_too(self):
         oracle = ReferenceNetwork(

@@ -89,7 +89,7 @@ class TestAdaptiveWorstCase:
             busiest = max(proposed, key=lambda v: (len(proposed[v]), v))
             if not proposed[busiest]:
                 return {}
-            return {busiest: list(proposed[busiest])[:keep]}
+            return {busiest: range(min(keep, len(proposed[busiest])))}
 
         adversary = BudgetedAdaptiveCrash(n - 2, policy)
         result = run_crash_renaming(

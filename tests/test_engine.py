@@ -78,6 +78,14 @@ class TestRequests:
         with pytest.raises(ValueError, match="f=-1 must be non-negative"):
             check_driver_params(name, 8, -1, {})
 
+    @pytest.mark.parametrize("param", [
+        ("rate", 0.5), ("faults", "[]"), ("slots", 16),
+        ("election_constant", 2.0)], ids=lambda param: param[0])
+    def test_falsify_takes_the_params_its_grid_reads(self, param):
+        """A campaign's params reach every scenario of its grid: a
+        harness param, the fault spec and any family's param pass."""
+        assert check_driver_params("falsify", 8, 1, dict([param])) is None
+
     def test_table1_requests_cover_all_families(self):
         requests = table1_requests(10, 1, seed=1)
         assert [r.driver for r in requests] == [

@@ -5,16 +5,15 @@ oracle for ``SyncNetwork.step``: it re-derives the alive sets by
 scanning all ``n`` nodes every round, charges every send individually
 with a fresh ``bit_size`` computation, allocates inboxes for every
 link, builds one ``Envelope`` per delivered message, resolves a crash
-plan -- kept indices or kept ``Send`` objects -- through the one rule
-the engine uses (``kept_indices``) and delivers the kept sends one by
-one, and applies link-fault verdicts send by send.  The A/B tests run identical protocols (same processes, seeds,
+plan's kept indices through the one rule the engine uses
+(``kept_indices``) and delivers the kept sends one by one, and applies link-fault verdicts send by send.  The A/B tests run identical protocols (same processes, seeds,
 adversary and fault configurations) through both executors and require
 byte-identical ``Metrics.summary()`` dicts, per-round ledgers, per-node
 and per-type send counts, node outputs and ``FaultStats``.
 
-The duplicate-send regression pins the crash-plan fix: kept sends are
-resolved to *indices* by object identity end to end, so keeping the
-second of two equal sends records index 1 and replays exactly.
+The duplicate-send regression pins the crash-plan contract: a plan names
+kept sends by *position* end to end, so keeping the second of two equal
+sends records index 1 and replays exactly.
 
 The engine charges and files a fan-out *object* once per round, however
 many senders yield it; ``TestSharedFanoutsAgainstTheOracle`` holds that
@@ -29,12 +28,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.adversary.base import (
-    CrashAdversary,
-    CrashPlanError,
-    kept_indices,
-    kept_send_indices,
-)
+from repro.adversary.base import CrashAdversary, kept_indices
 from repro.adversary.crash import (
     BudgetedAdaptiveCrash,
     CommitteeHunter,
@@ -478,12 +472,12 @@ class _DupSender(Process):
 
 
 class TestDuplicateSendCrashPlan:
-    """Kept sends resolve to indices by identity, end to end."""
+    """A kept send is named by its position, end to end."""
 
     def _run_recorded(self, keep_position):
         def policy(round_no, proposed, alive, remaining):
             if round_no == 1 and 1 in alive:
-                return {1: [proposed[1][keep_position]]}
+                return {1: [keep_position]}
             return {}
 
         adversary = RecordingAdversary(BudgetedAdaptiveCrash(1, policy))
@@ -495,8 +489,7 @@ class TestDuplicateSendCrashPlan:
     @pytest.mark.parametrize("keep_position", [0, 1])
     def test_recorded_index_matches_kept_instance(self, keep_position):
         schedule, result = self._run_recorded(keep_position)
-        # Equality matching cannot tell the two sends apart and always
-        # recorded index 0; identity matching records the true position.
+        # The two sends are equal; the position tells them apart.
         assert schedule == {1: {1: (keep_position,)}}
         # Node 0's two sends plus the victim's single kept send.
         assert result.metrics.messages_per_round[0] == 3
@@ -511,31 +504,6 @@ class TestDuplicateSendCrashPlan:
         assert replayed.metrics.summary() == recorded.metrics.summary()
         assert replayed.results == recorded.results
         assert replayed.crashed == recorded.crashed
-
-
-class TestKeptSendIndices:
-    def test_identity_match_beats_equality(self):
-        first, second = _EqualTag(), _EqualTag()
-        proposed = [Send(0, first), Send(0, second)]
-        assert proposed[0] == proposed[1]
-        assert kept_send_indices([proposed[1]], proposed) == (1,)
-        assert kept_send_indices([proposed[0]], proposed) == (0,)
-        assert kept_send_indices([proposed[1], proposed[0]], proposed) == (1, 0)
-
-    def test_equality_fallback_for_fresh_objects(self):
-        proposed = [Send(0, _EqualTag()), Send(1, _EqualTag())]
-        fresh = Send(1, _EqualTag())
-        assert kept_send_indices([fresh], proposed) == (1,)
-
-    def test_unmatched_send_raises(self):
-        proposed = [Send(0, _EqualTag())]
-        with pytest.raises(CrashPlanError, match="never proposed"):
-            kept_send_indices([Send(3, _EqualTag())], proposed)
-
-    def test_duplicate_identical_objects_consume_positions(self):
-        send = Send(0, _EqualTag())
-        proposed = [send, send]
-        assert kept_send_indices([send, send], proposed) == (0, 1)
 
 
 class TestBroadcastSequence:

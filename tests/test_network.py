@@ -144,11 +144,11 @@ class TestCrashSemantics:
     def test_forged_kept_message_detected(self):
         def forger(round_no, proposed, alive, remaining):
             if round_no == 1:
-                return {0: [Send(to=0, message=Ping(payload=999))]}
+                return {0: [0, 999]}
             return {}
 
         adversary = BudgetedAdaptiveCrash(1, forger)
-        with pytest.raises(CrashPlanError, match="never proposed"):
+        with pytest.raises(CrashPlanError, match="victim 0.*outside"):
             run_network(
                 [Chatter(uid=1), Chatter(uid=2)], cost_for(2),
                 crash_adversary=adversary,
@@ -393,15 +393,14 @@ class TestCrashPlanRejectionIsAtomic:
         self.run_rejected(PlanScript(1, {0: [], 1: []}), "budget")
 
     def test_kept_message_never_proposed(self):
-        bogus = [Send(to=0, message=Ping(payload=777))]
-        self.run_rejected(PlanScript(2, {0: bogus}), "never proposed")
+        self.run_rejected(PlanScript(2, {0: [777]}), "victim 0.*outside")
 
     def test_valid_victim_does_not_leak_through_invalid_plan(self):
         # Victim 0's entry is valid on its own; victim 1 keeps a message
         # it never proposed.  The whole plan must be rejected with no
         # partial mutation -- node 0 stays alive.
-        bogus = [Send(to=0, message=Ping(payload=777))]
-        self.run_rejected(PlanScript(2, {0: [], 1: bogus}), "never proposed")
+        self.run_rejected(PlanScript(2, {0: [], 1: [777]}),
+                          "victim 1.*outside")
 
     def test_re_crash_rejected_without_mutation(self):
         def twice(round_no, proposed, alive, remaining):

@@ -15,12 +15,9 @@ from repro.faults.base import FaultModel, corrupt, drop, duplicate, hold
 from repro.obs import (
     EVENT_FORMAT,
     EVENT_KINDS,
-    NULL_OBSERVER,
     STEP_PHASES,
     EventRecorder,
-    Observer,
     PhaseProfiler,
-    observing,
     profile_scenario,
     read_jsonl,
     validate_event,
@@ -78,13 +75,6 @@ class TestRecorder:
         with pytest.raises(ValueError, match=">= 0"):
             recorder.tail(-1)
 
-    def test_null_observer_is_disabled_and_silent(self):
-        assert not NULL_OBSERVER.enabled
-        NULL_OBSERVER.emit("anything", round_no=1)  # no-op, no error
-        assert not observing(None)
-        assert not observing(NULL_OBSERVER)
-        assert observing(EventRecorder())
-
 
 class TestSpans:
     def test_span_emits_paired_events_with_wall_time(self):
@@ -105,10 +95,6 @@ class TestSpans:
                 raise RuntimeError("boom")
         end = recorder.events("work.end")[0]
         assert end["data"]["ok"] is False
-
-    def test_span_on_disabled_observer_is_silent(self):
-        with Observer().span("work"):
-            pass  # must not raise, must not record anywhere
 
 
 class TestSchema:

@@ -1,9 +1,9 @@
 """A/B proof that observability changes no counted result.
 
 Events and phase timers are guarded hooks inside the one round body
-(``SyncNetwork.step``).  These tests hold executions with an enabled
-observer, a profiler-only observer, the null observer and no observer
-to byte-identical ``Metrics.summary()`` dicts, per-round ledgers, node
+(``SyncNetwork.step``).  These tests hold executions with an
+``EventRecorder`` (profiling on) and with no observer (``None``) to
+byte-identical ``Metrics.summary()`` dicts, per-round ledgers, node
 outputs, and crash sets across every adversary family.
 """
 
@@ -21,7 +21,7 @@ from repro.baselines.collect_rank import CollectRankNode
 from repro.core.crash_renaming import CrashRenamingNode
 from repro.engine.pool import run_requests
 from repro.engine.sweeps import RunRequest
-from repro.obs import NULL_OBSERVER, EventRecorder
+from repro.obs import EventRecorder
 from repro.sim.messages import CostModel
 from repro.sim.runner import run_network
 
@@ -70,9 +70,7 @@ class TestNetworkAB:
         detached = _observables(processes, cost, adversary_fn, 9, None)
         observed = _observables(processes, cost, adversary_fn, 9,
                                 EventRecorder(profile=True))
-        null = _observables(processes, cost, adversary_fn, 9, NULL_OBSERVER)
         assert observed == detached
-        assert null == detached
 
     def test_gossip_identical(self):
         uids, namespace = _population(10, seed=3)
@@ -87,10 +85,7 @@ class TestNetworkAB:
                                 EventRecorder(profile=True))
         assert observed == detached
 
-    def test_profiler_only_observer_still_counts_identically(self):
-        class ProfilerOnly(EventRecorder):
-            enabled = False
-
+    def test_profiler_charges_one_plan_call_per_round(self):
         uids, namespace = _population(8, seed=2)
         cost = CostModel(n=8, namespace=namespace)
 
@@ -99,12 +94,11 @@ class TestNetworkAB:
 
         adversary_fn = ADVERSARIES[3][1]
         detached = _observables(processes, cost, adversary_fn, 4, None)
-        silent = ProfilerOnly(profile=True)
-        observed = _observables(processes, cost, adversary_fn, 4, silent)
+        recorder = EventRecorder(profile=True)
+        observed = _observables(processes, cost, adversary_fn, 4, recorder)
         assert observed == detached
-        phases = silent.profiler.report()["phases"]
+        phases = recorder.profiler.report()["phases"]
         assert phases["plan"]["calls"] == detached["rounds"]
-        assert not silent.events()  # disabled: profiled but no events
 
 
 class TestEngineAB:
@@ -118,9 +112,3 @@ class TestEngineAB:
                [result.row for result in observed]
         assert ([result.messages_per_round for result in plain]
                 == [result.messages_per_round for result in observed])
-
-    def test_run_requests_null_observer_emits_nothing(self):
-        requests = [RunRequest.make("crash", 6, 1, 0)]
-        plain = run_requests(requests)
-        observed = run_requests(requests, observer=NULL_OBSERVER)
-        assert plain[0].row == observed[0].row

@@ -26,13 +26,7 @@ import pytest
 
 import repro
 from repro.engine.pool import run_requests
-from repro.engine.store import (
-    RunStore,
-    code_version,
-    parse_store_url,
-    resolve_store_url,
-    run_hash,
-)
+from repro.engine.store import RunStore, code_version, run_hash
 from repro.engine.sweeps import RunRequest
 
 
@@ -47,78 +41,47 @@ def put_run(store, hash_, *, driver="crash", n=8, f=2, seed=0, params=None,
 
 @pytest.fixture(params=["sqlite"])  # one engine; the param keeps the ids
 def store(tmp_path):
-    with RunStore(f"sqlite://{tmp_path}/runs.sqlite") as opened:
+    with RunStore(tmp_path / "runs.sqlite") as opened:
         yield opened
 
 
-class TestStoreUrls:
-    def test_bare_path_is_sqlite(self):
-        assert parse_store_url(".repro/runs.sqlite") == (
-            "sqlite", os.path.abspath(".repro/runs.sqlite"))
+class TestStorePath:
+    def test_path_names_the_file(self, tmp_path):
+        with RunStore(str(tmp_path / "sub" / "runs.sqlite")) as opened:
+            assert opened.path == tmp_path / "sub" / "runs.sqlite"
+        assert (tmp_path / "sub" / "runs.sqlite").is_file()
 
-    def test_pathlike_accepted(self):
-        scheme, path = parse_store_url(Path("/tmp/x/runs.sqlite"))
-        assert scheme == "sqlite"
-        assert path == "/tmp/x/runs.sqlite"
-
-    def test_explicit_sqlite_url(self):
-        assert parse_store_url("sqlite:///abs/runs.sqlite") == (
-            "sqlite", "/abs/runs.sqlite")
-        assert parse_store_url("SQLITE://rel/runs.sqlite") == (
-            "sqlite", os.path.abspath("rel/runs.sqlite"))
-
-    def test_relative_path_resolves_against_parse_time_cwd(
-            self, tmp_path, monkeypatch):
-        """Workers parsing the same relative URL from different CWDs
-        must NOT end up with different store files — the path is
-        pinned to the parser's CWD, so the coordinator resolves it
-        once and hands workers an absolute URL."""
-        monkeypatch.chdir(tmp_path)
-        scheme, path = parse_store_url("sqlite://runs.sqlite")
-        assert path == str(tmp_path / "runs.sqlite")
-        url = resolve_store_url("runs.sqlite")
-        assert url == f"sqlite://{tmp_path}/runs.sqlite"
-        elsewhere = tmp_path / "elsewhere"
-        elsewhere.mkdir()
-        monkeypatch.chdir(elsewhere)
-        # The absolute URL round-trips identically from any CWD.
-        assert parse_store_url(url) == (scheme, path)
-        assert resolve_store_url(url) == url
-
-    def test_memory_store_is_rejected(self, tmp_path, monkeypatch):
-        """An in-memory store cannot give every thread and worker its
-        own connection; without the check ``abspath`` would quietly
-        create a file named ``:memory:``."""
-        monkeypatch.chdir(tmp_path)
-        for location in (":memory:", "sqlite://:memory:"):
-            for opener in (parse_store_url, resolve_store_url, RunStore):
-                with pytest.raises(ValueError, match="in-memory") as caught:
-                    opener(location)
-                assert "\n" not in str(caught.value)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_duckdb_scheme_is_rejected_with_export_hint(self):
-        with pytest.raises(ValueError) as caught:
-            parse_store_url("duckdb://runs.duckdb")
-        message = str(caught.value)
-        assert "unknown run-store scheme 'duckdb'" in message
-        assert "sqlite://" in message
-        assert "'python -m repro runs export'" in message
-        assert "\n" not in message
-
-    def test_unknown_scheme_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown run-store scheme"):
-            parse_store_url("postgres://runs")
-
-    def test_missing_path_is_an_error(self):
-        with pytest.raises(ValueError, match="missing a path"):
-            parse_store_url("sqlite://")
-
-    def test_runstore_reports_scheme_and_path(self, tmp_path):
-        with RunStore(f"sqlite://{tmp_path}/runs.sqlite") as opened:
+    def test_pathlike_accepted(self, tmp_path):
+        with RunStore(tmp_path / "runs.sqlite") as opened:
             assert opened.path == tmp_path / "runs.sqlite"
-            assert resolve_store_url(opened.path) == (
-                f"sqlite://{tmp_path}/runs.sqlite")
+
+    def test_relative_path_is_made_absolute_on_open(
+            self, tmp_path, monkeypatch):
+        """A store opened from a relative path keeps naming the same
+        file after the process changes directory."""
+        monkeypatch.chdir(tmp_path)
+        with RunStore("runs.sqlite") as opened:
+            assert opened.path == tmp_path / "runs.sqlite"
+            (tmp_path / "elsewhere").mkdir()
+            monkeypatch.chdir(tmp_path / "elsewhere")
+            put_run(opened, "a" * 64)
+        assert not (tmp_path / "elsewhere" / "runs.sqlite").exists()
+
+    @pytest.mark.parametrize("location", [
+        ":memory:", "sqlite:///tmp/runs.sqlite", "sqlite://runs.sqlite",
+        "duckdb://runs.duckdb", "postgres://runs"])
+    def test_not_a_file_path_is_rejected(self, location, tmp_path,
+                                         monkeypatch):
+        """An in-memory store cannot give every thread its own
+        connection, and a URL taken as a path would create a directory
+        named after its scheme: both are one error line, and nothing is
+        created."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="not a file path") as caught:
+            RunStore(location)
+        assert "'python -m repro runs export'" in str(caught.value)
+        assert "\n" not in str(caught.value)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBackendContract:
@@ -302,14 +265,14 @@ class TestBackendContract:
 
     def test_concurrent_process_reader(self, store):
         """A second process sweeps while this one polls the same store."""
-        url = resolve_store_url(store.path)
+        path = str(store.path)
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "sweep", "--driver", "crash",
-             "--n", "6", "--seeds", "0-1", "--f", "1", "--store", url],
+             "--n", "6", "--seeds", "0-1", "--f", "1", "--store", path],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
             text=True,
         )
@@ -330,14 +293,14 @@ class TestBackendContract:
         assert observed <= 2
         assert "2 cached" in subprocess.run(
             [sys.executable, "-m", "repro", "sweep", "--driver", "crash",
-             "--n", "6", "--seeds", "0-1", "--f", "1", "--store", url],
+             "--n", "6", "--seeds", "0-1", "--f", "1", "--store", path],
             capture_output=True, env=env, text=True, check=True,
         ).stderr
 
 
 class TestClosedStore:
     def test_use_after_close_is_an_error(self, tmp_path):
-        store = RunStore(f"sqlite://{tmp_path}/runs.sqlite")
+        store = RunStore(tmp_path / "runs.sqlite")
         store.close()
         with pytest.raises(RuntimeError, match="closed"):
             store.query()
@@ -511,6 +474,38 @@ class TestOneStore:
             assert store.execute("PRAGMA journal_mode").fetchone() == ("wal",)
             assert store.execute("PRAGMA busy_timeout").fetchone() == (10000,)
 
+    def test_opening_a_new_file_another_connection_write_locks_waits(
+            self, tmp_path):
+        """The switch to WAL on a new (rollback-journal) file that
+        another connection holds a write lock on waits for the lock, as
+        every other statement does, instead of failing at once with
+        "database is locked"."""
+        path = tmp_path / "runs.sqlite"
+        locked, release = threading.Event(), 0.3
+
+        def hold_the_write_lock():
+            connection = sqlite3.connect(path, isolation_level=None)
+            connection.execute("BEGIN IMMEDIATE")
+            locked.set()
+            time.sleep(release)
+            connection.execute("COMMIT")
+            connection.close()
+
+        holder = threading.Thread(target=hold_the_write_lock)
+        holder.start()
+        try:
+            assert locked.wait(timeout=30)
+            started = time.monotonic()
+            with RunStore(path) as store:
+                waited = time.monotonic() - started
+                put_run(store, "a" * 64)
+                assert store.execute(
+                    "PRAGMA journal_mode").fetchone() == ("wal",)
+        finally:
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+        assert waited >= release / 2
+
     def test_two_store_objects_on_one_file_see_each_others_writes(
             self, tmp_path):
         path = tmp_path / "runs.sqlite"
@@ -536,12 +531,12 @@ class TestOneStore:
     def test_concurrent_writer_processes_lose_nothing(self, tmp_path):
         """Two processes put 50 runs each into one file at once, as two
         ``sweep`` commands sharing a store do: every row lands."""
-        url = resolve_store_url(tmp_path / "runs.sqlite")
+        path = str(tmp_path / "runs.sqlite")
         script = (
             "import sys\n"
             "from repro.engine.store import RunStore\n"
-            "slot, url = sys.argv[1], sys.argv[2]\n"
-            "with RunStore(url) as store:\n"
+            "slot, path = sys.argv[1], sys.argv[2]\n"
+            "with RunStore(path) as store:\n"
             "    for index in range(50):\n"
             "        store.put(f'{slot}-{index:03d}', driver='crash', n=8,\n"
             "                  f=2, seed=index, params={}, version='v1',\n"
@@ -550,13 +545,13 @@ class TestOneStore:
             "                  bits_per_round=[8 * index])\n")
         src = str(Path(repro.__file__).resolve().parents[1])
         writers = [subprocess.Popen(
-            [sys.executable, "-c", script, slot, url],
+            [sys.executable, "-c", script, slot, path],
             env={**os.environ, "PYTHONPATH": src},
             stderr=subprocess.PIPE, text=True) for slot in ("p", "q")]
         for writer in writers:
             _, err = writer.communicate(timeout=120)
             assert writer.returncode == 0, err
-        with RunStore(url) as store:
+        with RunStore(path) as store:
             runs = store.query()
             assert len(runs) == 100
             assert all(store.ledger(run.hash) == ([run.seed], [8 * run.seed])

@@ -52,7 +52,7 @@ def load_runs_into_sqlite(path: Path) -> sqlite3.Connection:
 @pytest.fixture()
 def faults_store(tmp_path):
     """A store holding a small crash-scenario frontier sweep."""
-    store = RunStore(f"sqlite://{tmp_path}/runs.sqlite")
+    store = RunStore(tmp_path / "runs.sqlite")
     requests = [
         RunRequest.make("faults", 6, 1, seed, scenario="crash",
                         adversary="hunter", faults=spec)
@@ -123,7 +123,7 @@ class TestJsonlExport:
         assert not by_hash  # ledgerless runs export no ledger rows
 
     def test_scalar_row_keys_flatten_nested_values_stay_json(self, tmp_path):
-        with RunStore(f"sqlite://{tmp_path}/runs.sqlite") as store:
+        with RunStore(tmp_path / "runs.sqlite") as store:
             store.put("h1", driver="d", n=4, f=0, seed=0, params={},
                       version="v1", status="ok",
                       row={"messages": 5, "nested": {"x": 1}, "name": "a"})
@@ -143,7 +143,7 @@ class TestJsonlExport:
         assert json.loads(records["h1"]["row"])["nested"] == {"x": 1}
 
     def test_driver_and_status_filters(self, tmp_path):
-        with RunStore(f"sqlite://{tmp_path}/runs.sqlite") as store:
+        with RunStore(tmp_path / "runs.sqlite") as store:
             store.put("keep", driver="crash", n=4, f=0, seed=0, params={},
                       version="v1", status="ok", row={"m": 1},
                       messages_per_round=[1], bits_per_round=[8])
@@ -166,7 +166,7 @@ class TestCli:
         out = tmp_path / "cli-export"
         code = cli_main([
             "runs", "export", "--store",
-            f"sqlite://{tmp_path}/runs.sqlite", "--out", str(out),
+            str(tmp_path / "runs.sqlite"), "--out", str(out),
             "--driver", "faults",
         ])
         captured = capsys.readouterr()
@@ -190,7 +190,7 @@ class TestCli:
         monkeypatch.setattr(export, "export_store", export_then_write)
         out = tmp_path / "cli-export"
         assert cli_main([
-            "runs", "export", "--store", f"sqlite://{tmp_path}/runs.sqlite",
+            "runs", "export", "--store", str(tmp_path / "runs.sqlite"),
             "--out", str(out), "--driver", "faults",
         ]) == 0
         assert "exported 4 runs" in capsys.readouterr().err
